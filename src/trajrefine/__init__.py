@@ -8,7 +8,6 @@ recursive least-squares updates over bivariate Gaussians.
 
 from .data import (
     Dataset,
-    Neighbor,
     Segment,
     Track,
     downsample,
@@ -39,22 +38,18 @@ from .goals import (
     GoalAnchor,
     GoalModelParams,
     GoalSet,
-    InterpConfig,
     fit_goal_model,
-    goal_measurement_at,
+    goal_moments,
     predict_goals,
 )
 from .metrics import AblationReport, AblationRow, Metrics, rmse, run_ablation
 from .predictors import (
     PredictorParams,
-    PredictorState,
     RefineConfig,
     fit_ar_rls,
     fit_predictor,
-    predictor_feedback,
-    predictor_init,
-    predictor_step,
     rollout,
+    rollout_batch,
     rollout_refined,
     rollout_vanilla,
 )
@@ -71,11 +66,8 @@ __all__ = [
     "GoalAnchor",
     "GoalModelParams",
     "GoalSet",
-    "InterpConfig",
     "Metrics",
-    "Neighbor",
     "PredictorParams",
-    "PredictorState",
     "RefineConfig",
     "Segment",
     "SingularInnovationError",
@@ -88,21 +80,19 @@ __all__ = [
     "fit_predictor",
     "fuse",
     "gen_synthetic",
-    "goal_measurement_at",
+    "goal_moments",
     "info_fuse",
     "is_psd",
     "log_density",
     "params_from_cov",
     "parse_ngsim_csv",
     "predict_goals",
-    "predictor_feedback",
-    "predictor_init",
-    "predictor_step",
     "read_jsonl",
     "rls_gain",
     "rls_update",
     "rmse",
     "rollout",
+    "rollout_batch",
     "rollout_refined",
     "rollout_vanilla",
     "run_ablation",

@@ -35,7 +35,7 @@ from .predictors import (
     PredictorParams,
     RefineConfig,
     fit_predictor,
-    rollout,
+    rollout_batch,
 )
 
 MODEL_VERSION = 1
@@ -157,28 +157,34 @@ def save_model(
 
 
 def load_model(path: str) -> tuple[PredictorParams, GoalModelParams, dict]:
+    """Read a model file; any missing key or invalid value names the file."""
     with open(path) as fh:
         doc = json.load(fh)
     if doc.get("version") != MODEL_VERSION:
         raise ValueError(f"{path}: unsupported model file version {doc.get('version')}")
-    p = doc["predictor"]
-    predictor = PredictorParams(
-        backbone=p["backbone"],
-        dt=p["dt"],
-        step_covs=tuple(Cov2(*triple) for triple in p["step_covs"]),
-        window=p["window"],
-        lag=p["lag"],
-        ar_weights=None if p["ar_weights"] is None else np.array(p["ar_weights"]),
-    )
-    g = doc["goal_model"]
-    goal_model = GoalModelParams(
-        anchor_steps=tuple(g["anchor_steps"]),
-        weights=tuple(np.array(w) for w in g["weights"]),
-        residual_covs=tuple(Cov2(*triple) for triple in g["residual_covs"]),
-        history_len=g["history_len"],
-        rotate=g["rotate"],
-    )
-    return predictor, goal_model, doc["protocol"]
+    try:
+        p = doc["predictor"]
+        predictor = PredictorParams(
+            backbone=p["backbone"],
+            dt=p["dt"],
+            step_covs=tuple(Cov2(*triple) for triple in p["step_covs"]),
+            window=p["window"],
+            lag=p["lag"],
+            ar_weights=None if p["ar_weights"] is None else np.array(p["ar_weights"]),
+        )
+        g = doc["goal_model"]
+        goal_model = GoalModelParams(
+            anchor_steps=tuple(g["anchor_steps"]),
+            weights=tuple(np.array(w) for w in g["weights"]),
+            residual_covs=tuple(Cov2(*triple) for triple in g["residual_covs"]),
+            history_len=g["history_len"],
+            rotate=g["rotate"],
+        )
+        return predictor, goal_model, doc["protocol"]
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc} in model file") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: invalid model file: {exc}") from None
 
 
 def _check_protocol(protocol: dict, ds: Dataset, path: str) -> None:
@@ -306,16 +312,16 @@ def cmd_predict(o) -> int:
         goal_cov_scale=o.goal_cov_scale,
     )
     mode = "refined" if o.refine else "vanilla"
+    means, covs = [], []
+    if ds.segments:
+        goals = goal_model if o.refine else None
+        means, covs = rollout_batch(predictor, ds.histories(), ds.horizon, goals, cfg)
     with open(o.out, "w") as fh:
-        for seg in ds.segments:
-            estimates = rollout(predictor, goal_model, seg.history, ds.horizon, cfg)
-            means = [[round(float(e.mean[0]), 6), round(float(e.mean[1]), 6)]
-                     for e in estimates]
-            sigmas = []
-            for e in estimates:
-                sx, sy, rho = params_from_cov(e.cov)
-                sigmas.append([round(sx, 6), round(sy, 6), round(rho, 6)])
-            line = {"segment_id": seg.segment_id, "means": means,
+        for seg, seg_means, seg_covs in zip(ds.segments, means, covs):
+            rounded = [[round(float(x), 6), round(float(y), 6)] for x, y in seg_means]
+            # full precision: a sigma rounded to 6 dp can become an invalid 0
+            sigmas = [list(params_from_cov(Cov2.from_matrix(c))) for c in seg_covs]
+            line = {"segment_id": seg.segment_id, "means": rounded,
                     "sigmas": sigmas, "mode": mode}
             fh.write(json.dumps(line, separators=(",", ":")) + "\n")
     print(f"wrote {len(ds)} {mode} predictions to {o.out}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import zlib
 from dataclasses import dataclass
 
@@ -42,15 +43,6 @@ def _points(a, name: str) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Neighbor:
-    agent_id: int
-    history: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "history", _points(self.history, "neighbor history"))
-
-
-@dataclass(frozen=True)
 class Segment:
     """One supervised example: observed history plus ground-truth future."""
 
@@ -59,14 +51,12 @@ class Segment:
     dt: float
     history: np.ndarray  # (tau+1, 2) meters
     future: np.ndarray  # (T, 2) meters
-    neighbors: tuple[Neighbor, ...] = ()
 
     def __post_init__(self) -> None:
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
         object.__setattr__(self, "history", _points(self.history, "history"))
         object.__setattr__(self, "future", _points(self.future, "future"))
-        object.__setattr__(self, "neighbors", tuple(self.neighbors))
 
 
 @dataclass
@@ -97,6 +87,10 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.segments)
 
+    def histories(self) -> np.ndarray:
+        """Observed histories stacked as an (N, tau+1, 2) array."""
+        return np.stack([seg.history for seg in self.segments])
+
     def futures(self) -> np.ndarray:
         """Ground-truth futures stacked as an (N, T, 2) array."""
         return np.stack([seg.future for seg in self.segments])
@@ -122,9 +116,12 @@ def parse_ngsim_csv(path: str) -> list[Track]:
 
     Rows are grouped by vehicle and sorted by frame; Local_X/Local_Y are
     converted from feet with the exact factor 0.3048. A track is split
-    wherever a vehicle's frame sequence jumps by more than 1.
+    wherever a vehicle's frame sequence jumps by more than 1. A repeated
+    (Vehicle_ID, Frame_ID) pair or a non-finite coordinate is rejected with
+    its line number.
     """
     per_vehicle: dict[int, list[tuple[int, float, float]]] = {}
+    first_line: dict[tuple[int, int], int] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -148,6 +145,14 @@ def parse_ngsim_csv(path: str) -> list[Track]:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
             if frame < 0:
                 raise ValueError(f"{path}: line {lineno}: negative frame id {frame}")
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError(f"{path}: line {lineno}: non-finite coordinate")
+            seen = first_line.setdefault((vid, frame), lineno)
+            if seen != lineno:
+                raise ValueError(
+                    f"{path}: line {lineno}: Frame_ID {frame} of Vehicle_ID {vid} "
+                    f"repeats line {seen}"
+                )
             per_vehicle.setdefault(vid, []).append((frame, x, y))
 
     tracks: list[Track] = []
@@ -314,16 +319,16 @@ def write_jsonl(ds: Dataset, path: str) -> None:
                 "dt": round(seg.dt, 6),
                 "history": _round_points(seg.history),
                 "future": _round_points(seg.future),
-                "neighbors": [
-                    {"agent_id": nb.agent_id, "history": _round_points(nb.history)}
-                    for nb in seg.neighbors
-                ],
             }
             fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
 
 
 def read_jsonl(path: str) -> Dataset:
-    """Inverse of :func:`write_jsonl`; schema errors carry the line number."""
+    """Inverse of :func:`write_jsonl`; schema errors carry the line number.
+
+    Keys other than the segment fields, such as the ``neighbors`` list older
+    files carry, are ignored.
+    """
     segments: list[Segment] = []
     protocol: tuple[float, int, int] | None = None
     with open(path) as fh:
@@ -338,19 +343,14 @@ def read_jsonl(path: str) -> Dataset:
                 if key not in obj:
                     raise ValueError(f"{path}: line {lineno}: missing field '{key}'")
             try:
-                neighbors = tuple(
-                    Neighbor(int(nb["agent_id"]), nb["history"])
-                    for nb in obj.get("neighbors", [])
-                )
                 seg = Segment(
                     segment_id=str(obj["segment_id"]),
                     agent_id=int(obj["agent_id"]),
                     dt=float(obj["dt"]),
                     history=obj["history"],
                     future=obj["future"],
-                    neighbors=neighbors,
                 )
-            except (ValueError, TypeError, KeyError) as exc:
+            except (ValueError, TypeError) as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
             shape = (seg.dt, len(seg.history), len(seg.future))
             if protocol is None:

@@ -1,12 +1,17 @@
 """Goal-point model: once-per-segment anchor prediction and per-step measurements.
 
 A set of goal anchors (future-step indices carrying a position Gaussian) is
-predicted exactly once from the observed history. Each anchor has its own
-independent ridge regressor from ego-frame history displacements to the
-anchor displacement, so removing one anchor never perturbs another. At
-refinement time the sparse anchors are turned into a pseudo-measurement for
-every horizon step by linear interpolation of means and covariances, which
-preserves positive semidefiniteness (convex combinations of PSD matrices).
+predicted exactly once per segment from the observed history. Each anchor has
+its own independent ridge regressor from ego-frame history displacements to
+the anchor displacement, so removing one anchor never perturbs another.
+:func:`goal_moments` predicts the anchors of a whole batch of histories as
+arrays; :func:`predict_goals` is its one-history form and returns a GoalSet.
+
+At refinement time :func:`interpolate_goals` turns the sparse anchors into a
+pseudo-measurement for every horizon step. One fixed (T, A+1) table of linear
+weights over a virtual step-0 anchor and the A anchors serves every segment;
+steps past the last anchor hold it and inflate its covariance. Convex
+combinations of PSD matrices are PSD, so every measurement covariance is.
 
 The ego frame translates the last observed position to the origin and, by
 default, rotates the net history heading onto +x so the regressors are
@@ -20,8 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .fusion import Estimate
-from .gaussian import Cov2, Gaussian2D, params_from_cov
+from .gaussian import Cov2, Gaussian2D
 
 RESIDUAL_FLOOR = 1e-6  # m^2 added to residual covariances; keeps fusion nonsingular
 
@@ -61,25 +65,6 @@ class GoalSet:
 
 
 @dataclass(frozen=True)
-class InterpConfig:
-    """Interpolation knobs for steps without an anchor.
-
-    epsilon is the variance (m^2) of the virtual step-0 anchor pinned at the
-    last observed position; beta inflates the held covariance by beta * gap
-    per step beyond the last anchor.
-    """
-
-    epsilon: float = 0.05
-    beta: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
-        if self.beta < 0.0:
-            raise ValueError("beta must be non-negative")
-
-
-@dataclass(frozen=True)
 class GoalModelParams:
     """Per-anchor ridge regressors plus ego-frame configuration.
 
@@ -104,29 +89,50 @@ class GoalModelParams:
             raise ValueError("one (weights, residual_cov) pair required per anchor")
         feat = 2 * (self.history_len - 1)
         weights = tuple(np.asarray(w, dtype=float).reshape(feat, 2) for w in self.weights)
+        for step, cov in zip(steps, self.residual_covs):
+            if not (cov.sxx > 0.0 and cov.det > 0.0):
+                raise ValueError(
+                    f"residual covariance of anchor {step} is not positive definite"
+                )
         object.__setattr__(self, "anchor_steps", steps)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "residual_covs", tuple(self.residual_covs))
 
 
-def _heading_angle(history: np.ndarray) -> float:
-    """Direction of the net history displacement; 0 for a stationary history."""
-    net = history[-1] - history[0]
-    if float(np.hypot(net[0], net[1])) < 1e-12:
-        return 0.0
-    return float(np.arctan2(net[1], net[0]))
+def solve_ridge(x: np.ndarray, y: np.ndarray, ridge_lambda: float) -> np.ndarray:
+    """Closed-form ridge solution of the normal equations (X^T X + lambda I) W = X^T Y.
+
+    With ridge_lambda=0 the Gram matrix must be well conditioned.
+    """
+    gram = x.T @ x
+    if ridge_lambda == 0.0:
+        eigs = np.linalg.eigvalsh(gram)
+        if eigs[0] <= 1e-12 * max(1.0, eigs[-1]):
+            raise ValueError(
+                "normal equations are singular with ridge_lambda=0 "
+                "(rank-deficient features); add ridge or more data"
+            )
+    return np.linalg.solve(gram + ridge_lambda * np.eye(gram.shape[0]), x.T @ y)
 
 
-def _rotation(theta: float) -> np.ndarray:
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s], [s, c]])
+def _ego_frame(histories: np.ndarray, rotate: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Ego-frame features and ego->world rotations of (N, n, 2) histories.
 
-
-def _ego_features(history: np.ndarray, rotate: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Flattened ego-frame displacement features and the ego->world rotation."""
-    rot = _rotation(_heading_angle(history)) if rotate else np.eye(2)
-    disp = np.diff(history, axis=0)
-    return (disp @ rot).ravel(), rot  # disp @ rot == each row rotated by -theta
+    Returns the flattened displacement features (N, 2*(n-1)) and the (N, 2, 2)
+    rotations that turn each net history displacement onto +x; a stationary
+    history, or rotate=False, keeps the world axes.
+    """
+    n, length, _ = histories.shape
+    if rotate:
+        net = histories[:, -1] - histories[:, 0]
+        moving = np.hypot(net[:, 0], net[:, 1]) >= 1e-12
+        theta = np.where(moving, np.arctan2(net[:, 1], net[:, 0]), 0.0)
+        c, s = np.cos(theta), np.sin(theta)
+        rot = np.stack([c, -s, s, c], axis=-1).reshape(n, 2, 2)
+    else:
+        rot = np.broadcast_to(np.eye(2), (n, 2, 2))
+    disp = np.diff(histories, axis=1) @ rot  # each row rotated by -theta
+    return disp.reshape(n, 2 * (length - 1)), rot
 
 
 def fit_goal_model(
@@ -153,43 +159,25 @@ def fit_goal_model(
             f"anchor step {max(steps)} exceeds the future length {train.horizon}"
         )
 
-    def design(ds: Dataset) -> tuple[np.ndarray, list[np.ndarray]]:
-        feats, rots = [], []
-        for seg in ds.segments:
-            phi, rot = _ego_features(seg.history, rotate)
-            feats.append(phi)
-            rots.append(rot)
-        return np.asarray(feats), rots
+    def design(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
+        """Features and the ego-frame offsets of every future point."""
+        histories = ds.histories()
+        feats, rot = _ego_frame(histories, rotate)
+        return feats, (ds.futures() - histories[:, -1:]) @ rot
 
-    def targets(ds: Dataset, rots: list[np.ndarray], step: int) -> np.ndarray:
-        rows = []
-        for seg, rot in zip(ds.segments, rots):
-            rows.append((seg.future[step - 1] - seg.history[-1]) @ rot)
-        return np.asarray(rows)
-
-    x_train, rot_train = design(train)
-    gram = x_train.T @ x_train
-    if ridge_lambda == 0.0:
-        eigs = np.linalg.eigvalsh(gram)
-        if eigs[0] <= 1e-12 * max(1.0, eigs[-1]):
-            raise ValueError(
-                "normal equations are singular with ridge_lambda=0 "
-                "(rank-deficient features); add ridge or more data"
-            )
-    lhs = gram + ridge_lambda * np.eye(gram.shape[0])
-
+    x_train, y_train = design(train)
     holdout = val if val is not None and val.segments else train
     if holdout is train:
-        x_hold, rot_hold = x_train, rot_train
+        x_hold, y_hold = x_train, y_train
     else:
         if max(steps) > holdout.horizon:
             raise ValueError("validation futures are shorter than the last anchor")
-        x_hold, rot_hold = design(holdout)
+        x_hold, y_hold = design(holdout)
 
     weights, residual_covs = [], []
     for step in steps:
-        w = np.linalg.solve(lhs, x_train.T @ targets(train, rot_train, step))
-        resid = x_hold @ w - targets(holdout, rot_hold, step)
+        w = solve_ridge(x_train, y_train[:, step - 1], ridge_lambda)
+        resid = x_hold @ w - y_hold[:, step - 1]
         second_moment = resid.T @ resid / len(resid)
         cov = 0.5 * (second_moment + second_moment.T) + RESIDUAL_FLOOR * np.eye(2)
         weights.append(w)
@@ -203,53 +191,74 @@ def fit_goal_model(
     )
 
 
-def predict_goals(params: GoalModelParams, history: np.ndarray) -> GoalSet:
-    """Predict every configured anchor once from the observed history.
+def goal_moments(
+    params: GoalModelParams, histories: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Predict every configured anchor once for each of N observed histories.
 
-    Regression runs in the ego frame; means and residual covariances are
-    mapped back to world coordinates. Pure function of (params, history).
+    histories is (N, history_len, 2). Regression runs in the ego frame;
+    means (N, A, 2) and residual covariances (N, A, 2, 2) are mapped back to
+    world coordinates. Pure function of (params, histories).
     """
-    history = np.asarray(history, dtype=float)
-    if history.ndim != 2 or history.shape != (params.history_len, 2):
+    histories = np.asarray(histories, dtype=float)
+    if histories.ndim != 3 or histories.shape[1:] != (params.history_len, 2):
         raise ValueError(
-            f"history shape {history.shape} does not match the fitted "
+            f"history shape {histories.shape[1:]} does not match the fitted "
             f"configuration ({params.history_len}, 2)"
         )
-    phi, rot = _ego_features(history, params.rotate)
-    origin = history[-1]
-    anchors = []
-    for step, w, rcov in zip(params.anchor_steps, params.weights, params.residual_covs):
-        mean = origin + rot @ (phi @ w)
-        world_cov = rot @ rcov.as_matrix() @ rot.T
-        sx, sy, rho = params_from_cov(Cov2.from_matrix(world_cov))
-        anchors.append(GoalAnchor(step, Gaussian2D(mean[0], mean[1], sx, sy, rho)))
-    return GoalSet(tuple(anchors))
+    feats, rot = _ego_frame(histories, params.rotate)
+    n, anchors = len(histories), len(params.anchor_steps)
+    ego = (feats @ np.concatenate(params.weights, axis=1)).reshape(n, anchors, 2)
+    rot_t = np.swapaxes(rot, 1, 2)
+    means = histories[:, -1:] + ego @ rot_t
+    residual = np.array([c.as_matrix() for c in params.residual_covs])
+    covs = rot[:, None] @ residual @ rot_t[:, None]
+    return means, covs
 
 
-def goal_measurement_at(
-    goals: GoalSet, k: int, last_obs: np.ndarray, cfg: InterpConfig = InterpConfig()
-) -> Estimate:
-    """Pseudo-measurement for future step k from the sparse anchor set.
+def predict_goals(params: GoalModelParams, history: np.ndarray) -> GoalSet:
+    """Anchors of one (history_len, 2) history as a GoalSet; see goal_moments."""
+    means, covs = goal_moments(params, np.asarray(history, dtype=float)[None])
+    return GoalSet(
+        tuple(
+            GoalAnchor(step, Gaussian2D.from_moments(mean, Cov2.from_matrix(cov)))
+            for step, mean, cov in zip(params.anchor_steps, means[0], covs[0])
+        )
+    )
 
-    Anchor steps return the anchor Gaussian exactly. Steps between anchors
-    (with a virtual step-0 anchor at the last observed position, variance
-    epsilon) interpolate both mean and covariance linearly. Steps beyond the
-    last anchor hold its mean and inflate its covariance by beta per step.
+
+def interpolate_goals(
+    anchor_steps: tuple[int, ...],
+    last_obs: np.ndarray,
+    means: np.ndarray,
+    covs: np.ndarray,
+    horizon: int,
+    epsilon: float,
+    beta: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pseudo-measurements for future steps 1..horizon from sparse anchors.
+
+    last_obs is (N, 2); means (N, A, 2) and covs (N, A, 2, 2) are the anchors
+    of goal_moments. Anchor steps return the anchor Gaussian exactly. Steps
+    between anchors (with a virtual step-0 anchor at the last observed
+    position, variance epsilon) interpolate both mean and covariance
+    linearly. Steps beyond the last anchor hold its mean and inflate its
+    covariance by beta per step. Returns (N, T, 2) means and (N, T, 2, 2)
+    covariances.
     """
-    if k < 1:
-        raise ValueError("step index must be >= 1")
-    last_obs = np.asarray(last_obs, dtype=float).reshape(2)
-    nodes = [(0, last_obs, Cov2.isotropic(cfg.epsilon).as_matrix())]
-    nodes += [(a.step, a.gaussian.mean, a.gaussian.cov.as_matrix()) for a in goals.anchors]
-
-    last_step, last_mean, last_cov = nodes[-1]
-    if k >= last_step:
-        inflated = last_cov + cfg.beta * (k - last_step) * np.eye(2)
-        return Estimate(last_mean, Cov2.from_matrix(inflated))
-    for (s0, m0, c0), (s1, m1, c1) in zip(nodes, nodes[1:]):
-        if s0 <= k <= s1:
-            w = (k - s0) / (s1 - s0)
-            mean = (1.0 - w) * m0 + w * m1
-            cov = (1.0 - w) * c0 + w * c1
-            return Estimate(mean, Cov2.from_matrix(cov))
-    raise AssertionError("unreachable: k inside anchor range but no bracket found")
+    nodes = np.array((0, *anchor_steps), dtype=float)
+    k = np.arange(1, horizon + 1, dtype=float)
+    upper = np.clip(np.searchsorted(nodes, k), 1, len(nodes) - 1)
+    lower_step, upper_step = nodes[upper - 1], nodes[upper]
+    w = np.minimum((k - lower_step) / (upper_step - lower_step), 1.0)
+    table = np.zeros((horizon, len(nodes)))  # (T, A+1) weights over the nodes
+    table[np.arange(horizon), upper - 1] = 1.0 - w
+    table[np.arange(horizon), upper] = w
+    gap = np.maximum(k - nodes[-1], 0.0)  # steps held past the last anchor
+    n = len(means)
+    node_means = np.concatenate([np.asarray(last_obs, dtype=float)[:, None], means], 1)
+    origin_cov = np.broadcast_to(epsilon * np.eye(2), (n, 1, 2, 2))
+    node_covs = np.concatenate([origin_cov, covs], axis=1)
+    z = table @ node_means
+    r = np.einsum("ta,naij->ntij", table, node_covs)
+    return z, r + beta * gap[:, None, None] * np.eye(2)

@@ -8,7 +8,7 @@ import numpy as np
 
 from .data import Dataset
 from .goals import GoalModelParams
-from .predictors import PredictorParams, RefineConfig, rollout_refined, rollout_vanilla
+from .predictors import PredictorParams, RefineConfig, rollout_batch
 
 
 @dataclass(frozen=True)
@@ -116,25 +116,13 @@ def run_ablation(
     """
     if not test.segments:
         raise ValueError("test set is empty")
+    histories = test.histories()
     rows = []
     for backbone in sorted(models):
         params, goal_params = models[backbone]
-        vanilla_means = np.array(
-            [
-                [e.mean for e in rollout_vanilla(params, seg.history, test.horizon)]
-                for seg in test.segments
-            ]
-        )
-        refined_means = np.array(
-            [
-                [
-                    e.mean
-                    for e in rollout_refined(
-                        params, goal_params, seg.history, test.horizon, cfg
-                    )
-                ]
-                for seg in test.segments
-            ]
+        vanilla_means, _ = rollout_batch(params, histories, test.horizon)
+        refined_means, _ = rollout_batch(
+            params, histories, test.horizon, goal_params, cfg
         )
         rows.append(AblationRow(backbone, False, rmse(vanilla_means, test)))
         rows.append(AblationRow(backbone, True, rmse(refined_means, test)))

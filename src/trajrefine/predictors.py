@@ -1,28 +1,32 @@
-"""Rollout backbones and the goal-refined rollout loop.
+"""Rollout backbones and the array rollout engine.
 
 Three closed-form backbones stand behind one predictor contract: constant
 velocity (cv), constant acceleration (ca, quadratic extrapolation over a
-sliding window) and an autoregressive displacement model (ar). Each emits a
-Gaussian estimate per future step whose covariance comes from a per-horizon
-calibration table, so uncertainty grows with the horizon the way the
-backbone's own rollout errors actually grow.
+sliding window) and an autoregressive displacement model (ar). Each is a
+linear map of its position buffer, stored as one matrix W so that every
+backbone steps as ``buffer[-1] + diff(buffer).ravel() @ W``. Each step's
+Gaussian estimate takes its covariance from a per-horizon calibration table,
+so uncertainty grows with the horizon the way the backbone's own rollout
+errors actually grow.
 
-The refined rollout predicts goal anchors once, then at every step fuses the
-raw backbone estimate with the interpolated goal measurement and (by
-default) feeds the fused mean back into the predictor's position buffer.
+:func:`rollout_batch` is the one rollout loop. It steps N segments at once.
+With a goal model it predicts the anchors once per segment, fuses every raw
+step with the interpolated goal measurement through the gain-form update and
+(by default) feeds the fused mean back into the buffer. ``rollout``,
+``rollout_vanilla`` and ``rollout_refined`` are its one-segment adapters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .data import Dataset
-from .fusion import Estimate, SingularInnovationError, fuse
+from .fusion import Estimate, SingularInnovationError, gain_update
 from .gaussian import PSD_TOL, Cov2, is_psd
-from .goals import GoalModelParams, InterpConfig, goal_measurement_at, predict_goals
+from .goals import GoalModelParams, goal_moments, interpolate_goals, solve_ridge
 
 BACKBONES = ("cv", "ca", "ar")
 
@@ -85,16 +89,23 @@ class PredictorParams:
     def buffer_len(self) -> int:
         return self.window if self.backbone in ("cv", "ca") else self.lag + 1
 
+    @cached_property
+    def step_weights(self) -> np.ndarray:
+        """(2*(buffer_len-1), 2) matrix W of the backbone's one-step map.
 
-@dataclass(frozen=True)
-class PredictorState:
-    """Recent position buffer (oldest first) and completed-step counter."""
-
-    buffer: np.ndarray
-    step: int = 0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "buffer", np.asarray(self.buffer, dtype=float))
+        The next position is buffer[-1] + diff(buffer).ravel() @ W: cv
+        averages the displacements, ca writes its extrapolation weights over
+        positions as weights over displacements (they sum to one), ar is its
+        fitted weight matrix.
+        """
+        if self.backbone == "ar":
+            return self.ar_weights
+        if self.backbone == "cv":
+            per_disp = np.full(self.window - 1, 1.0 / (self.window - 1))
+        else:
+            coeffs = np.asarray(_quadratic_extrapolation_coeffs(self.window))
+            per_disp = -np.cumsum(coeffs)[:-1]
+        return np.kron(per_disp[:, None], np.eye(2))
 
 
 @dataclass(frozen=True)
@@ -105,7 +116,11 @@ class RefineConfig:
     the fused mean; 'raw' leaves the backbone rolling out on its own output
     while the fused sequence is still what gets returned. goal_cov_scale
     multiplies every goal measurement covariance (1e12 recovers the vanilla
-    rollout, 1e-12 snaps the output onto the goals).
+    rollout, 1e-12 snaps the output onto the goals). epsilon is the variance
+    (m^2) of the virtual step-0 goal anchor pinned at the last observed
+    position; beta inflates the goal covariance by beta per step held past
+    the last anchor. refine_enabled selects between refined and vanilla in
+    :func:`rollout` and the CLI.
     """
 
     refine_enabled: bool = True
@@ -119,25 +134,10 @@ class RefineConfig:
             raise ValueError("feedback mode must be 'fused' or 'raw'")
         if self.goal_cov_scale <= 0.0:
             raise ValueError("goal_cov_scale must be positive")
-        # epsilon/beta domains are enforced by InterpConfig
-        InterpConfig(self.epsilon, self.beta)
-
-    def interp(self) -> InterpConfig:
-        return InterpConfig(self.epsilon, self.beta)
-
-
-def predictor_init(params: PredictorParams, history: np.ndarray) -> PredictorState:
-    """Prime a rollout state with the tail of the observed history."""
-    history = np.asarray(history, dtype=float)
-    need = params.buffer_len
-    if history.ndim != 2 or history.shape[1] != 2:
-        raise ValueError("history must be an (n, 2) array")
-    if len(history) < need:
-        raise ValueError(
-            f"{params.backbone} backbone needs at least {need} history points, "
-            f"got {len(history)}"
-        )
-    return PredictorState(buffer=history[-need:].copy(), step=0)
+        if self.epsilon <= 0.0:
+            raise ValueError("epsilon must be positive")
+        if self.beta < 0.0:
+            raise ValueError("beta must be non-negative")
 
 
 @lru_cache(maxsize=None)
@@ -148,67 +148,6 @@ def _quadratic_extrapolation_coeffs(window: int) -> tuple[float, ...]:
     vander = np.column_stack([np.ones(window), t, t * t])
     coeffs = np.array([1.0, float(window), float(window) ** 2]) @ np.linalg.pinv(vander)
     return tuple(coeffs)
-
-
-def _step_mean(params: PredictorParams, buffer: np.ndarray) -> np.ndarray:
-    if params.backbone == "cv":
-        velocity = (buffer[-1] - buffer[0]) / ((len(buffer) - 1) * params.dt)
-        return buffer[-1] + velocity * params.dt
-    if params.backbone == "ca":
-        coeffs = np.asarray(_quadratic_extrapolation_coeffs(len(buffer)))
-        return coeffs @ buffer
-    phi = np.diff(buffer, axis=0).ravel()
-    return buffer[-1] + phi @ params.ar_weights
-
-
-def predictor_step(
-    params: PredictorParams, state: PredictorState
-) -> tuple[Estimate, PredictorState]:
-    """Emit the next step's Gaussian estimate and the advanced state.
-
-    The raw predicted mean is appended to the buffer; callers that refine
-    replace it afterwards via :func:`predictor_feedback`.
-    """
-    if state.step >= params.horizon:
-        raise ValueError(
-            f"rollout horizon of {params.horizon} steps exceeded at step "
-            f"{state.step + 1}"
-        )
-    mean = _step_mean(params, state.buffer)
-    estimate = Estimate(mean, params.step_covs[state.step])
-    buffer = np.vstack([state.buffer[1:], mean])
-    return estimate, PredictorState(buffer=buffer, step=state.step + 1)
-
-
-def predictor_feedback(
-    params: PredictorParams, state: PredictorState, fused_mean: np.ndarray
-) -> PredictorState:
-    """Replace the most recently predicted position with the fused one.
-
-    Velocity/displacement features are derived from the buffer on demand,
-    so no other state needs recomputing here.
-    """
-    if state.step < 1:
-        raise ValueError("feedback requires at least one completed step")
-    buffer = state.buffer.copy()
-    buffer[-1] = np.asarray(fused_mean, dtype=float).reshape(2)
-    return PredictorState(buffer=buffer, step=state.step)
-
-
-def _series(seg) -> np.ndarray:
-    return np.vstack([seg.history, seg.future])
-
-
-def _solve_ridge(x: np.ndarray, y: np.ndarray, ridge_lambda: float) -> np.ndarray:
-    gram = x.T @ x
-    if ridge_lambda == 0.0:
-        eigs = np.linalg.eigvalsh(gram)
-        if eigs[0] <= 1e-12 * max(1.0, eigs[-1]):
-            raise ValueError(
-                "normal equations are singular with ridge_lambda=0 "
-                "(rank-deficient features)"
-            )
-    return np.linalg.solve(gram + ridge_lambda * np.eye(gram.shape[0]), x.T @ y)
 
 
 def fit_predictor(
@@ -242,13 +181,13 @@ def fit_predictor(
     if backbone == "ar":
         feats, targets = [], []
         for seg in train.segments:
-            disp = np.diff(_series(seg), axis=0)
+            disp = np.diff(np.vstack([seg.history, seg.future]), axis=0)
             for j in range(lag, len(disp)):
                 feats.append(disp[j - lag : j].ravel())
                 targets.append(disp[j])
         if not feats:
             raise ValueError("training segments are too short for the requested lag")
-        ar_weights = _solve_ridge(np.asarray(feats), np.asarray(targets), ridge_lambda)
+        ar_weights = solve_ridge(np.asarray(feats), np.asarray(targets), ridge_lambda)
 
     flat = Cov2.isotropic(1.0)
     probe = PredictorParams(
@@ -262,11 +201,8 @@ def fit_predictor(
     calib = val if val is not None and val.segments else train
     if calib.horizon < horizon:
         raise ValueError("calibration futures are shorter than the fitted horizon")
-    errors = np.empty((len(calib.segments), horizon, 2))
-    for i, seg in enumerate(calib.segments):
-        estimates = rollout_vanilla(probe, seg.history, horizon)
-        preds = np.array([e.mean for e in estimates])
-        errors[i] = preds - seg.future[:horizon]
+    preds, _ = rollout_batch(probe, calib.histories(), horizon)
+    errors = preds - calib.futures()[:, :horizon]
 
     step_covs = []
     running_max = 0.0
@@ -322,17 +258,83 @@ def fit_ar_rls(pairs, forgetting: float = 1.0, delta: float = 1e-8) -> np.ndarra
     return weights[:, 0] if scalar_target else weights
 
 
+def rollout_batch(
+    params: PredictorParams,
+    histories: np.ndarray,
+    horizon: int | None = None,
+    goal_params: GoalModelParams | None = None,
+    cfg: RefineConfig = RefineConfig(),
+) -> tuple[np.ndarray, np.ndarray]:
+    """Roll N segments out together; the one rollout loop of the package.
+
+    histories is (N, n, 2). Returns (N, T, 2) means and (N, T, 2, 2)
+    covariances for future steps 1..T. Without a goal model this is the
+    vanilla rollout: repeated one-step prediction with the calibrated step
+    covariances. With one, goals are predicted exactly once per segment up
+    front; at each step k the raw estimate is fused with the goal
+    measurement for k, the fused estimate is emitted, and (in 'fused'
+    feedback mode) the fused mean replaces the raw one in the buffer before
+    the next step. cfg.refine_enabled is not read here: pass no goal model
+    for a vanilla rollout.
+    """
+    histories = np.asarray(histories, dtype=float)
+    horizon = params.horizon if horizon is None else int(horizon)
+    need = params.buffer_len
+    if histories.ndim != 3 or histories.shape[2] != 2:
+        raise ValueError("histories must be an (N, n, 2) array")
+    if histories.shape[1] < need:
+        raise ValueError(
+            f"{params.backbone} backbone needs at least {need} history points, "
+            f"got {histories.shape[1]}"
+        )
+    if horizon < 0:
+        raise ValueError("horizon must be non-negative")
+    if horizon > params.horizon:
+        raise ValueError(
+            f"rollout horizon of {params.horizon} steps exceeded at step "
+            f"{params.horizon + 1}"
+        )
+    n = len(histories)
+    step_covs = np.array([c.as_matrix() for c in params.step_covs[:horizon]])
+    covs = np.repeat(step_covs.reshape(1, horizon, 2, 2), n, axis=0)
+    means = np.empty((n, horizon, 2))
+    # positions[:, k : k + need] is the buffer that predicts step k + 1
+    positions = np.concatenate([histories[:, -need:], np.empty_like(means)], 1)
+    if goal_params is not None:
+        goal_means, goal_covs = goal_moments(goal_params, histories)
+        z, r = interpolate_goals(
+            goal_params.anchor_steps, histories[:, -1], goal_means, goal_covs,
+            horizon, cfg.epsilon, cfg.beta,
+        )
+        r *= cfg.goal_cov_scale
+    for k in range(horizon):
+        buffer = positions[:, k : k + need]
+        disp = np.diff(buffer, axis=1).reshape(n, 2 * (need - 1))
+        means[:, k] = raw = buffer[:, -1] + disp @ params.step_weights
+        if goal_params is not None:
+            try:
+                _, means[:, k], covs[:, k] = gain_update(
+                    raw, covs[:, k], z[:, k], r[:, k]
+                )
+            except SingularInnovationError as exc:
+                step = k + 1
+                raise SingularInnovationError(f"step {step}: {exc}", step=step) from exc
+        positions[:, k + need] = means[:, k] if cfg.feedback == "fused" else raw
+    if not np.all(np.isfinite(means)):
+        raise ValueError("rollout produced non-finite positions")
+    return means, covs
+
+
+def _estimates(means: np.ndarray, covs: np.ndarray) -> list[Estimate]:
+    return [Estimate(m, Cov2.from_matrix(c)) for m, c in zip(means[0], covs[0])]
+
+
 def rollout_vanilla(
     params: PredictorParams, history: np.ndarray, horizon: int | None = None
 ) -> list[Estimate]:
-    """Plain rollout: repeated one-step prediction, no fusion, no feedback."""
-    horizon = params.horizon if horizon is None else int(horizon)
-    state = predictor_init(params, history)
-    estimates = []
-    for _ in range(horizon):
-        estimate, state = predictor_step(params, state)
-        estimates.append(estimate)
-    return estimates
+    """Plain rollout of one (n, 2) history: no fusion, no feedback."""
+    history = np.asarray(history, dtype=float)
+    return _estimates(*rollout_batch(params, history[None], horizon))
 
 
 def rollout_refined(
@@ -342,33 +344,9 @@ def rollout_refined(
     horizon: int | None = None,
     cfg: RefineConfig = RefineConfig(),
 ) -> list[Estimate]:
-    """Goal-refined rollout.
-
-    Goals are predicted exactly once up front. At each step k the raw
-    backbone estimate is fused with the goal measurement for k, the fused
-    estimate is emitted, and (in 'fused' feedback mode) the fused mean
-    replaces the raw one in the predictor's buffer before the next step.
-    """
-    horizon = params.horizon if horizon is None else int(horizon)
+    """Goal-refined rollout of one (n, 2) history; see :func:`rollout_batch`."""
     history = np.asarray(history, dtype=float)
-    goals = predict_goals(goal_params, history)
-    interp = cfg.interp()
-    last_obs = history[-1]
-    state = predictor_init(params, history)
-    fused_estimates = []
-    for k in range(1, horizon + 1):
-        raw, state = predictor_step(params, state)
-        meas = goal_measurement_at(goals, k, last_obs, interp)
-        if cfg.goal_cov_scale != 1.0:
-            meas = Estimate(meas.mean, meas.cov.scaled(cfg.goal_cov_scale))
-        try:
-            fused = fuse(raw, meas)
-        except SingularInnovationError as exc:
-            raise SingularInnovationError(f"step {k}: {exc}", step=k) from exc
-        if cfg.feedback == "fused":
-            state = predictor_feedback(params, state, fused.mean)
-        fused_estimates.append(fused)
-    return fused_estimates
+    return _estimates(*rollout_batch(params, history[None], horizon, goal_params, cfg))
 
 
 def rollout(

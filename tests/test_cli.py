@@ -167,6 +167,43 @@ class TestPredict:
         assert run("predict", "--model", str(model), "--data", str(other),
                    "--out", str(tmp_path / "p.jsonl")) == 2
 
+    def test_sigmas_valid_when_snapped_onto_goals(self, tmp_path):
+        # fused sigmas near 1e-6 m must not be rounded to an invalid 0
+        train = gen(tmp_path, "train.jsonl", n=200)
+        test = gen(tmp_path, "test.jsonl", seed=12, n=20)
+        model = fit(tmp_path, train)
+        out = tmp_path / "preds.jsonl"
+        assert run("predict", "--model", str(model), "--data", str(test),
+                   "--out", str(out), "--goal-cov-scale", "1e-12") == 0
+        lines = out.read_text().splitlines()
+        sigmas = np.array([json.loads(line)["sigmas"] for line in lines])
+        assert sigmas.shape == (20, 25, 3)
+        assert np.all(sigmas[..., :2] > 0.0)
+        assert np.all(np.abs(sigmas[..., 2]) < 1.0)
+
+    def test_model_file_missing_key_exits_2(self, tmp_path, capsys):
+        train = gen(tmp_path, "train.jsonl")
+        model = fit(tmp_path, train)
+        doc = json.loads(model.read_text())
+        del doc["goal_model"]["rotate"]
+        model.write_text(json.dumps(doc))
+        assert run("predict", "--model", str(model), "--data", str(train),
+                   "--out", str(tmp_path / "p.jsonl")) == 2
+        err = capsys.readouterr().err
+        assert str(model) in err and "'rotate'" in err
+
+    def test_model_file_misshaped_goal_weights_exits_2(self, tmp_path, capsys):
+        train = gen(tmp_path, "train.jsonl")
+        model = fit(tmp_path, train)
+        doc = json.loads(model.read_text())
+        doc["goal_model"]["weights"][1] = doc["goal_model"]["weights"][1][:-1]
+        model.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"{model}: invalid model file"):
+            load_model(str(model))
+        assert run("predict", "--model", str(model), "--data", str(train),
+                   "--out", str(tmp_path / "p.jsonl")) == 2
+        assert str(model) in capsys.readouterr().err
+
     def test_model_file_round_trip_matches_in_memory(self, tmp_path):
         train_ds = gen_synthetic("lane_change", 60, 0.2, seed=11)
         params = fit_predictor("ar", train_ds, lag=3)

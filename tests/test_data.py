@@ -1,9 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from trajrefine.data import (
     Dataset,
-    Neighbor,
     Segment,
     Track,
     downsample,
@@ -68,6 +69,27 @@ class TestParseNgsim:
             fh.write("1,0,10.0,0.0\n")
             fh.write("1,1,not_a_number,0.0\n")
         with pytest.raises(ValueError, match="line 3"):
+            parse_ngsim_csv(str(p))
+
+    def test_repeated_frame_rejected_with_line(self, tmp_path):
+        p = tmp_path / "a.csv"
+        rows = [
+            {"Vehicle_ID": 1, "Frame_ID": 0, "Local_X": 1.0, "Local_Y": 0.0},
+            {"Vehicle_ID": 2, "Frame_ID": 0, "Local_X": 5.0, "Local_Y": 0.0},
+            {"Vehicle_ID": 1, "Frame_ID": 0, "Local_X": 2.0, "Local_Y": 0.0},
+        ]
+        write_csv(p, rows)
+        with pytest.raises(ValueError, match=r"a\.csv: line 4: .*repeats line 2"):
+            parse_ngsim_csv(str(p))
+
+    def test_nan_coordinate_rejected_with_line(self, tmp_path):
+        p = tmp_path / "a.csv"
+        rows = [
+            {"Vehicle_ID": 1, "Frame_ID": 0, "Local_X": 1.0, "Local_Y": 0.0},
+            {"Vehicle_ID": 1, "Frame_ID": 1, "Local_X": 2.0, "Local_Y": "nan"},
+        ]
+        write_csv(p, rows)
+        with pytest.raises(ValueError, match=r"a\.csv: line 3: non-finite"):
             parse_ngsim_csv(str(p))
 
 
@@ -202,15 +224,22 @@ class TestJsonl:
             assert a.segment_id == b.segment_id
             np.testing.assert_allclose(a.history, b.history, atol=5e-7)
 
-    def test_neighbors_round_trip(self, tmp_path):
-        pts = np.zeros((41, 2))
-        nb = Neighbor(7, np.ones((16, 2)))
-        seg = Segment("s0", 1, 0.2, pts[:16], pts[16:], neighbors=(nb,))
+    def test_neighbors_key_is_ignored(self, tmp_path):
+        # files written before neighbors were dropped still load
+        ds = gen_synthetic("cv", 2, 0.0, seed=1)
         path = tmp_path / "n.jsonl"
-        write_jsonl(Dataset([seg], 0.2, 15, 25), str(path))
+        write_jsonl(ds, str(path))
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        assert all("neighbors" not in obj for obj in lines)
+        lines[0]["neighbors"] = [{"agent_id": 7, "history": [[1.0, 1.0]] * 16}]
+        path.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
         back = read_jsonl(str(path))
-        assert back.segments[0].neighbors[0].agent_id == 7
-        np.testing.assert_array_equal(back.segments[0].neighbors[0].history, nb.history)
+        assert [seg.segment_id for seg in back.segments] == [
+            seg.segment_id for seg in ds.segments
+        ]
+        np.testing.assert_allclose(
+            back.segments[0].history, ds.segments[0].history, atol=5e-7
+        )
 
     def test_missing_field_names_field_and_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"

@@ -7,11 +7,11 @@ from trajrefine.goals import (
     GoalAnchor,
     GoalModelParams,
     GoalSet,
-    InterpConfig,
     fit_goal_model,
-    goal_measurement_at,
+    interpolate_goals,
     predict_goals,
 )
+from trajrefine.predictors import PredictorParams, RefineConfig, rollout_batch
 
 ANCHORS = (5, 10, 15, 20, 25)
 
@@ -147,6 +147,17 @@ class TestPredictGoals:
             assert a.gaussian.sigma_x == b.gaussian.sigma_x
 
 
+def measurements(goals, last_obs, horizon=30, cfg=RefineConfig()):
+    """Per-step goal measurements of one GoalSet as Cov2 pairs, step k at [k-1]."""
+    means = np.array([[a.gaussian.mean for a in goals.anchors]])
+    covs = np.array([[a.gaussian.cov.as_matrix() for a in goals.anchors]])
+    z, r = interpolate_goals(
+        goals.steps, np.array([last_obs], dtype=float), means, covs, horizon,
+        cfg.epsilon, cfg.beta,
+    )
+    return [(m, Cov2.from_matrix(c)) for m, c in zip(z[0], r[0])]
+
+
 class TestGoalMeasurementAt:
     def setup_method(self):
         self.goals = GoalSet(
@@ -155,43 +166,43 @@ class TestGoalMeasurementAt:
                 GoalAnchor(20, Gaussian2D(10.0, 0.0, 3.0, 3.0, 0.0)),
             )
         )
+        self.at = measurements(self.goals, [0.0, 0.0])
 
     def test_anchor_step_is_exact(self):
-        m = goal_measurement_at(self.goals, 10, [0.0, 0.0])
-        np.testing.assert_allclose(m.mean, [0.0, 0.0], atol=1e-15)
-        np.testing.assert_allclose(m.cov.as_matrix(), np.eye(2), atol=1e-15)
+        mean, cov = self.at[10 - 1]
+        np.testing.assert_allclose(mean, [0.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(cov.as_matrix(), np.eye(2), atol=1e-15)
 
     def test_midpoint_interpolation(self):
-        m = goal_measurement_at(self.goals, 15, [0.0, 0.0])
-        np.testing.assert_allclose(m.mean, [5.0, 0.0], atol=1e-15)
-        np.testing.assert_allclose(m.cov.as_matrix(), 5.0 * np.eye(2), atol=1e-15)
+        mean, cov = self.at[15 - 1]
+        np.testing.assert_allclose(mean, [5.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(cov.as_matrix(), 5.0 * np.eye(2), atol=1e-15)
 
     def test_before_first_anchor_uses_virtual_origin(self):
         goals = GoalSet((GoalAnchor(5, Gaussian2D(1.0, 6.0, 1.0, 1.0, 0.0)),))
-        m = goal_measurement_at(goals, 2, [1.0, 1.0], InterpConfig(epsilon=0.05))
-        np.testing.assert_allclose(m.mean, [1.0, 3.0], atol=1e-12)
-        np.testing.assert_allclose(m.cov.as_matrix(), 0.43 * np.eye(2), atol=1e-12)
+        at = measurements(goals, [1.0, 1.0], cfg=RefineConfig(epsilon=0.05))
+        mean, cov = at[2 - 1]
+        np.testing.assert_allclose(mean, [1.0, 3.0], atol=1e-12)
+        np.testing.assert_allclose(cov.as_matrix(), 0.43 * np.eye(2), atol=1e-12)
 
     def test_beyond_last_anchor_holds_and_inflates(self):
-        m = goal_measurement_at(self.goals, 24, [0.0, 0.0], InterpConfig(beta=0.5))
-        np.testing.assert_allclose(m.mean, [10.0, 0.0], atol=1e-15)
+        at = measurements(self.goals, [0.0, 0.0], cfg=RefineConfig(beta=0.5))
+        mean, cov = at[24 - 1]
+        np.testing.assert_allclose(mean, [10.0, 0.0], atol=1e-15)
         np.testing.assert_allclose(
-            m.cov.as_matrix(), (9.0 + 0.5 * 4) * np.eye(2), atol=1e-12
+            cov.as_matrix(), (9.0 + 0.5 * 4) * np.eye(2), atol=1e-12
         )
 
     def test_continuous_at_anchor_steps(self):
         # interior anchor: approaching from both sides converges to the anchor
         for k in (9, 10, 11, 19, 20, 21):
-            m = goal_measurement_at(self.goals, k, [0.0, 0.0])
-            assert is_psd(m.cov, 0.0)
-        lo = goal_measurement_at(self.goals, 19, [0.0, 0.0])
-        at = goal_measurement_at(self.goals, 20, [0.0, 0.0])
-        hi = goal_measurement_at(self.goals, 21, [0.0, 0.0])
-        assert abs(lo.cov.trace - at.cov.trace) <= abs(
-            goal_measurement_at(self.goals, 10, [0, 0]).cov.trace - at.cov.trace
+            assert is_psd(self.at[k - 1][1], 0.0)
+        lo, at, hi = self.at[19 - 1], self.at[20 - 1], self.at[21 - 1]
+        assert abs(lo[1].trace - at[1].trace) <= abs(
+            self.at[10 - 1][1].trace - at[1].trace
         )
-        np.testing.assert_allclose(at.mean, [10.0, 0.0], atol=1e-15)
-        np.testing.assert_allclose(hi.cov.as_matrix(), 9.5 * np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(at[0], [10.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(hi[1].as_matrix(), 9.5 * np.eye(2), atol=1e-12)
 
     def test_interpolated_covariance_always_psd(self):
         goals = GoalSet(
@@ -200,13 +211,19 @@ class TestGoalMeasurementAt:
                 GoalAnchor(17, Gaussian2D(-3.0, 0.0, 2.5, 0.3, -0.9)),
             )
         )
-        for k in range(1, 30):
-            m = goal_measurement_at(goals, k, [0.5, 0.5])
-            assert is_psd(m.cov, 1e-12)
+        at = measurements(goals, [0.5, 0.5], horizon=29)
+        assert len(at) == 29
+        for _, cov in at:
+            assert is_psd(cov, 1e-12)
 
     def test_step_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            goal_measurement_at(self.goals, 0, [0.0, 0.0])
+        # measurements start at step 1, between the virtual origin and step 10
+        mean, cov = self.at[0]
+        np.testing.assert_allclose(mean, [0.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(cov.as_matrix(), 0.145 * np.eye(2), atol=1e-15)
+        params = PredictorParams("cv", 0.2, (Cov2.isotropic(0.1),) * 25)
+        with pytest.raises(ValueError, match="non-negative"):
+            rollout_batch(params, np.zeros((1, 16, 2)), -1)
 
 
 class TestGoalSetValidation:

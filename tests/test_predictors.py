@@ -5,15 +5,18 @@ import trajrefine.predictors as predictors
 from trajrefine.data import Dataset, Segment, gen_synthetic
 from trajrefine.fusion import SingularInnovationError
 from trajrefine.gaussian import Cov2
-from trajrefine.goals import fit_goal_model, predict_goals
+from trajrefine.goals import (
+    GoalModelParams,
+    fit_goal_model,
+    goal_moments,
+    predict_goals,
+)
 from trajrefine.predictors import (
     PredictorParams,
     RefineConfig,
     fit_ar_rls,
     fit_predictor,
-    predictor_feedback,
-    predictor_init,
-    predictor_step,
+    rollout_batch,
     rollout_refined,
     rollout_vanilla,
 )
@@ -36,56 +39,83 @@ def doubling_segment(start, d0, tau, horizon, seg_id="d", agent=0):
     return Segment(seg_id, agent, DT, pts[: tau + 1], pts[tau + 1 :])
 
 
+def first_step(params, history):
+    means, covs = rollout_batch(params, np.asarray(history, dtype=float)[None], 1)
+    return means[0, 0], covs[0, 0]
+
+
+def origin_goal(horizon=25):
+    """Goal model that puts anchors on the last observed position."""
+    steps = tuple(range(1, horizon + 1))
+    return GoalModelParams(
+        anchor_steps=steps,
+        weights=tuple(np.zeros((2, 2)) for _ in steps),
+        residual_covs=tuple(Cov2.isotropic(1.0) for _ in steps),
+        history_len=2,
+        rotate=False,
+    )
+
+
 class TestInit:
     def test_cv_two_point_velocity(self):
-        params = cv_params()
-        state = predictor_init(params, np.array([[0.0, 0.0], [1.0, 0.0]]))
-        est, _ = predictor_step(params, state)
+        mean, cov = first_step(cv_params(), [[0.0, 0.0], [1.0, 0.0]])
         # velocity (5, 0) m/s at dt = 0.2
-        np.testing.assert_allclose(est.mean, [2.0, 0.0], atol=1e-12)
-        np.testing.assert_allclose(est.cov.as_matrix(), 0.1 * np.eye(2), atol=1e-15)
+        np.testing.assert_allclose(mean, [2.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(cov, 0.1 * np.eye(2), atol=1e-15)
 
     def test_ar_buffer_holds_lag_plus_one(self):
+        weights = np.array([[0.5, 0.1], [0.2, -0.3], [1.0, 0.4], [-0.6, 0.7]])
         params = PredictorParams(
-            "ar", DT, (Cov2.isotropic(1.0),) * 5, lag=2, ar_weights=np.zeros((4, 2))
+            "ar", DT, (Cov2.isotropic(1.0),) * 5, lag=2, ar_weights=weights
         )
+        assert params.buffer_len == 3
         history = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 1.0], [3.0, 3.0]])
-        state = predictor_init(params, history)
-        assert state.buffer.shape == (3, 2)
-        np.testing.assert_array_equal(state.buffer, history[-3:])
+        moved_first = history.copy()
+        moved_first[0] = [-40.0, 17.0]
+        full, _ = rollout_batch(params, history[None])
+        tail, _ = rollout_batch(params, history[-3:][None])
+        moved, _ = rollout_batch(params, moved_first[None])
+        np.testing.assert_array_equal(full, tail)
+        np.testing.assert_array_equal(full, moved)
 
     def test_ar_lag_two_accepts_three_point_history(self):
-        # exactly p+1 points: the buffer carries the last two displacements
-        params = PredictorParams(
-            "ar", DT, (Cov2.isotropic(1.0),) * 5, lag=2, ar_weights=np.zeros((4, 2))
-        )
-        state = predictor_init(params, np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 1.0]]))
-        disps = np.diff(state.buffer, axis=0)
-        np.testing.assert_array_equal(disps, [[1.0, 0.0], [1.0, 1.0]])
+        # exactly p+1 points: the buffer carries the last two displacements,
+        # oldest first, (1, 0) then (1, 1)
+        history = [[0.0, 0.0], [1.0, 0.0], [2.0, 1.0]]
+        for weights, disp in (
+            (np.vstack([np.eye(2), np.zeros((2, 2))]), [1.0, 0.0]),
+            (np.vstack([np.zeros((2, 2)), np.eye(2)]), [1.0, 1.0]),
+        ):
+            params = PredictorParams(
+                "ar", DT, (Cov2.isotropic(1.0),) * 5, lag=2, ar_weights=weights
+            )
+            mean, _ = first_step(params, history)
+            np.testing.assert_array_equal(mean, np.array(history[-1]) + disp)
 
     def test_insufficient_history(self):
         params = PredictorParams(
             "ar", DT, (Cov2.isotropic(1.0),), lag=2, ar_weights=np.zeros((4, 2))
         )
         with pytest.raises(ValueError, match="at least 3"):
-            predictor_init(params, np.array([[0.0, 0.0], [1.0, 0.0]]))
+            rollout_batch(params, np.array([[[0.0, 0.0], [1.0, 0.0]]]))
 
 
 class TestStep:
     def test_horizon_exceeded(self):
         params = cv_params(horizon=3)
-        state = predictor_init(params, np.array([[0.0, 0.0], [1.0, 0.0]]))
-        for _ in range(3):
-            _, state = predictor_step(params, state)
+        history = np.array([[[0.0, 0.0], [1.0, 0.0]]])
+        means, _ = rollout_batch(params, history, 3)
+        assert means.shape == (1, 3, 2)
+        with pytest.raises(ValueError, match="horizon of 3 steps exceeded at step 4"):
+            rollout_batch(params, history, 4)
         with pytest.raises(ValueError, match="horizon"):
-            predictor_step(params, state)
+            rollout_refined(params, origin_goal(), history[0], 4)
 
     def test_ca_quadratic_extrapolation(self):
         params = PredictorParams("ca", DT, (Cov2.isotropic(0.1),) * 5, window=3)
         # points of t^2 along x: 0, 1, 4 -> next is 9
-        state = predictor_init(params, np.array([[0.0, 0.0], [1.0, 1.0], [4.0, 2.0]]))
-        est, _ = predictor_step(params, state)
-        np.testing.assert_allclose(est.mean, [9.0, 3.0], atol=1e-10)
+        mean, _ = first_step(params, [[0.0, 0.0], [1.0, 1.0], [4.0, 2.0]])
+        np.testing.assert_allclose(mean, [9.0, 3.0], atol=1e-10)
 
     def test_ar_recovers_doubling_displacements(self):
         segs = [
@@ -104,30 +134,54 @@ class TestStep:
 
 class TestFeedback:
     def test_noop_replacement_keeps_state(self):
+        # goals on the vanilla path: every fused mean equals the raw one, so
+        # feeding it back leaves the rollout exactly as without feedback
+        history = np.array([[[0.0, 0.0], [1.0, 0.0]]])
+        steps = tuple(range(1, 26))
+        on_path = GoalModelParams(
+            anchor_steps=steps,
+            weights=tuple(np.array([[float(k), 0.0], [0.0, 0.0]]) for k in steps),
+            residual_covs=tuple(Cov2.isotropic(1.0) for _ in steps),
+            history_len=2,
+            rotate=False,
+        )
         params = cv_params()
-        state = predictor_init(params, np.array([[0.0, 0.0], [1.0, 0.0]]))
-        est, state = predictor_step(params, state)
-        same = predictor_feedback(params, state, est.mean)
-        np.testing.assert_array_equal(same.buffer, state.buffer)
-        assert same.step == state.step
+        vanilla, _ = rollout_batch(params, history)
+        for feedback in ("fused", "raw"):
+            means, _ = rollout_batch(
+                params, history, None, on_path, RefineConfig(feedback=feedback)
+            )
+            np.testing.assert_array_equal(means, vanilla)
 
     def test_shift_propagates_doubled_for_two_point_window(self):
+        # A goal pulls step 1 off the raw position by delta. With a two-point
+        # cv window the fed-back shift moves the raw step 2 by 2 * delta, and
+        # the step-2 update keeps (I - K2) = P2' P2^-1 of that.
         params = cv_params()
-        state = predictor_init(params, np.array([[0.0, 0.0], [1.0, 0.0]]))
-        est, state = predictor_step(params, state)
-        base_next, _ = predictor_step(params, state)
-        delta = 0.25
-        shifted = predictor_feedback(params, state, est.mean + [delta, 0.0])
-        moved_next, _ = predictor_step(params, shifted)
+        history = np.array([[[0.0, 0.0], [1.0, 0.0]]])
+        goal = origin_goal(horizon=1)
+        fused, covs = rollout_batch(params, history, None, goal)
+        raw_cfg = RefineConfig(feedback="raw")
+        raw, _ = rollout_batch(params, history, None, goal, raw_cfg)
+        delta = fused[0, 0] - [2.0, 0.0]
+        assert np.abs(delta).max() > 0.05
+        np.testing.assert_array_equal(fused[0, 0], raw[0, 0])
+        keep = covs[0, 1] @ np.linalg.inv(params.step_covs[1].as_matrix())
         np.testing.assert_allclose(
-            moved_next.mean - base_next.mean, [2.0 * delta, 0.0], atol=1e-12
+            fused[0, 1] - raw[0, 1], keep @ (2.0 * delta), atol=1e-12
         )
 
     def test_feedback_before_any_step(self):
-        params = cv_params()
-        state = predictor_init(params, np.array([[0.0, 0.0], [1.0, 0.0]]))
-        with pytest.raises(ValueError, match="step"):
-            predictor_feedback(params, state, np.zeros(2))
+        # feedback only replaces predicted positions: the observed history is
+        # never written, and a zero-step rollout predicts nothing
+        history = np.array([[[0.0, 0.0], [1.0, 0.0]]])
+        before = history.copy()
+        means, covs = rollout_batch(cv_params(), history, 0, origin_goal())
+        assert means.shape == (1, 0, 2) and covs.shape == (1, 0, 2, 2)
+        rollout_batch(cv_params(), history, None, origin_goal())
+        np.testing.assert_array_equal(history, before)
+        with pytest.raises(ValueError, match="non-negative"):
+            rollout_batch(cv_params(), history, -1)
 
 
 class TestFitPredictor:
@@ -236,6 +290,15 @@ class TestRolloutVanilla:
         assert len(rollout_vanilla(params, history, 7)) == 7
 
 
+class TestRefineConfig:
+    @pytest.mark.parametrize("kw", [
+        {"epsilon": 0.0}, {"beta": -0.1}, {"goal_cov_scale": 0.0}, {"feedback": "x"},
+    ])
+    def test_out_of_domain_rejected(self, kw):
+        with pytest.raises(ValueError):
+            RefineConfig(**kw)
+
+
 @pytest.fixture(scope="module")
 def fitted_lane_change():
     train = gen_synthetic("lane_change", 300, 0.2, seed=50)
@@ -276,15 +339,17 @@ class TestRolloutRefined:
     def test_goal_model_consulted_exactly_once(self, fitted_lane_change, monkeypatch):
         train, params, goal_params, _ = fitted_lane_change
         calls = []
-        real = predict_goals
 
         def counting(p, h):
-            calls.append(1)
-            return real(p, h)
+            calls.append(len(h))
+            return goal_moments(p, h)
 
-        monkeypatch.setattr(predictors, "predict_goals", counting)
+        monkeypatch.setattr(predictors, "goal_moments", counting)
         rollout_refined(params, goal_params, train.segments[0].history)
-        assert len(calls) == 1
+        assert calls == [1]
+        histories = np.stack([seg.history for seg in train.segments[:7]])
+        rollout_batch(params, histories, None, goal_params)
+        assert calls == [1, 7]
 
     def test_fused_covariance_never_exceeds_raw(self, fitted_lane_change):
         train, params, goal_params, _ = fitted_lane_change
