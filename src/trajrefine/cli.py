@@ -4,8 +4,8 @@ Subcommands: gen-synth, ingest-ngsim, fit, predict, eval, ablate.
 Exit codes: 0 success, 1 I/O failure, 2 usage or validation error.
 
 Every option can also come from a flat ``key = value`` config file passed
-with --config; precedence is CLI flag > config file > built-in default, and
-unknown config keys are rejected.
+with --config; precedence is CLI flag > config file > default (the
+library's own wherever the CLI sets none), and unknown config keys are rejected.
 """
 
 from __future__ import annotations
@@ -25,11 +25,13 @@ from .data import (
     gen_synthetic,
     parse_ngsim_csv,
     read_jsonl,
+    read_records,
+    round_points,
     write_jsonl,
 )
 from .gaussian import Cov2, params_from_cov
 from .goals import GoalModelParams, fit_goal_model
-from .metrics import rmse, run_ablation
+from .metrics import AblationReport, AblationRow, rmse, run_ablation
 from .predictors import (
     BACKBONES,
     PredictorParams,
@@ -39,6 +41,7 @@ from .predictors import (
 )
 
 MODEL_VERSION = 1
+PROTOCOL_KEYS = ("dt", "tau", "horizon")  # a model file's protocol, checked against data
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +114,11 @@ def _merge(options: list[Opt], args: argparse.Namespace) -> argparse.Namespace:
     return merged
 
 
+def _given(**kwargs) -> dict[str, Any]:
+    """The keyword arguments that are set; the library's defaults apply to the rest."""
+    return {key: value for key, value in kwargs.items() if value is not None}
+
+
 def _add_command(subparsers, name: str, options: list[Opt], func, help_text: str):
     sub = subparsers.add_parser(name, help=help_text)
     for opt in options:
@@ -157,12 +165,18 @@ def save_model(
 
 
 def load_model(path: str) -> tuple[PredictorParams, GoalModelParams, dict]:
-    """Read a model file; any missing key or invalid value names the file."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("version") != MODEL_VERSION:
-        raise ValueError(f"{path}: unsupported model file version {doc.get('version')}")
+    """Read a model file; malformed JSON, a missing key or a bad value names the file."""
     try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError("expected a JSON object")
+        if doc.get("version") != MODEL_VERSION:
+            raise ValueError(f"unsupported model file version {doc.get('version')}")
+        protocol = doc["protocol"]
+        if (not isinstance(protocol, dict) or set(protocol) != set(PROTOCOL_KEYS)
+                or not all(isinstance(v, (int, float)) for v in protocol.values())):
+            raise ValueError("protocol must map exactly dt, tau and horizon to numbers")
         p = doc["predictor"]
         predictor = PredictorParams(
             backbone=p["backbone"],
@@ -180,7 +194,7 @@ def load_model(path: str) -> tuple[PredictorParams, GoalModelParams, dict]:
             history_len=g["history_len"],
             rotate=g["rotate"],
         )
-        return predictor, goal_model, doc["protocol"]
+        return predictor, goal_model, protocol
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc} in model file") from None
     except (TypeError, ValueError) as exc:
@@ -188,12 +202,11 @@ def load_model(path: str) -> tuple[PredictorParams, GoalModelParams, dict]:
 
 
 def _check_protocol(protocol: dict, ds: Dataset, path: str) -> None:
-    actual = {"dt": ds.dt, "tau": ds.tau, "horizon": ds.horizon}
-    for key, expected in protocol.items():
-        if abs(actual[key] - expected) > 1e-9:
+    for key in PROTOCOL_KEYS:
+        if abs(getattr(ds, key) - protocol[key]) > 1e-9:
             raise ValueError(
-                f"{path}: protocol mismatch: {key}={actual[key]} in data, "
-                f"model expects {expected}"
+                f"{path}: protocol mismatch: {key}={getattr(ds, key)} in data, "
+                f"model expects {protocol[key]}"
             )
 
 
@@ -207,16 +220,16 @@ _GEN_OPTS = [
     Opt("noise", float, 0.0, help="position noise std in meters"),
     Opt("seed", int, 0),
     Opt("out", str, required=True, help="output dataset JSONL"),
-    Opt("tau", int, 15, help="history intervals (history points = tau+1)"),
-    Opt("horizon", int, 25, help="future points"),
-    Opt("dt", float, 0.2),
+    Opt("tau", int, help="history intervals (history points = tau+1)"),
+    Opt("horizon", int, help="future points"),
+    Opt("dt", float),
 ]
 
 
 def cmd_gen_synth(o) -> int:
     ds = gen_synthetic(
         o.scenario.replace("-", "_"), o.n, o.noise, o.seed,
-        tau=o.tau, horizon=o.horizon, dt=o.dt,
+        **_given(tau=o.tau, horizon=o.horizon, dt=o.dt),
     )
     write_jsonl(ds, o.out)
     print(f"wrote {len(ds)} segments to {o.out}")
@@ -226,63 +239,76 @@ def cmd_gen_synth(o) -> int:
 _INGEST_OPTS = [
     Opt("csv", str, required=True, help="NGSIM-format CSV (feet, 10 Hz)"),
     Opt("out", str, required=True),
-    Opt("stride", int, 10, help="window stride in (downsampled) samples"),
-    Opt("downsample", int, 2),
-    Opt("tau", int, 15),
-    Opt("horizon", int, 25),
+    Opt("stride", int, help="window stride in (downsampled) samples"),
+    Opt("downsample", int),
+    Opt("tau", int),
+    Opt("horizon", int),
 ]
 
 
 def cmd_ingest_ngsim(o) -> int:
-    tracks = [downsample(t, o.downsample) for t in parse_ngsim_csv(o.csv)]
-    ds = extract_segments(tracks, o.tau, o.horizon, o.stride)
+    factor = _given(factor=o.downsample)
+    tracks = [downsample(t, **factor) for t in parse_ngsim_csv(o.csv)]
+    ds = extract_segments(tracks, **_given(tau=o.tau, horizon=o.horizon, stride=o.stride))
     write_jsonl(ds, o.out)
     print(f"wrote {len(ds)} segments from {len(tracks)} tracks to {o.out}")
     return 0
 
+
+_MODEL_OPTS = [
+    Opt("lag", int, help="ar displacement order"),
+    Opt("window", int, help="cv/ca position window (default 2 for cv, 3 for ca)"),
+    Opt("ridge", float),
+    Opt("anchors", _int_list, help="goal anchor steps"),
+    Opt("rotate", _on_off, choices=("on", "off"), help="ego-frame rotation"),
+]
+
+_REFINE_OPTS = [
+    Opt("goal-cov-scale", float),
+    Opt("epsilon", float),
+    Opt("beta", float),
+    Opt("feedback", str, choices=("fused", "raw")),
+]
 
 _FIT_OPTS = [
     Opt("train", str, required=True, help="training dataset JSONL"),
     Opt("val", str, help="validation dataset JSONL (calibration split)"),
     Opt("out", str, required=True, help="output model JSON"),
     Opt("predictor", str, "ar", choices=BACKBONES),
-    Opt("lag", int, 3, help="ar displacement order"),
-    Opt("window", int, help="cv/ca position window (default 2 for cv, 3 for ca)"),
-    Opt("ridge", float, 1e-6),
-    Opt("anchors", _int_list, (5, 10, 15, 20, 25), help="goal anchor steps"),
-    Opt("rotate", _on_off, True, choices=("on", "off"), help="ego-frame rotation"),
+    *_MODEL_OPTS,
 ]
 
 
-def _fit_models(o, train: Dataset, val: Dataset | None, backbone: str):
-    window = o.window if o.window is not None else (3 if backbone == "ca" else 2)
-    predictor = fit_predictor(
-        backbone, train, val, window=window, lag=o.lag, ridge_lambda=o.ridge
-    )
-    goal_model = fit_goal_model(train, o.anchors, o.ridge, val, rotate=o.rotate)
-    return predictor, goal_model
-
-
-def cmd_fit(o) -> int:
+def _fit_models(o, backbones) -> tuple[Dataset, dict]:
+    """Read --train/--val and fit one goal model plus each backbone on them."""
     train = read_jsonl(o.train)
     if not train.segments:
         raise ValueError(f"{o.train}: training file contains no segments")
     val = read_jsonl(o.val) if o.val else None
-    predictor, goal_model = _fit_models(o, train, val, o.predictor)
-    save_model(
-        o.out, predictor, goal_model,
-        {"dt": train.dt, "tau": train.tau, "horizon": train.horizon},
-    )
+    goal_model = fit_goal_model(train, val=val, **_given(
+        anchor_steps=o.anchors, ridge_lambda=o.ridge, rotate=o.rotate))
+    kwargs = _given(window=o.window, lag=o.lag, ridge_lambda=o.ridge)
+    return train, {bb: (fit_predictor(bb, train, val, **kwargs), goal_model)
+                   for bb in backbones}
+
+
+def _refine_config(o) -> RefineConfig:
+    return RefineConfig(**_given(epsilon=o.epsilon, beta=o.beta, feedback=o.feedback,
+                                 goal_cov_scale=o.goal_cov_scale))
+
+
+def _traces(steps, covs) -> str:
+    return " ".join(f"{s}:{c.trace:.4f}" for s, c in zip(steps, covs))
+
+
+def cmd_fit(o) -> int:
+    train, models = _fit_models(o, [o.predictor])
+    predictor, goal_model = models[o.predictor]
+    save_model(o.out, predictor, goal_model, {k: getattr(train, k) for k in PROTOCOL_KEYS})
     print(f"fitted {o.predictor} on {len(train)} segments -> {o.out}")
-    traces = " ".join(
-        f"{k}:{predictor.step_covs[k - 1].trace:.4f}"
-        for k in range(1, predictor.horizon + 1)
-    )
-    print(f"rollout error trace by step: {traces}")
-    anchors = " ".join(
-        f"{s}:{c.trace:.4f}"
-        for s, c in zip(goal_model.anchor_steps, goal_model.residual_covs)
-    )
+    steps = range(1, predictor.horizon + 1)
+    print(f"rollout error trace by step: {_traces(steps, predictor.step_covs)}")
+    anchors = _traces(goal_model.anchor_steps, goal_model.residual_covs)
     print(f"goal residual trace by anchor: {anchors}")
     return 0
 
@@ -292,36 +318,25 @@ _PREDICT_OPTS = [
     Opt("data", str, required=True),
     Opt("out", str, required=True, help="output predictions JSONL"),
     Opt("refine", _on_off, True, choices=("on", "off")),
-    Opt("goal-cov-scale", float, 1.0),
-    Opt("epsilon", float, 0.05),
-    Opt("beta", float, 0.5),
-    Opt("feedback", str, "fused", choices=("fused", "raw")),
+    *_REFINE_OPTS,
 ]
 
 
 def cmd_predict(o) -> int:
     predictor, goal_model, protocol = load_model(o.model)
     ds = read_jsonl(o.data)
-    if ds.segments:
-        _check_protocol(protocol, ds, o.data)
-    cfg = RefineConfig(
-        refine_enabled=o.refine,
-        epsilon=o.epsilon,
-        beta=o.beta,
-        feedback=o.feedback,
-        goal_cov_scale=o.goal_cov_scale,
-    )
+    cfg = _refine_config(o)
     mode = "refined" if o.refine else "vanilla"
     means, covs = [], []
     if ds.segments:
+        _check_protocol(protocol, ds, o.data)
         goals = goal_model if o.refine else None
         means, covs = rollout_batch(predictor, ds.histories(), ds.horizon, goals, cfg)
     with open(o.out, "w") as fh:
         for seg, seg_means, seg_covs in zip(ds.segments, means, covs):
-            rounded = [[round(float(x), 6), round(float(y), 6)] for x, y in seg_means]
             # full precision: a sigma rounded to 6 dp can become an invalid 0
             sigmas = [list(params_from_cov(Cov2.from_matrix(c))) for c in seg_covs]
-            line = {"segment_id": seg.segment_id, "means": rounded,
+            line = {"segment_id": seg.segment_id, "means": round_points(seg_means),
                     "sigmas": sigmas, "mode": mode}
             fh.write(json.dumps(line, separators=(",", ":")) + "\n")
     print(f"wrote {len(ds)} {mode} predictions to {o.out}")
@@ -336,47 +351,33 @@ _EVAL_OPTS = [
 ]
 
 
-def _read_predictions(path: str) -> tuple[dict[str, np.ndarray], str]:
-    means: dict[str, np.ndarray] = {}
-    modes = set()
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from None
-            for key in ("segment_id", "means", "mode"):
-                if key not in obj:
-                    raise ValueError(f"{path}: line {lineno}: missing field '{key}'")
-            means[str(obj["segment_id"])] = np.asarray(obj["means"], dtype=float)
-            modes.add(obj["mode"])
-    if len(modes) > 1:
-        raise ValueError(f"{path}: mixed prediction modes {sorted(modes)}")
-    return means, (modes.pop() if modes else "vanilla")
-
-
 def cmd_eval(o) -> int:
-    pred_means, mode = _read_predictions(o.predictions)
     ds = read_jsonl(o.data)
+    pred_means: dict[str, np.ndarray] = {}
+    modes = set()
+    for lineno, obj in read_records(o.predictions, ("segment_id", "means", "mode")):
+        sid = str(obj["segment_id"])
+        try:
+            if sid in pred_means:
+                raise ValueError(f"repeated segment id {sid!r}")
+            means = pred_means[sid] = np.asarray(obj["means"], dtype=float)
+            if means.shape != (ds.horizon, 2) or not np.isfinite(means).all():
+                raise ValueError(f"means must be a finite ({ds.horizon}, 2) array")
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{o.predictions}: line {lineno}: {exc}") from None
+        modes.add(obj["mode"])
+    if len(modes) > 1:
+        raise ValueError(f"{o.predictions}: mixed prediction modes {sorted(modes)}")
     ids = [seg.segment_id for seg in ds.segments]
-    missing = [sid for sid in ids if sid not in pred_means]
-    if missing or len(pred_means) != len(ids):
+    if sorted(pred_means) != sorted(ids):
         raise ValueError(
             f"{o.predictions}: segment ids do not match {o.data} "
             f"({len(pred_means)} predictions vs {len(ids)} segments)"
         )
-    stacked = np.stack([pred_means[sid] for sid in ids])
-    m = rmse(stacked, ds)
-    refine = "on" if mode == "refined" else "off"
-    header = ["backbone", "refine", "rmse_overall"]
-    header += [f"rmse_{i + 1}s" for i in range(len(m.rmse_at_seconds))]
-    row = [o.backbone, refine, f"{m.rmse_overall:.6f}"]
-    row += [f"{v:.6f}" for v in m.rmse_at_seconds]
+    m = rmse([pred_means[sid] for sid in ids], ds)
+    row = AblationRow(o.backbone, modes == {"refined"}, m)
     with open(o.out, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.write(",".join(row) + "\n")
+        fh.write(AblationReport((row,)).to_csv(deltas=False))
     print(f"rmse_overall={m.rmse_overall:.6f} -> {o.out}")
     return 0
 
@@ -387,36 +388,15 @@ _ABLATE_OPTS = [
     Opt("test", str, required=True),
     Opt("out", str, required=True, help="output report CSV"),
     Opt("predictors", _str_list, ("ar",), help="comma-separated backbones"),
-    Opt("lag", int, 3),
-    Opt("window", int),
-    Opt("ridge", float, 1e-6),
-    Opt("anchors", _int_list, (5, 10, 15, 20, 25)),
-    Opt("rotate", _on_off, True, choices=("on", "off")),
-    Opt("goal-cov-scale", float, 1.0),
-    Opt("epsilon", float, 0.05),
-    Opt("beta", float, 0.5),
-    Opt("feedback", str, "fused", choices=("fused", "raw")),
+    *_MODEL_OPTS,
+    *_REFINE_OPTS,
 ]
 
 
 def cmd_ablate(o) -> int:
-    train = read_jsonl(o.train)
-    if not train.segments:
-        raise ValueError(f"{o.train}: training file contains no segments")
-    val = read_jsonl(o.val) if o.val else None
     test = read_jsonl(o.test)
-    models = {}
-    for backbone in o.predictors:
-        if backbone not in BACKBONES:
-            raise ValueError(f"unknown backbone {backbone!r}; valid: {BACKBONES}")
-        models[backbone] = _fit_models(o, train, val, backbone)
-    cfg = RefineConfig(
-        epsilon=o.epsilon,
-        beta=o.beta,
-        feedback=o.feedback,
-        goal_cov_scale=o.goal_cov_scale,
-    )
-    report = run_ablation(test, models, cfg)
+    _, models = _fit_models(o, o.predictors)
+    report = run_ablation(test, models, _refine_config(o))
     with open(o.out, "w") as fh:
         fh.write(report.to_csv())
     for backbone in sorted(models):

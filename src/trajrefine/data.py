@@ -305,7 +305,8 @@ def gen_synthetic(
     return Dataset(segments, dt, tau, horizon, f"synthetic/{scenario}")
 
 
-def _round_points(pts: np.ndarray) -> list[list[float]]:
+def round_points(pts: np.ndarray) -> list[list[float]]:
+    """(n, 2) coordinates as nested lists rounded to 6 decimal places."""
     return [[round(float(x), 6), round(float(y), 6)] for x, y in pts]
 
 
@@ -317,10 +318,32 @@ def write_jsonl(ds: Dataset, path: str) -> None:
                 "segment_id": seg.segment_id,
                 "agent_id": seg.agent_id,
                 "dt": round(seg.dt, 6),
-                "history": _round_points(seg.history),
-                "future": _round_points(seg.future),
+                "history": round_points(seg.history),
+                "future": round_points(seg.future),
             }
             fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
+
+
+def read_records(path: str, fields: tuple[str, ...]):
+    """Yield ``(line number, object)`` for each non-blank line of a JSONL file.
+
+    A line that is not valid JSON, not a JSON object, or lacks one of
+    ``fields`` is rejected with the path and line number.
+    """
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from None
+            if not isinstance(obj, dict):
+                raise ValueError(f"{path}: line {lineno}: expected a JSON object")
+            for key in fields:
+                if key not in obj:
+                    raise ValueError(f"{path}: line {lineno}: missing field '{key}'")
+            yield lineno, obj
 
 
 def read_jsonl(path: str) -> Dataset:
@@ -331,36 +354,27 @@ def read_jsonl(path: str) -> Dataset:
     """
     segments: list[Segment] = []
     protocol: tuple[float, int, int] | None = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from None
-            for key in ("segment_id", "agent_id", "dt", "history", "future"):
-                if key not in obj:
-                    raise ValueError(f"{path}: line {lineno}: missing field '{key}'")
-            try:
-                seg = Segment(
-                    segment_id=str(obj["segment_id"]),
-                    agent_id=int(obj["agent_id"]),
-                    dt=float(obj["dt"]),
-                    history=obj["history"],
-                    future=obj["future"],
-                )
-            except (ValueError, TypeError) as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-            shape = (seg.dt, len(seg.history), len(seg.future))
-            if protocol is None:
-                protocol = shape
-            elif shape != protocol:
-                raise ValueError(
-                    f"{path}: line {lineno}: segment protocol {shape} does not "
-                    f"match first segment {protocol}"
-                )
-            segments.append(seg)
+    fields = ("segment_id", "agent_id", "dt", "history", "future")
+    for lineno, obj in read_records(path, fields):
+        try:
+            seg = Segment(
+                segment_id=str(obj["segment_id"]),
+                agent_id=int(obj["agent_id"]),
+                dt=float(obj["dt"]),
+                history=obj["history"],
+                future=obj["future"],
+            )
+        except (ValueError, TypeError) as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+        shape = (seg.dt, len(seg.history), len(seg.future))
+        if protocol is None:
+            protocol = shape
+        elif shape != protocol:
+            raise ValueError(
+                f"{path}: line {lineno}: segment protocol {shape} does not "
+                f"match first segment {protocol}"
+            )
+        segments.append(seg)
     if protocol is None:
         return Dataset([], DEFAULT_DT, DEFAULT_TAU, DEFAULT_HORIZON, source=path)
     return Dataset(

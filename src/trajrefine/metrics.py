@@ -70,7 +70,7 @@ class AblationRow:
 
 @dataclass(frozen=True)
 class AblationReport:
-    """Metrics per (backbone, refine on/off), two rows per backbone."""
+    """Metrics per (backbone, refine on/off); an ablation has two rows per backbone."""
 
     rows: tuple[AblationRow, ...]
 
@@ -86,19 +86,22 @@ class AblationReport:
         refined = self.metrics_for(backbone, True)
         return vanilla.rmse_at_seconds - refined.rmse_at_seconds
 
-    def to_csv(self) -> str:
+    def to_csv(self, deltas: bool = True) -> str:
+        """One row per (backbone, refine) with the RMSEs at 6 dp; with
+        ``deltas`` each refined row also carries :meth:`deltas`."""
         n_seconds = max(len(r.metrics.rmse_at_seconds) for r in self.rows)
         header = ["backbone", "refine", "rmse_overall"]
         header += [f"rmse_{s + 1}s" for s in range(n_seconds)]
-        header += [f"delta_{s + 1}s" for s in range(n_seconds)]
+        if deltas:
+            header += [f"delta_{s + 1}s" for s in range(n_seconds)]
         lines = [",".join(header)]
         for row in self.rows:
             cells = [row.backbone, "on" if row.refined else "off"]
             cells.append(f"{row.metrics.rmse_overall:.6f}")
             cells += [f"{v:.6f}" for v in row.metrics.rmse_at_seconds]
-            if row.refined:
+            if deltas and row.refined:
                 cells += [f"{d:.6f}" for d in self.deltas(row.backbone)]
-            else:
+            elif deltas:
                 cells += [""] * n_seconds
             lines.append(",".join(cells))
         return "\n".join(lines) + "\n"

@@ -120,7 +120,7 @@ class RefineConfig:
     (m^2) of the virtual step-0 goal anchor pinned at the last observed
     position; beta inflates the goal covariance by beta per step held past
     the last anchor. refine_enabled selects between refined and vanilla in
-    :func:`rollout` and the CLI.
+    :func:`rollout`.
     """
 
     refine_enabled: bool = True
@@ -132,6 +132,9 @@ class RefineConfig:
     def __post_init__(self) -> None:
         if self.feedback not in ("fused", "raw"):
             raise ValueError("feedback mode must be 'fused' or 'raw'")
+        for name in ("epsilon", "beta", "goal_cov_scale"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.goal_cov_scale <= 0.0:
             raise ValueError("goal_cov_scale must be positive")
         if self.epsilon <= 0.0:
@@ -155,7 +158,7 @@ def fit_predictor(
     train: Dataset,
     val: Dataset | None = None,
     *,
-    window: int = 2,
+    window: int | None = None,
     lag: int = 3,
     ridge_lambda: float = 1e-6,
     horizon: int | None = None,
@@ -167,10 +170,13 @@ def fit_predictor(
     step k is the second moment of the backbone's own vanilla-rollout errors
     at that horizon on the validation set (training set when none is given),
     floored with +1e-6 I and forced trace-non-decreasing in k by running
-    maximum.
+    maximum. ``window`` is the cv/ca position window; it defaults to 2 for cv
+    and to 3, the fewest points a quadratic needs, for ca (ar ignores it).
     """
     if backbone not in BACKBONES:
         raise ValueError(f"unknown backbone {backbone!r}; valid: {BACKBONES}")
+    if window is None:
+        window = 3 if backbone == "ca" else 2
     if not train.segments:
         raise ValueError("training set is empty")
     horizon = train.horizon if horizon is None else int(horizon)

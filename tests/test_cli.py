@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from trajrefine.cli import load_model, main, save_model
-from trajrefine.data import gen_synthetic, read_jsonl, write_jsonl
+from trajrefine.data import gen_synthetic, read_jsonl, round_points, write_jsonl
+from trajrefine.gaussian import Cov2, params_from_cov
 from trajrefine.goals import fit_goal_model
-from trajrefine.predictors import fit_predictor, rollout_refined
+from trajrefine.predictors import RefineConfig, fit_predictor, rollout_batch, rollout_refined
 
 
 def run(*argv):
@@ -204,6 +205,24 @@ class TestPredict:
                    "--out", str(tmp_path / "p.jsonl")) == 2
         assert str(model) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda doc: json.dumps({**doc, "protocol": {**doc["protocol"], "fps": 5}}),
+        lambda doc: json.dumps({**doc, "protocol": [0.2, 15, 25]}),
+        lambda doc: json.dumps({**doc, "protocol": {**doc["protocol"], "dt": "0.2"}}),
+        lambda doc: json.dumps([doc]),
+        lambda doc: json.dumps(doc)[:-1],
+    ], ids=["protocol-extra-key", "protocol-not-object", "protocol-string-value",
+            "top-level-array", "invalid-json"])
+    def test_malformed_model_file_exits_2(self, tmp_path, capsys, corrupt):
+        train = gen(tmp_path, "train.jsonl", n=30)
+        model = fit(tmp_path, train)
+        model.write_text(corrupt(json.loads(model.read_text())))
+        with pytest.raises(ValueError, match=f"^{model}: "):
+            load_model(str(model))
+        assert run("predict", "--model", str(model), "--data", str(train),
+                   "--out", str(tmp_path / "p.jsonl")) == 2
+        assert str(model) in capsys.readouterr().err
+
     def test_model_file_round_trip_matches_in_memory(self, tmp_path):
         train_ds = gen_synthetic("lane_change", 60, 0.2, seed=11)
         params = fit_predictor("ar", train_ds, lag=3)
@@ -255,6 +274,50 @@ class TestEvalAndAblate:
         assert run("eval", "--predictions", str(preds), "--data", str(data),
                    "--out", str(tmp_path / "m.csv")) == 2
 
+    def test_one_prediction_for_a_repeated_data_id_exits_2(self, tmp_path):
+        data = gen(tmp_path, "d.jsonl", n=2)
+        first, second = [json.loads(line) for line in data.read_text().splitlines()]
+        second["segment_id"] = first["segment_id"]
+        data.write_text(json.dumps(first) + "\n" + json.dumps(second) + "\n")
+        preds = tmp_path / "p.jsonl"
+        preds.write_text(json.dumps({
+            "segment_id": first["segment_id"], "means": first["future"], "mode": "vanilla",
+        }) + "\n")
+        assert run("eval", "--predictions", str(preds), "--data", str(data),
+                   "--out", str(tmp_path / "m.csv")) == 2
+
+    def predict_lines(self, tmp_path):
+        train = gen(tmp_path, "train.jsonl", n=60)
+        data = gen(tmp_path, "d.jsonl", seed=12, n=5)
+        preds = tmp_path / "p.jsonl"
+        assert run("predict", "--model", str(fit(tmp_path, train)), "--data", str(data),
+                   "--out", str(preds)) == 0
+        return data, preds, preds.read_text().splitlines()
+
+    def test_repeated_prediction_id_exits_2(self, tmp_path, capsys):
+        data, preds, lines = self.predict_lines(tmp_path)
+        corrupt = json.loads(lines[0])
+        corrupt["means"] = [[1e4, 1e4]] * 25
+        preds.write_text("\n".join(lines + [json.dumps(corrupt)]) + "\n")
+        assert run("eval", "--predictions", str(preds), "--data", str(data),
+                   "--out", str(tmp_path / "m.csv")) == 2
+        assert f"{preds}: line 6: repeated segment id" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda means: means[:-1],
+        lambda means: means[:3] + [[float("nan"), 0.0]] + means[4:],
+    ], ids=["short", "nan"])
+    def test_bad_prediction_means_name_line(self, tmp_path, capsys, corrupt):
+        data, preds, lines = self.predict_lines(tmp_path)
+        bad = json.loads(lines[2])
+        bad["means"] = corrupt(bad["means"])
+        lines[2] = json.dumps(bad)
+        preds.write_text("\n".join(lines) + "\n")
+        assert run("eval", "--predictions", str(preds), "--data", str(data),
+                   "--out", str(tmp_path / "m.csv")) == 2
+        err = capsys.readouterr().err
+        assert f"{preds}: line 3: means must be a finite (25, 2) array" in err
+
     def test_ablate_report(self, tmp_path):
         train = gen(tmp_path, "train.jsonl", n=150, seed=21)
         test = gen(tmp_path, "test.jsonl", n=60, seed=22)
@@ -304,3 +367,30 @@ class TestConfigFile:
         model = fit(tmp_path, train)
         assert run("predict", "--model", str(model), "--data", str(train),
                    "--out", str(tmp_path / "p.jsonl"), "--config", str(cfg)) == 2
+
+
+class TestDefaultsFollowLibrary:
+    @pytest.mark.parametrize("backbone", ["cv", "ca", "ar"])
+    def test_fit_without_model_flags_equals_library_defaults(self, tmp_path, backbone):
+        train = gen(tmp_path, "train.jsonl")
+        model = fit(tmp_path, train, extra=("--predictor", backbone))
+        train_ds = read_jsonl(str(train))
+        expected = tmp_path / "expected.json"
+        save_model(str(expected), fit_predictor(backbone, train_ds),
+                   fit_goal_model(train_ds), {"dt": 0.2, "tau": 15, "horizon": 25})
+        assert model.read_bytes() == expected.read_bytes()
+
+    def test_predict_without_refine_flags_equals_default_config(self, tmp_path):
+        train = gen(tmp_path, "train.jsonl")
+        test = gen(tmp_path, "test.jsonl", seed=12, n=10)
+        model = fit(tmp_path, train)
+        out = tmp_path / "preds.jsonl"
+        assert run("predict", "--model", str(model), "--data", str(test),
+                   "--out", str(out)) == 0
+        params, goal_params, _ = load_model(str(model))
+        means, covs = rollout_batch(params, read_jsonl(str(test)).histories(),
+                                    goal_params=goal_params, cfg=RefineConfig())
+        lines = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [line["means"] for line in lines] == [round_points(m) for m in means]
+        sigmas = [[list(params_from_cov(Cov2.from_matrix(c))) for c in seg] for seg in covs]
+        assert [line["sigmas"] for line in lines] == sigmas

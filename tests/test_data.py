@@ -254,6 +254,13 @@ class TestJsonl:
         with pytest.raises(ValueError, match="line 2.*'future'"):
             read_jsonl(str(path))
 
+    def test_non_object_line_rejected_with_line(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        write_jsonl(gen_synthetic("cv", 1, 0.0, seed=1), str(path))
+        path.write_text(path.read_text() + "3\n")
+        with pytest.raises(ValueError, match="line 2: expected a JSON object"):
+            read_jsonl(str(path))
+
     def test_empty_file_is_empty_dataset(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")

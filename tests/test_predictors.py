@@ -208,6 +208,12 @@ class TestFitPredictor:
         for est in estimates:
             np.testing.assert_allclose(est.mean, seg.history[-1], atol=1e-4)
 
+    def test_default_window_per_backbone(self):
+        ds = gen_synthetic("ca", 20, 0.0, seed=34)
+        assert fit_predictor("cv", ds).window == 2
+        assert fit_predictor("ca", ds).window == 3
+        assert fit_predictor("ca", ds, window=5).window == 5
+
     def test_empty_training_set(self):
         with pytest.raises(ValueError, match="empty"):
             fit_predictor("cv", Dataset([]))
@@ -293,9 +299,11 @@ class TestRolloutVanilla:
 class TestRefineConfig:
     @pytest.mark.parametrize("kw", [
         {"epsilon": 0.0}, {"beta": -0.1}, {"goal_cov_scale": 0.0}, {"feedback": "x"},
+        {"epsilon": np.inf}, {"epsilon": np.nan}, {"beta": np.inf}, {"beta": np.nan},
+        {"goal_cov_scale": np.inf}, {"goal_cov_scale": np.nan},
     ])
     def test_out_of_domain_rejected(self, kw):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kw))):
             RefineConfig(**kw)
 
 
