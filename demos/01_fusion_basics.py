@@ -9,7 +9,7 @@ over completely, and the fused covariance never exceeds either input.
 
 import numpy as np
 
-from trajrefine import Cov2, Estimate, fuse, info_fuse, rls_gain
+from trajrefine import Cov2, Estimate, fuse, gain_update, info_fuse
 
 np.set_printoptions(precision=4, suppress=True)
 
@@ -24,7 +24,7 @@ print("fused cov\n", post.cov.as_matrix(), " (variance halves)")
 print()
 print("=== the gain decides who to trust ===")
 # prior is sloppy in x (variance 4) but sharp in y (variance 1)
-k = rls_gain(Cov2(4.0, 0.0, 1.0), Cov2.isotropic(1.0), np.eye(2))
+k, _ = gain_update(np.diag([4.0, 1.0]), np.eye(2))
 print("gain for P=diag(4,1), R=I:\n", k)
 print("x pulls 80% toward the measurement, y only 50%")
 

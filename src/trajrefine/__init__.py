@@ -18,30 +18,9 @@ from .data import (
     split_dataset,
     write_jsonl,
 )
-from .fusion import (
-    Estimate,
-    SingularInnovationError,
-    fuse,
-    info_fuse,
-    rls_gain,
-    rls_update,
-)
-from .gaussian import (
-    Cov2,
-    Gaussian2D,
-    cov_from_params,
-    is_psd,
-    log_density,
-    params_from_cov,
-)
-from .goals import (
-    GoalAnchor,
-    GoalModelParams,
-    GoalSet,
-    fit_goal_model,
-    goal_moments,
-    predict_goals,
-)
+from .fusion import Estimate, SingularInnovationError, fuse, gain_update, info_fuse
+from .gaussian import Cov2, cov_from_params, is_psd, log_density, params_from_cov
+from .goals import GoalModelParams, fit_goal_model, goal_moments
 from .metrics import AblationReport, AblationRow, Metrics, rmse, run_ablation
 from .predictors import (
     PredictorParams,
@@ -62,10 +41,7 @@ __all__ = [
     "Cov2",
     "Dataset",
     "Estimate",
-    "Gaussian2D",
-    "GoalAnchor",
     "GoalModelParams",
-    "GoalSet",
     "Metrics",
     "PredictorParams",
     "RefineConfig",
@@ -79,6 +55,7 @@ __all__ = [
     "fit_goal_model",
     "fit_predictor",
     "fuse",
+    "gain_update",
     "gen_synthetic",
     "goal_moments",
     "info_fuse",
@@ -86,10 +63,7 @@ __all__ = [
     "log_density",
     "params_from_cov",
     "parse_ngsim_csv",
-    "predict_goals",
     "read_jsonl",
-    "rls_gain",
-    "rls_update",
     "rmse",
     "rollout",
     "rollout_batch",

@@ -105,7 +105,10 @@ def _merge(options: list[Opt], args: argparse.Namespace) -> argparse.Namespace:
                     f"--{opt.flag}: invalid value {raw!r} (choose from "
                     f"{', '.join(opt.choices)})"
                 )
-            value = opt.convert(raw)
+            try:
+                value = opt.convert(raw)
+            except ValueError:
+                raise ValueError(f"--{opt.flag}: invalid value {raw!r}") from None
         if value is None and opt.required:
             raise ValueError(f"missing required option --{opt.flag}")
         setattr(merged, opt.dest, value)
@@ -353,6 +356,8 @@ _EVAL_OPTS = [
 
 def cmd_eval(o) -> int:
     ds = read_jsonl(o.data)
+    if not ds.segments:
+        raise ValueError(f"{o.data}: dataset contains no segments")
     pred_means: dict[str, np.ndarray] = {}
     modes = set()
     for lineno, obj in read_records(o.predictions, ("segment_id", "means", "mode")):

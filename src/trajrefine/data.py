@@ -349,10 +349,12 @@ def read_records(path: str, fields: tuple[str, ...]):
 def read_jsonl(path: str) -> Dataset:
     """Inverse of :func:`write_jsonl`; schema errors carry the line number.
 
-    Keys other than the segment fields, such as the ``neighbors`` list older
-    files carry, are ignored.
+    Every segment must share the first one's protocol and have its own
+    segment id. Keys other than the segment fields, such as the
+    ``neighbors`` list older files carry, are ignored.
     """
     segments: list[Segment] = []
+    first_line: dict[str, int] = {}
     protocol: tuple[float, int, int] | None = None
     fields = ("segment_id", "agent_id", "dt", "history", "future")
     for lineno, obj in read_records(path, fields):
@@ -374,6 +376,10 @@ def read_jsonl(path: str) -> Dataset:
                 f"{path}: line {lineno}: segment protocol {shape} does not "
                 f"match first segment {protocol}"
             )
+        first = first_line.setdefault(seg.segment_id, lineno)
+        if first != lineno:
+            raise ValueError(f"{path}: line {lineno}: repeated segment id "
+                             f"{seg.segment_id!r} (first on line {first})")
         segments.append(seg)
     if protocol is None:
         return Dataset([], DEFAULT_DT, DEFAULT_TAU, DEFAULT_HORIZON, source=path)

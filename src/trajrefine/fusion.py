@@ -1,18 +1,18 @@
 """Fusion of two Gaussian position estimates.
 
-Implements the gain-form update
+Implements the gain-form update with the identity as observation matrix
 
-    K = P H^T (H P H^T + R)^-1
-    x' = x + K (z - H x)
-    P' = (I - K H) P
+    K = P (P + R)^-1
+    x' = x + K (z - x)
+    P' = (I - K) P
 
 together with the algebraically equivalent precision-weighted (information)
 form, which serves as an independent cross-check. The prior (x, P) plays the
 role of a rollout estimate and the measurement (z, R) the role of a
-goal-derived pseudo-observation; H is the identity in that pipeline but the
-general form is kept in the API. The gain form is written once, over leading
-batch axes, so the rollout engine updates a whole batch of segments per step
-and the single-estimate functions here are thin adapters over it.
+goal-derived pseudo-observation. K and P' depend on the covariances only, so
+:func:`gain_update` takes no means: the rollout engine computes every gain of
+a rollout in one call before stepping, and :func:`fuse` is the
+single-estimate adapter.
 """
 
 from __future__ import annotations
@@ -33,13 +33,15 @@ I2 = np.eye(2)
 class SingularInnovationError(ValueError):
     """Raised when the innovation covariance is numerically singular.
 
-    Carries the rollout step index when raised from within a refinement
-    loop, None otherwise.
+    ``index`` is the batch index of the first singular entry in C order
+    (empty for a single estimate); ``step`` is the rollout step when raised
+    from the rollout engine, None otherwise.
     """
 
-    def __init__(self, message: str, step: int | None = None):
+    def __init__(self, message: str, step: int | None = None, index: tuple = ()):
         super().__init__(message)
         self.step = step
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -63,54 +65,38 @@ def _inv2(m: np.ndarray, det: float) -> np.ndarray:
     return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=float) / det
 
 
-def gain_update(
-    x: np.ndarray, p: np.ndarray, z: np.ndarray, r: np.ndarray, h: np.ndarray = I2
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gain-form update over any leading batch axes.
+def gain_update(p: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gain and posterior covariance over any leading batch axes.
 
-    x and z are (..., 2) means, p and r (..., 2, 2) covariances and h a
-    (2, 2) observation matrix. Returns the gain K, the posterior mean and the
-    posterior covariance (I - K H) P, symmetrized because the short-form
-    expression is asymmetric under rounding.
+    p and r are (..., 2, 2) prior and measurement covariances. Returns the
+    gain K = P (P + R)^-1 and the posterior covariance (I - K) P,
+    symmetrized because the short-form expression is asymmetric under
+    rounding; the posterior mean is x + K (z - x).
 
-    Raises SingularInnovationError when any H P H^T + R is numerically
-    singular (determinant <= 1e-15 * max(1, trace^2)); a silent
-    pseudo-inverse would hide a degenerate goal model.
+    Raises SingularInnovationError when any P + R is numerically singular
+    (determinant <= 1e-15 * max(1, trace^2)); a silent pseudo-inverse would
+    hide a degenerate goal model.
     """
-    ht = np.swapaxes(h, -1, -2)
-    s = h @ p @ ht + r
+    s = p + r
     s00, s01, s10, s11 = s[..., 0, 0], s[..., 0, 1], s[..., 1, 0], s[..., 1, 1]
     det = s00 * s11 - s01 * s10
     singular = det <= SINGULARITY_TOL * np.maximum(1.0, (s00 + s11) ** 2)
     if np.any(singular):
+        index = tuple(int(i) for i in np.argwhere(singular)[0])
         raise SingularInnovationError(
-            f"innovation covariance is singular (det={det[singular].flat[0]:.3e})"
+            f"innovation covariance is singular (det={det[index]:.3e})", index=index
         )
     adjugate = np.stack([s11, -s01, -s10, s00], axis=-1).reshape(s.shape)
-    gain = p @ ht @ (adjugate / det[..., None, None])
-    mean = x + (gain @ (z - (h @ x[..., None])[..., 0])[..., None])[..., 0]
-    cov = (I2 - gain @ h) @ p
-    return gain, mean, 0.5 * (cov + np.swapaxes(cov, -1, -2))
-
-
-def rls_gain(prior_cov: Cov2, meas_cov: Cov2, h: np.ndarray) -> np.ndarray:
-    """Gain K = P H^T (H P H^T + R)^-1 as a 2x2 array (see :func:`gain_update`)."""
-    h = np.asarray(h, dtype=float).reshape(2, 2)
-    zero = np.zeros(2)
-    return gain_update(zero, prior_cov.as_matrix(), zero, meas_cov.as_matrix(), h)[0]
-
-
-def rls_update(prior: Estimate, measurement: Estimate, h: np.ndarray) -> Estimate:
-    """One gain-form update of ``prior`` by ``measurement`` through ``h``."""
-    h = np.asarray(h, dtype=float).reshape(2, 2)
-    p, r = prior.cov.as_matrix(), measurement.cov.as_matrix()
-    _, mean, cov = gain_update(prior.mean, p, measurement.mean, r, h)
-    return Estimate(mean, Cov2.from_matrix(cov))
+    gain = p @ (adjugate / det[..., None, None])
+    cov = (I2 - gain) @ p
+    return gain, 0.5 * (cov + np.swapaxes(cov, -1, -2))
 
 
 def fuse(prior: Estimate, measurement: Estimate) -> Estimate:
-    """Gain-form fusion with the observation matrix fixed to the identity."""
-    return rls_update(prior, measurement, I2)
+    """One gain-form update of ``prior`` by ``measurement``."""
+    gain, cov = gain_update(prior.cov.as_matrix(), measurement.cov.as_matrix())
+    mean = prior.mean + gain @ (measurement.mean - prior.mean)
+    return Estimate(mean, Cov2.from_matrix(cov))
 
 
 def info_fuse(prior: Estimate, measurement: Estimate) -> Estimate:

@@ -4,7 +4,8 @@ Positions are 2-D points in meters. Covariances are symmetric 2x2 matrices
 stored by their three free entries (sxx, sxy, syy), which keeps symmetry
 exact by construction and makes positive-semidefiniteness checks cheap.
 The (sigma_x, sigma_y, rho) parameterization is used at the I/O boundary;
-conversion functions between the two forms live here.
+conversion functions between the two forms live here. Batches of Gaussians
+are plain (..., 2) mean and (..., 2, 2) covariance arrays.
 """
 
 from __future__ import annotations
@@ -60,45 +61,6 @@ class Cov2:
         return Cov2(variance, 0.0, variance)
 
 
-@dataclass(frozen=True)
-class Gaussian2D:
-    """Bivariate Gaussian over position: (x, y, sigma_x, sigma_y, rho).
-
-    sigma_x, sigma_y are in meters and must be positive; |rho| < 1 strictly,
-    so the covariance is always positive definite (rank-1 Gaussians would
-    make downstream fusion inversions singular).
-    """
-
-    x: float
-    y: float
-    sigma_x: float
-    sigma_y: float
-    rho: float
-
-    def __post_init__(self) -> None:
-        vals = (self.x, self.y, self.sigma_x, self.sigma_y, self.rho)
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError("Gaussian2D parameters must be finite")
-        if self.sigma_x <= 0.0 or self.sigma_y <= 0.0:
-            raise ValueError("sigma_x and sigma_y must be positive")
-        if abs(self.rho) >= 1.0:
-            raise ValueError("|rho| must be strictly less than 1")
-
-    @property
-    def mean(self) -> np.ndarray:
-        return np.array([self.x, self.y], dtype=float)
-
-    @property
-    def cov(self) -> Cov2:
-        return cov_from_params(self.sigma_x, self.sigma_y, self.rho)
-
-    @staticmethod
-    def from_moments(mean: np.ndarray, cov: Cov2) -> Gaussian2D:
-        sx, sy, rho = params_from_cov(cov)
-        m = np.asarray(mean, dtype=float)
-        return Gaussian2D(float(m[0]), float(m[1]), sx, sy, rho)
-
-
 def cov_from_params(sigma_x: float, sigma_y: float, rho: float) -> Cov2:
     """Covariance matrix of a (sigma_x, sigma_y, rho) Gaussian.
 
@@ -130,12 +92,17 @@ def is_psd(c: Cov2, tol: float = PSD_TOL) -> bool:
     return c.det >= -tol * max(1.0, c.sxx * c.syy)
 
 
-def log_density(g: Gaussian2D, p: np.ndarray) -> float:
-    """Log-density of ``g`` at point ``p`` in nats."""
-    p = np.asarray(p, dtype=float)
-    u = (p[0] - g.x) / g.sigma_x
-    v = (p[1] - g.y) / g.sigma_y
-    one_minus_r2 = 1.0 - g.rho * g.rho
-    quad = (u * u - 2.0 * g.rho * u * v + v * v) / one_minus_r2
-    norm = math.log(2.0 * math.pi * g.sigma_x * g.sigma_y * math.sqrt(one_minus_r2))
-    return -norm - 0.5 * quad
+def log_density(mean: np.ndarray, cov: np.ndarray, point: np.ndarray) -> np.ndarray:
+    """Log-density in nats of N(mean, cov) at point, over leading batch axes.
+
+    mean and point are (..., 2), cov is (..., 2, 2) and positive definite.
+    """
+    d = np.asarray(point, dtype=float) - np.asarray(mean, dtype=float)
+    c = np.asarray(cov, dtype=float)
+    sxx, sxy, syy = c[..., 0, 0], c[..., 0, 1], c[..., 1, 1]
+    det = sxx * syy - sxy * sxy
+    if np.any(sxx <= 0.0) or np.any(det <= 0.0):
+        raise ValueError("covariance is not positive definite")
+    u, v = d[..., 0], d[..., 1]
+    quad = (syy * u * u - 2.0 * sxy * u * v + sxx * v * v) / det
+    return -np.log(2.0 * np.pi) - 0.5 * np.log(det) - 0.5 * quad

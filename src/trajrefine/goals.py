@@ -5,7 +5,7 @@ predicted exactly once per segment from the observed history. Each anchor has
 its own independent ridge regressor from ego-frame history displacements to
 the anchor displacement, so removing one anchor never perturbs another.
 :func:`goal_moments` predicts the anchors of a whole batch of histories as
-arrays; :func:`predict_goals` is its one-history form and returns a GoalSet.
+(N, A, 2) means and (N, A, 2, 2) covariances.
 
 At refinement time :func:`interpolate_goals` turns the sparse anchors into a
 pseudo-measurement for every horizon step. One fixed (T, A+1) table of linear
@@ -25,43 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .gaussian import Cov2, Gaussian2D
+from .gaussian import Cov2
 
 RESIDUAL_FLOOR = 1e-6  # m^2 added to residual covariances; keeps fusion nonsingular
 
 DEFAULT_ANCHOR_STEPS = (5, 10, 15, 20, 25)  # every whole second at dt = 0.2 s
-
-
-@dataclass(frozen=True)
-class GoalAnchor:
-    """A future-step index together with its predicted position Gaussian."""
-
-    step: int
-    gaussian: Gaussian2D
-
-    def __post_init__(self) -> None:
-        if self.step < 1:
-            raise ValueError("anchor step must be >= 1")
-
-
-@dataclass(frozen=True)
-class GoalSet:
-    """Ordered, non-empty anchors with strictly increasing steps."""
-
-    anchors: tuple[GoalAnchor, ...]
-
-    def __post_init__(self) -> None:
-        anchors = tuple(self.anchors)
-        if not anchors:
-            raise ValueError("goal set must contain at least one anchor")
-        steps = [a.step for a in anchors]
-        if any(b <= a for a, b in zip(steps, steps[1:])):
-            raise ValueError(f"anchor steps must be strictly increasing, got {steps}")
-        object.__setattr__(self, "anchors", anchors)
-
-    @property
-    def steps(self) -> tuple[int, ...]:
-        return tuple(a.step for a in self.anchors)
 
 
 @dataclass(frozen=True)
@@ -214,17 +182,6 @@ def goal_moments(
     residual = np.array([c.as_matrix() for c in params.residual_covs])
     covs = rot[:, None] @ residual @ rot_t[:, None]
     return means, covs
-
-
-def predict_goals(params: GoalModelParams, history: np.ndarray) -> GoalSet:
-    """Anchors of one (history_len, 2) history as a GoalSet; see goal_moments."""
-    means, covs = goal_moments(params, np.asarray(history, dtype=float)[None])
-    return GoalSet(
-        tuple(
-            GoalAnchor(step, Gaussian2D.from_moments(mean, Cov2.from_matrix(cov)))
-            for step, mean, cov in zip(params.anchor_steps, means[0], covs[0])
-        )
-    )
 
 
 def interpolate_goals(

@@ -42,6 +42,8 @@ def rmse(predictions, ground_truth: Dataset) -> Metrics:
     arrays, ordered like ground_truth.segments. The squared error at a step
     is the full 2-D squared distance (x and y pooled).
     """
+    if not ground_truth.segments:
+        raise ValueError("rmse needs at least one segment")
     preds = np.asarray(predictions, dtype=float)
     truth = ground_truth.futures()
     if preds.shape != truth.shape:

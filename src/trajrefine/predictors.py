@@ -10,10 +10,11 @@ so uncertainty grows with the horizon the way the backbone's own rollout
 errors actually grow.
 
 :func:`rollout_batch` is the one rollout loop. It steps N segments at once.
-With a goal model it predicts the anchors once per segment, fuses every raw
-step with the interpolated goal measurement through the gain-form update and
-(by default) feeds the fused mean back into the buffer. ``rollout``,
-``rollout_vanilla`` and ``rollout_refined`` are its one-segment adapters.
+With a goal model it predicts the anchors once per segment, computes every
+step's gain from the covariances up front, fuses each raw step with the
+interpolated goal measurement and (by default) feeds the fused mean back
+into the buffer. ``rollout``, ``rollout_vanilla`` and ``rollout_refined``
+are its one-segment adapters.
 """
 
 from __future__ import annotations
@@ -277,11 +278,14 @@ def rollout_batch(
     covariances for future steps 1..T. Without a goal model this is the
     vanilla rollout: repeated one-step prediction with the calibrated step
     covariances. With one, goals are predicted exactly once per segment up
-    front; at each step k the raw estimate is fused with the goal
-    measurement for k, the fused estimate is emitted, and (in 'fused'
-    feedback mode) the fused mean replaces the raw one in the buffer before
-    the next step. cfg.refine_enabled is not read here: pass no goal model
-    for a vanilla rollout.
+    front. The prior covariance at step k is the calibrated table entry, not
+    the previous fused one, so every gain K_k and fused covariance is fixed
+    by the covariances alone and is computed in one call before stepping. At
+    each step k the raw mean is fused as raw + K_k (z_k - raw), the fused
+    estimate is emitted, and (in 'fused' feedback mode) the fused mean
+    replaces the raw one in the buffer before the next step.
+    cfg.refine_enabled is not read here: pass no goal model for a vanilla
+    rollout.
     """
     histories = np.asarray(histories, dtype=float)
     horizon = params.horizon if horizon is None else int(horizon)
@@ -313,18 +317,18 @@ def rollout_batch(
             horizon, cfg.epsilon, cfg.beta,
         )
         r *= cfg.goal_cov_scale
+        try:  # step-major, so the first singular entry is at the earliest step
+            gains, post = gain_update(np.swapaxes(covs, 0, 1), np.swapaxes(r, 0, 1))
+        except SingularInnovationError as exc:
+            step = exc.index[0] + 1
+            raise SingularInnovationError(f"step {step}: {exc}", step=step) from exc
+        covs = np.swapaxes(post, 0, 1)
     for k in range(horizon):
         buffer = positions[:, k : k + need]
         disp = np.diff(buffer, axis=1).reshape(n, 2 * (need - 1))
         means[:, k] = raw = buffer[:, -1] + disp @ params.step_weights
         if goal_params is not None:
-            try:
-                _, means[:, k], covs[:, k] = gain_update(
-                    raw, covs[:, k], z[:, k], r[:, k]
-                )
-            except SingularInnovationError as exc:
-                step = k + 1
-                raise SingularInnovationError(f"step {step}: {exc}", step=step) from exc
+            means[:, k] = raw + (gains[k] @ (z[:, k] - raw)[..., None])[..., 0]
         positions[:, k + need] = means[:, k] if cfg.feedback == "fused" else raw
     if not np.all(np.isfinite(means)):
         raise ValueError("rollout produced non-finite positions")

@@ -192,11 +192,9 @@ def test_criterion_5_limit_equivalences(lane_change_models):
             gap = np.array([r.mean - v.mean for r, v in zip(refined, vanilla)])
             assert np.abs(gap).max() <= 1e-6
 
-            goals = tr.predict_goals(dense_goals, seg.history)
+            goal_means, _ = tr.goal_moments(dense_goals, seg.history[None])
             snapped = rollout_refined(params, dense_goals, seg.history, cfg=tiny)
-            gap = np.array(
-                [s.mean - a.gaussian.mean for s, a in zip(snapped, goals.anchors)]
-            )
+            gap = np.array([s.mean for s in snapped]) - goal_means[0]
             assert np.abs(gap).max() <= 1e-6
 
 

@@ -128,6 +128,14 @@ class TestFit:
         assert run("fit", "--train", str(train), "--out", str(tmp_path / "m.json"),
                    "--anchors", "5,40") == 2
 
+    @pytest.mark.parametrize("flag,value", [("anchors", "5,x"), ("lag", "2.5")])
+    def test_unconvertible_flag_names_option(self, tmp_path, capsys, flag, value):
+        train = gen(tmp_path, "train.jsonl", n=30)
+        assert run("fit", "--train", str(train), "--out", str(tmp_path / "m.json"),
+                   f"--{flag}", value) == 2
+        err = capsys.readouterr().err
+        assert f"error: --{flag}: invalid value '{value}'" in err
+
 
 class TestPredict:
     def test_line_count_and_sigma_invariants(self, tmp_path):
@@ -260,6 +268,14 @@ class TestEvalAndAblate:
         assert cells[1] == "off"
         assert all(float(c) == 0.0 for c in cells[2:])
 
+    def test_empty_dataset_exits_2_naming_it(self, tmp_path, capsys):
+        data, preds = tmp_path / "d.jsonl", tmp_path / "p.jsonl"
+        data.write_text("")
+        preds.write_text("")
+        assert run("eval", "--predictions", str(preds), "--data", str(data),
+                   "--out", str(tmp_path / "m.csv")) == 2
+        assert f"error: {data}: dataset contains no segments" in capsys.readouterr().err
+
     def test_missing_prediction_file_exits_1(self, tmp_path):
         data = gen(tmp_path, "d.jsonl", n=3)
         assert run("eval", "--predictions", str(tmp_path / "nope.jsonl"),
@@ -367,6 +383,15 @@ class TestConfigFile:
         model = fit(tmp_path, train)
         assert run("predict", "--model", str(model), "--data", str(train),
                    "--out", str(tmp_path / "p.jsonl"), "--config", str(cfg)) == 2
+
+
+    def test_unconvertible_config_value_names_option(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("lag = x\n")
+        train = gen(tmp_path, "train.jsonl", n=30)
+        assert run("fit", "--train", str(train), "--out", str(tmp_path / "m.json"),
+                   "--config", str(cfg)) == 2
+        assert "error: --lag: invalid value 'x'" in capsys.readouterr().err
 
 
 class TestDefaultsFollowLibrary:

@@ -277,3 +277,14 @@ class TestJsonl:
         merged.write_text(pa.read_text() + pb.read_text())
         with pytest.raises(ValueError, match="line 2"):
             read_jsonl(str(merged))
+
+    def test_repeated_segment_id_rejected_with_lines(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        write_jsonl(gen_synthetic("cv", 3, 0.0, seed=1), str(path))
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines + [lines[1]]) + "\n")
+        with pytest.raises(ValueError) as exc:
+            read_jsonl(str(path))
+        assert str(exc.value) == (
+            f"{path}: line 4: repeated segment id 'cv-00001' (first on line 2)"
+        )

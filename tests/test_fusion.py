@@ -5,13 +5,16 @@ from trajrefine.fusion import (
     Estimate,
     SingularInnovationError,
     fuse,
+    gain_update,
     info_fuse,
-    rls_gain,
-    rls_update,
 )
 from trajrefine.gaussian import Cov2, cov_from_params
 
 I2 = np.eye(2)
+
+
+def gain(p, r):
+    return gain_update(p.as_matrix(), r.as_matrix())[0]
 
 
 def random_estimate(rng):
@@ -23,47 +26,56 @@ def random_estimate(rng):
 
 class TestGain:
     def test_equal_covariances(self):
-        k = rls_gain(Cov2.isotropic(1.0), Cov2.isotropic(1.0), I2)
+        k = gain(Cov2.isotropic(1.0), Cov2.isotropic(1.0))
         np.testing.assert_allclose(k, 0.5 * I2, atol=1e-14)
 
     def test_confident_prior_ignores_measurement(self):
-        k = rls_gain(Cov2(0.0, 0.0, 0.0), Cov2.isotropic(1.0), I2)
+        k = gain(Cov2(0.0, 0.0, 0.0), Cov2.isotropic(1.0))
         np.testing.assert_allclose(k, np.zeros((2, 2)), atol=1e-14)
 
     def test_componentwise_scalar_formula(self):
-        k = rls_gain(Cov2(4.0, 0.0, 1.0), Cov2.isotropic(1.0), I2)
+        k = gain(Cov2(4.0, 0.0, 1.0), Cov2.isotropic(1.0))
         np.testing.assert_allclose(k, np.diag([0.8, 0.5]), atol=1e-14)
 
     def test_singular_innovation_raises(self):
         with pytest.raises(SingularInnovationError):
-            rls_gain(Cov2(0.0, 0.0, 0.0), Cov2(0.0, 0.0, 0.0), I2)
-
-    def test_non_identity_h_matches_direct_formula(self):
-        rng = np.random.default_rng(5)
-        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-        for h in (swap, np.array([[1.0, 0.5], [0.0, 2.0]])):
-            p = random_estimate(rng).cov
-            r = random_estimate(rng).cov
-            k = rls_gain(p, r, h)
-            pm, rm = p.as_matrix(), r.as_matrix()
-            expected = pm @ h.T @ np.linalg.inv(h @ pm @ h.T + rm)
-            np.testing.assert_allclose(k, expected, atol=1e-12)
+            gain(Cov2(0.0, 0.0, 0.0), Cov2(0.0, 0.0, 0.0))
 
     def test_gain_eigenvalues_in_unit_interval(self):
         rng = np.random.default_rng(6)
         for _ in range(300):
-            k = rls_gain(random_estimate(rng).cov, random_estimate(rng).cov, I2)
+            k = gain(random_estimate(rng).cov, random_estimate(rng).cov)
             eigs = np.linalg.eigvals(k)
             assert np.all(np.abs(eigs.imag) < 1e-9)
             assert np.all(eigs.real >= -1e-12)
             assert np.all(eigs.real <= 1.0 + 1e-12)
 
 
+    def test_batch_matches_single_calls(self):
+        rng = np.random.default_rng(4)
+        p = np.array([random_estimate(rng).cov.as_matrix() for _ in range(12)])
+        r = np.array([random_estimate(rng).cov.as_matrix() for _ in range(12)])
+        gains, covs = gain_update(p.reshape(3, 4, 2, 2), r.reshape(3, 4, 2, 2))
+        for i in range(12):
+            k, cov = gain_update(p[i], r[i])
+            np.testing.assert_array_equal(gains.reshape(12, 2, 2)[i], k)
+            np.testing.assert_array_equal(covs.reshape(12, 2, 2)[i], cov)
+
+    def test_singular_entry_index(self):
+        p = np.tile(I2, (2, 3, 1, 1))
+        r = p.copy()
+        p[1, 2] = r[1, 2] = p[1, 0] = r[1, 0] = np.zeros((2, 2))
+        with pytest.raises(SingularInnovationError) as exc:
+            gain_update(p, r)
+        assert exc.value.index == (1, 0)
+        assert exc.value.step is None
+
+
 class TestUpdate:
     def test_symmetric_fusion_halves(self):
         prior = Estimate([0.0, 0.0], Cov2.isotropic(1.0))
         meas = Estimate([2.0, 0.0], Cov2.isotropic(1.0))
-        post = rls_update(prior, meas, I2)
+        post = fuse(prior, meas)
         np.testing.assert_allclose(post.mean, [1.0, 0.0], atol=1e-14)
         np.testing.assert_allclose(post.cov.as_matrix(), 0.5 * I2, atol=1e-14)
 
@@ -72,23 +84,15 @@ class TestUpdate:
         for _ in range(50):
             prior = random_estimate(rng)
             meas = Estimate(prior.mean, random_estimate(rng).cov)
-            post = rls_update(prior, meas, I2)
+            post = fuse(prior, meas)
             np.testing.assert_allclose(post.mean, prior.mean, atol=1e-12)
 
     def test_componentwise_kalman(self):
         prior = Estimate([1.0, 1.0], Cov2(4.0, 0.0, 1.0))
         meas = Estimate([5.0, 1.0], Cov2.isotropic(1.0))
-        post = rls_update(prior, meas, I2)
+        post = fuse(prior, meas)
         np.testing.assert_allclose(post.mean, [4.2, 1.0], atol=1e-14)
         np.testing.assert_allclose(post.cov.as_matrix(), np.diag([0.8, 0.5]), atol=1e-14)
-
-    def test_non_identity_h_update(self):
-        # axis-swap observation: the y measurement corrects the x state
-        prior = Estimate([0.0, 0.0], Cov2.isotropic(1.0))
-        meas = Estimate([3.0, -1.0], Cov2.isotropic(1.0))
-        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-        post = rls_update(prior, meas, swap)
-        np.testing.assert_allclose(post.mean, [-0.5, 1.5], atol=1e-14)
 
 
 class TestFuse:

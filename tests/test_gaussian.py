@@ -5,7 +5,6 @@ import pytest
 
 from trajrefine.gaussian import (
     Cov2,
-    Gaussian2D,
     cov_from_params,
     is_psd,
     log_density,
@@ -87,45 +86,53 @@ class TestIsPsd:
             is_psd(Cov2(1.0, 0.0, 1.0), tol=-1.0)
 
 
+def moments(x, y, sx, sy, rho):
+    """Mean and covariance array of a (x, y, sigma_x, sigma_y, rho) Gaussian."""
+    return np.array([x, y]), cov_from_params(sx, sy, rho).as_matrix()
+
+
 class TestLogDensity:
     def test_standard_normal_at_origin(self):
-        g = Gaussian2D(0.0, 0.0, 1.0, 1.0, 0.0)
-        assert log_density(g, [0.0, 0.0]) == pytest.approx(-math.log(2 * math.pi), abs=1e-10)
+        mean, cov = moments(0.0, 0.0, 1.0, 1.0, 0.0)
+        assert log_density(mean, cov, [0.0, 0.0]) == pytest.approx(
+            -math.log(2 * math.pi), abs=1e-10
+        )
 
     def test_standard_normal_offset(self):
-        g = Gaussian2D(0.0, 0.0, 1.0, 1.0, 0.0)
-        assert log_density(g, [1.0, 0.0]) == pytest.approx(-math.log(2 * math.pi) - 0.5, abs=1e-10)
+        mean, cov = moments(0.0, 0.0, 1.0, 1.0, 0.0)
+        assert log_density(mean, cov, [1.0, 0.0]) == pytest.approx(
+            -math.log(2 * math.pi) - 0.5, abs=1e-10
+        )
 
     def test_integrates_to_one(self):
         # midpoint quadrature over [-8, 8]^2 as an independent check
-        g = Gaussian2D(0.3, -0.5, 1.2, 0.8, 0.4)
+        mean, cov = moments(0.3, -0.5, 1.2, 0.8, 0.4)
         n = 400
         xs = np.linspace(-8.0, 8.0, n, endpoint=False) + 8.0 / n
         cell = (16.0 / n) ** 2
-        total = 0.0
-        for x in xs:
-            total += sum(math.exp(log_density(g, (x, y))) for y in xs) * cell
+        grid = np.stack(np.meshgrid(xs, xs), axis=-1)  # (n, n, 2) cell midpoints
+        total = np.exp(log_density(mean, cov, grid)).sum() * cell
         assert abs(total - 1.0) < 1e-3
 
     def test_maximized_at_mean(self):
         rng = np.random.default_rng(2)
-        g = Gaussian2D(1.0, -2.0, 0.7, 2.1, -0.3)
-        at_mean = log_density(g, g.mean)
+        mean, cov = moments(1.0, -2.0, 0.7, 2.1, -0.3)
+        at_mean = log_density(mean, cov, mean)
         for _ in range(200):
-            p = g.mean + rng.normal(0.0, 3.0, size=2)
-            assert log_density(g, p) <= at_mean
+            p = mean + rng.normal(0.0, 3.0, size=2)
+            assert log_density(mean, cov, p) <= at_mean
 
+    def test_batch_matches_single_points(self):
+        rng = np.random.default_rng(3)
+        means = rng.uniform(-5.0, 5.0, (4, 3, 2))
+        covs = np.array([moments(0, 0, *rng.uniform(0.2, 3.0, 2), rng.uniform(-0.9, 0.9))[1]
+                         for _ in range(12)]).reshape(4, 3, 2, 2)
+        points = rng.uniform(-5.0, 5.0, (4, 3, 2))
+        batch = log_density(means, covs, points)
+        assert batch.shape == (4, 3)
+        for i, j in np.ndindex(4, 3):
+            assert batch[i, j] == log_density(means[i, j], covs[i, j], points[i, j])
 
-class TestGaussian2D:
-    def test_invalid_sigma(self):
-        with pytest.raises(ValueError):
-            Gaussian2D(0.0, 0.0, 0.0, 1.0, 0.0)
-
-    def test_rho_boundary_rejected(self):
-        with pytest.raises(ValueError):
-            Gaussian2D(0.0, 0.0, 1.0, 1.0, 1.0)
-
-    def test_cov_matches_params(self):
-        g = Gaussian2D(1.0, 2.0, 2.0, 3.0, -0.25)
-        assert g.cov == Cov2(4.0, -1.5, 9.0)
-        np.testing.assert_array_equal(g.mean, [1.0, 2.0])
+    def test_singular_covariance_rejected(self):
+        with pytest.raises(ValueError, match="positive definite"):
+            log_density([0.0, 0.0], [[1.0, 1.0], [1.0, 1.0]], [0.0, 0.0])

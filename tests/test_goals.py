@@ -2,18 +2,22 @@ import numpy as np
 import pytest
 
 from trajrefine.data import Dataset, Segment, gen_synthetic
-from trajrefine.gaussian import Cov2, Gaussian2D, is_psd
+from trajrefine.gaussian import Cov2, cov_from_params, is_psd
 from trajrefine.goals import (
-    GoalAnchor,
     GoalModelParams,
-    GoalSet,
     fit_goal_model,
+    goal_moments,
     interpolate_goals,
-    predict_goals,
 )
 from trajrefine.predictors import PredictorParams, RefineConfig, rollout_batch
 
 ANCHORS = (5, 10, 15, 20, 25)
+
+
+def predict(params, history):
+    """Anchor means (A, 2) and covariances (A, 2, 2) of one history."""
+    means, covs = goal_moments(params, np.asarray(history)[None])
+    return means[0], covs[0]
 
 
 def cv_segment(speed, heading, origin, dt=0.2, tau=15, horizon=25, seg_id="s", agent=0):
@@ -32,10 +36,9 @@ class TestFitGoalModel:
     def test_exact_on_noiseless_constant_velocity(self, cv_corpus):
         params = fit_goal_model(cv_corpus, ANCHORS, ridge_lambda=1e-9)
         for seg in cv_corpus.segments[:20]:
-            goals = predict_goals(params, seg.history)
-            for anchor in goals.anchors:
-                truth = seg.future[anchor.step - 1]
-                np.testing.assert_allclose(anchor.gaussian.mean, truth, atol=1e-8)
+            means, _ = predict(params, seg.history)
+            for step, mean in zip(ANCHORS, means):
+                np.testing.assert_allclose(mean, seg.future[step - 1], atol=1e-8)
         for cov in params.residual_covs:
             # residuals vanish, only the +1e-6 I floor remains
             np.testing.assert_allclose(cov.as_matrix(), 1e-6 * np.eye(2), atol=1e-9)
@@ -43,9 +46,9 @@ class TestFitGoalModel:
     def test_infinite_ridge_shrinks_to_last_position(self, cv_corpus):
         params = fit_goal_model(cv_corpus, ANCHORS, ridge_lambda=1e12)
         seg = cv_corpus.segments[0]
-        goals = predict_goals(params, seg.history)
-        for anchor in goals.anchors:
-            np.testing.assert_allclose(anchor.gaussian.mean, seg.history[-1], atol=1e-4)
+        means, _ = predict(params, seg.history)
+        for mean in means:
+            np.testing.assert_allclose(mean, seg.history[-1], atol=1e-4)
 
     def test_single_segment_zero_ridge_is_singular(self):
         ds = Dataset([cv_segment(10.0, 0.3, (0.0, 0.0))])
@@ -86,12 +89,9 @@ class TestPredictGoals:
         params = fit_goal_model(cv_corpus, ANCHORS, ridge_lambda=1e-9)
         speed = 12.0
         seg = cv_segment(speed, 0.0, (3.0, -7.0))
-        goals = predict_goals(params, seg.history)
+        means, _ = predict(params, seg.history)
         last = seg.history[-1]
-        anchor_25 = goals.anchors[-1]
-        np.testing.assert_allclose(
-            anchor_25.gaussian.mean, last + [5.0 * speed, 0.0], atol=1e-6
-        )
+        np.testing.assert_allclose(means[-1], last + [5.0 * speed, 0.0], atol=1e-6)
 
     def test_zero_weights_return_last_position(self):
         params = GoalModelParams(
@@ -101,22 +101,22 @@ class TestPredictGoals:
             history_len=16,
         )
         history = np.column_stack([np.linspace(0, 3, 16), np.linspace(0, -1, 16)])
-        goals = predict_goals(params, history)
-        for anchor in goals.anchors:
-            np.testing.assert_allclose(anchor.gaussian.mean, history[-1], atol=1e-12)
+        means, _ = predict(params, history)
+        for mean in means:
+            np.testing.assert_allclose(mean, history[-1], atol=1e-12)
 
     def test_history_length_mismatch(self, cv_corpus):
         params = fit_goal_model(cv_corpus, ANCHORS, 1e-6)
         with pytest.raises(ValueError, match="history"):
-            predict_goals(params, np.zeros((5, 2)))
+            predict(params, np.zeros((5, 2)))
 
     def test_deterministic(self, cv_corpus):
         params = fit_goal_model(cv_corpus, ANCHORS, 1e-6)
         history = cv_corpus.segments[3].history
-        a = predict_goals(params, history)
-        b = predict_goals(params, history)
-        for x, y in zip(a.anchors, b.anchors):
-            assert x == y
+        a_means, a_covs = predict(params, history)
+        b_means, b_covs = predict(params, history)
+        np.testing.assert_array_equal(a_means, b_means)
+        np.testing.assert_array_equal(a_covs, b_covs)
 
     def test_rotation_equivariance(self):
         train = gen_synthetic("turn", 150, 0.05, seed=17)
@@ -127,32 +127,32 @@ class TestPredictGoals:
         rot = np.array([[c, -s], [s, c]])
         pivot = history[-1]
         rotated = (history - pivot) @ rot.T + pivot
-        base = predict_goals(params, history)
-        moved = predict_goals(params, rotated)
-        for a, b in zip(base.anchors, moved.anchors):
-            expected = rot @ (a.gaussian.mean - pivot) + pivot
-            np.testing.assert_allclose(b.gaussian.mean, expected, atol=1e-9)
+        base, _ = predict(params, history)
+        moved, _ = predict(params, rotated)
+        for a, b in zip(base, moved):
+            expected = rot @ (a - pivot) + pivot
+            np.testing.assert_allclose(b, expected, atol=1e-9)
 
     def test_translation_equivariance(self):
         train = gen_synthetic("lane_change", 150, 0.1, seed=18)
         params = fit_goal_model(train, ANCHORS, 1e-6)
         history = train.segments[0].history
         shift = np.array([123.5, -48.25])
-        base = predict_goals(params, history)
-        moved = predict_goals(params, history + shift)
-        for a, b in zip(base.anchors, moved.anchors):
-            np.testing.assert_allclose(
-                b.gaussian.mean, a.gaussian.mean + shift, atol=1e-9
-            )
-            assert a.gaussian.sigma_x == b.gaussian.sigma_x
+        base_means, base_covs = predict(params, history)
+        moved_means, moved_covs = predict(params, history + shift)
+        np.testing.assert_allclose(moved_means, base_means + shift, atol=1e-9)
+        np.testing.assert_array_equal(moved_covs[:, 0, 0], base_covs[:, 0, 0])
 
 
 def measurements(goals, last_obs, horizon=30, cfg=RefineConfig()):
-    """Per-step goal measurements of one GoalSet as Cov2 pairs, step k at [k-1]."""
-    means = np.array([[a.gaussian.mean for a in goals.anchors]])
-    covs = np.array([[a.gaussian.cov.as_matrix() for a in goals.anchors]])
+    """Per-step goal measurements as Cov2 pairs, step k at [k-1].
+
+    goals maps each anchor step to its (x, y, sigma_x, sigma_y, rho).
+    """
+    means = np.array([[g[:2] for g in goals.values()]], dtype=float)
+    covs = np.array([[cov_from_params(*g[2:]).as_matrix() for g in goals.values()]])
     z, r = interpolate_goals(
-        goals.steps, np.array([last_obs], dtype=float), means, covs, horizon,
+        tuple(goals), np.array([last_obs], dtype=float), means, covs, horizon,
         cfg.epsilon, cfg.beta,
     )
     return [(m, Cov2.from_matrix(c)) for m, c in zip(z[0], r[0])]
@@ -160,12 +160,7 @@ def measurements(goals, last_obs, horizon=30, cfg=RefineConfig()):
 
 class TestGoalMeasurementAt:
     def setup_method(self):
-        self.goals = GoalSet(
-            (
-                GoalAnchor(10, Gaussian2D(0.0, 0.0, 1.0, 1.0, 0.0)),
-                GoalAnchor(20, Gaussian2D(10.0, 0.0, 3.0, 3.0, 0.0)),
-            )
-        )
+        self.goals = {10: (0.0, 0.0, 1.0, 1.0, 0.0), 20: (10.0, 0.0, 3.0, 3.0, 0.0)}
         self.at = measurements(self.goals, [0.0, 0.0])
 
     def test_anchor_step_is_exact(self):
@@ -179,7 +174,7 @@ class TestGoalMeasurementAt:
         np.testing.assert_allclose(cov.as_matrix(), 5.0 * np.eye(2), atol=1e-15)
 
     def test_before_first_anchor_uses_virtual_origin(self):
-        goals = GoalSet((GoalAnchor(5, Gaussian2D(1.0, 6.0, 1.0, 1.0, 0.0)),))
+        goals = {5: (1.0, 6.0, 1.0, 1.0, 0.0)}
         at = measurements(goals, [1.0, 1.0], cfg=RefineConfig(epsilon=0.05))
         mean, cov = at[2 - 1]
         np.testing.assert_allclose(mean, [1.0, 3.0], atol=1e-12)
@@ -205,12 +200,7 @@ class TestGoalMeasurementAt:
         np.testing.assert_allclose(hi[1].as_matrix(), 9.5 * np.eye(2), atol=1e-12)
 
     def test_interpolated_covariance_always_psd(self):
-        goals = GoalSet(
-            (
-                GoalAnchor(5, Gaussian2D(1.0, 2.0, 0.5, 2.0, 0.8)),
-                GoalAnchor(17, Gaussian2D(-3.0, 0.0, 2.5, 0.3, -0.9)),
-            )
-        )
+        goals = {5: (1.0, 2.0, 0.5, 2.0, 0.8), 17: (-3.0, 0.0, 2.5, 0.3, -0.9)}
         at = measurements(goals, [0.5, 0.5], horizon=29)
         assert len(at) == 29
         for _, cov in at:
@@ -226,16 +216,20 @@ class TestGoalMeasurementAt:
             rollout_batch(params, np.zeros((1, 16, 2)), -1)
 
 
+def goal_params(anchor_steps):
+    covs = (Cov2.isotropic(1.0),) * len(anchor_steps)
+    return GoalModelParams(anchor_steps, (np.zeros((2, 2)),) * len(anchor_steps), covs, 2)
+
+
 class TestGoalSetValidation:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            GoalSet(())
+            goal_params(())
 
     def test_non_increasing_steps_rejected(self):
-        g = Gaussian2D(0.0, 0.0, 1.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            GoalSet((GoalAnchor(5, g), GoalAnchor(5, g)))
+        with pytest.raises(ValueError, match="increasing"):
+            goal_params((5, 5))
 
     def test_anchor_step_must_be_positive(self):
-        with pytest.raises(ValueError):
-            GoalAnchor(0, Gaussian2D(0.0, 0.0, 1.0, 1.0, 0.0))
+        with pytest.raises(ValueError, match=">= 1"):
+            goal_params((0,))

@@ -75,6 +75,10 @@ class TestRmse:
         b = rmse(truth, tiny_dataset(preds))
         assert a.rmse_overall == pytest.approx(b.rmse_overall, abs=1e-15)
 
+    def test_no_segments_rejected(self):
+        with pytest.raises(ValueError, match="at least one segment"):
+            rmse(np.zeros((0, 25, 2)), Dataset([]))
+
     def test_shape_mismatch(self):
         ds = tiny_dataset([[[0.0, 0.0]]])
         with pytest.raises(ValueError, match="shape"):

@@ -153,6 +153,31 @@ def test_singular_step_matches_reference():
     assert str(actual.value).startswith("step 3: innovation covariance is singular")
 
 
+def test_singular_step_is_the_earliest_across_a_batch():
+    # the prior has zero x variance; each anchor's ego covariance is
+    # degenerate along one axis, so a segment heading +x is singular at
+    # anchor step 2 and one heading +y at anchor step 4
+    params = PredictorParams("cv", 0.2, (Cov2(0.0, 0.0, 1.0),) * 5)
+    goal_params = GoalModelParams(
+        anchor_steps=(2, 4),
+        weights=(np.zeros((2, 2)),) * 2,
+        residual_covs=(Cov2(1e-30, 0.0, 1.0), Cov2(1.0, 0.0, 1e-30)),
+        history_len=2,
+    )
+    histories = np.array([[[0.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [1.0, 0.0]]])
+    cfg = RefineConfig(epsilon=1.0)
+    errors = []
+    for batch in (histories[:1], histories[1:], histories):
+        with pytest.raises(SingularInnovationError) as exc:
+            rollout_batch(params, batch, None, goal_params, cfg)
+        errors.append(exc.value)
+    first, second, both = errors
+    assert (first.step, second.step) == (4, 2)
+    assert both.step == min(first.step, second.step)
+    assert str(both) == str(second)
+    assert str(both).startswith("step 2: innovation covariance is singular")
+
+
 def test_horizon_overrun_matches_reference(fitted):
     _, test, predictors, goals = fitted
     params = predictors["cv"]
