@@ -66,12 +66,15 @@ def _on_off(raw: str) -> bool:
     return raw == "on"
 
 
-def _int_list(raw: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in raw.split(",") if tok.strip())
-
-
 def _str_list(raw: str) -> tuple[str, ...]:
-    return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
+    tokens = tuple(tok.strip() for tok in raw.split(","))
+    if not all(tokens):
+        raise ValueError("empty list item")
+    return tokens
+
+
+def _int_list(raw: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in _str_list(raw))
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -204,6 +207,10 @@ def load_model(path: str) -> tuple[PredictorParams, GoalModelParams, dict]:
         raise ValueError(f"{path}: invalid model file: {exc}") from None
 
 
+def _protocol(ds: Dataset) -> dict:
+    return {key: getattr(ds, key) for key in PROTOCOL_KEYS}
+
+
 def _check_protocol(protocol: dict, ds: Dataset, path: str) -> None:
     for key in PROTOCOL_KEYS:
         if abs(getattr(ds, key) - protocol[key]) > 1e-9:
@@ -307,7 +314,7 @@ def _traces(steps, covs) -> str:
 def cmd_fit(o) -> int:
     train, models = _fit_models(o, [o.predictor])
     predictor, goal_model = models[o.predictor]
-    save_model(o.out, predictor, goal_model, {k: getattr(train, k) for k in PROTOCOL_KEYS})
+    save_model(o.out, predictor, goal_model, _protocol(train))
     print(f"fitted {o.predictor} on {len(train)} segments -> {o.out}")
     steps = range(1, predictor.horizon + 1)
     print(f"rollout error trace by step: {_traces(steps, predictor.step_covs)}")
@@ -400,7 +407,9 @@ _ABLATE_OPTS = [
 
 def cmd_ablate(o) -> int:
     test = read_jsonl(o.test)
-    _, models = _fit_models(o, o.predictors)
+    train, models = _fit_models(o, o.predictors)
+    if test.segments:
+        _check_protocol(_protocol(train), test, o.test)
     report = run_ablation(test, models, _refine_config(o))
     with open(o.out, "w") as fh:
         fh.write(report.to_csv())

@@ -27,7 +27,7 @@ import numpy as np
 from .data import Dataset
 from .gaussian import Cov2
 
-RESIDUAL_FLOOR = 1e-6  # m^2 added to residual covariances; keeps fusion nonsingular
+COV_FLOOR = 1e-6  # m^2 added to every fitted covariance; keeps fusion nonsingular
 
 DEFAULT_ANCHOR_STEPS = (5, 10, 15, 20, 25)  # every whole second at dt = 0.2 s
 
@@ -48,11 +48,7 @@ class GoalModelParams:
     rotate: bool = True
 
     def __post_init__(self) -> None:
-        steps = tuple(int(s) for s in self.anchor_steps)
-        if not steps or any(s < 1 for s in steps):
-            raise ValueError("anchor steps must be >= 1")
-        if any(b <= a for a, b in zip(steps, steps[1:])):
-            raise ValueError("anchor steps must be strictly increasing")
+        steps = _anchor_steps(self.anchor_steps)
         if not (len(self.weights) == len(self.residual_covs) == len(steps)):
             raise ValueError("one (weights, residual_cov) pair required per anchor")
         feat = 2 * (self.history_len - 1)
@@ -65,6 +61,29 @@ class GoalModelParams:
         object.__setattr__(self, "anchor_steps", steps)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "residual_covs", tuple(self.residual_covs))
+
+
+def _anchor_steps(anchor_steps) -> tuple[int, ...]:
+    """The anchor rule: a non-empty, strictly increasing run of steps >= 1."""
+    steps = tuple(int(s) for s in anchor_steps)
+    if not steps or any(s < 1 for s in steps):
+        raise ValueError("anchor steps must be non-empty and each >= 1")
+    if any(b <= a for a, b in zip(steps, steps[1:])):
+        raise ValueError("anchor steps must be strictly increasing")
+    return steps
+
+
+def calibration_split(train: Dataset, val: Dataset | None) -> Dataset:
+    """The split both fitters calibrate covariances on: ``val`` when it has
+    segments, else ``train``. ``val`` must share the training dt and tau."""
+    if val is None or not val.segments:
+        return train
+    for key in ("dt", "tau"):
+        got, want = getattr(val, key), getattr(train, key)
+        if abs(got - want) > 1e-9:
+            raise ValueError(f"{val.source or 'validation set'}: {key}={got} "
+                             f"differs from the training {key}={want}")
+    return val
 
 
 def solve_ridge(x: np.ndarray, y: np.ndarray, ridge_lambda: float) -> np.ndarray:
@@ -81,6 +100,14 @@ def solve_ridge(x: np.ndarray, y: np.ndarray, ridge_lambda: float) -> np.ndarray
                 "(rank-deficient features); add ridge or more data"
             )
     return np.linalg.solve(gram + ridge_lambda * np.eye(gram.shape[0]), x.T @ y)
+
+
+def second_moments(errors: np.ndarray) -> np.ndarray:
+    """(K, 2, 2) second moments about zero of (N, K, 2) errors, one per k,
+    symmetrized and floored with +COV_FLOOR I."""
+    e = np.swapaxes(errors, 0, 1)
+    m = np.swapaxes(e, 1, 2) @ e / len(errors)
+    return 0.5 * (m + np.swapaxes(m, 1, 2)) + COV_FLOOR * np.eye(2)
 
 
 def _ego_frame(histories: np.ndarray, rotate: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -117,15 +144,18 @@ def fit_goal_model(
     held-out residuals (training residuals when no validation set is given),
     floored with +1e-6 I so downstream fusion stays well conditioned.
     """
+    steps = _anchor_steps(anchor_steps)
     if ridge_lambda < 0.0:
         raise ValueError("ridge_lambda must be >= 0")
     if not train.segments:
         raise ValueError("training set is empty")
-    steps = tuple(int(s) for s in anchor_steps)
-    if max(steps) > train.horizon:
+    if steps[-1] > train.horizon:
         raise ValueError(
-            f"anchor step {max(steps)} exceeds the future length {train.horizon}"
+            f"anchor step {steps[-1]} exceeds the future length {train.horizon}"
         )
+    holdout = calibration_split(train, val)
+    if steps[-1] > holdout.horizon:
+        raise ValueError("validation futures are shorter than the last anchor")
 
     def design(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
         """Features and the ego-frame offsets of every future point."""
@@ -134,26 +164,14 @@ def fit_goal_model(
         return feats, (ds.futures() - histories[:, -1:]) @ rot
 
     x_train, y_train = design(train)
-    holdout = val if val is not None and val.segments else train
-    if holdout is train:
-        x_hold, y_hold = x_train, y_train
-    else:
-        if max(steps) > holdout.horizon:
-            raise ValueError("validation futures are shorter than the last anchor")
-        x_hold, y_hold = design(holdout)
-
-    weights, residual_covs = [], []
-    for step in steps:
-        w = solve_ridge(x_train, y_train[:, step - 1], ridge_lambda)
-        resid = x_hold @ w - y_hold[:, step - 1]
-        second_moment = resid.T @ resid / len(resid)
-        cov = 0.5 * (second_moment + second_moment.T) + RESIDUAL_FLOOR * np.eye(2)
-        weights.append(w)
-        residual_covs.append(Cov2.from_matrix(cov))
+    x_hold, y_hold = (x_train, y_train) if holdout is train else design(holdout)
+    weights = [solve_ridge(x_train, y_train[:, s - 1], ridge_lambda) for s in steps]
+    resid = np.stack([x_hold @ w - y_hold[:, s - 1] for w, s in zip(weights, steps)], 1)
+    residual_covs = tuple(Cov2.from_matrix(m) for m in second_moments(resid))
     return GoalModelParams(
         anchor_steps=steps,
         weights=tuple(weights),
-        residual_covs=tuple(residual_covs),
+        residual_covs=residual_covs,
         history_len=train.tau + 1,
         rotate=rotate,
     )

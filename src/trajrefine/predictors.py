@@ -27,11 +27,10 @@ import numpy as np
 from .data import Dataset
 from .fusion import Estimate, SingularInnovationError, gain_update
 from .gaussian import PSD_TOL, Cov2, is_psd
-from .goals import GoalModelParams, goal_moments, interpolate_goals, solve_ridge
+from .goals import (GoalModelParams, calibration_split, goal_moments, interpolate_goals,
+                    second_moments, solve_ridge)
 
 BACKBONES = ("cv", "ca", "ar")
-
-COV_FLOOR = 1e-6  # m^2, keeps calibrated covariances positive definite
 
 
 @dataclass(frozen=True)
@@ -162,74 +161,44 @@ def fit_predictor(
     window: int | None = None,
     lag: int = 3,
     ridge_lambda: float = 1e-6,
-    horizon: int | None = None,
 ) -> PredictorParams:
     """Fit a backbone plus its per-horizon error covariance table.
 
     ar weights come from closed-form ridge normal equations on one-step
     displacement prediction over each training series. The covariance at
     step k is the second moment of the backbone's own vanilla-rollout errors
-    at that horizon on the validation set (training set when none is given),
-    floored with +1e-6 I and forced trace-non-decreasing in k by running
-    maximum. ``window`` is the cv/ca position window; it defaults to 2 for cv
-    and to 3, the fewest points a quadratic needs, for ca (ar ignores it).
+    at that horizon on the calibration split, floored with +1e-6 I and
+    forced trace-non-decreasing in k by running maximum. ``window`` is the
+    cv/ca position window; it defaults to 2 for cv and to 3, the fewest
+    points a quadratic needs, for ca (ar ignores it).
     """
-    if backbone not in BACKBONES:
-        raise ValueError(f"unknown backbone {backbone!r}; valid: {BACKBONES}")
     if window is None:
         window = 3 if backbone == "ca" else 2
     if not train.segments:
         raise ValueError("training set is empty")
-    horizon = train.horizon if horizon is None else int(horizon)
-    if horizon < 1 or horizon > train.horizon:
-        raise ValueError(f"horizon must be in [1, {train.horizon}]")
+    calib = calibration_split(train, val)
+    if calib.horizon < train.horizon:
+        raise ValueError("calibration futures are shorter than the fitted horizon")
 
     ar_weights = None
-    if backbone == "ar":
-        feats, targets = [], []
-        for seg in train.segments:
-            disp = np.diff(np.vstack([seg.history, seg.future]), axis=0)
-            for j in range(lag, len(disp)):
-                feats.append(disp[j - lag : j].ravel())
-                targets.append(disp[j])
-        if not feats:
+    if backbone == "ar" and lag >= 1:  # PredictorParams rejects a lag below 1
+        disp = np.diff(np.concatenate([train.histories(), train.futures()], 1), axis=1)
+        rows = disp.shape[1] - lag  # design rows per segment, in step order
+        if rows < 1:
             raise ValueError("training segments are too short for the requested lag")
-        ar_weights = solve_ridge(np.asarray(feats), np.asarray(targets), ridge_lambda)
+        feats = np.concatenate([disp[:, i : i + rows] for i in range(lag)], axis=2)
+        targets = disp[:, lag:].reshape(-1, 2)
+        ar_weights = solve_ridge(feats.reshape(-1, 2 * lag), targets, ridge_lambda)
 
-    flat = Cov2.isotropic(1.0)
-    probe = PredictorParams(
-        backbone,
-        train.dt,
-        (flat,) * horizon,
-        window=window,
-        lag=lag,
-        ar_weights=ar_weights,
-    )
-    calib = val if val is not None and val.segments else train
-    if calib.horizon < horizon:
-        raise ValueError("calibration futures are shorter than the fitted horizon")
-    preds, _ = rollout_batch(probe, calib.histories(), horizon)
-    errors = preds - calib.futures()[:, :horizon]
-
-    step_covs = []
-    running_max = 0.0
-    for k in range(horizon):
-        e = errors[:, k, :]
-        moment = e.T @ e / len(e) + COV_FLOOR * np.eye(2)
-        trace = moment[0, 0] + moment[1, 1]
-        if trace < running_max:
-            moment = moment * (running_max / trace)
-        running_max = max(running_max, trace)
-        step_covs.append(Cov2.from_matrix(0.5 * (moment + moment.T)))
-
-    return PredictorParams(
-        backbone,
-        train.dt,
-        tuple(step_covs),
-        window=window,
-        lag=lag,
-        ar_weights=ar_weights,
-    )
+    shape = {"window": window, "lag": lag, "ar_weights": ar_weights}
+    flat = (Cov2.isotropic(1.0),) * train.horizon
+    preds, _ = rollout_batch(PredictorParams(backbone, train.dt, flat, **shape),
+                             calib.histories())
+    moments = second_moments(preds - calib.futures()[:, : train.horizon])
+    traces = moments[:, 0, 0] + moments[:, 1, 1]
+    moments *= (np.maximum.accumulate(traces) / traces)[:, None, None]
+    step_covs = tuple(Cov2.from_matrix(m) for m in moments)
+    return PredictorParams(backbone, train.dt, step_covs, **shape)
 
 
 def fit_ar_rls(pairs, forgetting: float = 1.0, delta: float = 1e-8) -> np.ndarray:

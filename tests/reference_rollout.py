@@ -1,11 +1,12 @@
-"""Frozen per-step rollout: the reference the array engine is tested against.
+"""Frozen per-step rollout and fitting: the reference the array code is tested against.
 
 A copy of the original scalar implementation, one segment and one step at a
 time: ego-frame anchor prediction, per-step goal interpolation rebuilt at
-every step, gain-form fusion of one 2x2 pair, and buffer feedback. It reads
-only the fields of the parameter objects, never the package's rollout,
-goal or fusion functions, so a change there cannot move the reference.
-Keep the arithmetic as it is.
+every step, gain-form fusion of one 2x2 pair, buffer feedback, the
+per-segment ar design and the per-step covariance calibration. It reads
+only the fields of the parameter objects and datasets, never the package's
+rollout, fitting, goal or fusion functions, so a change there cannot move
+the reference. Keep the arithmetic as it is.
 """
 
 from __future__ import annotations
@@ -170,6 +171,19 @@ def rollout_refined(params, goal_params, history, horizon, epsilon=0.05, beta=0.
         means.append(mean)
         covs.append(cov)
     return np.array(means), np.array(covs)
+
+
+def ar_design(train, lag: int) -> tuple[np.ndarray, np.ndarray]:
+    """Features and targets of the ar ridge fit, one row per segment and step."""
+    feats, targets = [], []
+    for seg in train.segments:
+        disp = np.diff(np.vstack([seg.history, seg.future]), axis=0)
+        for j in range(lag, len(disp)):
+            feats.append(disp[j - lag : j].ravel())
+            targets.append(disp[j])
+    if not feats:
+        raise ValueError("training segments are too short for the requested lag")
+    return np.asarray(feats), np.asarray(targets)
 
 
 def calibrated_step_covs(probe, calib, horizon: int) -> np.ndarray:

@@ -128,13 +128,31 @@ class TestFit:
         assert run("fit", "--train", str(train), "--out", str(tmp_path / "m.json"),
                    "--anchors", "5,40") == 2
 
-    @pytest.mark.parametrize("flag,value", [("anchors", "5,x"), ("lag", "2.5")])
+    @pytest.mark.parametrize("flag,value", [
+        ("anchors", "5,x"), ("lag", "2.5"), ("anchors", "5,,10"), ("anchors", ","),
+    ])
     def test_unconvertible_flag_names_option(self, tmp_path, capsys, flag, value):
         train = gen(tmp_path, "train.jsonl", n=30)
         assert run("fit", "--train", str(train), "--out", str(tmp_path / "m.json"),
                    f"--{flag}", value) == 2
         err = capsys.readouterr().err
         assert f"error: --{flag}: invalid value '{value}'" in err
+
+
+    def test_anchor_zero_exits_2(self, tmp_path, capsys):
+        train = gen(tmp_path, "train.jsonl", n=30)
+        assert run("fit", "--train", str(train), "--out", str(tmp_path / "m.json"),
+                   "--anchors", "0,5") == 2
+        assert "anchor steps must be non-empty and each >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [("dt", "0.1"), ("tau", "10")])
+    def test_validation_protocol_mismatch_exits_2(self, tmp_path, capsys, flag, value):
+        train = gen(tmp_path, "train.jsonl", n=30)
+        val = gen(tmp_path, "val.jsonl", n=10, seed=12, extra=(f"--{flag}", value))
+        assert run("fit", "--train", str(train), "--val", str(val),
+                   "--out", str(tmp_path / "m.json")) == 2
+        err = capsys.readouterr().err
+        assert f"error: {val}: {flag}={value} differs from the training {flag}=" in err
 
 
 class TestPredict:
@@ -346,6 +364,14 @@ class TestEvalAndAblate:
         assert sum(1 for l in lines[1:] if l.startswith("ar,")) == 2
 
 
+    def test_ablate_test_protocol_mismatch_exits_2(self, tmp_path, capsys):
+        train = gen(tmp_path, "train.jsonl", n=30)
+        test = gen(tmp_path, "test.jsonl", n=10, seed=12, extra=("--dt", "0.1"))
+        assert run("ablate", "--train", str(train), "--test", str(test),
+                   "--out", str(tmp_path / "r.csv")) == 2
+        assert f"error: {test}: protocol mismatch: dt=0.1" in capsys.readouterr().err
+
+
 class TestConfigFile:
     def test_precedence_cli_over_config_over_default(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -392,6 +418,15 @@ class TestConfigFile:
         assert run("fit", "--train", str(train), "--out", str(tmp_path / "m.json"),
                    "--config", str(cfg)) == 2
         assert "error: --lag: invalid value 'x'" in capsys.readouterr().err
+
+
+    def test_empty_list_item_from_config_names_option(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("predictors = ar,,cv\n")
+        train = gen(tmp_path, "train.jsonl", n=30)
+        assert run("ablate", "--train", str(train), "--test", str(train),
+                   "--out", str(tmp_path / "r.csv"), "--config", str(cfg)) == 2
+        assert "error: --predictors: invalid value 'ar,,cv'" in capsys.readouterr().err
 
 
 class TestDefaultsFollowLibrary:

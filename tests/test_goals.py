@@ -76,6 +76,23 @@ class TestFitGoalModel:
             for a, b in zip(with_val.residual_covs, without.residual_covs)
         )
 
+    @pytest.mark.parametrize("steps", [(), (0, 5)])
+    def test_anchor_rule_checked_before_fitting(self, steps):
+        # a singular zero-ridge fit would fail first if anchors were checked late
+        ds = Dataset([cv_segment(10.0, 0.3, (0.0, 0.0))])
+        with pytest.raises(ValueError, match="non-empty and each >= 1"):
+            fit_goal_model(ds, steps, ridge_lambda=0.0)
+
+    @pytest.mark.parametrize("key,value", [("dt", 0.1), ("tau", 10)])
+    def test_validation_protocol_must_match(self, cv_corpus, key, value):
+        val = gen_synthetic("cv", 10, 0.0, seed=22, **{key: value})
+        with pytest.raises(ValueError, match=f"synthetic/cv: {key}={value} differs"):
+            fit_goal_model(cv_corpus, ANCHORS, val=val)
+
+    def test_longer_validation_horizon_allowed(self, cv_corpus):
+        val = gen_synthetic("cv", 10, 0.0, seed=22, horizon=30)
+        assert fit_goal_model(cv_corpus, ANCHORS, val=val).anchor_steps == ANCHORS
+
     def test_per_anchor_independence(self, cv_corpus):
         full = fit_goal_model(cv_corpus, (5, 10, 25), ridge_lambda=1e-6)
         reduced = fit_goal_model(cv_corpus, (5, 25), ridge_lambda=1e-6)

@@ -224,6 +224,18 @@ class TestFitPredictor:
         with pytest.raises(ValueError, match="singular"):
             fit_predictor("ar", ds, lag=2, ridge_lambda=0.0)
 
+    @pytest.mark.parametrize("key,value", [("dt", 0.1), ("tau", 10)])
+    def test_validation_protocol_must_match(self, key, value):
+        train = gen_synthetic("cv", 20, 0.1, seed=35)
+        val = gen_synthetic("cv", 10, 0.1, seed=36, **{key: value})
+        with pytest.raises(ValueError, match=f"synthetic/cv: {key}={value} differs"):
+            fit_predictor("cv", train, val)
+
+    def test_longer_validation_horizon_calibrates_fitted_horizon(self):
+        train = gen_synthetic("cv", 20, 0.1, seed=35)
+        val = gen_synthetic("cv", 10, 0.1, seed=36, horizon=30)
+        assert fit_predictor("ar", train, val, lag=2).horizon == 25
+
     def test_unknown_backbone(self):
         with pytest.raises(ValueError, match="backbone"):
             fit_predictor("lstm", gen_synthetic("cv", 5, 0.0, seed=1))

@@ -1,7 +1,8 @@
-"""The array rollout engine against the frozen per-step reference.
+"""The array rollout engine and fit against the frozen per-step reference.
 
-Every case compares means and covariances with
-max|new - reference| <= 1e-9 * max(1, max|reference|).
+Means and covariances are compared with
+max|new - reference| <= 1e-9 * max(1, max|reference|); the ar weights,
+whose design is the same array row for row, are compared bitwise.
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ import reference_rollout as ref
 from trajrefine.data import gen_synthetic
 from trajrefine.fusion import SingularInnovationError
 from trajrefine.gaussian import Cov2
-from trajrefine.goals import GoalModelParams, fit_goal_model
+from trajrefine.goals import GoalModelParams, fit_goal_model, solve_ridge
 from trajrefine.predictors import (
     PredictorParams,
     RefineConfig,
@@ -117,6 +118,16 @@ def test_fit_predictor_step_covs_match_reference(corpus, backbone):
     )
     table = [c.as_matrix() for c in params.step_covs]
     assert_matches(table, ref.calibrated_step_covs(probe, test, params.horizon))
+
+
+@pytest.mark.parametrize("with_val", (False, True))
+@pytest.mark.parametrize("lag", (1, 3))
+def test_fit_predictor_ar_weights_equal_reference_design(corpus, lag, with_val):
+    # same design row for row, so the ridge solve is bitwise the same
+    train, test = corpus
+    params = fit_predictor("ar", train, test if with_val else None, lag=lag)
+    expected = solve_ridge(*ref.ar_design(train, lag), 1e-6)
+    assert params.ar_weights.tobytes() == expected.tobytes()
 
 
 def test_batch_equals_single_calls(fitted):
