@@ -289,12 +289,17 @@ _FIT_OPTS = [
 ]
 
 
+def _read_segments(path: str, what: str = "dataset") -> Dataset:
+    """Read a dataset file that must hold at least one segment."""
+    if not (ds := read_jsonl(path)).segments:
+        raise ValueError(f"{path}: {what} contains no segments")
+    return ds
+
+
 def _fit_models(o, backbones) -> tuple[Dataset, dict]:
     """Read --train/--val and fit one goal model plus each backbone on them."""
-    train = read_jsonl(o.train)
-    if not train.segments:
-        raise ValueError(f"{o.train}: training file contains no segments")
-    val = read_jsonl(o.val) if o.val else None
+    train = _read_segments(o.train, "training file")
+    val = _read_segments(o.val, "validation file") if o.val else None
     goal_model = fit_goal_model(train, val=val, **_given(
         anchor_steps=o.anchors, ridge_lambda=o.ridge, rotate=o.rotate))
     kwargs = _given(window=o.window, lag=o.lag, ridge_lambda=o.ridge)
@@ -362,9 +367,7 @@ _EVAL_OPTS = [
 
 
 def cmd_eval(o) -> int:
-    ds = read_jsonl(o.data)
-    if not ds.segments:
-        raise ValueError(f"{o.data}: dataset contains no segments")
+    ds = _read_segments(o.data)
     pred_means: dict[str, np.ndarray] = {}
     modes = set()
     for lineno, obj in read_records(o.predictions, ("segment_id", "means", "mode")):
@@ -406,10 +409,9 @@ _ABLATE_OPTS = [
 
 
 def cmd_ablate(o) -> int:
-    test = read_jsonl(o.test)
+    test = _read_segments(o.test)
     train, models = _fit_models(o, o.predictors)
-    if test.segments:
-        _check_protocol(_protocol(train), test, o.test)
+    _check_protocol(_protocol(train), test, o.test)
     report = run_ablation(test, models, _refine_config(o))
     with open(o.out, "w") as fh:
         fh.write(report.to_csv())

@@ -53,7 +53,7 @@ class Estimate:
 
     def __post_init__(self) -> None:
         mean = np.asarray(self.mean, dtype=float).reshape(2)
-        if not np.all(np.isfinite(mean)):
+        if not np.isfinite(mean).all():
             raise ValueError("estimate mean must be finite")
         object.__setattr__(self, "mean", mean)
         if not is_psd(self.cov, PSD_TOL):

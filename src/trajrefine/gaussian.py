@@ -33,7 +33,8 @@ class Cov2:
     syy: float
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(v) for v in (self.sxx, self.sxy, self.syy)):
+        if not (math.isfinite(self.sxx) and math.isfinite(self.sxy)
+                and math.isfinite(self.syy)):
             raise ValueError("covariance entries must be finite")
 
     @property

@@ -21,6 +21,7 @@ position- and heading-independent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,6 +40,8 @@ class GoalModelParams:
     weights[i] maps the flattened ego-frame history displacements
     (2*tau features) to the ego-frame displacement of anchor_steps[i];
     residual_covs[i] is the matching ego-frame residual covariance.
+    weight_matrix (the weights side by side) and residual_table are their
+    read-only array forms, built once.
     """
 
     anchor_steps: tuple[int, ...]
@@ -61,6 +64,14 @@ class GoalModelParams:
         object.__setattr__(self, "anchor_steps", steps)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "residual_covs", tuple(self.residual_covs))
+        object.__setattr__(self, "weight_matrix", read_only(np.concatenate(weights, 1)))
+        object.__setattr__(self, "residual_table", read_only(
+            np.array([c.as_matrix() for c in self.residual_covs])))
+
+
+def read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _anchor_steps(anchor_steps) -> tuple[int, ...]:
@@ -194,11 +205,10 @@ def goal_moments(
         )
     feats, rot = _ego_frame(histories, params.rotate)
     n, anchors = len(histories), len(params.anchor_steps)
-    ego = (feats @ np.concatenate(params.weights, axis=1)).reshape(n, anchors, 2)
+    ego = (feats @ params.weight_matrix).reshape(n, anchors, 2)
     rot_t = np.swapaxes(rot, 1, 2)
     means = histories[:, -1:] + ego @ rot_t
-    residual = np.array([c.as_matrix() for c in params.residual_covs])
-    covs = rot[:, None] @ residual @ rot_t[:, None]
+    covs = rot[:, None] @ params.residual_table @ rot_t[:, None]
     return means, covs
 
 
@@ -221,15 +231,7 @@ def interpolate_goals(
     covariance by beta per step. Returns (N, T, 2) means and (N, T, 2, 2)
     covariances.
     """
-    nodes = np.array((0, *anchor_steps), dtype=float)
-    k = np.arange(1, horizon + 1, dtype=float)
-    upper = np.clip(np.searchsorted(nodes, k), 1, len(nodes) - 1)
-    lower_step, upper_step = nodes[upper - 1], nodes[upper]
-    w = np.minimum((k - lower_step) / (upper_step - lower_step), 1.0)
-    table = np.zeros((horizon, len(nodes)))  # (T, A+1) weights over the nodes
-    table[np.arange(horizon), upper - 1] = 1.0 - w
-    table[np.arange(horizon), upper] = w
-    gap = np.maximum(k - nodes[-1], 0.0)  # steps held past the last anchor
+    table, gap = _interpolation_table(tuple(anchor_steps), horizon)
     n = len(means)
     node_means = np.concatenate([np.asarray(last_obs, dtype=float)[:, None], means], 1)
     origin_cov = np.broadcast_to(epsilon * np.eye(2), (n, 1, 2, 2))
@@ -237,3 +239,17 @@ def interpolate_goals(
     z = table @ node_means
     r = np.einsum("ta,naij->ntij", table, node_covs)
     return z, r + beta * gap[:, None, None] * np.eye(2)
+
+
+@lru_cache(maxsize=32)
+def _interpolation_table(anchor_steps: tuple[int, ...], horizon: int):
+    """Read-only (T, A+1) node weights and (T,) steps held past the last anchor."""
+    nodes = np.array((0, *anchor_steps), dtype=float)
+    k = np.arange(1, horizon + 1, dtype=float)
+    upper = np.clip(np.searchsorted(nodes, k), 1, len(nodes) - 1)
+    lower_step, upper_step = nodes[upper - 1], nodes[upper]
+    w = np.minimum((k - lower_step) / (upper_step - lower_step), 1.0)
+    table = np.zeros((horizon, len(nodes)))
+    table[np.arange(horizon), upper - 1] = 1.0 - w
+    table[np.arange(horizon), upper] = w
+    return read_only(table), read_only(np.maximum(k - nodes[-1], 0.0))

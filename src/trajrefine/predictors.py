@@ -28,7 +28,7 @@ from .data import Dataset
 from .fusion import Estimate, SingularInnovationError, gain_update
 from .gaussian import PSD_TOL, Cov2, is_psd
 from .goals import (GoalModelParams, calibration_split, goal_moments, interpolate_goals,
-                    second_moments, solve_ridge)
+                    read_only, second_moments, solve_ridge)
 
 BACKBONES = ("cv", "ca", "ar")
 
@@ -106,6 +106,11 @@ class PredictorParams:
             coeffs = np.asarray(_quadratic_extrapolation_coeffs(self.window))
             per_disp = -np.cumsum(coeffs)[:-1]
         return np.kron(per_disp[:, None], np.eye(2))
+
+    @cached_property
+    def step_cov_table(self) -> np.ndarray:
+        """Read-only (T, 2, 2) array form of step_covs."""
+        return read_only(np.array([c.as_matrix() for c in self.step_covs]))
 
 
 @dataclass(frozen=True)
@@ -246,15 +251,15 @@ def rollout_batch(
     histories is (N, n, 2). Returns (N, T, 2) means and (N, T, 2, 2)
     covariances for future steps 1..T. Without a goal model this is the
     vanilla rollout: repeated one-step prediction with the calibrated step
-    covariances. With one, goals are predicted exactly once per segment up
+    covariances, a read-only broadcast view of ``params.step_cov_table``.
+    With one, goals are predicted exactly once per segment up
     front. The prior covariance at step k is the calibrated table entry, not
     the previous fused one, so every gain K_k and fused covariance is fixed
     by the covariances alone and is computed in one call before stepping. At
     each step k the raw mean is fused as raw + K_k (z_k - raw), the fused
     estimate is emitted, and (in 'fused' feedback mode) the fused mean
     replaces the raw one in the buffer before the next step.
-    cfg.refine_enabled is not read here: pass no goal model for a vanilla
-    rollout.
+    cfg.refine_enabled is not read here; pass no goal model for vanilla.
     """
     histories = np.asarray(histories, dtype=float)
     horizon = params.horizon if horizon is None else int(horizon)
@@ -274,11 +279,11 @@ def rollout_batch(
             f"{params.horizon + 1}"
         )
     n = len(histories)
-    step_covs = np.array([c.as_matrix() for c in params.step_covs[:horizon]])
-    covs = np.repeat(step_covs.reshape(1, horizon, 2, 2), n, axis=0)
+    covs = np.broadcast_to(params.step_cov_table[:horizon], (n, horizon, 2, 2))
     means = np.empty((n, horizon, 2))
     # positions[:, k : k + need] is the buffer that predicts step k + 1
     positions = np.concatenate([histories[:, -need:], np.empty_like(means)], 1)
+    flat = positions.reshape(n, -1)  # flat[:, 2k : 2(k + need)] is that buffer, raveled
     if goal_params is not None:
         goal_means, goal_covs = goal_moments(goal_params, histories)
         z, r = interpolate_goals(
@@ -293,9 +298,8 @@ def rollout_batch(
             raise SingularInnovationError(f"step {step}: {exc}", step=step) from exc
         covs = np.swapaxes(post, 0, 1)
     for k in range(horizon):
-        buffer = positions[:, k : k + need]
-        disp = np.diff(buffer, axis=1).reshape(n, 2 * (need - 1))
-        means[:, k] = raw = buffer[:, -1] + disp @ params.step_weights
+        disp = flat[:, 2 * k + 2 : 2 * (k + need)] - flat[:, 2 * k : 2 * (k + need) - 2]
+        means[:, k] = raw = positions[:, k + need - 1] + disp @ params.step_weights
         if goal_params is not None:
             means[:, k] = raw + (gains[k] @ (z[:, k] - raw)[..., None])[..., 0]
         positions[:, k + need] = means[:, k] if cfg.feedback == "fused" else raw
@@ -305,7 +309,8 @@ def rollout_batch(
 
 
 def _estimates(means: np.ndarray, covs: np.ndarray) -> list[Estimate]:
-    return [Estimate(m, Cov2.from_matrix(c)) for m, c in zip(means[0], covs[0])]
+    return [Estimate(m, Cov2(sxx, 0.5 * (sxy + syx), syy))
+            for m, ((sxx, sxy), (syx, syy)) in zip(means[0], covs[0].tolist())]
 
 
 def rollout_vanilla(

@@ -1,0 +1,88 @@
+"""Array tables cached on fitted parameters: equal to the tuples they are
+built from, read-only, and built once per params object."""
+
+import numpy as np
+import pytest
+
+from trajrefine.data import gen_synthetic
+from trajrefine.goals import _interpolation_table, fit_goal_model, interpolate_goals
+from trajrefine.predictors import fit_predictor, rollout_batch
+
+ANCHORS = (3, 10, 25)
+
+
+@pytest.fixture(scope="module")
+def fitted():
+    train = gen_synthetic("lane_change", 60, 0.2, seed=31)
+    return train, fit_predictor("ar", train, lag=3), fit_goal_model(train, ANCHORS)
+
+
+def expected_interpolation(anchor_steps, horizon):
+    """Node weights and held steps of every future step, one step at a time."""
+    nodes = (0, *anchor_steps)
+    table, gap = np.zeros((horizon, len(nodes))), np.zeros(horizon)
+    for k in range(1, horizon + 1):
+        if k >= nodes[-1]:
+            table[k - 1, -1], gap[k - 1] = 1.0, k - nodes[-1]
+            continue
+        j = next(i for i in range(1, len(nodes)) if nodes[i] >= k)
+        w = (k - nodes[j - 1]) / (nodes[j] - nodes[j - 1])
+        table[k - 1, j - 1], table[k - 1, j] = 1.0 - w, w
+    return table, gap
+
+
+def test_tables_equal_their_tuples(fitted):
+    _, params, goal_params = fitted
+    step_covs = np.array([c.as_matrix() for c in params.step_covs])
+    residuals = np.array([c.as_matrix() for c in goal_params.residual_covs])
+    weights = np.concatenate(goal_params.weights, axis=1)
+    assert params.step_cov_table.tobytes() == step_covs.tobytes()
+    assert goal_params.residual_table.tobytes() == residuals.tobytes()
+    assert goal_params.weight_matrix.tobytes() == weights.tobytes()
+    assert goal_params.weight_matrix.shape == (30, 2 * len(ANCHORS))
+
+
+@pytest.mark.parametrize("anchor_steps,horizon", [
+    ((3, 10, 25), 25), ((5, 10, 15, 20, 25), 30), ((1,), 4), ((3, 17), 12),
+])
+def test_interpolation_table_matches_stepwise_rule(anchor_steps, horizon):
+    table, gap = _interpolation_table(anchor_steps, horizon)
+    want_table, want_gap = expected_interpolation(anchor_steps, horizon)
+    np.testing.assert_allclose(table, want_table, rtol=0.0, atol=1e-15)
+    np.testing.assert_array_equal(gap, want_gap)
+
+
+def test_tables_are_read_only(fitted):
+    train, params, goal_params = fitted
+    histories = train.histories()[:4]
+    means, covs = rollout_batch(params, histories)
+    tables = (params.step_cov_table, goal_params.weight_matrix,
+              goal_params.residual_table, *_interpolation_table(ANCHORS, 25), covs)
+    for table in tables:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        covs += 1.0
+    again_means, again_covs = rollout_batch(params, histories)
+    assert again_means.tobytes() == means.tobytes()
+    assert np.array(again_covs).tobytes() == np.array(covs).tobytes()
+    assert params.step_cov_table[0, 0, 0] == params.step_covs[0].sxx
+
+
+def test_tables_built_once_per_params(fitted):
+    train, params, goal_params = fitted
+    histories = train.histories()[:3]
+    assert params.step_cov_table is params.step_cov_table
+    assert goal_params.weight_matrix is goal_params.weight_matrix
+    assert goal_params.residual_table is goal_params.residual_table
+    first, second = rollout_batch(params, histories)[1], rollout_batch(params, histories)[1]
+    assert np.shares_memory(first, params.step_cov_table)
+    assert np.shares_memory(second, params.step_cov_table)
+    assert _interpolation_table(ANCHORS, 25)[0] is _interpolation_table(ANCHORS, 25)[0]
+    # a list of anchor steps hits the same cache entry as the tuple
+    before = _interpolation_table.cache_info().hits
+    means = np.zeros((1, len(ANCHORS), 2))
+    interpolate_goals(list(ANCHORS), np.zeros((1, 2)), means,
+                      np.broadcast_to(np.eye(2), (1, len(ANCHORS), 2, 2)), 25, 0.05, 0.5)
+    assert _interpolation_table.cache_info().hits == before + 1

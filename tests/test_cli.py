@@ -155,6 +155,21 @@ class TestFit:
         assert f"error: {val}: {flag}={value} differs from the training {flag}=" in err
 
 
+    @pytest.mark.parametrize("command", ("fit", "ablate"))
+    def test_empty_validation_file_exits_2_naming_it(self, tmp_path, capsys, command):
+        # an explicitly named --val must not fall back to in-sample calibration
+        train = gen(tmp_path, "train.jsonl", n=30)
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        out = tmp_path / "out"
+        extra = ("--test", str(train)) if command == "ablate" else ()
+        assert run(command, "--train", str(train), "--val", str(empty),
+                   "--out", str(out), *extra) == 2
+        err = capsys.readouterr().err
+        assert f"error: {empty}: validation file contains no segments" in err
+        assert not out.exists()
+
+
 class TestPredict:
     def test_line_count_and_sigma_invariants(self, tmp_path):
         train = gen(tmp_path, "train.jsonl")
@@ -370,6 +385,21 @@ class TestEvalAndAblate:
         assert run("ablate", "--train", str(train), "--test", str(test),
                    "--out", str(tmp_path / "r.csv")) == 2
         assert f"error: {test}: protocol mismatch: dt=0.1" in capsys.readouterr().err
+
+
+    def test_ablate_empty_test_exits_2_naming_it_before_fitting(
+            self, tmp_path, capsys, monkeypatch):
+        train = gen(tmp_path, "train.jsonl", n=30)
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before the test set was checked")
+
+        monkeypatch.setattr("trajrefine.cli.fit_goal_model", no_fit)
+        assert run("ablate", "--train", str(train), "--test", str(empty),
+                   "--out", str(tmp_path / "r.csv")) == 2
+        assert f"error: {empty}: dataset contains no segments" in capsys.readouterr().err
 
 
 class TestConfigFile:

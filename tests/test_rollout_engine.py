@@ -2,7 +2,8 @@
 
 Means and covariances are compared with
 max|new - reference| <= 1e-9 * max(1, max|reference|); the ar weights,
-whose design is the same array row for row, are compared bitwise.
+whose design is the same array row for row, and the one-segment adapters
+against their own one-row batch are compared bitwise.
 """
 
 import numpy as np
@@ -41,6 +42,12 @@ def assert_matches(new, reference):
     assert new.shape == reference.shape
     scale = max(1.0, np.abs(reference).max())
     assert np.abs(new - reference).max() <= 1e-9 * scale
+
+
+def assert_bitwise(new, expected):
+    new, expected = np.asarray(new), np.asarray(expected)
+    assert new.shape == expected.shape
+    assert new.tobytes() == expected.tobytes()
 
 
 @pytest.fixture(scope="module", params=SCENARIOS)
@@ -139,8 +146,17 @@ def test_batch_equals_single_calls(fitted):
             means, covs = rollout_batch(params, histories, None, goal_params, cfg)
             for i, history in enumerate(histories):
                 single = rollout(params, goal_params, history, None, cfg)
-                assert_matches(means[i], [e.mean for e in single])
-                assert_matches(covs[i], [e.cov.as_matrix() for e in single])
+                single_means = [e.mean for e in single]
+                single_covs = [e.cov.as_matrix() for e in single]
+                assert_matches(means[i], single_means)
+                assert_matches(covs[i], single_covs)
+                # the adapter converts its one-row batch without rounding;
+                # rows of a larger batch may differ in the last bit because
+                # BLAS picks its matmul kernel by the batch size
+                row_means, row_covs = rollout_batch(
+                    params, history[None], None, goal_params, cfg)
+                assert_bitwise(row_means[0], single_means)
+                assert_bitwise(row_covs[0], single_covs)
 
 
 def test_singular_step_matches_reference():
