@@ -23,13 +23,14 @@ from .data import (
     downsample,
     extract_segments,
     gen_synthetic,
+    json_points,
     parse_ngsim_csv,
     read_jsonl,
     read_records,
-    round_points,
+    round6,
     write_jsonl,
 )
-from .gaussian import Cov2, params_from_cov
+from .gaussian import Cov2, params_from_covs
 from .goals import GoalModelParams, fit_goal_model
 from .metrics import AblationReport, AblationRow, rmse, run_ablation
 from .predictors import (
@@ -342,17 +343,17 @@ def cmd_predict(o) -> int:
     ds = read_jsonl(o.data)
     cfg = _refine_config(o)
     mode = "refined" if o.refine else "vanilla"
-    means, covs = [], []
+    means, sigmas = [], []
     if ds.segments:
         _check_protocol(protocol, ds, o.data)
         goals = goal_model if o.refine else None
         means, covs = rollout_batch(predictor, ds.histories(), ds.horizon, goals, cfg)
+        # full precision: a sigma rounded to 6 dp can become an invalid 0
+        means, sigmas = round6(means), params_from_covs(covs)
     with open(o.out, "w") as fh:
-        for seg, seg_means, seg_covs in zip(ds.segments, means, covs):
-            # full precision: a sigma rounded to 6 dp can become an invalid 0
-            sigmas = [list(params_from_cov(Cov2.from_matrix(c))) for c in seg_covs]
-            line = {"segment_id": seg.segment_id, "means": round_points(seg_means),
-                    "sigmas": sigmas, "mode": mode}
+        for seg, seg_means, seg_sigmas in zip(ds.segments, means, sigmas):
+            line = {"segment_id": seg.segment_id, "means": seg_means.tolist(),
+                    "sigmas": seg_sigmas.tolist(), "mode": mode}
             fh.write(json.dumps(line, separators=(",", ":")) + "\n")
     print(f"wrote {len(ds)} {mode} predictions to {o.out}")
     return 0
@@ -375,10 +376,10 @@ def cmd_eval(o) -> int:
         try:
             if sid in pred_means:
                 raise ValueError(f"repeated segment id {sid!r}")
-            means = pred_means[sid] = np.asarray(obj["means"], dtype=float)
+            means = pred_means[sid] = json_points(obj["means"], "means")
             if means.shape != (ds.horizon, 2) or not np.isfinite(means).all():
                 raise ValueError(f"means must be a finite ({ds.horizon}, 2) array")
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{o.predictions}: line {lineno}: {exc}") from None
         modes.add(obj["mode"])
     if len(modes) > 1:

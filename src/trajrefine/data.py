@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import zlib
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -37,7 +37,7 @@ def _points(a, name: str) -> np.ndarray:
     pts = np.asarray(a, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"{name} must be an (n, 2) array of positions")
-    if not np.all(np.isfinite(pts)):
+    if not np.isfinite(pts).all():
         raise ValueError(f"{name} contains non-finite coordinates")
     return pts
 
@@ -89,11 +89,11 @@ class Dataset:
 
     def histories(self) -> np.ndarray:
         """Observed histories stacked as an (N, tau+1, 2) array."""
-        return np.stack([seg.history for seg in self.segments])
+        return np.array([seg.history for seg in self.segments]).reshape(-1, self.tau + 1, 2)
 
     def futures(self) -> np.ndarray:
         """Ground-truth futures stacked as an (N, T, 2) array."""
-        return np.stack([seg.future for seg in self.segments])
+        return np.array([seg.future for seg in self.segments]).reshape(-1, self.horizon, 2)
 
 
 @dataclass(frozen=True)
@@ -116,12 +116,13 @@ def parse_ngsim_csv(path: str) -> list[Track]:
 
     Rows are grouped by vehicle and sorted by frame; Local_X/Local_Y are
     converted from feet with the exact factor 0.3048. A track is split
-    wherever a vehicle's frame sequence jumps by more than 1. A repeated
-    (Vehicle_ID, Frame_ID) pair or a non-finite coordinate is rejected with
-    its line number.
+    wherever a vehicle's frame sequence jumps by more than 1. An id that is
+    not a finite whole number below 2**53, a negative frame, a non-finite
+    coordinate or a repeated (Vehicle_ID, Frame_ID) pair is rejected with
+    the number of the first line at fault.
     """
-    per_vehicle: dict[int, list[tuple[int, float, float]]] = {}
-    first_line: dict[tuple[int, int], int] = {}
+    vids, frames, xs, ys, lines = [], [], [], [], []
+    unreadable = None  # message for the first line that does not convert
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -132,41 +133,59 @@ def parse_ngsim_csv(path: str) -> list[Track]:
         missing = [c for c in NGSIM_COLUMNS if c not in header]
         if missing:
             raise ValueError(f"{path}: missing required columns {missing}")
-        idx = {c: header.index(c) for c in NGSIM_COLUMNS}
+        iv, i_f, ix, iy = (header.index(c) for c in NGSIM_COLUMNS)
         for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
+            if not "".join(row).strip():
                 continue
             try:
-                vid = int(float(row[idx["Vehicle_ID"]]))
-                frame = int(float(row[idx["Frame_ID"]]))
-                x = float(row[idx["Local_X"]]) * FEET_TO_METERS
-                y = float(row[idx["Local_Y"]]) * FEET_TO_METERS
+                vid, frame = float(row[iv]), float(row[i_f])
+                x, y = float(row[ix]), float(row[iy])
             except (ValueError, IndexError) as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-            if frame < 0:
-                raise ValueError(f"{path}: line {lineno}: negative frame id {frame}")
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise ValueError(f"{path}: line {lineno}: non-finite coordinate")
-            seen = first_line.setdefault((vid, frame), lineno)
-            if seen != lineno:
-                raise ValueError(
-                    f"{path}: line {lineno}: Frame_ID {frame} of Vehicle_ID {vid} "
-                    f"repeats line {seen}"
-                )
-            per_vehicle.setdefault(vid, []).append((frame, x, y))
+                unreadable = f"{path}: line {lineno}: {exc}"
+                break
+            vids.append(vid)
+            frames.append(frame)
+            xs.append(x)
+            ys.append(y)
+            lines.append(lineno)
 
-    tracks: list[Track] = []
-    for vid in sorted(per_vehicle):
-        rows = sorted(per_vehicle[vid], key=lambda r: r[0])
-        run: list[tuple[int, float, float]] = []
-        for row in rows:
-            if run and row[0] - run[-1][0] > 1:
-                tracks.append(Track(vid, 0.1, [(r[1], r[2]) for r in run]))
-                run = []
-            run.append(row)
-        if run:
-            tracks.append(Track(vid, 0.1, [(r[1], r[2]) for r in run]))
-    return tracks
+    vid, frame = np.array(vids), np.array(frames)
+    points = np.column_stack((xs, ys)) * FEET_TO_METERS
+    order = np.lexsort((frame, vid))  # stable: a repeated pair sorts after its first line
+    v, f = vid[order], frame[order]
+    repeated = np.zeros(len(order), dtype=bool)
+    repeated[order[1:][(v[1:] == v[:-1]) & (f[1:] == f[:-1])]] = True
+
+    def repeat(i: int) -> str:
+        first = np.flatnonzero((vid == vid[i]) & (frame == frame[i]))[0]
+        return (f"Frame_ID {int(frames[i])} of Vehicle_ID {int(vids[i])} "
+                f"repeats line {lines[first]}")
+
+    not_whole = "is not a whole number below 2**53"
+    checks = (  # in the order one line is checked; the first line at fault wins
+        (~_whole(vid), lambda i: f"Vehicle_ID {vids[i]!r} {not_whole}"),
+        (~_whole(frame), lambda i: f"Frame_ID {frames[i]!r} {not_whole}"),
+        (frame < 0, lambda i: f"negative frame id {int(frames[i])}"),
+        (~np.isfinite(points).all(axis=1), lambda i: "non-finite coordinate"),
+        (repeated, repeat),
+    )
+    bad = np.flatnonzero(np.logical_or.reduce([mask for mask, _ in checks]))
+    if bad.size:
+        i = bad[0]
+        describe = next(describe for mask, describe in checks if mask[i])
+        raise ValueError(f"{path}: line {lines[i]}: {describe(i)}")
+    if unreadable is not None:
+        raise ValueError(unreadable)
+    if not lines:
+        return []
+    cuts = np.flatnonzero((v[1:] != v[:-1]) | (f[1:] - f[:-1] > 1)) + 1
+    runs = np.split(points[order], cuts)
+    return [Track(int(v[s]), 0.1, run) for s, run in zip([0, *cuts.tolist()], runs)]
+
+
+def _whole(ids: np.ndarray) -> np.ndarray:
+    """Which ids are finite whole numbers below 2**53 in magnitude."""
+    return (np.floor(ids) == ids) & (np.abs(ids) < 2.0**53)
 
 
 def downsample(track: Track, factor: int = 2) -> Track:
@@ -305,21 +324,45 @@ def gen_synthetic(
     return Dataset(segments, dt, tau, horizon, f"synthetic/{scenario}")
 
 
+def round6(values) -> np.ndarray:
+    """Elementwise ``round(float(v), 6)`` of an array, bitwise equal to it.
+
+    ``round`` rounds the exact value of v * 10**6 half-to-even to an integer
+    n and returns the double nearest n / 10**6. The product ``s = v * 1e6``
+    is within half an ulp of the exact one, so wherever s is more than that
+    from a half-integer, ``np.rint(s)`` is the same n; below 1e9 in
+    magnitude n is exact (|n| < 2**53), and IEEE division by the exact 1e6
+    gives the double nearest n / 10**6. Elements within 4 ulps of a
+    half-integer, of magnitude >= 1e9 or not finite take ``round`` itself.
+    """
+    v = np.asarray(values, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # those elements take round()
+        scaled = v * 1e6
+        n = np.rint(scaled)
+        exact = (0.5 - np.abs(scaled - n) > 4 * np.spacing(np.abs(scaled))) & (np.abs(v) < 1e9)
+    out = np.divide(n, 1e6, out=np.empty_like(v))
+    if not exact.all():
+        slow = ~exact
+        out[slow] = [round(x, 6) for x in v[slow].tolist()]
+    return out
+
+
 def round_points(pts: np.ndarray) -> list[list[float]]:
     """(n, 2) coordinates as nested lists rounded to 6 decimal places."""
-    return [[round(float(x), 6), round(float(y), 6)] for x, y in pts]
+    return round6(pts).tolist()
 
 
 def write_jsonl(ds: Dataset, path: str) -> None:
-    """One JSON object per segment; coordinates rounded to 6 decimal places."""
+    """One JSON object per segment; coordinates rounded by :func:`round6`."""
+    histories, futures = round6(ds.histories()), round6(ds.futures())
     with open(path, "w") as fh:
-        for seg in ds.segments:
+        for seg, history, future in zip(ds.segments, histories, futures):
             obj = {
                 "segment_id": seg.segment_id,
                 "agent_id": seg.agent_id,
                 "dt": round(seg.dt, 6),
-                "history": round_points(seg.history),
-                "future": round_points(seg.future),
+                "history": history.tolist(),
+                "future": future.tolist(),
             }
             fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
 
@@ -346,12 +389,25 @@ def read_records(path: str, fields: tuple[str, ...]):
             yield lineno, obj
 
 
+def json_points(value, name: str) -> np.ndarray:
+    """A decoded JSON array of [x, y] pairs as a float array; a string,
+    boolean or null in it is rejected, not cast. Callers check the shape."""
+    try:
+        kinds = set(map(type, chain.from_iterable(value)))
+    except TypeError:
+        raise ValueError(f"{name} must be an array of [x, y] pairs") from None
+    if not kinds <= {int, float}:
+        raise ValueError(f"{name} must hold only JSON numbers")
+    return np.asarray(value, dtype=float)
+
+
 def read_jsonl(path: str) -> Dataset:
     """Inverse of :func:`write_jsonl`; schema errors carry the line number.
 
     Every segment must share the first one's protocol and have its own
-    segment id. Keys other than the segment fields, such as the
-    ``neighbors`` list older files carry, are ignored.
+    segment id. ``agent_id`` must be a JSON integer and ``dt``, ``history``
+    and ``future`` JSON numbers. Keys other than the segment fields, such as
+    the ``neighbors`` list older files carry, are ignored.
     """
     segments: list[Segment] = []
     first_line: dict[str, int] = {}
@@ -359,14 +415,18 @@ def read_jsonl(path: str) -> Dataset:
     fields = ("segment_id", "agent_id", "dt", "history", "future")
     for lineno, obj in read_records(path, fields):
         try:
+            if type(obj["agent_id"]) is not int:
+                raise ValueError("agent_id must be a JSON integer")
+            if type(obj["dt"]) not in (int, float):
+                raise ValueError("dt must be a JSON number")
             seg = Segment(
                 segment_id=str(obj["segment_id"]),
-                agent_id=int(obj["agent_id"]),
+                agent_id=obj["agent_id"],
                 dt=float(obj["dt"]),
-                history=obj["history"],
-                future=obj["future"],
+                history=json_points(obj["history"], "history"),
+                future=json_points(obj["future"], "future"),
             )
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
         shape = (seg.dt, len(seg.history), len(seg.future))
         if protocol is None:

@@ -75,13 +75,34 @@ def cov_from_params(sigma_x: float, sigma_y: float, rho: float) -> Cov2:
     return Cov2(sigma_x * sigma_x, rho * sigma_x * sigma_y, sigma_y * sigma_y)
 
 
+def _sigma_rho(sxx, sxy, syy, sqrt=math.sqrt, any_=bool):
+    """(sigma_x, sigma_y, rho) of covariance entries, the one formula for both
+    forms: floats as given, arrays with ``sqrt=np.sqrt, any_=np.any``. Every
+    covariance must be positive definite."""
+    if any_((sxx <= 0.0) | (syy <= 0.0) | (sxx * syy - sxy * sxy <= 0.0)):
+        raise ValueError("covariance is not positive definite")
+    sigma_x, sigma_y = sqrt(sxx), sqrt(syy)
+    return sigma_x, sigma_y, sxy / (sigma_x * sigma_y)
+
+
 def params_from_cov(c: Cov2) -> tuple[float, float, float]:
     """Inverse of :func:`cov_from_params`; requires a positive-definite input."""
-    if c.sxx <= 0.0 or c.syy <= 0.0 or c.det <= 0.0:
-        raise ValueError("covariance is not positive definite")
-    sigma_x = math.sqrt(c.sxx)
-    sigma_y = math.sqrt(c.syy)
-    return sigma_x, sigma_y, c.sxy / (sigma_x * sigma_y)
+    return _sigma_rho(c.sxx, c.sxy, c.syy)
+
+
+def params_from_covs(covs: np.ndarray) -> np.ndarray:
+    """(sigma_x, sigma_y, rho) of each (..., 2, 2) covariance as a (..., 3) array.
+
+    Bitwise the same as :func:`params_from_cov` of ``Cov2.from_matrix`` of
+    each matrix: the off-diagonal is the mean of its two entries, and every
+    covariance must be finite and positive definite.
+    """
+    c = np.asarray(covs, dtype=float)
+    sxx, syy = c[..., 0, 0], c[..., 1, 1]
+    sxy = 0.5 * (c[..., 0, 1] + c[..., 1, 0])
+    if not (np.isfinite(sxx) & np.isfinite(sxy) & np.isfinite(syy)).all():
+        raise ValueError("covariance entries must be finite")
+    return np.stack(_sigma_rho(sxx, sxy, syy, np.sqrt, np.any), axis=-1)
 
 
 def is_psd(c: Cov2, tol: float = PSD_TOL) -> bool:

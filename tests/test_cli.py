@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -98,6 +99,22 @@ class TestIngestNgsim:
     def test_missing_file_exits_1(self, tmp_path):
         assert run("ingest-ngsim", "--csv", str(tmp_path / "nope.csv"),
                    "--out", str(tmp_path / "o.jsonl")) == 1
+
+    # ngsim_tiny.csv: three vehicles in feet at 10 Hz, rows interleaved by
+    # frame, a three-frame gap in vehicle 3, some ids written as "12.0" and a
+    # blank row. The expected files were written by an earlier release's
+    # per-element ingester, so they do not depend on the rounding code.
+    @pytest.mark.parametrize("expected,flags", [
+        ("ngsim_tiny_default.jsonl", ()),
+        ("ngsim_tiny_s9.jsonl",
+         ("--stride", "9", "--downsample", "1", "--tau", "10", "--horizon", "20")),
+    ])
+    def test_golden_fixture_bytes(self, tmp_path, expected, flags):
+        data = Path(__file__).parent / "data"
+        out = tmp_path / "out.jsonl"
+        assert run("ingest-ngsim", "--csv", str(data / "ngsim_tiny.csv"),
+                   "--out", str(out), *flags) == 0
+        assert out.read_bytes() == (data / expected).read_bytes()
 
 
 class TestFit:
@@ -366,6 +383,17 @@ class TestEvalAndAblate:
                    "--out", str(tmp_path / "m.csv")) == 2
         err = capsys.readouterr().err
         assert f"{preds}: line 3: means must be a finite (25, 2) array" in err
+
+    @pytest.mark.parametrize("value", ["1.5", True, None])
+    def test_non_number_prediction_means_name_line(self, tmp_path, capsys, value):
+        data, preds, lines = self.predict_lines(tmp_path)
+        bad = json.loads(lines[2])
+        bad["means"][4][0] = value
+        lines[2] = json.dumps(bad)
+        preds.write_text("\n".join(lines) + "\n")
+        assert run("eval", "--predictions", str(preds), "--data", str(data),
+                   "--out", str(tmp_path / "m.csv")) == 2
+        assert f"{preds}: line 3: means must hold only JSON numbers" in capsys.readouterr().err
 
     def test_ablate_report(self, tmp_path):
         train = gen(tmp_path, "train.jsonl", n=150, seed=21)

@@ -93,6 +93,64 @@ class TestParseNgsim:
             parse_ngsim_csv(str(p))
 
 
+    @pytest.mark.parametrize("column", ["Vehicle_ID", "Frame_ID"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "3.2", "1e300", "9007199254740992"])
+    def test_id_not_finite_whole_below_2_53_rejected_with_line(self, tmp_path, column, value):
+        p = tmp_path / "a.csv"
+        rows = [
+            {"Vehicle_ID": 3, "Frame_ID": 0, "Local_X": 1.0, "Local_Y": 0.0},
+            {"Vehicle_ID": 3, "Frame_ID": 1, "Local_X": 1.0, "Local_Y": 0.0, column: value},
+        ]
+        write_csv(p, rows)
+        with pytest.raises(ValueError, match=rf"a\.csv: line 3: {column} \S+ is not a whole "
+                                             r"number below 2\*\*53"):
+            parse_ngsim_csv(str(p))
+
+    def test_nearby_fractional_ids_are_not_merged(self, tmp_path):
+        p = tmp_path / "a.csv"
+        rows = [{"Vehicle_ID": vid, "Frame_ID": 0, "Local_X": 1.0, "Local_Y": 0.0}
+                for vid in ("3.2", "3.7")]
+        write_csv(p, rows)
+        with pytest.raises(ValueError, match=r"line 2: Vehicle_ID 3\.2 is not a whole number"):
+            parse_ngsim_csv(str(p))
+
+    def test_whole_float_ids_accepted_as_ints(self, tmp_path):
+        p = tmp_path / "a.csv"
+        rows = [{"Vehicle_ID": vid, "Frame_ID": frame, "Local_X": 1.0, "Local_Y": 0.0}
+                for vid, frame in (("25", "0"), ("25.0", "1.0"), ("-4", "0"))]
+        write_csv(p, rows)
+        tracks = parse_ngsim_csv(str(p))
+        assert [(t.vehicle_id, len(t.points)) for t in tracks] == [(-4, 1), (25, 2)]
+        assert all(type(t.vehicle_id) is int for t in tracks)
+
+    @pytest.mark.parametrize("lines,message", [
+        # an unreadable line after a checked defect: the earlier line is named
+        (["1,0,1.0,0.0", "1,-1,1.0,0.0", "1,1,1.0,0.0", "1,2,x,0.0"],
+         "line 3: negative frame id -1"),
+        (["1,0,1.0,0.0", "1,1,x,0.0", "1,0,1.0,0.0"],
+         "line 3: could not convert string to float: 'x'"),
+        (["1,0,1.0,0.0", "2,0,1.0,0.0", "1,0,1.0,0.0", "2,1,inf,0.0"],
+         "line 4: Frame_ID 0 of Vehicle_ID 1 repeats line 2"),
+        (["1,0,1.0,0.0", "1,1,1.0,nan", "1,0,1.0,0.0"], "line 3: non-finite coordinate"),
+        # one line, several defects: checked in the order id, frame, coordinates
+        (["1.5,-1,nan,0.0"], "line 2: Vehicle_ID 1.5 is not a whole number below 2**53"),
+        (["1,-1,nan,0.0"], "line 2: negative frame id -1"),
+        (["1,0,1.0,0.0", "1,1,1.0,0.0", "", " , , , ", "1,1,1.0,0.0"],
+         "line 6: Frame_ID 1 of Vehicle_ID 1 repeats line 3"),
+    ])
+    def test_first_defective_line_is_named(self, tmp_path, lines, message):
+        p = tmp_path / "a.csv"
+        p.write_text("Vehicle_ID,Frame_ID,Local_X,Local_Y\n" + "\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as exc:
+            parse_ngsim_csv(str(p))
+        assert str(exc.value) == f"{p}: {message}"
+
+    def test_header_only_gives_no_tracks(self, tmp_path):
+        p = tmp_path / "a.csv"
+        p.write_text("Vehicle_ID,Frame_ID,Local_X,Local_Y\n\n")
+        assert parse_ngsim_csv(str(p)) == []
+
+
 class TestDownsample:
     def test_41_samples_become_21(self):
         track = Track(1, 0.1, np.zeros((41, 2)))
@@ -266,6 +324,10 @@ class TestJsonl:
         path.write_text("")
         ds = read_jsonl(str(path))
         assert len(ds) == 0
+        assert ds.histories().shape == (0, 16, 2) and ds.futures().shape == (0, 25, 2)
+        out = tmp_path / "out.jsonl"
+        write_jsonl(ds, str(out))
+        assert out.read_bytes() == b""
 
     def test_protocol_mismatch_carries_line(self, tmp_path):
         a = gen_synthetic("cv", 1, 0.0, seed=1)
@@ -288,3 +350,45 @@ class TestJsonl:
         assert str(exc.value) == (
             f"{path}: line 4: repeated segment id 'cv-00001' (first on line 2)"
         )
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("agent_id", 1.5, "agent_id must be a JSON integer"),
+        ("agent_id", "7", "agent_id must be a JSON integer"),
+        ("agent_id", True, "agent_id must be a JSON integer"),
+        ("dt", "0.2", "dt must be a JSON number"),
+        ("dt", True, "dt must be a JSON number"),
+        ("history", "23.6", "history must hold only JSON numbers"),
+        ("future", 23.6, "future must be an array of [x, y] pairs"),
+    ])
+    def test_non_json_number_field_rejected_with_line(self, tmp_path, field, value, message):
+        path = tmp_path / "d.jsonl"
+        write_jsonl(gen_synthetic("cv", 2, 0.0, seed=1), str(path))
+        lines = path.read_text().splitlines()
+        obj = json.loads(lines[1])
+        obj[field] = value
+        path.write_text(lines[0] + "\n" + json.dumps(obj) + "\n")
+        with pytest.raises(ValueError) as exc:
+            read_jsonl(str(path))
+        assert str(exc.value) == f"{path}: line 2: {message}"
+
+    @pytest.mark.parametrize("field", ["history", "future"])
+    @pytest.mark.parametrize("value", ["23.6", True, None, [1.0]])
+    def test_non_number_coordinate_rejected_with_line(self, tmp_path, field, value):
+        path = tmp_path / "d.jsonl"
+        write_jsonl(gen_synthetic("cv", 2, 0.0, seed=1), str(path))
+        lines = path.read_text().splitlines()
+        obj = json.loads(lines[1])
+        obj[field][3][1] = value
+        path.write_text(lines[0] + "\n" + json.dumps(obj) + "\n")
+        with pytest.raises(ValueError) as exc:
+            read_jsonl(str(path))
+        assert str(exc.value) == f"{path}: line 2: {field} must hold only JSON numbers"
+
+    def test_coordinate_beyond_float_range_rejected_with_line(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        write_jsonl(gen_synthetic("cv", 1, 0.0, seed=1), str(path))
+        obj = json.loads(path.read_text())
+        obj["history"][0][0] = 10**400
+        path.write_text(json.dumps(obj) + "\n")
+        with pytest.raises(ValueError, match=r"d\.jsonl: line 1: int too large"):
+            read_jsonl(str(path))

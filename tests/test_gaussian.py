@@ -9,6 +9,7 @@ from trajrefine.gaussian import (
     is_psd,
     log_density,
     params_from_cov,
+    params_from_covs,
 )
 
 
@@ -69,6 +70,43 @@ class TestParamsFromCov:
             assert abs(rx - sx) < 1e-12
             assert abs(ry - sy) < 1e-12
             assert abs(rr - rho) < 1e-12
+
+
+class TestParamsFromCovs:
+    def random_covs(self, shape):
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(*shape, 2, 2)) * rng.uniform(1e-4, 30.0, size=(*shape, 1, 1))
+        covs = a @ np.swapaxes(a, -1, -2) + 1e-9 * np.eye(2)
+        covs[..., 0, 1] *= 1.0 + 1e-12 * rng.normal(size=shape)  # off-diagonals differ
+        return covs
+
+    def test_bitwise_equal_to_the_per_matrix_loop(self):
+        covs = self.random_covs((7, 25))
+        expected = np.empty((7, 25, 3))
+        for idx in np.ndindex(7, 25):
+            m = covs[idx]
+            sxy = 0.5 * float(m[0, 1] + m[1, 0])
+            sx, sy = math.sqrt(float(m[0, 0])), math.sqrt(float(m[1, 1]))
+            expected[idx] = (sx, sy, sxy / (sx * sy))
+        out = params_from_covs(covs)
+        assert out.shape == (7, 25, 3)
+        assert out.tobytes() == expected.tobytes()
+        assert list(params_from_cov(Cov2.from_matrix(covs[3, 4]))) == out[3, 4].tolist()
+
+    def test_one_indefinite_matrix_rejects_the_batch(self):
+        covs = self.random_covs((4, 3))
+        covs[2, 1] = [[1.0, 1.001], [1.001, 1.0]]
+        with pytest.raises(ValueError, match="not positive definite"):
+            params_from_covs(covs)
+
+    def test_non_finite_entry_rejected(self):
+        covs = self.random_covs((4, 3))
+        covs[0, 2, 1, 0] = np.inf
+        with pytest.raises(ValueError, match="must be finite"):
+            params_from_covs(covs)
+
+    def test_empty_batch(self):
+        assert params_from_covs(np.empty((0, 25, 2, 2))).shape == (0, 25, 3)
 
 
 class TestIsPsd:
