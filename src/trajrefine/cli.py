@@ -372,16 +372,20 @@ def cmd_eval(o) -> int:
     pred_means: dict[str, np.ndarray] = {}
     modes = set()
     for lineno, obj in read_records(o.predictions, ("segment_id", "means", "mode")):
-        sid = str(obj["segment_id"])
+        sid, mode = obj["segment_id"], obj["mode"]
         try:
+            if type(sid) is not str:
+                raise ValueError("segment_id must be a JSON string")
             if sid in pred_means:
                 raise ValueError(f"repeated segment id {sid!r}")
+            if mode not in ("refined", "vanilla"):
+                raise ValueError(f"mode must be 'refined' or 'vanilla', got {mode!r}")
             means = pred_means[sid] = json_points(obj["means"], "means")
             if means.shape != (ds.horizon, 2) or not np.isfinite(means).all():
                 raise ValueError(f"means must be a finite ({ds.horizon}, 2) array")
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{o.predictions}: line {lineno}: {exc}") from None
-        modes.add(obj["mode"])
+        modes.add(mode)
     if len(modes) > 1:
         raise ValueError(f"{o.predictions}: mixed prediction modes {sorted(modes)}")
     ids = [seg.segment_id for seg in ds.segments]

@@ -119,7 +119,8 @@ def parse_ngsim_csv(path: str) -> list[Track]:
     wherever a vehicle's frame sequence jumps by more than 1. An id that is
     not a finite whole number below 2**53, a negative frame, a non-finite
     coordinate or a repeated (Vehicle_ID, Frame_ID) pair is rejected with
-    the number of the first line at fault.
+    the number of the first line at fault: the physical line its record
+    starts on, also after a quoted field that spans lines.
     """
     vids, frames, xs, ys, lines = [], [], [], [], []
     unreadable = None  # message for the first line that does not convert
@@ -134,7 +135,9 @@ def parse_ngsim_csv(path: str) -> list[Track]:
         if missing:
             raise ValueError(f"{path}: missing required columns {missing}")
         iv, i_f, ix, iy = (header.index(c) for c in NGSIM_COLUMNS)
-        for lineno, row in enumerate(reader, start=2):
+        start = reader.line_num + 1  # physical line the next record starts on
+        for row in reader:  # a quoted field may span several physical lines
+            lineno, start = start, reader.line_num + 1
             if not "".join(row).strip():
                 continue
             try:
@@ -405,9 +408,10 @@ def read_jsonl(path: str) -> Dataset:
     """Inverse of :func:`write_jsonl`; schema errors carry the line number.
 
     Every segment must share the first one's protocol and have its own
-    segment id. ``agent_id`` must be a JSON integer and ``dt``, ``history``
-    and ``future`` JSON numbers. Keys other than the segment fields, such as
-    the ``neighbors`` list older files carry, are ignored.
+    segment id. ``segment_id`` must be a JSON string, ``agent_id`` a JSON
+    integer and ``dt``, ``history`` and ``future`` JSON numbers. Keys other
+    than the segment fields, such as the ``neighbors`` list older files
+    carry, are ignored.
     """
     segments: list[Segment] = []
     first_line: dict[str, int] = {}
@@ -415,12 +419,14 @@ def read_jsonl(path: str) -> Dataset:
     fields = ("segment_id", "agent_id", "dt", "history", "future")
     for lineno, obj in read_records(path, fields):
         try:
+            if type(obj["segment_id"]) is not str:
+                raise ValueError("segment_id must be a JSON string")
             if type(obj["agent_id"]) is not int:
                 raise ValueError("agent_id must be a JSON integer")
             if type(obj["dt"]) not in (int, float):
                 raise ValueError("dt must be a JSON number")
             seg = Segment(
-                segment_id=str(obj["segment_id"]),
+                segment_id=obj["segment_id"],
                 agent_id=obj["agent_id"],
                 dt=float(obj["dt"]),
                 history=json_points(obj["history"], "history"),

@@ -12,7 +12,8 @@ role of a rollout estimate and the measurement (z, R) the role of a
 goal-derived pseudo-observation. K and P' depend on the covariances only, so
 :func:`gain_update` takes no means: the rollout engine computes every gain of
 a rollout in one call before stepping, and :func:`fuse` is the
-single-estimate adapter.
+single-estimate adapter. :func:`estimates_from_arrays` turns array output
+back into :class:`Estimate` objects, validated once as arrays.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import PSD_TOL, Cov2, is_psd
+from .gaussian import PSD_TOL, Cov2, is_psd, psd_rule
 
 # Innovation covariances with determinant at or below this (relative) level
 # signal that both inputs are degenerate in the same direction.
@@ -58,6 +59,36 @@ class Estimate:
         object.__setattr__(self, "mean", mean)
         if not is_psd(self.cov, PSD_TOL):
             raise ValueError("estimate covariance must be positive semidefinite")
+
+
+def estimates_from_arrays(means: np.ndarray, covs: np.ndarray) -> list[Estimate]:
+    """One Estimate per row of (T, 2) means and (T, 2, 2) covariances.
+
+    The same objects, and the same first error, as building
+    ``Estimate(mean, Cov2.from_matrix(cov))`` row by row; the rows are
+    validated once as arrays instead of 2T times in ``__post_init__``.
+    """
+    means = np.asarray(means, dtype=float).reshape(-1, 2)
+    c = np.asarray(covs, dtype=float).reshape(-1, 2, 2)
+    entries = np.stack([c[:, 0, 0], 0.5 * (c[:, 0, 1] + c[:, 1, 0]), c[:, 1, 1]], 1)
+    finite = np.isfinite(entries).all(axis=1)
+    mean_finite = np.isfinite(means).all(axis=1)
+    psd = psd_rule(*entries.T, PSD_TOL, np.maximum)
+    valid = finite & mean_finite & psd
+    if not valid.all():  # an object checks its entries, then its mean, then PSD
+        k = int(np.argmin(valid))
+        raise ValueError("covariance entries must be finite" if not finite[k]
+                         else "estimate mean must be finite" if not mean_finite[k]
+                         else "estimate covariance must be positive semidefinite")
+    return [_validated(Estimate, mean=m, cov=_validated(Cov2, sxx=sxx, sxy=sxy, syy=syy))
+            for m, (sxx, sxy, syy) in zip(means, entries.tolist())]
+
+
+def _validated(cls, **fields):
+    """A frozen dataclass instance whose fields were already validated."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def _inv2(m: np.ndarray, det: float) -> np.ndarray:

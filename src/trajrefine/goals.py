@@ -229,16 +229,21 @@ def interpolate_goals(
     position, variance epsilon) interpolate both mean and covariance
     linearly. Steps beyond the last anchor hold its mean and inflate its
     covariance by beta per step. Returns (N, T, 2) means and (N, T, 2, 2)
-    covariances.
+    covariances, views of step-major (T, N, ...) arrays.
     """
     table, gap = _interpolation_table(tuple(anchor_steps), horizon)
-    n = len(means)
-    node_means = np.concatenate([np.asarray(last_obs, dtype=float)[:, None], means], 1)
-    origin_cov = np.broadcast_to(epsilon * np.eye(2), (n, 1, 2, 2))
-    node_covs = np.concatenate([origin_cov, covs], axis=1)
-    z = table @ node_means
-    r = np.einsum("ta,naij->ntij", table, node_covs)
-    return z, r + beta * gap[:, None, None] * np.eye(2)
+    n, anchors = np.shape(means)[:2]
+    # step-major node arrays: row 0 is the virtual step-0 anchor, one GEMM each
+    node_means = np.empty((anchors + 1, n, 2))
+    node_means[0] = last_obs
+    node_means[1:] = np.swapaxes(means, 0, 1)
+    node_covs = np.empty((anchors + 1, n, 2, 2))
+    node_covs[0] = epsilon * np.eye(2)
+    node_covs[1:] = np.swapaxes(covs, 0, 1)
+    z = (table @ node_means.reshape(anchors + 1, -1)).reshape(horizon, n, 2)
+    r = (table @ node_covs.reshape(anchors + 1, -1)).reshape(horizon, n, 2, 2)
+    r.reshape(horizon, n, 4)[..., ::3] += beta * gap[:, None, None]  # the diagonals
+    return np.swapaxes(z, 0, 1), np.swapaxes(r, 0, 1)
 
 
 @lru_cache(maxsize=32)

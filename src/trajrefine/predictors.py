@@ -3,8 +3,8 @@
 Three closed-form backbones stand behind one predictor contract: constant
 velocity (cv), constant acceleration (ca, quadratic extrapolation over a
 sliding window) and an autoregressive displacement model (ar). Each is a
-linear map of its position buffer, stored as one matrix W so that every
-backbone steps as ``buffer[-1] + diff(buffer).ravel() @ W``. Each step's
+linear map of its position buffer, stored as one matrix P over the buffer's
+positions so that every backbone steps as ``buffer.ravel() @ P``. Each step's
 Gaussian estimate takes its covariance from a per-horizon calibration table,
 so uncertainty grows with the horizon the way the backbone's own rollout
 errors actually grow.
@@ -13,8 +13,10 @@ errors actually grow.
 With a goal model it predicts the anchors once per segment, computes every
 step's gain from the covariances up front, fuses each raw step with the
 interpolated goal measurement and (by default) feeds the fused mean back
-into the buffer. ``rollout``, ``rollout_vanilla`` and ``rollout_refined``
-are its one-segment adapters.
+into the buffer. It keeps one (N, buffer_len + T, 2) position array, and the
+means it returns are a view of it whenever the fed-back value is the output.
+``rollout``, ``rollout_vanilla`` and ``rollout_refined`` are its one-segment
+adapters; they validate their estimates once, as arrays.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .data import Dataset
-from .fusion import Estimate, SingularInnovationError, gain_update
+from .fusion import Estimate, SingularInnovationError, estimates_from_arrays, gain_update
 from .gaussian import PSD_TOL, Cov2, is_psd
 from .goals import (GoalModelParams, calibration_split, goal_moments, interpolate_goals,
                     read_only, second_moments, solve_ridge)
@@ -90,22 +92,28 @@ class PredictorParams:
         return self.window if self.backbone in ("cv", "ca") else self.lag + 1
 
     @cached_property
-    def step_weights(self) -> np.ndarray:
-        """(2*(buffer_len-1), 2) matrix W of the backbone's one-step map.
+    def position_weights(self) -> np.ndarray:
+        """Read-only (2*buffer_len, 2) matrix P of the backbone's one-step map.
 
-        The next position is buffer[-1] + diff(buffer).ravel() @ W: cv
-        averages the displacements, ca writes its extrapolation weights over
-        positions as weights over displacements (they sum to one), ar is its
-        fitted weight matrix.
+        The next position is buffer.ravel() @ P. cv adds the window's mean
+        displacement to its last position, ca weights each position by its
+        quadratic extrapolation coefficient, and ar's weights over the
+        displacements x[i+1] - x[i] are mapped onto the positions once.
         """
         if self.backbone == "ar":
-            return self.ar_weights
+            blocks = self.ar_weights.reshape(self.lag, 2, 2)
+            per_pos = np.zeros((self.lag + 1, 2, 2))
+            per_pos[1:] += blocks
+            per_pos[:-1] -= blocks
+            per_pos[-1] += np.eye(2)
+            return read_only(per_pos.reshape(-1, 2))
         if self.backbone == "cv":
-            per_disp = np.full(self.window - 1, 1.0 / (self.window - 1))
+            coeffs = np.zeros(self.window)
+            coeffs[0] = -1.0 / (self.window - 1)
+            coeffs[-1] = 1.0 + 1.0 / (self.window - 1)
         else:
             coeffs = np.asarray(_quadratic_extrapolation_coeffs(self.window))
-            per_disp = -np.cumsum(coeffs)[:-1]
-        return np.kron(per_disp[:, None], np.eye(2))
+        return read_only(np.kron(coeffs[:, None], np.eye(2)))
 
     @cached_property
     def step_cov_table(self) -> np.ndarray:
@@ -249,9 +257,10 @@ def rollout_batch(
     """Roll N segments out together; the one rollout loop of the package.
 
     histories is (N, n, 2). Returns (N, T, 2) means and (N, T, 2, 2)
-    covariances for future steps 1..T. Without a goal model this is the
-    vanilla rollout: repeated one-step prediction with the calibrated step
-    covariances, a read-only broadcast view of ``params.step_cov_table``.
+    covariances for future steps 1..T; except with 'raw' feedback, the means
+    are a view of the rollout's position buffer. Without a goal model this
+    is the vanilla rollout: repeated one-step prediction with the calibrated
+    step covariances, a read-only broadcast view of ``params.step_cov_table``.
     With one, goals are predicted exactly once per segment up
     front. The prior covariance at step k is the calibrated table entry, not
     the previous fused one, so every gain K_k and fused covariance is fixed
@@ -279,38 +288,38 @@ def rollout_batch(
             f"{params.horizon + 1}"
         )
     n = len(histories)
-    covs = np.broadcast_to(params.step_cov_table[:horizon], (n, horizon, 2, 2))
-    means = np.empty((n, horizon, 2))
-    # positions[:, k : k + need] is the buffer that predicts step k + 1
-    positions = np.concatenate([histories[:, -need:], np.empty_like(means)], 1)
-    flat = positions.reshape(n, -1)  # flat[:, 2k : 2(k + need)] is that buffer, raveled
+    prior = params.step_cov_table[:horizon]
+    covs = np.broadcast_to(prior, (n, horizon, 2, 2))
+    # positions[:, k : k + need] is the buffer that predicts step k + 1 and
+    # flat[:, 2k : 2(k + need)] the same buffer raveled
+    positions = np.empty((n, need + horizon, 2))
+    positions[:, :need] = histories[:, -need:]
+    flat = positions.reshape(n, -1)
+    buffered = means = positions[:, need:]
     if goal_params is not None:
         goal_means, goal_covs = goal_moments(goal_params, histories)
         z, r = interpolate_goals(
             goal_params.anchor_steps, histories[:, -1], goal_means, goal_covs,
             horizon, cfg.epsilon, cfg.beta,
         )
+        z, r = np.swapaxes(z, 0, 1), np.swapaxes(r, 0, 1)  # step-major, contiguous
         r *= cfg.goal_cov_scale
         try:  # step-major, so the first singular entry is at the earliest step
-            gains, post = gain_update(np.swapaxes(covs, 0, 1), np.swapaxes(r, 0, 1))
+            gains, post = gain_update(prior[:, None], r)
         except SingularInnovationError as exc:
             step = exc.index[0] + 1
             raise SingularInnovationError(f"step {step}: {exc}", step=step) from exc
         covs = np.swapaxes(post, 0, 1)
+        if cfg.feedback == "raw":
+            means = np.empty((n, horizon, 2))
+    weights = params.position_weights
     for k in range(horizon):
-        disp = flat[:, 2 * k + 2 : 2 * (k + need)] - flat[:, 2 * k : 2 * (k + need) - 2]
-        means[:, k] = raw = positions[:, k + need - 1] + disp @ params.step_weights
+        raw = np.matmul(flat[:, 2 * k : 2 * (k + need)], weights, out=buffered[:, k])
         if goal_params is not None:
-            means[:, k] = raw + (gains[k] @ (z[:, k] - raw)[..., None])[..., 0]
-        positions[:, k + need] = means[:, k] if cfg.feedback == "fused" else raw
+            means[:, k] = raw + (gains[k] @ (z[k] - raw)[..., None])[..., 0]
     if not np.all(np.isfinite(means)):
         raise ValueError("rollout produced non-finite positions")
     return means, covs
-
-
-def _estimates(means: np.ndarray, covs: np.ndarray) -> list[Estimate]:
-    return [Estimate(m, Cov2(sxx, 0.5 * (sxy + syx), syy))
-            for m, ((sxx, sxy), (syx, syy)) in zip(means[0], covs[0].tolist())]
 
 
 def rollout_vanilla(
@@ -318,7 +327,8 @@ def rollout_vanilla(
 ) -> list[Estimate]:
     """Plain rollout of one (n, 2) history: no fusion, no feedback."""
     history = np.asarray(history, dtype=float)
-    return _estimates(*rollout_batch(params, history[None], horizon))
+    means, covs = rollout_batch(params, history[None], horizon)
+    return estimates_from_arrays(means[0], covs[0])
 
 
 def rollout_refined(
@@ -330,7 +340,8 @@ def rollout_refined(
 ) -> list[Estimate]:
     """Goal-refined rollout of one (n, 2) history; see :func:`rollout_batch`."""
     history = np.asarray(history, dtype=float)
-    return _estimates(*rollout_batch(params, history[None], horizon, goal_params, cfg))
+    means, covs = rollout_batch(params, history[None], horizon, goal_params, cfg)
+    return estimates_from_arrays(means[0], covs[0])
 
 
 def rollout(

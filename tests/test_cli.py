@@ -395,6 +395,30 @@ class TestEvalAndAblate:
                    "--out", str(tmp_path / "m.csv")) == 2
         assert f"{preds}: line 3: means must hold only JSON numbers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,value,message", [
+        # str() used to turn null into "None" and 5 into "5"
+        ("segment_id", None, "segment_id must be a JSON string"),
+        ("segment_id", 5, "segment_id must be a JSON string"),
+        ("segment_id", ["x"], "segment_id must be a JSON string"),
+        # an unhashable mode used to crash, a typo to be scored as refine off
+        ("mode", ["x"], "mode must be 'refined' or 'vanilla', got ['x']"),
+        ("mode", "refind", "mode must be 'refined' or 'vanilla', got 'refind'"),
+        ("mode", None, "mode must be 'refined' or 'vanilla', got None"),
+        ("mode", {"m": 1}, "mode must be 'refined' or 'vanilla', got {'m': 1}"),
+    ])
+    def test_bad_prediction_id_or_mode_names_line(self, tmp_path, capsys, field, value,
+                                                  message):
+        data, preds, lines = self.predict_lines(tmp_path)
+        out = tmp_path / "m.csv"
+        bad = json.loads(lines[3])
+        bad[field] = value
+        lines[3] = json.dumps(bad)
+        preds.write_text("\n".join(lines) + "\n")
+        assert run("eval", "--predictions", str(preds), "--data", str(data),
+                   "--out", str(out)) == 2
+        assert f"{preds}: line 4: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_ablate_report(self, tmp_path):
         train = gen(tmp_path, "train.jsonl", n=150, seed=21)
         test = gen(tmp_path, "test.jsonl", n=60, seed=22)

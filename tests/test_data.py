@@ -137,6 +137,13 @@ class TestParseNgsim:
         (["1,-1,nan,0.0"], "line 2: negative frame id -1"),
         (["1,0,1.0,0.0", "1,1,1.0,0.0", "", " , , , ", "1,1,1.0,0.0"],
          "line 6: Frame_ID 1 of Vehicle_ID 1 repeats line 3"),
+        # a quoted extra field spanning lines: lines are physical, and a record
+        # is named by the line it starts on
+        (['1,0,1.0,0.0,"two\nlines"', "1,1,1.0,0.0", "1,0,1.0,0.0"],
+         "line 5: Frame_ID 0 of Vehicle_ID 1 repeats line 2"),
+        (["1,0,1.0,0.0", '1,1,1.0,0.0,"a\nb\nc"', "", "1,2,x,0.0"],
+         "line 7: could not convert string to float: 'x'"),
+        (['1,0,1.0,0.0,"a\n\nb"', "1,-1,1.0,0.0"], "line 5: negative frame id -1"),
     ])
     def test_first_defective_line_is_named(self, tmp_path, lines, message):
         p = tmp_path / "a.csv"
@@ -359,6 +366,11 @@ class TestJsonl:
         ("dt", True, "dt must be a JSON number"),
         ("history", "23.6", "history must hold only JSON numbers"),
         ("future", 23.6, "future must be an array of [x, y] pairs"),
+        # str() would load null as "None" and 5 as "5", colliding with a real "5"
+        ("segment_id", None, "segment_id must be a JSON string"),
+        ("segment_id", 5, "segment_id must be a JSON string"),
+        ("segment_id", 5.0, "segment_id must be a JSON string"),
+        ("segment_id", ["a"], "segment_id must be a JSON string"),
     ])
     def test_non_json_number_field_rejected_with_line(self, tmp_path, field, value, message):
         path = tmp_path / "d.jsonl"

@@ -4,11 +4,12 @@ import pytest
 from trajrefine.fusion import (
     Estimate,
     SingularInnovationError,
+    estimates_from_arrays,
     fuse,
     gain_update,
     info_fuse,
 )
-from trajrefine.gaussian import Cov2, cov_from_params
+from trajrefine.gaussian import PSD_TOL, Cov2, cov_from_params
 
 I2 = np.eye(2)
 
@@ -194,3 +195,68 @@ class TestEstimate:
     def test_rejects_nonfinite_mean(self):
         with pytest.raises(ValueError):
             Estimate([np.nan, 0.0], Cov2.isotropic(1.0))
+
+
+def per_object(means, covs):
+    return [Estimate(m, Cov2.from_matrix(c)) for m, c in zip(means, covs)]
+
+
+def bits(estimates):
+    return [(e.mean.tobytes(), e.mean.shape, tuple(float.hex(v) for v in
+             (e.cov.sxx, e.cov.sxy, e.cov.syy))) for e in estimates]
+
+
+def asymmetric_covs(rng, n):
+    """PSD covariances whose off-diagonal entries differ by rounding noise."""
+    covs = np.array([random_estimate(rng).cov.as_matrix() for _ in range(n)])
+    covs[:, 0, 1] *= 1.0 + rng.uniform(-1e-12, 1e-12, n)
+    return covs
+
+
+class TestEstimatesFromArrays:
+    def test_equal_to_per_object_construction_bitwise(self):
+        rng = np.random.default_rng(7)
+        means = rng.uniform(-1e3, 1e3, size=(25, 2))
+        covs = asymmetric_covs(rng, 25)
+        covs[3] = [[-0.5 * PSD_TOL, 0.0], [0.0, 1.0]]  # inside the tolerance
+        covs[4] = 0.0
+        got = estimates_from_arrays(means, covs)
+        assert all(type(e) is Estimate and type(e.cov) is Cov2 for e in got)
+        assert bits(got) == bits(per_object(means, covs))
+        assert [e.cov for e in got] == [e.cov for e in per_object(means, covs)]
+        assert estimates_from_arrays(np.empty((0, 2)), np.empty((0, 2, 2))) == []
+
+    @pytest.mark.parametrize("defects,message", [
+        ({2: ("mean", np.nan)}, "estimate mean must be finite"),
+        ({2: ("cov", np.inf)}, "covariance entries must be finite"),
+        ({2: ("offdiag", np.nan)}, "covariance entries must be finite"),
+        ({2: ("sxx", -2.0 * PSD_TOL)}, "estimate covariance must be positive semidefinite"),
+        ({2: ("det", 1e-8)}, "estimate covariance must be positive semidefinite"),
+        # the first step at fault wins; within a step, entries before mean before PSD
+        ({5: ("cov", np.nan), 2: ("det", 1e-8)},
+         "estimate covariance must be positive semidefinite"),
+        ({2: ("mean", np.inf), 5: ("cov", np.nan)}, "estimate mean must be finite"),
+        ({2: ("both", np.nan)}, "covariance entries must be finite"),
+    ], ids=["mean", "entry", "offdiag", "sxx-below-tol", "det-below-tol",
+            "earlier-psd", "earlier-mean", "entry-before-mean"])
+    def test_raises_what_the_first_object_would(self, defects, message):
+        rng = np.random.default_rng(11)
+        means = rng.uniform(-10.0, 10.0, size=(8, 2))
+        covs = asymmetric_covs(rng, 8)
+        for k, (kind, value) in defects.items():
+            if kind in ("mean", "both"):
+                means[k, 1] = value
+            if kind in ("cov", "both"):
+                covs[k, 1, 1] = value
+            if kind == "offdiag":
+                covs[k, 1, 0] = value
+            if kind == "sxx":
+                covs[k] = [[value, 0.0], [0.0, 1.0]]
+            if kind == "det":  # det = 1 - (1 + value)^2, just below -PSD_TOL
+                covs[k] = [[1.0, 1.0 + value], [1.0 + value, 1.0]]
+        with pytest.raises(ValueError) as want:
+            per_object(means, covs)
+        with pytest.raises(ValueError) as got:
+            estimates_from_arrays(means, covs)
+        assert str(want.value) == message
+        assert str(got.value) == message

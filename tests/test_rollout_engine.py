@@ -17,6 +17,7 @@ from trajrefine.goals import GoalModelParams, fit_goal_model, solve_ridge
 from trajrefine.predictors import (
     PredictorParams,
     RefineConfig,
+    _quadratic_extrapolation_coeffs,
     fit_predictor,
     rollout,
     rollout_batch,
@@ -214,3 +215,37 @@ def test_horizon_overrun_matches_reference(fitted):
     with pytest.raises(ValueError) as actual:
         rollout_batch(params, history[None], params.horizon + 1, goals["sparse"])
     assert str(actual.value) == str(expected.value)
+
+
+def displacement_weights(params):
+    """W of the displacement form next = buffer[-1] + diff(buffer).ravel() @ W."""
+    if params.backbone == "ar":
+        return params.ar_weights
+    if params.backbone == "cv":
+        per_disp = np.full(params.window - 1, 1.0 / (params.window - 1))
+    else:
+        per_disp = -np.cumsum(_quadratic_extrapolation_coeffs(params.window))[:-1]
+    return np.kron(per_disp[:, None], np.eye(2))
+
+
+@pytest.mark.parametrize("backbone,shape", [
+    ("cv", {"window": 2}), ("cv", {"window": 4}), ("ca", {"window": 3}),
+    ("ca", {"window": 5}), ("ar", {"lag": 1}), ("ar", {"lag": 3}),
+], ids=["cv-w2", "cv-w4", "ca-w3", "ca-w5", "ar-lag1", "ar-lag3"])
+def test_position_weights_equal_the_displacement_form(backbone, shape):
+    rng = np.random.default_rng(sum(map(ord, backbone)) + shape.get("window", 0)
+                                + 10 * shape.get("lag", 0))
+    kw = dict(shape)
+    if backbone == "ar":
+        kw["ar_weights"] = rng.normal(0.0, 0.7, size=(2 * shape["lag"], 2))
+    params = PredictorParams(backbone, 0.2, (Cov2.isotropic(1.0),), **kw)
+    weights = params.position_weights
+    assert weights.shape == (2 * params.buffer_len, 2)
+    assert not weights.flags.writeable and params.position_weights is weights
+    scales = np.repeat([1e-3, 1.0, 1e2, 1e4], 50)
+    starts = rng.uniform(-1.0, 1.0, size=(len(scales), 1, 2)) * scales[:, None, None]
+    steps = rng.normal(0.0, 2.0, size=(len(scales), params.buffer_len, 2))
+    for buffer in starts + np.cumsum(steps, axis=1):
+        want = buffer[-1] + np.diff(buffer, axis=0).ravel() @ displacement_weights(params)
+        got = buffer.ravel() @ weights
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(buffer).max())
