@@ -30,9 +30,9 @@ params = fit_predictor("ar", train, val, lag=3)
 goal_params = fit_goal_model(train, (5, 10, 15, 20, 25), 1e-6, val=val)
 
 print("\ncalibrated rollout error trace by second:",
-      " ".join(f"{params.step_covs[s - 1].trace:.2f}" for s in (5, 10, 15, 20, 25)))
+      " ".join(f"{np.trace(params.step_covs[s - 1]):.2f}" for s in (5, 10, 15, 20, 25)))
 print("goal residual trace by anchor:        ",
-      " ".join(f"{c.trace:.2f}" for c in goal_params.residual_covs))
+      " ".join(f"{np.trace(c):.2f}" for c in goal_params.residual_covs))
 
 report = run_ablation(test, {"ar": (params, goal_params)})
 vanilla = report.metrics_for("ar", False)

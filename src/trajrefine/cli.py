@@ -30,7 +30,7 @@ from .data import (
     round6,
     write_jsonl,
 )
-from .gaussian import Cov2, params_from_covs
+from .gaussian import params_from_covs
 from .goals import GoalModelParams, fit_goal_model
 from .metrics import AblationReport, AblationRow, rmse, run_ablation
 from .predictors import (
@@ -138,8 +138,20 @@ def _add_command(subparsers, name: str, options: list[Opt], func, help_text: str
 # model file serialization
 # ---------------------------------------------------------------------------
 
-def _cov_triplet(c: Cov2) -> list[float]:
-    return [c.sxx, c.sxy, c.syy]
+def _covs(triples, name: str) -> np.ndarray:
+    """(K, 2, 2) covariances of [sxx, sxy, syy] triples; other rows fail to reshape."""
+    t = json_points(triples, name, "[sxx, sxy, syy] triples")
+    return t.reshape(len(t), 3)[:, [0, 1, 1, 2]].reshape(-1, 2, 2)
+
+
+_JSON_KINDS = {"integer": (int,), "number": (int, float), "boolean": (bool,)}
+
+
+def _json(obj: dict, key: str, kind: str):
+    """obj[key], which must be a JSON ``kind``; true is not the number 1."""
+    if type(value := obj[key]) not in _JSON_KINDS[kind]:
+        raise ValueError(f"{key} must be a JSON {kind}, got {json.dumps(value)}")
+    return value
 
 
 def save_model(
@@ -156,12 +168,12 @@ def save_model(
             "ar_weights": None
             if predictor.ar_weights is None
             else predictor.ar_weights.tolist(),
-            "step_covs": [_cov_triplet(c) for c in predictor.step_covs],
+            "step_covs": predictor.step_covs[:, [0, 0, 1], [0, 1, 1]].tolist(),
         },
         "goal_model": {
             "anchor_steps": list(goal_model.anchor_steps),
             "weights": [w.tolist() for w in goal_model.weights],
-            "residual_covs": [_cov_triplet(c) for c in goal_model.residual_covs],
+            "residual_covs": goal_model.residual_covs[:, [0, 0, 1], [0, 1, 1]].tolist(),
             "history_len": goal_model.history_len,
             "rotate": goal_model.rotate,
         },
@@ -172,7 +184,9 @@ def save_model(
 
 
 def load_model(path: str) -> tuple[PredictorParams, GoalModelParams, dict]:
-    """Read a model file; malformed JSON, a missing key or a bad value names the file."""
+    """Read a model file; malformed JSON, a missing key or a bad value names the
+    file. Sizes must be JSON integers, ``rotate`` a boolean and every array
+    entry a number."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -181,25 +195,31 @@ def load_model(path: str) -> tuple[PredictorParams, GoalModelParams, dict]:
         if doc.get("version") != MODEL_VERSION:
             raise ValueError(f"unsupported model file version {doc.get('version')}")
         protocol = doc["protocol"]
-        if (not isinstance(protocol, dict) or set(protocol) != set(PROTOCOL_KEYS)
-                or not all(isinstance(v, (int, float)) for v in protocol.values())):
-            raise ValueError("protocol must map exactly dt, tau and horizon to numbers")
+        if not isinstance(protocol, dict) or set(protocol) != set(PROTOCOL_KEYS):
+            raise ValueError("protocol must map exactly dt, tau and horizon")
+        for key, kind in zip(PROTOCOL_KEYS, ("number", "integer", "integer")):
+            _json(protocol, key, kind)
         p = doc["predictor"]
         predictor = PredictorParams(
             backbone=p["backbone"],
-            dt=p["dt"],
-            step_covs=tuple(Cov2(*triple) for triple in p["step_covs"]),
-            window=p["window"],
-            lag=p["lag"],
-            ar_weights=None if p["ar_weights"] is None else np.array(p["ar_weights"]),
+            dt=_json(p, "dt", "number"),
+            step_covs=_covs(p["step_covs"], "step_covs"),
+            window=_json(p, "window", "integer"),
+            lag=_json(p, "lag", "integer"),
+            ar_weights=None if p["ar_weights"] is None
+            else json_points(p["ar_weights"], "ar_weights"),
         )
         g = doc["goal_model"]
+        steps = g["anchor_steps"]
+        if not isinstance(steps, list) or any(type(s) is not int for s in steps):
+            raise ValueError(f"anchor_steps must be a JSON array of integers, "
+                             f"got {json.dumps(steps)}")
         goal_model = GoalModelParams(
-            anchor_steps=tuple(g["anchor_steps"]),
-            weights=tuple(np.array(w) for w in g["weights"]),
-            residual_covs=tuple(Cov2(*triple) for triple in g["residual_covs"]),
-            history_len=g["history_len"],
-            rotate=g["rotate"],
+            anchor_steps=tuple(steps),
+            weights=tuple(json_points(w, "weights") for w in g["weights"]),
+            residual_covs=_covs(g["residual_covs"], "residual_covs"),
+            history_len=_json(g, "history_len", "integer"),
+            rotate=_json(g, "rotate", "boolean"),
         )
         return predictor, goal_model, protocol
     except KeyError as exc:
@@ -313,8 +333,8 @@ def _refine_config(o) -> RefineConfig:
                                  goal_cov_scale=o.goal_cov_scale))
 
 
-def _traces(steps, covs) -> str:
-    return " ".join(f"{s}:{c.trace:.4f}" for s, c in zip(steps, covs))
+def _traces(steps, covs: np.ndarray) -> str:
+    return " ".join(f"{s}:{t:.4f}" for s, t in zip(steps, covs[:, 0, 0] + covs[:, 1, 1]))
 
 
 def cmd_fit(o) -> int:

@@ -350,11 +350,6 @@ def round6(values) -> np.ndarray:
     return out
 
 
-def round_points(pts: np.ndarray) -> list[list[float]]:
-    """(n, 2) coordinates as nested lists rounded to 6 decimal places."""
-    return round6(pts).tolist()
-
-
 def write_jsonl(ds: Dataset, path: str) -> None:
     """One JSON object per segment; coordinates rounded by :func:`round6`."""
     histories, futures = round6(ds.histories()), round6(ds.futures())
@@ -392,13 +387,14 @@ def read_records(path: str, fields: tuple[str, ...]):
             yield lineno, obj
 
 
-def json_points(value, name: str) -> np.ndarray:
-    """A decoded JSON array of [x, y] pairs as a float array; a string,
-    boolean or null in it is rejected, not cast. Callers check the shape."""
+def json_points(value, name: str, rows: str = "[x, y] pairs") -> np.ndarray:
+    """A decoded JSON array of number rows, [x, y] pairs by default, as a float
+    array; a string, boolean or null in it is rejected, not cast. Callers
+    check the shape."""
     try:
         kinds = set(map(type, chain.from_iterable(value)))
     except TypeError:
-        raise ValueError(f"{name} must be an array of [x, y] pairs") from None
+        raise ValueError(f"{name} must be an array of {rows}") from None
     if not kinds <= {int, float}:
         raise ValueError(f"{name} must hold only JSON numbers")
     return np.asarray(value, dtype=float)

@@ -73,7 +73,7 @@ def estimates_from_arrays(means: np.ndarray, covs: np.ndarray) -> list[Estimate]
     entries = np.stack([c[:, 0, 0], 0.5 * (c[:, 0, 1] + c[:, 1, 0]), c[:, 1, 1]], 1)
     finite = np.isfinite(entries).all(axis=1)
     mean_finite = np.isfinite(means).all(axis=1)
-    psd = psd_rule(*entries.T, PSD_TOL, np.maximum)
+    psd = psd_rule(*entries.T, PSD_TOL)
     valid = finite & mean_finite & psd
     if not valid.all():  # an object checks its entries, then its mean, then PSD
         k = int(np.argmin(valid))

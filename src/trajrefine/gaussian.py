@@ -105,18 +105,18 @@ def params_from_covs(covs: np.ndarray) -> np.ndarray:
     return np.stack(_sigma_rho(sxx, sxy, syy, np.sqrt, np.any), axis=-1)
 
 
-def psd_rule(sxx, sxy, syy, tol: float = PSD_TOL, maximum=max):
-    """The tolerant PSD rule on covariance entries, the one formula for both
-    forms: floats as given, arrays elementwise with ``maximum=np.maximum``."""
+def psd_rule(sxx, sxy, syy, tol: float = PSD_TOL):
+    """The tolerant PSD rule on covariance entries, floats or arrays
+    (elementwise); a NaN entry fails it."""
     return ((sxx >= -tol) & (syy >= -tol)
-            & (sxx * syy - sxy * sxy >= -tol * maximum(1.0, sxx * syy)))
+            & (sxx * syy - sxy * sxy >= -tol * np.maximum(1.0, sxx * syy)))
 
 
 def is_psd(c: Cov2, tol: float = PSD_TOL) -> bool:
     """Tolerant positive-semidefiniteness test for a symmetric 2x2 matrix."""
     if tol < 0.0:
         raise ValueError("tol must be non-negative")
-    return psd_rule(c.sxx, c.sxy, c.syy, tol)
+    return bool(psd_rule(c.sxx, c.sxy, c.syy, tol))
 
 
 def log_density(mean: np.ndarray, cov: np.ndarray, point: np.ndarray) -> np.ndarray:

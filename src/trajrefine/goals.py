@@ -20,13 +20,13 @@ position- and heading-independent.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .data import Dataset
-from .gaussian import Cov2
 
 COV_FLOOR = 1e-6  # m^2 added to every fitted covariance; keeps fusion nonsingular
 
@@ -39,34 +39,35 @@ class GoalModelParams:
 
     weights[i] maps the flattened ego-frame history displacements
     (2*tau features) to the ego-frame displacement of anchor_steps[i];
-    residual_covs[i] is the matching ego-frame residual covariance.
-    weight_matrix (the weights side by side) and residual_table are their
-    read-only array forms, built once.
+    residual_covs, a read-only (A, 2, 2) array, holds the matching ego-frame
+    residual covariances. weight_matrix, the weights side by side, is built
+    once and read-only.
     """
 
     anchor_steps: tuple[int, ...]
     weights: tuple[np.ndarray, ...]
-    residual_covs: tuple[Cov2, ...]
+    residual_covs: np.ndarray
     history_len: int
     rotate: bool = True
 
     def __post_init__(self) -> None:
         steps = _anchor_steps(self.anchor_steps)
-        if not (len(self.weights) == len(self.residual_covs) == len(steps)):
-            raise ValueError("one (weights, residual_cov) pair required per anchor")
+        c = read_only(np.array(self.residual_covs, dtype=float))
+        if not (len(self.weights) == len(c) == len(steps)) or c.shape[1:] != (2, 2):
+            raise ValueError("one (weights, 2x2 residual_cov) pair required per anchor")
         feat = 2 * (self.history_len - 1)
         weights = tuple(np.asarray(w, dtype=float).reshape(feat, 2) for w in self.weights)
-        for step, cov in zip(steps, self.residual_covs):
-            if not (cov.sxx > 0.0 and cov.det > 0.0):
-                raise ValueError(
-                    f"residual covariance of anchor {step} is not positive definite"
-                )
+        with np.errstate(invalid="ignore"):  # inf entries give NaN, which fails the rule
+            sxx, sxy, syy = c[:, 0, 0], c[:, 0, 1], c[:, 1, 1]
+            pd = (np.isfinite(c).all((1, 2)) & (sxy == c[:, 1, 0])
+                  & (sxx > 0.0) & (sxx * syy - sxy * sxy > 0.0))
+        if not pd.all():
+            step = steps[np.argmin(pd)]
+            raise ValueError(f"residual covariance of anchor {step} is not positive definite")
         object.__setattr__(self, "anchor_steps", steps)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "residual_covs", tuple(self.residual_covs))
+        object.__setattr__(self, "residual_covs", c)
         object.__setattr__(self, "weight_matrix", read_only(np.concatenate(weights, 1)))
-        object.__setattr__(self, "residual_table", read_only(
-            np.array([c.as_matrix() for c in self.residual_covs])))
 
 
 def read_only(a: np.ndarray) -> np.ndarray:
@@ -76,7 +77,10 @@ def read_only(a: np.ndarray) -> np.ndarray:
 
 def _anchor_steps(anchor_steps) -> tuple[int, ...]:
     """The anchor rule: a non-empty, strictly increasing run of steps >= 1."""
-    steps = tuple(int(s) for s in anchor_steps)
+    try:
+        steps = tuple(map(operator.index, anchor_steps))
+    except TypeError:
+        raise ValueError(f"anchor steps must be integers, got {anchor_steps!r}") from None
     if not steps or any(s < 1 for s in steps):
         raise ValueError("anchor steps must be non-empty and each >= 1")
     if any(b <= a for a, b in zip(steps, steps[1:])):
@@ -178,11 +182,10 @@ def fit_goal_model(
     x_hold, y_hold = (x_train, y_train) if holdout is train else design(holdout)
     weights = [solve_ridge(x_train, y_train[:, s - 1], ridge_lambda) for s in steps]
     resid = np.stack([x_hold @ w - y_hold[:, s - 1] for w, s in zip(weights, steps)], 1)
-    residual_covs = tuple(Cov2.from_matrix(m) for m in second_moments(resid))
     return GoalModelParams(
         anchor_steps=steps,
         weights=tuple(weights),
-        residual_covs=residual_covs,
+        residual_covs=second_moments(resid),
         history_len=train.tau + 1,
         rotate=rotate,
     )
@@ -208,7 +211,7 @@ def goal_moments(
     ego = (feats @ params.weight_matrix).reshape(n, anchors, 2)
     rot_t = np.swapaxes(rot, 1, 2)
     means = histories[:, -1:] + ego @ rot_t
-    covs = rot[:, None] @ params.residual_table @ rot_t[:, None]
+    covs = rot[:, None] @ params.residual_covs @ rot_t[:, None]
     return means, covs
 
 

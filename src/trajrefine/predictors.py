@@ -21,6 +21,7 @@ adapters; they validate their estimates once, as arrays.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -28,7 +29,7 @@ import numpy as np
 
 from .data import Dataset
 from .fusion import Estimate, SingularInnovationError, estimates_from_arrays, gain_update
-from .gaussian import PSD_TOL, Cov2, is_psd
+from .gaussian import psd_rule
 from .goals import (GoalModelParams, calibration_split, goal_moments, interpolate_goals,
                     read_only, second_moments, solve_ridge)
 
@@ -39,16 +40,16 @@ BACKBONES = ("cv", "ca", "ar")
 class PredictorParams:
     """Fitted backbone parameters plus the per-step covariance table.
 
-    step_covs[k-1] is the estimate-error covariance attached to future step
-    k; its trace must be non-decreasing in k (uncertainty grows with the
-    horizon). cv/ca use a position window of length ``window``; ar uses the
-    last ``lag`` displacement vectors with ``ar_weights`` of shape
-    (2*lag, 2).
+    step_covs is a read-only (T, 2, 2) array; step_covs[k-1] is the
+    estimate-error covariance attached to future step k, and its trace must
+    be non-decreasing in k (uncertainty grows with the horizon). cv/ca use a
+    position window of length ``window``; ar uses the last ``lag``
+    displacement vectors with ``ar_weights`` of shape (2*lag, 2).
     """
 
     backbone: str
     dt: float
-    step_covs: tuple[Cov2, ...]
+    step_covs: np.ndarray
     window: int = 2
     lag: int = 1
     ar_weights: np.ndarray | None = None
@@ -58,15 +59,22 @@ class PredictorParams:
             raise ValueError(f"unknown backbone {self.backbone!r}; valid: {BACKBONES}")
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
-        if not self.step_covs:
-            raise ValueError("at least one per-step covariance is required")
-        prev = -np.inf
-        for k, cov in enumerate(self.step_covs, start=1):
-            if not is_psd(cov, PSD_TOL):
-                raise ValueError(f"step covariance {k} is not PSD")
-            if cov.trace < prev - 1e-9 * max(1.0, prev):
-                raise ValueError("step covariance traces must be non-decreasing")
-            prev = cov.trace
+        object.__setattr__(self, "window", _whole("window", self.window))
+        object.__setattr__(self, "lag", _whole("lag", self.lag))
+        c = read_only(np.array(self.step_covs, dtype=float))
+        if not c.size or c.shape[1:] != (2, 2):
+            raise ValueError("at least one per-step covariance is required" if not c.size
+                             else f"step covariances must be (T, 2, 2), got shape {c.shape}")
+        with np.errstate(invalid="ignore"):  # inf entries give NaN, which fails the rules
+            sxx, sxy, syy = c[:, 0, 0], c[:, 0, 1], c[:, 1, 1]
+            psd = np.isfinite(c).all((1, 2)) & (sxy == c[:, 1, 0]) & psd_rule(sxx, sxy, syy)
+            prev = np.append(-np.inf, (sxx + syy)[:-1])
+            valid = psd & (sxx + syy >= prev - 1e-9 * np.maximum(1.0, prev))
+        if not valid.all():  # the first bad step, as a step-by-step check finds it
+            k = int(np.argmin(valid))
+            raise ValueError(f"step covariance {k + 1} is not PSD" if not psd[k] else
+                             f"step covariance traces must be non-decreasing (step {k + 1})")
+        object.__setattr__(self, "step_covs", c)
         if self.backbone == "cv" and self.window < 2:
             raise ValueError("cv backbone needs a window of at least 2 positions")
         if self.backbone == "ca" and self.window < 3:
@@ -115,11 +123,6 @@ class PredictorParams:
             coeffs = np.asarray(_quadratic_extrapolation_coeffs(self.window))
         return read_only(np.kron(coeffs[:, None], np.eye(2)))
 
-    @cached_property
-    def step_cov_table(self) -> np.ndarray:
-        """Read-only (T, 2, 2) array form of step_covs."""
-        return read_only(np.array([c.as_matrix() for c in self.step_covs]))
-
 
 @dataclass(frozen=True)
 class RefineConfig:
@@ -156,6 +159,14 @@ class RefineConfig:
             raise ValueError("beta must be non-negative")
 
 
+def _whole(name: str, value) -> int:
+    """``value`` as an int; a float or other non-integer size is rejected by name."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @lru_cache(maxsize=None)
 def _quadratic_extrapolation_coeffs(window: int) -> tuple[float, ...]:
     """Weights over the window positions whose dot product extrapolates a
@@ -187,6 +198,7 @@ def fit_predictor(
     """
     if window is None:
         window = 3 if backbone == "ca" else 2
+    window, lag = _whole("window", window), _whole("lag", lag)
     if not train.segments:
         raise ValueError("training set is empty")
     calib = calibration_split(train, val)
@@ -204,14 +216,13 @@ def fit_predictor(
         ar_weights = solve_ridge(feats.reshape(-1, 2 * lag), targets, ridge_lambda)
 
     shape = {"window": window, "lag": lag, "ar_weights": ar_weights}
-    flat = (Cov2.isotropic(1.0),) * train.horizon
+    flat = np.broadcast_to(np.eye(2), (train.horizon, 2, 2))
     preds, _ = rollout_batch(PredictorParams(backbone, train.dt, flat, **shape),
                              calib.histories())
     moments = second_moments(preds - calib.futures()[:, : train.horizon])
     traces = moments[:, 0, 0] + moments[:, 1, 1]
     moments *= (np.maximum.accumulate(traces) / traces)[:, None, None]
-    step_covs = tuple(Cov2.from_matrix(m) for m in moments)
-    return PredictorParams(backbone, train.dt, step_covs, **shape)
+    return PredictorParams(backbone, train.dt, moments, **shape)
 
 
 def fit_ar_rls(pairs, forgetting: float = 1.0, delta: float = 1e-8) -> np.ndarray:
@@ -260,7 +271,7 @@ def rollout_batch(
     covariances for future steps 1..T; except with 'raw' feedback, the means
     are a view of the rollout's position buffer. Without a goal model this
     is the vanilla rollout: repeated one-step prediction with the calibrated
-    step covariances, a read-only broadcast view of ``params.step_cov_table``.
+    step covariances, a read-only broadcast view of ``params.step_covs``.
     With one, goals are predicted exactly once per segment up
     front. The prior covariance at step k is the calibrated table entry, not
     the previous fused one, so every gain K_k and fused covariance is fixed
@@ -288,7 +299,7 @@ def rollout_batch(
             f"{params.horizon + 1}"
         )
     n = len(histories)
-    prior = params.step_cov_table[:horizon]
+    prior = params.step_covs[:horizon]
     covs = np.broadcast_to(prior, (n, horizon, 2, 2))
     # positions[:, k : k + need] is the buffer that predicts step k + 1 and
     # flat[:, 2k : 2(k + need)] the same buffer raveled

@@ -24,7 +24,8 @@ class ReferenceSingularError(ValueError):
 
 
 def cov_matrix(c) -> np.ndarray:
-    return np.array([[c.sxx, c.sxy], [c.sxy, c.syy]], dtype=float)
+    """The symmetric matrix of a (2, 2) table entry, built from its upper triangle."""
+    return np.array([[c[0, 0], c[0, 1]], [c[0, 1], c[1, 1]]], dtype=float)
 
 
 def _symmetric(m: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ import pytest
 import trajrefine as tr
 from trajrefine.cli import main as cli_main
 from trajrefine.fusion import Estimate, fuse, info_fuse
-from trajrefine.gaussian import Cov2, cov_from_params
+from trajrefine.gaussian import cov_from_params
 from trajrefine.goals import GoalModelParams
 from trajrefine.predictors import PredictorParams, RefineConfig, rollout_refined
 
@@ -132,14 +132,14 @@ def test_criterion_4_linear_gaussian_end_to_end_oracle():
                 np.outer(phi, observations[k] - start_pos) / norm
                 for k in range(horizon)
             ),
-            residual_covs=tuple(Cov2.from_matrix(r) for r in meas_covs),
+            residual_covs=meas_covs,
             history_len=2,
             rotate=False,
         )
         predictor = PredictorParams(
             "ar",
             0.2,
-            tuple(Cov2.from_matrix(p) for p in priors),
+            [0.5 * (p + p.T) for p in priors],  # inverses are symmetric to rounding
             lag=1,
             ar_weights=np.zeros((2, 2)),
         )

@@ -1,5 +1,5 @@
-"""Array tables cached on fitted parameters: equal to the tuples they are
-built from, read-only, and built once per params object."""
+"""Array tables of fitted parameters: the covariance fields themselves and
+the tables cached from them are read-only and built once per params object."""
 
 import numpy as np
 import pytest
@@ -32,14 +32,16 @@ def expected_interpolation(anchor_steps, horizon):
 
 
 def test_tables_equal_their_tuples(fitted):
-    _, params, goal_params = fitted
-    step_covs = np.array([c.as_matrix() for c in params.step_covs])
-    residuals = np.array([c.as_matrix() for c in goal_params.residual_covs])
+    train, params, goal_params = fitted
     weights = np.concatenate(goal_params.weights, axis=1)
-    assert params.step_cov_table.tobytes() == step_covs.tobytes()
-    assert goal_params.residual_table.tobytes() == residuals.tobytes()
     assert goal_params.weight_matrix.tobytes() == weights.tobytes()
     assert goal_params.weight_matrix.shape == (30, 2 * len(ANCHORS))
+    # the covariance tables are the read-only fields themselves, with no
+    # second form: vanilla covariances are a view of params.step_covs
+    assert params.step_covs.shape == (25, 2, 2)
+    assert goal_params.residual_covs.shape == (len(ANCHORS), 2, 2)
+    assert not (params.step_covs.flags.writeable or goal_params.residual_covs.flags.writeable)
+    assert np.shares_memory(rollout_batch(params, train.histories()[:2])[1], params.step_covs)
 
 
 @pytest.mark.parametrize("anchor_steps,horizon", [
@@ -56,8 +58,8 @@ def test_tables_are_read_only(fitted):
     train, params, goal_params = fitted
     histories = train.histories()[:4]
     means, covs = rollout_batch(params, histories)
-    tables = (params.step_cov_table, goal_params.weight_matrix,
-              goal_params.residual_table, *_interpolation_table(ANCHORS, 25), covs)
+    tables = (params.step_covs, goal_params.weight_matrix,
+              goal_params.residual_covs, *_interpolation_table(ANCHORS, 25), covs)
     for table in tables:
         assert not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -67,18 +69,16 @@ def test_tables_are_read_only(fitted):
     again_means, again_covs = rollout_batch(params, histories)
     assert again_means.tobytes() == means.tobytes()
     assert np.array(again_covs).tobytes() == np.array(covs).tobytes()
-    assert params.step_cov_table[0, 0, 0] == params.step_covs[0].sxx
+    assert np.array(covs).tobytes() == np.broadcast_to(params.step_covs, covs.shape).tobytes()
 
 
 def test_tables_built_once_per_params(fitted):
     train, params, goal_params = fitted
     histories = train.histories()[:3]
-    assert params.step_cov_table is params.step_cov_table
     assert goal_params.weight_matrix is goal_params.weight_matrix
-    assert goal_params.residual_table is goal_params.residual_table
     first, second = rollout_batch(params, histories)[1], rollout_batch(params, histories)[1]
-    assert np.shares_memory(first, params.step_cov_table)
-    assert np.shares_memory(second, params.step_cov_table)
+    assert np.shares_memory(first, params.step_covs)
+    assert np.shares_memory(second, params.step_covs)
     assert _interpolation_table(ANCHORS, 25)[0] is _interpolation_table(ANCHORS, 25)[0]
     # a list of anchor steps hits the same cache entry as the tuple
     before = _interpolation_table.cache_info().hits

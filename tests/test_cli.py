@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from trajrefine.cli import load_model, main, save_model
-from trajrefine.data import gen_synthetic, read_jsonl, round_points, write_jsonl
+from trajrefine.data import gen_synthetic, read_jsonl, round6, write_jsonl
 from trajrefine.gaussian import Cov2, params_from_cov
 from trajrefine.goals import fit_goal_model
 from trajrefine.predictors import RefineConfig, fit_predictor, rollout_batch, rollout_refined
@@ -269,8 +269,12 @@ class TestPredict:
         lambda doc: json.dumps({**doc, "protocol": {**doc["protocol"], "dt": "0.2"}}),
         lambda doc: json.dumps([doc]),
         lambda doc: json.dumps(doc)[:-1],
+        lambda doc: json.dumps({**doc, "predictor": {
+            **doc["predictor"], "step_covs": [c + [0.0] for c in doc["predictor"]["step_covs"]]}}),
+        lambda doc: json.dumps({**doc, "goal_model": {
+            **doc["goal_model"], "residual_covs": [c[:2] for c in doc["goal_model"]["residual_covs"]]}}),
     ], ids=["protocol-extra-key", "protocol-not-object", "protocol-string-value",
-            "top-level-array", "invalid-json"])
+            "top-level-array", "invalid-json", "step-covs-quadruples", "residual-covs-pairs"])
     def test_malformed_model_file_exits_2(self, tmp_path, capsys, corrupt):
         train = gen(tmp_path, "train.jsonl", n=30)
         model = fit(tmp_path, train)
@@ -280,6 +284,32 @@ class TestPredict:
         assert run("predict", "--model", str(model), "--data", str(train),
                    "--out", str(tmp_path / "p.jsonl")) == 2
         assert str(model) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("corrupt,message", [
+        (lambda doc: doc["predictor"].update(lag=3.0), "lag must be a JSON integer, got 3.0"),
+        (lambda doc: doc["goal_model"]["anchor_steps"].__setitem__(0, 5.5),
+         "anchor_steps must be a JSON array of integers, got [5.5, "),
+        (lambda doc: doc["predictor"]["ar_weights"][1].__setitem__(0, None),
+         "ar_weights must hold only JSON numbers"),
+        (lambda doc: doc["goal_model"]["weights"][2][0].__setitem__(1, "0.5"),
+         "weights must hold only JSON numbers"),
+        (lambda doc: doc["goal_model"].update(rotate="no"),
+         'rotate must be a JSON boolean, got "no"'),
+        (lambda doc: doc["protocol"].update(tau=True), "tau must be a JSON integer, got true"),
+    ], ids=["lag-float", "anchor-float", "ar-weight-null", "goal-weight-string",
+            "rotate-string", "tau-bool"])
+    def test_model_file_wrong_json_type_exits_2(self, tmp_path, capsys, corrupt, message):
+        train = gen(tmp_path, "train.jsonl", n=30)
+        model = fit(tmp_path, train)
+        doc = json.loads(model.read_text())
+        corrupt(doc)
+        model.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as exc:
+            load_model(str(model))
+        assert str(exc.value).startswith(f"{model}: invalid model file: {message}")
+        assert run("predict", "--model", str(model), "--data", str(train),
+                   "--out", str(tmp_path / "p.jsonl")) == 2
+        assert f"{model}: invalid model file: {message}" in capsys.readouterr().err
 
     def test_model_file_round_trip_matches_in_memory(self, tmp_path):
         train_ds = gen_synthetic("lane_change", 60, 0.2, seed=11)
@@ -533,6 +563,6 @@ class TestDefaultsFollowLibrary:
         means, covs = rollout_batch(params, read_jsonl(str(test)).histories(),
                                     goal_params=goal_params, cfg=RefineConfig())
         lines = [json.loads(line) for line in out.read_text().splitlines()]
-        assert [line["means"] for line in lines] == [round_points(m) for m in means]
+        assert [line["means"] for line in lines] == [round6(m).tolist() for m in means]
         sigmas = [[list(params_from_cov(Cov2.from_matrix(c))) for c in seg] for seg in covs]
         assert [line["sigmas"] for line in lines] == sigmas

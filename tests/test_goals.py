@@ -41,7 +41,7 @@ class TestFitGoalModel:
                 np.testing.assert_allclose(mean, seg.future[step - 1], atol=1e-8)
         for cov in params.residual_covs:
             # residuals vanish, only the +1e-6 I floor remains
-            np.testing.assert_allclose(cov.as_matrix(), 1e-6 * np.eye(2), atol=1e-9)
+            np.testing.assert_allclose(cov, 1e-6 * np.eye(2), atol=1e-9)
 
     def test_infinite_ridge_shrinks_to_last_position(self, cv_corpus):
         params = fit_goal_model(cv_corpus, ANCHORS, ridge_lambda=1e12)
@@ -72,7 +72,7 @@ class TestFitGoalModel:
         for a, b in zip(with_val.weights, without.weights):
             np.testing.assert_array_equal(a, b)
         assert any(
-            a.trace != b.trace
+            np.trace(a) != np.trace(b)
             for a, b in zip(with_val.residual_covs, without.residual_covs)
         )
 
@@ -98,7 +98,7 @@ class TestFitGoalModel:
         reduced = fit_goal_model(cv_corpus, (5, 25), ridge_lambda=1e-6)
         np.testing.assert_array_equal(full.weights[0], reduced.weights[0])
         np.testing.assert_array_equal(full.weights[2], reduced.weights[1])
-        assert full.residual_covs[0] == reduced.residual_covs[0]
+        np.testing.assert_array_equal(full.residual_covs[0], reduced.residual_covs[0])
 
 
 class TestPredictGoals:
@@ -114,7 +114,7 @@ class TestPredictGoals:
         params = GoalModelParams(
             anchor_steps=(5, 10),
             weights=(np.zeros((30, 2)), np.zeros((30, 2))),
-            residual_covs=(Cov2.isotropic(0.5), Cov2.isotropic(1.0)),
+            residual_covs=[0.5 * np.eye(2), np.eye(2)],
             history_len=16,
         )
         history = np.column_stack([np.linspace(0, 3, 16), np.linspace(0, -1, 16)])
@@ -228,13 +228,13 @@ class TestGoalMeasurementAt:
         mean, cov = self.at[0]
         np.testing.assert_allclose(mean, [0.0, 0.0], atol=1e-15)
         np.testing.assert_allclose(cov.as_matrix(), 0.145 * np.eye(2), atol=1e-15)
-        params = PredictorParams("cv", 0.2, (Cov2.isotropic(0.1),) * 25)
+        params = PredictorParams("cv", 0.2, np.broadcast_to(0.1 * np.eye(2), (25, 2, 2)))
         with pytest.raises(ValueError, match="non-negative"):
             rollout_batch(params, np.zeros((1, 16, 2)), -1)
 
 
 def goal_params(anchor_steps):
-    covs = (Cov2.isotropic(1.0),) * len(anchor_steps)
+    covs = np.broadcast_to(np.eye(2), (len(anchor_steps), 2, 2))
     return GoalModelParams(anchor_steps, (np.zeros((2, 2)),) * len(anchor_steps), covs, 2)
 
 
@@ -250,3 +250,42 @@ class TestGoalSetValidation:
     def test_anchor_step_must_be_positive(self):
         with pytest.raises(ValueError, match=">= 1"):
             goal_params((0,))
+
+    def test_non_integer_anchor_rejected_not_truncated(self):
+        with pytest.raises(ValueError, match=r"anchor steps must be integers, got \(5\.5, 10\)"):
+            goal_params((5.5, 10))
+
+    def test_fit_rejects_non_integer_anchor(self):
+        ds = gen_synthetic("cv", 10, 0.0, seed=23)
+        with pytest.raises(ValueError, match=r"anchor steps must be integers, got \(5\.5, 10\)"):
+            fit_goal_model(ds, anchor_steps=(5.5, 10))
+
+
+class TestResidualCovarianceTable:
+    def test_stored_once_as_a_read_only_copy(self):
+        covs = np.array([np.eye(2), 2.0 * np.eye(2)])
+        params = GoalModelParams((5, 10), (np.zeros((2, 2)),) * 2, covs, 2)
+        covs[0, 0, 0] = 99.0
+        assert params.residual_covs[0, 0, 0] == 1.0
+        assert not params.residual_covs.flags.writeable
+
+    @pytest.mark.parametrize("entry,message", [
+        ([[np.nan, 0.0], [0.0, 1.0]], "anchor 10 is not positive definite"),
+        ([[np.inf, 0.0], [0.0, 1.0]], "anchor 10 is not positive definite"),
+        ([[1.0, 0.1], [0.2, 1.0]], "anchor 10 is not positive definite"),
+        ([[1.0, 1.0], [1.0, 1.0]], "anchor 10 is not positive definite"),
+        ([[0.0, 0.0], [0.0, 1.0]], "anchor 10 is not positive definite"),
+    ], ids=["nan", "inf", "asymmetric", "singular", "zero-variance"])
+    def test_invalid_entry_names_the_anchor(self, entry, message):
+        covs = np.array([np.eye(2), entry, np.eye(2)])
+        with pytest.raises(ValueError, match=f"residual covariance of {message}"):
+            GoalModelParams((5, 10, 15), (np.zeros((2, 2)),) * 3, covs, 2)
+
+    @pytest.mark.parametrize("covs,message", [
+        (np.zeros((0, 2, 2)), r"one \(weights, 2x2 residual_cov\) pair required per anchor"),
+        (np.ones((3, 2, 2)), r"one \(weights, 2x2 residual_cov\) pair required per anchor"),
+        (np.ones((2, 3)), r"one \(weights, 2x2 residual_cov\) pair required per anchor"),
+    ], ids=["empty", "too-many", "wrong-shape"])
+    def test_misshaped_table_rejected(self, covs, message):
+        with pytest.raises(ValueError, match=message):
+            GoalModelParams((5, 10), (np.zeros((2, 2)),) * 2, covs, 2)

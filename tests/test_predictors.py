@@ -4,7 +4,6 @@ import pytest
 import trajrefine.predictors as predictors
 from trajrefine.data import Dataset, Segment, gen_synthetic
 from trajrefine.fusion import SingularInnovationError
-from trajrefine.gaussian import Cov2
 from trajrefine.goals import (
     GoalModelParams,
     fit_goal_model,
@@ -23,8 +22,13 @@ from trajrefine.predictors import (
 DT = 0.2
 
 
+def iso(q, n):
+    """n copies of the isotropic covariance q I as an (n, 2, 2) table."""
+    return np.broadcast_to(q * np.eye(2), (n, 2, 2))
+
+
 def cv_params(horizon=25, window=2, q=0.1):
-    return PredictorParams("cv", DT, (Cov2.isotropic(q),) * horizon, window=window)
+    return PredictorParams("cv", DT, iso(q, horizon), window=window)
 
 
 def doubling_segment(start, d0, tau, horizon, seg_id="d", agent=0):
@@ -49,7 +53,7 @@ def origin_goal(horizon=25):
     return GoalModelParams(
         anchor_steps=steps,
         weights=tuple(np.zeros((2, 2)) for _ in steps),
-        residual_covs=tuple(Cov2.isotropic(1.0) for _ in steps),
+        residual_covs=iso(1.0, len(steps)),
         history_len=2,
         rotate=False,
     )
@@ -65,7 +69,7 @@ class TestInit:
     def test_ar_buffer_holds_lag_plus_one(self):
         weights = np.array([[0.5, 0.1], [0.2, -0.3], [1.0, 0.4], [-0.6, 0.7]])
         params = PredictorParams(
-            "ar", DT, (Cov2.isotropic(1.0),) * 5, lag=2, ar_weights=weights
+            "ar", DT, iso(1.0, 5), lag=2, ar_weights=weights
         )
         assert params.buffer_len == 3
         history = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 1.0], [3.0, 3.0]])
@@ -86,14 +90,14 @@ class TestInit:
             (np.vstack([np.zeros((2, 2)), np.eye(2)]), [1.0, 1.0]),
         ):
             params = PredictorParams(
-                "ar", DT, (Cov2.isotropic(1.0),) * 5, lag=2, ar_weights=weights
+                "ar", DT, iso(1.0, 5), lag=2, ar_weights=weights
             )
             mean, _ = first_step(params, history)
             np.testing.assert_array_equal(mean, np.array(history[-1]) + disp)
 
     def test_insufficient_history(self):
         params = PredictorParams(
-            "ar", DT, (Cov2.isotropic(1.0),), lag=2, ar_weights=np.zeros((4, 2))
+            "ar", DT, iso(1.0, 1), lag=2, ar_weights=np.zeros((4, 2))
         )
         with pytest.raises(ValueError, match="at least 3"):
             rollout_batch(params, np.array([[[0.0, 0.0], [1.0, 0.0]]]))
@@ -111,7 +115,7 @@ class TestStep:
             rollout_refined(params, origin_goal(), history[0], 4)
 
     def test_ca_quadratic_extrapolation(self):
-        params = PredictorParams("ca", DT, (Cov2.isotropic(0.1),) * 5, window=3)
+        params = PredictorParams("ca", DT, iso(0.1, 5), window=3)
         # points of t^2 along x: 0, 1, 4 -> next is 9
         mean, _ = first_step(params, [[0.0, 0.0], [1.0, 1.0], [4.0, 2.0]])
         np.testing.assert_allclose(mean, [9.0, 3.0], atol=1e-10)
@@ -140,7 +144,7 @@ class TestFeedback:
         on_path = GoalModelParams(
             anchor_steps=steps,
             weights=tuple(np.array([[float(k), 0.0], [0.0, 0.0]]) for k in steps),
-            residual_covs=tuple(Cov2.isotropic(1.0) for _ in steps),
+            residual_covs=iso(1.0, len(steps)),
             history_len=2,
             rotate=False,
         )
@@ -165,7 +169,7 @@ class TestFeedback:
         delta = fused[0, 0] - [2.0, 0.0]
         assert np.abs(delta).max() > 0.05
         np.testing.assert_array_equal(fused[0, 0], raw[0, 0])
-        keep = covs[0, 1] @ np.linalg.inv(params.step_covs[1].as_matrix())
+        keep = covs[0, 1] @ np.linalg.inv(params.step_covs[1])
         np.testing.assert_allclose(
             fused[0, 1] - raw[0, 1], keep @ (2.0 * delta), atol=1e-12
         )
@@ -188,12 +192,12 @@ class TestFitPredictor:
         ds = gen_synthetic("cv", 60, 0.0, seed=31)
         params = fit_predictor("cv", ds)
         for cov in params.step_covs:
-            np.testing.assert_allclose(cov.as_matrix(), 1e-6 * np.eye(2), atol=1e-10)
+            np.testing.assert_allclose(cov, 1e-6 * np.eye(2), atol=1e-10)
 
     def test_noisy_ar_error_trace_grows_with_horizon(self):
         ds = gen_synthetic("cv", 1000, 0.3, seed=32)
         params = fit_predictor("ar", ds, lag=3)
-        traces = [c.trace for c in params.step_covs]
+        traces = params.step_covs[:, 0, 0] + params.step_covs[:, 1, 1]
         assert traces[4] > traces[0]
         assert traces[24] > traces[4] > traces[0]
         assert all(b >= a for a, b in zip(traces, traces[1:]))
@@ -241,9 +245,61 @@ class TestFitPredictor:
             fit_predictor("lstm", gen_synthetic("cv", 5, 0.0, seed=1))
 
     def test_trace_monotonicity_enforced_in_params(self):
-        covs = (Cov2.isotropic(2.0), Cov2.isotropic(1.0))
+        covs = [2.0 * np.eye(2), np.eye(2)]
         with pytest.raises(ValueError, match="non-decreasing"):
             PredictorParams("cv", DT, covs)
+
+
+def with_entry(step, matrix, n=4):
+    """An isotropic table whose entry for 1-based ``step`` is ``matrix``."""
+    table = np.array([np.eye(2) * (1.0 + k) for k in range(n)])
+    table[step - 1] = matrix
+    return table
+
+
+class TestStepCovarianceTable:
+    def test_stored_once_as_a_read_only_copy(self):
+        table = with_entry(2, 1.5 * np.eye(2))
+        params = PredictorParams("cv", DT, table)
+        table[0, 0, 0] = 99.0
+        assert params.step_covs[0, 0, 0] == 1.0 and not params.step_covs.flags.writeable
+        assert params.horizon == 4
+
+    @pytest.mark.parametrize("covs,message", [
+        (np.zeros((0, 2, 2)), "at least one per-step covariance is required"),
+        (np.ones((3, 3)), r"must be \(T, 2, 2\), got shape \(3, 3\)"),
+        (np.ones((3, 2, 3)), r"must be \(T, 2, 2\), got shape \(3, 2, 3\)"),
+        (with_entry(3, [[np.nan, 0.0], [0.0, 3.0]]), "step covariance 3 is not PSD"),
+        (with_entry(2, [[np.inf, 0.0], [0.0, 2.0]]), "step covariance 2 is not PSD"),
+        (with_entry(3, [[3.0, 0.1], [0.2, 3.0]]), "step covariance 3 is not PSD"),
+        (with_entry(2, [[2.0, 3.0], [3.0, 2.0]]), "step covariance 2 is not PSD"),
+        (with_entry(4, [[1.0, 0.0], [0.0, 1.0]]), r"non-decreasing \(step 4\)"),
+        # the first failing step is named, whatever later steps hold
+        (with_entry(2, 0.5 * np.eye(2)) + np.array([0, 0, 0, np.nan])[:, None, None],
+         r"non-decreasing \(step 2\)"),
+    ], ids=["empty", "2-d", "wrong-inner-shape", "nan", "inf", "asymmetric", "not-psd",
+            "trace-drops", "first-bad-step"])
+    def test_invalid_table_rejected(self, covs, message):
+        with pytest.raises(ValueError, match=message):
+            PredictorParams("cv", DT, covs)
+
+    @pytest.mark.parametrize("field,value", [("lag", 3.0), ("window", 2.5), ("lag", "3")])
+    def test_non_integer_size_rejected_by_name(self, field, value):
+        shape = {"lag": 3, "ar_weights": np.zeros((6, 2)), field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+            PredictorParams("ar", DT, iso(1.0, 5), **shape)
+
+    def test_integer_like_sizes_become_ints(self):
+        params = PredictorParams("ar", DT, iso(1.0, 5), window=np.int64(4), lag=np.int32(3),
+                                 ar_weights=np.zeros((6, 2)))
+        assert type(params.window) is int and type(params.lag) is int
+
+    @pytest.mark.parametrize("kw", [{"lag": 2.0}, {"window": 3.0}])
+    def test_fit_rejects_non_integer_size(self, kw):
+        ds = gen_synthetic("cv", 10, 0.1, seed=37)
+        (field, value), = kw.items()
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+            fit_predictor("ar" if field == "lag" else "ca", ds, **kw)
 
 
 class TestFitArRls:
@@ -406,7 +462,7 @@ class TestRolloutRefined:
     def test_singularity_carries_step_index(self, fitted_lane_change):
         train, params, _, dense_goals = fitted_lane_change
         degenerate = PredictorParams(
-            "cv", DT, (Cov2(0.0, 0.0, 0.0),) * 25, window=2
+            "cv", DT, np.zeros((25, 2, 2)), window=2
         )
         with pytest.raises(SingularInnovationError) as exc_info:
             rollout_refined(

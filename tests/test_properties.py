@@ -1,14 +1,18 @@
 """Property tests over random inputs (hypothesis)."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from trajrefine.cli import load_model, save_model
 from trajrefine.data import gen_synthetic
-from trajrefine.goals import fit_goal_model
-from trajrefine.predictors import RefineConfig, fit_predictor, rollout_batch
+from trajrefine.goals import GoalModelParams, fit_goal_model
+from trajrefine.predictors import PredictorParams, RefineConfig, fit_predictor, rollout_batch
 
 TAU = 15  # history intervals of gen_synthetic's default protocol
 
@@ -54,3 +58,63 @@ def test_refined_rollout_is_translation_equivariant(
         params, (history + np.asarray(shift))[None], None, goal_params, cfg)
     assert close(moved_means, means + np.asarray(shift))
     assert close(moved_covs, covs)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)  # extremes and subnormals too
+sigma = st.floats(1e-3, 1e3)
+
+
+@st.composite
+def cov_tables(draw, n):
+    """(n, 2, 2) positive-definite covariances, in non-decreasing trace order."""
+    sx, sy = draw(arrays(float, n, elements=sigma)), draw(arrays(float, n, elements=sigma))
+    rho = draw(arrays(float, n, elements=st.floats(-0.99, 0.99)))
+    sxy = rho * sx * sy
+    covs = np.stack([sx * sx, sxy, sxy, sy * sy], axis=-1).reshape(n, 2, 2)
+    return covs[np.argsort(covs[:, 0, 0] + covs[:, 1, 1], kind="stable")]
+
+
+@st.composite
+def models_to_save(draw):
+    backbone = draw(st.sampled_from(("cv", "ca", "ar")))
+    lag = draw(st.integers(1, 4))
+    shape = {"window": draw(st.integers(3, 6)), "lag": lag}
+    if backbone == "ar":
+        shape["ar_weights"] = draw(arrays(float, (2 * lag, 2), elements=finite))
+    horizon = draw(st.integers(1, 8))
+    predictor = PredictorParams(backbone, draw(st.floats(1e-3, 10.0)),
+                                draw(cov_tables(horizon)), **shape)
+    steps = draw(st.lists(st.integers(1, horizon), min_size=1, unique=True))
+    history_len = draw(st.integers(2, 5))
+    goal_model = GoalModelParams(
+        tuple(sorted(steps)),
+        tuple(draw(arrays(float, (2 * (history_len - 1), 2), elements=finite))
+              for _ in steps),
+        draw(cov_tables(len(steps))), history_len, draw(st.booleans()))
+    protocol = {"dt": predictor.dt, "tau": history_len - 1, "horizon": horizon}
+    return predictor, goal_model, protocol
+
+
+@settings(max_examples=60, deadline=None)
+@given(models_to_save())
+def test_model_file_round_trips(model):
+    predictor, goal_model, protocol = model
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = os.path.join(tmp, "first.json"), os.path.join(tmp, "second.json")
+        save_model(first, predictor, goal_model, protocol)
+        loaded_predictor, loaded_goals, loaded_protocol = load_model(first)
+        save_model(second, loaded_predictor, loaded_goals, loaded_protocol)
+        with open(first, "rb") as a, open(second, "rb") as b:
+            assert a.read() == b.read()
+    assert loaded_protocol == protocol
+    pairs = [(predictor.step_covs, loaded_predictor.step_covs),
+             (goal_model.residual_covs, loaded_goals.residual_covs),
+             (goal_model.weight_matrix, loaded_goals.weight_matrix)]
+    if predictor.ar_weights is not None:
+        pairs.append((predictor.ar_weights, loaded_predictor.ar_weights))
+    for saved, loaded in pairs:
+        assert saved.shape == loaded.shape and saved.tobytes() == loaded.tobytes()
+    for field in ("backbone", "dt", "window", "lag"):
+        assert getattr(loaded_predictor, field) == getattr(predictor, field)
+    for field in ("anchor_steps", "history_len", "rotate"):
+        assert getattr(loaded_goals, field) == getattr(goal_model, field)

@@ -12,7 +12,6 @@ import pytest
 import reference_rollout as ref
 from trajrefine.data import gen_synthetic
 from trajrefine.fusion import SingularInnovationError
-from trajrefine.gaussian import Cov2
 from trajrefine.goals import GoalModelParams, fit_goal_model, solve_ridge
 from trajrefine.predictors import (
     PredictorParams,
@@ -121,11 +120,10 @@ def test_fit_predictor_step_covs_match_reference(corpus, backbone):
     name, kw = BACKBONES[backbone]
     params = fit_predictor(name, train, test, **kw)
     probe = PredictorParams(
-        params.backbone, params.dt, (Cov2.isotropic(1.0),) * params.horizon,
+        params.backbone, params.dt, np.broadcast_to(np.eye(2), (params.horizon, 2, 2)),
         window=params.window, lag=params.lag, ar_weights=params.ar_weights,
     )
-    table = [c.as_matrix() for c in params.step_covs]
-    assert_matches(table, ref.calibrated_step_covs(probe, test, params.horizon))
+    assert_matches(params.step_covs, ref.calibrated_step_covs(probe, test, params.horizon))
 
 
 @pytest.mark.parametrize("with_val", (False, True))
@@ -163,11 +161,11 @@ def test_batch_equals_single_calls(fitted):
 def test_singular_step_matches_reference():
     # zero prior covariance and a near-zero anchor at step 3: steps 1-2 fuse
     # against the wide virtual origin, step 3 is singular
-    params = PredictorParams("cv", 0.2, (Cov2(0.0, 0.0, 0.0),) * 5)
+    params = PredictorParams("cv", 0.2, np.zeros((5, 2, 2)))
     goal_params = GoalModelParams(
         anchor_steps=(3,),
         weights=(np.zeros((2, 2)),),
-        residual_covs=(Cov2.isotropic(1e-30),),
+        residual_covs=[1e-30 * np.eye(2)],
         history_len=2,
         rotate=False,
     )
@@ -185,11 +183,11 @@ def test_singular_step_is_the_earliest_across_a_batch():
     # the prior has zero x variance; each anchor's ego covariance is
     # degenerate along one axis, so a segment heading +x is singular at
     # anchor step 2 and one heading +y at anchor step 4
-    params = PredictorParams("cv", 0.2, (Cov2(0.0, 0.0, 1.0),) * 5)
+    params = PredictorParams("cv", 0.2, np.broadcast_to(np.diag([0.0, 1.0]), (5, 2, 2)))
     goal_params = GoalModelParams(
         anchor_steps=(2, 4),
         weights=(np.zeros((2, 2)),) * 2,
-        residual_covs=(Cov2(1e-30, 0.0, 1.0), Cov2(1.0, 0.0, 1e-30)),
+        residual_covs=[np.diag([1e-30, 1.0]), np.diag([1.0, 1e-30])],
         history_len=2,
     )
     histories = np.array([[[0.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [1.0, 0.0]]])
@@ -238,7 +236,7 @@ def test_position_weights_equal_the_displacement_form(backbone, shape):
     kw = dict(shape)
     if backbone == "ar":
         kw["ar_weights"] = rng.normal(0.0, 0.7, size=(2 * shape["lag"], 2))
-    params = PredictorParams(backbone, 0.2, (Cov2.isotropic(1.0),), **kw)
+    params = PredictorParams(backbone, 0.2, np.eye(2)[None], **kw)
     weights = params.position_weights
     assert weights.shape == (2 * params.buffer_len, 2)
     assert not weights.flags.writeable and params.position_weights is weights

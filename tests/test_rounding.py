@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from trajrefine.data import Dataset, Segment, read_jsonl, round6, round_points, write_jsonl
+from trajrefine.data import Dataset, Segment, read_jsonl, round6, write_jsonl
 
 
 def bits(values) -> np.ndarray:
@@ -84,9 +84,9 @@ def test_any_shape_and_layout(values):
     assert_rounds_like_round(values)
 
 
-def test_round_points_returns_nested_float_lists():
+def test_round6_tolist_returns_nested_float_lists():
     pts = near_ties()[:20].reshape(10, 2)
-    out = round_points(pts)
+    out = round6(pts).tolist()
     assert out == by_round(pts).tolist()
     assert all(type(x) is float for row in out for x in row)
 
