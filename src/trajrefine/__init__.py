@@ -20,7 +20,7 @@ from .data import (
 )
 from .fusion import Estimate, SingularInnovationError, fuse, gain_update, info_fuse
 from .gaussian import Cov2, cov_from_params, is_psd, log_density, params_from_cov
-from .goals import GoalModelParams, fit_goal_model, goal_moments
+from .goals import GoalModelParams, fit_goal_model, goal_moments, world_covs
 from .metrics import AblationReport, AblationRow, Metrics, rmse, run_ablation
 from .predictors import (
     PredictorParams,
@@ -71,5 +71,6 @@ __all__ = [
     "rollout_vanilla",
     "run_ablation",
     "split_dataset",
+    "world_covs",
     "write_jsonl",
 ]

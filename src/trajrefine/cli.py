@@ -139,9 +139,12 @@ def _add_command(subparsers, name: str, options: list[Opt], func, help_text: str
 # ---------------------------------------------------------------------------
 
 def _covs(triples, name: str) -> np.ndarray:
-    """(K, 2, 2) covariances of [sxx, sxy, syy] triples; other rows fail to reshape."""
-    t = json_points(triples, name, "[sxx, sxy, syy] triples")
-    return t.reshape(len(t), 3)[:, [0, 1, 1, 2]].reshape(-1, 2, 2)
+    """(K, 2, 2) covariances of [sxx, sxy, syy] triples."""
+    rows = "[sxx, sxy, syy] triples"
+    t = json_points(triples, name, rows)
+    if t.ndim != 2 or t.shape[1] != 3:
+        raise ValueError(f"{name} must be an array of {rows}")
+    return t[:, [0, 1, 1, 2]].reshape(-1, 2, 2)
 
 
 _JSON_KINDS = {"integer": (int,), "number": (int, float), "boolean": (bool,)}

@@ -5,13 +5,17 @@ predicted exactly once per segment from the observed history. Each anchor has
 its own independent ridge regressor from ego-frame history displacements to
 the anchor displacement, so removing one anchor never perturbs another.
 :func:`goal_moments` predicts the anchors of a whole batch of histories as
-(N, A, 2) means and (N, A, 2, 2) covariances.
+(N, A, 2) world means plus the (N, 2, 2) rotations of their ego frames.
 
-At refinement time :func:`interpolate_goals` turns the sparse anchors into a
-pseudo-measurement for every horizon step. One fixed (T, A+1) table of linear
-weights over a virtual step-0 anchor and the A anchors serves every segment;
-steps past the last anchor hold it and inflate its covariance. Convex
-combinations of PSD matrices are PSD, so every measurement covariance is.
+At refinement time the sparse anchors become a pseudo-measurement for every
+horizon step. One fixed (T, A+1) table of linear weights over a virtual
+step-0 anchor and the A anchors serves every segment; steps past the last
+anchor hold it and inflate its covariance. :func:`interpolate_goals`
+applies it to the means of N segments, :func:`interpolate_covs` once to
+the ego-frame residual covariances, which every segment shares: a segment's
+world measurement covariance is that (T, 2, 2) table turned by its heading
+(:func:`world_covs`). Convex combinations of PSD matrices are PSD, so every
+measurement covariance is.
 
 The ego frame translates the last observed position to the origin and, by
 default, rotates the net history heading onto +x so the regressors are
@@ -52,10 +56,13 @@ class GoalModelParams:
 
     def __post_init__(self) -> None:
         steps = _anchor_steps(self.anchor_steps)
+        history_len = whole("history_len", self.history_len)
+        if history_len < 2:
+            raise ValueError(f"history_len must be at least 2, got {self.history_len!r}")
         c = read_only(np.array(self.residual_covs, dtype=float))
         if not (len(self.weights) == len(c) == len(steps)) or c.shape[1:] != (2, 2):
             raise ValueError("one (weights, 2x2 residual_cov) pair required per anchor")
-        feat = 2 * (self.history_len - 1)
+        feat = 2 * (history_len - 1)
         weights = tuple(np.asarray(w, dtype=float).reshape(feat, 2) for w in self.weights)
         with np.errstate(invalid="ignore"):  # inf entries give NaN, which fails the rule
             sxx, sxy, syy = c[:, 0, 0], c[:, 0, 1], c[:, 1, 1]
@@ -65,9 +72,18 @@ class GoalModelParams:
             step = steps[np.argmin(pd)]
             raise ValueError(f"residual covariance of anchor {step} is not positive definite")
         object.__setattr__(self, "anchor_steps", steps)
+        object.__setattr__(self, "history_len", history_len)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "residual_covs", c)
         object.__setattr__(self, "weight_matrix", read_only(np.concatenate(weights, 1)))
+
+
+def whole(name: str, value) -> int:
+    """``value`` as an int; a float or other non-integer size is rejected by name."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def read_only(a: np.ndarray) -> np.ndarray:
@@ -196,9 +212,11 @@ def goal_moments(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Predict every configured anchor once for each of N observed histories.
 
-    histories is (N, history_len, 2). Regression runs in the ego frame;
-    means (N, A, 2) and residual covariances (N, A, 2, 2) are mapped back to
-    world coordinates. Pure function of (params, histories).
+    histories is (N, history_len, 2). Regression runs in the ego frame.
+    Returns the world-frame anchor means (N, A, 2) and the (N, 2, 2)
+    ego->world rotations; the world anchor covariances are
+    ``world_covs(params.residual_covs, rot)``. Pure function of
+    (params, histories).
     """
     histories = np.asarray(histories, dtype=float)
     if histories.ndim != 3 or histories.shape[1:] != (params.history_len, 2):
@@ -209,44 +227,68 @@ def goal_moments(
     feats, rot = _ego_frame(histories, params.rotate)
     n, anchors = len(histories), len(params.anchor_steps)
     ego = (feats @ params.weight_matrix).reshape(n, anchors, 2)
-    rot_t = np.swapaxes(rot, 1, 2)
-    means = histories[:, -1:] + ego @ rot_t
-    covs = rot[:, None] @ params.residual_covs @ rot_t[:, None]
-    return means, covs
+    return histories[:, -1:] + ego @ np.swapaxes(rot, 1, 2), rot
+
+
+def world_covs(ego: np.ndarray, rot: np.ndarray) -> np.ndarray:
+    """rot_n E_k rot_n^T of K symmetric (K, 2, 2) ego-frame covariances E and
+    N (N, 2, 2) rotations [[c, -s], [s, c]], as an (N, K, 2, 2) array.
+
+    Each entry is a few elementwise products in c and s, so the result is
+    exactly symmetric and an identity rotation returns E exactly; it is a
+    view of component-major (2, 2, K, N) planes.
+    """
+    c, s = rot[:, 0, 0], rot[:, 1, 0]
+    cc, ss, cs = c * c, s * s, c * s
+    exx, exy, eyy = (e[:, None] for e in (ego[:, 0, 0], ego[:, 0, 1], ego[:, 1, 1]))
+    out = np.empty((2, 2, len(ego), len(rot)))
+    twice_cs_xy = 2.0 * cs * exy
+    out[0, 0] = cc * exx + ss * eyy - twice_cs_xy
+    out[1, 1] = ss * exx + cc * eyy + twice_cs_xy
+    out[0, 1] = out[1, 0] = cs * (exx - eyy) + (cc - ss) * exy
+    return out.transpose(3, 2, 0, 1)
 
 
 def interpolate_goals(
-    anchor_steps: tuple[int, ...],
-    last_obs: np.ndarray,
-    means: np.ndarray,
-    covs: np.ndarray,
-    horizon: int,
-    epsilon: float,
-    beta: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pseudo-measurements for future steps 1..horizon from sparse anchors.
+    anchor_steps: tuple[int, ...], last_obs: np.ndarray, means: np.ndarray, horizon: int
+) -> np.ndarray:
+    """Pseudo-measurement means for future steps 1..horizon from sparse anchors.
 
-    last_obs is (N, 2); means (N, A, 2) and covs (N, A, 2, 2) are the anchors
-    of goal_moments. Anchor steps return the anchor Gaussian exactly. Steps
-    between anchors (with a virtual step-0 anchor at the last observed
-    position, variance epsilon) interpolate both mean and covariance
-    linearly. Steps beyond the last anchor hold its mean and inflate its
-    covariance by beta per step. Returns (N, T, 2) means and (N, T, 2, 2)
-    covariances, views of step-major (T, N, ...) arrays.
+    last_obs is (N, 2) and means (N, A, 2) the anchor means of goal_moments.
+    Anchor steps return the anchor mean exactly; steps between anchors
+    (with a virtual step-0 anchor at the last observed position) interpolate
+    linearly, and steps beyond the last anchor hold it. Returns (N, T, 2)
+    means, a view of a step-major (T, N, 2) array: one GEMM of the cached
+    weight table with the step-major node means.
+    """
+    table, _ = _interpolation_table(tuple(anchor_steps), horizon)
+    n, anchors = np.shape(means)[:2]
+    nodes = np.empty((anchors + 1, n, 2))  # row 0 is the virtual step-0 anchor
+    nodes[0] = last_obs
+    nodes[1:] = np.swapaxes(means, 0, 1)
+    return np.swapaxes((table @ nodes.reshape(anchors + 1, -1)).reshape(horizon, n, 2), 0, 1)
+
+
+def interpolate_covs(
+    anchor_steps: tuple[int, ...], covs: np.ndarray, horizon: int, epsilon: float, beta: float
+) -> np.ndarray:
+    """The (T, 2, 2) measurement covariances matching :func:`interpolate_goals`.
+
+    covs is the (A, 2, 2) anchor covariance table, the same for every
+    segment: the ego-frame ``residual_covs`` of a goal model. The virtual
+    step-0 anchor has variance epsilon, steps between anchors interpolate
+    linearly and steps beyond the last anchor inflate its covariance by beta
+    per step. Convex combinations of PSD matrices are PSD. epsilon I and
+    beta I are rotation-invariant, so the world covariance of a segment
+    whose ego frame is turned by rot is rot E_k rot^T (:func:`world_covs`).
     """
     table, gap = _interpolation_table(tuple(anchor_steps), horizon)
-    n, anchors = np.shape(means)[:2]
-    # step-major node arrays: row 0 is the virtual step-0 anchor, one GEMM each
-    node_means = np.empty((anchors + 1, n, 2))
-    node_means[0] = last_obs
-    node_means[1:] = np.swapaxes(means, 0, 1)
-    node_covs = np.empty((anchors + 1, n, 2, 2))
-    node_covs[0] = epsilon * np.eye(2)
-    node_covs[1:] = np.swapaxes(covs, 0, 1)
-    z = (table @ node_means.reshape(anchors + 1, -1)).reshape(horizon, n, 2)
-    r = (table @ node_covs.reshape(anchors + 1, -1)).reshape(horizon, n, 2, 2)
-    r.reshape(horizon, n, 4)[..., ::3] += beta * gap[:, None, None]  # the diagonals
-    return np.swapaxes(z, 0, 1), np.swapaxes(r, 0, 1)
+    nodes = np.empty((len(covs) + 1, 2, 2))
+    nodes[0] = epsilon * np.eye(2)
+    nodes[1:] = covs
+    e = (table @ nodes.reshape(len(nodes), 4)).reshape(horizon, 2, 2)
+    e.reshape(horizon, 4)[:, ::3] += beta * gap[:, None]  # the diagonals
+    return e
 
 
 @lru_cache(maxsize=32)

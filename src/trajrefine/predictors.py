@@ -13,25 +13,29 @@ errors actually grow.
 With a goal model it predicts the anchors once per segment, computes every
 step's gain from the covariances up front, fuses each raw step with the
 interpolated goal measurement and (by default) feeds the fused mean back
-into the buffer. It keeps one (N, buffer_len + T, 2) position array, and the
-means it returns are a view of it whenever the fed-back value is the output.
+into the buffer. The gains need no per-segment 2x2 products: the prior and
+the ego-frame measurement tables do not depend on the segments, so their
+:func:`~trajrefine.fusion.gain_table` is cached, and each segment enters
+only through its heading, in one GEMM. It keeps one (N, buffer_len + T, 2)
+position array, and the means it returns are a view of it whenever the
+fed-back value is the output.
 ``rollout``, ``rollout_vanilla`` and ``rollout_refined`` are its one-segment
 adapters; they validate their estimates once, as arrays.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .data import Dataset
-from .fusion import Estimate, SingularInnovationError, estimates_from_arrays, gain_update
+from .fusion import (Estimate, SingularInnovationError, estimates_from_arrays, gain_table,
+                     rotated_gains)
 from .gaussian import psd_rule
-from .goals import (GoalModelParams, calibration_split, goal_moments, interpolate_goals,
-                    read_only, second_moments, solve_ridge)
+from .goals import (GoalModelParams, calibration_split, goal_moments, interpolate_covs,
+                    interpolate_goals, read_only, second_moments, solve_ridge, whole)
 
 BACKBONES = ("cv", "ca", "ar")
 
@@ -59,8 +63,8 @@ class PredictorParams:
             raise ValueError(f"unknown backbone {self.backbone!r}; valid: {BACKBONES}")
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
-        object.__setattr__(self, "window", _whole("window", self.window))
-        object.__setattr__(self, "lag", _whole("lag", self.lag))
+        object.__setattr__(self, "window", whole("window", self.window))
+        object.__setattr__(self, "lag", whole("lag", self.lag))
         c = read_only(np.array(self.step_covs, dtype=float))
         if not c.size or c.shape[1:] != (2, 2):
             raise ValueError("at least one per-step covariance is required" if not c.size
@@ -159,14 +163,6 @@ class RefineConfig:
             raise ValueError("beta must be non-negative")
 
 
-def _whole(name: str, value) -> int:
-    """``value`` as an int; a float or other non-integer size is rejected by name."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
 @lru_cache(maxsize=None)
 def _quadratic_extrapolation_coeffs(window: int) -> tuple[float, ...]:
     """Weights over the window positions whose dot product extrapolates a
@@ -198,7 +194,7 @@ def fit_predictor(
     """
     if window is None:
         window = 3 if backbone == "ca" else 2
-    window, lag = _whole("window", window), _whole("lag", lag)
+    window, lag = whole("window", window), whole("lag", lag)
     if not train.segments:
         raise ValueError("training set is empty")
     calib = calibration_split(train, val)
@@ -223,6 +219,19 @@ def fit_predictor(
     traces = moments[:, 0, 0] + moments[:, 1, 1]
     moments *= (np.maximum.accumulate(traces) / traces)[:, None, None]
     return PredictorParams(backbone, train.dt, moments, **shape)
+
+
+@lru_cache(maxsize=32)
+def _gain_table(prior: bytes, residual_covs: bytes, anchor_steps: tuple[int, ...],
+                epsilon: float, beta: float, goal_cov_scale: float) -> np.ndarray:
+    """Read-only :func:`gain_table` of a (T, 2, 2) prior table and the scaled
+    ego-frame measurement table of a goal model. Neither depends on the
+    segments, so the tables are keyed by their bytes: repeated calls, and
+    refits to equal tables, share one entry."""
+    prior_covs = np.frombuffer(prior).reshape(-1, 2, 2)
+    covs = np.frombuffer(residual_covs).reshape(-1, 2, 2)
+    ego = interpolate_covs(anchor_steps, covs, len(prior_covs), epsilon, beta)
+    return read_only(gain_table(prior_covs, goal_cov_scale * ego))
 
 
 def fit_ar_rls(pairs, forgetting: float = 1.0, delta: float = 1e-8) -> np.ndarray:
@@ -275,14 +284,15 @@ def rollout_batch(
     With one, goals are predicted exactly once per segment up
     front. The prior covariance at step k is the calibrated table entry, not
     the previous fused one, so every gain K_k and fused covariance is fixed
-    by the covariances alone and is computed in one call before stepping. At
-    each step k the raw mean is fused as raw + K_k (z_k - raw), the fused
-    estimate is emitted, and (in 'fused' feedback mode) the fused mean
-    replaces the raw one in the buffer before the next step.
+    by the covariances alone and is computed in one call before stepping;
+    the refined covariances are a read-only view too. At each step k the raw
+    mean is fused as raw + K_k (z_k - raw), the fused estimate is emitted,
+    and (in 'fused' feedback mode) the fused mean replaces the raw one in
+    the buffer before the next step. horizon must be an integer.
     cfg.refine_enabled is not read here; pass no goal model for vanilla.
     """
     histories = np.asarray(histories, dtype=float)
-    horizon = params.horizon if horizon is None else int(horizon)
+    horizon = params.horizon if horizon is None else whole("horizon", horizon)
     need = params.buffer_len
     if histories.ndim != 3 or histories.shape[2] != 2:
         raise ValueError("histories must be an (N, n, 2) array")
@@ -308,15 +318,14 @@ def rollout_batch(
     flat = positions.reshape(n, -1)
     buffered = means = positions[:, need:]
     if goal_params is not None:
-        goal_means, goal_covs = goal_moments(goal_params, histories)
-        z, r = interpolate_goals(
-            goal_params.anchor_steps, histories[:, -1], goal_means, goal_covs,
-            horizon, cfg.epsilon, cfg.beta,
-        )
-        z, r = np.swapaxes(z, 0, 1), np.swapaxes(r, 0, 1)  # step-major, contiguous
-        r *= cfg.goal_cov_scale
+        goal_means, rot = goal_moments(goal_params, histories)
+        z = np.swapaxes(interpolate_goals(goal_params.anchor_steps, histories[:, -1],
+                                          goal_means, horizon), 0, 1)  # step-major
+        table = _gain_table(prior.tobytes(), goal_params.residual_covs.tobytes(),
+                            goal_params.anchor_steps, cfg.epsilon, cfg.beta,
+                            cfg.goal_cov_scale)
         try:  # step-major, so the first singular entry is at the earliest step
-            gains, post = gain_update(prior[:, None], r)
+            gains, post = rotated_gains(table, rot)
         except SingularInnovationError as exc:
             step = exc.index[0] + 1
             raise SingularInnovationError(f"step {step}: {exc}", step=step) from exc
@@ -326,8 +335,8 @@ def rollout_batch(
     weights = params.position_weights
     for k in range(horizon):
         raw = np.matmul(flat[:, 2 * k : 2 * (k + need)], weights, out=buffered[:, k])
-        if goal_params is not None:
-            means[:, k] = raw + (gains[k] @ (z[k] - raw)[..., None])[..., 0]
+        if goal_params is not None:  # in 'fused' mode means[:, k] is raw itself
+            np.add(raw, (gains[k] @ (z[k] - raw)[..., None])[..., 0], out=means[:, k])
     if not np.all(np.isfinite(means)):
         raise ValueError("rollout produced non-finite positions")
     return means, covs

@@ -6,7 +6,7 @@ import pytest
 
 from trajrefine.data import gen_synthetic
 from trajrefine.goals import _interpolation_table, fit_goal_model, interpolate_goals
-from trajrefine.predictors import fit_predictor, rollout_batch
+from trajrefine.predictors import RefineConfig, _gain_table, fit_predictor, rollout_batch
 
 ANCHORS = (3, 10, 25)
 
@@ -83,6 +83,25 @@ def test_tables_built_once_per_params(fitted):
     # a list of anchor steps hits the same cache entry as the tuple
     before = _interpolation_table.cache_info().hits
     means = np.zeros((1, len(ANCHORS), 2))
-    interpolate_goals(list(ANCHORS), np.zeros((1, 2)), means,
-                      np.broadcast_to(np.eye(2), (1, len(ANCHORS), 2, 2)), 25, 0.05, 0.5)
+    interpolate_goals(list(ANCHORS), np.zeros((1, 2)), means, 25)
     assert _interpolation_table.cache_info().hits == before + 1
+
+
+def test_gain_table_built_once_per_tables(fitted):
+    # the gain table depends on the prior and goal tables and the config, not
+    # on the segments: one read-only entry serves every call and every refit
+    # to equal tables; the refined covariances are read-only and symmetric
+    train, params, goal_params = fitted
+    histories = train.histories()[:5]
+    rollout_batch(params, histories, None, goal_params)
+    before = _gain_table.cache_info()
+    refit = fit_goal_model(train, ANCHORS)
+    _, covs = rollout_batch(params, histories[:1], None, refit)
+    after = _gain_table.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    rollout_batch(params, histories, None, goal_params, RefineConfig(beta=0.25))
+    assert _gain_table.cache_info().misses == after.misses + 1
+    table = _gain_table(params.step_covs.tobytes(), goal_params.residual_covs.tobytes(),
+                        goal_params.anchor_steps, 0.05, 0.5, 1.0)
+    assert not table.flags.writeable and not covs.flags.writeable
+    assert np.array_equal(covs, np.swapaxes(covs, -1, -2))

@@ -263,23 +263,25 @@ class TestPredict:
                    "--out", str(tmp_path / "p.jsonl")) == 2
         assert str(model) in capsys.readouterr().err
 
-    @pytest.mark.parametrize("corrupt", [
-        lambda doc: json.dumps({**doc, "protocol": {**doc["protocol"], "fps": 5}}),
-        lambda doc: json.dumps({**doc, "protocol": [0.2, 15, 25]}),
-        lambda doc: json.dumps({**doc, "protocol": {**doc["protocol"], "dt": "0.2"}}),
-        lambda doc: json.dumps([doc]),
-        lambda doc: json.dumps(doc)[:-1],
-        lambda doc: json.dumps({**doc, "predictor": {
+    @pytest.mark.parametrize("corrupt,message", [
+        (lambda doc: json.dumps({**doc, "protocol": {**doc["protocol"], "fps": 5}}), ""),
+        (lambda doc: json.dumps({**doc, "protocol": [0.2, 15, 25]}), ""),
+        (lambda doc: json.dumps({**doc, "protocol": {**doc["protocol"], "dt": "0.2"}}), ""),
+        (lambda doc: json.dumps([doc]), ""),
+        (lambda doc: json.dumps(doc)[:-1], ""),
+        (lambda doc: json.dumps({**doc, "predictor": {
             **doc["predictor"], "step_covs": [c + [0.0] for c in doc["predictor"]["step_covs"]]}}),
-        lambda doc: json.dumps({**doc, "goal_model": {
+         r"invalid model file: step_covs must be an array of \[sxx, sxy, syy\] triples$"),
+        (lambda doc: json.dumps({**doc, "goal_model": {
             **doc["goal_model"], "residual_covs": [c[:2] for c in doc["goal_model"]["residual_covs"]]}}),
+         r"invalid model file: residual_covs must be an array of \[sxx, sxy, syy\] triples$"),
     ], ids=["protocol-extra-key", "protocol-not-object", "protocol-string-value",
             "top-level-array", "invalid-json", "step-covs-quadruples", "residual-covs-pairs"])
-    def test_malformed_model_file_exits_2(self, tmp_path, capsys, corrupt):
+    def test_malformed_model_file_exits_2(self, tmp_path, capsys, corrupt, message):
         train = gen(tmp_path, "train.jsonl", n=30)
         model = fit(tmp_path, train)
         model.write_text(corrupt(json.loads(model.read_text())))
-        with pytest.raises(ValueError, match=f"^{model}: "):
+        with pytest.raises(ValueError, match=f"^{model}: {message}"):
             load_model(str(model))
         assert run("predict", "--model", str(model), "--data", str(train),
                    "--out", str(tmp_path / "p.jsonl")) == 2

@@ -7,7 +7,9 @@ from trajrefine.goals import (
     GoalModelParams,
     fit_goal_model,
     goal_moments,
+    interpolate_covs,
     interpolate_goals,
+    world_covs,
 )
 from trajrefine.predictors import PredictorParams, RefineConfig, rollout_batch
 
@@ -15,9 +17,9 @@ ANCHORS = (5, 10, 15, 20, 25)
 
 
 def predict(params, history):
-    """Anchor means (A, 2) and covariances (A, 2, 2) of one history."""
-    means, covs = goal_moments(params, np.asarray(history)[None])
-    return means[0], covs[0]
+    """Anchor means (A, 2) and world covariances (A, 2, 2) of one history."""
+    means, rot = goal_moments(params, np.asarray(history)[None])
+    return means[0], world_covs(params.residual_covs, rot)[0]
 
 
 def cv_segment(speed, heading, origin, dt=0.2, tau=15, horizon=25, seg_id="s", agent=0):
@@ -167,12 +169,10 @@ def measurements(goals, last_obs, horizon=30, cfg=RefineConfig()):
     goals maps each anchor step to its (x, y, sigma_x, sigma_y, rho).
     """
     means = np.array([[g[:2] for g in goals.values()]], dtype=float)
-    covs = np.array([[cov_from_params(*g[2:]).as_matrix() for g in goals.values()]])
-    z, r = interpolate_goals(
-        tuple(goals), np.array([last_obs], dtype=float), means, covs, horizon,
-        cfg.epsilon, cfg.beta,
-    )
-    return [(m, Cov2.from_matrix(c)) for m, c in zip(z[0], r[0])]
+    covs = np.array([cov_from_params(*g[2:]).as_matrix() for g in goals.values()])
+    z = interpolate_goals(tuple(goals), np.array([last_obs], dtype=float), means, horizon)
+    r = interpolate_covs(tuple(goals), covs, horizon, cfg.epsilon, cfg.beta)
+    return [(m, Cov2.from_matrix(c)) for m, c in zip(z[0], r)]
 
 
 class TestGoalMeasurementAt:
@@ -259,6 +259,20 @@ class TestGoalSetValidation:
         ds = gen_synthetic("cv", 10, 0.0, seed=23)
         with pytest.raises(ValueError, match=r"anchor steps must be integers, got \(5\.5, 10\)"):
             fit_goal_model(ds, anchor_steps=(5.5, 10))
+
+    @pytest.mark.parametrize("value,message", [
+        (16.0, "history_len must be an integer, got 16.0"),
+        ("16", "history_len must be an integer, got '16'"),
+        (1, "history_len must be at least 2, got 1"),
+        (True, "history_len must be at least 2, got True"),
+    ], ids=["float", "string", "one", "bool"])
+    def test_history_len_rejected_by_name(self, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            GoalModelParams((5, 10), (np.zeros((30, 2)),) * 2, np.stack([np.eye(2)] * 2), value)
+
+    def test_integer_like_history_len_becomes_int(self):
+        params = GoalModelParams((5,), (np.zeros((30, 2)),), [np.eye(2)], np.int64(16))
+        assert type(params.history_len) is int
 
 
 class TestResidualCovarianceTable:

@@ -294,6 +294,14 @@ class TestStepCovarianceTable:
                                  ar_weights=np.zeros((6, 2)))
         assert type(params.window) is int and type(params.lag) is int
 
+    @pytest.mark.parametrize("horizon", [2.5, 2.0, "2"])
+    def test_non_integer_horizon_rejected_by_name(self, horizon):
+        # int() used to truncate 2.5 and roll out 2 steps
+        params = PredictorParams("cv", DT, iso(1.0, 5))
+        with pytest.raises(ValueError, match=f"^horizon must be an integer, got {horizon!r}$"):
+            rollout_batch(params, np.zeros((1, 4, 2)), horizon)
+        assert rollout_batch(params, np.zeros((1, 4, 2)), np.int64(2))[0].shape == (1, 2, 2)
+
     @pytest.mark.parametrize("kw", [{"lag": 2.0}, {"window": 3.0}])
     def test_fit_rejects_non_integer_size(self, kw):
         ds = gen_synthetic("cv", 10, 0.1, seed=37)

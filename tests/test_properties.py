@@ -11,7 +11,9 @@ from hypothesis.extra.numpy import arrays
 
 from trajrefine.cli import load_model, save_model
 from trajrefine.data import gen_synthetic
-from trajrefine.goals import GoalModelParams, fit_goal_model
+from trajrefine.fusion import Estimate, gain_table, gain_update, info_fuse, rotated_gains
+from trajrefine.gaussian import Cov2
+from trajrefine.goals import GoalModelParams, fit_goal_model, interpolate_covs, world_covs
 from trajrefine.predictors import PredictorParams, RefineConfig, fit_predictor, rollout_batch
 
 TAU = 15  # history intervals of gen_synthetic's default protocol
@@ -118,3 +120,81 @@ def test_model_file_round_trips(model):
         assert getattr(loaded_predictor, field) == getattr(predictor, field)
     for field in ("anchor_steps", "history_len", "rotate"):
         assert getattr(loaded_goals, field) == getattr(goal_model, field)
+
+
+@st.composite
+def spd(draw, shape):
+    """shape + (2, 2) positive-definite covariances, condition number <= ~2e4."""
+    sx, sy = (draw(arrays(float, shape, elements=st.floats(0.1, 10.0))) for _ in range(2))
+    rho = draw(arrays(float, shape, elements=st.floats(-0.9, 0.9)))
+    sxy = rho * sx * sy
+    return np.stack([sx * sx, sxy, sxy, sy * sy], axis=-1).reshape(*shape, 2, 2)
+
+
+def rotations(angles):
+    c, s = np.cos(angles), np.sin(angles)
+    return np.stack([c, -s, s, c], axis=-1).reshape(*np.shape(angles), 2, 2)
+
+
+batch_shapes = st.sampled_from((((), ()), ((3,), ()), ((2, 1), (4,)), ((1, 3), (2, 1)),
+                                ((5,), (5,))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), shapes=batch_shapes)
+def test_gain_form_equals_information_form(data, shapes):
+    p = data.draw(spd(shapes[0]))
+    r = data.draw(spd(shapes[1]))
+    x, z = (data.draw(arrays(float, (2,), elements=st.floats(-100.0, 100.0)))
+            for _ in range(2))
+    gains, covs = gain_update(p, r)
+    batch = np.broadcast_shapes(shapes[0], shapes[1])
+    assert gains.shape == covs.shape == (*batch, 2, 2)
+    for i in np.ndindex(batch):
+        pi, ri = np.broadcast_to(p, (*batch, 2, 2))[i], np.broadcast_to(r, (*batch, 2, 2))[i]
+        info = info_fuse(Estimate(x, Cov2.from_matrix(pi)), Estimate(z, Cov2.from_matrix(ri)))
+        assert close(covs[i], info.cov.as_matrix())
+        assert close(x + gains[i] @ (z - x), info.mean)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), shapes=batch_shapes)
+def test_posterior_is_below_both_inputs(data, shapes):
+    p, r = data.draw(spd(shapes[0])), data.draw(spd(shapes[1]))
+    _, covs = gain_update(p, r)
+    assert np.array_equal(covs, np.swapaxes(covs, -1, -2))
+    for prior in (p, r):
+        gap = np.linalg.eigvalsh(prior - covs)  # PSD difference, up to rounding
+        assert gap.min() >= -1e-12 * max(1.0, float(np.abs(prior).max()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    anchors=st.lists(st.integers(1, 12), min_size=1, max_size=6, unique=True),
+    horizon=st.integers(1, 15),
+    angles=arrays(float, st.integers(1, 6), elements=st.floats(-np.pi, np.pi)),
+    epsilon=st.floats(1e-3, 1.0),
+    beta=st.floats(0.0, 2.0),
+)
+def test_world_measurement_covariances(data, anchors, horizon, angles, epsilon, beta):
+    # the engine fuses each segment with its ego-frame table turned by its
+    # heading; those world covariances are PSD, exactly symmetric, and the
+    # gains it gets from the table equal fusing with them directly
+    steps = tuple(sorted(anchors))
+    ego = interpolate_covs(steps, data.draw(spd((len(steps),))), horizon, epsilon, beta)
+    rot = rotations(np.append(angles, 0.0))
+    world = world_covs(ego, rot)
+    assert world.shape == (len(rot), horizon, 2, 2)
+    assert np.array_equal(world, np.swapaxes(world, -1, -2))
+    assert np.array_equal(world[-1], ego)  # the identity rotation
+    np.testing.assert_allclose(np.trace(world, axis1=-2, axis2=-1),
+                               np.broadcast_to(np.trace(ego, axis1=-2, axis2=-1), world.shape[:2]),
+                               rtol=1e-12)
+    assert np.linalg.eigvalsh(world).min() >= -1e-12 * float(np.abs(world).max())
+    prior = data.draw(spd((horizon,)))
+    gains, covs = rotated_gains(gain_table(prior, ego), rot)
+    want_gains, want_covs = gain_update(prior[:, None], np.swapaxes(world, 0, 1))
+    assert gains.shape == covs.shape == (horizon, len(rot), 2, 2)
+    assert close(gains, want_gains) and close(covs, want_covs)
+    assert np.array_equal(covs, np.swapaxes(covs, -1, -2))
