@@ -12,6 +12,7 @@ import csv
 import json
 import zlib
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -59,17 +60,24 @@ class Segment:
         object.__setattr__(self, "future", _points(self.future, "future"))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Homogeneous collection of segments plus the protocol they follow."""
+    """Homogeneous collection of segments plus the protocol they follow.
 
-    segments: list[Segment]
+    Immutable: ``segments`` is stored as a tuple, and :meth:`histories` and
+    :meth:`futures` stack the segment arrays on their first call and return
+    that same read-only array on every later one, so callers that each need
+    the stack (the fitters, ``rmse``, ``run_ablation``) share one copy.
+    """
+
+    segments: tuple[Segment, ...]
     dt: float = DEFAULT_DT
     tau: int = DEFAULT_TAU
     horizon: int = DEFAULT_HORIZON
     source: str = ""
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "segments", tuple(self.segments))
         for seg in self.segments:
             if abs(seg.dt - self.dt) > 1e-12:
                 raise ValueError(f"segment {seg.segment_id}: dt {seg.dt} != {self.dt}")
@@ -88,12 +96,26 @@ class Dataset:
         return len(self.segments)
 
     def histories(self) -> np.ndarray:
-        """Observed histories stacked as an (N, tau+1, 2) array."""
-        return np.array([seg.history for seg in self.segments]).reshape(-1, self.tau + 1, 2)
+        """Observed histories stacked as a read-only (N, tau+1, 2) array, built once."""
+        return self._histories
 
     def futures(self) -> np.ndarray:
-        """Ground-truth futures stacked as an (N, T, 2) array."""
-        return np.array([seg.future for seg in self.segments]).reshape(-1, self.horizon, 2)
+        """Ground-truth futures stacked as a read-only (N, T, 2) array, built once."""
+        return self._futures
+
+    @cached_property
+    def _histories(self) -> np.ndarray:
+        return _stacked([seg.history for seg in self.segments], self.tau + 1)
+
+    @cached_property
+    def _futures(self) -> np.ndarray:
+        return _stacked([seg.future for seg in self.segments], self.horizon)
+
+
+def _stacked(arrays: list[np.ndarray], length: int) -> np.ndarray:
+    out = np.array(arrays).reshape(-1, length, 2)
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)

@@ -49,9 +49,13 @@ class SingularInnovationError(ValueError):
         self.index = index
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Estimate:
-    """A Gaussian position estimate: mean (meters) plus 2x2 covariance."""
+    """A Gaussian position estimate: mean (meters) plus 2x2 covariance.
+
+    Compared and hashed by identity: a generated field-wise ``==`` would
+    compare the mean arrays, whose truth value is ambiguous.
+    """
 
     mean: np.ndarray
     cov: Cov2

@@ -288,7 +288,11 @@ def rollout_batch(
     the refined covariances are a read-only view too. At each step k the raw
     mean is fused as raw + K_k (z_k - raw), the fused estimate is emitted,
     and (in 'fused' feedback mode) the fused mean replaces the raw one in
-    the buffer before the next step. horizon must be an integer.
+    the buffer before the next step. The refined step works on contiguous
+    (N, 2) and (N, 1, 2) scratch arrays, so each step writes the strided
+    position buffer once (twice with 'raw' feedback, which also keeps the
+    raw step). horizon must be an integer; an empty batch returns (0, T, 2)
+    means and (0, T, 2, 2) covariances.
     cfg.refine_enabled is not read here; pass no goal model for vanilla.
     """
     histories = np.asarray(histories, dtype=float)
@@ -315,7 +319,7 @@ def rollout_batch(
     # flat[:, 2k : 2(k + need)] the same buffer raveled
     positions = np.empty((n, need + horizon, 2))
     positions[:, :need] = histories[:, -need:]
-    flat = positions.reshape(n, -1)
+    flat = positions.reshape(n, 2 * (need + horizon))
     buffered = means = positions[:, need:]
     if goal_params is not None:
         goal_means, rot = goal_moments(goal_params, histories)
@@ -330,13 +334,22 @@ def rollout_batch(
             step = exc.index[0] + 1
             raise SingularInnovationError(f"step {step}: {exc}", step=step) from exc
         covs = np.swapaxes(post, 0, 1)
+        gains_t = np.swapaxes(gains, 2, 3)  # (K d)^T = d^T K^T, the same products
         if cfg.feedback == "raw":
             means = np.empty((n, horizon, 2))
+        raw, innov, fix = np.empty((n, 2)), np.empty((n, 1, 2)), np.empty((n, 1, 2))
     weights = params.position_weights
     for k in range(horizon):
-        raw = np.matmul(flat[:, 2 * k : 2 * (k + need)], weights, out=buffered[:, k])
-        if goal_params is not None:  # in 'fused' mode means[:, k] is raw itself
-            np.add(raw, (gains[k] @ (z[k] - raw)[..., None])[..., 0], out=means[:, k])
+        window = flat[:, 2 * k : 2 * (k + need)]
+        if goal_params is None:
+            np.matmul(window, weights, out=buffered[:, k])
+            continue
+        np.matmul(window, weights, out=raw)
+        if cfg.feedback == "raw":  # the backbone rolls on its own output
+            buffered[:, k] = raw
+        np.subtract(z[k], raw, out=innov[:, 0])
+        np.matmul(innov, gains_t[k], out=fix)
+        np.add(raw, fix[:, 0], out=means[:, k])
     if not np.all(np.isfinite(means)):
         raise ValueError("rollout produced non-finite positions")
     return means, covs

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -195,6 +196,32 @@ class TestExtractSegments:
     def test_stride(self):
         # 61 samples, window 41: starts 0 and 10 fit with stride 10
         assert len(extract_segments([self.make_track(61)], stride=10)) == 3
+
+
+class TestDatasetStacks:
+    def test_stacks_are_read_only_and_built_once(self):
+        ds = gen_synthetic("turn", 7, 0.2, seed=4)
+        for stack, field in ((ds.histories, "history"), (ds.futures, "future")):
+            first = stack()
+            assert stack() is first
+            assert not first.flags.writeable
+            with pytest.raises(ValueError):
+                first[0, 0, 0] = 1.0
+            expected = np.array([getattr(seg, field) for seg in ds.segments])
+            assert first.shape == expected.shape
+            assert first.tobytes() == expected.tobytes()
+
+    def test_segments_are_a_tuple_that_cannot_be_reassigned(self):
+        ds = gen_synthetic("cv", 3, 0.0, seed=2)
+        assert isinstance(ds.segments, tuple)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ds.segments = ()
+
+    def test_equality_and_hash_are_identity(self):
+        ds = gen_synthetic("cv", 3, 0.0, seed=2)
+        twin = Dataset(list(ds.segments), ds.dt, ds.tau, ds.horizon)
+        assert ds == ds and ds != twin
+        assert hash(ds) == hash(ds) and isinstance(hash(twin), int)
 
 
 class TestSplitDataset:

@@ -196,6 +196,12 @@ class TestEstimate:
         with pytest.raises(ValueError):
             Estimate([np.nan, 0.0], Cov2.isotropic(1.0))
 
+    def test_equality_and_hash_are_identity(self):
+        a = Estimate([1.0, 2.0], Cov2.isotropic(1.0))
+        b = Estimate([1.0, 2.0], Cov2.isotropic(1.0))
+        assert a == a and a != b
+        assert hash(a) == hash(a) and isinstance(hash(b), int)
+
 
 def per_object(means, covs):
     return [Estimate(m, Cov2.from_matrix(c)) for m, c in zip(means, covs)]

@@ -84,6 +84,17 @@ class TestRmse:
         with pytest.raises(ValueError, match="shape"):
             rmse(np.zeros((2, 1, 2)), ds)
 
+    @pytest.mark.parametrize("n,t", [(1, 1), (3, 25), (50, 7), (500, 25)])
+    def test_bitwise_equal_to_the_axis_reduction(self, n, t):
+        rng = np.random.default_rng(n * 31 + t)
+        scales = 10.0 ** rng.integers(-3, 5, size=(n, t, 1))
+        truth = rng.normal(0.0, 1.0, size=(n, t, 2)) * scales
+        preds = truth + rng.normal(0.0, 1.0, size=(n, t, 2)) * scales
+        m = rmse(preds, tiny_dataset(truth))
+        per_step_mse = ((preds - truth) ** 2).sum(axis=2).mean(axis=0)
+        assert m.rmse_per_step.tobytes() == np.sqrt(per_step_mse).tobytes()
+        assert m.rmse_overall == float(np.sqrt(per_step_mse.mean()))
+
 
 @pytest.fixture(scope="module")
 def fitted():

@@ -11,8 +11,9 @@ import pytest
 
 import reference_rollout as ref
 from trajrefine.data import gen_synthetic
-from trajrefine.fusion import SingularInnovationError
-from trajrefine.goals import GoalModelParams, fit_goal_model, solve_ridge
+from trajrefine.fusion import SingularInnovationError, gain_table, rotated_gains
+from trajrefine.goals import (GoalModelParams, fit_goal_model, goal_moments, interpolate_covs,
+                              interpolate_goals, solve_ridge)
 from trajrefine.predictors import (
     PredictorParams,
     RefineConfig,
@@ -94,6 +95,57 @@ def test_refined_matches_reference(fitted, backbone, anchors, feedback):
         )
         assert_matches(means[i], ref_means)
         assert_matches(covs[i], ref_covs)
+
+
+def strided_loop_means(params, goal_params, histories, cfg):
+    """Refined means of the step loop that works on strided views of the
+    position buffer: the backbone writes each raw step into the buffer and
+    the fused step is raw + K (z - raw), with K a (2, 2) @ (2, 1) product."""
+    n, need, horizon = len(histories), params.buffer_len, params.horizon
+    goal_means, rot = goal_moments(goal_params, histories)
+    z = np.swapaxes(interpolate_goals(goal_params.anchor_steps, histories[:, -1],
+                                      goal_means, horizon), 0, 1)
+    ego = interpolate_covs(goal_params.anchor_steps, goal_params.residual_covs, horizon,
+                           cfg.epsilon, cfg.beta)
+    gains, _ = rotated_gains(gain_table(params.step_covs, cfg.goal_cov_scale * ego), rot)
+    positions = np.empty((n, need + horizon, 2))
+    positions[:, :need] = histories[:, -need:]
+    flat = positions.reshape(n, -1)
+    buffered = means = positions[:, need:]
+    if cfg.feedback == "raw":
+        means = np.empty((n, horizon, 2))
+    for k in range(horizon):
+        raw = np.matmul(flat[:, 2 * k : 2 * (k + need)], params.position_weights,
+                        out=buffered[:, k])
+        np.add(raw, (gains[k] @ (z[k] - raw)[..., None])[..., 0], out=means[:, k])
+    return means
+
+
+@pytest.mark.parametrize("feedback", ("fused", "raw"))
+@pytest.mark.parametrize("n", (1, 37))
+@pytest.mark.parametrize("backbone", ("cv", "ca3", "ar3"))
+def test_refined_means_bitwise_equal_the_strided_loop(fitted, backbone, n, feedback):
+    train, _, predictors, goals = fitted
+    params, goal_params = predictors[backbone], goals["sparse"]
+    cfg = RefineConfig(feedback=feedback)
+    histories = train.histories()[:n]
+    means, _ = rollout_batch(params, histories, None, goal_params, cfg)
+    assert_bitwise(means, strided_loop_means(params, goal_params, histories, cfg))
+
+
+@pytest.mark.parametrize("feedback", (None, "fused", "raw"))
+@pytest.mark.parametrize("backbone", ("cv", "ca3", "ar3"))
+def test_empty_batch_returns_empty_arrays(fitted, backbone, feedback):
+    train, _, predictors, goals = fitted
+    params, goal_params = predictors[backbone], goals["sparse"]
+    empty = train.histories()[:0]
+    goal_means, rot = goal_moments(goal_params, empty)
+    assert goal_means.shape == (0, 5, 2) and rot.shape == (0, 2, 2)
+    gains, post = rotated_gains(gain_table(params.step_covs, params.step_covs), rot)
+    assert gains.shape == post.shape == (25, 0, 2, 2)
+    means, covs = rollout_batch(params, empty, None, goal_params if feedback else None,
+                                RefineConfig(feedback=feedback or "fused"))
+    assert means.shape == (0, 25, 2) and covs.shape == (0, 25, 2, 2)
 
 
 @pytest.mark.parametrize("cfg", [
