@@ -43,7 +43,7 @@ def _points(a, name: str) -> np.ndarray:
     return pts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Segment:
     """One supervised example: observed history plus ground-truth future."""
 
@@ -118,7 +118,7 @@ def _stacked(arrays: list[np.ndarray], length: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Track:
     """A contiguous single-vehicle trajectory at uniform dt."""
 

@@ -37,7 +37,7 @@ COV_FLOOR = 1e-6  # m^2 added to every fitted covariance; keeps fusion nonsingul
 DEFAULT_ANCHOR_STEPS = (5, 10, 15, 20, 25)  # every whole second at dt = 0.2 s
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GoalModelParams:
     """Per-anchor ridge regressors plus ego-frame configuration.
 
@@ -118,10 +118,15 @@ def calibration_split(train: Dataset, val: Dataset | None) -> Dataset:
 
 
 def solve_ridge(x: np.ndarray, y: np.ndarray, ridge_lambda: float) -> np.ndarray:
-    """Closed-form ridge solution of the normal equations (X^T X + lambda I) W = X^T Y.
+    """Closed-form ridge solutions W_a of (X^T X + lambda I) W_a = X^T Y_a.
 
-    With ridge_lambda=0 the Gram matrix must be well conditioned.
+    x is (N, F) and y (N, A, k), A target sets; returns (A, F, k) weights.
+    X^T X + lambda I is formed once and each set is solved against it on its
+    own, so no set's weights depend on the others. ridge_lambda must be
+    finite and >= 0; with 0 the Gram matrix must be well conditioned.
     """
+    if not 0.0 <= ridge_lambda < np.inf:
+        raise ValueError(f"ridge_lambda must be finite and >= 0, got {ridge_lambda!r}")
     gram = x.T @ x
     if ridge_lambda == 0.0:
         eigs = np.linalg.eigvalsh(gram)
@@ -130,7 +135,8 @@ def solve_ridge(x: np.ndarray, y: np.ndarray, ridge_lambda: float) -> np.ndarray
                 "normal equations are singular with ridge_lambda=0 "
                 "(rank-deficient features); add ridge or more data"
             )
-    return np.linalg.solve(gram + ridge_lambda * np.eye(gram.shape[0]), x.T @ y)
+    lhs = gram + ridge_lambda * np.eye(gram.shape[0])
+    return np.stack([np.linalg.solve(lhs, x.T @ y[:, a]) for a in range(y.shape[1])])
 
 
 def second_moments(errors: np.ndarray) -> np.ndarray:
@@ -171,13 +177,13 @@ def fit_goal_model(
     """Fit one independent ridge regressor per anchor step.
 
     Each anchor solves its normal equations in closed form for the ego-frame
-    anchor displacement. Residual covariances are the second moment of the
+    anchor displacement, against one Gram matrix formed once per fit
+    (:func:`solve_ridge`); only the anchor steps of the futures are turned
+    into the ego frame. Residual covariances are the second moment of the
     held-out residuals (training residuals when no validation set is given),
     floored with +1e-6 I so downstream fusion stays well conditioned.
     """
     steps = _anchor_steps(anchor_steps)
-    if ridge_lambda < 0.0:
-        raise ValueError("ridge_lambda must be >= 0")
     if not train.segments:
         raise ValueError("training set is empty")
     if steps[-1] > train.horizon:
@@ -189,15 +195,15 @@ def fit_goal_model(
         raise ValueError("validation futures are shorter than the last anchor")
 
     def design(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
-        """Features and the ego-frame offsets of every future point."""
+        """Features and the (N, A, 2) ego-frame offsets of the anchor points."""
         histories = ds.histories()
         feats, rot = _ego_frame(histories, rotate)
-        return feats, (ds.futures() - histories[:, -1:]) @ rot
+        return feats, (ds.futures()[:, np.subtract(steps, 1)] - histories[:, -1:]) @ rot
 
     x_train, y_train = design(train)
     x_hold, y_hold = (x_train, y_train) if holdout is train else design(holdout)
-    weights = [solve_ridge(x_train, y_train[:, s - 1], ridge_lambda) for s in steps]
-    resid = np.stack([x_hold @ w - y_hold[:, s - 1] for w, s in zip(weights, steps)], 1)
+    weights = solve_ridge(x_train, y_train, ridge_lambda)
+    resid = np.stack([x_hold @ w - y_hold[:, a] for a, w in enumerate(weights)], 1)
     return GoalModelParams(
         anchor_steps=steps,
         weights=tuple(weights),

@@ -40,7 +40,7 @@ from .goals import (GoalModelParams, calibration_split, goal_moments, interpolat
 BACKBONES = ("cv", "ca", "ar")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PredictorParams:
     """Fitted backbone parameters plus the per-step covariance table.
 
@@ -184,8 +184,10 @@ def fit_predictor(
 ) -> PredictorParams:
     """Fit a backbone plus its per-horizon error covariance table.
 
-    ar weights come from closed-form ridge normal equations on one-step
-    displacement prediction over each training series. The covariance at
+    ar weights come from closed-form ridge normal equations (ridge_lambda
+    finite and >= 0) on one-step displacement prediction over each training
+    series; the lag design is one strided view of the displacements, copied
+    once. The covariance at
     step k is the second moment of the backbone's own vanilla-rollout errors
     at that horizon on the calibration split, floored with +1e-6 I and
     forced trace-non-decreasing in k by running maximum. ``window`` is the
@@ -207,9 +209,10 @@ def fit_predictor(
         rows = disp.shape[1] - lag  # design rows per segment, in step order
         if rows < 1:
             raise ValueError("training segments are too short for the requested lag")
-        feats = np.concatenate([disp[:, i : i + rows] for i in range(lag)], axis=2)
-        targets = disp[:, lag:].reshape(-1, 2)
-        ar_weights = solve_ridge(feats.reshape(-1, 2 * lag), targets, ridge_lambda)
+        # row (n, j) is disp[n, j : j + lag]: one read-only view, copied once
+        windows = np.lib.stride_tricks.sliding_window_view(disp[:, :-1], lag, axis=1)
+        feats = windows.swapaxes(2, 3).reshape(-1, 2 * lag)
+        (ar_weights,) = solve_ridge(feats, disp[:, lag:].reshape(-1, 1, 2), ridge_lambda)
 
     shape = {"window": window, "lag": lag, "ar_weights": ar_weights}
     flat = np.broadcast_to(np.eye(2), (train.horizon, 2, 2))

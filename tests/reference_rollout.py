@@ -3,7 +3,9 @@
 A copy of the original scalar implementation, one segment and one step at a
 time: ego-frame anchor prediction, per-step goal interpolation rebuilt at
 every step, gain-form fusion of one 2x2 pair, buffer feedback, the
-per-segment ar design and the per-step covariance calibration. It reads
+per-segment ar design and the per-step covariance calibration; and of the
+per-anchor goal fit, one Gram matrix and one ridge solve per anchor on the
+ego-frame offsets of every future point. It reads
 only the fields of the parameter objects and datasets, never the package's
 rollout, fitting, goal or fusion functions, so a change there cannot move
 the reference. Keep the arithmetic as it is.
@@ -185,6 +187,40 @@ def ar_design(train, lag: int) -> tuple[np.ndarray, np.ndarray]:
     if not feats:
         raise ValueError("training segments are too short for the requested lag")
     return np.asarray(feats), np.asarray(targets)
+
+
+def goal_fit(train, anchor_steps, ridge_lambda: float, val=None, rotate: bool = True):
+    """Per-anchor weights (A, 2*tau, 2) and (A, 2, 2) residual covariances of
+    the goal fit, calibrated on ``val`` when it has segments."""
+
+    def design(ds):
+        histories = np.array([seg.history for seg in ds.segments])
+        futures = np.array([seg.future for seg in ds.segments])
+        n, length, _ = histories.shape
+        if rotate:
+            net = histories[:, -1] - histories[:, 0]
+            moving = np.hypot(net[:, 0], net[:, 1]) >= 1e-12
+            theta = np.where(moving, np.arctan2(net[:, 1], net[:, 0]), 0.0)
+            c, s = np.cos(theta), np.sin(theta)
+            rot = np.stack([c, -s, s, c], axis=-1).reshape(n, 2, 2)
+        else:
+            rot = np.broadcast_to(np.eye(2), (n, 2, 2))
+        feats = (np.diff(histories, axis=1) @ rot).reshape(n, 2 * (length - 1))
+        return feats, (futures - histories[:, -1:]) @ rot
+
+    x_train, y_train = design(train)
+    holdout = val if val is not None and val.segments else train
+    x_hold, y_hold = design(holdout)
+    weights, resid = [], []
+    for s in anchor_steps:
+        gram = x_train.T @ x_train
+        w = np.linalg.solve(gram + ridge_lambda * np.eye(gram.shape[0]),
+                            x_train.T @ y_train[:, s - 1])
+        weights.append(w)
+        resid.append(x_hold @ w - y_hold[:, s - 1])
+    e = np.swapaxes(np.stack(resid, 1), 0, 1)
+    m = np.swapaxes(e, 1, 2) @ e / len(x_hold)
+    return np.array(weights), 0.5 * (m + np.swapaxes(m, 1, 2)) + COV_FLOOR * np.eye(2)
 
 
 def calibrated_step_covs(probe, calib, horizon: int) -> np.ndarray:

@@ -156,6 +156,16 @@ class TestFit:
         assert f"error: --{flag}: invalid value '{value}'" in err
 
 
+    @pytest.mark.parametrize("predictor", ("cv", "ar"))
+    @pytest.mark.parametrize("ridge", ("-1", "nan", "inf"))
+    def test_invalid_ridge_exits_2_naming_it(self, tmp_path, capsys, predictor, ridge):
+        train = gen(tmp_path, "train.jsonl", n=30)
+        out = tmp_path / "m.json"
+        assert run("fit", "--train", str(train), "--out", str(out),
+                   "--predictor", predictor, "--ridge", ridge) == 2
+        assert "error: ridge_lambda must be finite and >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_anchor_zero_exits_2(self, tmp_path, capsys):
         train = gen(tmp_path, "train.jsonl", n=30)
         assert run("fit", "--train", str(train), "--out", str(tmp_path / "m.json"),

@@ -224,6 +224,20 @@ class TestDatasetStacks:
         assert hash(ds) == hash(ds) and isinstance(hash(twin), int)
 
 
+class TestIdentity:
+    def test_segment_equality_and_hash_are_identity(self):
+        a = Segment("a", 1, 0.2, np.zeros((3, 2)), np.ones((2, 2)))
+        b = Segment("a", 1, 0.2, np.zeros((3, 2)), np.ones((2, 2)))
+        assert a == a and a != b
+        assert hash(a) == hash(a) and isinstance(hash(b), int)
+
+    def test_track_equality_and_hash_are_identity(self):
+        a = Track(7, 0.1, np.zeros((4, 2)))
+        b = Track(7, 0.1, np.zeros((4, 2)))
+        assert a == a and a != b
+        assert hash(a) == hash(a) and isinstance(hash(b), int)
+
+
 class TestSplitDataset:
     def make_dataset(self, n_vehicles=10, segs_per_vehicle=3):
         segments = []

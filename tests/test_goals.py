@@ -102,6 +102,29 @@ class TestFitGoalModel:
         np.testing.assert_array_equal(full.weights[2], reduced.weights[1])
         np.testing.assert_array_equal(full.residual_covs[0], reduced.residual_covs[0])
 
+    def test_per_anchor_independence_dense(self):
+        # all 25 anchors share one Gram matrix, yet each is solved on its own
+        train = gen_synthetic("turn", 300, 0.2, seed=23)
+        dense = tuple(range(1, 26))
+        subset = (1, 7, 13, 24, 25)
+        full = fit_goal_model(train, dense, ridge_lambda=1e-6)
+        reduced = fit_goal_model(train, subset, ridge_lambda=1e-6)
+        for i, step in enumerate(subset):
+            assert full.weights[step - 1].tobytes() == reduced.weights[i].tobytes()
+            assert (full.residual_covs[step - 1].tobytes()
+                    == reduced.residual_covs[i].tobytes())
+
+    @pytest.mark.parametrize("ridge", [-5.0, -1e-12, np.nan, np.inf, -np.inf])
+    def test_invalid_ridge_rejected_by_name(self, cv_corpus, ridge):
+        with pytest.raises(ValueError, match="ridge_lambda must be finite and >= 0"):
+            fit_goal_model(cv_corpus, ANCHORS, ridge_lambda=ridge)
+
+    def test_equality_and_hash_are_identity(self, cv_corpus):
+        a = fit_goal_model(cv_corpus, ANCHORS)
+        b = fit_goal_model(cv_corpus, ANCHORS)
+        assert a == a and a != b
+        assert hash(a) == hash(a) and isinstance(hash(b), int)
+
 
 class TestPredictGoals:
     def test_cv_straight_history_extrapolates(self, cv_corpus):

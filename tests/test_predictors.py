@@ -249,6 +249,17 @@ class TestFitPredictor:
         with pytest.raises(ValueError, match="non-decreasing"):
             PredictorParams("cv", DT, covs)
 
+    @pytest.mark.parametrize("ridge", [-5.0, -1e-12, np.nan, np.inf, -np.inf])
+    def test_invalid_ridge_rejected_by_name(self, ridge):
+        ds = gen_synthetic("cv", 20, 0.1, seed=35)
+        with pytest.raises(ValueError, match="ridge_lambda must be finite and >= 0"):
+            fit_predictor("ar", ds, lag=3, ridge_lambda=ridge)
+
+    def test_equality_and_hash_are_identity(self):
+        a, b = cv_params(), cv_params()
+        assert a == a and a != b
+        assert hash(a) == hash(a) and isinstance(hash(b), int)
+
 
 def with_entry(step, matrix, n=4):
     """An isotropic table whose entry for 1-based ``step`` is ``matrix``."""

@@ -3,7 +3,8 @@
 Means and covariances are compared with
 max|new - reference| <= 1e-9 * max(1, max|reference|); the ar weights,
 whose design is the same array row for row, and the one-segment adapters
-against their own one-row batch are compared bitwise.
+against their own one-row batch are compared bitwise, and so is the goal
+fit, which makes the same products and solves per anchor as the reference.
 """
 
 import numpy as np
@@ -179,13 +180,45 @@ def test_fit_predictor_step_covs_match_reference(corpus, backbone):
 
 
 @pytest.mark.parametrize("with_val", (False, True))
-@pytest.mark.parametrize("lag", (1, 3))
+@pytest.mark.parametrize("lag", (1, 3, 5))
 def test_fit_predictor_ar_weights_equal_reference_design(corpus, lag, with_val):
     # same design row for row, so the ridge solve is bitwise the same
     train, test = corpus
     params = fit_predictor("ar", train, test if with_val else None, lag=lag)
-    expected = solve_ridge(*ref.ar_design(train, lag), 1e-6)
-    assert params.ar_weights.tobytes() == expected.tobytes()
+    feats, targets = ref.ar_design(train, lag)
+    assert_bitwise(params.ar_weights, solve_ridge(feats, targets[:, None], 1e-6)[0])
+
+
+@pytest.mark.parametrize("scenario", ("turn", "ca"))
+def test_ar_design_of_one_row_per_segment_equals_reference(scenario):
+    # lag = tau with a one-step future: the history fills the buffer and
+    # each segment gives one design row
+    train = gen_synthetic(scenario, 50, 0.2, seed=64, tau=3, horizon=1)
+    feats, targets = ref.ar_design(train, 3)
+    assert feats.shape == (50, 6)
+    params = fit_predictor("ar", train, lag=3)
+    assert_bitwise(params.ar_weights, solve_ridge(feats, targets[:, None], 1e-6)[0])
+
+
+def test_lag_leaving_no_design_rows_keeps_its_message():
+    train = gen_synthetic("turn", 10, 0.2, seed=64, tau=3, horizon=1)
+    with pytest.raises(ValueError) as exc:
+        fit_predictor("ar", train, lag=4)
+    assert str(exc.value) == "training segments are too short for the requested lag"
+
+
+@pytest.mark.parametrize("rotate", (True, False))
+@pytest.mark.parametrize("ridge", (1e-6, 1e3))
+@pytest.mark.parametrize("with_val", (False, True))
+@pytest.mark.parametrize("anchors", ANCHOR_SETS)
+def test_fit_goal_model_equals_reference_fit(corpus, anchors, with_val, ridge, rotate):
+    # the same products and solves per anchor, so the fit is bitwise the same
+    train, test = corpus
+    val = test if with_val else None
+    params = fit_goal_model(train, ANCHOR_SETS[anchors], ridge, val=val, rotate=rotate)
+    weights, covs = ref.goal_fit(train, ANCHOR_SETS[anchors], ridge, val, rotate)
+    assert_bitwise(params.weights, weights)
+    assert_bitwise(params.residual_covs, covs)
 
 
 def test_batch_equals_single_calls(fitted):
