@@ -237,7 +237,7 @@ def _protocol(ds: Dataset) -> dict:
 
 def _check_protocol(protocol: dict, ds: Dataset, path: str) -> None:
     for key in PROTOCOL_KEYS:
-        if abs(getattr(ds, key) - protocol[key]) > 1e-9:
+        if not abs(getattr(ds, key) - protocol[key]) <= 1e-9:  # a NaN never matches
             raise ValueError(
                 f"{path}: protocol mismatch: {key}={getattr(ds, key)} in data, "
                 f"model expects {protocol[key]}"
@@ -301,7 +301,6 @@ _REFINE_OPTS = [
     Opt("goal-cov-scale", float),
     Opt("epsilon", float),
     Opt("beta", float),
-    Opt("feedback", str, choices=("fused", "raw")),
 ]
 
 _FIT_OPTS = [
@@ -332,7 +331,7 @@ def _fit_models(o, backbones) -> tuple[Dataset, dict]:
 
 
 def _refine_config(o) -> RefineConfig:
-    return RefineConfig(**_given(epsilon=o.epsilon, beta=o.beta, feedback=o.feedback,
+    return RefineConfig(**_given(epsilon=o.epsilon, beta=o.beta,
                                  goal_cov_scale=o.goal_cov_scale))
 
 

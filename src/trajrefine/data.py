@@ -54,8 +54,8 @@ class Segment:
     future: np.ndarray  # (T, 2) meters
 
     def __post_init__(self) -> None:
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
+        if not 0.0 < self.dt < np.inf:
+            raise ValueError("dt must be finite and positive")
         object.__setattr__(self, "history", _points(self.history, "history"))
         object.__setattr__(self, "future", _points(self.future, "future"))
 
@@ -77,6 +77,9 @@ class Dataset:
     source: str = ""
 
     def __post_init__(self) -> None:
+        if not (0.0 < self.dt < np.inf and self.tau >= 0 and self.horizon >= 1):
+            raise ValueError(f"protocol needs a finite dt > 0, tau >= 0 and horizon >= 1, "
+                             f"got dt={self.dt}, tau={self.tau}, horizon={self.horizon}")
         object.__setattr__(self, "segments", tuple(self.segments))
         for seg in self.segments:
             if abs(seg.dt - self.dt) > 1e-12:
@@ -303,13 +306,17 @@ def gen_synthetic(
         raise ValueError(f"unknown scenario {scenario!r}; valid: {', '.join(SCENARIOS)}")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if noise_sigma < 0.0:
-        raise ValueError("noise_sigma must be >= 0")
+    if not 0.0 <= noise_sigma < np.inf:
+        raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
+    Dataset((), dt, tau, horizon)  # checks the protocol before generating
+    length = tau + 1 + horizon
+    total = (length - 1) * dt
+    if scenario == "lane_change" and total < LANE_CHANGE_DURATION:
+        raise ValueError(f"lane_change needs a window of at least {LANE_CHANGE_DURATION} s "
+                         f"for its manoeuvre, got (tau + horizon) * dt = {total:g} s")
 
     rng = _stream_rng(seed, "datagen")
-    length = tau + 1 + horizon
     t = np.arange(length) * dt
-    total = (length - 1) * dt
     segments = []
     for i in range(n):
         speed = rng.uniform(8.0, 15.0)

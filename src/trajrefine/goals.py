@@ -111,10 +111,16 @@ def calibration_split(train: Dataset, val: Dataset | None) -> Dataset:
         return train
     for key in ("dt", "tau"):
         got, want = getattr(val, key), getattr(train, key)
-        if abs(got - want) > 1e-9:
+        if not abs(got - want) <= 1e-9:  # a NaN never matches
             raise ValueError(f"{val.source or 'validation set'}: {key}={got} "
                              f"differs from the training {key}={want}")
     return val
+
+
+def check_ridge(ridge_lambda: float) -> None:
+    """Reject a ridge_lambda that is not finite and >= 0."""
+    if not 0.0 <= ridge_lambda < np.inf:
+        raise ValueError(f"ridge_lambda must be finite and >= 0, got {ridge_lambda!r}")
 
 
 def solve_ridge(x: np.ndarray, y: np.ndarray, ridge_lambda: float) -> np.ndarray:
@@ -125,8 +131,7 @@ def solve_ridge(x: np.ndarray, y: np.ndarray, ridge_lambda: float) -> np.ndarray
     own, so no set's weights depend on the others. ridge_lambda must be
     finite and >= 0; with 0 the Gram matrix must be well conditioned.
     """
-    if not 0.0 <= ridge_lambda < np.inf:
-        raise ValueError(f"ridge_lambda must be finite and >= 0, got {ridge_lambda!r}")
+    check_ridge(ridge_lambda)
     gram = x.T @ x
     if ridge_lambda == 0.0:
         eigs = np.linalg.eigvalsh(gram)

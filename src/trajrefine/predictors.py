@@ -12,13 +12,12 @@ errors actually grow.
 :func:`rollout_batch` is the one rollout loop. It steps N segments at once.
 With a goal model it predicts the anchors once per segment, computes every
 step's gain from the covariances up front, fuses each raw step with the
-interpolated goal measurement and (by default) feeds the fused mean back
-into the buffer. The gains need no per-segment 2x2 products: the prior and
-the ego-frame measurement tables do not depend on the segments, so their
+interpolated goal measurement and feeds the fused mean back into the
+buffer. The gains need no per-segment 2x2 products: the prior and the
+ego-frame measurement tables do not depend on the segments, so their
 :func:`~trajrefine.fusion.gain_table` is cached, and each segment enters
 only through its heading, in one GEMM. It keeps one (N, buffer_len + T, 2)
-position array, and the means it returns are a view of it whenever the
-fed-back value is the output.
+position array, and the means it returns are a view of it.
 ``rollout``, ``rollout_vanilla`` and ``rollout_refined`` are its one-segment
 adapters; they validate their estimates once, as arrays.
 """
@@ -34,8 +33,9 @@ from .data import Dataset
 from .fusion import (Estimate, SingularInnovationError, estimates_from_arrays, gain_table,
                      rotated_gains)
 from .gaussian import psd_rule
-from .goals import (GoalModelParams, calibration_split, goal_moments, interpolate_covs,
-                    interpolate_goals, read_only, second_moments, solve_ridge, whole)
+from .goals import (GoalModelParams, calibration_split, check_ridge, goal_moments,
+                    interpolate_covs, interpolate_goals, read_only, second_moments,
+                    solve_ridge, whole)
 
 BACKBONES = ("cv", "ca", "ar")
 
@@ -61,8 +61,8 @@ class PredictorParams:
     def __post_init__(self) -> None:
         if self.backbone not in BACKBONES:
             raise ValueError(f"unknown backbone {self.backbone!r}; valid: {BACKBONES}")
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
+        if not 0.0 < self.dt < np.inf:
+            raise ValueError("dt must be finite and positive")
         object.__setattr__(self, "window", whole("window", self.window))
         object.__setattr__(self, "lag", whole("lag", self.lag))
         c = read_only(np.array(self.step_covs, dtype=float))
@@ -132,26 +132,20 @@ class PredictorParams:
 class RefineConfig:
     """Refinement loop knobs.
 
-    feedback 'fused' replaces the predictor's latest buffered position with
-    the fused mean; 'raw' leaves the backbone rolling out on its own output
-    while the fused sequence is still what gets returned. goal_cov_scale
-    multiplies every goal measurement covariance (1e12 recovers the vanilla
-    rollout, 1e-12 snaps the output onto the goals). epsilon is the variance
-    (m^2) of the virtual step-0 goal anchor pinned at the last observed
-    position; beta inflates the goal covariance by beta per step held past
-    the last anchor. refine_enabled selects between refined and vanilla in
-    :func:`rollout`.
+    goal_cov_scale multiplies every goal measurement covariance (1e12
+    recovers the vanilla rollout, 1e-12 snaps the output onto the goals).
+    epsilon is the variance (m^2) of the virtual step-0 goal anchor pinned
+    at the last observed position; beta inflates the goal covariance by beta
+    per step held past the last anchor. refine_enabled selects between
+    refined and vanilla in :func:`rollout`.
     """
 
     refine_enabled: bool = True
     epsilon: float = 0.05
     beta: float = 0.5
-    feedback: str = "fused"
     goal_cov_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.feedback not in ("fused", "raw"):
-            raise ValueError("feedback mode must be 'fused' or 'raw'")
         for name in ("epsilon", "beta", "goal_cov_scale"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -184,19 +178,20 @@ def fit_predictor(
 ) -> PredictorParams:
     """Fit a backbone plus its per-horizon error covariance table.
 
-    ar weights come from closed-form ridge normal equations (ridge_lambda
-    finite and >= 0) on one-step displacement prediction over each training
-    series; the lag design is one strided view of the displacements, copied
-    once. The covariance at
-    step k is the second moment of the backbone's own vanilla-rollout errors
-    at that horizon on the calibration split, floored with +1e-6 I and
-    forced trace-non-decreasing in k by running maximum. ``window`` is the
+    ar weights come from closed-form ridge normal equations on one-step
+    displacement prediction over each training series (ridge_lambda must be
+    finite and >= 0 for every backbone); the lag design is one strided view
+    of the displacements, copied once. The covariance at step k is the
+    second moment of the backbone's own vanilla-rollout errors at that
+    horizon on the calibration split, floored with +1e-6 I and forced
+    trace-non-decreasing in k by running maximum. ``window`` is the
     cv/ca position window; it defaults to 2 for cv and to 3, the fewest
     points a quadratic needs, for ca (ar ignores it).
     """
     if window is None:
         window = 3 if backbone == "ca" else 2
     window, lag = whole("window", window), whole("lag", lag)
+    check_ridge(ridge_lambda)
     if not train.segments:
         raise ValueError("training set is empty")
     calib = calibration_split(train, val)
@@ -280,22 +275,20 @@ def rollout_batch(
     """Roll N segments out together; the one rollout loop of the package.
 
     histories is (N, n, 2). Returns (N, T, 2) means and (N, T, 2, 2)
-    covariances for future steps 1..T; except with 'raw' feedback, the means
-    are a view of the rollout's position buffer. Without a goal model this
-    is the vanilla rollout: repeated one-step prediction with the calibrated
-    step covariances, a read-only broadcast view of ``params.step_covs``.
-    With one, goals are predicted exactly once per segment up
-    front. The prior covariance at step k is the calibrated table entry, not
+    covariances for future steps 1..T; the means are a view of the
+    rollout's position buffer. Without a goal model this is the vanilla
+    rollout: repeated one-step prediction with the calibrated step
+    covariances, a read-only broadcast view of ``params.step_covs``. With
+    one, goals are predicted exactly once per segment up front. The prior covariance at step k is the calibrated table entry, not
     the previous fused one, so every gain K_k and fused covariance is fixed
     by the covariances alone and is computed in one call before stepping;
     the refined covariances are a read-only view too. At each step k the raw
     mean is fused as raw + K_k (z_k - raw), the fused estimate is emitted,
-    and (in 'fused' feedback mode) the fused mean replaces the raw one in
-    the buffer before the next step. The refined step works on contiguous
-    (N, 2) and (N, 1, 2) scratch arrays, so each step writes the strided
-    position buffer once (twice with 'raw' feedback, which also keeps the
-    raw step). horizon must be an integer; an empty batch returns (0, T, 2)
-    means and (0, T, 2, 2) covariances.
+    and the fused mean replaces the raw one in the buffer before the next
+    step. The refined step works on contiguous (N, 2) and (N, 1, 2) scratch
+    arrays, so each step writes the strided position buffer once. horizon
+    must be an integer; an empty batch returns (0, T, 2) means and
+    (0, T, 2, 2) covariances.
     cfg.refine_enabled is not read here; pass no goal model for vanilla.
     """
     histories = np.asarray(histories, dtype=float)
@@ -323,7 +316,7 @@ def rollout_batch(
     positions = np.empty((n, need + horizon, 2))
     positions[:, :need] = histories[:, -need:]
     flat = positions.reshape(n, 2 * (need + horizon))
-    buffered = means = positions[:, need:]
+    means = positions[:, need:]
     if goal_params is not None:
         goal_means, rot = goal_moments(goal_params, histories)
         z = np.swapaxes(interpolate_goals(goal_params.anchor_steps, histories[:, -1],
@@ -338,18 +331,14 @@ def rollout_batch(
             raise SingularInnovationError(f"step {step}: {exc}", step=step) from exc
         covs = np.swapaxes(post, 0, 1)
         gains_t = np.swapaxes(gains, 2, 3)  # (K d)^T = d^T K^T, the same products
-        if cfg.feedback == "raw":
-            means = np.empty((n, horizon, 2))
         raw, innov, fix = np.empty((n, 2)), np.empty((n, 1, 2)), np.empty((n, 1, 2))
     weights = params.position_weights
     for k in range(horizon):
         window = flat[:, 2 * k : 2 * (k + need)]
         if goal_params is None:
-            np.matmul(window, weights, out=buffered[:, k])
+            np.matmul(window, weights, out=means[:, k])
             continue
         np.matmul(window, weights, out=raw)
-        if cfg.feedback == "raw":  # the backbone rolls on its own output
-            buffered[:, k] = raw
         np.subtract(z[k], raw, out=innov[:, 0])
         np.matmul(innov, gains_t[k], out=fix)
         np.add(raw, fix[:, 0], out=means[:, k])

@@ -53,6 +53,28 @@ class TestGenSynth:
         assert run("gen-synth", "--scenario", "cv",
                    "--out", str(tmp_path / "x.jsonl")) == 2
 
+    @pytest.mark.parametrize("scenario,flags,message", [
+        ("cv", ("--noise", "nan"), "noise_sigma must be finite and >= 0, got nan"),
+        ("turn", ("--noise=-inf",), "noise_sigma must be finite and >= 0, got -inf"),
+        ("cv", ("--tau", "-1"), "protocol needs a finite dt > 0, tau >= 0 and horizon >= 1, "
+                                "got dt=0.2, tau=-1, horizon=25"),
+        ("ca", ("--horizon", "0"), "protocol needs a finite dt > 0, tau >= 0 and horizon >= 1, "
+                                   "got dt=0.2, tau=15, horizon=0"),
+        ("cv", ("--dt", "nan"), "protocol needs a finite dt > 0, tau >= 0 and horizon >= 1, "
+                                "got dt=nan, tau=15, horizon=25"),
+        ("lane-change", ("--tau", "5", "--horizon", "4"),
+         "lane_change needs a window of at least 3.0 s for its manoeuvre, "
+         "got (tau + horizon) * dt = 1.8 s"),
+    ], ids=["noise-nan", "noise-minus-inf", "tau-negative", "horizon-zero", "dt-nan",
+            "lane-change-short-window"])
+    def test_arguments_that_make_no_corpus_exit_2_naming_them(
+            self, tmp_path, capsys, scenario, flags, message):
+        out = tmp_path / "x.jsonl"
+        assert run("gen-synth", "--scenario", scenario, "--n", "3",
+                   "--out", str(out), *flags) == 2
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestIngestNgsim:
     def write_csv(self, path, n_frames=130, vehicles=(1, 2)):
@@ -133,6 +155,18 @@ class TestFit:
         a = fit(tmp_path, train, "m1.json")
         b = fit(tmp_path, train, "m2.json")
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("dt", ["NaN", "Infinity"])
+    def test_non_finite_dt_in_training_file_exits_2_naming_line(self, tmp_path, capsys, dt):
+        train = gen(tmp_path, "train.jsonl", n=3)
+        lines = train.read_text().splitlines()
+        lines[1] = lines[1].replace('"dt":0.2', f'"dt":{dt}')
+        train.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "m.json"
+        assert run("fit", "--train", str(train), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"error: {train}: line 2: dt must be finite and positive\n" in err
+        assert not out.exists()
 
     def test_empty_training_file_exits_2(self, tmp_path):
         empty = tmp_path / "empty.jsonl"
@@ -308,8 +342,9 @@ class TestPredict:
         (lambda doc: doc["goal_model"].update(rotate="no"),
          'rotate must be a JSON boolean, got "no"'),
         (lambda doc: doc["protocol"].update(tau=True), "tau must be a JSON integer, got true"),
+        (lambda doc: doc["predictor"].update(dt=float("nan")), "dt must be finite and positive"),
     ], ids=["lag-float", "anchor-float", "ar-weight-null", "goal-weight-string",
-            "rotate-string", "tau-bool"])
+            "rotate-string", "tau-bool", "predictor-dt-nan"])
     def test_model_file_wrong_json_type_exits_2(self, tmp_path, capsys, corrupt, message):
         train = gen(tmp_path, "train.jsonl", n=30)
         model = fit(tmp_path, train)
@@ -322,6 +357,31 @@ class TestPredict:
         assert run("predict", "--model", str(model), "--data", str(train),
                    "--out", str(tmp_path / "p.jsonl")) == 2
         assert f"{model}: invalid model file: {message}" in capsys.readouterr().err
+
+    def test_model_protocol_dt_nan_exits_2_naming_the_mismatch(self, tmp_path, capsys):
+        train = gen(tmp_path, "train.jsonl", n=30)
+        model = fit(tmp_path, train)
+        doc = json.loads(model.read_text())
+        doc["protocol"]["dt"] = float("nan")
+        model.write_text(json.dumps(doc))
+        out = tmp_path / "p.jsonl"
+        assert run("predict", "--model", str(model), "--data", str(train),
+                   "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"error: {train}: protocol mismatch: dt=0.2 in data, model expects nan\n" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,value", [("predict", "raw"), ("ablate", "fused")])
+    def test_feedback_flag_is_unrecognized(self, tmp_path, capsys, command, value):
+        train = gen(tmp_path, "train.jsonl", n=30)
+        inputs = (("--model", str(fit(tmp_path, train)), "--data", str(train))
+                  if command == "predict" else ("--train", str(train), "--test", str(train)))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc_info:
+            run(command, *inputs, "--out", str(out), "--feedback", value)
+        assert exc_info.value.code == 2
+        assert "unrecognized arguments: --feedback" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_model_file_round_trip_matches_in_memory(self, tmp_path):
         train_ds = gen_synthetic("lane_change", 60, 0.2, seed=11)
@@ -525,6 +585,18 @@ class TestConfigFile:
         assert run("gen-synth", "--scenario", "cv", "--out", str(tmp_path / "x.jsonl"),
                    "--config", str(cfg)) == 2
         assert "wibble" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ("predict", "ablate"))
+    def test_feedback_key_exits_2(self, tmp_path, capsys, command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("feedback = fused\n")
+        train = gen(tmp_path, "train.jsonl", n=30)
+        inputs = (("--model", str(fit(tmp_path, train)), "--data", str(train))
+                  if command == "predict" else ("--train", str(train), "--test", str(train)))
+        out = tmp_path / "out"
+        assert run(command, *inputs, "--out", str(out), "--config", str(cfg)) == 2
+        assert "error: unknown config keys: feedback\n" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_invalid_choice_from_config_exits_2(self, tmp_path):
         cfg = tmp_path / "run.cfg"

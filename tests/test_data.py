@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,11 @@ from trajrefine.data import (
     split_dataset,
     write_jsonl,
 )
+
+
+def protocol_error(dt, tau, horizon):
+    return re.escape("protocol needs a finite dt > 0, tau >= 0 and horizon >= 1, "
+                     f"got dt={dt}, tau={tau}, horizon={horizon}")
 
 
 def write_csv(path, rows, header="Vehicle_ID,Frame_ID,Total_Frames,Local_X,Local_Y"):
@@ -197,6 +203,28 @@ class TestExtractSegments:
         # 61 samples, window 41: starts 0 and 10 fit with stride 10
         assert len(extract_segments([self.make_track(61)], stride=10)) == 3
 
+    @pytest.mark.parametrize("tau,horizon", [(-1, 25), (15, 0)])
+    def test_window_without_history_or_future_rejected(self, tau, horizon):
+        for tracks in ([self.make_track(45)], []):
+            with pytest.raises(ValueError, match=f"^{protocol_error(0.2, tau, horizon)}$"):
+                extract_segments(tracks, tau, horizon, stride=1)
+
+
+class TestProtocolDomain:
+    @pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf, 0.0, -0.2])
+    def test_segment_dt_not_finite_and_positive_rejected(self, dt):
+        with pytest.raises(ValueError, match="^dt must be finite and positive$"):
+            Segment("s", 0, dt, np.zeros((2, 2)), np.zeros((1, 2)))
+
+    @pytest.mark.parametrize("dt,tau,horizon", [
+        (np.nan, 1, 1), (np.inf, 1, 1), (-np.inf, 1, 1), (0.0, 1, 1), (-0.2, 1, 1),
+        (0.2, -1, 1), (0.2, 0, 0),
+    ])
+    def test_dataset_protocol_out_of_domain_rejected(self, dt, tau, horizon):
+        with pytest.raises(ValueError, match=f"^{protocol_error(dt, tau, horizon)}$"):
+            Dataset([], dt, tau, horizon)
+        assert len(Dataset([], 0.2, 0, 1)) == 0
+
 
 class TestDatasetStacks:
     def test_stacks_are_read_only_and_built_once(self):
@@ -307,6 +335,27 @@ class TestGenSynthetic:
         with pytest.raises(ValueError, match="cv, ca, lane_change, turn"):
             gen_synthetic("bogus", 1, 0.0, seed=0)
 
+    @pytest.mark.parametrize("noise", [np.nan, np.inf, -np.inf, -0.1])
+    def test_noise_not_finite_and_non_negative_rejected(self, noise):
+        with pytest.raises(ValueError, match="^noise_sigma must be finite and >= 0"):
+            gen_synthetic("cv", 1, noise, seed=0)
+
+    @pytest.mark.parametrize("dt,tau,horizon", [
+        (0.2, -1, 25), (0.2, 15, 0), (np.nan, 15, 25), (np.inf, 15, 25), (0.0, 15, 25),
+    ])
+    def test_protocol_out_of_domain_rejected(self, dt, tau, horizon):
+        for scenario in ("cv", "lane_change"):
+            with pytest.raises(ValueError, match=f"^{protocol_error(dt, tau, horizon)}$"):
+                gen_synthetic(scenario, 1, 0.0, seed=0, tau=tau, horizon=horizon, dt=dt)
+
+    def test_lane_change_window_shorter_than_the_manoeuvre_rejected(self):
+        with pytest.raises(ValueError) as exc:
+            gen_synthetic("lane_change", 1, 0.0, seed=0, tau=5, horizon=4)
+        assert str(exc.value) == ("lane_change needs a window of at least 3.0 s for its "
+                                  "manoeuvre, got (tau + horizon) * dt = 1.8 s")
+        assert len(gen_synthetic("lane_change", 2, 0.0, seed=0, tau=0, horizon=15)) == 2
+        assert len(gen_synthetic("cv", 2, 0.0, seed=0, tau=5, horizon=4)) == 2
+
     def test_protocol_shape(self):
         ds = gen_synthetic("ca", 3, 0.1, seed=2)
         assert ds.dt == 0.2 and ds.tau == 15 and ds.horizon == 25
@@ -412,6 +461,9 @@ class TestJsonl:
         ("segment_id", 5, "segment_id must be a JSON string"),
         ("segment_id", 5.0, "segment_id must be a JSON string"),
         ("segment_id", ["a"], "segment_id must be a JSON string"),
+        ("dt", float("nan"), "dt must be finite and positive"),
+        ("dt", float("inf"), "dt must be finite and positive"),
+        ("dt", float("-inf"), "dt must be finite and positive"),
     ])
     def test_non_json_number_field_rejected_with_line(self, tmp_path, field, value, message):
         path = tmp_path / "d.jsonl"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import reference_rollout as ref
 import trajrefine.predictors as predictors
 from trajrefine.data import Dataset, Segment, gen_synthetic
 from trajrefine.fusion import SingularInnovationError
@@ -138,7 +139,7 @@ class TestStep:
 class TestFeedback:
     def test_noop_replacement_keeps_state(self):
         # goals on the vanilla path: every fused mean equals the raw one, so
-        # feeding it back leaves the rollout exactly as without feedback
+        # feeding it back leaves the rollout exactly as vanilla
         history = np.array([[[0.0, 0.0], [1.0, 0.0]]])
         steps = tuple(range(1, 26))
         on_path = GoalModelParams(
@@ -150,28 +151,26 @@ class TestFeedback:
         )
         params = cv_params()
         vanilla, _ = rollout_batch(params, history)
-        for feedback in ("fused", "raw"):
-            means, _ = rollout_batch(
-                params, history, None, on_path, RefineConfig(feedback=feedback)
-            )
-            np.testing.assert_array_equal(means, vanilla)
+        means, _ = rollout_batch(params, history, None, on_path)
+        np.testing.assert_array_equal(means, vanilla)
 
     def test_shift_propagates_doubled_for_two_point_window(self):
         # A goal pulls step 1 off the raw position by delta. With a two-point
         # cv window the fed-back shift moves the raw step 2 by 2 * delta, and
-        # the step-2 update keeps (I - K2) = P2' P2^-1 of that.
+        # the step-2 update keeps (I - K2) = P2' P2^-1 of that. The rollout
+        # without feedback is the reference's, which can leave it out.
         params = cv_params()
         history = np.array([[[0.0, 0.0], [1.0, 0.0]]])
         goal = origin_goal(horizon=1)
         fused, covs = rollout_batch(params, history, None, goal)
-        raw_cfg = RefineConfig(feedback="raw")
-        raw, _ = rollout_batch(params, history, None, goal, raw_cfg)
+        raw, _ = ref.rollout_refined(params, goal, history[0], params.horizon,
+                                     feedback="raw")
         delta = fused[0, 0] - [2.0, 0.0]
         assert np.abs(delta).max() > 0.05
-        np.testing.assert_array_equal(fused[0, 0], raw[0, 0])
+        np.testing.assert_allclose(fused[0, 0], raw[0], atol=1e-12)
         keep = covs[0, 1] @ np.linalg.inv(params.step_covs[1])
         np.testing.assert_allclose(
-            fused[0, 1] - raw[0, 1], keep @ (2.0 * delta), atol=1e-12
+            fused[0, 1] - raw[1], keep @ (2.0 * delta), atol=1e-12
         )
 
     def test_feedback_before_any_step(self):
@@ -254,6 +253,18 @@ class TestFitPredictor:
         ds = gen_synthetic("cv", 20, 0.1, seed=35)
         with pytest.raises(ValueError, match="ridge_lambda must be finite and >= 0"):
             fit_predictor("ar", ds, lag=3, ridge_lambda=ridge)
+
+    @pytest.mark.parametrize("ridge", [-5.0, np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("backbone", ["cv", "ca"])
+    def test_invalid_ridge_rejected_for_closed_form_backbones(self, backbone, ridge):
+        ds = gen_synthetic("cv", 20, 0.1, seed=35)
+        with pytest.raises(ValueError, match="ridge_lambda must be finite and >= 0"):
+            fit_predictor(backbone, ds, ridge_lambda=ridge)
+
+    @pytest.mark.parametrize("dt", [np.nan, np.inf, 0.0])
+    def test_dt_not_finite_and_positive_rejected(self, dt):
+        with pytest.raises(ValueError, match="^dt must be finite and positive$"):
+            PredictorParams("cv", dt, iso(0.1, 3))
 
     def test_equality_and_hash_are_identity(self):
         a, b = cv_params(), cv_params()
@@ -384,7 +395,7 @@ class TestRolloutVanilla:
 
 class TestRefineConfig:
     @pytest.mark.parametrize("kw", [
-        {"epsilon": 0.0}, {"beta": -0.1}, {"goal_cov_scale": 0.0}, {"feedback": "x"},
+        {"epsilon": 0.0}, {"beta": -0.1}, {"goal_cov_scale": 0.0}, {"goal_cov_scale": -1.0},
         {"epsilon": np.inf}, {"epsilon": np.nan}, {"beta": np.inf}, {"beta": np.nan},
         {"goal_cov_scale": np.inf}, {"goal_cov_scale": np.nan},
     ])
@@ -468,15 +479,6 @@ class TestRolloutRefined:
         moved = rollout_refined(params, goal_params, seg.history + shift)
         for a, b in zip(base, moved):
             np.testing.assert_allclose(b.mean, a.mean + shift, atol=1e-9)
-
-    def test_raw_feedback_mode_differs(self, fitted_lane_change):
-        train, params, goal_params, _ = fitted_lane_change
-        seg = train.segments[4]
-        fused_mode = rollout_refined(params, goal_params, seg.history)
-        raw_mode = rollout_refined(
-            params, goal_params, seg.history, cfg=RefineConfig(feedback="raw")
-        )
-        assert not np.allclose(fused_mode[-1].mean, raw_mode[-1].mean)
 
     def test_singularity_carries_step_index(self, fitted_lane_change):
         train, params, _, dense_goals = fitted_lane_change

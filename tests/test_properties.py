@@ -14,7 +14,7 @@ from trajrefine.data import gen_synthetic
 from trajrefine.fusion import Estimate, gain_table, gain_update, info_fuse, rotated_gains
 from trajrefine.gaussian import Cov2
 from trajrefine.goals import GoalModelParams, fit_goal_model, interpolate_covs, world_covs
-from trajrefine.predictors import PredictorParams, RefineConfig, fit_predictor, rollout_batch
+from trajrefine.predictors import PredictorParams, fit_predictor, rollout_batch
 
 TAU = 15  # history intervals of gen_synthetic's default protocol
 
@@ -44,20 +44,17 @@ coords = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
     start=st.tuples(coords, coords),
     shift=st.tuples(st.floats(-1e4, 1e4), st.floats(-1e4, 1e4)),
     backbone=st.sampled_from(("cv", "ca", "ar")),
-    feedback=st.sampled_from(("fused", "raw")),
 )
-def test_refined_rollout_is_translation_equivariant(
-        models, steps, start, shift, backbone, feedback):
+def test_refined_rollout_is_translation_equivariant(models, steps, start, shift, backbone):
     # the heading of a history with no net motion is undefined, so the ego
     # frame flips at the stationarity threshold; only moving histories count
     assume(np.hypot(*steps.sum(axis=0)) >= 1e-2)
     predictors, goal_params = models
     history = np.asarray(start) + np.concatenate([np.zeros((1, 2)), np.cumsum(steps, 0)])
-    cfg = RefineConfig(feedback=feedback)
     params = predictors[backbone]
-    means, covs = rollout_batch(params, history[None], None, goal_params, cfg)
+    means, covs = rollout_batch(params, history[None], None, goal_params)
     moved_means, moved_covs = rollout_batch(
-        params, (history + np.asarray(shift))[None], None, goal_params, cfg)
+        params, (history + np.asarray(shift))[None], None, goal_params)
     assert close(moved_means, means + np.asarray(shift))
     assert close(moved_covs, covs)
 

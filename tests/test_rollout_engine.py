@@ -82,17 +82,16 @@ def test_vanilla_matches_reference(fitted, backbone):
         assert_matches(covs[i], ref_covs)
 
 
-@pytest.mark.parametrize("feedback", ("fused", "raw"))
+@pytest.mark.parametrize("cfg", [RefineConfig()], ids=["fused"])
 @pytest.mark.parametrize("anchors", ANCHOR_SETS)
 @pytest.mark.parametrize("backbone", BACKBONES)
-def test_refined_matches_reference(fitted, backbone, anchors, feedback):
+def test_refined_matches_reference(fitted, backbone, anchors, cfg):
     _, test, predictors, goals = fitted
     params, goal_params = predictors[backbone], goals[anchors]
-    cfg = RefineConfig(feedback=feedback)
     means, covs = rollout_batch(params, test.histories(), None, goal_params, cfg)
     for i, seg in enumerate(test.segments):
         ref_means, ref_covs = ref.rollout_refined(
-            params, goal_params, seg.history, params.horizon, feedback=feedback
+            params, goal_params, seg.history, params.horizon
         )
         assert_matches(means[i], ref_means)
         assert_matches(covs[i], ref_covs)
@@ -112,31 +111,28 @@ def strided_loop_means(params, goal_params, histories, cfg):
     positions = np.empty((n, need + horizon, 2))
     positions[:, :need] = histories[:, -need:]
     flat = positions.reshape(n, -1)
-    buffered = means = positions[:, need:]
-    if cfg.feedback == "raw":
-        means = np.empty((n, horizon, 2))
+    means = positions[:, need:]
     for k in range(horizon):
         raw = np.matmul(flat[:, 2 * k : 2 * (k + need)], params.position_weights,
-                        out=buffered[:, k])
+                        out=means[:, k])
         np.add(raw, (gains[k] @ (z[k] - raw)[..., None])[..., 0], out=means[:, k])
     return means
 
 
-@pytest.mark.parametrize("feedback", ("fused", "raw"))
+@pytest.mark.parametrize("cfg", [RefineConfig()], ids=["fused"])
 @pytest.mark.parametrize("n", (1, 37))
 @pytest.mark.parametrize("backbone", ("cv", "ca3", "ar3"))
-def test_refined_means_bitwise_equal_the_strided_loop(fitted, backbone, n, feedback):
+def test_refined_means_bitwise_equal_the_strided_loop(fitted, backbone, n, cfg):
     train, _, predictors, goals = fitted
     params, goal_params = predictors[backbone], goals["sparse"]
-    cfg = RefineConfig(feedback=feedback)
     histories = train.histories()[:n]
     means, _ = rollout_batch(params, histories, None, goal_params, cfg)
     assert_bitwise(means, strided_loop_means(params, goal_params, histories, cfg))
 
 
-@pytest.mark.parametrize("feedback", (None, "fused", "raw"))
+@pytest.mark.parametrize("fusion", (None, "fused"))
 @pytest.mark.parametrize("backbone", ("cv", "ca3", "ar3"))
-def test_empty_batch_returns_empty_arrays(fitted, backbone, feedback):
+def test_empty_batch_returns_empty_arrays(fitted, backbone, fusion):
     train, _, predictors, goals = fitted
     params, goal_params = predictors[backbone], goals["sparse"]
     empty = train.histories()[:0]
@@ -144,14 +140,13 @@ def test_empty_batch_returns_empty_arrays(fitted, backbone, feedback):
     assert goal_means.shape == (0, 5, 2) and rot.shape == (0, 2, 2)
     gains, post = rotated_gains(gain_table(params.step_covs, params.step_covs), rot)
     assert gains.shape == post.shape == (25, 0, 2, 2)
-    means, covs = rollout_batch(params, empty, None, goal_params if feedback else None,
-                                RefineConfig(feedback=feedback or "fused"))
+    means, covs = rollout_batch(params, empty, None, goal_params if fusion else None)
     assert means.shape == (0, 25, 2) and covs.shape == (0, 25, 2, 2)
 
 
 @pytest.mark.parametrize("cfg", [
     RefineConfig(epsilon=0.3, beta=2.0),
-    RefineConfig(goal_cov_scale=1e-3, feedback="raw"),
+    RefineConfig(goal_cov_scale=1e-3),
     RefineConfig(goal_cov_scale=40.0),
 ])
 def test_refine_config_matches_reference(fitted, cfg):
@@ -161,7 +156,7 @@ def test_refine_config_matches_reference(fitted, cfg):
     for i, seg in enumerate(test.segments):
         ref_means, ref_covs = ref.rollout_refined(
             params, goal_params, seg.history, 20, cfg.epsilon, cfg.beta,
-            cfg.feedback, cfg.goal_cov_scale,
+            goal_cov_scale=cfg.goal_cov_scale,
         )
         assert_matches(means[i], ref_means)
         assert_matches(covs[i], ref_covs)
