@@ -9,17 +9,19 @@ over completely, and the fused covariance never exceeds either input.
 
 import numpy as np
 
-from trajrefine import Cov2, Estimate, fuse, gain_update, info_fuse
+from trajrefine import cov_from_params, fuse, gain_update, info_fuse
 
 np.set_printoptions(precision=4, suppress=True)
 
+# a Gaussian is a (2,) mean and a (2, 2) covariance; fuse(x, p, z, r)
+# updates the prior (x, p) by the measurement (z, r)
 print("=== two equally confident estimates ===")
-prior = Estimate([0.0, 0.0], Cov2.isotropic(1.0))
-meas = Estimate([2.0, 0.0], Cov2.isotropic(1.0))
-post = fuse(prior, meas)
-print("prior mean", prior.mean, " measurement mean", meas.mean)
-print("fused mean", post.mean, "  (halfway)")
-print("fused cov\n", post.cov.as_matrix(), " (variance halves)")
+x, p = np.array([0.0, 0.0]), np.eye(2)
+z, r = np.array([2.0, 0.0]), np.eye(2)
+mean, cov = fuse(x, p, z, r)
+print("prior mean", x, " measurement mean", z)
+print("fused mean", mean, "  (halfway)")
+print("fused cov\n", cov, " (variance halves)")
 
 print()
 print("=== the gain decides who to trust ===")
@@ -30,28 +32,24 @@ print("x pulls 80% toward the measurement, y only 50%")
 
 print()
 print("=== gain form and information form agree ===")
+# 200 random pairs at once: every argument carries a leading batch axis
 rng = np.random.default_rng(0)
-worst = 0.0
-for _ in range(200):
-    covs = []
-    for _ in range(2):
-        sx, sy, rho = rng.uniform(0.3, 2.0, 2).tolist() + [rng.uniform(-0.9, 0.9)]
-        covs.append(Cov2(sx**2, rho * sx * sy, sy**2))
-    a = Estimate(rng.uniform(-5, 5, 2), covs[0])
-    b = Estimate(rng.uniform(-5, 5, 2), covs[1])
-    worst = max(worst, np.abs(fuse(a, b).mean - info_fuse(a, b).mean).max())
+sx, sy = rng.uniform(0.3, 2.0, (2, 2, 200))
+rho = rng.uniform(-0.9, 0.9, (2, 200))
+covs = cov_from_params(sx, sy, rho)  # (2, 200, 2, 2)
+means = rng.uniform(-5, 5, (2, 200, 2))
+gain_means, _ = fuse(means[0], covs[0], means[1], covs[1])
+info_means, _ = info_fuse(means[0], covs[0], means[1], covs[1])
+worst = np.abs(gain_means - info_means).max()
 print(f"largest mean disagreement over 200 random pairs: {worst:.2e}")
 
 print()
 print("=== limits ===")
-vague = Estimate(meas.mean, meas.cov.scaled(1e12))
-print("R -> inf: fused mean", fuse(prior, vague).mean, "== prior")
-sharp = Estimate(meas.mean, meas.cov.scaled(1e-12))
-print("R -> 0:   fused mean", fuse(prior, sharp).mean, "== measurement")
+print("R -> inf: fused mean", fuse(x, p, z, r * 1e12)[0], "== prior")
+print("R -> 0:   fused mean", fuse(x, p, z, r * 1e-12)[0], "== measurement")
 
 print()
 print("=== refinement never increases uncertainty ===")
-post = fuse(prior, meas)
-for name, other in (("prior", prior), ("measurement", meas)):
-    gap = other.cov.as_matrix() - post.cov.as_matrix()
-    print(f"eigenvalues of {name} cov - fused cov:", np.linalg.eigvalsh(gap))
+_, cov = fuse(x, p, z, r)
+for name, other in (("prior", p), ("measurement", r)):
+    print(f"eigenvalues of {name} cov - fused cov:", np.linalg.eigvalsh(other - cov))

@@ -19,7 +19,7 @@ from .data import (
     write_jsonl,
 )
 from .fusion import Estimate, SingularInnovationError, fuse, gain_update, info_fuse
-from .gaussian import Cov2, cov_from_params, is_psd, log_density, params_from_cov
+from .gaussian import Cov2, cov_from_params, log_density, params_from_cov
 from .goals import GoalModelParams, fit_goal_model, goal_moments, world_covs
 from .metrics import AblationReport, AblationRow, Metrics, rmse, run_ablation
 from .predictors import (
@@ -59,7 +59,6 @@ __all__ = [
     "gen_synthetic",
     "goal_moments",
     "info_fuse",
-    "is_psd",
     "log_density",
     "params_from_cov",
     "parse_ngsim_csv",

@@ -188,8 +188,8 @@ def save_model(
 
 def load_model(path: str) -> tuple[PredictorParams, GoalModelParams, dict]:
     """Read a model file; malformed JSON, a missing key or a bad value names the
-    file. Sizes must be JSON integers, ``rotate`` a boolean and every array
-    entry a number."""
+    file. Sizes must be JSON integers, ``rotate`` a boolean, every array
+    entry a number and the protocol the models' own dt, tau and horizon."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -224,6 +224,12 @@ def load_model(path: str) -> tuple[PredictorParams, GoalModelParams, dict]:
             history_len=_json(g, "history_len", "integer"),
             rotate=_json(g, "rotate", "boolean"),
         )
+        fitted = {"dt": predictor.dt, "tau": goal_model.history_len - 1,
+                  "horizon": predictor.horizon}  # each is positive and finite
+        for key in PROTOCOL_KEYS:  # a NaN never matches
+            if not (0 < protocol[key] < np.inf and abs(protocol[key] - fitted[key]) <= 1e-9):
+                raise ValueError(f"protocol {key}={protocol[key]} does not match the "
+                                 f"models' {key}={fitted[key]}")
         return predictor, goal_model, protocol
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc} in model file") from None

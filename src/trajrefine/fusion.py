@@ -17,9 +17,8 @@ det S are affine in them. :func:`rotated_gains` evaluates such a table for
 N angles with one GEMM and one division, which is how the rollout engine
 gets every gain of T steps and N segments from one cached (T, 2, 2) prior
 and measurement table; :func:`gain_update` is the same at the identity
-rotation, and :func:`fuse` the single-estimate adapter.
-:func:`estimates_from_arrays` turns array output back into :class:`Estimate`
-objects, validated once as arrays.
+rotation, and :func:`fuse` the same with means, over arrays like the rest.
+:func:`estimates_from_arrays` builds the one-segment adapters' records.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import PSD_TOL, Cov2, is_psd, psd_rule
+from .gaussian import Cov2, psd_rule
 
 # Innovation covariances with determinant at or below this (relative) level
 # signal that both inputs are degenerate in the same direction.
@@ -39,7 +38,7 @@ class SingularInnovationError(ValueError):
     """Raised when the innovation covariance is numerically singular.
 
     ``index`` is the batch index of the first singular entry in C order
-    (empty for a single estimate); ``step`` is the rollout step when raised
+    (empty for unbatched inputs); ``step`` is the rollout step when raised
     from the rollout engine, None otherwise.
     """
 
@@ -51,7 +50,7 @@ class SingularInnovationError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Estimate:
-    """A Gaussian position estimate: mean (meters) plus 2x2 covariance.
+    """A (2,) mean in meters and its covariance, as the adapters return it.
 
     Compared and hashed by identity: a generated field-wise ``==`` would
     compare the mean arrays, whose truth value is ambiguous.
@@ -60,48 +59,27 @@ class Estimate:
     mean: np.ndarray
     cov: Cov2
 
-    def __post_init__(self) -> None:
-        mean = np.asarray(self.mean, dtype=float).reshape(2)
-        if not np.isfinite(mean).all():
-            raise ValueError("estimate mean must be finite")
-        object.__setattr__(self, "mean", mean)
-        if not is_psd(self.cov, PSD_TOL):
-            raise ValueError("estimate covariance must be positive semidefinite")
-
 
 def estimates_from_arrays(means: np.ndarray, covs: np.ndarray) -> list[Estimate]:
-    """One Estimate per row of (T, 2) means and (T, 2, 2) covariances.
-
-    The same objects, and the same first error, as building
-    ``Estimate(mean, Cov2.from_matrix(cov))`` row by row; the rows are
-    validated once as arrays instead of 2T times in ``__post_init__``.
-    """
-    means = np.asarray(means, dtype=float).reshape(-1, 2)
-    c = np.asarray(covs, dtype=float).reshape(-1, 2, 2)
+    """One Estimate per row of (T, 2) means and (T, 2, 2) covariances, checked
+    once as arrays; off-diagonal entries are averaged."""
+    means, c = _checked(np.reshape(means, (-1, 2)), np.reshape(covs, (-1, 2, 2)))
     entries = np.stack([c[:, 0, 0], 0.5 * (c[:, 0, 1] + c[:, 1, 0]), c[:, 1, 1]], 1)
-    finite = np.isfinite(entries).all(axis=1)
-    mean_finite = np.isfinite(means).all(axis=1)
-    psd = psd_rule(*entries.T, PSD_TOL)
-    valid = finite & mean_finite & psd
-    if not valid.all():  # an object checks its entries, then its mean, then PSD
-        k = int(np.argmin(valid))
-        raise ValueError("covariance entries must be finite" if not finite[k]
-                         else "estimate mean must be finite" if not mean_finite[k]
-                         else "estimate covariance must be positive semidefinite")
-    return [_validated(Estimate, mean=m, cov=_validated(Cov2, sxx=sxx, sxy=sxy, syy=syy))
-            for m, (sxx, sxy, syy) in zip(means, entries.tolist())]
+    return [Estimate(m, Cov2(*e)) for m, e in zip(means, entries.tolist())]
 
 
-def _validated(cls, **fields):
-    """A frozen dataclass instance whose fields were already validated."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
-
-
-def _inv2(m: np.ndarray, det: float) -> np.ndarray:
-    """Closed-form inverse of a 2x2 matrix with precomputed determinant."""
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=float) / det
+def _checked(means, covs, definite: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Means and covariances as float arrays; ValueError unless every entry is
+    finite and every covariance, its off-diagonals averaged, is PSD by
+    :func:`psd_rule` (positive definite if ``definite``)."""
+    means, covs = np.asarray(means, dtype=float), np.asarray(covs, dtype=float)
+    if not (np.isfinite(means).all() and np.isfinite(covs).all()):
+        raise ValueError("means and covariances must be finite")
+    sxx, sxy, syy = covs[..., 0, 0], 0.5 * (covs[..., 0, 1] + covs[..., 1, 0]), covs[..., 1, 1]
+    ok = (sxx > 0.0) & (sxx * syy - sxy * sxy > 0.0) if definite else psd_rule(sxx, sxy, syy)
+    if not ok.all():
+        raise ValueError(f"covariance must be positive {'' if definite else 'semi'}definite")
+    return means, covs
 
 
 def gain_table(p: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -210,32 +188,33 @@ def _matrices(planes: np.ndarray) -> np.ndarray:
     return planes.transpose(*range(2, planes.ndim), 0, 1)
 
 
-def fuse(prior: Estimate, measurement: Estimate) -> Estimate:
-    """One gain-form update of ``prior`` by ``measurement``."""
-    gain, cov = gain_update(prior.cov.as_matrix(), measurement.cov.as_matrix())
-    mean = prior.mean + gain @ (measurement.mean - prior.mean)
-    return Estimate(mean, Cov2.from_matrix(cov))
+def _apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(..., 2, 2) matrices times (..., 2) vectors, entry by entry (batch-exact)."""
+    return m[..., 0] * v[..., None, 0] + m[..., 1] * v[..., None, 1]
 
 
-def info_fuse(prior: Estimate, measurement: Estimate) -> Estimate:
-    """Precision-weighted product of two Gaussians.
+def fuse(x, p, z, r) -> tuple[np.ndarray, np.ndarray]:
+    """Gain-form update of priors (x, p) by measurements (z, r).
+
+    Means are (..., 2) and covariances (..., 2, 2) over broadcasting batch
+    axes; returns the posterior means and :func:`gain_update`'s covariances.
+    Raises ValueError for a non-finite input or a non-PSD covariance, and
+    SingularInnovationError for a singular P + R.
+    """
+    (x, p), (z, r) = _checked(x, p), _checked(z, r)
+    gain, cov = gain_update(p, r)
+    return x + _apply(gain, z - x), cov
+
+
+def info_fuse(x, p, z, r) -> tuple[np.ndarray, np.ndarray]:
+    """Precision-weighted product of Gaussians, arrays as in :func:`fuse`.
 
     Sigma' = (P^-1 + R^-1)^-1 and mu' = Sigma' (P^-1 x + R^-1 z). Identical
-    to :func:`fuse` for positive-definite inputs; kept as an independent
-    formulation so the two can validate each other.
+    to :func:`fuse` for positive-definite inputs, which it requires; kept
+    as an independent formulation so the two can validate each other.
     """
-    p = prior.cov.as_matrix()
-    r = measurement.cov.as_matrix()
-    p_det = prior.cov.det
-    r_det = measurement.cov.det
-    if prior.cov.sxx <= 0.0 or p_det <= 0.0:
-        raise ValueError("prior covariance must be positive definite")
-    if measurement.cov.sxx <= 0.0 or r_det <= 0.0:
-        raise ValueError("measurement covariance must be positive definite")
-    p_inv = _inv2(p, p_det)
-    r_inv = _inv2(r, r_det)
-    info = p_inv + r_inv
-    cov = _inv2(info, info[0, 0] * info[1, 1] - info[0, 1] * info[1, 0])
-    cov = 0.5 * (cov + cov.T)
-    mean = cov @ (p_inv @ prior.mean + r_inv @ measurement.mean)
-    return Estimate(mean, Cov2.from_matrix(cov))
+    (x, p), (z, r) = _checked(x, p, definite=True), _checked(z, r, definite=True)
+    p_inv, r_inv = np.linalg.inv(p), np.linalg.inv(r)
+    cov = np.linalg.inv(p_inv + r_inv)
+    cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
+    return _apply(cov, _apply(p_inv, x) + _apply(r_inv, z)), cov

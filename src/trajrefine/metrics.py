@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -16,15 +17,16 @@ class Metrics:
     """Root mean squared error in meters, overall and by horizon.
 
     rmse_per_step[k-1] covers future step k; rmse_at_seconds holds the
-    per-step values at whole-second horizons (steps 5, 10, ... at
-    dt = 0.2 s). The identity rmse_overall^2 == mean(rmse_per_step^2)
-    holds by construction.
+    per-step values at the steps ``second_steps`` whose time k * dt is the
+    whole second in ``seconds`` (steps 5, 10, ... at dt = 0.2 s). The
+    identity rmse_overall^2 == mean(rmse_per_step^2) holds by construction.
     """
 
     rmse_overall: float
     rmse_per_step: np.ndarray
     rmse_at_seconds: np.ndarray
     second_steps: tuple[int, ...]
+    seconds: tuple[int, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -60,12 +62,17 @@ def rmse(predictions, ground_truth: Dataset) -> Metrics:
     per_step_mse = sq.mean(axis=0)
     overall = float(np.sqrt(per_step_mse.mean()))
     per_step = np.sqrt(per_step_mse)
-    steps_per_second = int(round(1.0 / ground_truth.dt))
-    second_steps = tuple(
-        range(steps_per_second, ground_truth.horizon + 1, steps_per_second)
-    )
+    second_steps, seconds = _whole_seconds(float(ground_truth.dt), ground_truth.horizon)
     at_seconds = np.array([per_step[s - 1] for s in second_steps])
-    return Metrics(overall, per_step, at_seconds, second_steps)
+    return Metrics(overall, per_step, at_seconds, second_steps, seconds)
+
+
+@lru_cache(maxsize=32)
+def _whole_seconds(dt: float, horizon: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Steps k <= horizon whose k * dt is a whole second >= 1 (to 1e-9), and those seconds."""
+    steps = tuple(k for k in range(1, horizon + 1)
+                  if round(k * dt) >= 1 and abs(k * dt - round(k * dt)) <= 1e-9)
+    return steps, tuple(round(k * dt) for k in steps)
 
 
 @dataclass(frozen=True)
@@ -96,11 +103,11 @@ class AblationReport:
     def to_csv(self, deltas: bool = True) -> str:
         """One row per (backbone, refine) with the RMSEs at 6 dp; with
         ``deltas`` each refined row also carries :meth:`deltas`."""
-        n_seconds = max(len(r.metrics.rmse_at_seconds) for r in self.rows)
+        seconds = max((r.metrics.seconds for r in self.rows), key=len)
         header = ["backbone", "refine", "rmse_overall"]
-        header += [f"rmse_{s + 1}s" for s in range(n_seconds)]
+        header += [f"rmse_{s}s" for s in seconds]
         if deltas:
-            header += [f"delta_{s + 1}s" for s in range(n_seconds)]
+            header += [f"delta_{s}s" for s in seconds]
         lines = [",".join(header)]
         for row in self.rows:
             cells = [row.backbone, "on" if row.refined else "off"]
@@ -109,7 +116,7 @@ class AblationReport:
             if deltas and row.refined:
                 cells += [f"{d:.6f}" for d in self.deltas(row.backbone)]
             elif deltas:
-                cells += [""] * n_seconds
+                cells += [""] * len(seconds)
             lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
 

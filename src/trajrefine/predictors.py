@@ -238,12 +238,12 @@ def fit_ar_rls(pairs, forgetting: float = 1.0, delta: float = 1e-8) -> np.ndarra
     Processes a stream of (feature, target) pairs one at a time. With
     forgetting 1 the result matches the batch ridge solution with ridge
     delta; with forgetting < 1 it matches the exponentially weighted batch
-    solution. The recursion is well defined for any delta > 0.
+    solution. The recursion is well defined for any finite delta > 0.
     """
     if not 0.0 < forgetting <= 1.0:
         raise ValueError("forgetting factor must be in (0, 1]")
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
+    if not 0.0 < delta < np.inf:
+        raise ValueError("delta must be finite and positive")
     weights = None
     p = None
     scalar_target = False

@@ -11,10 +11,10 @@ import pytest
 
 import trajrefine as tr
 from trajrefine.cli import main as cli_main
-from trajrefine.fusion import Estimate, fuse, info_fuse
+from trajrefine.fusion import fuse, info_fuse
 from trajrefine.gaussian import cov_from_params
 from trajrefine.goals import GoalModelParams
-from trajrefine.predictors import PredictorParams, RefineConfig, rollout_refined
+from trajrefine.predictors import PredictorParams, RefineConfig, rollout_batch, rollout_refined
 
 
 @contextmanager
@@ -28,18 +28,17 @@ def verdict(num, name):
 
 
 def random_pairs(n=1000, seed=1234):
+    """n (prior, measurement) pairs as arrays: (n, 2) means x and z, (n, 2, 2)
+    covariances p and r."""
     rng = np.random.default_rng(seed)
-    pairs = []
-    for _ in range(n):
-        covs = [
-            cov_from_params(
+    covs, means = np.empty((n, 2, 2, 2)), np.empty((n, 2, 2))
+    for i in range(n):
+        for j in range(2):
+            covs[i, j] = cov_from_params(
                 rng.uniform(0.2, 3.0), rng.uniform(0.2, 3.0), rng.uniform(-0.95, 0.95)
             )
-            for _ in range(2)
-        ]
-        means = rng.uniform(-10.0, 10.0, size=(2, 2))
-        pairs.append((Estimate(means[0], covs[0]), Estimate(means[1], covs[1])))
-    return pairs
+        means[i] = rng.uniform(-10.0, 10.0, size=(2, 2))
+    return means[:, 0], covs[:, 0], means[:, 1], covs[:, 1]
 
 
 @pytest.fixture(scope="module")
@@ -50,25 +49,28 @@ def pd_pairs():
 def test_criterion_1_fusion_oracle_equivalence(pd_pairs):
     with verdict(1, "gain form equals information form over 1000 PD pairs"):
         start = time.perf_counter()
-        for prior, meas in pd_pairs:
-            a = fuse(prior, meas)
-            b = info_fuse(prior, meas)
-            mean_scale = max(1.0, np.abs(a.mean).max(), np.abs(b.mean).max())
-            assert np.abs(a.mean - b.mean).max() <= 1e-9 * mean_scale
-            am, bm = a.cov.as_matrix(), b.cov.as_matrix()
-            cov_scale = max(1.0, np.abs(am).max(), np.abs(bm).max())
-            assert np.abs(am - bm).max() <= 1e-9 * cov_scale
+        (a_mean, a_cov), (b_mean, b_cov) = fuse(*pd_pairs), info_fuse(*pd_pairs)
+        assert a_mean.shape == (1000, 2) and a_cov.shape == (1000, 2, 2)
+
+        def per_pair_max(a):
+            return np.abs(a).reshape(len(a), -1).max(axis=1)
+
+        # each pair at its own scale
+        mean_scale = np.maximum(1.0, np.maximum(per_pair_max(a_mean), per_pair_max(b_mean)))
+        assert (per_pair_max(a_mean - b_mean) <= 1e-9 * mean_scale).all()
+        cov_scale = np.maximum(1.0, np.maximum(per_pair_max(a_cov), per_pair_max(b_cov)))
+        assert (per_pair_max(a_cov - b_cov) <= 1e-9 * cov_scale).all()
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, f"took {elapsed:.2f} s"
 
 
 def test_criterion_2_covariance_dominance(pd_pairs):
     with verdict(2, "posterior never exceeds prior or measurement covariance"):
-        for prior, meas in pd_pairs:
-            post = fuse(prior, meas).cov.as_matrix()
-            for other in (prior.cov.as_matrix(), meas.cov.as_matrix()):
-                eigs = np.linalg.eigvalsh(other - post)
-                assert eigs.min() >= -1e-12
+        _, p, _, r = pd_pairs
+        post = fuse(*pd_pairs)[1]
+        for other in (p, r):
+            eigs = np.linalg.eigvalsh(other - post)  # (1000, 2), pair by pair
+            assert eigs.min() >= -1e-12
 
 
 def test_criterion_3_rls_forgetting_matches_batch_oracles():
@@ -143,7 +145,7 @@ def test_criterion_4_linear_gaussian_end_to_end_oracle():
             lag=1,
             ar_weights=np.zeros((2, 2)),
         )
-        fused = rollout_refined(predictor, goal_params, history, horizon)
+        fused_means, fused_covs = rollout_batch(predictor, history[None], horizon, goal_params)
 
         # independent oracle: condition the explicit joint Gaussian
         cumulative = [np.zeros((2, 2))]
@@ -163,9 +165,8 @@ def test_criterion_4_linear_gaussian_end_to_end_oracle():
             mean_post = start_pos + cov_yz @ np.linalg.solve(cov_zz, resid)
             cov_post = cumulative[k] - cov_yz @ np.linalg.solve(cov_zz, cov_yz.T)
 
-            estimate = fused[k - 1]
-            assert np.abs(estimate.mean - mean_post).max() <= 1e-6
-            rel = np.abs(estimate.cov.as_matrix() - cov_post).max()
+            assert np.abs(fused_means[0, k - 1] - mean_post).max() <= 1e-6
+            rel = np.abs(fused_covs[0, k - 1] - cov_post).max()
             assert rel <= 1e-6 * max(1.0, np.abs(cov_post).max())
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"took {elapsed:.2f} s"

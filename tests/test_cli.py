@@ -368,7 +368,30 @@ class TestPredict:
         assert run("predict", "--model", str(model), "--data", str(train),
                    "--out", str(out)) == 2
         err = capsys.readouterr().err
-        assert f"error: {train}: protocol mismatch: dt=0.2 in data, model expects nan\n" in err
+        assert (f"error: {model}: invalid model file: protocol dt=nan does not match "
+                f"the models' dt=0.2\n") in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("dt", -1.0, "protocol dt=-1.0 does not match the models' dt=0.2"),
+        ("dt", 0.3, "protocol dt=0.3 does not match the models' dt=0.2"),
+        ("horizon", 7, "protocol horizon=7 does not match the models' horizon=25"),
+        ("tau", 9, "protocol tau=9 does not match the models' tau=15"),
+    ])
+    def test_model_protocol_must_describe_the_models(self, tmp_path, capsys, key, value,
+                                                     message):
+        model = fit(tmp_path, gen(tmp_path, "train.jsonl", n=30))
+        doc = json.loads(model.read_text())
+        doc["protocol"][key] = value
+        model.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as exc:
+            load_model(str(model))
+        assert str(exc.value) == f"{model}: invalid model file: {message}"
+        empty, out = tmp_path / "empty.jsonl", tmp_path / "p.jsonl"
+        empty.write_text("")
+        assert run("predict", "--model", str(model), "--data", str(empty),
+                   "--out", str(out)) == 2
+        assert f"error: {model}: invalid model file: {message}\n" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command,value", [("predict", "raw"), ("ablate", "fused")])
@@ -419,6 +442,20 @@ class TestEvalAndAblate:
         cells = row.split(",")
         assert cells[1] == "off"
         assert all(float(c) == 0.0 for c in cells[2:])
+
+    @pytest.mark.parametrize("dt,horizon,seconds", [("0.3", "25", "rmse_3s,rmse_6s"),
+                                                    ("2.5", "4", "rmse_5s,rmse_10s")])
+    def test_columns_name_whole_seconds_of_dt(self, tmp_path, dt, horizon, seconds):
+        data = gen(tmp_path, "d.jsonl", scenario="cv", n=5,
+                   extra=("--dt", dt, "--horizon", horizon))
+        preds = tmp_path / "p.jsonl"
+        preds.write_text("".join(json.dumps({"segment_id": seg.segment_id,
+                                             "means": seg.future.tolist(), "mode": "vanilla"}) + "\n"
+                                 for seg in read_jsonl(str(data)).segments))
+        out = tmp_path / "m.csv"
+        assert run("eval", "--predictions", str(preds), "--data", str(data),
+                   "--out", str(out)) == 0
+        assert out.read_text().splitlines()[0] == f"backbone,refine,rmse_overall,{seconds}"
 
     def test_empty_dataset_exits_2_naming_it(self, tmp_path, capsys):
         data, preds = tmp_path / "d.jsonl", tmp_path / "p.jsonl"
@@ -648,5 +685,6 @@ class TestDefaultsFollowLibrary:
                                     goal_params=goal_params, cfg=RefineConfig())
         lines = [json.loads(line) for line in out.read_text().splitlines()]
         assert [line["means"] for line in lines] == [round6(m).tolist() for m in means]
-        sigmas = [[list(params_from_cov(Cov2.from_matrix(c))) for c in seg] for seg in covs]
+        sigmas = [[list(params_from_cov(Cov2(c[0, 0], 0.5 * (c[0, 1] + c[1, 0]), c[1, 1])))
+                   for c in seg] for seg in covs]
         assert [line["sigmas"] for line in lines] == sigmas

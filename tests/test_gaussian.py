@@ -6,31 +6,41 @@ import pytest
 from trajrefine.gaussian import (
     Cov2,
     cov_from_params,
-    is_psd,
     log_density,
     params_from_cov,
     params_from_covs,
+    psd_rule,
 )
 
 
 class TestCovFromParams:
     def test_diagonal_case(self):
-        c = cov_from_params(1.0, 2.0, 0.0)
-        assert (c.sxx, c.sxy, c.syy) == (1.0, 0.0, 4.0)
+        assert cov_from_params(1.0, 2.0, 0.0).tolist() == [[1.0, 0.0], [0.0, 4.0]]
 
     def test_correlated_case(self):
-        c = cov_from_params(1.0, 1.0, 0.5)
-        assert (c.sxx, c.sxy, c.syy) == (1.0, 0.5, 1.0)
+        assert cov_from_params(1.0, 1.0, 0.5).tolist() == [[1.0, 0.5], [0.5, 1.0]]
 
     def test_negative_correlation(self):
-        c = cov_from_params(2.0, 3.0, -0.25)
-        assert (c.sxx, c.sxy, c.syy) == (4.0, -1.5, 9.0)
+        assert cov_from_params(2.0, 3.0, -0.25).tolist() == [[4.0, -1.5], [-1.5, 9.0]]
 
     @pytest.mark.parametrize("sx,sy,rho", [(0.0, 1.0, 0.0), (1.0, -2.0, 0.0),
                                            (1.0, 1.0, 1.0), (1.0, 1.0, -1.5)])
     def test_domain_errors(self, sx, sy, rho):
         with pytest.raises(ValueError):
             cov_from_params(sx, sy, rho)
+
+    def test_arrays_broadcast_to_a_batch_of_matrices(self):
+        sx, sy, rho = np.array([1.0, 2.0]), 3.0, np.array([[0.0], [-0.25]])
+        out = cov_from_params(sx, sy, rho)
+        assert out.shape == (2, 2, 2, 2)
+        for i, j in np.ndindex(2, 2):
+            assert out[i, j].tobytes() == cov_from_params(sx[j], sy, rho[i, 0]).tobytes()
+
+    def test_one_bad_entry_rejects_the_batch(self):
+        with pytest.raises(ValueError, match="rho"):
+            cov_from_params([1.0, 1.0], [1.0, 1.0], [0.5, 1.0])
+        with pytest.raises(ValueError, match="positive"):
+            cov_from_params([1.0, np.nan], 1.0, 0.0)
 
     def test_always_positive_definite(self):
         rng = np.random.default_rng(0)
@@ -39,8 +49,8 @@ class TestCovFromParams:
             sy = rng.uniform(1e-3, 50.0)
             rho = rng.uniform(-0.999, 0.999)
             c = cov_from_params(sx, sy, rho)
-            assert c.det > 0.0
-            assert c.sxx > 0.0 and c.syy > 0.0
+            assert c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0] > 0.0
+            assert c[0, 0] > 0.0 and c[1, 1] > 0.0
 
 
 class TestParamsFromCov:
@@ -66,7 +76,8 @@ class TestParamsFromCov:
             sx = rng.uniform(0.01, 10.0)
             sy = rng.uniform(0.01, 10.0)
             rho = rng.uniform(-0.99, 0.99)
-            rx, ry, rr = params_from_cov(cov_from_params(sx, sy, rho))
+            c = cov_from_params(sx, sy, rho)
+            rx, ry, rr = params_from_cov(Cov2(c[0, 0], c[0, 1], c[1, 1]))
             assert abs(rx - sx) < 1e-12
             assert abs(ry - sy) < 1e-12
             assert abs(rr - rho) < 1e-12
@@ -91,7 +102,9 @@ class TestParamsFromCovs:
         out = params_from_covs(covs)
         assert out.shape == (7, 25, 3)
         assert out.tobytes() == expected.tobytes()
-        assert list(params_from_cov(Cov2.from_matrix(covs[3, 4]))) == out[3, 4].tolist()
+        m = covs[3, 4]
+        one = params_from_cov(Cov2(m[0, 0], 0.5 * (m[0, 1] + m[1, 0]), m[1, 1]))
+        assert [float(v) for v in one] == out[3, 4].tolist()
 
     def test_one_indefinite_matrix_rejects_the_batch(self):
         covs = self.random_covs((4, 3))
@@ -110,23 +123,25 @@ class TestParamsFromCovs:
 
 
 class TestIsPsd:
+    """:func:`psd_rule` decides whether covariance entries are PSD."""
+
     def test_identity(self):
-        assert is_psd(Cov2(1.0, 0.0, 1.0), tol=0.0)
+        assert psd_rule(1.0, 0.0, 1.0, tol=0.0)
 
     def test_negative_determinant(self):
-        assert not is_psd(Cov2(1.0, 2.0, 1.0), tol=1e-9)
+        assert not psd_rule(1.0, 2.0, 1.0, tol=1e-9)
 
     def test_zero_matrix_boundary(self):
-        assert is_psd(Cov2(0.0, 0.0, 0.0), tol=0.0)
+        assert psd_rule(0.0, 0.0, 0.0, tol=0.0)
 
-    def test_negative_tol_rejected(self):
-        with pytest.raises(ValueError):
-            is_psd(Cov2(1.0, 0.0, 1.0), tol=-1.0)
+    def test_elementwise_on_arrays_and_nan_fails(self):
+        got = psd_rule(np.array([1.0, 1.0, np.nan]), np.array([0.0, 2.0, 0.0]), 1.0)
+        assert got.tolist() == [True, False, False]
 
 
 def moments(x, y, sx, sy, rho):
     """Mean and covariance array of a (x, y, sigma_x, sigma_y, rho) Gaussian."""
-    return np.array([x, y]), cov_from_params(sx, sy, rho).as_matrix()
+    return np.array([x, y]), cov_from_params(sx, sy, rho)
 
 
 class TestLogDensity:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from trajrefine.data import Dataset, Segment, gen_synthetic
-from trajrefine.gaussian import Cov2, cov_from_params, is_psd
+from trajrefine.gaussian import cov_from_params, psd_rule
 from trajrefine.goals import (
     GoalModelParams,
     fit_goal_model,
@@ -187,15 +187,19 @@ class TestPredictGoals:
 
 
 def measurements(goals, last_obs, horizon=30, cfg=RefineConfig()):
-    """Per-step goal measurements as Cov2 pairs, step k at [k-1].
+    """Per-step goal measurements as (mean, covariance) pairs, step k at [k-1].
 
     goals maps each anchor step to its (x, y, sigma_x, sigma_y, rho).
     """
     means = np.array([[g[:2] for g in goals.values()]], dtype=float)
-    covs = np.array([cov_from_params(*g[2:]).as_matrix() for g in goals.values()])
+    covs = cov_from_params(*np.array([g[2:] for g in goals.values()], dtype=float).T)
     z = interpolate_goals(tuple(goals), np.array([last_obs], dtype=float), means, horizon)
     r = interpolate_covs(tuple(goals), covs, horizon, cfg.epsilon, cfg.beta)
-    return [(m, Cov2.from_matrix(c)) for m, c in zip(z[0], r)]
+    return list(zip(z[0], r))
+
+
+def psd(c, tol):
+    return psd_rule(c[0, 0], 0.5 * (c[0, 1] + c[1, 0]), c[1, 1], tol)
 
 
 class TestGoalMeasurementAt:
@@ -206,51 +210,51 @@ class TestGoalMeasurementAt:
     def test_anchor_step_is_exact(self):
         mean, cov = self.at[10 - 1]
         np.testing.assert_allclose(mean, [0.0, 0.0], atol=1e-15)
-        np.testing.assert_allclose(cov.as_matrix(), np.eye(2), atol=1e-15)
+        np.testing.assert_allclose(cov, np.eye(2), atol=1e-15)
 
     def test_midpoint_interpolation(self):
         mean, cov = self.at[15 - 1]
         np.testing.assert_allclose(mean, [5.0, 0.0], atol=1e-15)
-        np.testing.assert_allclose(cov.as_matrix(), 5.0 * np.eye(2), atol=1e-15)
+        np.testing.assert_allclose(cov, 5.0 * np.eye(2), atol=1e-15)
 
     def test_before_first_anchor_uses_virtual_origin(self):
         goals = {5: (1.0, 6.0, 1.0, 1.0, 0.0)}
         at = measurements(goals, [1.0, 1.0], cfg=RefineConfig(epsilon=0.05))
         mean, cov = at[2 - 1]
         np.testing.assert_allclose(mean, [1.0, 3.0], atol=1e-12)
-        np.testing.assert_allclose(cov.as_matrix(), 0.43 * np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(cov, 0.43 * np.eye(2), atol=1e-12)
 
     def test_beyond_last_anchor_holds_and_inflates(self):
         at = measurements(self.goals, [0.0, 0.0], cfg=RefineConfig(beta=0.5))
         mean, cov = at[24 - 1]
         np.testing.assert_allclose(mean, [10.0, 0.0], atol=1e-15)
         np.testing.assert_allclose(
-            cov.as_matrix(), (9.0 + 0.5 * 4) * np.eye(2), atol=1e-12
+            cov, (9.0 + 0.5 * 4) * np.eye(2), atol=1e-12
         )
 
     def test_continuous_at_anchor_steps(self):
         # interior anchor: approaching from both sides converges to the anchor
         for k in (9, 10, 11, 19, 20, 21):
-            assert is_psd(self.at[k - 1][1], 0.0)
+            assert psd(self.at[k - 1][1], 0.0)
         lo, at, hi = self.at[19 - 1], self.at[20 - 1], self.at[21 - 1]
-        assert abs(lo[1].trace - at[1].trace) <= abs(
-            self.at[10 - 1][1].trace - at[1].trace
+        assert abs(np.trace(lo[1]) - np.trace(at[1])) <= abs(
+            np.trace(self.at[10 - 1][1]) - np.trace(at[1])
         )
         np.testing.assert_allclose(at[0], [10.0, 0.0], atol=1e-15)
-        np.testing.assert_allclose(hi[1].as_matrix(), 9.5 * np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(hi[1], 9.5 * np.eye(2), atol=1e-12)
 
     def test_interpolated_covariance_always_psd(self):
         goals = {5: (1.0, 2.0, 0.5, 2.0, 0.8), 17: (-3.0, 0.0, 2.5, 0.3, -0.9)}
         at = measurements(goals, [0.5, 0.5], horizon=29)
         assert len(at) == 29
         for _, cov in at:
-            assert is_psd(cov, 1e-12)
+            assert psd(cov, 1e-12)
 
     def test_step_below_one_rejected(self):
         # measurements start at step 1, between the virtual origin and step 10
         mean, cov = self.at[0]
         np.testing.assert_allclose(mean, [0.0, 0.0], atol=1e-15)
-        np.testing.assert_allclose(cov.as_matrix(), 0.145 * np.eye(2), atol=1e-15)
+        np.testing.assert_allclose(cov, 0.145 * np.eye(2), atol=1e-15)
         params = PredictorParams("cv", 0.2, np.broadcast_to(0.1 * np.eye(2), (25, 2, 2)))
         with pytest.raises(ValueError, match="non-negative"):
             rollout_batch(params, np.zeros((1, 16, 2)), -1)

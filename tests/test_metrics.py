@@ -3,7 +3,7 @@ import pytest
 
 from trajrefine.data import Dataset, Segment, gen_synthetic
 from trajrefine.goals import fit_goal_model
-from trajrefine.metrics import rmse, run_ablation
+from trajrefine.metrics import AblationReport, AblationRow, rmse, run_ablation
 from trajrefine.predictors import RefineConfig, fit_predictor
 
 
@@ -48,6 +48,23 @@ class TestRmse:
         m = rmse(ds.futures(), ds)
         assert m.second_steps == (5, 10, 15, 20, 25)
         assert len(m.rmse_at_seconds) == 5
+
+    @pytest.mark.parametrize("dt,horizon,steps,seconds", [
+        (0.1, 25, (10, 20), (1, 2)),
+        (0.2, 25, (5, 10, 15, 20, 25), (1, 2, 3, 4, 5)),
+        (0.25, 25, (4, 8, 12, 16, 20, 24), (1, 2, 3, 4, 5, 6)),
+        (0.5, 5, (2, 4), (1, 2)),
+        (0.3, 25, (10, 20), (3, 6)),  # 3 steps are 0.9 s, not a second
+        (2.5, 4, (2, 4), (5, 10)),  # under a step per second
+        (0.3, 3, (), ()),
+    ])
+    def test_seconds_are_whole_multiples_of_dt(self, dt, horizon, steps, seconds):
+        m = rmse(np.ones((2, horizon, 2)), tiny_dataset(np.zeros((2, horizon, 2)), dt))
+        assert (m.second_steps, m.seconds) == (steps, seconds)
+        assert m.rmse_at_seconds.tolist() == [np.sqrt(2.0)] * len(steps)
+        csv = AblationReport((AblationRow("ar", True, m),)).to_csv(deltas=False)
+        header = ["backbone", "refine", "rmse_overall"] + [f"rmse_{s}s" for s in seconds]
+        assert csv.splitlines()[0] == ",".join(header)
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(9)

@@ -333,6 +333,11 @@ class TestStepCovarianceTable:
 
 
 class TestFitArRls:
+    @pytest.mark.parametrize("delta", [0.0, -1.0, np.nan, np.inf])
+    def test_delta_must_be_finite_and_positive(self, delta):
+        with pytest.raises(ValueError, match="delta must be finite and positive"):
+            fit_ar_rls([(np.array([1.0]), 2.0)], delta=delta)
+
     def test_converges_on_exact_line(self):
         rng = np.random.default_rng(41)
         xs = rng.uniform(1.0, 2.0, size=50)
@@ -460,7 +465,7 @@ class TestRolloutRefined:
         vanilla = rollout_vanilla(params, seg.history)
         refined = rollout_refined(params, goal_params, seg.history)
         for raw, fused in zip(vanilla, refined):
-            assert fused.cov.trace <= raw.cov.trace + 1e-12
+            assert fused.cov.sxx + fused.cov.syy <= raw.cov.sxx + raw.cov.syy + 1e-12
 
     def test_deterministic(self, fitted_lane_change):
         train, params, goal_params, _ = fitted_lane_change

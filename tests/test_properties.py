@@ -11,8 +11,8 @@ from hypothesis.extra.numpy import arrays
 
 from trajrefine.cli import load_model, save_model
 from trajrefine.data import gen_synthetic
-from trajrefine.fusion import Estimate, gain_table, gain_update, info_fuse, rotated_gains
-from trajrefine.gaussian import Cov2
+from trajrefine.fusion import gain_table, gain_update, info_fuse, rotated_gains
+from trajrefine.gaussian import cov_from_params
 from trajrefine.goals import GoalModelParams, fit_goal_model, interpolate_covs, world_covs
 from trajrefine.predictors import PredictorParams, fit_predictor, rollout_batch
 
@@ -124,8 +124,7 @@ def spd(draw, shape):
     """shape + (2, 2) positive-definite covariances, condition number <= ~2e4."""
     sx, sy = (draw(arrays(float, shape, elements=st.floats(0.1, 10.0))) for _ in range(2))
     rho = draw(arrays(float, shape, elements=st.floats(-0.9, 0.9)))
-    sxy = rho * sx * sy
-    return np.stack([sx * sx, sxy, sxy, sy * sy], axis=-1).reshape(*shape, 2, 2)
+    return cov_from_params(sx, sy, rho)
 
 
 def rotations(angles):
@@ -146,12 +145,11 @@ def test_gain_form_equals_information_form(data, shapes):
             for _ in range(2))
     gains, covs = gain_update(p, r)
     batch = np.broadcast_shapes(shapes[0], shapes[1])
-    assert gains.shape == covs.shape == (*batch, 2, 2)
+    info_means, info_covs = info_fuse(x, p, z, r)
+    assert gains.shape == covs.shape == info_covs.shape == (*batch, 2, 2)
     for i in np.ndindex(batch):
-        pi, ri = np.broadcast_to(p, (*batch, 2, 2))[i], np.broadcast_to(r, (*batch, 2, 2))[i]
-        info = info_fuse(Estimate(x, Cov2.from_matrix(pi)), Estimate(z, Cov2.from_matrix(ri)))
-        assert close(covs[i], info.cov.as_matrix())
-        assert close(x + gains[i] @ (z - x), info.mean)
+        assert close(covs[i], info_covs[i])
+        assert close(x + gains[i] @ (z - x), info_means[i])
 
 
 @settings(max_examples=60, deadline=None)
