@@ -188,8 +188,8 @@ def save_model(
 
 def load_model(path: str) -> tuple[PredictorParams, GoalModelParams, dict]:
     """Read a model file; malformed JSON, a missing key or a bad value names the
-    file. Sizes must be JSON integers, ``rotate`` a boolean, every array
-    entry a number and the protocol the models' own dt, tau and horizon."""
+    file. Sizes must be JSON integers, ``rotate`` a boolean, every array entry a
+    number, the protocol the models' own dt, tau and horizon, the anchors within it."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -230,6 +230,9 @@ def load_model(path: str) -> tuple[PredictorParams, GoalModelParams, dict]:
             if not (0 < protocol[key] < np.inf and abs(protocol[key] - fitted[key]) <= 1e-9):
                 raise ValueError(f"protocol {key}={protocol[key]} does not match the "
                                  f"models' {key}={fitted[key]}")
+        if (last := goal_model.anchor_steps[-1]) > predictor.horizon:
+            raise ValueError(
+                f"anchor step {last} exceeds the protocol horizon {predictor.horizon}")
         return predictor, goal_model, protocol
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc} in model file") from None
@@ -303,11 +306,7 @@ _MODEL_OPTS = [
     Opt("rotate", _on_off, choices=("on", "off"), help="ego-frame rotation"),
 ]
 
-_REFINE_OPTS = [
-    Opt("goal-cov-scale", float),
-    Opt("epsilon", float),
-    Opt("beta", float),
-]
+_REFINE_OPTS = [Opt("goal-cov-scale", float)]
 
 _FIT_OPTS = [
     Opt("train", str, required=True, help="training dataset JSONL"),
@@ -337,8 +336,7 @@ def _fit_models(o, backbones) -> tuple[Dataset, dict]:
 
 
 def _refine_config(o) -> RefineConfig:
-    return RefineConfig(**_given(epsilon=o.epsilon, beta=o.beta,
-                                 goal_cov_scale=o.goal_cov_scale))
+    return RefineConfig(**_given(goal_cov_scale=o.goal_cov_scale))
 
 
 def _traces(steps, covs: np.ndarray) -> str:

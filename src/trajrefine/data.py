@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 import zlib
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,6 +28,19 @@ SCENARIOS = ("cv", "ca", "lane_change", "turn")
 
 LANE_WIDTH = 3.7  # meters, lateral offset of the lane_change scenario
 LANE_CHANGE_DURATION = 3.0  # seconds
+
+
+def whole(name: str, value) -> int:
+    """``value`` as an int; a float or other non-integer size is rejected by name."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _stream_rng(seed: int, stream: str) -> np.random.Generator:
@@ -77,6 +91,8 @@ class Dataset:
     source: str = ""
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "tau", whole("tau", self.tau))
+        object.__setattr__(self, "horizon", whole("horizon", self.horizon))
         if not (0.0 < self.dt < np.inf and self.tau >= 0 and self.horizon >= 1):
             raise ValueError(f"protocol needs a finite dt > 0, tau >= 0 and horizon >= 1, "
                              f"got dt={self.dt}, tau={self.tau}, horizon={self.horizon}")
@@ -116,9 +132,7 @@ class Dataset:
 
 
 def _stacked(arrays: list[np.ndarray], length: int) -> np.ndarray:
-    out = np.array(arrays).reshape(-1, length, 2)
-    out.flags.writeable = False
-    return out
+    return read_only(np.array(arrays).reshape(-1, length, 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,7 +232,7 @@ def _whole(ids: np.ndarray) -> np.ndarray:
 
 def downsample(track: Track, factor: int = 2) -> Track:
     """Keep every ``factor``-th sample starting at index 0; dt scales up."""
-    if factor < 1:
+    if whole("factor", factor) < 1:
         raise ValueError("factor must be >= 1")
     return Track(track.vehicle_id, track.dt * factor, track.points[::factor])
 
@@ -231,6 +245,7 @@ def extract_segments(
     source: str = "ngsim",
 ) -> Dataset:
     """Slide (tau+1+horizon)-point windows over each track, advancing by stride."""
+    tau, horizon, stride = whole("tau", tau), whole("horizon", horizon), whole("stride", stride)
     if stride < 1:
         raise ValueError("stride must be >= 1")
     if not tracks:
@@ -262,8 +277,10 @@ def split_dataset(
 ) -> tuple[Dataset, Dataset, Dataset]:
     """Partition by vehicle id so no vehicle leaks across splits.
 
-    Deterministic for a fixed seed; ratios must sum to 1.
+    Deterministic for a fixed seed; ratios must be finite, >= 0 and sum to 1.
     """
+    if not all(0.0 <= r < np.inf for r in ratios):
+        raise ValueError(f"split ratios must be finite and >= 0, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"split ratios must sum to 1, got {ratios}")
     vehicles = sorted({seg.agent_id for seg in ds.segments})
@@ -304,7 +321,7 @@ def gen_synthetic(
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}; valid: {', '.join(SCENARIOS)}")
-    if n < 1:
+    if whole("n", n) < 1:
         raise ValueError("n must be >= 1")
     if not 0.0 <= noise_sigma < np.inf:
         raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")

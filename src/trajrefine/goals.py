@@ -8,14 +8,15 @@ the anchor displacement, so removing one anchor never perturbs another.
 (N, A, 2) world means plus the (N, 2, 2) rotations of their ego frames.
 
 At refinement time the sparse anchors become a pseudo-measurement for every
-horizon step. One fixed (T, A+1) table of linear weights over a virtual
-step-0 anchor and the A anchors serves every segment; steps past the last
-anchor hold it and inflate its covariance. :func:`interpolate_goals`
-applies it to the means of N segments, :func:`interpolate_covs` once to
-the ego-frame residual covariances, which every segment shares: a segment's
-world measurement covariance is that (T, 2, 2) table turned by its heading
-(:func:`world_covs`). Convex combinations of PSD matrices are PSD, so every
-measurement covariance is.
+horizon step. Two fixed (T, A+1) tables of linear weights over a virtual
+step-0 anchor and the A anchors serve every segment; past the last anchor
+the mean weights continue the last node-to-node velocity and the covariance
+weights hold the last anchor, whose covariance then inflates.
+:func:`interpolate_goals` applies the first to the means of N segments,
+:func:`interpolate_covs` the second once to the ego-frame residual
+covariances, which every segment shares: a segment's world measurement
+covariance is that (T, 2, 2) table turned by its heading (:func:`world_covs`).
+Convex combinations of PSD matrices are PSD, so every measurement covariance is.
 
 The ego frame translates the last observed position to the origin and, by
 default, rotates the net history heading onto +x so the regressors are
@@ -30,11 +31,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, read_only, whole
 
 COV_FLOOR = 1e-6  # m^2 added to every fitted covariance; keeps fusion nonsingular
 
 DEFAULT_ANCHOR_STEPS = (5, 10, 15, 20, 25)  # every whole second at dt = 0.2 s
+ORIGIN_VAR = 0.05  # m^2, variance of the virtual step-0 anchor at the last observed position
+PAST_LAST_ANCHOR_VAR = 0.5  # m^2 of goal variance added per step past the last anchor
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,7 +66,11 @@ class GoalModelParams:
         if not (len(self.weights) == len(c) == len(steps)) or c.shape[1:] != (2, 2):
             raise ValueError("one (weights, 2x2 residual_cov) pair required per anchor")
         feat = 2 * (history_len - 1)
-        weights = tuple(np.asarray(w, dtype=float).reshape(feat, 2) for w in self.weights)
+        weights = tuple(np.asarray(w, dtype=float) for w in self.weights)
+        for step, w in zip(steps, weights):
+            if w.shape != (feat, 2):
+                raise ValueError(f"weights of anchor {step} must have shape ({feat}, 2), "
+                                 f"got {w.shape}")
         with np.errstate(invalid="ignore"):  # inf entries give NaN, which fails the rule
             sxx, sxy, syy = c[:, 0, 0], c[:, 0, 1], c[:, 1, 1]
             pd = (np.isfinite(c).all((1, 2)) & (sxy == c[:, 1, 0])
@@ -76,19 +83,6 @@ class GoalModelParams:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "residual_covs", c)
         object.__setattr__(self, "weight_matrix", read_only(np.concatenate(weights, 1)))
-
-
-def whole(name: str, value) -> int:
-    """``value`` as an int; a float or other non-integer size is rejected by name."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
-def read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 def _anchor_steps(anchor_steps) -> tuple[int, ...]:
@@ -268,11 +262,12 @@ def interpolate_goals(
     last_obs is (N, 2) and means (N, A, 2) the anchor means of goal_moments.
     Anchor steps return the anchor mean exactly; steps between anchors
     (with a virtual step-0 anchor at the last observed position) interpolate
-    linearly, and steps beyond the last anchor hold it. Returns (N, T, 2)
-    means, a view of a step-major (T, N, 2) array: one GEMM of the cached
-    weight table with the step-major node means.
+    linearly, and steps beyond the last anchor extrapolate the line through
+    the last two nodes. Returns (N, T, 2) means, a view of a step-major
+    (T, N, 2) array: one GEMM of the cached weight table with the step-major
+    node means.
     """
-    table, _ = _interpolation_table(tuple(anchor_steps), horizon)
+    table, _, _ = _interpolation_table(tuple(anchor_steps), horizon)
     n, anchors = np.shape(means)[:2]
     nodes = np.empty((anchors + 1, n, 2))  # row 0 is the virtual step-0 anchor
     nodes[0] = last_obs
@@ -280,37 +275,39 @@ def interpolate_goals(
     return np.swapaxes((table @ nodes.reshape(anchors + 1, -1)).reshape(horizon, n, 2), 0, 1)
 
 
-def interpolate_covs(
-    anchor_steps: tuple[int, ...], covs: np.ndarray, horizon: int, epsilon: float, beta: float
-) -> np.ndarray:
+def interpolate_covs(anchor_steps: tuple[int, ...], covs: np.ndarray, horizon: int) -> np.ndarray:
     """The (T, 2, 2) measurement covariances matching :func:`interpolate_goals`.
 
     covs is the (A, 2, 2) anchor covariance table, the same for every
     segment: the ego-frame ``residual_covs`` of a goal model. The virtual
-    step-0 anchor has variance epsilon, steps between anchors interpolate
-    linearly and steps beyond the last anchor inflate its covariance by beta
-    per step. Convex combinations of PSD matrices are PSD. epsilon I and
-    beta I are rotation-invariant, so the world covariance of a segment
-    whose ego frame is turned by rot is rot E_k rot^T (:func:`world_covs`).
+    step-0 anchor has variance ORIGIN_VAR, steps between anchors interpolate
+    linearly and steps beyond the last anchor inflate its covariance by
+    PAST_LAST_ANCHOR_VAR per step. Convex combinations of PSD matrices are
+    PSD. Both added terms are rotation-invariant multiples of I, so the world
+    covariance of a segment turned by rot is rot E_k rot^T (:func:`world_covs`).
     """
-    table, gap = _interpolation_table(tuple(anchor_steps), horizon)
+    _, table, gap = _interpolation_table(tuple(anchor_steps), horizon)
     nodes = np.empty((len(covs) + 1, 2, 2))
-    nodes[0] = epsilon * np.eye(2)
+    nodes[0] = ORIGIN_VAR * np.eye(2)
     nodes[1:] = covs
     e = (table @ nodes.reshape(len(nodes), 4)).reshape(horizon, 2, 2)
-    e.reshape(horizon, 4)[:, ::3] += beta * gap[:, None]  # the diagonals
+    e.reshape(horizon, 4)[:, ::3] += PAST_LAST_ANCHOR_VAR * gap[:, None]  # the diagonals
     return e
 
 
 @lru_cache(maxsize=32)
 def _interpolation_table(anchor_steps: tuple[int, ...], horizon: int):
-    """Read-only (T, A+1) node weights and (T,) steps held past the last anchor."""
+    """Read-only (T, A+1) node weights of the means and of the covariances,
+    and the (T,) steps past the last anchor. Past it the mean weights are
+    (1 - w, w) on the last two nodes with w > 1; the covariance weights hold
+    the last node, because a negative weight could break PSD."""
     nodes = np.array((0, *anchor_steps), dtype=float)
     k = np.arange(1, horizon + 1, dtype=float)
     upper = np.clip(np.searchsorted(nodes, k), 1, len(nodes) - 1)
     lower_step, upper_step = nodes[upper - 1], nodes[upper]
-    w = np.minimum((k - lower_step) / (upper_step - lower_step), 1.0)
-    table = np.zeros((horizon, len(nodes)))
-    table[np.arange(horizon), upper - 1] = 1.0 - w
-    table[np.arange(horizon), upper] = w
-    return read_only(table), read_only(np.maximum(k - nodes[-1], 0.0))
+    w = (k - lower_step) / (upper_step - lower_step)
+    tables = np.zeros((2, horizon, len(nodes)))
+    for table, weight in zip(tables, (w, np.minimum(w, 1.0))):
+        table[np.arange(horizon), upper - 1] = 1.0 - weight
+        table[np.arange(horizon), upper] = weight
+    return read_only(tables[0]), read_only(tables[1]), read_only(np.maximum(k - nodes[-1], 0.0))

@@ -29,13 +29,12 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, read_only, whole
 from .fusion import (Estimate, SingularInnovationError, estimates_from_arrays, gain_table,
                      rotated_gains)
 from .gaussian import psd_rule
 from .goals import (GoalModelParams, calibration_split, check_ridge, goal_moments,
-                    interpolate_covs, interpolate_goals, read_only, second_moments,
-                    solve_ridge, whole)
+                    interpolate_covs, interpolate_goals, second_moments, solve_ridge)
 
 BACKBONES = ("cv", "ca", "ar")
 
@@ -134,27 +133,15 @@ class RefineConfig:
 
     goal_cov_scale multiplies every goal measurement covariance (1e12
     recovers the vanilla rollout, 1e-12 snaps the output onto the goals).
-    epsilon is the variance (m^2) of the virtual step-0 goal anchor pinned
-    at the last observed position; beta inflates the goal covariance by beta
-    per step held past the last anchor. refine_enabled selects between
-    refined and vanilla in :func:`rollout`.
+    refine_enabled selects between refined and vanilla in :func:`rollout`.
     """
 
     refine_enabled: bool = True
-    epsilon: float = 0.05
-    beta: float = 0.5
     goal_cov_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("epsilon", "beta", "goal_cov_scale"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.goal_cov_scale <= 0.0:
-            raise ValueError("goal_cov_scale must be positive")
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
-        if self.beta < 0.0:
-            raise ValueError("beta must be non-negative")
+        if not 0.0 < self.goal_cov_scale < np.inf:
+            raise ValueError("goal_cov_scale must be finite and positive")
 
 
 @lru_cache(maxsize=None)
@@ -221,14 +208,14 @@ def fit_predictor(
 
 @lru_cache(maxsize=32)
 def _gain_table(prior: bytes, residual_covs: bytes, anchor_steps: tuple[int, ...],
-                epsilon: float, beta: float, goal_cov_scale: float) -> np.ndarray:
+                goal_cov_scale: float) -> np.ndarray:
     """Read-only :func:`gain_table` of a (T, 2, 2) prior table and the scaled
     ego-frame measurement table of a goal model. Neither depends on the
     segments, so the tables are keyed by their bytes: repeated calls, and
     refits to equal tables, share one entry."""
     prior_covs = np.frombuffer(prior).reshape(-1, 2, 2)
     covs = np.frombuffer(residual_covs).reshape(-1, 2, 2)
-    ego = interpolate_covs(anchor_steps, covs, len(prior_covs), epsilon, beta)
+    ego = interpolate_covs(anchor_steps, covs, len(prior_covs))
     return read_only(gain_table(prior_covs, goal_cov_scale * ego))
 
 
@@ -322,8 +309,7 @@ def rollout_batch(
         z = np.swapaxes(interpolate_goals(goal_params.anchor_steps, histories[:, -1],
                                           goal_means, horizon), 0, 1)  # step-major
         table = _gain_table(prior.tobytes(), goal_params.residual_covs.tobytes(),
-                            goal_params.anchor_steps, cfg.epsilon, cfg.beta,
-                            cfg.goal_cov_scale)
+                            goal_params.anchor_steps, cfg.goal_cov_scale)
         try:  # step-major, so the first singular entry is at the earliest step
             gains, post = rotated_gains(table, rot)
         except SingularInnovationError as exc:

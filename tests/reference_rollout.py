@@ -118,8 +118,11 @@ def goal_measurement_at(anchors, k: int, last_obs, epsilon: float, beta: float):
     last_obs = np.asarray(last_obs, dtype=float).reshape(2)
     nodes = [(0, last_obs, epsilon * np.eye(2))] + list(anchors)
     last_step, last_mean, last_cov = nodes[-1]
-    if k >= last_step:
-        return last_mean, _symmetric(last_cov + beta * (k - last_step) * np.eye(2))
+    if k >= last_step:  # the mean continues the line through the last two nodes
+        s0, m0, _ = nodes[-2]
+        w = (k - s0) / (last_step - s0)
+        mean = (1.0 - w) * m0 + w * last_mean
+        return mean, _symmetric(last_cov + beta * (k - last_step) * np.eye(2))
     for (s0, m0, c0), (s1, m1, c1) in zip(nodes, nodes[1:]):
         if s0 <= k <= s1:
             w = (k - s0) / (s1 - s0)

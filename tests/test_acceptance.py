@@ -212,6 +212,17 @@ def test_criterion_6_directional_ablation(lane_change_models):
         assert elapsed < 120.0, f"took {elapsed:.2f} s"
 
 
+def test_anchors_ending_before_the_horizon_beat_vanilla(lane_change_models):
+    # past the last anchor the goal means continue the last node-to-node
+    # velocity; holding the anchor there gave 18.7 m against vanilla's 6.2 m
+    train, test, params, _, _ = lane_change_models
+    early_goals = tr.fit_goal_model(train, (3, 17), 1e-6)
+    report = tr.run_ablation(test, {"ar": (params, early_goals)})
+    vanilla = report.metrics_for("ar", False).rmse_at_seconds[-1]
+    refined = report.metrics_for("ar", True).rmse_at_seconds[-1]
+    assert refined < vanilla, (refined, vanilla)
+
+
 def test_criterion_7_protocol_conformance(tmp_path):
     with verdict(7, "ingestion emits the 16+25 @ 0.2 s protocol; split is 70/10/20"):
         csv_path = tmp_path / "raw.csv"

@@ -18,17 +18,20 @@ def fitted():
 
 
 def expected_interpolation(anchor_steps, horizon):
-    """Node weights and held steps of every future step, one step at a time."""
+    """Mean and covariance node weights and steps past the last anchor of
+    every future step, one step at a time."""
     nodes = (0, *anchor_steps)
-    table, gap = np.zeros((horizon, len(nodes))), np.zeros(horizon)
+    means, covs = np.zeros((2, horizon, len(nodes)))
+    gap = np.zeros(horizon)
     for k in range(1, horizon + 1):
-        if k >= nodes[-1]:
-            table[k - 1, -1], gap[k - 1] = 1.0, k - nodes[-1]
-            continue
-        j = next(i for i in range(1, len(nodes)) if nodes[i] >= k)
+        j = next((i for i in range(1, len(nodes)) if nodes[i] >= k), len(nodes) - 1)
         w = (k - nodes[j - 1]) / (nodes[j] - nodes[j - 1])
-        table[k - 1, j - 1], table[k - 1, j] = 1.0 - w, w
-    return table, gap
+        means[k - 1, j - 1], means[k - 1, j] = 1.0 - w, w  # w > 1 past the last anchor
+        if k >= nodes[-1]:
+            covs[k - 1, -1], gap[k - 1] = 1.0, k - nodes[-1]
+        else:
+            covs[k - 1] = means[k - 1]
+    return means, covs, gap
 
 
 def test_tables_equal_their_tuples(fitted):
@@ -48,9 +51,10 @@ def test_tables_equal_their_tuples(fitted):
     ((3, 10, 25), 25), ((5, 10, 15, 20, 25), 30), ((1,), 4), ((3, 17), 12),
 ])
 def test_interpolation_table_matches_stepwise_rule(anchor_steps, horizon):
-    table, gap = _interpolation_table(anchor_steps, horizon)
-    want_table, want_gap = expected_interpolation(anchor_steps, horizon)
-    np.testing.assert_allclose(table, want_table, rtol=0.0, atol=1e-15)
+    means, covs, gap = _interpolation_table(anchor_steps, horizon)
+    want_means, want_covs, want_gap = expected_interpolation(anchor_steps, horizon)
+    np.testing.assert_allclose(means, want_means, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(covs, want_covs, rtol=0.0, atol=1e-15)
     np.testing.assert_array_equal(gap, want_gap)
 
 
@@ -99,9 +103,9 @@ def test_gain_table_built_once_per_tables(fitted):
     _, covs = rollout_batch(params, histories[:1], None, refit)
     after = _gain_table.cache_info()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
-    rollout_batch(params, histories, None, goal_params, RefineConfig(beta=0.25))
+    rollout_batch(params, histories, None, goal_params, RefineConfig(goal_cov_scale=0.25))
     assert _gain_table.cache_info().misses == after.misses + 1
     table = _gain_table(params.step_covs.tobytes(), goal_params.residual_covs.tobytes(),
-                        goal_params.anchor_steps, 0.05, 0.5, 1.0)
+                        goal_params.anchor_steps, 1.0)
     assert not table.flags.writeable and not covs.flags.writeable
     assert np.array_equal(covs, np.swapaxes(covs, -1, -2))

@@ -32,6 +32,13 @@ def fit(tmp_path, train, name="model.json", extra=()):
     return model
 
 
+def command_inputs(tmp_path, command, train):
+    """The input options of ``predict`` or ``ablate``, all on one dataset."""
+    if command == "predict":
+        return ("--model", str(fit(tmp_path, train)), "--data", str(train))
+    return ("--train", str(train), "--test", str(train))
+
+
 class TestGenSynth:
     def test_writes_n_lines(self, tmp_path):
         out = gen(tmp_path, "a.jsonl", n=25)
@@ -394,16 +401,48 @@ class TestPredict:
         assert f"error: {model}: invalid model file: {message}\n" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("corrupt,message", [
+        (lambda g: g.update(weights=[np.transpose(w).tolist() for w in g["weights"]]),
+         "weights of anchor 5 must have shape (30, 2), got (2, 30)"),
+        (lambda g: g.update(anchor_steps=[5, 10, 15, 20, 30]),
+         "anchor step 30 exceeds the protocol horizon 25"),
+    ], ids=["weights-transposed", "anchor-past-horizon"])
+    def test_model_goal_weights_and_anchors_checked(self, tmp_path, capsys, corrupt, message):
+        train = gen(tmp_path, "train.jsonl", n=30)
+        model = fit(tmp_path, train)
+        doc = json.loads(model.read_text())
+        corrupt(doc["goal_model"])
+        model.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as exc:
+            load_model(str(model))
+        assert str(exc.value) == f"{model}: invalid model file: {message}"
+        out = tmp_path / "p.jsonl"
+        assert run("predict", "--model", str(model), "--data", str(train),
+                   "--out", str(out)) == 2
+        assert f"error: {model}: invalid model file: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command,value", [("predict", "raw"), ("ablate", "fused")])
     def test_feedback_flag_is_unrecognized(self, tmp_path, capsys, command, value):
         train = gen(tmp_path, "train.jsonl", n=30)
-        inputs = (("--model", str(fit(tmp_path, train)), "--data", str(train))
-                  if command == "predict" else ("--train", str(train), "--test", str(train)))
+        inputs = command_inputs(tmp_path, command, train)
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc_info:
             run(command, *inputs, "--out", str(out), "--feedback", value)
         assert exc_info.value.code == 2
         assert "unrecognized arguments: --feedback" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,flag,value", [("predict", "--epsilon", "0.1"),
+                                                    ("ablate", "--beta", "1")])
+    def test_measurement_flags_are_unrecognized(self, tmp_path, capsys, command, flag, value):
+        train = gen(tmp_path, "train.jsonl", n=30)
+        inputs = command_inputs(tmp_path, command, train)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc_info:
+            run(command, *inputs, "--out", str(out), flag, value)
+        assert exc_info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_model_file_round_trip_matches_in_memory(self, tmp_path):
@@ -628,11 +667,21 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("feedback = fused\n")
         train = gen(tmp_path, "train.jsonl", n=30)
-        inputs = (("--model", str(fit(tmp_path, train)), "--data", str(train))
-                  if command == "predict" else ("--train", str(train), "--test", str(train)))
+        inputs = command_inputs(tmp_path, command, train)
         out = tmp_path / "out"
         assert run(command, *inputs, "--out", str(out), "--config", str(cfg)) == 2
         assert "error: unknown config keys: feedback\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ("predict", "ablate"))
+    def test_beta_key_exits_2(self, tmp_path, capsys, command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("beta = 1\n")
+        train = gen(tmp_path, "train.jsonl", n=30)
+        inputs = command_inputs(tmp_path, command, train)
+        out = tmp_path / "out"
+        assert run(command, *inputs, "--out", str(out), "--config", str(cfg)) == 2
+        assert "error: unknown config keys: beta\n" in capsys.readouterr().err
         assert not out.exists()
 
     def test_invalid_choice_from_config_exits_2(self, tmp_path):

@@ -226,6 +226,28 @@ class TestProtocolDomain:
         assert len(Dataset([], 0.2, 0, 1)) == 0
 
 
+TRACK = Track(1, 0.2, np.zeros((45, 2)))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: Dataset([], 0.2, 15.0, 25), "tau must be an integer, got 15.0"),
+    (lambda: Dataset([], 0.2, 15, 25.0), "horizon must be an integer, got 25.0"),
+    (lambda: gen_synthetic("cv", 2.0, 0.0, seed=0), "n must be an integer, got 2.0"),
+    (lambda: gen_synthetic("cv", 2, 0.0, seed=0, tau=3.0), "tau must be an integer, got 3.0"),
+    (lambda: gen_synthetic("cv", 2, 0.0, seed=0, horizon=5.0),
+     "horizon must be an integer, got 5.0"),
+    (lambda: extract_segments([TRACK], tau=3.0), "tau must be an integer, got 3.0"),
+    (lambda: extract_segments([TRACK], horizon=4.0), "horizon must be an integer, got 4.0"),
+    (lambda: extract_segments([TRACK], stride=1.5), "stride must be an integer, got 1.5"),
+    (lambda: downsample(TRACK, 2.0), "factor must be an integer, got 2.0"),
+], ids=["dataset-tau", "dataset-horizon", "gen-n", "gen-tau", "gen-horizon", "extract-tau",
+        "extract-horizon", "extract-stride", "downsample-factor"])
+def test_non_integer_size_rejected_by_name(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+    assert type(Dataset([], 0.2, np.int64(3), np.int64(4)).tau) is int
+
+
 class TestDatasetStacks:
     def test_stacks_are_read_only_and_built_once(self):
         ds = gen_synthetic("turn", 7, 0.2, seed=4)
@@ -304,6 +326,11 @@ class TestSplitDataset:
     def test_bad_ratios(self):
         with pytest.raises(ValueError, match="sum"):
             split_dataset(self.make_dataset(), ratios=(0.7, 0.2, 0.2))
+
+    @pytest.mark.parametrize("ratios", [(1.5, -0.5, 0.0), (np.nan, 0.5, 0.5), (np.inf, 0.0, 0.0)])
+    def test_ratio_not_finite_and_non_negative_rejected(self, ratios):
+        with pytest.raises(ValueError, match=r"^split ratios must be finite and >= 0, got \("):
+            split_dataset(self.make_dataset(), ratios=ratios)
 
 
 class TestGenSynthetic:

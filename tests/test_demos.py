@@ -1,12 +1,14 @@
-"""Every script in demos/ runs to completion against the current API."""
+"""Every script in demos/ and README's library example run against the current API."""
 
+import re
 import runpy
 import tempfile
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda path: path.stem)
@@ -16,3 +18,11 @@ def test_demo_runs(script, tmp_path, monkeypatch, capsys):
     out = capsys.readouterr()
     assert out.out
     assert "error" not in out.err
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library in a nutshell", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("backbone,refine,rmse_overall,")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from trajrefine.goals import (
     interpolate_goals,
     world_covs,
 )
-from trajrefine.predictors import PredictorParams, RefineConfig, rollout_batch
+from trajrefine.predictors import PredictorParams, rollout_batch
 
 ANCHORS = (5, 10, 15, 20, 25)
 
@@ -186,7 +188,7 @@ class TestPredictGoals:
         np.testing.assert_array_equal(moved_covs[:, 0, 0], base_covs[:, 0, 0])
 
 
-def measurements(goals, last_obs, horizon=30, cfg=RefineConfig()):
+def measurements(goals, last_obs, horizon=30):
     """Per-step goal measurements as (mean, covariance) pairs, step k at [k-1].
 
     goals maps each anchor step to its (x, y, sigma_x, sigma_y, rho).
@@ -194,7 +196,7 @@ def measurements(goals, last_obs, horizon=30, cfg=RefineConfig()):
     means = np.array([[g[:2] for g in goals.values()]], dtype=float)
     covs = cov_from_params(*np.array([g[2:] for g in goals.values()], dtype=float).T)
     z = interpolate_goals(tuple(goals), np.array([last_obs], dtype=float), means, horizon)
-    r = interpolate_covs(tuple(goals), covs, horizon, cfg.epsilon, cfg.beta)
+    r = interpolate_covs(tuple(goals), covs, horizon)
     return list(zip(z[0], r))
 
 
@@ -219,15 +221,16 @@ class TestGoalMeasurementAt:
 
     def test_before_first_anchor_uses_virtual_origin(self):
         goals = {5: (1.0, 6.0, 1.0, 1.0, 0.0)}
-        at = measurements(goals, [1.0, 1.0], cfg=RefineConfig(epsilon=0.05))
+        at = measurements(goals, [1.0, 1.0])
         mean, cov = at[2 - 1]
         np.testing.assert_allclose(mean, [1.0, 3.0], atol=1e-12)
         np.testing.assert_allclose(cov, 0.43 * np.eye(2), atol=1e-12)
 
     def test_beyond_last_anchor_holds_and_inflates(self):
-        at = measurements(self.goals, [0.0, 0.0], cfg=RefineConfig(beta=0.5))
-        mean, cov = at[24 - 1]
-        np.testing.assert_allclose(mean, [10.0, 0.0], atol=1e-15)
+        # the covariance holds the last anchor's and inflates; the mean
+        # continues the line through anchors 10 and 20
+        mean, cov = self.at[24 - 1]
+        np.testing.assert_allclose(mean, [14.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(
             cov, (9.0 + 0.5 * 4) * np.eye(2), atol=1e-12
         )
@@ -296,6 +299,13 @@ class TestGoalSetValidation:
     def test_history_len_rejected_by_name(self, value, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             GoalModelParams((5, 10), (np.zeros((30, 2)),) * 2, np.stack([np.eye(2)] * 2), value)
+
+    @pytest.mark.parametrize("weight,shape", [(np.zeros((2, 30)), "(2, 30)"),
+                                              (np.zeros(60), "(60,)")])
+    def test_weights_of_each_anchor_checked_by_shape(self, weight, shape):
+        with pytest.raises(ValueError, match=re.escape(
+                f"weights of anchor 10 must have shape (30, 2), got {shape}")):
+            GoalModelParams((5, 10), (np.zeros((30, 2)), weight), np.stack([np.eye(2)] * 2), 16)
 
     def test_integer_like_history_len_becomes_int(self):
         params = GoalModelParams((5,), (np.zeros((30, 2)),), [np.eye(2)], np.int64(16))

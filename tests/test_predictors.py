@@ -400,8 +400,7 @@ class TestRolloutVanilla:
 
 class TestRefineConfig:
     @pytest.mark.parametrize("kw", [
-        {"epsilon": 0.0}, {"beta": -0.1}, {"goal_cov_scale": 0.0}, {"goal_cov_scale": -1.0},
-        {"epsilon": np.inf}, {"epsilon": np.nan}, {"beta": np.inf}, {"beta": np.nan},
+        {"goal_cov_scale": 0.0}, {"goal_cov_scale": -1.0},
         {"goal_cov_scale": np.inf}, {"goal_cov_scale": np.nan},
     ])
     def test_out_of_domain_rejected(self, kw):

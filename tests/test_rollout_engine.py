@@ -7,14 +7,16 @@ against their own one-row batch are compared bitwise, and so is the goal
 fit, which makes the same products and solves per anchor as the reference.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
 import reference_rollout as ref
 from trajrefine.data import gen_synthetic
 from trajrefine.fusion import SingularInnovationError, gain_table, rotated_gains
-from trajrefine.goals import (GoalModelParams, fit_goal_model, goal_moments, interpolate_covs,
-                              interpolate_goals, solve_ridge)
+from trajrefine.goals import (ORIGIN_VAR, PAST_LAST_ANCHOR_VAR, GoalModelParams, fit_goal_model,
+                              goal_moments, interpolate_covs, interpolate_goals, solve_ridge)
 from trajrefine.predictors import (
     PredictorParams,
     RefineConfig,
@@ -97,7 +99,7 @@ def test_refined_matches_reference(fitted, backbone, anchors, cfg):
         assert_matches(covs[i], ref_covs)
 
 
-def strided_loop_means(params, goal_params, histories, cfg):
+def strided_loop_means(params, goal_params, histories):
     """Refined means of the step loop that works on strided views of the
     position buffer: the backbone writes each raw step into the buffer and
     the fused step is raw + K (z - raw), with K a (2, 2) @ (2, 1) product."""
@@ -105,9 +107,8 @@ def strided_loop_means(params, goal_params, histories, cfg):
     goal_means, rot = goal_moments(goal_params, histories)
     z = np.swapaxes(interpolate_goals(goal_params.anchor_steps, histories[:, -1],
                                       goal_means, horizon), 0, 1)
-    ego = interpolate_covs(goal_params.anchor_steps, goal_params.residual_covs, horizon,
-                           cfg.epsilon, cfg.beta)
-    gains, _ = rotated_gains(gain_table(params.step_covs, cfg.goal_cov_scale * ego), rot)
+    ego = interpolate_covs(goal_params.anchor_steps, goal_params.residual_covs, horizon)
+    gains, _ = rotated_gains(gain_table(params.step_covs, ego), rot)
     positions = np.empty((n, need + horizon, 2))
     positions[:, :need] = histories[:, -need:]
     flat = positions.reshape(n, -1)
@@ -127,7 +128,7 @@ def test_refined_means_bitwise_equal_the_strided_loop(fitted, backbone, n, cfg):
     params, goal_params = predictors[backbone], goals["sparse"]
     histories = train.histories()[:n]
     means, _ = rollout_batch(params, histories, None, goal_params, cfg)
-    assert_bitwise(means, strided_loop_means(params, goal_params, histories, cfg))
+    assert_bitwise(means, strided_loop_means(params, goal_params, histories))
 
 
 @pytest.mark.parametrize("fusion", (None, "fused"))
@@ -145,7 +146,7 @@ def test_empty_batch_returns_empty_arrays(fitted, backbone, fusion):
 
 
 @pytest.mark.parametrize("cfg", [
-    RefineConfig(epsilon=0.3, beta=2.0),
+    RefineConfig(),
     RefineConfig(goal_cov_scale=1e-3),
     RefineConfig(goal_cov_scale=40.0),
 ])
@@ -155,11 +156,16 @@ def test_refine_config_matches_reference(fitted, cfg):
     means, covs = rollout_batch(params, test.histories(), 20, goal_params, cfg)
     for i, seg in enumerate(test.segments):
         ref_means, ref_covs = ref.rollout_refined(
-            params, goal_params, seg.history, 20, cfg.epsilon, cfg.beta,
-            goal_cov_scale=cfg.goal_cov_scale,
+            params, goal_params, seg.history, 20, goal_cov_scale=cfg.goal_cov_scale,
         )
         assert_matches(means[i], ref_means)
         assert_matches(covs[i], ref_covs)
+
+
+def test_reference_measurement_defaults_are_the_package_constants():
+    defaults = inspect.signature(ref.rollout_refined).parameters
+    assert ((defaults["epsilon"].default, defaults["beta"].default)
+            == (ORIGIN_VAR, PAST_LAST_ANCHOR_VAR))
 
 
 @pytest.mark.parametrize("backbone", BACKBONES)
@@ -240,7 +246,7 @@ def test_batch_equals_single_calls(fitted):
 
 def test_singular_step_matches_reference():
     # zero prior covariance and a near-zero anchor at step 3: steps 1-2 fuse
-    # against the wide virtual origin, step 3 is singular
+    # against the virtual origin, step 3 is singular
     params = PredictorParams("cv", 0.2, np.zeros((5, 2, 2)))
     goal_params = GoalModelParams(
         anchor_steps=(3,),
@@ -250,11 +256,10 @@ def test_singular_step_matches_reference():
         rotate=False,
     )
     history = np.array([[0.0, 0.0], [1.0, 0.5]])
-    cfg = RefineConfig(epsilon=1.0)
     with pytest.raises(ref.ReferenceSingularError) as expected:
-        ref.rollout_refined(params, goal_params, history, 5, epsilon=1.0)
+        ref.rollout_refined(params, goal_params, history, 5)
     with pytest.raises(SingularInnovationError) as actual:
-        rollout_batch(params, history[None], None, goal_params, cfg)
+        rollout_batch(params, history[None], None, goal_params)
     assert actual.value.step == expected.value.step == 3
     assert str(actual.value).startswith("step 3: innovation covariance is singular")
 
@@ -271,11 +276,10 @@ def test_singular_step_is_the_earliest_across_a_batch():
         history_len=2,
     )
     histories = np.array([[[0.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [1.0, 0.0]]])
-    cfg = RefineConfig(epsilon=1.0)
     errors = []
     for batch in (histories[:1], histories[1:], histories):
         with pytest.raises(SingularInnovationError) as exc:
-            rollout_batch(params, batch, None, goal_params, cfg)
+            rollout_batch(params, batch, None, goal_params)
         errors.append(exc.value)
     first, second, both = errors
     assert (first.step, second.step) == (4, 2)
