@@ -399,9 +399,14 @@ class TestRolloutVanilla:
 
 
 class TestRefineConfig:
+    # Fixed ids keep each case's name stable when cases are added or dropped.
     @pytest.mark.parametrize("kw", [
-        {"goal_cov_scale": 0.0}, {"goal_cov_scale": -1.0},
-        {"goal_cov_scale": np.inf}, {"goal_cov_scale": np.nan},
+        pytest.param({"goal_cov_scale": -np.inf}, id="kw0"),
+        pytest.param({"goal_cov_scale": -0.0}, id="kw1"),
+        pytest.param({"goal_cov_scale": 0.0}, id="kw2"),
+        pytest.param({"goal_cov_scale": -1.0}, id="kw3"),
+        pytest.param({"goal_cov_scale": np.inf}, id="kw8"),
+        pytest.param({"goal_cov_scale": np.nan}, id="kw9"),
     ])
     def test_out_of_domain_rejected(self, kw):
         with pytest.raises(ValueError, match=next(iter(kw))):
