@@ -44,8 +44,12 @@ def read_only(a: np.ndarray) -> np.ndarray:
 
 
 def _stream_rng(seed: int, stream: str) -> np.random.Generator:
-    """Independent, reproducible generator for a named random sub-stream."""
-    return np.random.default_rng([int(seed), zlib.crc32(stream.encode())])
+    """Independent, reproducible generator for a named random sub-stream of
+    an integer seed >= 0; any other seed is rejected by name."""
+    seed = whole("seed", seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng([seed, zlib.crc32(stream.encode())])
 
 
 def _points(a, name: str) -> np.ndarray:

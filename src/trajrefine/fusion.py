@@ -23,8 +23,6 @@ rotation, and :func:`fuse` the same with means, over arrays like the rest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .gaussian import Cov2, psd_rule
@@ -48,24 +46,26 @@ class SingularInnovationError(ValueError):
         self.index = index
 
 
-@dataclass(frozen=True, eq=False)
 class Estimate:
     """A (2,) mean in meters and its covariance, as the adapters return it.
 
-    Compared and hashed by identity: a generated field-wise ``==`` would
-    compare the mean arrays, whose truth value is ambiguous.
+    Compared and hashed by identity: a field-wise ``==`` would compare the
+    mean arrays, whose truth value is ambiguous.
     """
 
-    mean: np.ndarray
-    cov: Cov2
+    __slots__ = ("mean", "cov")
+
+    def __init__(self, mean: np.ndarray, cov: Cov2):
+        self.mean, self.cov = mean, cov
 
 
 def estimates_from_arrays(means: np.ndarray, covs: np.ndarray) -> list[Estimate]:
     """One Estimate per row of (T, 2) means and (T, 2, 2) covariances, checked
     once as arrays; off-diagonal entries are averaged."""
     means, c = _checked(np.reshape(means, (-1, 2)), np.reshape(covs, (-1, 2, 2)))
-    entries = np.stack([c[:, 0, 0], 0.5 * (c[:, 0, 1] + c[:, 1, 0]), c[:, 1, 1]], 1)
-    return [Estimate(m, Cov2(*e)) for m, e in zip(means, entries.tolist())]
+    sxy = 0.5 * (c[:, 0, 1] + c[:, 1, 0])
+    return list(map(Estimate, means,
+                    map(Cov2, c[:, 0, 0].tolist(), sxy.tolist(), c[:, 1, 1].tolist())))
 
 
 def _checked(means, covs, definite: bool = False) -> tuple[np.ndarray, np.ndarray]:

@@ -9,7 +9,7 @@ at the I/O boundary; conversion functions between the two forms live here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,10 +17,10 @@ import numpy as np
 PSD_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Cov2:
+class Cov2(NamedTuple):
     """Unchecked covariance entries (sxx, sxy, syy) in m^2 of one estimate
-    that the one-segment rollout adapters return."""
+    that the one-segment rollout adapters return; an immutable tuple, equal
+    by value."""
 
     sxx: float
     sxy: float

@@ -9,7 +9,7 @@ import numpy as np
 
 from .data import Dataset
 from .goals import GoalModelParams
-from .predictors import PredictorParams, RefineConfig, rollout_batch
+from .predictors import PredictorParams, RefineConfig, _measure_goals, _step, rollout_batch
 
 
 @dataclass(frozen=True)
@@ -129,18 +129,23 @@ def run_ablation(
     """Evaluate every fitted backbone with refinement off and on.
 
     Models must have been fitted on data disjoint from ``test``. Segments
-    are evaluated in dataset order, so the report is deterministic.
+    are evaluated in dataset order, so the report is deterministic. The goal
+    measurement depends on the goal model and the histories alone, so it is
+    made once per distinct goal model object and shared by the backbones
+    that use it; the report is the same as with one ``rollout_batch`` per
+    backbone.
     """
     if not test.segments:
         raise ValueError("test set is empty")
-    histories = test.histories()
-    rows = []
+    histories, horizon = test.histories(), test.horizon
+    measured, rows = {}, []
     for backbone in sorted(models):
         params, goal_params = models[backbone]
-        vanilla_means, _ = rollout_batch(params, histories, test.horizon)
-        refined_means, _ = rollout_batch(
-            params, histories, test.horizon, goal_params, cfg
-        )
+        vanilla_means, _ = rollout_batch(params, histories, horizon)
+        if goal_params not in measured:
+            measured[goal_params] = _measure_goals(goal_params, histories, horizon)
+        refined_means, _ = _step(params, histories, horizon, goal_params,
+                                 measured[goal_params], cfg)
         rows.append(AblationRow(backbone, False, rmse(vanilla_means, test)))
         rows.append(AblationRow(backbone, True, rmse(refined_means, test)))
     return AblationReport(tuple(rows))

@@ -16,8 +16,9 @@ interpolated goal measurement and feeds the fused mean back into the
 buffer. The gains need no per-segment 2x2 products: the prior and the
 ego-frame measurement tables do not depend on the segments, so their
 :func:`~trajrefine.fusion.gain_table` is cached, and each segment enters
-only through its heading, in one GEMM. It keeps one (N, buffer_len + T, 2)
-position array, and the means it returns are a view of it.
+only through its heading, in one GEMM. Its buffer is (buffer_len + T, 2, N)
+step-major component planes, so a fused step is elementwise work on (2, N)
+planes; the means it returns are a transposed view of the buffer.
 ``rollout``, ``rollout_vanilla`` and ``rollout_refined`` are its one-segment
 adapters; they validate their estimates once, as arrays.
 """
@@ -262,20 +263,20 @@ def rollout_batch(
     """Roll N segments out together; the one rollout loop of the package.
 
     histories is (N, n, 2). Returns (N, T, 2) means and (N, T, 2, 2)
-    covariances for future steps 1..T; the means are a view of the
-    rollout's position buffer. Without a goal model this is the vanilla
-    rollout: repeated one-step prediction with the calibrated step
+    covariances for future steps 1..T. Without a goal model this is the
+    vanilla rollout: repeated one-step prediction with the calibrated step
     covariances, a read-only broadcast view of ``params.step_covs``. With
-    one, goals are predicted exactly once per segment up front. The prior covariance at step k is the calibrated table entry, not
-    the previous fused one, so every gain K_k and fused covariance is fixed
-    by the covariances alone and is computed in one call before stepping;
-    the refined covariances are a read-only view too. At each step k the raw
+    one, goals are predicted exactly once per segment up front. The prior
+    covariance at step k is the calibrated table entry, not the previous
+    fused one, so every gain K_k and fused covariance is fixed by the
+    covariances alone and is computed in one call before stepping; the
+    refined covariances are a read-only view too. At each step k the raw
     mean is fused as raw + K_k (z_k - raw), the fused estimate is emitted,
     and the fused mean replaces the raw one in the buffer before the next
-    step. The refined step works on contiguous (N, 2) and (N, 1, 2) scratch
-    arrays, so each step writes the strided position buffer once. horizon
-    must be an integer; an empty batch returns (0, T, 2) means and
-    (0, T, 2, 2) covariances.
+    step. The buffer holds step-major component planes, (buffer_len + T, 2,
+    N), so a fused step is elementwise work on (2, N) planes; the means are
+    a transposed view of its last T rows. horizon must be an integer; an
+    empty batch returns (0, T, 2) means and (0, T, 2, 2) covariances.
     cfg.refine_enabled is not read here; pass no goal model for vanilla.
     """
     histories = np.asarray(histories, dtype=float)
@@ -295,19 +296,35 @@ def rollout_batch(
             f"rollout horizon of {params.horizon} steps exceeded at step "
             f"{params.horizon + 1}"
         )
-    n = len(histories)
+    goals = None if goal_params is None else _measure_goals(goal_params, histories, horizon)
+    return _step(params, histories, horizon, goal_params, goals, cfg)
+
+
+def _measure_goals(goal_params: GoalModelParams, histories: np.ndarray, horizon: int):
+    """(T, 2, N) planes of the goal measurement means and the (N, 2, 2) ego
+    rotations: what backbones that share a goal model can share."""
+    goal_means, rot = goal_moments(goal_params, histories)
+    z = interpolate_goals(goal_params.anchor_steps, histories[:, -1], goal_means, horizon)
+    return z.transpose(1, 2, 0), rot
+
+
+def _step(params: PredictorParams, histories: np.ndarray, horizon: int, goal_params, goals, cfg):
+    """:func:`rollout_batch` after its checks; ``goals`` is the
+    :func:`_measure_goals` of ``goal_params``, None for a vanilla rollout."""
+    n, need = len(histories), params.buffer_len
     prior = params.step_covs[:horizon]
     covs = np.broadcast_to(prior, (n, horizon, 2, 2))
-    # positions[:, k : k + need] is the buffer that predicts step k + 1 and
-    # flat[:, 2k : 2(k + need)] the same buffer raveled
-    positions = np.empty((n, need + horizon, 2))
-    positions[:, :need] = histories[:, -need:]
-    flat = positions.reshape(n, 2 * (need + horizon))
-    means = positions[:, need:]
-    if goal_params is not None:
-        goal_means, rot = goal_moments(goal_params, histories)
-        z = np.swapaxes(interpolate_goals(goal_params.anchor_steps, histories[:, -1],
-                                          goal_means, horizon), 0, 1)  # step-major
+    buf = np.empty((need + horizon, 2, n))  # buf[j, c] is component c of position j
+    buf[:need] = histories[:, -need:].transpose(1, 2, 0)
+    # windows[k] is the (N, 2 need) raveled buffer that predicts step k + 1
+    position, plane, item = buf.strides
+    windows = np.ndarray((horizon, n, 2 * need), float, buf, 0, (position, item, plane))
+    rows, weights = buf[need:], params.position_weights
+    if goals is None:
+        for window, row in zip(windows, rows):
+            np.matmul(window, weights, out=row.T)
+    else:
+        z, rot = goals
         table = _gain_table(prior.tobytes(), goal_params.residual_covs.tobytes(),
                             goal_params.anchor_steps, cfg.goal_cov_scale)
         try:  # step-major, so the first singular entry is at the earliest step
@@ -316,18 +333,15 @@ def rollout_batch(
             step = exc.index[0] + 1
             raise SingularInnovationError(f"step {step}: {exc}", step=step) from exc
         covs = np.swapaxes(post, 0, 1)
-        gains_t = np.swapaxes(gains, 2, 3)  # (K d)^T = d^T K^T, the same products
-        raw, innov, fix = np.empty((n, 2)), np.empty((n, 1, 2)), np.empty((n, 1, 2))
-    weights = params.position_weights
-    for k in range(horizon):
-        window = flat[:, 2 * k : 2 * (k + need)]
-        if goal_params is None:
-            np.matmul(window, weights, out=means[:, k])
-            continue
-        np.matmul(window, weights, out=raw)
-        np.subtract(z[k], raw, out=innov[:, 0])
-        np.matmul(innov, gains_t[k], out=fix)
-        np.add(raw, fix[:, 0], out=means[:, k])
+        # work[i, j] = K[i, j] d[j] for j < 2 and work[i, 2] = raw[i], so the
+        # sum over j is (K d)_i + raw_i in the order of a 2x2 matvec
+        work, d = np.empty((2, 3, n)), np.empty((2, n))
+        raw, kd = work[:, 2], work[:, :2]
+        for window, z_k, gain, row in zip(windows, z, gains.transpose(0, 2, 3, 1), rows):
+            np.matmul(window, weights, out=raw.T)
+            np.multiply(gain, np.subtract(z_k, raw, out=d), out=kd)
+            np.add.reduce(work, axis=1, out=row)
+    means = rows.transpose(2, 0, 1)
     if not np.all(np.isfinite(means)):
         raise ValueError("rollout produced non-finite positions")
     return means, covs

@@ -333,6 +333,21 @@ class TestSplitDataset:
             split_dataset(self.make_dataset(), ratios=ratios)
 
 
+    @pytest.mark.parametrize("seed,message", [
+        (2.7, "seed must be an integer, got 2.7"),
+        ("9", "seed must be an integer, got '9'"),
+        (-3, "seed must be >= 0, got -3"),
+    ], ids=["fraction", "string", "negative"])
+    def test_seed_not_whole_and_non_negative_rejected(self, seed, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            split_dataset(self.make_dataset(), seed=seed)
+
+    def test_numpy_integer_seed_gives_the_int_seed_split(self):
+        ds = self.make_dataset()
+        for x, y in zip(split_dataset(ds, seed=np.int64(9)), split_dataset(ds, seed=9)):
+            assert [s.segment_id for s in x.segments] == [s.segment_id for s in y.segments]
+
+
 class TestGenSynthetic:
     def test_cv_is_collinear(self):
         ds = gen_synthetic("cv", 10, 0.0, seed=1)
@@ -348,6 +363,21 @@ class TestGenSynthetic:
         for x, y in zip(a.segments, b.segments):
             np.testing.assert_array_equal(x.history, y.history)
             np.testing.assert_array_equal(x.future, y.future)
+
+    @pytest.mark.parametrize("seed,message", [
+        (1.5, "seed must be an integer, got 1.5"),
+        (None, "seed must be an integer, got None"),
+        (-1, "seed must be >= 0, got -1"),
+    ], ids=["fraction", "none", "negative"])
+    def test_seed_not_whole_and_non_negative_rejected(self, seed, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            gen_synthetic("cv", 1, 0.0, seed=seed)
+
+    def test_numpy_integer_seed_gives_the_int_seed_corpus(self):
+        a = gen_synthetic("lane_change", 50, 0.2, seed=np.int64(101))
+        b = gen_synthetic("lane_change", 50, 0.2, seed=101)
+        assert a.histories().tobytes() == b.histories().tobytes()
+        assert a.futures().tobytes() == b.futures().tobytes()
 
     def test_lane_change_net_lateral_offset(self):
         # paired seeds: cv draws the same speed/heading/origin as lane_change

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from trajrefine import predictors
 from trajrefine.data import Dataset, Segment, gen_synthetic
-from trajrefine.goals import fit_goal_model
+from trajrefine.goals import fit_goal_model, goal_moments
 from trajrefine.metrics import AblationReport, AblationRow, rmse, run_ablation
-from trajrefine.predictors import RefineConfig, fit_predictor
+from trajrefine.predictors import RefineConfig, fit_predictor, rollout_batch
 
 
 def tiny_dataset(futures, dt=0.2):
@@ -171,3 +172,38 @@ class TestRunAblation:
         _, models = fitted
         with pytest.raises(ValueError, match="empty"):
             run_ablation(Dataset([]), models)
+
+    def test_goal_model_shared_by_backbones_is_measured_once(self, monkeypatch):
+        train = gen_synthetic("turn", 200, 0.2, seed=62)
+        test = gen_synthetic("turn", 40, 0.2, seed=63)
+        kwargs = {"ar": {"lag": 3}, "ca": {"window": 3}, "cv": {}}
+        params = {bb: fit_predictor(bb, train, **kw) for bb, kw in kwargs.items()}
+        shared = fit_goal_model(train, (3, 10, 17))
+        equal = [fit_goal_model(train, (3, 10, 17)) for _ in params]  # distinct objects
+        cfg = RefineConfig(goal_cov_scale=3.0)
+        calls = []
+
+        def counted(goal_params, histories):
+            calls.append(goal_params)
+            return goal_moments(goal_params, histories)
+
+        monkeypatch.setattr(predictors, "goal_moments", counted)
+        one = run_ablation(test, {bb: (p, shared) for bb, p in params.items()}, cfg)
+        assert calls == [shared]
+        calls.clear()
+        many = run_ablation(test, {bb: (p, g) for (bb, p), g in zip(params.items(), equal)}, cfg)
+        assert sorted(map(id, calls)) == sorted(map(id, equal))
+        monkeypatch.undo()
+
+        def bits(report):
+            return [(r.backbone, r.refined, float.hex(r.metrics.rmse_overall),
+                     r.metrics.rmse_per_step.tobytes(), r.metrics.rmse_at_seconds.tobytes())
+                    for r in report.rows]
+
+        rows = []
+        for bb in sorted(params):
+            for refined in (False, True):
+                means, _ = rollout_batch(params[bb], test.histories(), test.horizon,
+                                         shared if refined else None, cfg)
+                rows.append(AblationRow(bb, refined, rmse(means, test)))
+        assert bits(one) == bits(many) == bits(AblationReport(tuple(rows)))

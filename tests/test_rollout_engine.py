@@ -121,7 +121,7 @@ def strided_loop_means(params, goal_params, histories):
 
 
 @pytest.mark.parametrize("cfg", [RefineConfig()], ids=["fused"])
-@pytest.mark.parametrize("n", (1, 37))
+@pytest.mark.parametrize("n", (1, 37, 200))
 @pytest.mark.parametrize("backbone", ("cv", "ca3", "ar3"))
 def test_refined_means_bitwise_equal_the_strided_loop(fitted, backbone, n, cfg):
     train, _, predictors, goals = fitted
@@ -129,6 +129,29 @@ def test_refined_means_bitwise_equal_the_strided_loop(fitted, backbone, n, cfg):
     histories = train.histories()[:n]
     means, _ = rollout_batch(params, histories, None, goal_params, cfg)
     assert_bitwise(means, strided_loop_means(params, goal_params, histories))
+
+
+def slice_matmul_means(params, histories):
+    """Vanilla means of the step loop that slices each (N, 2 need) window out
+    of an (N, need + T, 2) position buffer and writes the raw step into it."""
+    n, need, horizon = len(histories), params.buffer_len, params.horizon
+    positions = np.empty((n, need + horizon, 2))
+    positions[:, :need] = histories[:, -need:]
+    flat = positions.reshape(n, -1)
+    for k in range(horizon):
+        np.matmul(flat[:, 2 * k : 2 * (k + need)], params.position_weights,
+                  out=positions[:, need + k])
+    return positions[:, need:]
+
+
+@pytest.mark.parametrize("n", (1, 37, 200))
+@pytest.mark.parametrize("backbone", ("cv", "ca3", "ar3"))
+def test_vanilla_means_bitwise_equal_the_slice_matmul_loop(fitted, backbone, n):
+    train, _, predictors, _ = fitted
+    params = predictors[backbone]
+    histories = train.histories()[:n]
+    means, _ = rollout_batch(params, histories)
+    assert_bitwise(means, slice_matmul_means(params, histories))
 
 
 @pytest.mark.parametrize("fusion", (None, "fused"))
