@@ -28,6 +28,7 @@ SCENARIOS = ("cv", "ca", "lane_change", "turn")
 
 LANE_WIDTH = 3.7  # meters, lateral offset of the lane_change scenario
 LANE_CHANGE_DURATION = 3.0  # seconds
+GEOMETRY_BLOCK = 256  # segments whose positions gen_synthetic computes at once
 
 
 def whole(name: str, value) -> int:
@@ -322,6 +323,16 @@ def gen_synthetic(
     (lane_change), and a constant-curvature arc (turn). Each segment gets a
     random speed, heading and origin; i.i.d. Gaussian position noise of std
     noise_sigma is added on top.
+
+    Draw order, segment by segment from the seed's ``"datagen"`` stream:
+    uniform speed in [8, 15), heading in [-pi, pi), origin x and y in
+    [-100, 100), then the acceleration in [-1, 1) (ca), the lane-change
+    start in [0, window - 3 s) (lane_change) or the turn side (one
+    ``integers(0, 2)``) and curvature magnitude in [0.003, 0.02) (turn),
+    then, when noise_sigma > 0, one (tau+1+horizon, 2) normal draw. A
+    uniform value is numpy's ``low + (high - low) * u`` of one unit double,
+    so the same arguments give a byte-identical corpus on a given numpy.
+    The segments' arrays are views of one (n, tau+1+horizon, 2) array.
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}; valid: {', '.join(SCENARIOS)}")
@@ -336,45 +347,78 @@ def gen_synthetic(
         raise ValueError(f"lane_change needs a window of at least {LANE_CHANGE_DURATION} s "
                          f"for its manoeuvre, got (tau + horizon) * dt = {total:g} s")
 
+    # Draw every random number first, in the documented order: the normal
+    # sampler takes a variable number of raw draws, so segments cannot be
+    # drawn in one batch. pts holds the noise, if any, and then the positions.
     rng = _stream_rng(seed, "datagen")
-    t = np.arange(length) * dt
-    segments = []
+    noisy = noise_sigma > 0.0
+    u = np.empty((n, 4 if scenario == "cv" else 5))  # unit uniform draws
+    side = np.empty(n, dtype=np.int64)  # turn: the index rng.choice((-1.0, 1.0)) draws
+    pts = np.empty((n, length, 2))
     for i in range(n):
-        speed = rng.uniform(8.0, 15.0)
-        theta = rng.uniform(-np.pi, np.pi)
-        origin = rng.uniform(-100.0, 100.0, size=2)
-        direction = np.array([np.cos(theta), np.sin(theta)])
-        normal = np.array([-np.sin(theta), np.cos(theta)])
+        if scenario == "turn":
+            rng.random(out=u[i, :4])
+            side[i] = rng.integers(0, 2)
+            u[i, 4] = rng.random()
+        else:
+            rng.random(out=u[i])
+        if noisy:
+            pts[i] = rng.normal(0.0, noise_sigma, size=(length, 2))
 
-        if scenario == "cv":
-            pts = origin + np.outer(speed * t, direction)
-        elif scenario == "ca":
-            accel = rng.uniform(-1.0, 1.0)
-            arc = speed * t + 0.5 * accel * t * t
-            pts = origin + np.outer(arc, direction)
-        elif scenario == "lane_change":
-            t0 = rng.uniform(0.0, total - LANE_CHANGE_DURATION)
-            offset = LANE_WIDTH * _smoothstep((t - t0) / LANE_CHANGE_DURATION)
-            pts = origin + np.outer(speed * t, direction) + np.outer(offset, normal)
-        else:  # turn
-            curvature = rng.choice([-1.0, 1.0]) * rng.uniform(0.003, 0.02)
-            phi = theta + speed * curvature * t
-            pts = origin + np.column_stack(
-                [np.sin(phi) - np.sin(theta), np.cos(theta) - np.cos(phi)]
-            ) / curvature
-
-        if noise_sigma > 0.0:
-            pts = pts + rng.normal(0.0, noise_sigma, size=pts.shape)
-        segments.append(
-            Segment(
-                segment_id=f"{scenario}-{i:05d}",
-                agent_id=i,
-                dt=dt,
-                history=pts[: tau + 1],
-                future=pts[tau + 1 :],
-            )
-        )
+    # The geometry, a block of segments at a time: blocks bound the
+    # temporaries, and no value depends on its block.
+    t = np.arange(length) * dt
+    for lo in range(0, n, GEOMETRY_BLOCK):
+        rows = slice(lo, lo + GEOMETRY_BLOCK)
+        for c, plane in enumerate(_positions(scenario, u[rows], side[rows], t, total)):
+            if noisy:  # noise + x is x + noise bit for bit: IEEE addition commutes
+                pts[rows, :, c] += plane
+            else:
+                pts[rows, :, c] = plane
+    segments = [Segment(f"{scenario}-{i:05d}", i, dt, p[: tau + 1], p[tau + 1 :])
+                for i, p in enumerate(pts)]
     return Dataset(segments, dt, tau, horizon, f"synthetic/{scenario}")
+
+
+def _positions(scenario: str, u: np.ndarray, side: np.ndarray, t: np.ndarray,
+               total: float) -> tuple[np.ndarray, np.ndarray]:
+    """The noise-free (B, L) x and y planes of B segments, from their unit
+    draws u (one row each), their turn sides and the (L,) times t. (B, 1)
+    columns of the draws meet the times, and each value is made by the
+    operations, in the order, of the per-segment formula in the comment
+    above it."""
+    speed = _uniform(u[:, 0:1], 8.0, 15.0)
+    theta = _uniform(u[:, 1:2], -np.pi, np.pi)
+    origin = _uniform(u[:, 2:4], -100.0, 100.0)
+    cos, sin = np.cos(theta), np.sin(theta)
+    if scenario == "turn":
+        # origin + [sin(phi) - sin(theta), cos(theta) - cos(phi)] / curvature,
+        # phi = theta + speed * curvature * t
+        curvature = np.where(side == 1, 1.0, -1.0)[:, None] * _uniform(u[:, 4:], 0.003, 0.02)
+        phi = theta + (speed * curvature) * t
+        x, y = np.sin(phi) - sin, cos - np.cos(phi)
+        x /= curvature
+        y /= curvature
+    else:
+        # origin + arc * [cos, sin] (+ offset * [-sin, cos] on a lane change),
+        # arc = speed * t (+ 0.5 * accel * t * t on ca)
+        arc = speed * t
+        if scenario == "ca":
+            arc += ((0.5 * _uniform(u[:, 4:], -1.0, 1.0)) * t) * t
+        x, y = arc * cos, arc * sin
+    x += origin[:, 0:1]
+    y += origin[:, 1:2]
+    if scenario == "lane_change":
+        t0 = _uniform(u[:, 4:], 0.0, total - LANE_CHANGE_DURATION)
+        offset = LANE_WIDTH * _smoothstep((t - t0) / LANE_CHANGE_DURATION)
+        x += offset * -sin
+        y += offset * cos
+    return x, y
+
+
+def _uniform(u: np.ndarray, low: float, high: float) -> np.ndarray:
+    """numpy's ``Generator.uniform(low, high)`` of the unit draws u, bit for bit."""
+    return low + (high - low) * u
 
 
 def round6(values) -> np.ndarray:

@@ -121,9 +121,10 @@ def solve_ridge(x: np.ndarray, y: np.ndarray, ridge_lambda: float) -> np.ndarray
     """Closed-form ridge solutions W_a of (X^T X + lambda I) W_a = X^T Y_a.
 
     x is (N, F) and y (N, A, k), A target sets; returns (A, F, k) weights.
-    X^T X + lambda I is formed once and each set is solved against it on its
-    own, so no set's weights depend on the others. ridge_lambda must be
-    finite and >= 0; with 0 the Gram matrix must be well conditioned.
+    X^T X + lambda I is formed once; one stacked product forms the A
+    right-hand sides and one stacked solve does one LU per set, so no set's
+    weights depend on the others. ridge_lambda must be finite and >= 0;
+    with 0 the Gram matrix must be well conditioned.
     """
     check_ridge(ridge_lambda)
     gram = x.T @ x
@@ -135,7 +136,7 @@ def solve_ridge(x: np.ndarray, y: np.ndarray, ridge_lambda: float) -> np.ndarray
                 "(rank-deficient features); add ridge or more data"
             )
     lhs = gram + ridge_lambda * np.eye(gram.shape[0])
-    return np.stack([np.linalg.solve(lhs, x.T @ y[:, a]) for a in range(y.shape[1])])
+    return np.linalg.solve(lhs, x.T @ np.swapaxes(y, 0, 1))
 
 
 def second_moments(errors: np.ndarray) -> np.ndarray:
@@ -202,11 +203,11 @@ def fit_goal_model(
     x_train, y_train = design(train)
     x_hold, y_hold = (x_train, y_train) if holdout is train else design(holdout)
     weights = solve_ridge(x_train, y_train, ridge_lambda)
-    resid = np.stack([x_hold @ w - y_hold[:, a] for a, w in enumerate(weights)], 1)
+    resid = x_hold @ weights - np.swapaxes(y_hold, 0, 1)  # (A, N, 2)
     return GoalModelParams(
         anchor_steps=steps,
         weights=tuple(weights),
-        residual_covs=second_moments(resid),
+        residual_covs=second_moments(np.swapaxes(resid, 0, 1)),
         history_len=train.tau + 1,
         rotate=rotate,
     )

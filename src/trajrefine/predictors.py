@@ -313,7 +313,6 @@ def _step(params: PredictorParams, histories: np.ndarray, horizon: int, goal_par
     :func:`_measure_goals` of ``goal_params``, None for a vanilla rollout."""
     n, need = len(histories), params.buffer_len
     prior = params.step_covs[:horizon]
-    covs = np.broadcast_to(prior, (n, horizon, 2, 2))
     buf = np.empty((need + horizon, 2, n))  # buf[j, c] is component c of position j
     buf[:need] = histories[:, -need:].transpose(1, 2, 0)
     # windows[k] is the (N, 2 need) raveled buffer that predicts step k + 1
@@ -321,6 +320,7 @@ def _step(params: PredictorParams, histories: np.ndarray, horizon: int, goal_par
     windows = np.ndarray((horizon, n, 2 * need), float, buf, 0, (position, item, plane))
     rows, weights = buf[need:], params.position_weights
     if goals is None:
+        covs = np.broadcast_to(prior, (n, horizon, 2, 2))
         for window, row in zip(windows, rows):
             np.matmul(window, weights, out=row.T)
     else:

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+import reference_data
 from trajrefine.data import (
     Dataset,
     Segment,
@@ -419,6 +420,29 @@ class TestGenSynthetic:
         for seg in ds.segments:
             assert seg.history.shape == (16, 2)
             assert seg.future.shape == (25, 2)
+
+    @pytest.mark.parametrize("n", (1, 257))
+    @pytest.mark.parametrize("protocol", (
+        {}, {"tau": 3, "horizon": 20}, {"dt": 0.3}, {"tau": 0, "horizon": 16},
+    ), ids=("default", "tau3-horizon20", "dt0.3", "tau0-horizon16"))
+    @pytest.mark.parametrize("noise", (0.0, 0.2))
+    @pytest.mark.parametrize("scenario", ("cv", "ca", "lane_change", "turn"))
+    def test_byte_identical_to_the_per_segment_reference(self, scenario, noise, protocol, n):
+        seed = 11 + n
+        ds = gen_synthetic(scenario, n, noise, seed=seed, **protocol)
+        ids, agents, histories, futures = reference_data.gen_synthetic(
+            scenario, n, noise, seed, **protocol)
+        assert [seg.segment_id for seg in ds.segments] == ids
+        assert [seg.agent_id for seg in ds.segments] == agents
+        want = {"dt": 0.2, "tau": 15, "horizon": 25, **protocol}
+        assert (ds.dt, ds.tau, ds.horizon) == (want["dt"], want["tau"], want["horizon"])
+        assert ds.source == f"synthetic/{scenario}"
+        for seg, history, future in zip(ds.segments, histories, futures):
+            assert seg.dt == want["dt"]
+            assert seg.history.dtype == seg.future.dtype == np.float64
+            assert seg.history.shape == history.shape and seg.future.shape == future.shape
+            assert seg.history.tobytes() == history.tobytes()
+            assert seg.future.tobytes() == future.tobytes()
 
 
 class TestJsonl:
