@@ -27,6 +27,7 @@ from .data import (
     parse_ngsim_csv,
     read_jsonl,
     read_records,
+    reading,
     round6,
     write_jsonl,
 )
@@ -80,7 +81,7 @@ def _int_list(raw: str) -> tuple[int, ...]:
 
 def _load_config(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    with open(path) as fh:
+    with reading(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -181,7 +182,7 @@ def save_model(
             "rotate": goal_model.rotate,
         },
     }
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
         fh.write("\n")
 
@@ -191,7 +192,7 @@ def load_model(path: str) -> tuple[PredictorParams, GoalModelParams, dict]:
     file. Sizes must be JSON integers, ``rotate`` a boolean, every array entry a
     number, the protocol the models' own dt, tau and horizon, the anchors within it."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
         if not isinstance(doc, dict):
             raise ValueError("expected a JSON object")
@@ -376,7 +377,7 @@ def cmd_predict(o) -> int:
         means, covs = rollout_batch(predictor, ds.histories(), ds.horizon, goals, cfg)
         # full precision: a sigma rounded to 6 dp can become an invalid 0
         means, sigmas = round6(means), params_from_covs(covs)
-    with open(o.out, "w") as fh:
+    with open(o.out, "w", encoding="utf-8") as fh:
         for seg, seg_means, seg_sigmas in zip(ds.segments, means, sigmas):
             line = {"segment_id": seg.segment_id, "means": seg_means.tolist(),
                     "sigmas": seg_sigmas.tolist(), "mode": mode}
@@ -422,7 +423,7 @@ def cmd_eval(o) -> int:
         )
     m = rmse([pred_means[sid] for sid in ids], ds)
     row = AblationRow(o.backbone, modes == {"refined"}, m)
-    with open(o.out, "w") as fh:
+    with open(o.out, "w", encoding="utf-8") as fh:
         fh.write(AblationReport((row,)).to_csv(deltas=False))
     print(f"rmse_overall={m.rmse_overall:.6f} -> {o.out}")
     return 0
@@ -444,7 +445,7 @@ def cmd_ablate(o) -> int:
     train, models = _fit_models(o, o.predictors)
     _check_protocol(_protocol(train), test, o.test)
     report = run_ablation(test, models, _refine_config(o))
-    with open(o.out, "w") as fh:
+    with open(o.out, "w", encoding="utf-8") as fh:
         fh.write(report.to_csv())
     for backbone in sorted(models):
         deltas = report.deltas(backbone)

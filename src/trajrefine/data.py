@@ -12,11 +12,12 @@ import csv
 import json
 import operator
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 FEET_TO_METERS = 0.3048
 
@@ -53,6 +54,28 @@ def _stream_rng(seed: int, stream: str) -> np.random.Generator:
     return np.random.default_rng([seed, zlib.crc32(stream.encode())])
 
 
+@contextmanager
+def reading(path: str, encoding: str = "utf-8", newline: str | None = None):
+    """Open a text file to read; a decode error in the block names the file and line."""
+    with open(path, encoding=encoding, newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            # latin-1 reads one character a byte, so lines break where they do in fh
+            with open(path, encoding="latin-1", newline="") as raw:
+                for lineno, line in enumerate(raw, start=1):
+                    try:
+                        line.encode("latin-1").decode("utf-8")
+                    except UnicodeDecodeError as bad:
+                        raise ValueError(f"{path}: line {lineno}: {bad}") from None
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def _positive_dt(dt: float) -> None:
+    if not 0.0 < dt < np.inf:
+        raise ValueError("dt must be finite and positive")
+
+
 def _points(a, name: str) -> np.ndarray:
     pts = np.asarray(a, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -73,8 +96,7 @@ class Segment:
     future: np.ndarray  # (T, 2) meters
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.dt < np.inf:
-            raise ValueError("dt must be finite and positive")
+        _positive_dt(self.dt)
         object.__setattr__(self, "history", _points(self.history, "history"))
         object.__setattr__(self, "future", _points(self.future, "future"))
 
@@ -83,10 +105,10 @@ class Segment:
 class Dataset:
     """Homogeneous collection of segments plus the protocol they follow.
 
-    Immutable: ``segments`` is stored as a tuple, and :meth:`histories` and
-    :meth:`futures` stack the segment arrays on their first call and return
-    that same read-only array on every later one, so callers that each need
-    the stack (the fitters, ``rmse``, ``run_ablation``) share one copy.
+    Immutable: ``segments`` is stored as a tuple, and the segment arrays are
+    stacked once, as read-only arrays that :meth:`histories` and
+    :meth:`futures` return on every call, so callers that each need the
+    stack (the fitters, ``rmse``, ``run_ablation``) share one copy.
     """
 
     segments: tuple[Segment, ...]
@@ -115,6 +137,10 @@ class Dataset:
                     f"segment {seg.segment_id}: future length {len(seg.future)} "
                     f"!= {self.horizon}"
                 )
+        for name, field, length in (("_histories", "history", self.tau + 1),
+                                    ("_futures", "future", self.horizon)):
+            stack = np.array([getattr(seg, field) for seg in self.segments])
+            object.__setattr__(self, name, read_only(stack.reshape(-1, length, 2)))
 
     def __len__(self) -> int:
         return len(self.segments)
@@ -127,17 +153,22 @@ class Dataset:
         """Ground-truth futures stacked as a read-only (N, T, 2) array, built once."""
         return self._futures
 
-    @cached_property
-    def _histories(self) -> np.ndarray:
-        return _stacked([seg.history for seg in self.segments], self.tau + 1)
 
-    @cached_property
-    def _futures(self) -> np.ndarray:
-        return _stacked([seg.future for seg in self.segments], self.horizon)
-
-
-def _stacked(arrays: list[np.ndarray], length: int) -> np.ndarray:
-    return read_only(np.array(arrays).reshape(-1, length, 2))
+def _from_stacks(ids, agents, dt: float, histories: np.ndarray, futures: np.ndarray,
+                 source: str) -> Dataset:
+    """Segments ``ids[i]``, ``agents[i]`` over row i of (N, tau+1, 2) and (N,
+    horizon, 2) stacks that the caller has checked as Segment and Dataset
+    would, so neither runs its ``__init__``; segments view the stacks."""
+    histories, futures = (read_only(np.ascontiguousarray(a)) for a in (histories, futures))
+    segments = []
+    for sid, agent, history, future in zip(ids, agents, histories, futures):
+        vars(seg := object.__new__(Segment)).update(
+            segment_id=sid, agent_id=agent, dt=dt, history=history, future=future)
+        segments.append(seg)
+    vars(ds := object.__new__(Dataset)).update(
+        segments=tuple(segments), dt=dt, tau=histories.shape[1] - 1, horizon=futures.shape[1],
+        source=source, _histories=histories, _futures=futures)
+    return ds
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,40 +195,62 @@ def parse_ngsim_csv(path: str) -> list[Track]:
     not a finite whole number below 2**53, a negative frame, a non-finite
     coordinate or a repeated (Vehicle_ID, Frame_ID) pair is rejected with
     the number of the first line at fault: the physical line its record
-    starts on, also after a quoted field that spans lines.
+    starts on, also after a quoted field that spans lines. A UTF-8 BOM is skipped.
+
+    numpy's C tokenizer reads the rows. The exact pass, ``csv.reader`` and
+    ``float`` row by row, defines what a file means; it reads the file again
+    if the tokenizer rejects it (a blank-looking row, ``1_0``) or a check
+    fails, since only it knows the physical lines.
     """
-    vids, frames, xs, ys, lines = [], [], [], [], []
-    unreadable = None  # message for the first line that does not convert
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with reading(path, "utf-8-sig", newline="") as fh:
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise ValueError(f"{path}: empty file, expected a header row") from None
         header = [h.strip() for h in header]
         missing = [c for c in NGSIM_COLUMNS if c not in header]
         if missing:
             raise ValueError(f"{path}: missing required columns {missing}")
-        iv, i_f, ix, iy = (header.index(c) for c in NGSIM_COLUMNS)
-        start = reader.line_num + 1  # physical line the next record starts on
-        for row in reader:  # a quoted field may span several physical lines
-            lineno, start = start, reader.line_num + 1
-            if not "".join(row).strip():
-                continue
-            try:
-                vid, frame = float(row[iv]), float(row[i_f])
-                x, y = float(row[ix]), float(row[iy])
-            except (ValueError, IndexError) as exc:
-                unreadable = f"{path}: line {lineno}: {exc}"
+        columns = [header.index(c) for c in NGSIM_COLUMNS]
+        rows = np.empty((0, 4))
+        for line in fh:  # numpy warns on a body without rows: skip blank lines to the first
+            if line.strip():
+                try:
+                    rows = np.loadtxt(chain([line], fh), delimiter=",", usecols=columns,
+                                      quotechar='"', comments=None, ndmin=2)
+                except ValueError:
+                    rows = None  # rejected: the exact pass reads the file
                 break
-            vids.append(vid)
-            frames.append(frame)
-            xs.append(x)
-            ys.append(y)
-            lines.append(lineno)
+        return _tracks(path, fh, columns, rows)
 
-    vid, frame = np.array(vids), np.array(frames)
-    points = np.column_stack((xs, ys)) * FEET_TO_METERS
+
+def _exact_rows(fh, columns: list[int]) -> tuple[np.ndarray, list[int], str | None]:
+    """The exact pass: the (n, 4) rows after the header, the physical line each
+    starts on, and ``line N: <error>`` for the first that does not convert."""
+    fh.seek(0)
+    reader = csv.reader(fh)
+    next(reader)
+    rows, lines = [], []
+    start = reader.line_num + 1  # physical line the next record starts on
+    for row in reader:  # a quoted field may span several physical lines
+        lineno, start = start, reader.line_num + 1
+        if not "".join(row).strip():
+            continue
+        try:
+            rows.append([float(row[c]) for c in columns])
+        except (ValueError, IndexError) as exc:
+            return np.array(rows).reshape(-1, 4), lines, f"line {lineno}: {exc}"
+        lines.append(lineno)
+    return np.array(rows).reshape(-1, 4), lines, None
+
+
+def _tracks(path: str, fh, columns: list[int], rows: np.ndarray | None = None) -> list[Track]:
+    """Tracks of the (n, 4) Vehicle_ID, Frame_ID, Local_X, Local_Y rows the tokenizer
+    read; without rows, or if one is at fault, the exact pass reads fh instead."""
+    lines = unreadable = None
+    if rows is None:
+        rows, lines, unreadable = _exact_rows(fh, columns)
+    vid, frame = rows[:, 0], rows[:, 1]
     order = np.lexsort((frame, vid))  # stable: a repeated pair sorts after its first line
     v, f = vid[order], frame[order]
     repeated = np.zeros(len(order), dtype=bool)
@@ -205,28 +258,30 @@ def parse_ngsim_csv(path: str) -> list[Track]:
 
     def repeat(i: int) -> str:
         first = np.flatnonzero((vid == vid[i]) & (frame == frame[i]))[0]
-        return (f"Frame_ID {int(frames[i])} of Vehicle_ID {int(vids[i])} "
+        return (f"Frame_ID {int(frame[i])} of Vehicle_ID {int(vid[i])} "
                 f"repeats line {lines[first]}")
 
     not_whole = "is not a whole number below 2**53"
     checks = (  # in the order one line is checked; the first line at fault wins
-        (~_whole(vid), lambda i: f"Vehicle_ID {vids[i]!r} {not_whole}"),
-        (~_whole(frame), lambda i: f"Frame_ID {frames[i]!r} {not_whole}"),
-        (frame < 0, lambda i: f"negative frame id {int(frames[i])}"),
-        (~np.isfinite(points).all(axis=1), lambda i: "non-finite coordinate"),
+        (~_whole(vid), lambda i: f"Vehicle_ID {float(vid[i])!r} {not_whole}"),
+        (~_whole(frame), lambda i: f"Frame_ID {float(frame[i])!r} {not_whole}"),
+        (frame < 0, lambda i: f"negative frame id {int(frame[i])}"),
+        (~np.isfinite(rows[:, 2:]).all(axis=1), lambda i: "non-finite coordinate"),
         (repeated, repeat),
     )
     bad = np.flatnonzero(np.logical_or.reduce([mask for mask, _ in checks]))
+    if bad.size and lines is None:
+        return _tracks(path, fh, columns)
     if bad.size:
         i = bad[0]
         describe = next(describe for mask, describe in checks if mask[i])
         raise ValueError(f"{path}: line {lines[i]}: {describe(i)}")
     if unreadable is not None:
-        raise ValueError(unreadable)
-    if not lines:
+        raise ValueError(f"{path}: {unreadable}")
+    if not len(rows):
         return []
     cuts = np.flatnonzero((v[1:] != v[:-1]) | (f[1:] - f[:-1] > 1)) + 1
-    runs = np.split(points[order], cuts)
+    runs = np.split(rows[order, 2:] * FEET_TO_METERS, cuts)
     return [Track(int(v[s]), 0.1, run) for s, run in zip([0, *cuts.tolist()], runs)]
 
 
@@ -253,28 +308,22 @@ def extract_segments(
     tau, horizon, stride = whole("tau", tau), whole("horizon", horizon), whole("stride", stride)
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    if not tracks:
-        return Dataset([], DEFAULT_DT, tau, horizon, source)
-    dt = tracks[0].dt
+    dt = tracks[0].dt if tracks else DEFAULT_DT
     for t in tracks:
         if abs(t.dt - dt) > 1e-12:
             raise ValueError("tracks must share a uniform dt")
     window = tau + 1 + horizon
-    segments = []
-    for ti, track in enumerate(tracks):
-        n = len(track.points)
-        for start in range(0, n - window + 1, stride):
-            pts = track.points[start : start + window]
-            segments.append(
-                Segment(
-                    segment_id=f"v{track.vehicle_id}-t{ti}-s{start}",
-                    agent_id=track.vehicle_id,
-                    dt=dt,
-                    history=pts[: tau + 1],
-                    future=pts[tau + 1 :],
-                )
-            )
-    return Dataset(segments, dt, tau, horizon, source)
+    starts = [range(0, len(t.points) - window + 1, stride) for t in tracks]
+    if any(starts):
+        _positive_dt(dt)
+    Dataset((), dt, tau, horizon)  # checks the protocol
+    windows = np.concatenate([np.empty((0, window, 2))] + [as_strided(  # one view a track
+        t.points, (len(run), window, 2), (stride * t.points.strides[0], *t.points.strides),
+        writeable=False) for t, run in zip(tracks, starts)])
+    ids = [f"v{t.vehicle_id}-t{ti}-s{s}" for ti, (t, run) in enumerate(zip(tracks, starts))
+           for s in run]
+    agents = [t.vehicle_id for t, run in zip(tracks, starts) for _ in run]
+    return _from_stacks(ids, agents, dt, windows[:, : tau + 1], windows[:, tau + 1 :], source)
 
 
 def split_dataset(
@@ -332,7 +381,7 @@ def gen_synthetic(
     then, when noise_sigma > 0, one (tau+1+horizon, 2) normal draw. A
     uniform value is numpy's ``low + (high - low) * u`` of one unit double,
     so the same arguments give a byte-identical corpus on a given numpy.
-    The segments' arrays are views of one (n, tau+1+horizon, 2) array.
+    The segments' arrays are views of the two read-only stacks.
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}; valid: {', '.join(SCENARIOS)}")
@@ -375,9 +424,12 @@ def gen_synthetic(
                 pts[rows, :, c] += plane
             else:
                 pts[rows, :, c] = plane
-    segments = [Segment(f"{scenario}-{i:05d}", i, dt, p[: tau + 1], p[tau + 1 :])
-                for i, p in enumerate(pts)]
-    return Dataset(segments, dt, tau, horizon, f"synthetic/{scenario}")
+    finite = np.isfinite(pts).all(axis=2)
+    if not finite.all():  # named as Segment would: the first segment, its history first
+        k = np.argwhere(~finite)[0, 1]
+        raise ValueError(f"{'history' if k <= tau else 'future'} contains non-finite coordinates")
+    return _from_stacks([f"{scenario}-{i:05d}" for i in range(n)], range(n), dt,
+                        pts[:, : tau + 1], pts[:, tau + 1 :], f"synthetic/{scenario}")
 
 
 def _positions(scenario: str, u: np.ndarray, side: np.ndarray, t: np.ndarray,
@@ -447,7 +499,7 @@ def round6(values) -> np.ndarray:
 def write_jsonl(ds: Dataset, path: str) -> None:
     """One JSON object per segment; coordinates rounded by :func:`round6`."""
     histories, futures = round6(ds.histories()), round6(ds.futures())
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for seg, history, future in zip(ds.segments, histories, futures):
             obj = {
                 "segment_id": seg.segment_id,
@@ -465,7 +517,7 @@ def read_records(path: str, fields: tuple[str, ...]):
     A line that is not valid JSON, not a JSON object, or lacks one of
     ``fields`` is rejected with the path and line number.
     """
-    with open(path) as fh:
+    with reading(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -503,28 +555,26 @@ def read_jsonl(path: str) -> Dataset:
     than the segment fields, such as the ``neighbors`` list older files
     carry, are ignored.
     """
-    segments: list[Segment] = []
+    records = []  # (segment id, agent id, history, future)
     first_line: dict[str, int] = {}
     protocol: tuple[float, int, int] | None = None
     fields = ("segment_id", "agent_id", "dt", "history", "future")
     for lineno, obj in read_records(path, fields):
+        sid = obj["segment_id"]
         try:
-            if type(obj["segment_id"]) is not str:
+            if type(sid) is not str:
                 raise ValueError("segment_id must be a JSON string")
             if type(obj["agent_id"]) is not int:
                 raise ValueError("agent_id must be a JSON integer")
             if type(obj["dt"]) not in (int, float):
                 raise ValueError("dt must be a JSON number")
-            seg = Segment(
-                segment_id=obj["segment_id"],
-                agent_id=obj["agent_id"],
-                dt=float(obj["dt"]),
-                history=json_points(obj["history"], "history"),
-                future=json_points(obj["future"], "future"),
-            )
+            history = json_points(obj["history"], "history")
+            future = json_points(obj["future"], "future")
+            _positive_dt(dt := float(obj["dt"]))  # Segment's checks, in its order
+            history, future = _points(history, "history"), _points(future, "future")
         except (ValueError, TypeError, OverflowError) as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
-        shape = (seg.dt, len(seg.history), len(seg.future))
+        shape = (dt, len(history), len(future))
         if protocol is None:
             protocol = shape
         elif shape != protocol:
@@ -532,13 +582,13 @@ def read_jsonl(path: str) -> Dataset:
                 f"{path}: line {lineno}: segment protocol {shape} does not "
                 f"match first segment {protocol}"
             )
-        first = first_line.setdefault(seg.segment_id, lineno)
+        first = first_line.setdefault(sid, lineno)
         if first != lineno:
             raise ValueError(f"{path}: line {lineno}: repeated segment id "
-                             f"{seg.segment_id!r} (first on line {first})")
-        segments.append(seg)
+                             f"{sid!r} (first on line {first})")
+        records.append((sid, obj["agent_id"], history, future))
     if protocol is None:
         return Dataset([], DEFAULT_DT, DEFAULT_TAU, DEFAULT_HORIZON, source=path)
-    return Dataset(
-        segments, dt=protocol[0], tau=protocol[1] - 1, horizon=protocol[2], source=path
-    )
+    Dataset((), protocol[0], protocol[1] - 1, protocol[2])  # checks the protocol
+    ids, agents, histories, futures = zip(*records)
+    return _from_stacks(ids, agents, protocol[0], np.array(histories), np.array(futures), path)

@@ -145,6 +145,25 @@ class TestIngestNgsim:
                    "--out", str(out), *flags) == 0
         assert out.read_bytes() == (data / expected).read_bytes()
 
+    def test_byte_order_mark_ingests(self, tmp_path):
+        data = Path(__file__).parent / "data"
+        marked = tmp_path / "bom.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + (data / "ngsim_tiny.csv").read_bytes())
+        out = tmp_path / "out.jsonl"
+        assert run("ingest-ngsim", "--csv", str(marked), "--out", str(out)) == 0
+        assert out.read_bytes() == (data / "ngsim_tiny_default.jsonl").read_bytes()
+
+    def test_undecodable_csv_exits_2_naming_file_and_line(self, tmp_path, capsys):
+        data = Path(__file__).parent / "data"
+        lines = (data / "ngsim_tiny.csv").read_bytes().splitlines(keepends=True)
+        lines[3] = lines[3].replace(b",1\n", b",\xff\n")
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"".join(lines))
+        assert run("ingest-ngsim", "--csv", str(bad), "--out", str(tmp_path / "o.jsonl")) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: line 4: 'utf-8' codec can't decode byte 0xff in position 41: "
+            "invalid start byte\n")
+
 
 class TestFit:
     def test_model_has_requested_anchors(self, tmp_path):
@@ -482,6 +501,19 @@ class TestEvalAndAblate:
         assert cells[1] == "off"
         assert all(float(c) == 0.0 for c in cells[2:])
 
+    def test_undecodable_predictions_exit_2_naming_file_and_line(self, tmp_path, capsys):
+        data = gen(tmp_path, "d.jsonl", scenario="cv", noise=0.0, n=3)
+        preds = tmp_path / "p.jsonl"
+        preds.write_bytes(b"".join(
+            json.dumps({"segment_id": seg.segment_id, "means": seg.future.tolist(),
+                        "mode": "vanilla"}).encode() + b"\n"
+            for seg in read_jsonl(str(data)).segments).replace(b'"cv-00002', b'"\xffcv-00002'))
+        assert run("eval", "--predictions", str(preds), "--data", str(data),
+                   "--out", str(tmp_path / "m.csv")) == 2
+        assert capsys.readouterr().err == (
+            f"error: {preds}: line 3: 'utf-8' codec can't decode byte 0xff in position 16: "
+            "invalid start byte\n")
+
     @pytest.mark.parametrize("dt,horizon,seconds", [("0.3", "25", "rmse_3s,rmse_6s"),
                                                     ("2.5", "4", "rmse_5s,rmse_10s")])
     def test_columns_name_whole_seconds_of_dt(self, tmp_path, dt, horizon, seconds):
@@ -709,6 +741,15 @@ class TestConfigFile:
         assert run("ablate", "--train", str(train), "--test", str(train),
                    "--out", str(tmp_path / "r.csv"), "--config", str(cfg)) == 2
         assert "error: --predictors: invalid value 'ar,,cv'" in capsys.readouterr().err
+
+    def test_undecodable_config_exits_2_naming_file_and_line(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_bytes(b"n = 5\n# caf\xe9\nnoise = 0.1\n")
+        assert run("gen-synth", "--scenario", "cv", "--out", str(tmp_path / "o.jsonl"),
+                   "--config", str(cfg)) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: line 2: 'utf-8' codec can't decode byte 0xe9 in position 5: "
+            "invalid continuation byte\n")
 
 
 class TestDefaultsFollowLibrary:

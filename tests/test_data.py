@@ -1,11 +1,14 @@
 import dataclasses
 import json
 import re
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import reference_data
+from trajrefine import data
 from trajrefine.data import (
     Dataset,
     Segment,
@@ -25,12 +28,39 @@ def protocol_error(dt, tau, horizon):
                      f"got dt={dt}, tau={tau}, horizon={horizon}")
 
 
-def write_csv(path, rows, header="Vehicle_ID,Frame_ID,Total_Frames,Local_X,Local_Y"):
+def csv_text(rows, header="Vehicle_ID,Frame_ID,Total_Frames,Local_X,Local_Y"):
     cols = header.split(",")
+    return "".join(",".join(str(row.get(c, 0)) for c in cols) + "\n" for row in rows)
+
+
+def write_csv(path, rows, header="Vehicle_ID,Frame_ID,Total_Frames,Local_X,Local_Y"):
     with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(str(row.get(c, 0)) for c in cols) + "\n")
+        fh.write(header + "\n" + csv_text(rows, header))
+
+
+ID_VALUES = ["inf", "-inf", "nan", "3.2", "1e300", "9007199254740992"]
+DEFECTIVE_LINES = [
+    # an unreadable line after a checked defect: the earlier line is named
+    (["1,0,1.0,0.0", "1,-1,1.0,0.0", "1,1,1.0,0.0", "1,2,x,0.0"],
+     "line 3: negative frame id -1"),
+    (["1,0,1.0,0.0", "1,1,x,0.0", "1,0,1.0,0.0"],
+     "line 3: could not convert string to float: 'x'"),
+    (["1,0,1.0,0.0", "2,0,1.0,0.0", "1,0,1.0,0.0", "2,1,inf,0.0"],
+     "line 4: Frame_ID 0 of Vehicle_ID 1 repeats line 2"),
+    (["1,0,1.0,0.0", "1,1,1.0,nan", "1,0,1.0,0.0"], "line 3: non-finite coordinate"),
+    # one line, several defects: checked in the order id, frame, coordinates
+    (["1.5,-1,nan,0.0"], "line 2: Vehicle_ID 1.5 is not a whole number below 2**53"),
+    (["1,-1,nan,0.0"], "line 2: negative frame id -1"),
+    (["1,0,1.0,0.0", "1,1,1.0,0.0", "", " , , , ", "1,1,1.0,0.0"],
+     "line 6: Frame_ID 1 of Vehicle_ID 1 repeats line 3"),
+    # a quoted extra field spanning lines: lines are physical, and a record
+    # is named by the line it starts on
+    (['1,0,1.0,0.0,"two\nlines"', "1,1,1.0,0.0", "1,0,1.0,0.0"],
+     "line 5: Frame_ID 0 of Vehicle_ID 1 repeats line 2"),
+    (["1,0,1.0,0.0", '1,1,1.0,0.0,"a\nb\nc"', "", "1,2,x,0.0"],
+     "line 7: could not convert string to float: 'x'"),
+    (['1,0,1.0,0.0,"a\n\nb"', "1,-1,1.0,0.0"], "line 5: negative frame id -1"),
+]
 
 
 class TestParseNgsim:
@@ -102,7 +132,7 @@ class TestParseNgsim:
 
 
     @pytest.mark.parametrize("column", ["Vehicle_ID", "Frame_ID"])
-    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "3.2", "1e300", "9007199254740992"])
+    @pytest.mark.parametrize("value", ID_VALUES)
     def test_id_not_finite_whole_below_2_53_rejected_with_line(self, tmp_path, column, value):
         p = tmp_path / "a.csv"
         rows = [
@@ -131,28 +161,7 @@ class TestParseNgsim:
         assert [(t.vehicle_id, len(t.points)) for t in tracks] == [(-4, 1), (25, 2)]
         assert all(type(t.vehicle_id) is int for t in tracks)
 
-    @pytest.mark.parametrize("lines,message", [
-        # an unreadable line after a checked defect: the earlier line is named
-        (["1,0,1.0,0.0", "1,-1,1.0,0.0", "1,1,1.0,0.0", "1,2,x,0.0"],
-         "line 3: negative frame id -1"),
-        (["1,0,1.0,0.0", "1,1,x,0.0", "1,0,1.0,0.0"],
-         "line 3: could not convert string to float: 'x'"),
-        (["1,0,1.0,0.0", "2,0,1.0,0.0", "1,0,1.0,0.0", "2,1,inf,0.0"],
-         "line 4: Frame_ID 0 of Vehicle_ID 1 repeats line 2"),
-        (["1,0,1.0,0.0", "1,1,1.0,nan", "1,0,1.0,0.0"], "line 3: non-finite coordinate"),
-        # one line, several defects: checked in the order id, frame, coordinates
-        (["1.5,-1,nan,0.0"], "line 2: Vehicle_ID 1.5 is not a whole number below 2**53"),
-        (["1,-1,nan,0.0"], "line 2: negative frame id -1"),
-        (["1,0,1.0,0.0", "1,1,1.0,0.0", "", " , , , ", "1,1,1.0,0.0"],
-         "line 6: Frame_ID 1 of Vehicle_ID 1 repeats line 3"),
-        # a quoted extra field spanning lines: lines are physical, and a record
-        # is named by the line it starts on
-        (['1,0,1.0,0.0,"two\nlines"', "1,1,1.0,0.0", "1,0,1.0,0.0"],
-         "line 5: Frame_ID 0 of Vehicle_ID 1 repeats line 2"),
-        (["1,0,1.0,0.0", '1,1,1.0,0.0,"a\nb\nc"', "", "1,2,x,0.0"],
-         "line 7: could not convert string to float: 'x'"),
-        (['1,0,1.0,0.0,"a\n\nb"', "1,-1,1.0,0.0"], "line 5: negative frame id -1"),
-    ])
+    @pytest.mark.parametrize("lines,message", DEFECTIVE_LINES)
     def test_first_defective_line_is_named(self, tmp_path, lines, message):
         p = tmp_path / "a.csv"
         p.write_text("Vehicle_ID,Frame_ID,Local_X,Local_Y\n" + "\n".join(lines) + "\n")
@@ -164,6 +173,251 @@ class TestParseNgsim:
         p = tmp_path / "a.csv"
         p.write_text("Vehicle_ID,Frame_ID,Local_X,Local_Y\n\n")
         assert parse_ngsim_csv(str(p)) == []
+
+
+NGSIM_HEADER = "Vehicle_ID,Frame_ID,Local_X,Local_Y\n"
+HEADER_5 = "Vehicle_ID,Frame_ID,Total_Frames,Local_X,Local_Y\n"
+DATA = Path(__file__).parent / "data"
+
+
+def parse_outcome(parse, path):
+    """(vehicle id, dt, points shape, points bytes) of each track, or the message."""
+    try:
+        tracks = [(t.vehicle_id, t.dt, t.points) if isinstance(t, Track) else t
+                  for t in parse(str(path))]
+    except ValueError as exc:
+        return str(exc)
+    return [(vid, dt, points.shape, points.tobytes()) for vid, dt, points in tracks]
+
+
+def rows_case(rows):
+    return HEADER_5 + csv_text([dict(zip(("Vehicle_ID", "Frame_ID", "Local_X", "Local_Y"), r))
+                                for r in rows])
+
+
+# The files of every TestParseNgsim case, then the text forms the C tokenizer
+# and csv.reader could read differently.
+DIFFERENTIAL_CASES = {
+    "feet_to_meters": rows_case([(1, 0, 100.0, 0.0)]),
+    "interleaved": rows_case([(2, 1, 20.0, 0.0), (1, 1, 11.0, 0.0), (2, 0, 19.0, 0.0),
+                              (1, 0, 10.0, 0.0)]),
+    "gap": rows_case([(1, f, f, 0.0) for f in (1, 2, 3, 10, 11)]),
+    "missing_column": "Vehicle_ID,Frame_ID,Local_X\n",
+    "not_a_number": NGSIM_HEADER + "1,0,10.0,0.0\n1,1,not_a_number,0.0\n",
+    "repeated_frame": rows_case([(1, 0, 1.0, 0.0), (2, 0, 5.0, 0.0), (1, 0, 2.0, 0.0)]),
+    "nan_coordinate": rows_case([(1, 0, 1.0, 0.0), (1, 1, 2.0, "nan")]),
+    **{f"vid_{v}": rows_case([(3, 0, 1.0, 0.0), (v, 1, 1.0, 0.0)]) for v in ID_VALUES},
+    **{f"frame_{v}": rows_case([(3, 0, 1.0, 0.0), (3, v, 1.0, 0.0)]) for v in ID_VALUES},
+    "fractional_ids": rows_case([("3.2", 0, 1.0, 0.0), ("3.7", 0, 1.0, 0.0)]),
+    "whole_float_ids": rows_case([("25", "0", 1.0, 0.0), ("25.0", "1.0", 1.0, 0.0),
+                                  ("-4", "0", 1.0, 0.0)]),
+    **{f"defective_{i}": NGSIM_HEADER + "\n".join(lines) + "\n"
+       for i, (lines, _) in enumerate(DEFECTIVE_LINES)},
+    "header_only": NGSIM_HEADER + "\n",
+    "tiny": (DATA / "ngsim_tiny.csv").read_text(),
+    # line endings
+    "crlf": NGSIM_HEADER.replace("\n", "\r\n") + "1,0,1.0,0.0\r\n1,1,2.0,0.0\r\n2,0,3,4\r\n",
+    "cr": NGSIM_HEADER.replace("\n", "\r") + "1,0,1.0,0.0\r1,1,2.0,0.0\r2,0,3,4\r",
+    "cr_repeat": NGSIM_HEADER.replace("\n", "\r") + "1,0,1.0,0.0\r\r1,0,2.0,0.0\r",
+    "crlf_bad": NGSIM_HEADER.replace("\n", "\r\n") + "1,0,1.0,0.0\r\n\r\n1,1,x,0.0\r\n",
+    "no_final_newline": NGSIM_HEADER + "1,0,1.0,0.0\n1,1,2.0,0.0",
+    # quoted fields
+    "quoted_comma": "Vehicle_ID,Note,Frame_ID,Local_X,Local_Y\n"
+                    '1,"a,b",0,1.0,0.0\n1,"c,,d",1,2.0,0.0\n',
+    "quoted_newline": "Vehicle_ID,Note,Frame_ID,Local_X,Local_Y\n"
+                      '1,"two\nlines",0,1.0,0.0\n1,"x\r\ny",1,2.0,0.0\n1,z,2,3,0\n',
+    "quoted_newline_repeat": "Vehicle_ID,Note,Frame_ID,Local_X,Local_Y\n"
+                             '1,"two\nlines",0,1.0,0.0\n1,"x",0,2.0,0.0\n',
+    "doubled_quotes": NGSIM_HEADER.replace("\n", ",Note\n") + '1,0,1.0,0.0,"say ""hi"""\n',
+    "quoted_number": NGSIM_HEADER + '"1",0,"1.5",0.0\n1,"1",2.0,"-0.5"\n',
+    "quoted_number_newline": NGSIM_HEADER + '1,0,"1.5\n",0.0\n',
+    "quote_after_space": NGSIM_HEADER + '1,0, "1.5",0.0\n',
+    "quote_inside": NGSIM_HEADER + '1,0,1"5",0.0\n',
+    "quoted_then_text": NGSIM_HEADER + '1,0,"1"5,0.0\n',
+    "quoted_header": '"Vehicle_ID","Frame_ID","Local_X","Local_Y"\n1,0,1,0\n',
+    "unterminated_quote": NGSIM_HEADER.replace("\n", ",Note\n") + '1,0,1.0,0.0,"open\n',
+    # number forms
+    "spaces": NGSIM_HEADER + " 1 ,\t0\t, 1.5 ,0.0 \n1,1, 2.5,0\n",
+    "unicode_spaces": NGSIM_HEADER + "\xa01,0,1.5 ,0.0\n",
+    "underscore": NGSIM_HEADER + "1_0,0,1.0,0.0\n",
+    "underscore_coordinate": NGSIM_HEADER + "1,0,1_000.5,0.0\n",
+    "arabic_digits": NGSIM_HEADER + "١,0,1.0,0.0\n",
+    "fullwidth_digits": NGSIM_HEADER + "1,０,1.0,0.0\n",
+    "exponents": NGSIM_HEADER + "1e0,+0,.5,-1E-3\n1,1.,5.,inf\n",
+    "hex": NGSIM_HEADER + "0x1,0,1.0,0.0\n",
+    # rows that hold nothing
+    "blank_rows": NGSIM_HEADER + "\n1,0,1.0,0.0\n\n\n1,1,2.0,0.0\n\n",
+    "whitespace_rows": NGSIM_HEADER + "  \n1,0,1.0,0.0\n\t\n1,1,2.0,0.0\n \n",
+    "comma_rows": NGSIM_HEADER + ",,,\n1,0,1.0,0.0\n , , , \n1,1,2.0,0.0\n,,\n",
+    "only_blank_rows": NGSIM_HEADER + "\n \n,,,\n",
+    # row lengths
+    "short_row": NGSIM_HEADER + "1,0,1.0,0.0\n1,1,2.0\n",
+    "short_row_after_fault": NGSIM_HEADER + "1,0,1.0,0.0\n1,0,1.0,0.0\n1,1\n",
+    "extra_columns": NGSIM_HEADER + "1,0,1.0,0.0,7\n1,1,2.0,0.0,8,9,10\n",
+    "empty_field": NGSIM_HEADER + "1,,1.0,0.0\n",
+    "header_no_newline": NGSIM_HEADER.rstrip("\n"),
+    "empty_file": "",
+}
+
+
+class TestParseNgsimDifferential:
+    @pytest.mark.parametrize("text", DIFFERENTIAL_CASES.values(), ids=DIFFERENTIAL_CASES.keys())
+    def test_same_tracks_or_message_as_the_reference(self, tmp_path, text):
+        p = tmp_path / "a.csv"
+        p.write_bytes(text.encode())
+        want = parse_outcome(reference_data.parse_ngsim_csv, p)
+        assert parse_outcome(parse_ngsim_csv, p) == want
+
+    def test_well_formed_files_never_run_the_exact_pass(self, tmp_path, monkeypatch):
+        def exact(*args):
+            raise AssertionError("the exact pass ran")
+
+        monkeypatch.setattr(data, "_exact_rows", exact)
+        rng = np.random.default_rng(5)
+        rows = [{"Vehicle_ID": v, "Frame_ID": f, "Total_Frames": 300,
+                 "Local_X": round(x, 3), "Local_Y": round(y, 3)}
+                for v in range(1, 40) for f, (x, y) in enumerate(rng.normal(size=(300, 2)) * 50)
+                if f % 97 != 5]  # a gap in every track
+        big = tmp_path / "big.csv"
+        write_csv(big, rows)
+        got = parse_outcome(parse_ngsim_csv, big)
+        assert got == parse_outcome(reference_data.parse_ngsim_csv, big)
+        assert len(got) == 39 * 5
+        # the hook is the exact pass: a row the tokenizer rejects reaches it
+        bad = tmp_path / "bad.csv"
+        bad.write_text(NGSIM_HEADER + "1_0,0,1.0,0.0\n")
+        with pytest.raises(AssertionError, match="exact pass"):
+            parse_ngsim_csv(str(bad))
+
+    def test_empty_body_warns_nothing(self, tmp_path):
+        p = tmp_path / "a.csv"
+        for body in ("", "\n", "\n\n \n"):
+            p.write_text(NGSIM_HEADER + body)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert parse_ngsim_csv(str(p)) == []
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        text = (DATA / "ngsim_tiny.csv").read_text()
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes()[:3] == b"\xef\xbb\xbf"
+        assert parse_outcome(parse_ngsim_csv, marked) == parse_outcome(parse_ngsim_csv, plain)
+        # also on the exact pass, whose lines are counted from the same start
+        marked.write_text(NGSIM_HEADER + "1,0,1.0,0.0\n\n1,0,2.0,0.0\n", encoding="utf-8-sig")
+        with pytest.raises(ValueError, match=r"line 4: Frame_ID 0 of Vehicle_ID 1 repeats line 2"):
+            parse_ngsim_csv(str(marked))
+
+
+class TestUndecodableInput:
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_csv_names_file_and_line(self, tmp_path, newline):
+        p = tmp_path / "a.csv"
+        lines = [NGSIM_HEADER.strip()] + [f"1,{f},1.0,0.0" for f in range(3000)]
+        lines[2500] = "1,2499,1.0,\xff"
+        p.write_bytes(newline.join(lines).encode("latin-1"))
+        with pytest.raises(ValueError) as exc:
+            parse_ngsim_csv(str(p))
+        assert str(exc.value) == (f"{p}: line 2501: 'utf-8' codec can't decode byte 0xff "
+                                  "in position 11: invalid start byte")
+
+    def test_jsonl_names_file_and_line(self, tmp_path):
+        p = tmp_path / "d.jsonl"
+        write_jsonl(gen_synthetic("cv", 40, 0.0, seed=1), str(p))
+        lines = p.read_bytes().splitlines(keepends=True)
+        lines[30] = lines[30].replace(b'"cv-', b'"\xffcv-')
+        p.write_bytes(b"".join(lines))
+        with pytest.raises(ValueError) as exc:
+            read_jsonl(str(p))
+        assert str(exc.value) == (f"{p}: line 31: 'utf-8' codec can't decode byte 0xff "
+                                  "in position 15: invalid start byte")
+
+
+class TestArrayBuiltDatasets:
+    """Datasets built from checked stacks equal Dataset([Segment(...), ...])."""
+
+    @staticmethod
+    def assert_same(ds):
+        want = Dataset([Segment(s.segment_id, s.agent_id, s.dt, np.array(s.history),
+                                np.array(s.future)) for s in ds.segments],
+                       ds.dt, ds.tau, ds.horizon, ds.source)
+        assert [(s.segment_id, s.agent_id, s.dt) for s in ds.segments] == [
+            (s.segment_id, s.agent_id, s.dt) for s in want.segments]
+        assert all(type(s) is Segment for s in ds.segments)
+        assert type(ds.tau) is type(ds.horizon) is int
+        for got, ref in zip(ds.segments, want.segments):
+            assert got.history.dtype == got.future.dtype == np.float64
+            assert got.history.tobytes() == ref.history.tobytes()
+            assert got.future.tobytes() == ref.future.tobytes()
+        for stack, ref in ((ds.histories(), want.histories()), (ds.futures(), want.futures())):
+            assert stack.shape == ref.shape and stack.tobytes() == ref.tobytes()
+            assert stack.flags.c_contiguous and not stack.flags.writeable
+        return want
+
+    @pytest.mark.parametrize("scenario", ("cv", "turn"))
+    def test_gen_synthetic(self, scenario):
+        self.assert_same(gen_synthetic(scenario, 9, 0.3, seed=2, tau=4, horizon=6))
+
+    def test_extract_segments(self):
+        rng = np.random.default_rng(3)
+        tracks = [Track(7, 0.1, rng.normal(size=(90, 2))), Track(8, 0.1, rng.normal(size=(5, 2))),
+                  Track(7, 0.1, rng.normal(size=(61, 2)))]
+        ds = extract_segments([downsample(t) for t in tracks], tau=6, horizon=9, stride=3)
+        assert [s.segment_id for s in ds.segments][:3] == ["v7-t0-s0", "v7-t0-s3", "v7-t0-s6"]
+        assert ds.segments[-1].segment_id == "v7-t2-s15"
+        want = self.assert_same(ds)
+        seg = ds.segments[4]  # track 0, start 12: points 12..27 of the downsampled track
+        np.testing.assert_array_equal(seg.history, tracks[0].points[::2][12:19])
+        assert want.segments[4].future.tobytes() == tracks[0].points[::2][19:28].tobytes()
+
+    def test_extract_segments_without_windows(self):
+        ds = extract_segments([Track(1, 0.2, np.zeros((5, 2)))], tau=3, horizon=4)
+        assert len(ds) == 0 and ds.dt == 0.2
+        assert ds.histories().shape == (0, 4, 2) and ds.futures().shape == (0, 4, 2)
+
+    def test_extract_segments_rejects_a_track_dt_as_segment_would(self):
+        with pytest.raises(ValueError, match="^dt must be finite and positive$"):
+            extract_segments([Track(1, 0.0, np.zeros((45, 2)))], stride=1)
+        with pytest.raises(ValueError, match=f"^{protocol_error(0.0, 15, 25)}$"):
+            extract_segments([Track(1, 0.0, np.zeros((40, 2)))], stride=1)
+
+    def test_read_jsonl(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        write_jsonl(gen_synthetic("lane_change", 12, 0.2, seed=8), str(path))
+        ds = read_jsonl(str(path))
+        assert ds.source == str(path)
+        self.assert_same(ds)
+
+    @pytest.mark.parametrize("dt,where", [(1e307, "history"), (1e306, "future")])
+    def test_gen_synthetic_non_finite_named_as_segment_would(self, dt, where):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match=f"^{where} contains non-finite coordinates$"):
+                gen_synthetic("cv", 3, 0.1, seed=1, dt=dt)
+
+
+class TestSegmentChecks:
+    @pytest.mark.parametrize("field", ["history", "future"])
+    @pytest.mark.parametrize("bad,message", [
+        ([[0.0, np.nan]], "contains non-finite coordinates"),
+        ([[np.inf, 0.0]], "contains non-finite coordinates"),
+        ([0.0, 1.0], r"must be an \(n, 2\) array of positions"),
+        ([[0.0, 1.0, 2.0]], r"must be an \(n, 2\) array of positions"),
+        (np.zeros((2, 2, 2)), r"must be an \(n, 2\) array of positions"),
+    ])
+    def test_public_segment_rejects_non_finite_and_misshaped(self, field, bad, message):
+        arrays = {"history": [[0.0, 0.0]], "future": [[1.0, 1.0]], field: bad}
+        with pytest.raises(ValueError, match=f"^{field} {message}$"):
+            Segment("s", 1, 0.2, **arrays)
+
+    def test_public_dataset_rejects_lengths_off_its_protocol(self):
+        seg = Segment("s", 1, 0.2, np.zeros((3, 2)), np.zeros((4, 2)))
+        with pytest.raises(ValueError, match=r"^segment s: history length 3 != 16$"):
+            Dataset([seg])
+        with pytest.raises(ValueError, match=r"^segment s: future length 4 != 5$"):
+            Dataset([seg], tau=2, horizon=5)
+        with pytest.raises(ValueError, match=r"^segment s: dt 0.2 != 0.3$"):
+            Dataset([seg], dt=0.3, tau=2, horizon=4)
 
 
 class TestDownsample:
