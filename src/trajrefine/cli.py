@@ -19,12 +19,15 @@ from typing import Any, Callable
 import numpy as np
 
 from .data import (
+    TEXT_BLOCK,
     Dataset,
     downsample,
     extract_segments,
     gen_synthetic,
+    json_line,
     json_points,
     parse_ngsim_csv,
+    points_json,
     read_jsonl,
     read_records,
     reading,
@@ -378,10 +381,19 @@ def cmd_predict(o) -> int:
         # full precision: a sigma rounded to 6 dp can become an invalid 0
         means, sigmas = round6(means), params_from_covs(covs)
     with open(o.out, "w", encoding="utf-8") as fh:
-        for seg, seg_means, seg_sigmas in zip(ds.segments, means, sigmas):
-            line = {"segment_id": seg.segment_id, "means": seg_means.tolist(),
-                    "sigmas": seg_sigmas.tolist(), "mode": mode}
-            fh.write(json.dumps(line, separators=(",", ":")) + "\n")
+        for lo in range(0, len(ds), TEXT_BLOCK):  # as write_jsonl writes its lines
+            rows, lines = slice(lo, lo + TEXT_BLOCK), []
+            for seg, text, exact, seg_means, seg_sigmas in zip(
+                    ds.segments[rows], *points_json(means[rows]), means[rows], sigmas[rows]):
+                if exact:  # sigmas are not rounded: the encoder writes them
+                    sigma_text = json.dumps(seg_sigmas.tolist(), separators=(",", ":"))
+                    lines.append(f'{{"segment_id":{json.dumps(seg.segment_id)},"means":{text},'
+                                 f'"sigmas":{sigma_text},"mode":"{mode}"}}\n')
+                else:
+                    lines.append(json_line({"segment_id": seg.segment_id,
+                                            "means": seg_means.tolist(),
+                                            "sigmas": seg_sigmas.tolist(), "mode": mode}))
+            fh.write("".join(lines))
     print(f"wrote {len(ds)} {mode} predictions to {o.out}")
     return 0
 

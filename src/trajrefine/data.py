@@ -40,6 +40,13 @@ def whole(name: str, value) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _whole_id(name: str, value) -> int:
+    """An id as an int, as :func:`whole` takes it; a boolean is rejected by name."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return whole(name, value)
+
+
 def read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -96,6 +103,9 @@ class Segment:
     future: np.ndarray  # (T, 2) meters
 
     def __post_init__(self) -> None:
+        if not isinstance(self.segment_id, str):
+            raise ValueError(f"segment_id must be a str, got {self.segment_id!r}")
+        object.__setattr__(self, "agent_id", _whole_id("agent_id", self.agent_id))
         _positive_dt(self.dt)
         object.__setattr__(self, "history", _points(self.history, "history"))
         object.__setattr__(self, "future", _points(self.future, "future"))
@@ -180,6 +190,7 @@ class Track:
     points: np.ndarray  # (n, 2) meters
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "vehicle_id", _whole_id("vehicle_id", self.vehicle_id))
         object.__setattr__(self, "points", _points(self.points, "track points"))
 
 
@@ -203,8 +214,9 @@ def parse_ngsim_csv(path: str) -> list[Track]:
     fails, since only it knows the physical lines.
     """
     with reading(path, "utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
         try:
-            header = next(csv.reader(fh))
+            header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: empty file, expected a header row") from None
         header = [h.strip() for h in header]
@@ -213,11 +225,13 @@ def parse_ngsim_csv(path: str) -> list[Track]:
             raise ValueError(f"{path}: missing required columns {missing}")
         columns = [header.index(c) for c in NGSIM_COLUMNS]
         rows = np.empty((0, 4))
-        for line in fh:  # numpy warns on a body without rows: skip blank lines to the first
+        # numpy warns on a body without rows: it starts at the first line that is not blank
+        for skip, line in enumerate(fh, start=reader.line_num):
             if line.strip():
-                try:
-                    rows = np.loadtxt(chain([line], fh), delimiter=",", usecols=columns,
-                                      quotechar='"', comments=None, ndmin=2)
+                try:  # given the path, numpy reads the file in chunks of its own
+                    rows = np.loadtxt(path, delimiter=",", usecols=columns, skiprows=skip,
+                                      quotechar='"', comments=None, ndmin=2,
+                                      encoding="utf-8-sig")
                 except ValueError:
                     rows = None  # rejected: the exact pass reads the file
                 break
@@ -496,19 +510,112 @@ def round6(values) -> np.ndarray:
     return out
 
 
+# The text of each 3-digit group g in [0, 1000) in five forms, as NUL-padded
+# little-endian words: 1000 words a form, at the offsets named below.
+_GROUP_FORMS = (
+    lambda s: s.lstrip("0"),  # _BARE: no leading zeros, nothing for 0
+    lambda s: s.lstrip("0") or "0",  # _UNITS: no leading zeros, "0" for 0
+    lambda s: s,  # _PADDED: three digits
+    lambda s: s.rstrip("0") or "0",  # _HEAD: no trailing zeros, "0" for 0
+    lambda s: s.rstrip("0"),  # _TAIL: no trailing zeros, nothing for 0
+)
+_GROUPS = np.frombuffer("".join(form(f"{g:03d}").ljust(4, "\0") for form in _GROUP_FORMS
+                                for g in range(1000)).encode(), "<u4")
+_BARE, _UNITS, _PADDED, _HEAD, _TAIL = range(0, 5000, 1000)
+_MINUS, _POINT = ord("-") << 24, ord(".") << 24  # characters in a word's fourth byte
+TEXT_BLOCK = 128  # segments whose JSONL text write_jsonl and predict build at once
+
+
+def number_words(values) -> tuple[np.ndarray, np.ndarray]:
+    """The ``repr`` text of each :func:`round6` value, and which values it is exact for.
+
+    Text is six little-endian words a value, (..., 6) uint32: the sign, the
+    integer part as three 3-digit groups (the decimal point in the fourth
+    byte of the last) and the fraction as two, NUL wherever ``repr`` has no
+    character; deleting the NULs leaves the text.
+
+    Exact for v in {+-0} and 1e-4 <= |v| < 1e9. There v is the double
+    nearest n / 10**6 for the integer n = rint(|v| * 10**6), which is below
+    2**53, so v * 1e6 is within 0.25 of n. The ulp of v is below 1e-6, so no
+    other decimal with at most 6 fractional digits rounds to v, and the
+    shortest round-trip text ``repr`` writes is n / 10**6 with trailing
+    zeros dropped, keeping one fractional digit, with v's sign; |v| >= 1e-4
+    keeps it out of exponent notation. Other values get arbitrary text.
+    """
+    v = np.asarray(values, dtype=float)
+    a = np.abs(v)
+    exact = (a < 1e9) & ((a >= 1e-4) | (a == 0.0))
+    n = np.rint(np.where(exact, a, 0.0) * 1e6).astype(np.int64)
+    whole = (n // 10**6).astype(np.int32)
+    frac = (n - whole.astype(np.int64) * 10**6).astype(np.int32)
+    g1, low = np.divmod(whole, 10**6)
+    g2, g3 = np.divmod(low, 1000)
+    g4, g5 = np.divmod(frac, 1000)
+    words = np.empty(v.shape + (6,), "<u4")
+    words[..., 0] = np.signbit(v) * np.uint32(_MINUS)
+    words[..., 1] = _GROUPS[g1 + _BARE]
+    words[..., 2] = _GROUPS[g2 + np.where(g1 > 0, _PADDED, _BARE)]
+    words[..., 3] = _GROUPS[g3 + np.where(whole >= 1000, _PADDED, _UNITS)] | _POINT
+    words[..., 4] = _GROUPS[g4 + np.where(g5 > 0, _PADDED, _HEAD)]
+    words[..., 5] = _GROUPS[g5 + _TAIL]
+    return words, exact
+
+
+def _word(text: str) -> int:
+    return int.from_bytes(text.encode().ljust(4, b"\0"), "little")
+
+
+def points_json(points: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """``json.dumps(row.tolist(), separators=(",", ":"))`` of each (P, 2) row
+    of a (B, P, 2) block of :func:`round6` values, from :func:`number_words`,
+    and which rows that text is exact for (every value in its range)."""
+    b, p = points.shape[:2]
+    words, exact = number_words(points)
+    rows = np.empty((b, p * 12 + 2), "<u4")  # "[", P points of 2 values, "]\n"
+    rows[:, 0], rows[:, -1] = _word("["), _word("]\n")
+    opening = np.full(p, _word(",["), "<u4")
+    opening[:1] = _word("[")
+    values = rows[:, 1:-1].reshape(b, p, 2, 6)
+    values[...] = words
+    values[:, :, 0, 0] |= opening  # the sign stays in the fourth byte
+    values[:, :, 1, 0] |= _word(",")
+    values[:, :, 1, 5] |= ord("]") << 24
+    text = rows.tobytes().translate(None, b"\0").decode("ascii")
+    return text.split("\n")[:b], exact.all(axis=(1, 2))
+
+
+def json_line(obj: dict) -> str:
+    """The exact pass of the JSONL writers: ``json.dumps`` of a line's fields, compact."""
+    return json.dumps(obj, separators=(",", ":")) + "\n"
+
+
 def write_jsonl(ds: Dataset, path: str) -> None:
-    """One JSON object per segment; coordinates rounded by :func:`round6`."""
-    histories, futures = round6(ds.histories()), round6(ds.futures())
+    """One JSON object per segment; coordinates rounded by :func:`round6`.
+
+    Each line is :func:`json_line` of the segment's fields. A block of
+    segments at a time, :func:`points_json` writes the coordinates, and a
+    line takes the exact pass only if one of them is outside its range or
+    its dt is not a float.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        for seg, history, future in zip(ds.segments, histories, futures):
-            obj = {
-                "segment_id": seg.segment_id,
-                "agent_id": seg.agent_id,
-                "dt": round(seg.dt, 6),
-                "history": history.tolist(),
-                "future": future.tolist(),
-            }
-            fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
+        for lo in range(0, len(ds), TEXT_BLOCK):
+            rows = slice(lo, lo + TEXT_BLOCK)
+            histories, futures = round6(ds.histories()[rows]), round6(ds.futures()[rows])
+            (h_text, h_exact), (f_text, f_exact) = points_json(histories), points_json(futures)
+            segments, lines = ds.segments[rows], []
+            dts = round6([seg.dt if type(seg.dt) is float else 0.0 for seg in segments])
+            for seg, dt, h, f, exact, history, future in zip(
+                    segments, dts.tolist(), h_text, f_text, h_exact & f_exact, histories, futures):
+                if exact and type(seg.dt) is float:
+                    lines.append(f'{{"segment_id":{json.dumps(seg.segment_id)},'
+                                 f'"agent_id":{seg.agent_id},"dt":{dt!r},'
+                                 f'"history":{h},"future":{f}}}\n')
+                else:
+                    lines.append(json_line({
+                        "segment_id": seg.segment_id, "agent_id": seg.agent_id,
+                        "dt": round(seg.dt, 6), "history": history.tolist(),
+                        "future": future.tolist()}))
+            fh.write("".join(lines))
 
 
 def read_records(path: str, fields: tuple[str, ...]):

@@ -5,14 +5,17 @@ segment at a time, with ``rng.choice`` for the turn side and one
 ``rng.uniform`` per value, on its own ``default_rng([seed,
 crc32(b"datagen")])`` stream. ``parse_ngsim_csv`` is a copy of the
 ``csv.reader`` NGSIM parser, which reads every row as ``float`` and names
-the physical line of the first row at fault. Neither reads anything from
-the package, so a change there cannot move a reference. Keep their
-arithmetic, draw order, checks and messages as they are.
+the physical line of the first row at fault. ``jsonl_text`` and
+``prediction_line`` are the JSONL writers' one ``json.dumps`` line per
+segment or prediction, each coordinate or mean rounded by ``round(x, 6)``.
+None reads anything from the package, so a change there cannot move a
+reference. Keep their arithmetic, draw order, checks and messages as they are.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import zlib
 
 import numpy as np
@@ -140,3 +143,29 @@ def parse_ngsim_csv(path: str) -> list[tuple[int, float, np.ndarray]]:
     cuts = np.flatnonzero((v[1:] != v[:-1]) | (f[1:] - f[:-1] > 1)) + 1
     runs = np.split(points[order], cuts)
     return [(int(v[s]), 0.1, run) for s, run in zip([0, *cuts.tolist()], runs)]
+
+
+def _rounded(points: np.ndarray) -> list[list[float]]:
+    return [[round(x, 6) for x in row] for row in points.tolist()]
+
+
+def jsonl_text(ds) -> str:
+    """The text ``write_jsonl`` writes for a dataset."""
+    lines = []
+    for seg in ds.segments:
+        obj = {
+            "segment_id": seg.segment_id,
+            "agent_id": seg.agent_id,
+            "dt": round(seg.dt, 6),
+            "history": _rounded(seg.history),
+            "future": _rounded(seg.future),
+        }
+        lines.append(json.dumps(obj, separators=(",", ":")) + "\n")
+    return "".join(lines)
+
+
+def prediction_line(segment_id: str, means: np.ndarray, sigmas: np.ndarray, mode: str) -> str:
+    """The line ``predict`` writes for one segment's (T, 2) means and (T, 3) sigmas."""
+    line = {"segment_id": segment_id, "means": _rounded(means),
+            "sigmas": sigmas.tolist(), "mode": mode}
+    return json.dumps(line, separators=(",", ":")) + "\n"

@@ -289,6 +289,25 @@ class TestParseNgsimDifferential:
         with pytest.raises(AssertionError, match="exact pass"):
             parse_ngsim_csv(str(bad))
 
+    @pytest.mark.parametrize("text", [
+        '"Vehicle_ID","Note\nmore\r\nlines",Frame_ID,Local_X,Local_Y\n1,a,0,1.0,0.0\n1,b,1,2,0\n',
+        NGSIM_HEADER + "\n \n\t\n1,0,1.0,0.0\n\n1,1,2.0,0.0\n",
+        NGSIM_HEADER.replace("\n", "\r\n") + "\r\n\r\n1,0,1.0,0.0\r\n1,1,2.0,0.0\r\n",
+        NGSIM_HEADER.replace("\n", "\r") + "\r \r1,0,1.0,0.0\r1,1,2.0,0.0\r",
+        "\ufeff" + NGSIM_HEADER + "\n1,0,1.0,0.0\n",
+    ], ids=["header_spans_lines", "blank_lines", "crlf", "cr", "bom"])
+    def test_tokenizer_skips_the_header_and_blank_lines(self, tmp_path, monkeypatch, text):
+        def exact(*args):
+            raise AssertionError("the exact pass ran")
+
+        p, plain = tmp_path / "a.csv", tmp_path / "plain.csv"
+        p.write_bytes(text.encode())
+        plain.write_bytes(text.removeprefix("\ufeff").encode())  # the reference reads no BOM
+        want = parse_outcome(reference_data.parse_ngsim_csv, plain)
+        monkeypatch.setattr(data, "_exact_rows", exact)
+        assert parse_outcome(parse_ngsim_csv, p) == want
+        assert want[0][0] == 1
+
     def test_empty_body_warns_nothing(self, tmp_path):
         p = tmp_path / "a.csv"
         for body in ("", "\n", "\n\n \n"):
@@ -409,6 +428,29 @@ class TestSegmentChecks:
         arrays = {"history": [[0.0, 0.0]], "future": [[1.0, 1.0]], field: bad}
         with pytest.raises(ValueError, match=f"^{field} {message}$"):
             Segment("s", 1, 0.2, **arrays)
+
+    @pytest.mark.parametrize("agent", [True, np.True_, 2.5, 3.0, "7", None])
+    def test_agent_id_must_be_a_whole_number(self, agent):
+        with pytest.raises(ValueError, match=f"^agent_id must be an integer, got {agent!r}$"):
+            Segment("s", agent, 0.2, [[0.0, 0.0]], [[1.0, 1.0]])
+
+    @pytest.mark.parametrize("segment_id", [7, None, b"s", 1.5])
+    def test_segment_id_must_be_a_str(self, segment_id):
+        with pytest.raises(ValueError, match=f"^segment_id must be a str, got {segment_id!r}$"):
+            Segment(segment_id, 1, 0.2, [[0.0, 0.0]], [[1.0, 1.0]])
+
+    @pytest.mark.parametrize("vehicle", [False, 2.5, "7"])
+    def test_track_vehicle_id_must_be_a_whole_number(self, vehicle):
+        with pytest.raises(ValueError, match=f"^vehicle_id must be an integer, got {vehicle!r}$"):
+            Track(vehicle, 0.1, [[0.0, 0.0]])
+
+    def test_numpy_integer_ids_become_int_and_read_back(self, tmp_path):
+        track = Track(np.int32(4), 0.1, np.zeros((2, 2)))
+        seg = Segment("s", np.int64(2**40), 0.2, [[0.0, 0.0]], [[1.0, 1.0]])
+        assert type(track.vehicle_id) is type(seg.agent_id) is int
+        path = tmp_path / "d.jsonl"
+        write_jsonl(Dataset([seg], tau=0, horizon=1), str(path))
+        assert read_jsonl(str(path)).segments[0].agent_id == 2**40
 
     def test_public_dataset_rejects_lengths_off_its_protocol(self):
         seg = Segment("s", 1, 0.2, np.zeros((3, 2)), np.zeros((4, 2)))
