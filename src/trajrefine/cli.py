@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -19,20 +20,17 @@ from typing import Any, Callable
 import numpy as np
 
 from .data import (
-    TEXT_BLOCK,
     Dataset,
     downsample,
     extract_segments,
     gen_synthetic,
-    json_line,
     json_points,
     parse_ngsim_csv,
-    points_json,
     read_jsonl,
     read_records,
     reading,
-    round6,
     write_jsonl,
+    write_predictions,
 )
 from .gaussian import params_from_covs
 from .goals import GoalModelParams, fit_goal_model
@@ -83,16 +81,22 @@ def _int_list(raw: str) -> tuple[int, ...]:
 
 
 def _load_config(path: str) -> dict[str, str]:
+    """A config file's ``key = value`` lines; ``#`` at a line's start or after whitespace
+    opens a comment, and a key may appear once."""
     values: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     with reading(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
+            line = re.split(r"(?<!\S)#", line, maxsplit=1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}: line {lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
+            key = key.strip().replace("-", "_")
+            if (first := first_line.setdefault(key, lineno)) != lineno:
+                raise ValueError(f"{path}: line {lineno}: key {key!r} repeats line {first}")
+            values[key] = value.strip()
     return values
 
 
@@ -373,27 +377,13 @@ def cmd_predict(o) -> int:
     ds = read_jsonl(o.data)
     cfg = _refine_config(o)
     mode = "refined" if o.refine else "vanilla"
-    means, sigmas = [], []
+    means = sigmas = ()
     if ds.segments:
         _check_protocol(protocol, ds, o.data)
         goals = goal_model if o.refine else None
         means, covs = rollout_batch(predictor, ds.histories(), ds.horizon, goals, cfg)
-        # full precision: a sigma rounded to 6 dp can become an invalid 0
-        means, sigmas = round6(means), params_from_covs(covs)
-    with open(o.out, "w", encoding="utf-8") as fh:
-        for lo in range(0, len(ds), TEXT_BLOCK):  # as write_jsonl writes its lines
-            rows, lines = slice(lo, lo + TEXT_BLOCK), []
-            for seg, text, exact, seg_means, seg_sigmas in zip(
-                    ds.segments[rows], *points_json(means[rows]), means[rows], sigmas[rows]):
-                if exact:  # sigmas are not rounded: the encoder writes them
-                    sigma_text = json.dumps(seg_sigmas.tolist(), separators=(",", ":"))
-                    lines.append(f'{{"segment_id":{json.dumps(seg.segment_id)},"means":{text},'
-                                 f'"sigmas":{sigma_text},"mode":"{mode}"}}\n')
-                else:
-                    lines.append(json_line({"segment_id": seg.segment_id,
-                                            "means": seg_means.tolist(),
-                                            "sigmas": seg_sigmas.tolist(), "mode": mode}))
-            fh.write("".join(lines))
+        sigmas = params_from_covs(covs)
+    write_predictions(o.out, [seg.segment_id for seg in ds.segments], means, sigmas, mode)
     print(f"wrote {len(ds)} {mode} predictions to {o.out}")
     return 0
 

@@ -14,6 +14,7 @@ import operator
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -345,8 +346,10 @@ def split_dataset(
 ) -> tuple[Dataset, Dataset, Dataset]:
     """Partition by vehicle id so no vehicle leaks across splits.
 
-    Deterministic for a fixed seed; ratios must be finite, >= 0 and sum to 1.
+    Deterministic for a fixed seed; the three ratios must be finite, >= 0 and sum to 1.
     """
+    if len(ratios) != 3:
+        raise ValueError(f"split ratios must be three (train, val, test), got {ratios}")
     if not all(0.0 <= r < np.inf for r in ratios):
         raise ValueError(f"split ratios must be finite and >= 0, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
@@ -358,11 +361,9 @@ def split_dataset(
     c1 = int(round(n * ratios[0]))
     c2 = int(round(n * (ratios[0] + ratios[1])))
     buckets = (set(order[:c1]), set(order[c1:c2]), set(order[c2:]))
-    out = []
-    for bucket, tag in zip(buckets, ("train", "val", "test")):
-        segs = [seg for seg in ds.segments if seg.agent_id in bucket]
-        out.append(Dataset(segs, ds.dt, ds.tau, ds.horizon, f"{ds.source}/{tag}"))
-    return out[0], out[1], out[2]
+    return tuple(Dataset([seg for seg in ds.segments if seg.agent_id in bucket], ds.dt, ds.tau,
+                         ds.horizon, f"{ds.source}/{tag}")
+                 for bucket, tag in zip(buckets, ("train", "val", "test")))
 
 
 def _smoothstep(u: np.ndarray) -> np.ndarray:
@@ -523,7 +524,7 @@ _GROUPS = np.frombuffer("".join(form(f"{g:03d}").ljust(4, "\0") for form in _GRO
                                 for g in range(1000)).encode(), "<u4")
 _BARE, _UNITS, _PADDED, _HEAD, _TAIL = range(0, 5000, 1000)
 _MINUS, _POINT = ord("-") << 24, ord(".") << 24  # characters in a word's fourth byte
-TEXT_BLOCK = 128  # segments whose JSONL text write_jsonl and predict build at once
+TEXT_BLOCK = 128  # records whose JSONL text write_jsonl and write_predictions build at once
 
 
 def number_words(values) -> tuple[np.ndarray, np.ndarray]:
@@ -565,10 +566,11 @@ def _word(text: str) -> int:
     return int.from_bytes(text.encode().ljust(4, b"\0"), "little")
 
 
-def points_json(points: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """``json.dumps(row.tolist(), separators=(",", ":"))`` of each (P, 2) row
-    of a (B, P, 2) block of :func:`round6` values, from :func:`number_words`,
-    and which rows that text is exact for (every value in its range)."""
+def points_json(points) -> list[str]:
+    """``json.dumps(round6(row).tolist(), separators=(",", ":"))`` of each (P, 2) row of a
+    (B, P, 2) block, by :func:`number_words`; the exact pass, ``json.dumps``, writes a row
+    holding a value outside its range."""
+    points = round6(points)
     b, p = points.shape[:2]
     words, exact = number_words(points)
     rows = np.empty((b, p * 12 + 2), "<u4")  # "[", P points of 2 values, "]\n"
@@ -580,42 +582,42 @@ def points_json(points: np.ndarray) -> tuple[list[str], np.ndarray]:
     values[:, :, 0, 0] |= opening  # the sign stays in the fourth byte
     values[:, :, 1, 0] |= _word(",")
     values[:, :, 1, 5] |= ord("]") << 24
-    text = rows.tobytes().translate(None, b"\0").decode("ascii")
-    return text.split("\n")[:b], exact.all(axis=(1, 2))
+    text = rows.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:b]
+    for i in np.flatnonzero(~exact.all(axis=(1, 2))).tolist():
+        text[i] = json.dumps(points[i].tolist(), separators=(",", ":"))
+    return text
 
 
-def json_line(obj: dict) -> str:
-    """The exact pass of the JSONL writers: ``json.dumps`` of a line's fields, compact."""
-    return json.dumps(obj, separators=(",", ":")) + "\n"
+@lru_cache(typed=True)  # typed: True and 1.0 ("1" and "1.0") share a key otherwise
+def _dt_json(dt) -> str:
+    return json.dumps(round(dt, 6))
+
+
+def _write_blocks(path: str, n: int, block_lines) -> None:
+    """Write the lines ``block_lines(rows)`` gives for each slice of ``TEXT_BLOCK`` of n records."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for lo in range(0, n, TEXT_BLOCK):
+            fh.write("".join(block_lines(slice(lo, lo + TEXT_BLOCK))))
 
 
 def write_jsonl(ds: Dataset, path: str) -> None:
-    """One JSON object per segment; coordinates rounded by :func:`round6`.
+    """One JSON object per segment; coordinates rounded by :func:`round6` and
+    written by :func:`points_json`, dt as ``json.dumps(round(dt, 6))``."""
+    _write_blocks(path, len(ds), lambda rows: (
+        f'{{"segment_id":{json.dumps(seg.segment_id)},"agent_id":{seg.agent_id},'
+        f'"dt":{_dt_json(seg.dt)},"history":{h},"future":{f}}}\n'
+        for seg, h, f in zip(ds.segments[rows], points_json(ds.histories()[rows]),
+                             points_json(ds.futures()[rows]))))
 
-    Each line is :func:`json_line` of the segment's fields. A block of
-    segments at a time, :func:`points_json` writes the coordinates, and a
-    line takes the exact pass only if one of them is outside its range or
-    its dt is not a float.
-    """
-    with open(path, "w", encoding="utf-8") as fh:
-        for lo in range(0, len(ds), TEXT_BLOCK):
-            rows = slice(lo, lo + TEXT_BLOCK)
-            histories, futures = round6(ds.histories()[rows]), round6(ds.futures()[rows])
-            (h_text, h_exact), (f_text, f_exact) = points_json(histories), points_json(futures)
-            segments, lines = ds.segments[rows], []
-            dts = round6([seg.dt if type(seg.dt) is float else 0.0 for seg in segments])
-            for seg, dt, h, f, exact, history, future in zip(
-                    segments, dts.tolist(), h_text, f_text, h_exact & f_exact, histories, futures):
-                if exact and type(seg.dt) is float:
-                    lines.append(f'{{"segment_id":{json.dumps(seg.segment_id)},'
-                                 f'"agent_id":{seg.agent_id},"dt":{dt!r},'
-                                 f'"history":{h},"future":{f}}}\n')
-                else:
-                    lines.append(json_line({
-                        "segment_id": seg.segment_id, "agent_id": seg.agent_id,
-                        "dt": round(seg.dt, 6), "history": history.tolist(),
-                        "future": future.tolist()}))
-            fh.write("".join(lines))
+
+def write_predictions(path: str, ids, means, sigmas, mode: str) -> None:
+    """One JSON object per segment id: its (T, 2) means as :func:`write_jsonl` writes points,
+    its (T, 3) sigmas at full precision (rounded, one can become an invalid 0) and mode."""
+    mode = json.dumps(mode)
+    _write_blocks(path, len(ids), lambda rows: (
+        f'{{"segment_id":{json.dumps(sid)},"means":{text},'
+        f'"sigmas":{json.dumps(s.tolist(), separators=(",", ":"))},"mode":{mode}}}\n'
+        for sid, text, s in zip(ids[rows], points_json(means[rows]), sigmas[rows])))
 
 
 def read_records(path: str, fields: tuple[str, ...]):

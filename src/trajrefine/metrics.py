@@ -137,6 +137,8 @@ def run_ablation(
     """
     if not test.segments:
         raise ValueError("test set is empty")
+    if not models:
+        raise ValueError("no models to evaluate")
     histories, horizon = test.histories(), test.horizon
     measured, rows = {}, []
     for backbone in sorted(models):

@@ -345,8 +345,13 @@ class TestPredict:
         (lambda doc: json.dumps({**doc, "goal_model": {
             **doc["goal_model"], "residual_covs": [c[:2] for c in doc["goal_model"]["residual_covs"]]}}),
          r"invalid model file: residual_covs must be an array of \[sxx, sxy, syy\] triples$"),
+        (lambda doc: json.dumps({**doc, "version": 2}),
+         "invalid model file: unsupported model file version 2$"),
+        (lambda doc: json.dumps({k: v for k, v in doc.items() if k != "version"}),
+         "invalid model file: unsupported model file version None$"),
     ], ids=["protocol-extra-key", "protocol-not-object", "protocol-string-value",
-            "top-level-array", "invalid-json", "step-covs-quadruples", "residual-covs-pairs"])
+            "top-level-array", "invalid-json", "step-covs-quadruples", "residual-covs-pairs",
+            "version-2", "version-missing"])
     def test_malformed_model_file_exits_2(self, tmp_path, capsys, corrupt, message):
         train = gen(tmp_path, "train.jsonl", n=30)
         model = fit(tmp_path, train)
@@ -605,6 +610,19 @@ class TestEvalAndAblate:
                    "--out", str(tmp_path / "m.csv")) == 2
         assert f"{preds}: line 3: means must hold only JSON numbers" in capsys.readouterr().err
 
+    def test_mixed_prediction_modes_exit_2(self, tmp_path, capsys):
+        data, preds, lines = self.predict_lines(tmp_path)
+        vanilla = json.loads(lines[1])
+        vanilla["mode"] = "vanilla"
+        lines[1] = json.dumps(vanilla)
+        preds.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "m.csv"
+        assert run("eval", "--predictions", str(preds), "--data", str(data),
+                   "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"error: {preds}: mixed prediction modes ['refined', 'vanilla']\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("field,value,message", [
         # str() used to turn null into "None" and 5 into "5"
         ("segment_id", None, "segment_id must be a JSON string"),
@@ -750,6 +768,58 @@ class TestConfigFile:
         assert capsys.readouterr().err == (
             f"error: {cfg}: line 2: 'utf-8' codec can't decode byte 0xe9 in position 5: "
             "invalid continuation byte\n")
+
+
+    def test_comment_and_blank_lines_skipped(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# a generated corpus\n\n   # indented comment\nn = 7\t# tab comment\n"
+                       "\t\nnoise = 0.1\n#seed = 4\n")
+        out, expected = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        assert run("gen-synth", "--scenario", "cv", "--out", str(out), "--config", str(cfg)) == 0
+        assert run("gen-synth", "--scenario", "cv", "--out", str(expected),
+                   "--n", "7", "--noise", "0.1") == 0
+        assert out.read_bytes() == expected.read_bytes()
+
+    def test_line_without_equals_names_file_and_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 7\nnoise 0.1\n")
+        assert run("gen-synth", "--scenario", "cv", "--out", str(tmp_path / "o.jsonl"),
+                   "--config", str(cfg)) == 2
+        assert capsys.readouterr().err == f"error: {cfg}: line 2: expected 'key = value'\n"
+
+    @pytest.mark.parametrize("text,line", [
+        ("n = 3\nseed = 1\nn = 5\n", 1), ("noise = 0.1\nn = 3\n\n# again\nn = 3\n", 2),
+        ("tau = 3\nhorizon = 4\nscenario = cv\nhorizon = 4 # same value\n", 2),
+    ], ids=["different-value", "same-value", "after-comment"])
+    def test_repeated_key_names_both_lines(self, tmp_path, capsys, text, line):
+        # the last value used to win silently
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "o.jsonl"
+        assert run("gen-synth", "--scenario", "cv", "--n", "2", "--out", str(out),
+                   "--config", str(cfg)) == 2
+        key = text.splitlines()[line - 1].split(" = ")[0]
+        last = len(text.splitlines())
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: line {last}: key {key!r} repeats line {line}\n")
+        assert not out.exists()
+
+    def test_spelled_with_a_dash_and_an_underscore_is_one_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("goal-cov-scale = 2\ngoal_cov_scale = 3\n")
+        train = gen(tmp_path, "train.jsonl", n=30)
+        assert run("predict", "--model", str(fit(tmp_path, train)), "--data", str(train),
+                   "--out", str(tmp_path / "p.jsonl"), "--config", str(cfg)) == 2
+        assert f"{cfg}: line 2: key 'goal_cov_scale' repeats line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["a#b.jsonl", "a#", "a#b#c.jsonl"])
+    def test_hash_inside_a_value_is_kept(self, tmp_path, monkeypatch, value):
+        # '#' started a comment anywhere: out = a#b.jsonl wrote to a
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"n = 2\nout = {value}  # the dataset\n")
+        assert run("gen-synth", "--scenario", "cv", "--config", str(cfg)) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([value, "run.cfg"])
 
 
 class TestDefaultsFollowLibrary:

@@ -352,6 +352,16 @@ class TestUndecodableInput:
         assert str(exc.value) == (f"{p}: line 31: 'utf-8' codec can't decode byte 0xff "
                                   "in position 15: invalid start byte")
 
+    def test_decode_error_without_a_line_at_fault_names_the_file(self, tmp_path):
+        # the file decodes line by line, so no line is named: only the error and the path
+        p = tmp_path / "ok.txt"
+        p.write_text("fine\n", encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            with data.reading(str(p)):
+                raise UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+        assert str(exc.value) == (f"{p}: 'utf-8' codec can't decode byte 0xff in position 0: "
+                                  "invalid start byte")
+
 
 class TestArrayBuiltDatasets:
     """Datasets built from checked stacks equal Dataset([Segment(...), ...])."""
@@ -500,6 +510,11 @@ class TestExtractSegments:
         # 61 samples, window 41: starts 0 and 10 fit with stride 10
         assert len(extract_segments([self.make_track(61)], stride=10)) == 3
 
+    def test_tracks_with_mixed_dt_rejected(self):
+        tracks = [self.make_track(45), Track(2, 0.1, np.zeros((45, 2)))]
+        with pytest.raises(ValueError, match="^tracks must share a uniform dt$"):
+            extract_segments(tracks)
+
     @pytest.mark.parametrize("tau,horizon", [(-1, 25), (15, 0)])
     def test_window_without_history_or_future_rejected(self, tau, horizon):
         for tracks in ([self.make_track(45)], []):
@@ -543,6 +558,16 @@ def test_non_integer_size_rejected_by_name(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
     assert type(Dataset([], 0.2, np.int64(3), np.int64(4)).tau) is int
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: gen_synthetic("cv", 0, 0.0, seed=0), "n must be >= 1"),
+    (lambda: extract_segments([TRACK], stride=0), "stride must be >= 1"),
+    (lambda: downsample(TRACK, 0), "factor must be >= 1"),
+], ids=["gen-n", "extract-stride", "downsample-factor"])
+def test_size_below_one_rejected_by_name(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestDatasetStacks:
@@ -628,6 +653,14 @@ class TestSplitDataset:
     def test_ratio_not_finite_and_non_negative_rejected(self, ratios):
         with pytest.raises(ValueError, match=r"^split ratios must be finite and >= 0, got \("):
             split_dataset(self.make_dataset(), ratios=ratios)
+
+    @pytest.mark.parametrize("ratios", [(0.5, 0.5), (0.4, 0.3, 0.2, 0.1), (1.0,), ()])
+    def test_ratio_count_other_than_three_rejected(self, ratios):
+        # two ratios gave an empty test split, a fourth was folded into test, one raised
+        # a bare IndexError
+        with pytest.raises(ValueError) as exc:
+            split_dataset(self.make_dataset(), ratios=ratios)
+        assert str(exc.value) == f"split ratios must be three (train, val, test), got {ratios}"
 
 
     @pytest.mark.parametrize("seed,message", [
@@ -785,6 +818,19 @@ class TestJsonl:
         path.write_text(lines[0] + "\n" + json.dumps(obj) + "\n")
         with pytest.raises(ValueError, match="line 2.*'future'"):
             read_jsonl(str(path))
+
+    def test_blank_lines_skipped_and_invalid_json_named_with_line(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        write_jsonl(gen_synthetic("cv", 2, 0.0, seed=1), str(path))
+        first, second = path.read_text().splitlines()
+        path.write_text(f"\n{first}\n  \t\n\n{second}\n\n")
+        assert [seg.segment_id for seg in read_jsonl(str(path)).segments] == [
+            "cv-00000", "cv-00001"]
+        path.write_text(f"{first}\n\n{second[:-1]}\n")
+        with pytest.raises(ValueError) as exc:
+            read_jsonl(str(path))
+        assert re.fullmatch(rf"{re.escape(str(path))}: line 3: invalid JSON \(.+\)",
+                            str(exc.value))
 
     def test_non_object_line_rejected_with_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"

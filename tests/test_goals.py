@@ -97,6 +97,13 @@ class TestFitGoalModel:
         val = gen_synthetic("cv", 10, 0.0, seed=22, horizon=30)
         assert fit_goal_model(cv_corpus, ANCHORS, val=val).anchor_steps == ANCHORS
 
+    def test_validation_horizon_shorter_than_last_anchor_rejected(self, cv_corpus):
+        val = gen_synthetic("cv", 10, 0.0, seed=22, horizon=10)
+        with pytest.raises(ValueError,
+                           match="^validation futures are shorter than the last anchor$"):
+            fit_goal_model(cv_corpus, (5, 10, 15), val=val)
+        assert fit_goal_model(cv_corpus, (5, 10), val=val).anchor_steps == (5, 10)
+
     def test_per_anchor_independence(self, cv_corpus):
         full = fit_goal_model(cv_corpus, (5, 10, 25), ridge_lambda=1e-6)
         reduced = fit_goal_model(cv_corpus, (5, 25), ridge_lambda=1e-6)

@@ -1,12 +1,16 @@
 """The JSONL writers' number text against their ``json.dumps`` lines.
 
-``write_jsonl`` and ``predict`` build the text of rounded coordinates and
-means with ``number_words``; every byte must equal the frozen one-line-a-
-segment writers of ``reference_data``, including the lines that fall back
-to the exact pass.
+``write_jsonl`` and ``write_predictions`` (``predict``'s writer) take the
+text of coordinates and means from ``points_json``, which rounds them and
+lays out ``number_words``' text; a row holding a value outside its range
+takes the exact pass there, ``json.dumps``. Every byte must equal the frozen
+one-line-a-segment writers of ``reference_data``, rows of the exact pass
+included.
 """
 
 import json
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -40,6 +44,21 @@ SPECIAL = [0.0, -0.0, 1e-6, -1e-6, 9.9999e-05, -9.9999e-05, 1e-4, -1e-4, 2.5e-05
 
 def in_range(value: float) -> bool:
     return value == 0.0 or 1e-4 <= abs(value) < 1e9
+
+
+@pytest.fixture
+def exact_pass(monkeypatch) -> list:
+    """The rows, as lists, that ``points_json`` hands to ``json.dumps``, its
+    exact pass, in the order it does so while the test runs."""
+    rows = []
+
+    def dumps(obj, **kwargs):
+        if sys._getframe(1).f_code is data.points_json.__code__:
+            rows.append(obj)
+        return json.dumps(obj, **kwargs)
+
+    monkeypatch.setattr(data, "json", SimpleNamespace(**{**vars(json), "dumps": dumps}))
+    return rows
 
 
 def number_text(values) -> tuple[list[str], list[bool]]:
@@ -81,13 +100,16 @@ class TestNumberWords:
     def test_any_double(self, xs):
         assert_text_is_repr_of_round(xs)
 
-    def test_points_json_flags_each_row(self):
-        points = np.full((3, 4, 2), 1.5)
+    def test_points_json_flags_each_row(self, exact_pass):
+        points = np.full((3, 4, 2), 1.5000004)  # points_json rounds: 1.5
         points[1, 2, 1] = 1e-05
-        texts, exact = points_json(points)
-        assert exact.tolist() == [True, False, True]
-        assert texts[0] == texts[2] == json.dumps(points[0].tolist(), separators=(",", ":"))
-        assert points_json(np.empty((0, 4, 2)))[0] == []
+        texts = points_json(points)
+        assert exact_pass == [round6(points[1]).tolist()]  # only row 1 takes the exact pass
+        assert texts == [json.dumps(round6(row).tolist(), separators=(",", ":"))
+                         for row in points]
+        assert texts[0] == texts[2] == "[" + ",".join(["[1.5,1.5]"] * 4) + "]"
+        assert "1e-05" in texts[1]
+        assert points_json(np.empty((0, 4, 2))) == []
 
 
 def assert_writes_like_reference(ds, tmp_path) -> None:
@@ -126,15 +148,14 @@ class TestWriteJsonl:
         ds = gen_synthetic("cv", 30, 0.2, seed=4, tau=0, horizon=1, dt=0.3)
         assert_writes_like_reference(ds, tmp_path)
 
-    def test_values_at_the_edges_of_the_range(self, tmp_path, monkeypatch):
-        exact_pass = []
-        monkeypatch.setattr(data, "json_line", lambda obj: exact_pass.append(obj["segment_id"])
-                            or json.dumps(obj, separators=(",", ":")) + "\n")
+    def test_values_at_the_edges_of_the_range(self, tmp_path, exact_pass):
         ds = special_dataset()
+        assert len(ds) <= TEXT_BLOCK  # one block: its histories, then its futures
         assert_writes_like_reference(ds, tmp_path)
-        # only the lines holding a value outside the range take the exact pass
-        assert exact_pass == [seg.segment_id for seg in ds.segments if not all(
-            in_range(round(x, 6)) for x in np.concatenate([seg.history, seg.future]).flat)]
+        # only the histories and futures holding a value outside the range take the exact pass
+        assert exact_pass == [round6(points).tolist() for field in ("history", "future")
+                              for points in (getattr(seg, field) for seg in ds.segments)
+                              if not all(in_range(round(x, 6)) for x in points.flat)]
         assert 0 < len(exact_pass) < len(SPECIAL)
 
     @pytest.mark.parametrize("segment_id", [
@@ -155,6 +176,14 @@ class TestWriteJsonl:
         points = np.array([[1.5, -2.25]])
         ds = Dataset([Segment("a", np.int64(3), dt, points, points)], dt, 0, 1)
         assert_writes_like_reference(ds, tmp_path)
+
+    def test_equal_dts_of_other_types_keep_their_text(self, tmp_path):
+        # dt's text is cached: equal keys of other types, such as 1.0 and True ("1.0" and
+        # "1"), must not share it
+        points = np.array([[1.5, -2.25]])
+        for dt in (1.0, True, 1, np.float64(1.0), 1.0, True):
+            ds = Dataset([Segment("a", 3, dt, points, points)], dt, 0, 1)
+            assert_writes_like_reference(ds, tmp_path)
 
 
 def model_and_data(tmp_path, n: int, horizon: int = 25):
@@ -209,16 +238,12 @@ class TestPredict:
                        for seg, m, s in zip(ds.segments, means, params_from_covs(covs))]
 
 
-def test_in_range_lines_never_take_the_exact_pass(tmp_path, monkeypatch):
-    def exact(obj):
-        raise AssertionError("the exact pass ran")
-
+def test_in_range_lines_never_take_the_exact_pass(tmp_path, exact_pass):
     model, data_path = model_and_data(tmp_path, TEXT_BLOCK + 5)
-    monkeypatch.setattr(data, "json_line", exact)
-    monkeypatch.setattr(cli, "json_line", exact)
     ds = gen_synthetic("lane_change", TEXT_BLOCK + 5, 0.2, seed=9)
     assert_writes_like_reference(ds, tmp_path)
     predict(model, data_path, str(tmp_path / "p.jsonl"))
+    assert exact_pass == []
     # the hook is the exact pass: a value outside the range reaches it
-    with pytest.raises(AssertionError, match="exact pass"):
-        write_jsonl(special_dataset(), str(tmp_path / "s.jsonl"))
+    write_jsonl(special_dataset(), str(tmp_path / "s.jsonl"))
+    assert exact_pass

@@ -173,6 +173,20 @@ class TestRunAblation:
         with pytest.raises(ValueError, match="empty"):
             run_ablation(Dataset([]), models)
 
+    def test_no_models_rejected(self, fitted):
+        # an empty report used to come back, whose to_csv() raised on max() of nothing
+        test, _ = fitted
+        with pytest.raises(ValueError, match="^no models to evaluate$"):
+            run_ablation(test, {})
+
+    def test_missing_row_named(self, fitted):
+        test, models = fitted
+        report = run_ablation(test, {"cv": models["cv"]})
+        with pytest.raises(KeyError, match="no row for backbone='ar' refined=True"):
+            report.metrics_for("ar", True)
+        with pytest.raises(KeyError, match="no row for backbone='ca' refined=False"):
+            report.deltas("ca")
+
     def test_goal_model_shared_by_backbones_is_measured_once(self, monkeypatch):
         train = gen_synthetic("turn", 200, 0.2, seed=62)
         test = gen_synthetic("turn", 40, 0.2, seed=63)

@@ -239,6 +239,13 @@ class TestFitPredictor:
         val = gen_synthetic("cv", 10, 0.1, seed=36, horizon=30)
         assert fit_predictor("ar", train, val, lag=2).horizon == 25
 
+    def test_shorter_validation_horizon_rejected(self):
+        train = gen_synthetic("cv", 20, 0.1, seed=35)
+        val = gen_synthetic("cv", 10, 0.1, seed=36, horizon=10)
+        with pytest.raises(ValueError,
+                           match="^calibration futures are shorter than the fitted horizon$"):
+            fit_predictor("cv", train, val)
+
     def test_unknown_backbone(self):
         with pytest.raises(ValueError, match="backbone"):
             fit_predictor("lstm", gen_synthetic("cv", 5, 0.0, seed=1))
@@ -310,6 +317,18 @@ class TestStepCovarianceTable:
         shape = {"lag": 3, "ar_weights": np.zeros((6, 2)), field: value}
         with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
             PredictorParams("ar", DT, iso(1.0, 5), **shape)
+
+    @pytest.mark.parametrize("backbone,shape,message", [
+        ("cv", {"window": 1}, "cv backbone needs a window of at least 2 positions"),
+        ("ca", {"window": 2}, "ca backbone needs a window of at least 3 positions"),
+        ("ar", {"lag": 0, "ar_weights": np.zeros((0, 2))}, "ar backbone needs lag >= 1"),
+        ("ar", {"lag": 2}, "ar backbone needs a weight matrix"),
+        ("ar", {"lag": 2, "ar_weights": np.zeros((2, 2))},
+         r"ar weights must have shape \(4, 2\), got \(2, 2\)"),
+    ], ids=["cv-window", "ca-window", "ar-lag", "ar-no-weights", "ar-weight-shape"])
+    def test_backbone_window_lag_and_weights_rejected(self, backbone, shape, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            PredictorParams(backbone, DT, iso(1.0, 5), **shape)
 
     def test_integer_like_sizes_become_ints(self):
         params = PredictorParams("ar", DT, iso(1.0, 5), window=np.int64(4), lag=np.int32(3),
@@ -390,6 +409,25 @@ class TestRolloutVanilla:
             [30.0 + 2.0 * np.arange(1, 26), np.zeros(25)]
         )
         np.testing.assert_allclose([e.mean for e in estimates], expected, atol=1e-9)
+
+    @pytest.mark.parametrize("shape", [(4, 2), (1, 4, 3), (1, 1, 4, 2)])
+    def test_histories_not_n_by_points_by_2_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"^histories must be an \(N, n, 2\) array$"):
+            rollout_batch(cv_params(), np.zeros(shape), 3)
+
+    def test_overflowing_rollout_rejected(self):
+        # 2 x_k - x_(k-1) overflows to inf on the first step
+        history = np.array([[[-1.5e308, 0.0], [1.5e308, 0.0]]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="^rollout produced non-finite positions$"):
+                rollout_batch(cv_params(), history, 3)
+
+    def test_refined_dispatch_without_goal_model_rejected(self):
+        history = np.column_stack([np.arange(16.0), np.zeros(16)])
+        with pytest.raises(ValueError, match="^refined rollout requires a goal model$"):
+            predictors.rollout(cv_params(), None, history)
+        vanilla = predictors.rollout(cv_params(), None, history, 3, RefineConfig(False))
+        assert [e.mean.tolist() for e in vanilla] == [[16.0, 0.0], [17.0, 0.0], [18.0, 0.0]]
 
     def test_output_length(self):
         params = cv_params(horizon=25)
