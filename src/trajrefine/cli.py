@@ -26,6 +26,7 @@ from .data import (
     gen_synthetic,
     json_points,
     parse_ngsim_csv,
+    positive,
     read_jsonl,
     read_records,
     reading,
@@ -112,15 +113,13 @@ def _merge(options: list[Opt], args: argparse.Namespace) -> argparse.Namespace:
             value = opt.default
         else:
             raw = str(raw)
-            if opt.choices is not None and raw not in opt.choices:
-                raise ValueError(
-                    f"--{opt.flag}: invalid value {raw!r} (choose from "
-                    f"{', '.join(opt.choices)})"
-                )
-            try:
+            try:  # an empty value, such as a config line "out =", is never meant
+                if not raw or opt.choices is not None and raw not in opt.choices:
+                    raise ValueError
                 value = opt.convert(raw)
             except ValueError:
-                raise ValueError(f"--{opt.flag}: invalid value {raw!r}") from None
+                choices = f" (choose from {', '.join(opt.choices)})" if opt.choices else ""
+                raise ValueError(f"--{opt.flag}: invalid value {raw!r}{choices}") from None
         if value is None and opt.required:
             raise ValueError(f"missing required option --{opt.flag}")
         setattr(merged, opt.dest, value)
@@ -235,7 +234,7 @@ def load_model(path: str) -> tuple[PredictorParams, GoalModelParams, dict]:
         fitted = {"dt": predictor.dt, "tau": goal_model.history_len - 1,
                   "horizon": predictor.horizon}  # each is positive and finite
         for key in PROTOCOL_KEYS:  # a NaN never matches
-            if not (0 < protocol[key] < np.inf and abs(protocol[key] - fitted[key]) <= 1e-9):
+            if not (positive(protocol[key]) and abs(protocol[key] - fitted[key]) <= 1e-9):
                 raise ValueError(f"protocol {key}={protocol[key]} does not match the "
                                  f"models' {key}={fitted[key]}")
         if (last := goal_model.anchor_steps[-1]) > predictor.horizon:

@@ -34,18 +34,23 @@ GEOMETRY_BLOCK = 256  # segments whose positions gen_synthetic computes at once
 
 
 def whole(name: str, value) -> int:
-    """``value`` as an int; a float or other non-integer size is rejected by name."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    """``value`` as a plain int; a boolean, float or other non-integer is rejected by name."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def _whole_id(name: str, value) -> int:
-    """An id as an int, as :func:`whole` takes it; a boolean is rejected by name."""
-    if isinstance(value, (bool, np.bool_)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return whole(name, value)
+def positive(value) -> bool:
+    """Whether ``value`` is a finite number > 0; a boolean is not a number here."""
+    return not isinstance(value, (bool, np.bool_)) and 0.0 < value < np.inf
+
+
+def non_negative(value) -> bool:
+    """Whether ``value`` is a finite number >= 0, as :func:`positive` takes numbers."""
+    return not isinstance(value, (bool, np.bool_)) and 0.0 <= value < np.inf
 
 
 def read_only(a: np.ndarray) -> np.ndarray:
@@ -79,11 +84,6 @@ def reading(path: str, encoding: str = "utf-8", newline: str | None = None):
             raise ValueError(f"{path}: {exc}") from None
 
 
-def _positive_dt(dt: float) -> None:
-    if not 0.0 < dt < np.inf:
-        raise ValueError("dt must be finite and positive")
-
-
 def _points(a, name: str) -> np.ndarray:
     pts = np.asarray(a, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -106,8 +106,9 @@ class Segment:
     def __post_init__(self) -> None:
         if not isinstance(self.segment_id, str):
             raise ValueError(f"segment_id must be a str, got {self.segment_id!r}")
-        object.__setattr__(self, "agent_id", _whole_id("agent_id", self.agent_id))
-        _positive_dt(self.dt)
+        object.__setattr__(self, "agent_id", whole("agent_id", self.agent_id))
+        if not positive(self.dt):
+            raise ValueError("dt must be finite and positive")
         object.__setattr__(self, "history", _points(self.history, "history"))
         object.__setattr__(self, "future", _points(self.future, "future"))
 
@@ -131,7 +132,7 @@ class Dataset:
     def __post_init__(self) -> None:
         object.__setattr__(self, "tau", whole("tau", self.tau))
         object.__setattr__(self, "horizon", whole("horizon", self.horizon))
-        if not (0.0 < self.dt < np.inf and self.tau >= 0 and self.horizon >= 1):
+        if not (positive(self.dt) and self.tau >= 0 and self.horizon >= 1):
             raise ValueError(f"protocol needs a finite dt > 0, tau >= 0 and horizon >= 1, "
                              f"got dt={self.dt}, tau={self.tau}, horizon={self.horizon}")
         object.__setattr__(self, "segments", tuple(self.segments))
@@ -191,7 +192,7 @@ class Track:
     points: np.ndarray  # (n, 2) meters
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vehicle_id", _whole_id("vehicle_id", self.vehicle_id))
+        object.__setattr__(self, "vehicle_id", whole("vehicle_id", self.vehicle_id))
         object.__setattr__(self, "points", _points(self.points, "track points"))
 
 
@@ -329,8 +330,8 @@ def extract_segments(
             raise ValueError("tracks must share a uniform dt")
     window = tau + 1 + horizon
     starts = [range(0, len(t.points) - window + 1, stride) for t in tracks]
-    if any(starts):
-        _positive_dt(dt)
+    if any(starts) and not positive(dt):
+        raise ValueError("dt must be finite and positive")
     Dataset((), dt, tau, horizon)  # checks the protocol
     windows = np.concatenate([np.empty((0, window, 2))] + [as_strided(  # one view a track
         t.points, (len(run), window, 2), (stride * t.points.strides[0], *t.points.strides),
@@ -350,7 +351,7 @@ def split_dataset(
     """
     if len(ratios) != 3:
         raise ValueError(f"split ratios must be three (train, val, test), got {ratios}")
-    if not all(0.0 <= r < np.inf for r in ratios):
+    if not all(map(non_negative, ratios)):
         raise ValueError(f"split ratios must be finite and >= 0, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"split ratios must sum to 1, got {ratios}")
@@ -400,9 +401,9 @@ def gen_synthetic(
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}; valid: {', '.join(SCENARIOS)}")
-    if whole("n", n) < 1:
+    if (n := whole("n", n)) < 1:
         raise ValueError("n must be >= 1")
-    if not 0.0 <= noise_sigma < np.inf:
+    if not non_negative(noise_sigma):
         raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     Dataset((), dt, tau, horizon)  # checks the protocol before generating
     length = tau + 1 + horizon
@@ -588,7 +589,7 @@ def points_json(points) -> list[str]:
     return text
 
 
-@lru_cache(typed=True)  # typed: True and 1.0 ("1" and "1.0") share a key otherwise
+@lru_cache(typed=True)  # typed: 1.0 and an int subclass's 1 ("1") share a key otherwise
 def _dt_json(dt) -> str:
     return json.dumps(round(dt, 6))
 
@@ -679,7 +680,8 @@ def read_jsonl(path: str) -> Dataset:
                 raise ValueError("dt must be a JSON number")
             history = json_points(obj["history"], "history")
             future = json_points(obj["future"], "future")
-            _positive_dt(dt := float(obj["dt"]))  # Segment's checks, in its order
+            if not positive(dt := float(obj["dt"])):  # Segment's checks, in its order
+                raise ValueError("dt must be finite and positive")
             history, future = _points(history, "history"), _points(future, "future")
         except (ValueError, TypeError, OverflowError) as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from None

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gaussian import Cov2, psd_rule
+from .gaussian import Cov2, pd_rule, psd_rule
 
 # Innovation covariances with determinant at or below this (relative) level
 # signal that both inputs are degenerate in the same direction.
@@ -71,13 +71,12 @@ def estimates_from_arrays(means: np.ndarray, covs: np.ndarray) -> list[Estimate]
 def _checked(means, covs, definite: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Means and covariances as float arrays; ValueError unless every entry is
     finite and every covariance, its off-diagonals averaged, is PSD by
-    :func:`psd_rule` (positive definite if ``definite``)."""
+    :func:`psd_rule` (:func:`pd_rule` if ``definite``)."""
     means, covs = np.asarray(means, dtype=float), np.asarray(covs, dtype=float)
     if not (np.isfinite(means).all() and np.isfinite(covs).all()):
         raise ValueError("means and covariances must be finite")
     sxx, sxy, syy = covs[..., 0, 0], 0.5 * (covs[..., 0, 1] + covs[..., 1, 0]), covs[..., 1, 1]
-    ok = (sxx > 0.0) & (sxx * syy - sxy * sxy > 0.0) if definite else psd_rule(sxx, sxy, syy)
-    if not ok.all():
+    if not (pd_rule if definite else psd_rule)(sxx, sxy, syy).all():
         raise ValueError(f"covariance must be positive {'' if definite else 'semi'}definite")
     return means, covs
 

@@ -44,11 +44,11 @@ def cov_from_params(sigma_x, sigma_y, rho) -> np.ndarray:
     return out.reshape(*out.shape[:-1], 2, 2)
 
 
-def _sigma_rho(sxx, sxy, syy, sqrt=math.sqrt, any_=bool):
+def _sigma_rho(sxx, sxy, syy, sqrt=math.sqrt, all_=bool):
     """(sigma_x, sigma_y, rho) of covariance entries, the one formula for both
-    forms: floats as given, arrays with ``sqrt=np.sqrt, any_=np.any``. Every
-    covariance must be positive definite."""
-    if any_((sxx <= 0.0) | (syy <= 0.0) | (sxx * syy - sxy * sxy <= 0.0)):
+    forms: floats as given, arrays with ``sqrt=np.sqrt, all_=np.all``. Every
+    covariance must be positive definite by :func:`pd_rule`."""
+    if not all_(pd_rule(sxx, sxy, syy)):
         raise ValueError("covariance is not positive definite")
     sigma_x, sigma_y = sqrt(sxx), sqrt(syy)
     return sigma_x, sigma_y, sxy / (sigma_x * sigma_y)
@@ -71,14 +71,20 @@ def params_from_covs(covs: np.ndarray) -> np.ndarray:
     sxy = 0.5 * (c[..., 0, 1] + c[..., 1, 0])
     if not (np.isfinite(sxx) & np.isfinite(sxy) & np.isfinite(syy)).all():
         raise ValueError("covariance entries must be finite")
-    return np.stack(_sigma_rho(sxx, sxy, syy, np.sqrt, np.any), axis=-1)
+    return np.stack(_sigma_rho(sxx, sxy, syy, np.sqrt, np.all), axis=-1)
 
 
-def psd_rule(sxx, sxy, syy, tol: float = PSD_TOL):
-    """The tolerant PSD rule on covariance entries, floats or arrays
-    (elementwise); a NaN entry fails it."""
-    return ((sxx >= -tol) & (syy >= -tol)
-            & (sxx * syy - sxy * sxy >= -tol * np.maximum(1.0, sxx * syy)))
+def pd_rule(sxx, sxy, syy):
+    """The positive-definite rule on covariance entries, floats or arrays (elementwise):
+    sxx > 0 and a determinant > 0, which give syy > 0; a NaN entry fails it."""
+    return (sxx > 0.0) & (sxx * syy - sxy * sxy > 0.0)
+
+
+def psd_rule(sxx, sxy, syy):
+    """The PSD rule, tolerant by PSD_TOL, on covariance entries as
+    :func:`pd_rule` takes them; a NaN entry fails it."""
+    return ((sxx >= -PSD_TOL) & (syy >= -PSD_TOL)
+            & (sxx * syy - sxy * sxy >= -PSD_TOL * np.maximum(1.0, sxx * syy)))
 
 
 def log_density(mean: np.ndarray, cov: np.ndarray, point: np.ndarray) -> np.ndarray:
@@ -89,9 +95,9 @@ def log_density(mean: np.ndarray, cov: np.ndarray, point: np.ndarray) -> np.ndar
     d = np.asarray(point, dtype=float) - np.asarray(mean, dtype=float)
     c = np.asarray(cov, dtype=float)
     sxx, sxy, syy = c[..., 0, 0], c[..., 0, 1], c[..., 1, 1]
-    det = sxx * syy - sxy * sxy
-    if np.any(sxx <= 0.0) or np.any(det <= 0.0):
+    if not np.all(pd_rule(sxx, sxy, syy)):
         raise ValueError("covariance is not positive definite")
+    det = sxx * syy - sxy * sxy
     u, v = d[..., 0], d[..., 1]
     quad = (syy * u * u - 2.0 * sxy * u * v + sxx * v * v) / det
     return -np.log(2.0 * np.pi) - 0.5 * np.log(det) - 0.5 * quad

@@ -25,13 +25,13 @@ position- and heading-independent.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .data import Dataset, read_only, whole
+from .data import Dataset, non_negative, read_only, whole
+from .gaussian import pd_rule
 
 COV_FLOOR = 1e-6  # m^2 added to every fitted covariance; keeps fusion nonsingular
 
@@ -58,6 +58,8 @@ class GoalModelParams:
     rotate: bool = True
 
     def __post_init__(self) -> None:
+        if not isinstance(self.rotate, bool):
+            raise ValueError(f"rotate must be a boolean, got {self.rotate!r}")
         steps = _anchor_steps(self.anchor_steps)
         history_len = whole("history_len", self.history_len)
         if history_len < 2:
@@ -72,9 +74,8 @@ class GoalModelParams:
                 raise ValueError(f"weights of anchor {step} must have shape ({feat}, 2), "
                                  f"got {w.shape}")
         with np.errstate(invalid="ignore"):  # inf entries give NaN, which fails the rule
-            sxx, sxy, syy = c[:, 0, 0], c[:, 0, 1], c[:, 1, 1]
-            pd = (np.isfinite(c).all((1, 2)) & (sxy == c[:, 1, 0])
-                  & (sxx > 0.0) & (sxx * syy - sxy * sxy > 0.0))
+            pd = (np.isfinite(c).all((1, 2)) & (c[:, 0, 1] == c[:, 1, 0])
+                  & pd_rule(c[:, 0, 0], c[:, 0, 1], c[:, 1, 1]))
         if not pd.all():
             step = steps[np.argmin(pd)]
             raise ValueError(f"residual covariance of anchor {step} is not positive definite")
@@ -88,8 +89,8 @@ class GoalModelParams:
 def _anchor_steps(anchor_steps) -> tuple[int, ...]:
     """The anchor rule: a non-empty, strictly increasing run of steps >= 1."""
     try:
-        steps = tuple(map(operator.index, anchor_steps))
-    except TypeError:
+        steps = tuple(whole("anchor step", s) for s in anchor_steps)
+    except (TypeError, ValueError):
         raise ValueError(f"anchor steps must be integers, got {anchor_steps!r}") from None
     if not steps or any(s < 1 for s in steps):
         raise ValueError("anchor steps must be non-empty and each >= 1")
@@ -111,12 +112,6 @@ def calibration_split(train: Dataset, val: Dataset | None) -> Dataset:
     return val
 
 
-def check_ridge(ridge_lambda: float) -> None:
-    """Reject a ridge_lambda that is not finite and >= 0."""
-    if not 0.0 <= ridge_lambda < np.inf:
-        raise ValueError(f"ridge_lambda must be finite and >= 0, got {ridge_lambda!r}")
-
-
 def solve_ridge(x: np.ndarray, y: np.ndarray, ridge_lambda: float) -> np.ndarray:
     """Closed-form ridge solutions W_a of (X^T X + lambda I) W_a = X^T Y_a.
 
@@ -126,7 +121,8 @@ def solve_ridge(x: np.ndarray, y: np.ndarray, ridge_lambda: float) -> np.ndarray
     weights depend on the others. ridge_lambda must be finite and >= 0;
     with 0 the Gram matrix must be well conditioned.
     """
-    check_ridge(ridge_lambda)
+    if not non_negative(ridge_lambda):
+        raise ValueError(f"ridge_lambda must be finite and >= 0, got {ridge_lambda!r}")
     gram = x.T @ x
     if ridge_lambda == 0.0:
         eigs = np.linalg.eigvalsh(gram)

@@ -28,14 +28,6 @@ class Metrics:
     second_steps: tuple[int, ...]
     seconds: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "rmse_per_step", np.asarray(self.rmse_per_step, dtype=float)
-        )
-        object.__setattr__(
-            self, "rmse_at_seconds", np.asarray(self.rmse_at_seconds, dtype=float)
-        )
-
 
 def rmse(predictions, ground_truth: Dataset) -> Metrics:
     """RMSE of predicted means against a dataset's futures.

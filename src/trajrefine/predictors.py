@@ -30,12 +30,12 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .data import Dataset, read_only, whole
+from .data import Dataset, non_negative, positive, read_only, whole
 from .fusion import (Estimate, SingularInnovationError, estimates_from_arrays, gain_table,
                      rotated_gains)
 from .gaussian import psd_rule
-from .goals import (GoalModelParams, calibration_split, check_ridge, goal_moments,
-                    interpolate_covs, interpolate_goals, second_moments, solve_ridge)
+from .goals import (GoalModelParams, calibration_split, goal_moments, interpolate_covs,
+                    interpolate_goals, second_moments, solve_ridge)
 
 BACKBONES = ("cv", "ca", "ar")
 
@@ -61,7 +61,7 @@ class PredictorParams:
     def __post_init__(self) -> None:
         if self.backbone not in BACKBONES:
             raise ValueError(f"unknown backbone {self.backbone!r}; valid: {BACKBONES}")
-        if not 0.0 < self.dt < np.inf:
+        if not positive(self.dt):
             raise ValueError("dt must be finite and positive")
         object.__setattr__(self, "window", whole("window", self.window))
         object.__setattr__(self, "lag", whole("lag", self.lag))
@@ -141,7 +141,7 @@ class RefineConfig:
     goal_cov_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.goal_cov_scale < np.inf:
+        if not positive(self.goal_cov_scale):
             raise ValueError("goal_cov_scale must be finite and positive")
 
 
@@ -179,7 +179,8 @@ def fit_predictor(
     if window is None:
         window = 3 if backbone == "ca" else 2
     window, lag = whole("window", window), whole("lag", lag)
-    check_ridge(ridge_lambda)
+    if not non_negative(ridge_lambda):
+        raise ValueError(f"ridge_lambda must be finite and >= 0, got {ridge_lambda!r}")
     if not train.segments:
         raise ValueError("training set is empty")
     calib = calibration_split(train, val)
@@ -230,7 +231,7 @@ def fit_ar_rls(pairs, forgetting: float = 1.0, delta: float = 1e-8) -> np.ndarra
     """
     if not 0.0 < forgetting <= 1.0:
         raise ValueError("forgetting factor must be in (0, 1]")
-    if not 0.0 < delta < np.inf:
+    if not positive(delta):
         raise ValueError("delta must be finite and positive")
     weights = None
     p = None

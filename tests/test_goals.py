@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from trajrefine.data import Dataset, Segment, gen_synthetic
-from trajrefine.gaussian import cov_from_params, psd_rule
+from trajrefine.gaussian import cov_from_params
 from trajrefine.goals import (
     GoalModelParams,
     fit_goal_model,
@@ -208,7 +208,9 @@ def measurements(goals, last_obs, horizon=30):
 
 
 def psd(c, tol):
-    return psd_rule(c[0, 0], 0.5 * (c[0, 1] + c[1, 0]), c[1, 1], tol)
+    """The PSD rule at tolerance tol, which psd_rule fixes at PSD_TOL."""
+    sxx, sxy, syy = c[0, 0], 0.5 * (c[0, 1] + c[1, 0]), c[1, 1]
+    return sxx >= -tol and syy >= -tol and sxx * syy - sxy * sxy >= -tol * max(1.0, sxx * syy)
 
 
 class TestGoalMeasurementAt:
@@ -301,7 +303,7 @@ class TestGoalSetValidation:
         (16.0, "history_len must be an integer, got 16.0"),
         ("16", "history_len must be an integer, got '16'"),
         (1, "history_len must be at least 2, got 1"),
-        (True, "history_len must be at least 2, got True"),
+        (True, "history_len must be an integer, got True"),
     ], ids=["float", "string", "one", "bool"])
     def test_history_len_rejected_by_name(self, value, message):
         with pytest.raises(ValueError, match=f"^{message}$"):

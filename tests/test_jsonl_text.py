@@ -178,10 +178,13 @@ class TestWriteJsonl:
         assert_writes_like_reference(ds, tmp_path)
 
     def test_equal_dts_of_other_types_keep_their_text(self, tmp_path):
-        # dt's text is cached: equal keys of other types, such as 1.0 and True ("1.0" and
-        # "1"), must not share it
+        # dt's text is cached: equal keys of other types, such as 1.0 and 1 ("1.0" and
+        # "1"), must not share it; only the typed cache keeps an int subclass apart
+        class Int(int):
+            pass
+
         points = np.array([[1.5, -2.25]])
-        for dt in (1.0, True, 1, np.float64(1.0), 1.0, True):
+        for dt in (1.0, Int(1), 1, np.float64(1.0), 1.0, Int(1), 1):
             ds = Dataset([Segment("a", 3, dt, points, points)], dt, 0, 1)
             assert_writes_like_reference(ds, tmp_path)
 
