@@ -102,7 +102,9 @@ def _load_config(path: str) -> dict[str, str]:
 
 
 def _merge(options: list[Opt], args: argparse.Namespace) -> argparse.Namespace:
-    config = _load_config(args.config) if args.config else {}
+    if args.config == "":
+        raise ValueError("--config: invalid value ''")
+    config = _load_config(args.config) if args.config is not None else {}
     merged = argparse.Namespace()
     for opt in options:
         raw = getattr(args, opt.dest)

@@ -15,7 +15,7 @@ import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, islice, repeat
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -51,6 +51,11 @@ def positive(value) -> bool:
 def non_negative(value) -> bool:
     """Whether ``value`` is a finite number >= 0, as :func:`positive` takes numbers."""
     return not isinstance(value, (bool, np.bool_)) and 0.0 <= value < np.inf
+
+
+def plain(value):
+    """A numpy scalar as the plain Python number ``.item()`` gives; anything else as it is."""
+    return value.item() if isinstance(value, np.generic) else value
 
 
 def read_only(a: np.ndarray) -> np.ndarray:
@@ -107,6 +112,7 @@ class Segment:
         if not isinstance(self.segment_id, str):
             raise ValueError(f"segment_id must be a str, got {self.segment_id!r}")
         object.__setattr__(self, "agent_id", whole("agent_id", self.agent_id))
+        object.__setattr__(self, "dt", plain(self.dt))
         if not positive(self.dt):
             raise ValueError("dt must be finite and positive")
         object.__setattr__(self, "history", _points(self.history, "history"))
@@ -132,6 +138,7 @@ class Dataset:
     def __post_init__(self) -> None:
         object.__setattr__(self, "tau", whole("tau", self.tau))
         object.__setattr__(self, "horizon", whole("horizon", self.horizon))
+        object.__setattr__(self, "dt", plain(self.dt))
         if not (positive(self.dt) and self.tau >= 0 and self.horizon >= 1):
             raise ValueError(f"protocol needs a finite dt > 0, tau >= 0 and horizon >= 1, "
                              f"got dt={self.dt}, tau={self.tau}, horizon={self.horizon}")
@@ -172,7 +179,7 @@ def _from_stacks(ids, agents, dt: float, histories: np.ndarray, futures: np.ndar
     horizon, 2) stacks that the caller has checked as Segment and Dataset
     would, so neither runs its ``__init__``; segments view the stacks."""
     histories, futures = (read_only(np.ascontiguousarray(a)) for a in (histories, futures))
-    segments = []
+    dt, segments = plain(dt), []
     for sid, agent, history, future in zip(ids, agents, histories, futures):
         vars(seg := object.__new__(Segment)).update(
             segment_id=sid, agent_id=agent, dt=dt, history=history, future=future)
@@ -601,12 +608,17 @@ def _write_blocks(path: str, n: int, block_lines) -> None:
             fh.write("".join(block_lines(slice(lo, lo + TEXT_BLOCK))))
 
 
+def _segment_line(sid: str, agent: int, dt: str, history: str, future: str) -> str:
+    """The line :func:`write_jsonl` writes for a segment, given dt's and the points' text."""
+    return (f'{{"segment_id":{json.dumps(sid)},"agent_id":{agent},"dt":{dt},'
+            f'"history":{history},"future":{future}}}\n')
+
+
 def write_jsonl(ds: Dataset, path: str) -> None:
     """One JSON object per segment; coordinates rounded by :func:`round6` and
     written by :func:`points_json`, dt as ``json.dumps(round(dt, 6))``."""
     _write_blocks(path, len(ds), lambda rows: (
-        f'{{"segment_id":{json.dumps(seg.segment_id)},"agent_id":{seg.agent_id},'
-        f'"dt":{_dt_json(seg.dt)},"history":{h},"future":{f}}}\n'
+        _segment_line(seg.segment_id, seg.agent_id, _dt_json(seg.dt), h, f)
         for seg, h, f in zip(ds.segments[rows], points_json(ds.histories()[rows]),
                              points_json(ds.futures()[rows]))))
 
@@ -656,6 +668,37 @@ def json_points(value, name: str, rows: str = "[x, y] pairs") -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
+def _read_bulk(path: str) -> Dataset | None:
+    """read_jsonl's bulk pass: the dataset of a file as write_jsonl writes it, else None."""
+    ids, agents, histories, futures, dt_text = [], [], [], [], None
+    try:
+        with open(path, encoding="utf-8") as fh:
+            while lines := list(islice(fh, TEXT_BLOCK)):
+                parts = [line.split('"') for line in lines]
+                if dt_text is None:  # every line must repeat the first line's dt text
+                    dt = float(dt_text := parts[0][8][1:-1])
+                block = [p[3] for p in parts], [int(p[6][1:-1]) for p in parts]
+                h, f = (np.array(",".join(texts).replace("[", "").replace("]", "").split(","),
+                                 dtype=float).reshape(len(lines), -1, 2)
+                        for texts in ([p[10][1:-1] for p in parts], [p[12][1:-3] for p in parts]))
+                if not (np.isfinite(h).all() and np.isfinite(f).all()):
+                    return None
+                if "".join(lines) != "".join(map(_segment_line, *block, repeat(dt_text),
+                                                 points_json(h), points_json(f))):
+                    return None
+                ids += block[0]
+                agents += block[1]
+                histories.append(h)
+                futures.append(f)
+            if (not ids or len(set(ids)) < len(ids) or not positive(dt)
+                    or dt_text not in (_dt_json(dt), _dt_json(int(dt)))):
+                return None
+            return _from_stacks(ids, agents, dt, np.concatenate(histories),
+                                np.concatenate(futures), path)
+    except (ValueError, IndexError):  # a decode error is a ValueError
+        return None
+
+
 def read_jsonl(path: str) -> Dataset:
     """Inverse of :func:`write_jsonl`; schema errors carry the line number.
 
@@ -664,7 +707,15 @@ def read_jsonl(path: str) -> Dataset:
     integer and ``dt``, ``history`` and ``future`` JSON numbers. Keys other
     than the segment fields, such as the ``neighbors`` list older files
     carry, are ignored.
+
+    A bulk pass reads ``TEXT_BLOCK`` lines at a time, split on ``"``, with one
+    ``float``-exact numpy cast for a block's coordinates, and keeps a file only
+    if write_jsonl's line builder rebuilds every line byte for byte, values
+    finite, dt positive and ids distinct; any other file takes the exact pass,
+    ``json.loads`` line by line, which names the first line at fault.
     """
+    if (ds := _read_bulk(path)) is not None:
+        return ds
     records = []  # (segment id, agent id, history, future)
     first_line: dict[str, int] = {}
     protocol: tuple[float, int, int] | None = None

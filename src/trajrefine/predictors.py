@@ -30,7 +30,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .data import Dataset, non_negative, positive, read_only, whole
+from .data import Dataset, non_negative, plain, positive, read_only, whole
 from .fusion import (Estimate, SingularInnovationError, estimates_from_arrays, gain_table,
                      rotated_gains)
 from .gaussian import psd_rule
@@ -61,6 +61,7 @@ class PredictorParams:
     def __post_init__(self) -> None:
         if self.backbone not in BACKBONES:
             raise ValueError(f"unknown backbone {self.backbone!r}; valid: {BACKBONES}")
+        object.__setattr__(self, "dt", plain(self.dt))
         if not positive(self.dt):
             raise ValueError("dt must be finite and positive")
         object.__setattr__(self, "window", whole("window", self.window))
@@ -229,7 +230,7 @@ def fit_ar_rls(pairs, forgetting: float = 1.0, delta: float = 1e-8) -> np.ndarra
     delta; with forgetting < 1 it matches the exponentially weighted batch
     solution. The recursion is well defined for any finite delta > 0.
     """
-    if not 0.0 < forgetting <= 1.0:
+    if not (positive(forgetting) and forgetting <= 1.0):
         raise ValueError("forgetting factor must be in (0, 1]")
     if not positive(delta):
         raise ValueError("delta must be finite and positive")

@@ -14,7 +14,7 @@ import pytest
 
 from trajrefine.cli import load_model, main, save_model
 from trajrefine.data import (Dataset, Segment, gen_synthetic, non_negative, positive,
-                             whole, write_jsonl)
+                             read_jsonl, whole, write_jsonl)
 from trajrefine.gaussian import Cov2, log_density, params_from_cov, pd_rule
 from trajrefine.goals import GoalModelParams, fit_goal_model, solve_ridge
 from trajrefine.predictors import PredictorParams, RefineConfig, fit_ar_rls, fit_predictor
@@ -92,6 +92,12 @@ class TestBooleanIsNotANumber:
         with raises("delta must be finite and positive"):
             fit_ar_rls([(np.array([1.0]), 2.0)], delta=value)
 
+    @pytest.mark.parametrize("value", [True, np.True_, float("nan")])
+    def test_rls_forgetting(self, value):
+        # True returned weights, as forgetting 1.0 does
+        with raises("forgetting factor must be in (0, 1]"):
+            fit_ar_rls([(np.array([1.0]), 2.0)], forgetting=value)
+
     @pytest.mark.parametrize("value", [True, False, np.True_])
     def test_ridge_lambda(self, value):
         train = gen_synthetic("cv", 8, 0.1, seed=4)
@@ -135,6 +141,28 @@ class TestNanCovarianceIsNotPositiveDefinite:
         assert params_from_cov(Cov2(4.0, 1.0, 1.0)) == (2.0, 1.0, 0.5)
 
 
+class TestNumpyScalarDtIsStoredAsAPlainNumber:
+    """write_jsonl and save_model raised ``TypeError: Object of type int64 is not
+    JSON serializable`` for a numpy-scalar dt that the constructors had accepted."""
+
+    @pytest.mark.parametrize("dt,text", [(np.int64(1), "1"), (np.float64(0.5), "0.5"),
+                                         (np.float32(0.25), "0.25")])
+    def test_dataset_and_segment(self, tmp_path, dt, text):
+        points = np.zeros((3, 2))
+        ds = Dataset([Segment("a", 1, dt, points, points)], dt, 2, 3)
+        assert type(ds.dt) is type(ds.segments[0].dt) is type(dt.item())
+        path = tmp_path / "d.jsonl"
+        write_jsonl(ds, str(path))
+        assert f'"dt":{text},' in path.read_text(encoding="utf-8")
+        assert read_jsonl(str(path)).dt == dt
+
+    @pytest.mark.parametrize("dt", [np.int64(1), np.float32(0.25)])
+    def test_generated_and_predictor_dt(self, dt):
+        ds = gen_synthetic("cv", 3, 0.0, seed=0, dt=dt)
+        assert type(ds.dt) is type(ds.segments[0].dt) is type(dt.item())
+        assert type(PredictorParams("cv", dt, np.eye(2)[None]).dt) is type(dt.item())
+
+
 def corpus(dt) -> Dataset:
     """A lane-change corpus at ``dt`` whose agent ids are np.int64."""
     base = gen_synthetic("lane_change", 40, 0.2, seed=3, dt=dt)
@@ -142,7 +170,8 @@ def corpus(dt) -> Dataset:
                     for s in base.segments], dt, np.int64(base.tau), np.int64(base.horizon))
 
 
-@pytest.mark.parametrize("dt", [1, np.float64(0.2), 0.2], ids=["int", "float64", "float"])
+@pytest.mark.parametrize("dt", [1, np.int64(1), np.float64(0.2), 0.2],
+                         ids=["int", "int64", "float64", "float"])
 @pytest.mark.parametrize("backbone", ["cv", "ca", "ar"])
 @pytest.mark.parametrize("rotate", [True, False])
 def test_what_the_constructors_accept_the_model_reader_accepts(tmp_path, dt, backbone, rotate):
@@ -177,6 +206,14 @@ class TestEmptyOptionValue:
         assert main(["gen-synth", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == "error: --out: invalid value ''\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+    def test_config_path(self, tmp_path, monkeypatch, capsys):
+        # ran without a config file and exited 0
+        monkeypatch.chdir(tmp_path)
+        assert main(["gen-synth", "--config", "", "--scenario", "cv", "--n", "2",
+                     "--out", "x.jsonl"]) == 2
+        assert capsys.readouterr().err == "error: --config: invalid value ''\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_from_the_command_line(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
