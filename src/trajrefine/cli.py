@@ -191,8 +191,7 @@ def save_model(
         },
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        fh.write(json.dumps(doc) + "\n")  # json.dump would take the pure-Python encoder
 
 
 def load_model(path: str) -> tuple[PredictorParams, GoalModelParams, dict]:
@@ -245,7 +244,7 @@ def load_model(path: str) -> tuple[PredictorParams, GoalModelParams, dict]:
         return predictor, goal_model, protocol
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc} in model file") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:  # json.load: nested too deeply
         raise ValueError(f"{path}: invalid model file: {exc}") from None
 
 

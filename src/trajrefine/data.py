@@ -616,7 +616,11 @@ def _segment_line(sid: str, agent: int, dt: str, history: str, future: str) -> s
 
 def write_jsonl(ds: Dataset, path: str) -> None:
     """One JSON object per segment; coordinates rounded by :func:`round6` and
-    written by :func:`points_json`, dt as ``json.dumps(round(dt, 6))``."""
+    written by :func:`points_json`, dt as ``json.dumps(round(dt, 6))``. A dt
+    whose text would read 0 is rejected before the file is opened."""
+    for dt in {ds.dt, *(seg.dt for seg in ds.segments)}:
+        if round(dt, 6) == 0:
+            raise ValueError(f"dt={dt!r} rounds to 0 at the 6 decimals a dataset file carries")
     _write_blocks(path, len(ds), lambda rows: (
         _segment_line(seg.segment_id, seg.agent_id, _dt_json(seg.dt), h, f)
         for seg, h, f in zip(ds.segments[rows], points_json(ds.histories()[rows]),
@@ -647,6 +651,8 @@ def read_records(path: str, fields: tuple[str, ...]):
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from None
+            except RecursionError:
+                raise ValueError(f"{path}: line {lineno}: JSON nested too deeply") from None
             if not isinstance(obj, dict):
                 raise ValueError(f"{path}: line {lineno}: expected a JSON object")
             for key in fields:

@@ -18,10 +18,13 @@ N angles with one GEMM and one division, which is how the rollout engine
 gets every gain of T steps and N segments from one cached (T, 2, 2) prior
 and measurement table; :func:`gain_update` is the same at the identity
 rotation, and :func:`fuse` the same with means, over arrays like the rest.
-:func:`estimates_from_arrays` builds the one-segment adapters' records.
+:func:`estimates_from_arrays` builds the one-segment adapters' records
+after one pass of the same checks as :func:`fuse`.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
 
 import numpy as np
 
@@ -62,23 +65,24 @@ class Estimate:
 def estimates_from_arrays(means: np.ndarray, covs: np.ndarray) -> list[Estimate]:
     """One Estimate per row of (T, 2) means and (T, 2, 2) covariances, checked
     once as arrays; off-diagonal entries are averaged."""
-    means, c = _checked(np.reshape(means, (-1, 2)), np.reshape(covs, (-1, 2, 2)))
-    sxy = 0.5 * (c[:, 0, 1] + c[:, 1, 0])
-    return list(map(Estimate, means,
-                    map(Cov2, c[:, 0, 0].tolist(), sxy.tolist(), c[:, 1, 1].tolist())))
+    means, c, sxy = _checked(np.asarray(means, dtype=float).reshape(-1, 2),
+                             np.asarray(covs, dtype=float).reshape(-1, 2, 2))
+    entries = zip(c[:, 0, 0].tolist(), sxy.tolist(), c[:, 1, 1].tolist())
+    return list(map(Estimate, means, map(tuple.__new__, repeat(Cov2), entries)))
 
 
-def _checked(means, covs, definite: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Means and covariances as float arrays; ValueError unless every entry is
-    finite and every covariance, its off-diagonals averaged, is PSD by
-    :func:`psd_rule` (:func:`pd_rule` if ``definite``)."""
+def _checked(means, covs, definite: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Means and covariances as float arrays, and the mean sxy of each
+    covariance's two off-diagonals; ValueError unless every entry is finite
+    and every (sxx, sxy, syy) is PSD by :func:`psd_rule` (:func:`pd_rule` if
+    ``definite``)."""
     means, covs = np.asarray(means, dtype=float), np.asarray(covs, dtype=float)
     if not (np.isfinite(means).all() and np.isfinite(covs).all()):
         raise ValueError("means and covariances must be finite")
     sxx, sxy, syy = covs[..., 0, 0], 0.5 * (covs[..., 0, 1] + covs[..., 1, 0]), covs[..., 1, 1]
     if not (pd_rule if definite else psd_rule)(sxx, sxy, syy).all():
         raise ValueError(f"covariance must be positive {'' if definite else 'semi'}definite")
-    return means, covs
+    return means, covs, sxy
 
 
 def gain_table(p: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -200,7 +204,7 @@ def fuse(x, p, z, r) -> tuple[np.ndarray, np.ndarray]:
     Raises ValueError for a non-finite input or a non-PSD covariance, and
     SingularInnovationError for a singular P + R.
     """
-    (x, p), (z, r) = _checked(x, p), _checked(z, r)
+    (x, p, _), (z, r, _) = _checked(x, p), _checked(z, r)
     gain, cov = gain_update(p, r)
     return x + _apply(gain, z - x), cov
 
@@ -212,7 +216,7 @@ def info_fuse(x, p, z, r) -> tuple[np.ndarray, np.ndarray]:
     to :func:`fuse` for positive-definite inputs, which it requires; kept
     as an independent formulation so the two can validate each other.
     """
-    (x, p), (z, r) = _checked(x, p, definite=True), _checked(z, r, definite=True)
+    (x, p, _), (z, r, _) = _checked(x, p, definite=True), _checked(z, r, definite=True)
     p_inv, r_inv = np.linalg.inv(p), np.linalg.inv(r)
     cov = np.linalg.inv(p_inv + r_inv)
     cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))

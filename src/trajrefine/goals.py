@@ -152,14 +152,15 @@ def _ego_frame(histories: np.ndarray, rotate: bool) -> tuple[np.ndarray, np.ndar
     """
     n, length, _ = histories.shape
     if rotate:
-        net = histories[:, -1] - histories[:, 0]
-        moving = np.hypot(net[:, 0], net[:, 1]) >= 1e-12
-        theta = np.where(moving, np.arctan2(net[:, 1], net[:, 0]), 0.0)
+        x, y = (histories[:, -1] - histories[:, 0]).T
+        theta = np.where(np.hypot(x, y) >= 1e-12, np.arctan2(y, x), 0.0)
         c, s = np.cos(theta), np.sin(theta)
-        rot = np.stack([c, -s, s, c], axis=-1).reshape(n, 2, 2)
+        rot = np.empty((n, 2, 2))
+        rot[:, 0, 0] = rot[:, 1, 1] = c
+        rot[:, 0, 1], rot[:, 1, 0] = -s, s
     else:
         rot = np.broadcast_to(np.eye(2), (n, 2, 2))
-    disp = np.diff(histories, axis=1) @ rot  # each row rotated by -theta
+    disp = (histories[:, 1:] - histories[:, :-1]) @ rot  # each row rotated by -theta
     return disp.reshape(n, 2 * (length - 1)), rot
 
 
@@ -227,9 +228,8 @@ def goal_moments(
             f"configuration ({params.history_len}, 2)"
         )
     feats, rot = _ego_frame(histories, params.rotate)
-    n, anchors = len(histories), len(params.anchor_steps)
-    ego = (feats @ params.weight_matrix).reshape(n, anchors, 2)
-    return histories[:, -1:] + ego @ np.swapaxes(rot, 1, 2), rot
+    ego = (feats @ params.weight_matrix).reshape(len(histories), len(params.anchor_steps), 2)
+    return histories[:, -1:] + ego @ rot.swapaxes(1, 2), rot
 
 
 def world_covs(ego: np.ndarray, rot: np.ndarray) -> np.ndarray:
@@ -265,11 +265,12 @@ def interpolate_goals(
     node means.
     """
     table, _, _ = _interpolation_table(tuple(anchor_steps), horizon)
-    n, anchors = np.shape(means)[:2]
+    means = np.asarray(means)
+    n, anchors = means.shape[:2]
     nodes = np.empty((anchors + 1, n, 2))  # row 0 is the virtual step-0 anchor
     nodes[0] = last_obs
-    nodes[1:] = np.swapaxes(means, 0, 1)
-    return np.swapaxes((table @ nodes.reshape(anchors + 1, -1)).reshape(horizon, n, 2), 0, 1)
+    nodes[1:] = means.swapaxes(0, 1)
+    return (table @ nodes.reshape(anchors + 1, -1)).reshape(horizon, n, 2).swapaxes(0, 1)
 
 
 def interpolate_covs(anchor_steps: tuple[int, ...], covs: np.ndarray, horizon: int) -> np.ndarray:

@@ -18,7 +18,8 @@ ego-frame measurement tables do not depend on the segments, so their
 :func:`~trajrefine.fusion.gain_table` is cached, and each segment enters
 only through its heading, in one GEMM. Its buffer is (buffer_len + T, 2, N)
 step-major component planes, so a fused step is elementwise work on (2, N)
-planes; the means it returns are a transposed view of the buffer.
+planes; the means it returns are a transposed view of the buffer. Around
+the step loop a call makes a fixed count of numpy calls, whatever N.
 ``rollout``, ``rollout_vanilla`` and ``rollout_refined`` are its one-segment
 adapters; they validate their estimates once, as arrays.
 """
@@ -334,17 +335,19 @@ def _step(params: PredictorParams, histories: np.ndarray, horizon: int, goal_par
         except SingularInnovationError as exc:
             step = exc.index[0] + 1
             raise SingularInnovationError(f"step {step}: {exc}", step=step) from exc
-        covs = np.swapaxes(post, 0, 1)
+        covs = post.swapaxes(0, 1)
         # work[i, j] = K[i, j] d[j] for j < 2 and work[i, 2] = raw[i], so the
         # sum over j is (K d)_i + raw_i in the order of a 2x2 matvec
         work, d = np.empty((2, 3, n)), np.empty((2, n))
         raw, kd = work[:, 2], work[:, :2]
+        raw_t, matmul, multiply, subtract = raw.T, np.matmul, np.multiply, np.subtract
+        reduce = np.add.reduce  # each looked up once, not at each of the T steps
         for window, z_k, gain, row in zip(windows, z, gains.transpose(0, 2, 3, 1), rows):
-            np.matmul(window, weights, out=raw.T)
-            np.multiply(gain, np.subtract(z_k, raw, out=d), out=kd)
-            np.add.reduce(work, axis=1, out=row)
+            matmul(window, weights, raw_t)
+            multiply(gain, subtract(z_k, raw, d), kd)
+            reduce(work, 1, None, row)
     means = rows.transpose(2, 0, 1)
-    if not np.all(np.isfinite(means)):
+    if not np.isfinite(means).all():
         raise ValueError("rollout produced non-finite positions")
     return means, covs
 

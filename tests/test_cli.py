@@ -82,6 +82,14 @@ class TestGenSynth:
         assert f"error: {message}\n" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_dt_written_as_zero_exits_2_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "x.jsonl"
+        assert run("gen-synth", "--scenario", "cv", "--n", "2", "--dt", "1e-7",
+                   "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            "error: dt=1e-07 rounds to 0 at the 6 decimals a dataset file carries\n")
+        assert not out.exists()
+
 
 class TestIngestNgsim:
     def write_csv(self, path, n_frames=130, vehicles=(1, 2)):
@@ -469,6 +477,20 @@ class TestPredict:
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_deeply_nested_model_file_exits_2_naming_it(self, tmp_path, capsys):
+        train = gen(tmp_path, "train.jsonl", n=5)
+        model = tmp_path / "model.json"
+        model.write_text("[" * 100000 + "\n")
+        assert run("predict", "--model", str(model), "--data", str(train),
+                   "--out", str(tmp_path / "p.jsonl")) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {model}: invalid model file: maximum recursion depth exceeded")
+
+    def test_model_file_is_json_dumps_of_its_document(self, tmp_path):
+        model = fit(tmp_path, gen(tmp_path, "train.jsonl"))
+        text = model.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text)) + "\n"
+
     def test_model_file_round_trip_matches_in_memory(self, tmp_path):
         train_ds = gen_synthetic("lane_change", 60, 0.2, seed=11)
         params = fit_predictor("ar", train_ds, lag=3)
@@ -518,6 +540,16 @@ class TestEvalAndAblate:
         assert capsys.readouterr().err == (
             f"error: {preds}: line 3: 'utf-8' codec can't decode byte 0xff in position 16: "
             "invalid start byte\n")
+
+    def test_deeply_nested_predictions_exit_2_naming_file_and_line(self, tmp_path, capsys):
+        data = gen(tmp_path, "d.jsonl", scenario="cv", noise=0.0, n=3)
+        preds = tmp_path / "p.jsonl"
+        seg = read_jsonl(str(data)).segments[0]
+        preds.write_text(json.dumps({"segment_id": seg.segment_id, "means": seg.future.tolist(),
+                                     "mode": "vanilla"}) + "\n" + "[" * 100000 + "\n")
+        assert run("eval", "--predictions", str(preds), "--data", str(data),
+                   "--out", str(tmp_path / "m.csv")) == 2
+        assert capsys.readouterr().err == f"error: {preds}: line 2: JSON nested too deeply\n"
 
     @pytest.mark.parametrize("dt,horizon,seconds", [("0.3", "25", "rmse_3s,rmse_6s"),
                                                     ("2.5", "4", "rmse_5s,rmse_10s")])

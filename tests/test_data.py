@@ -832,6 +832,37 @@ class TestJsonl:
         assert re.fullmatch(rf"{re.escape(str(path))}: line 3: invalid JSON \(.+\)",
                             str(exc.value))
 
+    def test_deeply_nested_line_named_with_line(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        write_jsonl(gen_synthetic("cv", 2, 0.0, seed=1), str(path))
+        path.write_text(path.read_text() + "[" * 100000 + "\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 3: "
+                                             "JSON nested too deeply$"):
+            read_jsonl(str(path))
+
+    @pytest.mark.parametrize("dt,seg_dt", [(1e-7, 1e-7), (5e-7, 5e-7),
+                                           (np.nextafter(5e-7, 1.0).item(), 5e-7)],
+                             ids=["1e-7", "5e-7", "segment-5e-7"])
+    def test_dt_written_as_zero_rejected_before_the_file_opens(self, tmp_path, dt, seg_dt):
+        p = np.zeros((2, 2))
+        path = tmp_path / "d.jsonl"
+        with pytest.raises(ValueError, match=rf"^dt={seg_dt!r} rounds to 0 at the 6 decimals"):
+            write_jsonl(Dataset([Segment("a", 1, seg_dt, p, p)], dt, 1, 2), str(path))
+        assert not path.exists()
+
+    def test_smallest_dt_written_reads_back(self, tmp_path):
+        dt = np.nextafter(5e-7, 1.0).item()  # the next smaller float is 5e-07, written 0.0
+        p = np.arange(4.0).reshape(2, 2)
+        path = tmp_path / "d.jsonl"
+        write_jsonl(Dataset([Segment("a", 1, dt, p, p)], dt, 1, 2), str(path))
+        assert '"dt":1e-06,' in path.read_text()
+        back = read_jsonl(str(path))
+        assert back.dt == 1e-06
+        np.testing.assert_array_equal(back.histories(), [p])
+        again = tmp_path / "again.jsonl"
+        write_jsonl(back, str(again))
+        assert again.read_bytes() == path.read_bytes()
+
     def test_non_object_line_rejected_with_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         write_jsonl(gen_synthetic("cv", 1, 0.0, seed=1), str(path))

@@ -257,16 +257,18 @@ class TestEstimatesFromArrays:
         covs[4] = 0.0
         got = estimates_from_arrays(means, covs)
         assert all(type(e) is Estimate and type(e.cov) is Cov2 for e in got)
+        assert all(type(v) is float for e in got for v in e.cov)
         assert bits(got) == bits(per_object(means, covs))
+        assert bits(estimates_from_arrays(means.tolist(), covs.tolist())) == bits(got)
         assert [e.cov for e in got] == [e.cov for e in per_object(means, covs)]
         assert estimates_from_arrays(np.empty((0, 2)), np.empty((0, 2, 2))) == []
 
     @pytest.mark.parametrize("kind,value,message", [
-        ("mean", np.nan, "must be finite"),
-        ("cov", np.inf, "must be finite"),
-        ("offdiag", np.nan, "must be finite"),
-        ("sxx", -2.0 * PSD_TOL, "must be positive semidefinite"),
-        ("det", 1e-8, "must be positive semidefinite"),
+        ("mean", np.nan, "^means and covariances must be finite$"),
+        ("cov", np.inf, "^means and covariances must be finite$"),
+        ("offdiag", np.nan, "^means and covariances must be finite$"),
+        ("sxx", -2.0 * PSD_TOL, "^covariance must be positive semidefinite$"),
+        ("det", 1e-8, "^covariance must be positive semidefinite$"),
     ], ids=["mean", "entry", "offdiag", "sxx-below-tol", "det-below-tol"])
     def test_one_bad_row_rejects_the_rollout(self, kind, value, message):
         rng = np.random.default_rng(11)

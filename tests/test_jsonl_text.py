@@ -170,8 +170,9 @@ class TestWriteJsonl:
         assert_writes_like_reference(ds, tmp_path)
         assert read_jsonl(str(tmp_path / "d.jsonl")).segments[1].segment_id == segment_id
 
-    @pytest.mark.parametrize("dt", [1, np.float64(0.2), 0.30000000000000004, 1e-7, 2.5e-05,
-                                    1e9 + 0.5, 10**400])
+    # 5.000000000000001e-07, the smallest dt whose 6-decimal text is not 0, is written 1e-06
+    @pytest.mark.parametrize("dt", [1, np.float64(0.2), 0.30000000000000004,
+                                    5.000000000000001e-07, 2.5e-05, 1e9 + 0.5, 10**400])
     def test_any_dt(self, tmp_path, dt):
         points = np.array([[1.5, -2.25]])
         ds = Dataset([Segment("a", np.int64(3), dt, points, points)], dt, 0, 1)

@@ -245,11 +245,15 @@ def test_fit_goal_model_equals_reference_fit(corpus, anchors, with_val, ridge, r
     assert_bitwise(params.residual_covs, covs)
 
 
-def test_batch_equals_single_calls(fitted):
-    _, test, predictors, goals = fitted
+@pytest.mark.parametrize("rotate", (True, False), ids=["rotate", "world-axes"])
+@pytest.mark.parametrize("anchors", ANCHOR_SETS)
+def test_batch_equals_single_calls(fitted, anchors, rotate):
+    train, test, predictors, goals = fitted
     histories = test.histories()
+    goal_model = (goals[anchors] if rotate
+                  else fit_goal_model(train, ANCHOR_SETS[anchors], rotate=False))
     for params in predictors.values():
-        for goal_params in (None, goals["sparse"]):
+        for goal_params in (None, goal_model):
             cfg = RefineConfig(refine_enabled=goal_params is not None)
             means, covs = rollout_batch(params, histories, None, goal_params, cfg)
             for i, history in enumerate(histories):
@@ -265,6 +269,31 @@ def test_batch_equals_single_calls(fitted):
                     params, history[None], None, goal_params, cfg)
                 assert_bitwise(row_means[0], single_means)
                 assert_bitwise(row_covs[0], single_covs)
+
+
+@pytest.mark.parametrize("form", ("list", "int", "float32"))
+def test_other_history_forms_give_the_bytes_of_float64_arrays(fitted, form):
+    _, test, predictors, goals = fitted
+    histories = {"list": test.histories(), "int": np.rint(test.histories()).astype(int),
+                 "float32": test.histories().astype(np.float32)}[form]
+    as_float = np.asarray(histories, dtype=float)
+    given = histories.tolist() if form == "list" else histories
+    params, goal_params = predictors["ca3"], goals["dense"]
+    goal_means, rot = goal_moments(goal_params, given)
+    expected_means, expected_rot = goal_moments(goal_params, as_float)
+    assert_bitwise(goal_means, expected_means)
+    assert_bitwise(rot, expected_rot)
+    steps = goal_params.anchor_steps
+    assert_bitwise(interpolate_goals(steps, as_float[:, -1].tolist(), goal_means.tolist(), 25),
+                   interpolate_goals(steps, as_float[:, -1], goal_means, 25))
+    for gp in (None, goal_params):
+        cfg = RefineConfig(refine_enabled=gp is not None)
+        for got, want in zip(rollout_batch(params, given, None, gp, cfg),
+                             rollout_batch(params, as_float, None, gp, cfg)):
+            assert_bitwise(got, want)
+        got, want = (rollout(params, gp, h, None, cfg) for h in (given[0], as_float[0]))
+        assert_bitwise([e.mean for e in got], [e.mean for e in want])
+        assert [e.cov for e in got] == [e.cov for e in want]
 
 
 def test_singular_step_matches_reference():
