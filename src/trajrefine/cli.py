@@ -21,12 +21,13 @@ import numpy as np
 
 from .data import (
     Dataset,
+    check_protocol,
     downsample,
     extract_segments,
     gen_synthetic,
     json_points,
     parse_ngsim_csv,
-    positive,
+    protocol_mismatch,
     read_jsonl,
     read_records,
     reading,
@@ -232,12 +233,11 @@ def load_model(path: str) -> tuple[PredictorParams, GoalModelParams, dict]:
             history_len=_json(g, "history_len", "integer"),
             rotate=_json(g, "rotate", "boolean"),
         )
-        fitted = {"dt": predictor.dt, "tau": goal_model.history_len - 1,
-                  "horizon": predictor.horizon}  # each is positive and finite
-        for key in PROTOCOL_KEYS:  # a NaN never matches
-            if not (positive(protocol[key]) and abs(protocol[key] - fitted[key]) <= 1e-9):
-                raise ValueError(f"protocol {key}={protocol[key]} does not match the "
-                                 f"models' {key}={fitted[key]}")
+        fitted = check_protocol(predictor.dt, goal_model.history_len - 1, predictor.horizon)
+        if key := protocol_mismatch(protocol, fitted, PROTOCOL_KEYS):
+            raise ValueError(f"protocol {key}={protocol[key]} does not match the "
+                             f"models' {key}={fitted[key]}")
+        check_protocol(**protocol)  # a models' dt of 1e-9 or less matches a dt <= 0
         if (last := goal_model.anchor_steps[-1]) > predictor.horizon:
             raise ValueError(
                 f"anchor step {last} exceeds the protocol horizon {predictor.horizon}")
@@ -248,17 +248,10 @@ def load_model(path: str) -> tuple[PredictorParams, GoalModelParams, dict]:
         raise ValueError(f"{path}: invalid model file: {exc}") from None
 
 
-def _protocol(ds: Dataset) -> dict:
-    return {key: getattr(ds, key) for key in PROTOCOL_KEYS}
-
-
 def _check_protocol(protocol: dict, ds: Dataset, path: str) -> None:
-    for key in PROTOCOL_KEYS:
-        if not abs(getattr(ds, key) - protocol[key]) <= 1e-9:  # a NaN never matches
-            raise ValueError(
-                f"{path}: protocol mismatch: {key}={getattr(ds, key)} in data, "
-                f"model expects {protocol[key]}"
-            )
+    if key := protocol_mismatch(vars(ds), protocol, PROTOCOL_KEYS):
+        raise ValueError(f"{path}: protocol mismatch: {key}={getattr(ds, key)} in data, "
+                         f"model expects {protocol[key]}")
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +347,7 @@ def _traces(steps, covs: np.ndarray) -> str:
 def cmd_fit(o) -> int:
     train, models = _fit_models(o, [o.predictor])
     predictor, goal_model = models[o.predictor]
-    save_model(o.out, predictor, goal_model, _protocol(train))
+    save_model(o.out, predictor, goal_model, check_protocol(train.dt, train.tau, train.horizon))
     print(f"fitted {o.predictor} on {len(train)} segments -> {o.out}")
     steps = range(1, predictor.horizon + 1)
     print(f"rollout error trace by step: {_traces(steps, predictor.step_covs)}")
@@ -445,7 +438,7 @@ _ABLATE_OPTS = [
 def cmd_ablate(o) -> int:
     test = _read_segments(o.test)
     train, models = _fit_models(o, o.predictors)
-    _check_protocol(_protocol(train), test, o.test)
+    _check_protocol(vars(train), test, o.test)
     report = run_ablation(test, models, _refine_config(o))
     with open(o.out, "w", encoding="utf-8") as fh:
         fh.write(report.to_csv())

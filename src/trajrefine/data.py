@@ -63,6 +63,20 @@ def read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def check_protocol(dt, tau, horizon) -> dict:
+    """The protocol ``{"dt", "tau", "horizon"}`` of a dataset, checked."""
+    tau, horizon, dt = whole("tau", tau), whole("horizon", horizon), plain(dt)
+    if not (positive(dt) and tau >= 0 and horizon >= 1):
+        raise ValueError(f"protocol needs a finite dt > 0, tau >= 0 and horizon >= 1, "
+                         f"got dt={dt}, tau={tau}, horizon={horizon}")
+    return {"dt": dt, "tau": tau, "horizon": horizon}
+
+
+def protocol_mismatch(got, want, keys) -> str | None:
+    """The first of ``keys`` whose values in got and want differ by more than 1e-9 (or are NaN)."""
+    return next((key for key in keys if not abs(got[key] - want[key]) <= 1e-9), None)
+
+
 def _stream_rng(seed: int, stream: str) -> np.random.Generator:
     """Independent, reproducible generator for a named random sub-stream of
     an integer seed >= 0; any other seed is rejected by name."""
@@ -136,12 +150,7 @@ class Dataset:
     source: str = ""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tau", whole("tau", self.tau))
-        object.__setattr__(self, "horizon", whole("horizon", self.horizon))
-        object.__setattr__(self, "dt", plain(self.dt))
-        if not (positive(self.dt) and self.tau >= 0 and self.horizon >= 1):
-            raise ValueError(f"protocol needs a finite dt > 0, tau >= 0 and horizon >= 1, "
-                             f"got dt={self.dt}, tau={self.tau}, horizon={self.horizon}")
+        vars(self).update(check_protocol(self.dt, self.tau, self.horizon))
         object.__setattr__(self, "segments", tuple(self.segments))
         for seg in self.segments:
             if abs(seg.dt - self.dt) > 1e-12:
@@ -339,7 +348,7 @@ def extract_segments(
     starts = [range(0, len(t.points) - window + 1, stride) for t in tracks]
     if any(starts) and not positive(dt):
         raise ValueError("dt must be finite and positive")
-    Dataset((), dt, tau, horizon)  # checks the protocol
+    check_protocol(dt, tau, horizon)
     windows = np.concatenate([np.empty((0, window, 2))] + [as_strided(  # one view a track
         t.points, (len(run), window, 2), (stride * t.points.strides[0], *t.points.strides),
         writeable=False) for t, run in zip(tracks, starts)])
@@ -412,7 +421,7 @@ def gen_synthetic(
         raise ValueError("n must be >= 1")
     if not non_negative(noise_sigma):
         raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
-    Dataset((), dt, tau, horizon)  # checks the protocol before generating
+    check_protocol(dt, tau, horizon)
     length = tau + 1 + horizon
     total = (length - 1) * dt
     if scenario == "lane_change" and total < LANE_CHANGE_DURATION:
@@ -757,6 +766,6 @@ def read_jsonl(path: str) -> Dataset:
         records.append((sid, obj["agent_id"], history, future))
     if protocol is None:
         return Dataset([], DEFAULT_DT, DEFAULT_TAU, DEFAULT_HORIZON, source=path)
-    Dataset((), protocol[0], protocol[1] - 1, protocol[2])  # checks the protocol
+    check_protocol(protocol[0], protocol[1] - 1, protocol[2])
     ids, agents, histories, futures = zip(*records)
     return _from_stacks(ids, agents, protocol[0], np.array(histories), np.array(futures), path)

@@ -9,17 +9,10 @@ Implements the gain-form update with the identity as observation matrix
 together with the algebraically equivalent precision-weighted (information)
 form, which serves as an independent cross-check. The prior (x, P) plays the
 role of a rollout estimate and the measurement (z, R) the role of a
-goal-derived pseudo-observation. K and P' depend on the covariances only, so
-the gain form takes no means. :func:`gain_table` writes it as closed-form
-2x2 algebra over whole batches: turning R by an angle theta changes S = P + R
-only through (cos 2 theta, sin 2 theta), and the numerators of K and P' and
-det S are affine in them. :func:`rotated_gains` evaluates such a table for
-N angles with one GEMM and one division, which is how the rollout engine
-gets every gain of T steps and N segments from one cached (T, 2, 2) prior
-and measurement table; :func:`gain_update` is the same at the identity
-rotation, and :func:`fuse` the same with means, over arrays like the rest.
-:func:`estimates_from_arrays` builds the one-segment adapters' records
-after one pass of the same checks as :func:`fuse`.
+goal-derived pseudo-observation. :func:`gain_table` and :func:`rotated_gains`
+give, in one GEMM, the gains of a batch whose measurements differ only by a
+rotation; :func:`gain_update` is the identity rotation, and :func:`fuse` adds
+the means. Inputs are judged by :func:`~trajrefine.gaussian.cov_entries`.
 """
 
 from __future__ import annotations
@@ -28,7 +21,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .gaussian import Cov2, pd_rule, psd_rule
+from .gaussian import Cov2, cov_entries
 
 # Innovation covariances with determinant at or below this (relative) level
 # signal that both inputs are degenerate in the same direction.
@@ -65,24 +58,23 @@ class Estimate:
 def estimates_from_arrays(means: np.ndarray, covs: np.ndarray) -> list[Estimate]:
     """One Estimate per row of (T, 2) means and (T, 2, 2) covariances, checked
     once as arrays; off-diagonal entries are averaged."""
-    means, c, sxy = _checked(np.asarray(means, dtype=float).reshape(-1, 2),
-                             np.asarray(covs, dtype=float).reshape(-1, 2, 2))
-    entries = zip(c[:, 0, 0].tolist(), sxy.tolist(), c[:, 1, 1].tolist())
+    means, _, (sxx, sxy, syy) = _checked(np.asarray(means, dtype=float).reshape(-1, 2),
+                                         np.asarray(covs, dtype=float).reshape(-1, 2, 2))
+    entries = zip(sxx.tolist(), sxy.tolist(), syy.tolist())
     return list(map(Estimate, means, map(tuple.__new__, repeat(Cov2), entries)))
 
 
-def _checked(means, covs, definite: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Means and covariances as float arrays, and the mean sxy of each
-    covariance's two off-diagonals; ValueError unless every entry is finite
-    and every (sxx, sxy, syy) is PSD by :func:`psd_rule` (:func:`pd_rule` if
-    ``definite``)."""
+def _checked(means, covs, definite: bool = False) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Means and covariances as float arrays, and the covariances' (sxx, sxy,
+    syy) by :func:`~trajrefine.gaussian.cov_entries`; ValueError unless the
+    means are finite and every covariance is valid (PD if ``definite``)."""
     means, covs = np.asarray(means, dtype=float), np.asarray(covs, dtype=float)
-    if not (np.isfinite(means).all() and np.isfinite(covs).all()):
+    sxx, sxy, syy, finite, valid = cov_entries(covs, definite)
+    if not (np.isfinite(means).all() and finite.all()):
         raise ValueError("means and covariances must be finite")
-    sxx, sxy, syy = covs[..., 0, 0], 0.5 * (covs[..., 0, 1] + covs[..., 1, 0]), covs[..., 1, 1]
-    if not (pd_rule if definite else psd_rule)(sxx, sxy, syy).all():
+    if not valid.all():
         raise ValueError(f"covariance must be positive {'' if definite else 'semi'}definite")
-    return means, covs, sxy
+    return means, covs, (sxx, sxy, syy)
 
 
 def gain_table(p: np.ndarray, r: np.ndarray) -> np.ndarray:

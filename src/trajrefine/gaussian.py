@@ -3,7 +3,8 @@
 Positions are 2-D points in meters. Gaussians are plain (..., 2) mean and
 (..., 2, 2) covariance arrays; only the one-segment rollout adapters emit
 :class:`Cov2` records. The (sigma_x, sigma_y, rho) parameterization is used
-at the I/O boundary; conversion functions between the two forms live here.
+at the I/O boundary; conversion functions between the two forms live here,
+and so does the one rule on whether a covariance is valid (:func:`cov_entries`).
 """
 
 from __future__ import annotations
@@ -44,19 +45,22 @@ def cov_from_params(sigma_x, sigma_y, rho) -> np.ndarray:
     return out.reshape(*out.shape[:-1], 2, 2)
 
 
-def _sigma_rho(sxx, sxy, syy, sqrt=math.sqrt, all_=bool):
-    """(sigma_x, sigma_y, rho) of covariance entries, the one formula for both
-    forms: floats as given, arrays with ``sqrt=np.sqrt, all_=np.all``. Every
-    covariance must be positive definite by :func:`pd_rule`."""
-    if not all_(pd_rule(sxx, sxy, syy)):
+def _sigma_rho(sxx, sxy, syy, valid, sqrt=math.sqrt):
+    """(sigma_x, sigma_y, rho) of covariance entries judged ``valid`` (finite
+    and PD), the one formula for both forms: floats as given, arrays with
+    ``sqrt=np.sqrt``."""
+    if not valid:
         raise ValueError("covariance is not positive definite")
     sigma_x, sigma_y = sqrt(sxx), sqrt(syy)
     return sigma_x, sigma_y, sxy / (sigma_x * sigma_y)
 
 
 def params_from_cov(c: Cov2) -> tuple[float, float, float]:
-    """(sigma_x, sigma_y, rho) of one positive-definite :class:`Cov2`."""
-    return _sigma_rho(c.sxx, c.sxy, c.syy)
+    """(sigma_x, sigma_y, rho) of one :class:`Cov2`, judged in floats by the
+    rule of :func:`cov_entries`: finite entries that keep :func:`pd_rule`."""
+    sxx, sxy, syy = c
+    finite = math.isfinite(sxx) and math.isfinite(sxy) and math.isfinite(syy)
+    return _sigma_rho(sxx, sxy, syy, finite and pd_rule(sxx, sxy, syy))
 
 
 def params_from_covs(covs: np.ndarray) -> np.ndarray:
@@ -66,12 +70,23 @@ def params_from_covs(covs: np.ndarray) -> np.ndarray:
     with the off-diagonal the mean of its two entries; every covariance must
     be finite and positive definite. Inverse of :func:`cov_from_params`.
     """
-    c = np.asarray(covs, dtype=float)
-    sxx, syy = c[..., 0, 0], c[..., 1, 1]
-    sxy = 0.5 * (c[..., 0, 1] + c[..., 1, 0])
-    if not (np.isfinite(sxx) & np.isfinite(sxy) & np.isfinite(syy)).all():
+    sxx, sxy, syy, finite, valid = cov_entries(covs, definite=True)
+    if not finite.all():
         raise ValueError("covariance entries must be finite")
-    return np.stack(_sigma_rho(sxx, sxy, syy, np.sqrt, np.all), axis=-1)
+    return np.stack(_sigma_rho(sxx, sxy, syy, valid.all(), np.sqrt), axis=-1)
+
+
+def cov_entries(covs, definite: bool = False, symmetric: bool = False):
+    """The package's covariance rule: (sxx, sxy, syy, finite, valid) of (..., 2, 2)
+    covariances, sxy the mean of the off-diagonals; per covariance, ``finite``
+    if every entry is, ``valid`` if also PSD by :func:`psd_rule` (PD by
+    :func:`pd_rule` if ``definite``), with equal off-diagonals if ``symmetric``."""
+    c = np.asarray(covs, dtype=float)
+    sxx, syy, upper, lower = c[..., 0, 0], c[..., 1, 1], c[..., 0, 1], c[..., 1, 0]
+    with np.errstate(invalid="ignore"):  # inf entries give NaN, which fails the rules
+        sxy, finite = 0.5 * (upper + lower), np.isfinite(c).all((-2, -1))
+        valid = finite & (pd_rule if definite else psd_rule)(sxx, sxy, syy)
+    return sxx, sxy, syy, finite, (valid & (upper == lower) if symmetric else valid)
 
 
 def pd_rule(sxx, sxy, syy):
@@ -90,14 +105,16 @@ def psd_rule(sxx, sxy, syy):
 def log_density(mean: np.ndarray, cov: np.ndarray, point: np.ndarray) -> np.ndarray:
     """Log-density in nats of N(mean, cov) at point, over leading batch axes.
 
-    mean and point are (..., 2), cov is (..., 2, 2) and positive definite.
+    mean and point are finite (..., 2), cov is (..., 2, 2) and positive definite.
     """
-    d = np.asarray(point, dtype=float) - np.asarray(mean, dtype=float)
-    c = np.asarray(cov, dtype=float)
-    sxx, sxy, syy = c[..., 0, 0], c[..., 0, 1], c[..., 1, 1]
-    if not np.all(pd_rule(sxx, sxy, syy)):
+    mean, point = np.asarray(mean, dtype=float), np.asarray(point, dtype=float)
+    if not (np.isfinite(mean).all() and np.isfinite(point).all()):
+        raise ValueError("mean and point must be finite")
+    sxx, sxy, syy, _, valid = cov_entries(cov, definite=True)
+    if not valid.all():
         raise ValueError("covariance is not positive definite")
     det = sxx * syy - sxy * sxy
+    d = point - mean
     u, v = d[..., 0], d[..., 1]
     quad = (syy * u * u - 2.0 * sxy * u * v + sxx * v * v) / det
     return -np.log(2.0 * np.pi) - 0.5 * np.log(det) - 0.5 * quad

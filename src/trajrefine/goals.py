@@ -30,8 +30,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .data import Dataset, non_negative, read_only, whole
-from .gaussian import pd_rule
+from .data import Dataset, non_negative, protocol_mismatch, read_only, whole
+from .gaussian import cov_entries
 
 COV_FLOOR = 1e-6  # m^2 added to every fitted covariance; keeps fusion nonsingular
 
@@ -73,9 +73,7 @@ class GoalModelParams:
             if w.shape != (feat, 2):
                 raise ValueError(f"weights of anchor {step} must have shape ({feat}, 2), "
                                  f"got {w.shape}")
-        with np.errstate(invalid="ignore"):  # inf entries give NaN, which fails the rule
-            pd = (np.isfinite(c).all((1, 2)) & (c[:, 0, 1] == c[:, 1, 0])
-                  & pd_rule(c[:, 0, 0], c[:, 0, 1], c[:, 1, 1]))
+        *_, pd = cov_entries(c, definite=True, symmetric=True)
         if not pd.all():
             step = steps[np.argmin(pd)]
             raise ValueError(f"residual covariance of anchor {step} is not positive definite")
@@ -104,11 +102,9 @@ def calibration_split(train: Dataset, val: Dataset | None) -> Dataset:
     segments, else ``train``. ``val`` must share the training dt and tau."""
     if val is None or not val.segments:
         return train
-    for key in ("dt", "tau"):
-        got, want = getattr(val, key), getattr(train, key)
-        if not abs(got - want) <= 1e-9:  # a NaN never matches
-            raise ValueError(f"{val.source or 'validation set'}: {key}={got} "
-                             f"differs from the training {key}={want}")
+    if key := protocol_mismatch(vars(val), vars(train), ("dt", "tau")):
+        raise ValueError(f"{val.source or 'validation set'}: {key}={getattr(val, key)} "
+                         f"differs from the training {key}={getattr(train, key)}")
     return val
 
 

@@ -9,19 +9,10 @@ Gaussian estimate takes its covariance from a per-horizon calibration table,
 so uncertainty grows with the horizon the way the backbone's own rollout
 errors actually grow.
 
-:func:`rollout_batch` is the one rollout loop. It steps N segments at once.
-With a goal model it predicts the anchors once per segment, computes every
-step's gain from the covariances up front, fuses each raw step with the
-interpolated goal measurement and feeds the fused mean back into the
-buffer. The gains need no per-segment 2x2 products: the prior and the
-ego-frame measurement tables do not depend on the segments, so their
-:func:`~trajrefine.fusion.gain_table` is cached, and each segment enters
-only through its heading, in one GEMM. Its buffer is (buffer_len + T, 2, N)
-step-major component planes, so a fused step is elementwise work on (2, N)
-planes; the means it returns are a transposed view of the buffer. Around
-the step loop a call makes a fixed count of numpy calls, whatever N.
+:func:`rollout_batch` is the one rollout loop; it steps N segments at once,
+with a fixed count of numpy calls around the step loop whatever N.
 ``rollout``, ``rollout_vanilla`` and ``rollout_refined`` are its one-segment
-adapters; they validate their estimates once, as arrays.
+adapters, three entry points to one body that checks the estimates once.
 """
 
 from __future__ import annotations
@@ -34,7 +25,7 @@ import numpy as np
 from .data import Dataset, non_negative, plain, positive, read_only, whole
 from .fusion import (Estimate, SingularInnovationError, estimates_from_arrays, gain_table,
                      rotated_gains)
-from .gaussian import psd_rule
+from .gaussian import cov_entries
 from .goals import (GoalModelParams, calibration_split, goal_moments, interpolate_covs,
                     interpolate_goals, second_moments, solve_ridge)
 
@@ -71,9 +62,8 @@ class PredictorParams:
         if not c.size or c.shape[1:] != (2, 2):
             raise ValueError("at least one per-step covariance is required" if not c.size
                              else f"step covariances must be (T, 2, 2), got shape {c.shape}")
-        with np.errstate(invalid="ignore"):  # inf entries give NaN, which fails the rules
-            sxx, sxy, syy = c[:, 0, 0], c[:, 0, 1], c[:, 1, 1]
-            psd = np.isfinite(c).all((1, 2)) & (sxy == c[:, 1, 0]) & psd_rule(sxx, sxy, syy)
+        sxx, _, syy, _, psd = cov_entries(c, symmetric=True)
+        with np.errstate(invalid="ignore"):  # inf entries give NaN traces, which fail
             prev = np.append(-np.inf, (sxx + syy)[:-1])
             valid = psd & (sxx + syy >= prev - 1e-9 * np.maximum(1.0, prev))
         if not valid.all():  # the first bad step, as a step-by-step check finds it
@@ -352,13 +342,20 @@ def _step(params: PredictorParams, histories: np.ndarray, horizon: int, goal_par
     return means, covs
 
 
+def _one_segment(params, refine: bool, goal_params, history, horizon, cfg=RefineConfig()):
+    """The one-segment adapters' body: :func:`rollout_batch` of one (n, 2)
+    history, refined by ``goal_params`` if ``refine``, as checked estimates."""
+    if refine and goal_params is None:
+        raise ValueError("refined rollout requires a goal model")
+    means, covs = rollout_batch(params, [history], horizon, goal_params if refine else None, cfg)
+    return estimates_from_arrays(means[0], covs[0])
+
+
 def rollout_vanilla(
     params: PredictorParams, history: np.ndarray, horizon: int | None = None
 ) -> list[Estimate]:
     """Plain rollout of one (n, 2) history: no fusion, no feedback."""
-    history = np.asarray(history, dtype=float)
-    means, covs = rollout_batch(params, history[None], horizon)
-    return estimates_from_arrays(means[0], covs[0])
+    return _one_segment(params, False, None, history, horizon)
 
 
 def rollout_refined(
@@ -369,9 +366,7 @@ def rollout_refined(
     cfg: RefineConfig = RefineConfig(),
 ) -> list[Estimate]:
     """Goal-refined rollout of one (n, 2) history; see :func:`rollout_batch`."""
-    history = np.asarray(history, dtype=float)
-    means, covs = rollout_batch(params, history[None], horizon, goal_params, cfg)
-    return estimates_from_arrays(means[0], covs[0])
+    return _one_segment(params, True, goal_params, history, horizon, cfg)
 
 
 def rollout(
@@ -382,8 +377,4 @@ def rollout(
     cfg: RefineConfig = RefineConfig(),
 ) -> list[Estimate]:
     """Dispatch on cfg.refine_enabled; vanilla rollouts need no goal model."""
-    if cfg.refine_enabled:
-        if goal_params is None:
-            raise ValueError("refined rollout requires a goal model")
-        return rollout_refined(params, goal_params, history, horizon, cfg)
-    return rollout_vanilla(params, history, horizon)
+    return _one_segment(params, cfg.refine_enabled, goal_params, history, horizon, cfg)

@@ -426,6 +426,8 @@ class TestRolloutVanilla:
         history = np.column_stack([np.arange(16.0), np.zeros(16)])
         with pytest.raises(ValueError, match="^refined rollout requires a goal model$"):
             predictors.rollout(cv_params(), None, history)
+        with pytest.raises(ValueError, match="^refined rollout requires a goal model$"):
+            predictors.rollout_refined(cv_params(), None, history)  # was a vanilla rollout
         vanilla = predictors.rollout(cv_params(), None, history, 3, RefineConfig(False))
         assert [e.mean.tolist() for e in vanilla] == [[16.0, 0.0], [17.0, 0.0], [18.0, 0.0]]
 

@@ -1,21 +1,27 @@
 """One rule per kind of input value, the same wherever a value of that kind is taken.
 
 Integers (``data.whole``), finite numbers > 0 (``data.positive``) and >= 0
-(``data.non_negative``) and positive-definite covariances (``gaussian.pd_rule``)
-each had copies that had drifted apart: a boolean passed as a number, and a NaN
-covariance passed as positive definite. Each case below was accepted before the
-copies were merged.
+(``data.non_negative``) and valid covariances (``gaussian.cov_entries``) each
+had copies that had drifted apart: a boolean passed as a number, a NaN or
+infinite covariance passed as positive definite, and ``log_density`` read one
+off-diagonal where the others average both. Each case below was accepted before
+the copies were merged.
 """
 
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trajrefine.cli import load_model, main, save_model
 from trajrefine.data import (Dataset, Segment, gen_synthetic, non_negative, positive,
                              read_jsonl, whole, write_jsonl)
-from trajrefine.gaussian import Cov2, log_density, params_from_cov, pd_rule
+from trajrefine.fusion import fuse
+from trajrefine.gaussian import (Cov2, log_density, params_from_cov, params_from_covs, pd_rule,
+                                 psd_rule)
 from trajrefine.goals import GoalModelParams, fit_goal_model, solve_ridge
 from trajrefine.predictors import PredictorParams, RefineConfig, fit_ar_rls, fit_predictor
 
@@ -139,6 +145,67 @@ class TestNanCovarianceIsNotPositiveDefinite:
 
     def test_scalar_params_from_cov_unchanged_for_valid_input(self):
         assert params_from_cov(Cov2(4.0, 1.0, 1.0)) == (2.0, 1.0, 0.5)
+
+
+class TestOneCovarianceRule:
+    """gaussian.cov_entries decides for every caller whether a covariance is valid."""
+
+    @pytest.mark.parametrize("mean,point,cov,message", [
+        ([np.nan, 0.0], [0.0, 0.0], np.eye(2), "mean and point must be finite"),
+        ([0.0, 0.0], [np.inf, 0.0], np.eye(2), "mean and point must be finite"),
+        ([0.0, 0.0], [0.0, 0.0], np.diag([np.inf, 1.0]), "covariance is not positive definite"),
+    ], ids=["nan-mean", "inf-point", "inf-variance"])
+    def test_log_density_rejects_non_finite_input(self, mean, point, cov, message):
+        # each returned NaN
+        with raises(message):
+            log_density(np.array(mean), cov, np.array(point))
+
+    def test_scalar_params_from_cov_rejects_an_infinite_entry(self):
+        # returned (inf, 1.0, 0.0)
+        with raises("covariance is not positive definite"):
+            params_from_cov(Cov2(np.inf, 0.0, 1.0))
+        with raises("covariance entries must be finite"):
+            params_from_covs(np.diag([np.inf, 1.0]))
+
+    def test_off_diagonals_are_averaged_everywhere(self):
+        # log_density read only the upper one and scored this as positive definite
+        cov = np.array([[1.0, 0.5], [-5.0, 1.0]])
+        with raises("covariance is not positive definite"):
+            log_density(np.zeros(2), cov, np.zeros(2))
+        with raises("covariance must be positive semidefinite"):
+            fuse(np.zeros(2), cov, np.zeros(2), np.eye(2))
+        with raises("covariance is not positive definite"):
+            params_from_covs(cov)
+
+
+ENTRIES = st.one_of(st.floats(-4.0, 4.0),
+                    st.sampled_from([0.0, 1e-300, -1e-300, math.nan, math.inf, -math.inf]))
+
+
+def accepted(call, *args) -> bool:
+    """Whether call(*args) returns; a ValueError is a rejection."""
+    try:
+        call(*args)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(sxx=ENTRIES, a=ENTRIES, b=ENTRIES, syy=ENTRIES, symmetric=st.booleans())
+def test_every_caller_keeps_the_one_rule(sxx, a, b, syy, symmetric):
+    b = a if symmetric else b
+    cov, scalar = np.array([[sxx, a], [b, syy]]), Cov2(sxx, (a + b) / 2, syy)
+    valid = accepted(params_from_covs, cov)
+    assert accepted(params_from_cov, scalar) == valid
+    if valid:
+        assert ([float(v).hex() for v in params_from_cov(scalar)]
+                == [float(v).hex() for v in params_from_covs(cov)])
+    assert accepted(log_density, np.zeros(2), cov, np.zeros(2)) == valid
+    stored = a == b and all(map(math.isfinite, (sxx, a, b, syy)))
+    assert accepted(PredictorParams, "cv", 0.2, cov[None]) == bool(stored and psd_rule(sxx, a, syy))
+    assert (accepted(GoalModelParams, (1,), (np.zeros((2, 2)),), cov[None], 2)
+            == bool(stored and pd_rule(sxx, a, syy)))
 
 
 class TestNumpyScalarDtIsStoredAsAPlainNumber:
