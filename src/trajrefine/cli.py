@@ -26,10 +26,11 @@ from .data import (
     extract_segments,
     gen_synthetic,
     json_points,
+    json_value,
     parse_ngsim_csv,
     protocol_mismatch,
     read_jsonl,
-    read_records,
+    read_predictions,
     reading,
     write_jsonl,
     write_predictions,
@@ -157,16 +158,6 @@ def _covs(triples, name: str) -> np.ndarray:
     return t[:, [0, 1, 1, 2]].reshape(-1, 2, 2)
 
 
-_JSON_KINDS = {"integer": (int,), "number": (int, float), "boolean": (bool,)}
-
-
-def _json(obj: dict, key: str, kind: str):
-    """obj[key], which must be a JSON ``kind``; true is not the number 1."""
-    if type(value := obj[key]) not in _JSON_KINDS[kind]:
-        raise ValueError(f"{key} must be a JSON {kind}, got {json.dumps(value)}")
-    return value
-
-
 def save_model(
     path: str, predictor: PredictorParams, goal_model: GoalModelParams, protocol: dict
 ) -> None:
@@ -210,28 +201,24 @@ def load_model(path: str) -> tuple[PredictorParams, GoalModelParams, dict]:
         if not isinstance(protocol, dict) or set(protocol) != set(PROTOCOL_KEYS):
             raise ValueError("protocol must map exactly dt, tau and horizon")
         for key, kind in zip(PROTOCOL_KEYS, ("number", "integer", "integer")):
-            _json(protocol, key, kind)
+            json_value(protocol, key, kind)
         p = doc["predictor"]
         predictor = PredictorParams(
             backbone=p["backbone"],
-            dt=_json(p, "dt", "number"),
+            dt=json_value(p, "dt", "number"),
             step_covs=_covs(p["step_covs"], "step_covs"),
-            window=_json(p, "window", "integer"),
-            lag=_json(p, "lag", "integer"),
+            window=json_value(p, "window", "integer"),
+            lag=json_value(p, "lag", "integer"),
             ar_weights=None if p["ar_weights"] is None
             else json_points(p["ar_weights"], "ar_weights"),
         )
         g = doc["goal_model"]
-        steps = g["anchor_steps"]
-        if not isinstance(steps, list) or any(type(s) is not int for s in steps):
-            raise ValueError(f"anchor_steps must be a JSON array of integers, "
-                             f"got {json.dumps(steps)}")
         goal_model = GoalModelParams(
-            anchor_steps=tuple(steps),
+            anchor_steps=g["anchor_steps"],
             weights=tuple(json_points(w, "weights") for w in g["weights"]),
             residual_covs=_covs(g["residual_covs"], "residual_covs"),
-            history_len=_json(g, "history_len", "integer"),
-            rotate=_json(g, "rotate", "boolean"),
+            history_len=json_value(g, "history_len", "integer"),
+            rotate=json_value(g, "rotate", "boolean"),
         )
         fitted = check_protocol(predictor.dt, goal_model.history_len - 1, predictor.horizon)
         if key := protocol_mismatch(protocol, fitted, PROTOCOL_KEYS):
@@ -391,25 +378,10 @@ _EVAL_OPTS = [
 
 def cmd_eval(o) -> int:
     ds = _read_segments(o.data)
-    pred_means: dict[str, np.ndarray] = {}
-    modes = set()
-    for lineno, obj in read_records(o.predictions, ("segment_id", "means", "mode")):
-        sid, mode = obj["segment_id"], obj["mode"]
-        try:
-            if type(sid) is not str:
-                raise ValueError("segment_id must be a JSON string")
-            if sid in pred_means:
-                raise ValueError(f"repeated segment id {sid!r}")
-            if mode not in ("refined", "vanilla"):
-                raise ValueError(f"mode must be 'refined' or 'vanilla', got {mode!r}")
-            means = pred_means[sid] = json_points(obj["means"], "means")
-            if means.shape != (ds.horizon, 2) or not np.isfinite(means).all():
-                raise ValueError(f"means must be a finite ({ds.horizon}, 2) array")
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"{o.predictions}: line {lineno}: {exc}") from None
-        modes.add(mode)
-    if len(modes) > 1:
+    predictions = read_predictions(o.predictions, ds.horizon)
+    if len(modes := {mode for *_, mode in predictions}) > 1:
         raise ValueError(f"{o.predictions}: mixed prediction modes {sorted(modes)}")
+    pred_means = {sid: means for sid, means, _ in predictions}
     ids = [seg.segment_id for seg in ds.segments]
     if sorted(pred_means) != sorted(ids):
         raise ValueError(

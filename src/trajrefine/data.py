@@ -152,7 +152,10 @@ class Dataset:
     def __post_init__(self) -> None:
         vars(self).update(check_protocol(self.dt, self.tau, self.horizon))
         object.__setattr__(self, "segments", tuple(self.segments))
-        for seg in self.segments:
+        first: dict[str, int] = {}
+        for i, seg in enumerate(self.segments):
+            if (j := first.setdefault(seg.segment_id, i)) != i:
+                raise ValueError(f"segments {j} and {i} share the segment id {seg.segment_id!r}")
             if abs(seg.dt - self.dt) > 1e-12:
                 raise ValueError(f"segment {seg.segment_id}: dt {seg.dt} != {self.dt}")
             if len(seg.history) != self.tau + 1:
@@ -646,28 +649,62 @@ def write_predictions(path: str, ids, means, sigmas, mode: str) -> None:
         for sid, text, s in zip(ids[rows], points_json(means[rows]), sigmas[rows])))
 
 
-def read_records(path: str, fields: tuple[str, ...]):
-    """Yield ``(line number, object)`` for each non-blank line of a JSONL file.
+_JSON_KINDS = {"string": (str,), "integer": (int,), "number": (int, float), "boolean": (bool,)}
 
-    A line that is not valid JSON, not a JSON object, or lacks one of
-    ``fields`` is rejected with the path and line number.
+
+def json_value(obj: dict, key: str, kind: str):
+    """obj[key], which must be a JSON ``kind`` (string, integer, number or boolean);
+    true is not the number 1, and 1.0 is not an integer."""
+    if type(value := obj[key]) not in _JSON_KINDS[kind]:
+        raise ValueError(f"{key} must be a JSON {kind}, got {json.dumps(value)}")
+    return value
+
+
+def read_records(path: str, fields: tuple[str, ...], parse) -> list:
+    """``parse(obj)`` of the JSON object on each non-blank line of a JSONL file.
+
+    The one line loop of every JSONL reader. A line that is not valid JSON,
+    not a JSON object or lacks one of ``fields``, whose ``segment_id`` is not
+    a JSON string or repeats an earlier line's, or that ``parse`` rejects
+    (ValueError, TypeError or OverflowError) is rejected with the path and
+    line number.
     """
+    records, first_line = [], {}
     with reading(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
+                if not isinstance(obj := json.loads(line), dict):
+                    raise ValueError("expected a JSON object")
+                if missing := [key for key in fields if key not in obj]:
+                    raise ValueError(f"missing field '{missing[0]}'")
+                sid = json_value(obj, "segment_id", "string")
+                records.append(parse(obj))
+                if (first := first_line.setdefault(sid, lineno)) != lineno:
+                    raise ValueError(f"repeated segment id {sid!r} (first on line {first})")
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from None
             except RecursionError:
                 raise ValueError(f"{path}: line {lineno}: JSON nested too deeply") from None
-            if not isinstance(obj, dict):
-                raise ValueError(f"{path}: line {lineno}: expected a JSON object")
-            for key in fields:
-                if key not in obj:
-                    raise ValueError(f"{path}: line {lineno}: missing field '{key}'")
-            yield lineno, obj
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    return records
+
+
+def read_predictions(path: str, horizon: int) -> list[tuple[str, np.ndarray, str]]:
+    """The (segment id, (horizon, 2) means, mode) of each line of a file
+    :func:`write_predictions` writes, checked by :func:`read_records`; ``mode``
+    must be "refined" or "vanilla", the means finite. ``sigmas`` is not read."""
+    def prediction(obj: dict) -> tuple[str, np.ndarray, str]:
+        if (mode := obj["mode"]) not in ("refined", "vanilla"):
+            raise ValueError(f"mode must be 'refined' or 'vanilla', got {mode!r}")
+        means = json_points(obj["means"], "means")
+        if means.shape != (horizon, 2) or not np.isfinite(means).all():
+            raise ValueError(f"means must be a finite ({horizon}, 2) array")
+        return obj["segment_id"], means, mode
+
+    return read_records(path, ("segment_id", "means", "mode"), prediction)
 
 
 def json_points(value, name: str, rows: str = "[x, y] pairs") -> np.ndarray:
@@ -731,41 +768,24 @@ def read_jsonl(path: str) -> Dataset:
     """
     if (ds := _read_bulk(path)) is not None:
         return ds
-    records = []  # (segment id, agent id, history, future)
-    first_line: dict[str, int] = {}
-    protocol: tuple[float, int, int] | None = None
-    fields = ("segment_id", "agent_id", "dt", "history", "future")
-    for lineno, obj in read_records(path, fields):
-        sid = obj["segment_id"]
-        try:
-            if type(sid) is not str:
-                raise ValueError("segment_id must be a JSON string")
-            if type(obj["agent_id"]) is not int:
-                raise ValueError("agent_id must be a JSON integer")
-            if type(obj["dt"]) not in (int, float):
-                raise ValueError("dt must be a JSON number")
-            history = json_points(obj["history"], "history")
-            future = json_points(obj["future"], "future")
-            if not positive(dt := float(obj["dt"])):  # Segment's checks, in its order
-                raise ValueError("dt must be finite and positive")
-            history, future = _points(history, "history"), _points(future, "future")
-        except (ValueError, TypeError, OverflowError) as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    protocol: dict[str, tuple[float, int, int]] = {}  # the first segment's
+
+    def segment(obj: dict) -> tuple:
+        agent, dt = json_value(obj, "agent_id", "integer"), json_value(obj, "dt", "number")
+        history = json_points(obj["history"], "history")
+        future = json_points(obj["future"], "future")
+        if not positive(dt := float(dt)):  # Segment's checks, in its order
+            raise ValueError("dt must be finite and positive")
+        history, future = _points(history, "history"), _points(future, "future")
         shape = (dt, len(history), len(future))
-        if protocol is None:
-            protocol = shape
-        elif shape != protocol:
-            raise ValueError(
-                f"{path}: line {lineno}: segment protocol {shape} does not "
-                f"match first segment {protocol}"
-            )
-        first = first_line.setdefault(sid, lineno)
-        if first != lineno:
-            raise ValueError(f"{path}: line {lineno}: repeated segment id "
-                             f"{sid!r} (first on line {first})")
-        records.append((sid, obj["agent_id"], history, future))
-    if protocol is None:
+        if (first := protocol.setdefault("first", shape)) != shape:
+            raise ValueError(f"segment protocol {shape} does not match first segment {first}")
+        return obj["segment_id"], agent, history, future
+
+    fields = ("segment_id", "agent_id", "dt", "history", "future")
+    if not (records := read_records(path, fields, segment)):
         return Dataset([], DEFAULT_DT, DEFAULT_TAU, DEFAULT_HORIZON, source=path)
-    check_protocol(protocol[0], protocol[1] - 1, protocol[2])
+    dt, points, horizon = protocol["first"]
+    check_protocol(dt, points - 1, horizon)
     ids, agents, histories, futures = zip(*records)
-    return _from_stacks(ids, agents, protocol[0], np.array(histories), np.array(futures), path)
+    return _from_stacks(ids, agents, dt, np.array(histories), np.array(futures), path)

@@ -71,7 +71,7 @@ def _checked(means, covs, definite: bool = False) -> tuple[np.ndarray, np.ndarra
     means, covs = np.asarray(means, dtype=float), np.asarray(covs, dtype=float)
     sxx, sxy, syy, finite, valid = cov_entries(covs, definite)
     if not (np.isfinite(means).all() and finite.all()):
-        raise ValueError("means and covariances must be finite")
+        raise ValueError("means, covariances and their determinants must be finite")
     if not valid.all():
         raise ValueError(f"covariance must be positive {'' if definite else 'semi'}definite")
     return means, covs, (sxx, sxy, syy)
@@ -84,14 +84,15 @@ def gain_table(p: np.ndarray, r: np.ndarray) -> np.ndarray:
     together to the batch shape B. Turning r by theta, Rot r Rot^T, leaves
     its trace and antisymmetric part alone and turns its anisotropic part
     (u, v) by 2 theta, so S = P + Rot r Rot^T = Q + u J1 + v J2 with Q fixed,
-    J1 = diag(1, -1), J2 = [[0, 1], [1, 0]], and u^2 + v^2 fixed. det S, the
-    gain numerator P adj(S) and the posterior numerator det(S) P -
-    P adj(S) P are therefore affine in (1, cos 2 theta, sin 2 theta).
+    J1 = diag(1, -1), J2 = [[0, 1], [1, 0]], and u^2 + v^2 fixed. det S and
+    the gain numerator P adj(S) are therefore affine in (1, cos 2 theta,
+    sin 2 theta), and so is the posterior numerator P adj(S) R = det(P) R +
+    det(R) P of (I - K) P = P S^-1 R: a sum of two PSD terms, where the
+    equal form det(S) P - P adj(S) P cancels when P is much larger than R.
 
     Returns their (9, *B, 3) coefficients: rows 0-3 the gain numerator
-    (row-major), rows 4-6 the posterior numerator's xx, xy (off-diagonals
-    averaged, because the short-form expression is asymmetric under
-    rounding) and yy, row 7 det S, and row 8 the singularity threshold
+    (row-major), rows 4-6 the posterior numerator's xx, xy (the mean of the
+    two off-diagonals) and yy, row 7 det S, and row 8 the singularity threshold
     1e-15 * max(1, tr(S)^2), which does not depend on the angle.
     """
     p, r = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(r, dtype=float))
@@ -102,17 +103,16 @@ def gain_table(p: np.ndarray, r: np.ndarray) -> np.ndarray:
     adj_q = np.array([[q11, -q01], [-q10, q00]])
     pj1 = pc * np.array([1.0, -1.0]).reshape(1, 2, *(1,) * (pc.ndim - 2))  # P J1
     pj2 = pc[:, ::-1]  # P J2
-    pa, pj1p, pj2p = _mul(pc, adj_q), _mul(pj1, pc), _mul(pj2, pc)
     g, f = q11 - q00, q01 + q10
     det_terms = (q00 * q11 - q01 * q10 - h * h - b * b, h * g - b * f, -(b * g + h * f))
+    det_p, det_r = (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0] for m in (pc, rc))
+    dh, db = det_p * h, det_p * b  # det(P) (u J1 + v J2) at the two basis angles
+    posts = ((det_p * mid + det_r * pc[0, 0], det_r * (0.5 * (pc[0, 1] + pc[1, 0])),
+              det_p * mid + det_r * pc[1, 1]), (dh, db, -dh), (-db, dh, db))
     table = np.zeros((3, 9) + p.shape[:-2])  # [basis term, row, *B]
-    for term, gain_num, pap in ((0, pa, _mul(pa, pc)),
-                                (1, -(h * pj1 + b * pj2), -(h * pj1p + b * pj2p)),
-                                (2, b * pj1 - h * pj2, b * pj1p - h * pj2p)):
-        post = det_terms[term] * pc - pap
+    for term, gain_num in ((0, _mul(pc, adj_q)), (1, -(h * pj1 + b * pj2)), (2, b * pj1 - h * pj2)):
         table[term, :4] = gain_num.reshape(4, *p.shape[:-2])
-        table[term, 4:8] = (post[0, 0], 0.5 * (post[0, 1] + post[1, 0]), post[1, 1],
-                            det_terms[term])
+        table[term, 4:8] = (*posts[term], det_terms[term])
     table[0, 8] = SINGULARITY_TOL * np.maximum(1.0, (q00 + q11) ** 2)
     return np.moveaxis(table, 0, -1).copy()
 
@@ -194,11 +194,16 @@ def fuse(x, p, z, r) -> tuple[np.ndarray, np.ndarray]:
     Means are (..., 2) and covariances (..., 2, 2) over broadcasting batch
     axes; returns the posterior means and :func:`gain_update`'s covariances.
     Raises ValueError for a non-finite input or a non-PSD covariance, and
-    SingularInnovationError for a singular P + R.
+    SingularInnovationError for a singular P + R; ValueError too if the
+    posterior overflows.
     """
     (x, p, _), (z, r, _) = _checked(x, p), _checked(z, r)
-    gain, cov = gain_update(p, r)
-    return x + _apply(gain, z - x), cov
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+        gain, cov = gain_update(p, r)
+        mean = x + _apply(gain, z - x)
+    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+        raise ValueError("posterior is not finite")
+    return mean, cov
 
 
 def info_fuse(x, p, z, r) -> tuple[np.ndarray, np.ndarray]:

@@ -33,11 +33,11 @@ def cov_from_params(sigma_x, sigma_y, rho) -> np.ndarray:
 
     The arguments are floats or arrays that broadcast together. Each matrix
     is [[sx^2, rho*sx*sy], [rho*sx*sy, sy^2]], which has determinant
-    sx^2 * sy^2 * (1 - rho^2) > 0 for valid inputs.
+    sx^2 * sy^2 * (1 - rho^2) > 0 for valid inputs: finite sigmas > 0, |rho| < 1.
     """
     sx, sy, rho = (np.asarray(v, dtype=float) for v in (sigma_x, sigma_y, rho))
-    if not ((sx > 0.0).all() and (sy > 0.0).all()):
-        raise ValueError("sigma_x and sigma_y must be positive")
+    if not (((0.0 < sx) & (sx < np.inf)).all() and ((0.0 < sy) & (sy < np.inf)).all()):
+        raise ValueError("sigma_x and sigma_y must be finite and positive")
     if not (np.abs(rho) < 1.0).all():
         raise ValueError("|rho| must be strictly less than 1")
     sxy = rho * sx * sy
@@ -57,9 +57,9 @@ def _sigma_rho(sxx, sxy, syy, valid, sqrt=math.sqrt):
 
 def params_from_cov(c: Cov2) -> tuple[float, float, float]:
     """(sigma_x, sigma_y, rho) of one :class:`Cov2`, judged in floats by the
-    rule of :func:`cov_entries`: finite entries that keep :func:`pd_rule`."""
+    rule of :func:`cov_entries`: a finite determinant and :func:`pd_rule`."""
     sxx, sxy, syy = c
-    finite = math.isfinite(sxx) and math.isfinite(sxy) and math.isfinite(syy)
+    finite = math.isfinite(sxx * syy - sxy * sxy)  # NaN or infinite if an entry is
     return _sigma_rho(sxx, sxy, syy, finite and pd_rule(sxx, sxy, syy))
 
 
@@ -72,19 +72,20 @@ def params_from_covs(covs: np.ndarray) -> np.ndarray:
     """
     sxx, sxy, syy, finite, valid = cov_entries(covs, definite=True)
     if not finite.all():
-        raise ValueError("covariance entries must be finite")
+        raise ValueError("covariance entries and determinants must be finite")
     return np.stack(_sigma_rho(sxx, sxy, syy, valid.all(), np.sqrt), axis=-1)
 
 
 def cov_entries(covs, definite: bool = False, symmetric: bool = False):
     """The package's covariance rule: (sxx, sxy, syy, finite, valid) of (..., 2, 2)
     covariances, sxy the mean of the off-diagonals; per covariance, ``finite``
-    if every entry is, ``valid`` if also PSD by :func:`psd_rule` (PD by
-    :func:`pd_rule` if ``definite``), with equal off-diagonals if ``symmetric``."""
+    if every entry and the determinant are, ``valid`` if also PSD by :func:`psd_rule`
+    (PD by :func:`pd_rule` if ``definite``), with equal off-diagonals if ``symmetric``."""
     c = np.asarray(covs, dtype=float)
     sxx, syy, upper, lower = c[..., 0, 0], c[..., 1, 1], c[..., 0, 1], c[..., 1, 0]
-    with np.errstate(invalid="ignore"):  # inf entries give NaN, which fails the rules
-        sxy, finite = 0.5 * (upper + lower), np.isfinite(c).all((-2, -1))
+    with np.errstate(over="ignore", invalid="ignore"):  # such entries fail the rules
+        sxy = 0.5 * (upper + lower)
+        finite = np.isfinite(sxx * syy - sxy * sxy)  # NaN or infinite if an entry is
         valid = finite & (pd_rule if definite else psd_rule)(sxx, sxy, syy)
     return sxx, sxy, syy, finite, (valid & (upper == lower) if symmetric else valid)
 

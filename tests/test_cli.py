@@ -318,6 +318,17 @@ class TestPredict:
         assert np.all(sigmas[..., :2] > 0.0)
         assert np.all(np.abs(sigmas[..., 2]) < 1.0)
 
+    def test_ca_snapped_onto_goals_exits_0(self, tmp_path):
+        # exited 2: the refined covariance lost definiteness to cancellation
+        train = gen(tmp_path, "train.jsonl", n=100)
+        test = gen(tmp_path, "test.jsonl", seed=12, n=20)
+        model = fit(tmp_path, train, extra=("--predictor", "ca"))
+        out = tmp_path / "preds.jsonl"
+        assert run("predict", "--model", str(model), "--data", str(test),
+                   "--out", str(out), "--goal-cov-scale", "1e-12") == 0
+        sigmas = np.array([json.loads(line)["sigmas"] for line in out.read_text().splitlines()])
+        assert np.all(sigmas[..., :2] > 0.0) and np.all(np.abs(sigmas[..., 2]) < 1.0)
+
     def test_model_file_missing_key_exits_2(self, tmp_path, capsys):
         train = gen(tmp_path, "train.jsonl")
         model = fit(tmp_path, train)
@@ -373,7 +384,7 @@ class TestPredict:
     @pytest.mark.parametrize("corrupt,message", [
         (lambda doc: doc["predictor"].update(lag=3.0), "lag must be a JSON integer, got 3.0"),
         (lambda doc: doc["goal_model"]["anchor_steps"].__setitem__(0, 5.5),
-         "anchor_steps must be a JSON array of integers, got [5.5, "),
+         "anchor steps must be integers, got [5.5, 10, 15, 20, 25]"),
         (lambda doc: doc["predictor"]["ar_weights"][1].__setitem__(0, None),
          "ar_weights must hold only JSON numbers"),
         (lambda doc: doc["goal_model"]["weights"][2][0].__setitem__(1, "0.5"),

@@ -471,6 +471,16 @@ class TestSegmentChecks:
         with pytest.raises(ValueError, match=r"^segment s: dt 0.2 != 0.3$"):
             Dataset([seg], dt=0.3, tau=2, horizon=4)
 
+    def test_public_dataset_rejects_a_repeated_segment_id(self, tmp_path):
+        # accepted, and write_jsonl then wrote a file that read_jsonl rejects
+        a, b, c = (Segment(sid, 1, 0.2, np.zeros((1, 2)), np.ones((1, 2)))
+                   for sid in ("a", "b", "a"))
+        with pytest.raises(ValueError, match=r"^segments 0 and 2 share the segment id 'a'$"):
+            Dataset([a, b, c], tau=0, horizon=1)
+        path = tmp_path / "d.jsonl"
+        write_jsonl(Dataset([a, b], tau=0, horizon=1), str(path))
+        assert [s.segment_id for s in read_jsonl(str(path)).segments] == ["a", "b"]
+
 
 class TestDownsample:
     def test_41_samples_become_21(self):
@@ -903,18 +913,18 @@ class TestJsonl:
         )
 
     @pytest.mark.parametrize("field,value,message", [
-        ("agent_id", 1.5, "agent_id must be a JSON integer"),
-        ("agent_id", "7", "agent_id must be a JSON integer"),
-        ("agent_id", True, "agent_id must be a JSON integer"),
-        ("dt", "0.2", "dt must be a JSON number"),
-        ("dt", True, "dt must be a JSON number"),
+        ("agent_id", 1.5, "agent_id must be a JSON integer, got 1.5"),
+        ("agent_id", "7", 'agent_id must be a JSON integer, got "7"'),
+        ("agent_id", True, "agent_id must be a JSON integer, got true"),
+        ("dt", "0.2", 'dt must be a JSON number, got "0.2"'),
+        ("dt", True, "dt must be a JSON number, got true"),
         ("history", "23.6", "history must hold only JSON numbers"),
         ("future", 23.6, "future must be an array of [x, y] pairs"),
         # str() would load null as "None" and 5 as "5", colliding with a real "5"
-        ("segment_id", None, "segment_id must be a JSON string"),
-        ("segment_id", 5, "segment_id must be a JSON string"),
-        ("segment_id", 5.0, "segment_id must be a JSON string"),
-        ("segment_id", ["a"], "segment_id must be a JSON string"),
+        ("segment_id", None, "segment_id must be a JSON string, got null"),
+        ("segment_id", 5, "segment_id must be a JSON string, got 5"),
+        ("segment_id", 5.0, "segment_id must be a JSON string, got 5.0"),
+        ("segment_id", ["a"], 'segment_id must be a JSON string, got ["a"]'),
         ("dt", float("nan"), "dt must be finite and positive"),
         ("dt", float("inf"), "dt must be finite and positive"),
         ("dt", float("-inf"), "dt must be finite and positive"),

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trajrefine.fusion import (
     Estimate,
@@ -160,6 +164,67 @@ class TestFuse:
             fuse([0.0, 0.0], np.zeros((2, 2)), [1.0, 0.0], np.zeros((2, 2)))
 
 
+class TestPosteriorWithoutCancellation:
+    """The posterior (I - K) P is P adj(S) R / det S = (det(P) R + det(R) P) / det S,
+    a sum of two PSD terms; det(S) P - P adj(S) P cancelled when P >> R."""
+
+    def test_huge_prior_gives_the_measurement_covariance(self):
+        # the covariance was zero
+        _, cov = fuse(np.zeros(2), 1e16 * I2, np.ones(2), I2)
+        np.testing.assert_allclose(cov, I2, rtol=1e-15)
+
+    def test_tiny_measurement_keeps_the_posterior_definite(self):
+        # sxx was -0.5e-16
+        r = 1e-16 * np.array([[1.0, 0.3], [0.3, 0.5]])
+        _, cov = fuse(np.zeros(2), np.array([[1.0, 0.3], [0.3, 0.5]]), np.ones(2), r)
+        _, expected = info_fuse(np.zeros(2), np.array([[1.0, 0.3], [0.3, 0.5]]), np.ones(2), r)
+        np.testing.assert_allclose(cov, expected, rtol=1e-14)
+        assert np.linalg.eigvalsh(cov).min() > 0.0
+
+
+def well_conditioned_cov(data) -> np.ndarray:
+    """A random covariance with eigenvalues in [0.5, 2] and any orientation."""
+    theta = data.draw(st.floats(0.0, np.pi))
+    c, s = np.cos(theta), np.sin(theta)
+    rot = np.array([[c, -s], [s, c]])
+    return rot @ np.diag([data.draw(st.floats(0.5, 2.0)) for _ in range(2)]) @ rot.T
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), exponent=st.floats(-16.0, 16.0))
+def test_fuse_matches_info_fuse_over_the_prior_to_measurement_ratio(data, exponent):
+    # at the parent a ratio beyond about 1e8 lost the posterior to cancellation
+    p, r = 10.0**exponent * well_conditioned_cov(data), well_conditioned_cov(data)
+    x, z = np.array([1.0, -2.0]), np.array([0.5, 3.0])
+    mean, cov = fuse(x, p, z, r)
+    info_mean, info_cov = info_fuse(x, p, z, r)
+    assert np.abs(cov - info_cov).max() <= 1e-13 * np.abs(info_cov).max()
+    np.testing.assert_allclose(mean, info_mean, rtol=1e-12, atol=1e-12)
+
+
+class TestOverflow:
+    """A covariance whose determinant overflows is rejected by name, quietly."""
+
+    @pytest.mark.parametrize("p,r", [
+        (np.diag([1e200, 1e200]), I2),  # raised SingularInnovationError (det=inf)
+        (I2, np.diag([1e200, 1e200])),
+        (np.array([[1e160, 0.0], [0.0, 1e160]]), I2),
+    ])
+    def test_overflowing_determinant_is_named(self, p, r):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as exc:
+                fuse(np.zeros(2), p, np.ones(2), r)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == "means, covariances and their determinants must be finite"
+
+    def test_overflowing_posterior_is_named(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^posterior is not finite$"):
+                fuse(np.zeros(2), 1e150 * I2, np.ones(2), 1e10 * I2)
+
+
 class TestInfoFuse:
     def test_equal_covariances(self):
         mean, cov = info_fuse([0.0, 0.0], I2, [2.0, 0.0], I2)
@@ -264,9 +329,9 @@ class TestEstimatesFromArrays:
         assert estimates_from_arrays(np.empty((0, 2)), np.empty((0, 2, 2))) == []
 
     @pytest.mark.parametrize("kind,value,message", [
-        ("mean", np.nan, "^means and covariances must be finite$"),
-        ("cov", np.inf, "^means and covariances must be finite$"),
-        ("offdiag", np.nan, "^means and covariances must be finite$"),
+        ("mean", np.nan, "^means, covariances and their determinants must be finite$"),
+        ("cov", np.inf, "^means, covariances and their determinants must be finite$"),
+        ("offdiag", np.nan, "^means, covariances and their determinants must be finite$"),
         ("sxx", -2.0 * PSD_TOL, "^covariance must be positive semidefinite$"),
         ("det", 1e-8, "^covariance must be positive semidefinite$"),
     ], ids=["mean", "entry", "offdiag", "sxx-below-tol", "det-below-tol"])

@@ -5,6 +5,7 @@ import reference_rollout as ref
 import trajrefine.predictors as predictors
 from trajrefine.data import Dataset, Segment, gen_synthetic
 from trajrefine.fusion import SingularInnovationError
+from trajrefine.gaussian import params_from_covs
 from trajrefine.goals import (
     GoalModelParams,
     fit_goal_model,
@@ -542,3 +543,15 @@ class TestRolloutRefined:
                 cfg=RefineConfig(goal_cov_scale=1e-20),
             )
         assert exc_info.value.step == 1
+
+
+@pytest.mark.parametrize("backbone", ["cv", "ca", "ar"])
+def test_refined_covariances_are_definite_at_any_goal_scale(backbone):
+    # ca at scale 1e-12 had a minimum eigenvalue of -2.1e-12
+    train = gen_synthetic("lane_change", 100, 0.2, seed=101)
+    test = gen_synthetic("lane_change", 20, 0.2, seed=102)
+    params, goals = fit_predictor(backbone, train), fit_goal_model(train)
+    for scale in (1e-12, 1e-6, 1.0, 1e12):
+        _, covs = rollout_batch(params, test.histories(), test.horizon, goals,
+                                RefineConfig(goal_cov_scale=scale))
+        params_from_covs(covs)  # raises unless every covariance is finite and PD

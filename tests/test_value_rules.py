@@ -10,6 +10,7 @@ the copies were merged.
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -20,8 +21,8 @@ from trajrefine.cli import load_model, main, save_model
 from trajrefine.data import (Dataset, Segment, gen_synthetic, non_negative, positive,
                              read_jsonl, whole, write_jsonl)
 from trajrefine.fusion import fuse
-from trajrefine.gaussian import (Cov2, log_density, params_from_cov, params_from_covs, pd_rule,
-                                 psd_rule)
+from trajrefine.gaussian import (Cov2, cov_from_params, log_density, params_from_cov,
+                                 params_from_covs, pd_rule, psd_rule)
 from trajrefine.goals import GoalModelParams, fit_goal_model, solve_ridge
 from trajrefine.predictors import PredictorParams, RefineConfig, fit_ar_rls, fit_predictor
 
@@ -164,7 +165,7 @@ class TestOneCovarianceRule:
         # returned (inf, 1.0, 0.0)
         with raises("covariance is not positive definite"):
             params_from_cov(Cov2(np.inf, 0.0, 1.0))
-        with raises("covariance entries must be finite"):
+        with raises("covariance entries and determinants must be finite"):
             params_from_covs(np.diag([np.inf, 1.0]))
 
     def test_off_diagonals_are_averaged_everywhere(self):
@@ -178,8 +179,43 @@ class TestOneCovarianceRule:
             params_from_covs(cov)
 
 
+class TestOverflowingDeterminant:
+    """A covariance whose determinant overflows is rejected, without a RuntimeWarning."""
+
+    @pytest.fixture(autouse=True)
+    def warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    def test_log_density(self):
+        # returned -inf
+        with raises("covariance is not positive definite"):
+            log_density(np.zeros(2), np.diag([1e200, 1e200]), np.zeros(2))
+
+    def test_params_from_cov_and_covs(self):
+        # both returned (1e100, 1e100, 0.0)
+        with raises("covariance is not positive definite"):
+            params_from_cov(Cov2(1e200, 0.0, 1e200))
+        with raises("covariance entries and determinants must be finite"):
+            params_from_covs(np.diag([1e200, 1e200]))
+
+    @pytest.mark.parametrize("sigmas", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)])
+    def test_cov_from_params_needs_finite_sigmas(self, sigmas):
+        # an infinite sigma gave NaN off-diagonals
+        with raises("sigma_x and sigma_y must be finite and positive"):
+            cov_from_params(*sigmas, 0.0)
+
+    def test_stored_tables(self):
+        with raises("step covariance 1 is not PSD"):
+            PredictorParams("cv", 0.2, np.diag([1e200, 1e200])[None])
+        with raises("residual covariance of anchor 1 is not positive definite"):
+            GoalModelParams((1,), (np.zeros((2, 2)),), np.diag([1e200, 1e200])[None], 2)
+
+
 ENTRIES = st.one_of(st.floats(-4.0, 4.0),
-                    st.sampled_from([0.0, 1e-300, -1e-300, math.nan, math.inf, -math.inf]))
+                    st.sampled_from([0.0, 1e-300, -1e-300, 1e200, -1e200, math.nan, math.inf,
+                                     -math.inf]))
 
 
 def accepted(call, *args) -> bool:
@@ -202,7 +238,7 @@ def test_every_caller_keeps_the_one_rule(sxx, a, b, syy, symmetric):
         assert ([float(v).hex() for v in params_from_cov(scalar)]
                 == [float(v).hex() for v in params_from_covs(cov)])
     assert accepted(log_density, np.zeros(2), cov, np.zeros(2)) == valid
-    stored = a == b and all(map(math.isfinite, (sxx, a, b, syy)))
+    stored = a == b and math.isfinite(sxx * syy - a * b)  # and so every entry
     assert accepted(PredictorParams, "cv", 0.2, cov[None]) == bool(stored and psd_rule(sxx, a, syy))
     assert (accepted(GoalModelParams, (1,), (np.zeros((2, 2)),), cov[None], 2)
             == bool(stored and pd_rule(sxx, a, syy)))
