@@ -15,6 +15,7 @@ import json
 import re
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Callable
 
 import numpy as np
@@ -48,6 +49,10 @@ from .predictors import (
 
 MODEL_VERSION = 1
 PROTOCOL_KEYS = ("dt", "tau", "horizon")  # a model file's protocol, checked against data
+# the keys a model file may hold, at its top level (None) and in each model's section
+MODEL_KEYS = {None: ("version", "protocol", "predictor", "goal_model"),
+              "predictor": ("backbone", "dt", "window", "lag", "ar_weights", "step_covs"),
+              "goal_model": ("anchor_steps", "weights", "residual_covs", "history_len", "rotate")}
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +147,8 @@ def _add_command(subparsers, name: str, options: list[Opt], func, help_text: str
     for opt in options:
         sub.add_argument(f"--{opt.flag}", choices=opt.choices, help=opt.help)
     sub.add_argument("--config", help="flat key = value config file")
-    sub.set_defaults(func=func, options=options)
+    # by name: main looks the function up per call, so a later rebinding of it takes effect
+    sub.set_defaults(func=func.__name__, options=options)
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +203,11 @@ def load_model(path: str) -> tuple[PredictorParams, GoalModelParams, dict]:
             raise ValueError("expected a JSON object")
         if doc.get("version") != MODEL_VERSION:
             raise ValueError(f"unsupported model file version {doc.get('version')}")
+        for section, keys in MODEL_KEYS.items():
+            part = doc if section is None else doc.get(section)
+            if isinstance(part, dict) and (unknown := [key for key in part if key not in keys]):
+                where = "" if section is None else f" in {section}"
+                raise ValueError(f"unknown key {unknown[0]!r}{where}")
         protocol = doc["protocol"]
         if not isinstance(protocol, dict) or set(protocol) != set(PROTOCOL_KEYS):
             raise ValueError("protocol must map exactly dt, tau and horizon")
@@ -426,6 +437,7 @@ def cmd_ablate(o) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)  # built once a process: every command parses with the same parser
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trajrefine",
@@ -451,7 +463,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         merged = _merge(args.options, args)
-        return args.func(merged)
+        return globals()[args.func](merged)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

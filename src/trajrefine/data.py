@@ -16,6 +16,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, islice, repeat
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -158,16 +159,9 @@ class Dataset:
                 raise ValueError(f"segments {j} and {i} share the segment id {seg.segment_id!r}")
             if abs(seg.dt - self.dt) > 1e-12:
                 raise ValueError(f"segment {seg.segment_id}: dt {seg.dt} != {self.dt}")
-            if len(seg.history) != self.tau + 1:
-                raise ValueError(
-                    f"segment {seg.segment_id}: history length {len(seg.history)} "
-                    f"!= {self.tau + 1}"
-                )
-            if len(seg.future) != self.horizon:
-                raise ValueError(
-                    f"segment {seg.segment_id}: future length {len(seg.future)} "
-                    f"!= {self.horizon}"
-                )
+            for field, length in (("history", self.tau + 1), ("future", self.horizon)):
+                if (got := len(getattr(seg, field))) != length:
+                    raise ValueError(f"segment {seg.segment_id}: {field} length {got} != {length}")
         for name, field, length in (("_histories", "history", self.tau + 1),
                                     ("_futures", "future", self.horizon)):
             stack = np.array([getattr(seg, field) for seg in self.segments])
@@ -622,17 +616,19 @@ def _write_blocks(path: str, n: int, block_lines) -> None:
 
 def _segment_line(sid: str, agent: int, dt: str, history: str, future: str) -> str:
     """The line :func:`write_jsonl` writes for a segment, given dt's and the points' text."""
-    return (f'{{"segment_id":{json.dumps(sid)},"agent_id":{agent},"dt":{dt},'
+    return (f'{{"segment_id":{encode_basestring_ascii(sid)},"agent_id":{agent},"dt":{dt},'
             f'"history":{history},"future":{future}}}\n')
 
 
 def write_jsonl(ds: Dataset, path: str) -> None:
     """One JSON object per segment; coordinates rounded by :func:`round6` and
     written by :func:`points_json`, dt as ``json.dumps(round(dt, 6))``. A dt
-    whose text would read 0 is rejected before the file is opened."""
+    whose text would read 0, or a protocol dt other than its own by
+    :func:`protocol_mismatch`, is rejected before the file is opened."""
     for dt in {ds.dt, *(seg.dt for seg in ds.segments)}:
-        if round(dt, 6) == 0:
-            raise ValueError(f"dt={dt!r} rounds to 0 at the 6 decimals a dataset file carries")
+        if (written := round(dt, 6)) == 0 or protocol_mismatch({"dt": written}, {"dt": dt}, ["dt"]):
+            change = "rounds to 0" if written == 0 else f"reads back as {written!r}"
+            raise ValueError(f"dt={dt!r} {change} at the 6 decimals a dataset file carries")
     _write_blocks(path, len(ds), lambda rows: (
         _segment_line(seg.segment_id, seg.agent_id, _dt_json(seg.dt), h, f)
         for seg, h, f in zip(ds.segments[rows], points_json(ds.histories()[rows]),
@@ -644,7 +640,7 @@ def write_predictions(path: str, ids, means, sigmas, mode: str) -> None:
     its (T, 3) sigmas at full precision (rounded, one can become an invalid 0) and mode."""
     mode = json.dumps(mode)
     _write_blocks(path, len(ids), lambda rows: (
-        f'{{"segment_id":{json.dumps(sid)},"means":{text},'
+        f'{{"segment_id":{encode_basestring_ascii(sid)},"means":{text},'
         f'"sigmas":{json.dumps(s.tolist(), separators=(",", ":"))},"mode":{mode}}}\n'
         for sid, text, s in zip(ids[rows], points_json(means[rows]), sigmas[rows])))
 
@@ -720,6 +716,15 @@ def json_points(value, name: str, rows: str = "[x, y] pairs") -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
+def _coordinates(texts: list[str]) -> np.ndarray:
+    """The (B, P, 2) values of B ``[[x,y],...]`` texts, each number converted as
+    ``float`` does by numpy's C tokenizer; a ValueError unless each holds P pairs."""
+    rows = "\n".join(texts).encode().translate(None, b"[]").decode().split("\n")
+    if not all(rows):  # loadtxt skips an empty row and warns if all are; no segment has one
+        raise ValueError("a text holds no numbers")
+    return np.loadtxt(rows, delimiter=",", comments=None, ndmin=2).reshape(len(texts), -1, 2)
+
+
 def _read_bulk(path: str) -> Dataset | None:
     """read_jsonl's bulk pass: the dataset of a file as write_jsonl writes it, else None."""
     ids, agents, histories, futures, dt_text = [], [], [], [], None
@@ -730,9 +735,8 @@ def _read_bulk(path: str) -> Dataset | None:
                 if dt_text is None:  # every line must repeat the first line's dt text
                     dt = float(dt_text := parts[0][8][1:-1])
                 block = [p[3] for p in parts], [int(p[6][1:-1]) for p in parts]
-                h, f = (np.array(",".join(texts).replace("[", "").replace("]", "").split(","),
-                                 dtype=float).reshape(len(lines), -1, 2)
-                        for texts in ([p[10][1:-1] for p in parts], [p[12][1:-3] for p in parts]))
+                h, f = (_coordinates(texts) for texts in ([p[10][1:-1] for p in parts],
+                                                         [p[12][1:-3] for p in parts]))
                 if not (np.isfinite(h).all() and np.isfinite(f).all()):
                     return None
                 if "".join(lines) != "".join(map(_segment_line, *block, repeat(dt_text),
@@ -760,9 +764,10 @@ def read_jsonl(path: str) -> Dataset:
     than the segment fields, such as the ``neighbors`` list older files
     carry, are ignored.
 
-    A bulk pass reads ``TEXT_BLOCK`` lines at a time, split on ``"``, with one
-    ``float``-exact numpy cast for a block's coordinates, and keeps a file only
-    if write_jsonl's line builder rebuilds every line byte for byte, values
+    A bulk pass reads ``TEXT_BLOCK`` lines at a time, split on ``"``; numpy's
+    C tokenizer (``np.loadtxt``) parses a block's histories and its futures,
+    each number as ``float`` does. It keeps a file only if write_jsonl's line
+    builder rebuilds every line byte for byte from what it parsed, values
     finite, dt positive and ids distinct; any other file takes the exact pass,
     ``json.loads`` line by line, which names the first line at fault.
     """

@@ -58,7 +58,7 @@ def _sigma_rho(sxx, sxy, syy, valid, sqrt=math.sqrt):
 def params_from_cov(c: Cov2) -> tuple[float, float, float]:
     """(sigma_x, sigma_y, rho) of one :class:`Cov2`, judged in floats by the
     rule of :func:`cov_entries`: a finite determinant and :func:`pd_rule`."""
-    sxx, sxy, syy = c
+    sxx, sxy, syy = map(float, c)  # a float overflows quietly, a numpy scalar warns
     finite = math.isfinite(sxx * syy - sxy * sxy)  # NaN or infinite if an entry is
     return _sigma_rho(sxx, sxy, syy, finite and pd_rule(sxx, sxy, syy))
 

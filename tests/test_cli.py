@@ -90,6 +90,14 @@ class TestGenSynth:
             "error: dt=1e-07 rounds to 0 at the 6 decimals a dataset file carries\n")
         assert not out.exists()
 
+    def test_dt_read_back_as_another_exits_2_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "x.jsonl"
+        assert run("gen-synth", "--scenario", "cv", "--n", "2", "--dt", "0.1234567",
+                   "--out", str(out)) == 2
+        assert capsys.readouterr().err == ("error: dt=0.1234567 reads back as 0.123457 "
+                                           "at the 6 decimals a dataset file carries\n")
+        assert not out.exists()
+
 
 class TestIngestNgsim:
     def write_csv(self, path, n_frames=130, vehicles=(1, 2)):
@@ -368,9 +376,16 @@ class TestPredict:
          "invalid model file: unsupported model file version 2$"),
         (lambda doc: json.dumps({k: v for k, v in doc.items() if k != "version"}),
          "invalid model file: unsupported model file version None$"),
+        # each of these three loaded without a word
+        (lambda doc: json.dumps({**doc, "extra": 1}), "invalid model file: unknown key 'extra'$"),
+        (lambda doc: json.dumps({**doc, "predictor": {**doc["predictor"], "windw": 3}}),
+         "invalid model file: unknown key 'windw' in predictor$"),
+        (lambda doc: json.dumps({**doc, "goal_model": {**doc["goal_model"], "posterior_covs": []}}),
+         "invalid model file: unknown key 'posterior_covs' in goal_model$"),
     ], ids=["protocol-extra-key", "protocol-not-object", "protocol-string-value",
             "top-level-array", "invalid-json", "step-covs-quadruples", "residual-covs-pairs",
-            "version-2", "version-missing"])
+            "version-2", "version-missing", "unknown-top-level-key", "unknown-predictor-key",
+            "unknown-goal-model-key"])
     def test_malformed_model_file_exits_2(self, tmp_path, capsys, corrupt, message):
         train = gen(tmp_path, "train.jsonl", n=30)
         model = fit(tmp_path, train)

@@ -861,9 +861,16 @@ class TestJsonl:
         assert not path.exists()
 
     def test_smallest_dt_written_reads_back(self, tmp_path):
-        dt = np.nextafter(5e-7, 1.0).item()  # the next smaller float is 5e-07, written 0.0
         p = np.arange(4.0).reshape(2, 2)
         path = tmp_path / "d.jsonl"
+        # the smallest dt whose text is not 0 (the next smaller float, 5e-07, is written
+        # 0.0) is written 1e-06, which reads back as another protocol dt
+        dt = np.nextafter(5e-7, 1.0).item()
+        with pytest.raises(ValueError, match=r"^dt=5\.000000000000001e-07 reads back as 1e-06 "
+                                             "at the 6 decimals a dataset file carries$"):
+            write_jsonl(Dataset([Segment("a", 1, dt, p, p)], dt, 1, 2), str(path))
+        assert not path.exists()
+        dt = 9.995e-07  # within the protocol's 1e-9 of the 1e-06 it is written as
         write_jsonl(Dataset([Segment("a", 1, dt, p, p)], dt, 1, 2), str(path))
         assert '"dt":1e-06,' in path.read_text()
         back = read_jsonl(str(path))

@@ -1,14 +1,16 @@
 """``read_jsonl``'s bulk pass against its exact pass.
 
-The bulk pass takes a file only if ``write_jsonl``'s line builder rebuilds
-every line of it byte for byte from what it parsed; any other file goes to the
-exact pass, ``json.loads`` line by line. Whichever pass reads a file,
-``read_jsonl`` must return bitwise what the exact pass alone returns, or raise
-its message, and every dataset file the package writes must take the bulk pass.
+The bulk pass parses a block's coordinates with numpy's C tokenizer and
+takes a file only if ``write_jsonl``'s line builder rebuilds every line of it
+byte for byte from what it parsed; any other file goes to the exact pass,
+``json.loads`` line by line. Whichever pass reads a file, ``read_jsonl`` must
+return bitwise what the exact pass alone returns, or raise its message, without
+a warning, and every dataset file the package writes must take the bulk pass.
 """
 
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -78,8 +80,13 @@ def set_value(key: str, text: str):
     return at_line(lambda line: re.sub(rf'"{key}":[^,]*,', f'"{key}":{text},', line, count=1))
 
 
-def first_coordinate(text: str):
-    return at_line(lambda line: re.sub(r'"history":\[\[[^,]*,', f'"history":[[{text},', line))
+def first_coordinate(text: str, field: str = "history"):
+    return at_line(lambda line: re.sub(rf'"{field}":\[\[[^,]*,', f'"{field}":[[{text},', line))
+
+
+def one_point_short(field: str):
+    """Line K with the first point of ``field`` dropped: one row of its block is shorter."""
+    return at_line(lambda line: re.sub(rf'"{field}":\[\[[^\]]*\],', f'"{field}":[', line))
 
 
 def reordered(line: str) -> str:
@@ -125,6 +132,16 @@ VARIANTS = {  # name: (change to the list of lines, whether the bulk pass takes 
     ], False),
     "undecodable-after-malformed": (undecodable_after_malformed, False),
     "empty-file": (lambda lines: [], False),
+    "history-one-point-short": (one_point_short("history"), False),
+    "future-one-point-short": (one_point_short("future"), False),
+    "every-future-empty": (every_line(lambda line: re.sub(r'"future":[^}]*}',
+                                                          '"future":[]}', line)), False),
+    # number texts numpy's tokenizer reads and no JSON writer writes
+    **{f"{field}-{name}": (first_coordinate(text, field), False)
+       for field in ("history", "future")
+       for name, text in (("nan", "nan"), ("inf", "inf"), ("plus", "+1.5"), ("no-units", ".5"),
+                          ("no-fraction", "1."), ("leading-zero", "01.5"),
+                          ("leading-space", " 1.5"), ("exponent", "1e5"))},
 }
 
 
@@ -137,6 +154,17 @@ def test_every_variant_reads_like_the_exact_pass(tmp_path, monkeypatch, canonica
     path = tmp_path / "d.jsonl"
     path.write_bytes("".join(lines).encode("utf-8", "surrogateescape"))
     assert_reads_like_the_exact_pass(path, monkeypatch, bulk)
+
+
+@pytest.mark.parametrize("name", ["canonical", "every-history-empty", "every-future-empty",
+                                  "history-one-point-short", "history-nan"])
+def test_no_variant_warns(tmp_path, canonical_lines, name):
+    # loadtxt warns "input contained no data" on a block whose rows are all empty
+    path = tmp_path / "d.jsonl"
+    path.write_text("".join(VARIANTS[name][0](canonical_lines)), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outcome(path)
 
 
 def test_the_earlier_error_wins_over_a_later_undecodable_byte(tmp_path, canonical_lines):
@@ -208,3 +236,27 @@ def test_any_double_reads_back_bitwise(tmp_path_factory, xs):
     records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
     assert bulk.histories().tobytes() == np.array([records[0]["history"]]).tobytes()
     assert bulk.futures().tobytes() == np.array([records[0]["future"]]).tobytes()
+
+
+def assert_parsed_as_float(texts: list[str]) -> None:
+    """The bulk pass's tokenizer parses each number text as float() does, bit for bit."""
+    texts = texts + texts[:1] * (len(texts) % 2)
+    pairs = [texts[i : i + 2] for i in range(0, len(texts), 2)]
+    parsed = data._coordinates([f"[[{x},{y}]]" for x, y in pairs])
+    assert parsed.tobytes() == np.array([[[float(x), float(y)]] for x, y in pairs]).tobytes()
+
+
+def test_tokenizer_parses_near_ties_as_float():
+    # each value's repr, and its 6-decimal and 25-digit texts, which need correct rounding
+    values = near_ties().tolist()
+    assert_parsed_as_float([text for x in values
+                            for text in (repr(x), f"{x:.6f}", f"{x:.25g}")])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.from_regex(r"-?[0-9]{1,20}\.[0-9]{1,30}(e-?[0-9]{1,3})?", fullmatch=True),
+), min_size=1, max_size=12))
+def test_tokenizer_parses_any_number_text_as_float(texts):
+    assert_parsed_as_float(texts)

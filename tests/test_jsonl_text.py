@@ -9,6 +9,7 @@ included.
 """
 
 import json
+import re
 import sys
 from types import SimpleNamespace
 
@@ -170,13 +171,24 @@ class TestWriteJsonl:
         assert_writes_like_reference(ds, tmp_path)
         assert read_jsonl(str(tmp_path / "d.jsonl")).segments[1].segment_id == segment_id
 
-    # 5.000000000000001e-07, the smallest dt whose 6-decimal text is not 0, is written 1e-06
-    @pytest.mark.parametrize("dt", [1, np.float64(0.2), 0.30000000000000004,
-                                    5.000000000000001e-07, 2.5e-05, 1e9 + 0.5, 10**400])
+    @pytest.mark.parametrize("dt", [1, np.float64(0.2), 0.30000000000000004, 2.5e-05,
+                                    1e9 + 0.5, 10**400])
     def test_any_dt(self, tmp_path, dt):
         points = np.array([[1.5, -2.25]])
         ds = Dataset([Segment("a", np.int64(3), dt, points, points)], dt, 0, 1)
         assert_writes_like_reference(ds, tmp_path)
+
+    # 5.000000000000001e-07 is the smallest dt whose 6-decimal text is not 0
+    @pytest.mark.parametrize("dt,written", [(0.2000004, "0.2"), (0.1234567, "0.123457"),
+                                            (5.000000000000001e-07, "1e-06")])
+    def test_dt_read_back_as_another_dt_rejected(self, tmp_path, dt, written):
+        points = np.array([[1.5, -2.25]])
+        ds = Dataset([Segment("a", 3, dt, points, points)], dt, 0, 1)
+        path = tmp_path / "d.jsonl"
+        with pytest.raises(ValueError, match=f"^dt={re.escape(repr(dt))} reads back as "
+                                             f"{re.escape(written)} at the 6 decimals"):
+            write_jsonl(ds, str(path))
+        assert not path.exists()
 
     def test_equal_dts_of_other_types_keep_their_text(self, tmp_path):
         # dt's text is cached: equal keys of other types, such as 1.0 and 1 ("1.0" and

@@ -103,7 +103,9 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 @st.composite
 def datasets(draw) -> Dataset:
     tau, horizon = draw(st.integers(0, 4)), draw(st.integers(1, 4))
-    dt = draw(st.floats(1e-3, 10.0))
+    # write_jsonl rejects a dt that reads back as another protocol dt: 6 decimals, give
+    # or take less than the protocol's 1e-9
+    dt = draw(st.integers(10**3, 10**7)) / 1e6 + draw(st.sampled_from([0.0, 4e-10, -4e-10]))
     ids = draw(st.lists(st.text(max_size=8), min_size=1, max_size=4, unique=True))
     segments = [
         Segment(sid, draw(st.integers(-2**70, 2**70)), dt,

@@ -146,6 +146,9 @@ class TestNanCovarianceIsNotPositiveDefinite:
 
     def test_scalar_params_from_cov_unchanged_for_valid_input(self):
         assert params_from_cov(Cov2(4.0, 1.0, 1.0)) == (2.0, 1.0, 0.5)
+        entries = (2.0 / 3.0, 0.1, 7.0 / 9.0)
+        assert (np.array(params_from_cov(Cov2(*map(np.float64, entries)))).tobytes()
+                == np.array(params_from_cov(Cov2(*entries))).tobytes())
 
 
 class TestOneCovarianceRule:
@@ -197,6 +200,8 @@ class TestOverflowingDeterminant:
         # both returned (1e100, 1e100, 0.0)
         with raises("covariance is not positive definite"):
             params_from_cov(Cov2(1e200, 0.0, 1e200))
+        with raises("covariance is not positive definite"):  # raised the overflow warning
+            params_from_cov(Cov2(np.float64(1e200), 0.0, np.float64(1e200)))
         with raises("covariance entries and determinants must be finite"):
             params_from_covs(np.diag([1e200, 1e200]))
 
