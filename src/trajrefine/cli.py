@@ -48,11 +48,18 @@ from .predictors import (
 )
 
 MODEL_VERSION = 1
-PROTOCOL_KEYS = ("dt", "tau", "horizon")  # a model file's protocol, checked against data
-# the keys a model file may hold, at its top level (None) and in each model's section
-MODEL_KEYS = {None: ("version", "protocol", "predictor", "goal_model"),
-              "predictor": ("backbone", "dt", "window", "lag", "ar_weights", "step_covs"),
-              "goal_model": ("anchor_steps", "weights", "residual_covs", "history_len", "rotate")}
+# The model file after its version: each section's keys in file order, each with the
+# JSON form it is written and read in: a json_value kind; "rows", number rows (null for
+# a backbone without them); "tables", an array of number rows per anchor; "covs",
+# [sxx, sxy, syy] triples; or None, passed through to the model class that checks it.
+# save_model and load_model take the sections in this order: protocol, predictor, goal model.
+MODEL_SCHEMA = {
+    "protocol": {"dt": "number", "tau": "integer", "horizon": "integer"},
+    "predictor": {"backbone": None, "dt": "number", "window": "integer", "lag": "integer",
+                  "ar_weights": "rows", "step_covs": "covs"},
+    "goal_model": {"anchor_steps": None, "weights": "tables", "residual_covs": "covs",
+                   "history_len": "integer", "rotate": "boolean"},
+}
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +93,13 @@ def _str_list(raw: str) -> tuple[str, ...]:
 
 def _int_list(raw: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in _str_list(raw))
+
+
+def _csv_cell(raw: str) -> str:
+    """A label written as one CSV cell as it is: no comma, quote or line break."""
+    if any(ch in raw for ch in ',"\r\n'):
+        raise ValueError("not a plain CSV cell")
+    return raw
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -155,84 +169,72 @@ def _add_command(subparsers, name: str, options: list[Opt], func, help_text: str
 # model file serialization
 # ---------------------------------------------------------------------------
 
-def _covs(triples, name: str) -> np.ndarray:
-    """(K, 2, 2) covariances of [sxx, sxy, syy] triples."""
-    rows = "[sxx, sxy, syy] triples"
-    t = json_points(triples, name, rows)
-    if t.ndim != 2 or t.shape[1] != 3:
-        raise ValueError(f"{name} must be an array of {rows}")
-    return t[:, [0, 1, 1, 2]].reshape(-1, 2, 2)
+def _written(value, form: str | None):
+    """A model attribute as the JSON value of its declared form."""
+    if form == "covs":
+        return value[:, [0, 0, 1], [0, 1, 1]].tolist()
+    if form == "tables":
+        return [table.tolist() for table in value]
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+def _read(part: dict, key: str, form: str | None):
+    """part[key], read in its declared form; a value not in that form is named."""
+    value = part[key]
+    if form == "rows":
+        return None if value is None else json_points(value, key)
+    if form == "tables":
+        if not isinstance(value, list):
+            raise ValueError(f"{key} must be an array of tables of [x, y] pairs")
+        return tuple(json_points(table, key) for table in value)
+    if form == "covs":
+        rows = "[sxx, sxy, syy] triples"
+        if (t := json_points(value, key, rows)).ndim != 2 or t.shape[1] != 3:
+            raise ValueError(f"{key} must be an array of {rows}")
+        return t[:, [0, 1, 1, 2]].reshape(-1, 2, 2)
+    return value if form is None else json_value(part, key, form)
+
+
+def _known(part: dict, keys, where: str = "") -> None:
+    if unknown := [key for key in part if key not in keys]:
+        raise ValueError(f"unknown key {unknown[0]!r}{where}")
+
+
+def _section(doc: dict, section: str) -> dict:
+    """doc[section], a JSON object of exactly its declared keys, read key by key."""
+    _known(part := json_value(doc, section, "object"), fields := MODEL_SCHEMA[section],
+           f" in {section}")
+    return {key: _read(part, key, form) for key, form in fields.items()}
 
 
 def save_model(
     path: str, predictor: PredictorParams, goal_model: GoalModelParams, protocol: dict
 ) -> None:
-    doc = {
-        "version": MODEL_VERSION,
-        "protocol": protocol,
-        "predictor": {
-            "backbone": predictor.backbone,
-            "dt": predictor.dt,
-            "window": predictor.window,
-            "lag": predictor.lag,
-            "ar_weights": None
-            if predictor.ar_weights is None
-            else predictor.ar_weights.tolist(),
-            "step_covs": predictor.step_covs[:, [0, 0, 1], [0, 1, 1]].tolist(),
-        },
-        "goal_model": {
-            "anchor_steps": list(goal_model.anchor_steps),
-            "weights": [w.tolist() for w in goal_model.weights],
-            "residual_covs": goal_model.residual_covs[:, [0, 0, 1], [0, 1, 1]].tolist(),
-            "history_len": goal_model.history_len,
-            "rotate": goal_model.rotate,
-        },
-    }
+    doc = {"version": MODEL_VERSION}
+    for (section, fields), source in zip(MODEL_SCHEMA.items(),
+                                         (protocol, vars(predictor), vars(goal_model))):
+        doc[section] = {key: _written(source[key], form) for key, form in fields.items()}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc) + "\n")  # json.dump would take the pure-Python encoder
 
 
 def load_model(path: str) -> tuple[PredictorParams, GoalModelParams, dict]:
-    """Read a model file; malformed JSON, a missing key or a bad value names the
-    file. Sizes must be JSON integers, ``rotate`` a boolean, every array entry a
-    number, the protocol the models' own dt, tau and horizon, the anchors within it."""
+    """Read a model file; malformed JSON, a missing or unknown key, a section that
+    is not a JSON object or a bad value names the file. Each value must be in its
+    MODEL_SCHEMA form, the protocol the models' own dt, tau and horizon, the
+    anchors within it."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
         if not isinstance(doc, dict):
             raise ValueError("expected a JSON object")
-        if doc.get("version") != MODEL_VERSION:
-            raise ValueError(f"unsupported model file version {doc.get('version')}")
-        for section, keys in MODEL_KEYS.items():
-            part = doc if section is None else doc.get(section)
-            if isinstance(part, dict) and (unknown := [key for key in part if key not in keys]):
-                where = "" if section is None else f" in {section}"
-                raise ValueError(f"unknown key {unknown[0]!r}{where}")
-        protocol = doc["protocol"]
-        if not isinstance(protocol, dict) or set(protocol) != set(PROTOCOL_KEYS):
-            raise ValueError("protocol must map exactly dt, tau and horizon")
-        for key, kind in zip(PROTOCOL_KEYS, ("number", "integer", "integer")):
-            json_value(protocol, key, kind)
-        p = doc["predictor"]
-        predictor = PredictorParams(
-            backbone=p["backbone"],
-            dt=json_value(p, "dt", "number"),
-            step_covs=_covs(p["step_covs"], "step_covs"),
-            window=json_value(p, "window", "integer"),
-            lag=json_value(p, "lag", "integer"),
-            ar_weights=None if p["ar_weights"] is None
-            else json_points(p["ar_weights"], "ar_weights"),
-        )
-        g = doc["goal_model"]
-        goal_model = GoalModelParams(
-            anchor_steps=g["anchor_steps"],
-            weights=tuple(json_points(w, "weights") for w in g["weights"]),
-            residual_covs=_covs(g["residual_covs"], "residual_covs"),
-            history_len=json_value(g, "history_len", "integer"),
-            rotate=json_value(g, "rotate", "boolean"),
-        )
+        if (version := doc.pop("version", None)) != MODEL_VERSION:
+            raise ValueError(f"unsupported model file version {version}")
+        _known(doc, MODEL_SCHEMA)
+        protocol, p, g = (_section(doc, section) for section in MODEL_SCHEMA)
+        predictor, goal_model = PredictorParams(**p), GoalModelParams(**g)
         fitted = check_protocol(predictor.dt, goal_model.history_len - 1, predictor.horizon)
-        if key := protocol_mismatch(protocol, fitted, PROTOCOL_KEYS):
+        if key := protocol_mismatch(protocol, fitted, protocol):
             raise ValueError(f"protocol {key}={protocol[key]} does not match the "
                              f"models' {key}={fitted[key]}")
         check_protocol(**protocol)  # a models' dt of 1e-9 or less matches a dt <= 0
@@ -247,7 +249,7 @@ def load_model(path: str) -> tuple[PredictorParams, GoalModelParams, dict]:
 
 
 def _check_protocol(protocol: dict, ds: Dataset, path: str) -> None:
-    if key := protocol_mismatch(vars(ds), protocol, PROTOCOL_KEYS):
+    if key := protocol_mismatch(vars(ds), protocol, protocol):
         raise ValueError(f"{path}: protocol mismatch: {key}={getattr(ds, key)} in data, "
                          f"model expects {protocol[key]}")
 
@@ -383,7 +385,7 @@ _EVAL_OPTS = [
     Opt("predictions", str, required=True),
     Opt("data", str, required=True),
     Opt("out", str, required=True, help="output metrics CSV"),
-    Opt("backbone", str, "-", help="backbone label for the CSV row"),
+    Opt("backbone", _csv_cell, "-", help="backbone label for the CSV row"),
 ]
 
 
@@ -421,7 +423,7 @@ _ABLATE_OPTS = [
 def cmd_ablate(o) -> int:
     test = _read_segments(o.test)
     train, models = _fit_models(o, o.predictors)
-    _check_protocol(vars(train), test, o.test)
+    _check_protocol(check_protocol(train.dt, train.tau, train.horizon), test, o.test)
     report = run_ablation(test, models, _refine_config(o))
     with open(o.out, "w", encoding="utf-8") as fh:
         fh.write(report.to_csv())

@@ -645,11 +645,12 @@ def write_predictions(path: str, ids, means, sigmas, mode: str) -> None:
         for sid, text, s in zip(ids[rows], points_json(means[rows]), sigmas[rows])))
 
 
-_JSON_KINDS = {"string": (str,), "integer": (int,), "number": (int, float), "boolean": (bool,)}
+_JSON_KINDS = {"string": (str,), "integer": (int,), "number": (int, float), "boolean": (bool,),
+               "object": (dict,)}
 
 
 def json_value(obj: dict, key: str, kind: str):
-    """obj[key], which must be a JSON ``kind`` (string, integer, number or boolean);
+    """obj[key], which must be a JSON ``kind`` (string, integer, number, boolean or object);
     true is not the number 1, and 1.0 is not an integer."""
     if type(value := obj[key]) not in _JSON_KINDS[kind]:
         raise ValueError(f"{key} must be a JSON {kind}, got {json.dumps(value)}")

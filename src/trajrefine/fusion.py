@@ -90,13 +90,19 @@ def gain_table(p: np.ndarray, r: np.ndarray) -> np.ndarray:
     det(R) P of (I - K) P = P S^-1 R: a sum of two PSD terms, where the
     equal form det(S) P - P adj(S) P cancels when P is much larger than R.
 
-    Returns their (9, *B, 3) coefficients: rows 0-3 the gain numerator
+    p and r are first divided by 2^e, the power of two that brings a tr(S) of 1
+    or more into [0.5, 1), so that no product overflows. That is exact: the
+    gains keep their bits, and the posterior rows are multiplied back by 2^e.
+
+    Returns their (10, *B, 3) coefficients: rows 0-3 the gain numerator
     (row-major), rows 4-6 the posterior numerator's xx, xy (the mean of the
-    two off-diagonals) and yy, row 7 det S, and row 8 the singularity threshold
-    1e-15 * max(1, tr(S)^2), which does not depend on the angle.
+    two off-diagonals) and yy, row 7 det S / 4^e, row 8 the singularity
+    threshold 1e-15 * max(1, tr(S)^2) / 4^e, which does not depend on the
+    angle, and row 9 (first column) 2^-e.
     """
     p, r = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(r, dtype=float))
-    pc, rc = _planes(p), _planes(r)  # pc[i, j] is the batch of p[..., i, j]
+    unit = np.ldexp(1.0, -np.maximum(np.frexp(np.trace(p + r, 0, -2, -1))[1], 0))
+    pc, rc = _planes(p) * unit, _planes(r) * unit  # pc[i, j] is the batch of p[..., i, j]
     h, b = 0.5 * (rc[0, 0] - rc[1, 1]), 0.5 * (rc[0, 1] + rc[1, 0])
     mid, skew = 0.5 * (rc[0, 0] + rc[1, 1]), 0.5 * (rc[0, 1] - rc[1, 0])
     (q00, q01), (q10, q11) = pc + np.array([[mid, skew], [-skew, mid]])
@@ -109,11 +115,13 @@ def gain_table(p: np.ndarray, r: np.ndarray) -> np.ndarray:
     dh, db = det_p * h, det_p * b  # det(P) (u J1 + v J2) at the two basis angles
     posts = ((det_p * mid + det_r * pc[0, 0], det_r * (0.5 * (pc[0, 1] + pc[1, 0])),
               det_p * mid + det_r * pc[1, 1]), (dh, db, -dh), (-db, dh, db))
-    table = np.zeros((3, 9) + p.shape[:-2])  # [basis term, row, *B]
+    table = np.zeros((3, 10) + p.shape[:-2])  # [basis term, row, *B]
     for term, gain_num in ((0, _mul(pc, adj_q)), (1, -(h * pj1 + b * pj2)), (2, b * pj1 - h * pj2)):
         table[term, :4] = gain_num.reshape(4, *p.shape[:-2])
         table[term, 4:8] = (*posts[term], det_terms[term])
-    table[0, 8] = SINGULARITY_TOL * np.maximum(1.0, (q00 + q11) ** 2)
+    table[:, 4:7] /= unit
+    table[0, 8] = SINGULARITY_TOL * np.maximum(unit * unit, (q00 + q11) ** 2)
+    table[0, 9] = unit
     return np.moveaxis(table, 0, -1).copy()
 
 
@@ -135,14 +143,15 @@ def rotated_gains(table: np.ndarray, rot: np.ndarray) -> tuple[np.ndarray, np.nd
     c, s = rot[..., 0, 0], rot[..., 1, 0]
     basis = np.empty((3, *c.shape))
     basis[0], basis[1], basis[2] = 1.0, c * c - s * s, 2.0 * c * s
-    out = (table.reshape(-1, 3) @ basis).reshape(9, *table.shape[1:-1], *c.shape)
+    out = (table[:9].reshape(-1, 3) @ basis).reshape(9, *table.shape[1:-1], *c.shape)
     det = out[7]
     singular = det <= out[8]
     if singular.any():
         index = tuple(int(i) for i in np.argwhere(singular)[0])
+        unit = float(table[(9, *index[:table.ndim - 2], 0)])  # det S in the caller's units
         raise SingularInnovationError(
-            f"innovation covariance is singular (det={det[index]:.3e})", index=index
-        )
+            f"innovation covariance is singular (det={float(det[index]) / unit / unit:.3e})",
+            index=index)
     np.divide(out[:7], det, out=out[:7])
     # the posterior's xx, xy, yy planes are rows 4-6, so entry (i, j) is row
     # 4 + i + j: a read-only view that is symmetric by construction

@@ -1,10 +1,11 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from trajrefine.cli import load_model, main, save_model
+from trajrefine.cli import MODEL_SCHEMA, load_model, main, save_model
 from trajrefine.data import gen_synthetic, read_jsonl, round6, write_jsonl
 from trajrefine.gaussian import Cov2, params_from_cov
 from trajrefine.goals import fit_goal_model
@@ -404,12 +405,18 @@ class TestPredict:
          "ar_weights must hold only JSON numbers"),
         (lambda doc: doc["goal_model"]["weights"][2][0].__setitem__(1, "0.5"),
          "weights must hold only JSON numbers"),
+        # these two failed with "'int' (or 'NoneType') object is not iterable", naming nothing
+        (lambda doc: doc["goal_model"].update(weights=5),
+         "weights must be an array of tables of [x, y] pairs"),
+        (lambda doc: doc["goal_model"].update(weights=None),
+         "weights must be an array of tables of [x, y] pairs"),
         (lambda doc: doc["goal_model"].update(rotate="no"),
          'rotate must be a JSON boolean, got "no"'),
         (lambda doc: doc["protocol"].update(tau=True), "tau must be a JSON integer, got true"),
         (lambda doc: doc["predictor"].update(dt=float("nan")), "dt must be finite and positive"),
     ], ids=["lag-float", "anchor-float", "ar-weight-null", "goal-weight-string",
-            "rotate-string", "tau-bool", "predictor-dt-nan"])
+            "goal-weights-number", "goal-weights-null", "rotate-string", "tau-bool",
+            "predictor-dt-nan"])
     def test_model_file_wrong_json_type_exits_2(self, tmp_path, capsys, corrupt, message):
         train = gen(tmp_path, "train.jsonl", n=30)
         model = fit(tmp_path, train)
@@ -533,6 +540,78 @@ class TestPredict:
             assert x.cov == y.cov
 
 
+@pytest.fixture(scope="module")
+def model_doc(tmp_path_factory):
+    """A 30-segment training file and the document of the ar model fitted on it."""
+    tmp_path = tmp_path_factory.mktemp("model")
+    train = gen(tmp_path, "train.jsonl", n=30)
+    return train, json.loads(fit(tmp_path, train).read_text())
+
+
+def predict_with(tmp_path, train, doc) -> tuple[int, Path]:
+    """The exit code of predict with doc as its model file, and the predictions path."""
+    model, out = tmp_path / "model.json", tmp_path / "p.jsonl"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    return run("predict", "--model", str(model), "--data", str(train), "--out", str(out)), out
+
+
+DECLARED_KEYS = [(section, key) for section, fields in MODEL_SCHEMA.items() for key in fields]
+
+
+class TestModelSchema:
+    """save_model and load_model go by one declared list, MODEL_SCHEMA."""
+
+    def test_model_file_holds_the_declared_keys_in_order(self, model_doc):
+        _, doc = model_doc
+        assert list(doc) == ["version", *MODEL_SCHEMA]
+        assert [(section, key) for section in MODEL_SCHEMA for key in doc[section]] == (
+            DECLARED_KEYS)
+
+    @pytest.mark.parametrize("section,key", [(None, section) for section in MODEL_SCHEMA]
+                             + DECLARED_KEYS)
+    def test_every_declared_key_is_required(self, tmp_path, capsys, model_doc, section, key):
+        train, doc = model_doc
+        doc = json.loads(json.dumps(doc))
+        del (doc if section is None else doc[section])[key]
+        code, out = predict_with(tmp_path, train, doc)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'model.json'}: missing key '{key}' in model file\n")
+        assert not out.exists()
+
+    # each failed with "'int' object is not subscriptable" or the like, naming nothing
+    @pytest.mark.parametrize("section", list(MODEL_SCHEMA))
+    @pytest.mark.parametrize("value", [5, []], ids=["number", "array"])
+    def test_a_section_that_is_not_an_object_is_named(self, tmp_path, capsys, model_doc,
+                                                      section, value):
+        train, doc = model_doc
+        code, out = predict_with(tmp_path, train, {**doc, section: value})
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'model.json'}: invalid model file: {section} must be a JSON "
+            f"object, got {json.dumps(value)}\n")
+        assert not out.exists()
+
+    def test_huge_residual_covariance_is_named_singular_quietly(self, tmp_path, capsys,
+                                                                model_doc):
+        # GoalModelParams accepts [1e160, 0, 1] (its determinant is finite); predict
+        # printed three RuntimeWarnings and exited 2 with "rollout produced non-finite
+        # positions", or ended in a traceback with warnings as errors
+        train, doc = model_doc
+        goal_model = doc["goal_model"]
+        covs = [[1e160, 0.0, 1.0]] * len(goal_model["residual_covs"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = predict_with(tmp_path, train,
+                                     {**doc, "goal_model": {**goal_model, "residual_covs": covs}})
+        assert code == 2
+        err = capsys.readouterr().err
+        prefix = "error: step 1: innovation covariance is singular (det="
+        assert err.startswith(prefix) and err.endswith(")\n")
+        float(err[len(prefix):-2])  # a number: det(S) / tr(S)^2 is below the float's precision
+        assert not out.exists()
+
+
 class TestEvalAndAblate:
     def test_perfect_prediction_fixture_scores_zero(self, tmp_path):
         data = gen(tmp_path, "d.jsonl", scenario="cv", noise=0.0, n=5)
@@ -590,6 +669,41 @@ class TestEvalAndAblate:
         assert run("eval", "--predictions", str(preds), "--data", str(data),
                    "--out", str(out)) == 0
         assert out.read_text().splitlines()[0] == f"backbone,refine,rmse_overall,{seconds}"
+
+    # each wrote a row that does not fit the CSV's header: "cv,ca" shifted every
+    # column right by one, and a quote or line break broke the row
+    @pytest.mark.parametrize("label", ["cv,ca", 'cv"ca', "cv\rca", "cv\nca"],
+                             ids=["comma", "quote", "cr", "lf"])
+    def test_backbone_label_that_is_not_one_csv_cell_exits_2(self, tmp_path, capsys, label):
+        data = gen(tmp_path, "d.jsonl", scenario="cv", n=3)
+        preds, out = tmp_path / "p.jsonl", tmp_path / "m.csv"
+        preds.write_text("")
+        assert run("eval", "--predictions", str(preds), "--data", str(data),
+                   "--backbone", label, "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: --backbone: invalid value {label!r}\n"
+        assert not out.exists()
+
+    def test_backbone_label_from_a_config_line_is_checked_alike(self, tmp_path, capsys):
+        data, cfg = gen(tmp_path, "d.jsonl", scenario="cv", n=3), tmp_path / "eval.cfg"
+        preds, out = tmp_path / "p.jsonl", tmp_path / "m.csv"
+        preds.write_text("")
+        cfg.write_text('backbone = ar "lag 3"\n')
+        assert run("eval", "--predictions", str(preds), "--data", str(data),
+                   "--config", str(cfg), "--out", str(out)) == 2
+        assert capsys.readouterr().err == "error: --backbone: invalid value 'ar \"lag 3\"'\n"
+        assert not out.exists()
+
+    def test_any_other_backbone_label_is_written_as_is(self, tmp_path):
+        data = gen(tmp_path, "d.jsonl", scenario="cv", noise=0.0, n=3)
+        preds, out = tmp_path / "p.jsonl", tmp_path / "m.csv"
+        preds.write_text("".join(
+            json.dumps({"segment_id": seg.segment_id, "means": seg.future.tolist(),
+                        "mode": "vanilla"}) + "\n" for seg in read_jsonl(str(data)).segments))
+        label = "ar lag=3; ü\t'x'"
+        assert run("eval", "--predictions", str(preds), "--data", str(data),
+                   "--backbone", label, "--out", str(out)) == 0
+        row = out.read_text(encoding="utf-8").splitlines()[1]
+        assert row.startswith(f"{label},off,0.000000,")
 
     def test_empty_dataset_exits_2_naming_it(self, tmp_path, capsys):
         data, preds = tmp_path / "d.jsonl", tmp_path / "p.jsonl"

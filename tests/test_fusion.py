@@ -203,7 +203,8 @@ def test_fuse_matches_info_fuse_over_the_prior_to_measurement_ratio(data, expone
 
 
 class TestOverflow:
-    """A covariance whose determinant overflows is rejected by name, quietly."""
+    """A covariance whose determinant overflows is rejected by name, quietly; a large
+    one whose determinant does not overflow fuses, or is singular by the relative rule."""
 
     @pytest.mark.parametrize("p,r", [
         (np.diag([1e200, 1e200]), I2),  # raised SingularInnovationError (det=inf)
@@ -222,7 +223,31 @@ class TestOverflow:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^posterior is not finite$"):
-                fuse(np.zeros(2), 1e150 * I2, np.ones(2), 1e10 * I2)
+                fuse(np.full(2, -1e308), I2, np.full(2, 1e308), I2)
+
+    @pytest.mark.parametrize("p,r", [
+        (np.diag([1e154, 1e154]), I2),  # raised SingularInnovationError (det=1.000e+308)
+        (1e150 * I2, 1e10 * I2),  # raised "posterior is not finite"
+    ])
+    def test_large_covariances_fuse_like_the_information_form(self, p, r):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mean, cov = fuse(np.zeros(2), p, np.ones(2), r)
+        want_mean, want_cov = info_fuse(np.zeros(2), p, np.ones(2), r)
+        np.testing.assert_allclose(mean, want_mean, rtol=1e-12)
+        np.testing.assert_allclose(cov, want_cov, rtol=1e-12)
+
+    @pytest.mark.parametrize("p,det", [
+        (np.diag([1e160, 1.0]), "2.000e+160"),
+        (np.diag([1e300, 1e-300]), "1.000e+300"),
+    ])
+    def test_singular_by_the_relative_rule_names_det_in_the_callers_units(self, p, det):
+        # det(S) / tr(S)^2 is about 1e-160 and 1e-300: singular by the rule
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularInnovationError) as exc:
+                fuse(np.zeros(2), p, np.ones(2), I2)
+        assert str(exc.value) == f"innovation covariance is singular (det={det})"
 
 
 class TestInfoFuse:

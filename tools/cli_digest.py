@@ -2,7 +2,10 @@
 
 The script generates lane-change and turn corpora, ingests
 ``tests/data/ngsim_tiny.csv``, fits, predicts (refine on and off) and
-evaluates cv, ca and ar, and runs one ablation, in a temporary directory.
+evaluates cv, ca and ar, fits and predicts each backbone once more with
+non-default model flags (so every model-file field takes a non-default
+value: window, lag, ridge, irregular anchors, ``--rotate off`` and a
+``--val`` calibration split), and runs one ablation, in a temporary directory.
 Each output file and each command's standard output gets one line
 ``<sha256>  <name>``. With ``--base REV`` the same script also runs on the
 package of git revision REV (unpacked with ``git archive``) and the outputs
@@ -27,6 +30,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 NGSIM_CSV = ROOT / "tests" / "data" / "ngsim_tiny.csv"
 BACKBONES = ("cv", "ca", "ar")
+# each backbone's second fit: the model flags its file is to show
+CUSTOM_FITS = {
+    "cv": ("--window", "3", "--val", "turn.jsonl"),
+    "ca": ("--window", "4", "--anchors", "3,7,20,25", "--rotate", "off"),
+    "ar": ("--lag", "3", "--ridge", "0.01", "--val", "turn.jsonl"),
+}
 
 
 def script() -> list[tuple[str, ...]]:
@@ -52,6 +61,13 @@ def script() -> list[tuple[str, ...]]:
                 ("eval", "--predictions", preds, "--data", "test.jsonl", "--backbone", bb,
                  "--out", f"eval_{bb}_{refine}.csv"),
             ]
+    for bb, flags in CUSTOM_FITS.items():
+        commands += [
+            ("fit", "--train", "train.jsonl", "--predictor", bb, *flags,
+             "--out", f"model_{bb}_custom.json"),
+            ("predict", "--model", f"model_{bb}_custom.json", "--data", "test.jsonl",
+             "--out", f"preds_{bb}_custom.jsonl"),
+        ]
     commands.append(("ablate", "--train", "train.jsonl", "--test", "turn.jsonl",
                      "--predictors", ",".join(BACKBONES), "--out", "ablate.csv"))
     return commands
