@@ -85,9 +85,11 @@ def _on_off(raw: str) -> bool:
 
 
 def _str_list(raw: str) -> tuple[str, ...]:
+    """A comma-separated list whose items are non-empty and each given once:
+    a repeated backbone would be fitted and reported once."""
     tokens = tuple(tok.strip() for tok in raw.split(","))
-    if not all(tokens):
-        raise ValueError("empty list item")
+    if not all(tokens) or len(set(tokens)) < len(tokens):
+        raise ValueError("empty or repeated list item")
     return tokens
 
 
@@ -414,7 +416,7 @@ _ABLATE_OPTS = [
     Opt("val", str),
     Opt("test", str, required=True),
     Opt("out", str, required=True, help="output report CSV"),
-    Opt("predictors", _str_list, ("ar",), help="comma-separated backbones"),
+    Opt("predictors", _str_list, ("ar",), help="comma-separated backbones, each once"),
     *_MODEL_OPTS,
     *_REFINE_OPTS,
 ]

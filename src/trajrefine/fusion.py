@@ -98,7 +98,13 @@ def gain_table(p: np.ndarray, r: np.ndarray) -> np.ndarray:
     (row-major), rows 4-6 the posterior numerator's xx, xy (the mean of the
     two off-diagonals) and yy, row 7 det S / 4^e, row 8 the singularity
     threshold 1e-15 * max(1, tr(S)^2) / 4^e, which does not depend on the
-    angle, and row 9 (first column) 2^-e.
+    angle, and row 9 2^-e and (det R - det P) / 4^e (first two columns).
+    The trace of the gain numerator P adj(S) is 2 det P + tr(adj(P) Rot r
+    Rot^T), so det S = det P + det R + tr(adj(P) Rot r Rot^T) is that trace
+    plus row 9's second column: for PSD inputs a sum of non-negative terms,
+    which does not cancel to rounding noise where row 7 does, when
+    det(S) / tr(S)^2 is below the float's precision. Only the singular
+    error reads it.
     """
     p, r = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(r, dtype=float))
     unit = np.ldexp(1.0, -np.maximum(np.frexp(np.trace(p + r, 0, -2, -1))[1], 0))
@@ -121,7 +127,7 @@ def gain_table(p: np.ndarray, r: np.ndarray) -> np.ndarray:
         table[term, 4:8] = (*posts[term], det_terms[term])
     table[:, 4:7] /= unit
     table[0, 8] = SINGULARITY_TOL * np.maximum(unit * unit, (q00 + q11) ** 2)
-    table[0, 9] = unit
+    table[:2, 9] = unit, det_r - det_p
     return np.moveaxis(table, 0, -1).copy()
 
 
@@ -148,10 +154,12 @@ def rotated_gains(table: np.ndarray, rot: np.ndarray) -> tuple[np.ndarray, np.nd
     singular = det <= out[8]
     if singular.any():
         index = tuple(int(i) for i in np.argwhere(singular)[0])
-        unit = float(table[(9, *index[:table.ndim - 2], 0)])  # det S in the caller's units
+        entry = table[(slice(None), *index[:table.ndim - 2])]  # (10, 3)
+        angle = basis[(slice(None), *index[table.ndim - 2:])]  # (1, cos 2 theta, sin 2 theta)
+        # det S = tr(P adj(S)) + det R - det P, in the caller's units below
+        unit, det_s = float(entry[9, 0]), float((entry[0] + entry[3]) @ angle + entry[9, 1])
         raise SingularInnovationError(
-            f"innovation covariance is singular (det={float(det[index]) / unit / unit:.3e})",
-            index=index)
+            f"innovation covariance is singular (det={det_s / unit / unit:.3e})", index=index)
     np.divide(out[:7], det, out=out[:7])
     # the posterior's xx, xy, yy planes are rows 4-6, so entry (i, j) is row
     # 4 + i + j: a read-only view that is symmetric by construction

@@ -112,10 +112,11 @@ def solve_ridge(x: np.ndarray, y: np.ndarray, ridge_lambda: float) -> np.ndarray
     """Closed-form ridge solutions W_a of (X^T X + lambda I) W_a = X^T Y_a.
 
     x is (N, F) and y (N, A, k), A target sets; returns (A, F, k) weights.
-    X^T X + lambda I is formed once; one stacked product forms the A
-    right-hand sides and one stacked solve does one LU per set, so no set's
-    weights depend on the others. ridge_lambda must be finite and >= 0;
-    with 0 the Gram matrix must be well conditioned.
+    X^T X + lambda I is formed and factorised once: one stacked product forms
+    the A right-hand sides and one solve takes them side by side as an
+    (F, A*k) matrix. The triangular solves treat each right-hand-side column
+    on its own, so no set's weights depend on the others. ridge_lambda must
+    be finite and >= 0; with 0 the Gram matrix must be well conditioned.
     """
     if not non_negative(ridge_lambda):
         raise ValueError(f"ridge_lambda must be finite and >= 0, got {ridge_lambda!r}")
@@ -128,14 +129,14 @@ def solve_ridge(x: np.ndarray, y: np.ndarray, ridge_lambda: float) -> np.ndarray
                 "(rank-deficient features); add ridge or more data"
             )
     lhs = gram + ridge_lambda * np.eye(gram.shape[0])
-    return np.linalg.solve(lhs, x.T @ np.swapaxes(y, 0, 1))
+    rhs = (x.T @ np.swapaxes(y, 0, 1)).swapaxes(0, 1)  # (F, A, k): set a's columns at [:, a]
+    return np.linalg.solve(lhs, rhs.reshape(len(lhs), -1)).reshape(rhs.shape).swapaxes(0, 1)
 
 
 def second_moments(errors: np.ndarray) -> np.ndarray:
-    """(K, 2, 2) second moments about zero of (N, K, 2) errors, one per k,
+    """(K, 2, 2) second moments about zero of (K, N, 2) errors, one per k,
     symmetrized and floored with +COV_FLOOR I."""
-    e = np.swapaxes(errors, 0, 1)
-    m = np.swapaxes(e, 1, 2) @ e / len(errors)
+    m = np.swapaxes(errors, 1, 2) @ errors / errors.shape[1]
     return 0.5 * (m + np.swapaxes(m, 1, 2)) + COV_FLOOR * np.eye(2)
 
 
@@ -170,11 +171,13 @@ def fit_goal_model(
     """Fit one independent ridge regressor per anchor step.
 
     Each anchor solves its normal equations in closed form for the ego-frame
-    anchor displacement, against one Gram matrix formed once per fit
-    (:func:`solve_ridge`); only the anchor steps of the futures are turned
-    into the ego frame. Residual covariances are the second moment of the
-    held-out residuals (training residuals when no validation set is given),
-    floored with +1e-6 I so downstream fusion stays well conditioned.
+    anchor displacement, against one Gram matrix formed and factorised once
+    per fit (:func:`solve_ridge`); each anchor's weights stay independent of
+    the others. Only the anchor steps of the futures are turned into the ego
+    frame, and targets and residuals are kept anchor-major, (A, N, 2).
+    Residual covariances are the second moment of the held-out residuals
+    (training residuals when no validation set is given), floored with
+    +1e-6 I so downstream fusion stays well conditioned.
     """
     steps = _anchor_steps(anchor_steps)
     if not train.segments:
@@ -188,19 +191,24 @@ def fit_goal_model(
         raise ValueError("validation futures are shorter than the last anchor")
 
     def design(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
-        """Features and the (N, A, 2) ego-frame offsets of the anchor points."""
+        """Features and the (A, N, 2) ego-frame offsets of the anchor points."""
         histories = ds.histories()
         feats, rot = _ego_frame(histories, rotate)
-        return feats, (ds.futures()[:, np.subtract(steps, 1)] - histories[:, -1:]) @ rot
+        offsets = np.take(ds.futures(), np.subtract(steps, 1), axis=1)  # (N, A, 2)
+        offsets -= histories[:, -1:]
+        targets = np.empty((len(steps), len(histories), 2))  # anchor-major
+        # each segment's (A, 2) @ (2, 2) product, written through the (N, A, 2) view
+        return feats, np.matmul(offsets, rot, out=targets.swapaxes(0, 1)).swapaxes(0, 1)
 
     x_train, y_train = design(train)
     x_hold, y_hold = (x_train, y_train) if holdout is train else design(holdout)
-    weights = solve_ridge(x_train, y_train, ridge_lambda)
-    resid = x_hold @ weights - np.swapaxes(y_hold, 0, 1)  # (A, N, 2)
+    weights = solve_ridge(x_train, np.swapaxes(y_train, 0, 1), ridge_lambda)
+    resid = x_hold @ weights  # (A, N, 2)
+    resid -= y_hold
     return GoalModelParams(
         anchor_steps=steps,
         weights=tuple(weights),
-        residual_covs=second_moments(np.swapaxes(resid, 0, 1)),
+        residual_covs=second_moments(resid),
         history_len=train.tau + 1,
         rotate=rotate,
     )

@@ -181,7 +181,11 @@ def fit_predictor(
 
     ar_weights = None
     if backbone == "ar" and lag >= 1:  # PredictorParams rejects a lag below 1
-        disp = np.diff(np.concatenate([train.histories(), train.futures()], 1), axis=1)
+        hist, fut = train.histories(), train.futures()
+        disp = np.empty((len(hist), train.tau + train.horizon, 2))  # x[i+1] - x[i]
+        np.subtract(hist[:, 1:], hist[:, :-1], out=disp[:, :train.tau])
+        np.subtract(fut[:, 0], hist[:, -1], out=disp[:, train.tau])
+        np.subtract(fut[:, 1:], fut[:, :-1], out=disp[:, train.tau + 1:])
         rows = disp.shape[1] - lag  # design rows per segment, in step order
         if rows < 1:
             raise ValueError("training segments are too short for the requested lag")
@@ -194,7 +198,9 @@ def fit_predictor(
     flat = np.broadcast_to(np.eye(2), (train.horizon, 2, 2))
     preds, _ = rollout_batch(PredictorParams(backbone, train.dt, flat, **shape),
                              calib.histories())
-    moments = second_moments(preds - calib.futures()[:, : train.horizon])
+    # errors in the rollout buffer's step-major (T, 2, N) layout
+    errors = preds.transpose(1, 2, 0) - calib.futures()[:, : train.horizon].transpose(1, 2, 0)
+    moments = second_moments(errors.transpose(0, 2, 1))
     traces = moments[:, 0, 0] + moments[:, 1, 1]
     moments *= (np.maximum.accumulate(traces) / traces)[:, None, None]
     return PredictorParams(backbone, train.dt, moments, **shape)

@@ -608,7 +608,9 @@ class TestModelSchema:
         err = capsys.readouterr().err
         prefix = "error: step 1: innovation covariance is singular (det="
         assert err.startswith(prefix) and err.endswith(")\n")
-        float(err[len(prefix):-2])  # a number: det(S) / tr(S)^2 is below the float's precision
+        # det(S) / tr(S)^2 is below the float's precision, yet the det stated is
+        # not the rounding noise it was (det=-1.410e+157, a negative det of a PSD sum)
+        assert float(err[len(prefix):-2]) > 0.0
         assert not out.exists()
 
 
@@ -831,6 +833,16 @@ class TestEvalAndAblate:
         assert sum(1 for l in lines[1:] if l.startswith("ar,")) == 2
 
 
+    @pytest.mark.parametrize("value", ("ar,ar", "cv,ar,cv", "ar, ar"))
+    def test_repeated_backbone_exits_2_naming_option(self, tmp_path, capsys, value):
+        # a repeated backbone was fitted once and reported as one pair
+        train = gen(tmp_path, "train.jsonl", n=30)
+        out = tmp_path / "r.csv"
+        assert run("ablate", "--train", str(train), "--test", str(train),
+                   "--out", str(out), "--predictors", value) == 2
+        assert capsys.readouterr().err == f"error: --predictors: invalid value '{value}'\n"
+        assert not out.exists()
+
     def test_ablate_test_protocol_mismatch_exits_2(self, tmp_path, capsys):
         train = gen(tmp_path, "train.jsonl", n=30)
         test = gen(tmp_path, "test.jsonl", n=10, seed=12, extra=("--dt", "0.1"))
@@ -931,6 +943,16 @@ class TestConfigFile:
         assert run("ablate", "--train", str(train), "--test", str(train),
                    "--out", str(tmp_path / "r.csv"), "--config", str(cfg)) == 2
         assert "error: --predictors: invalid value 'ar,,cv'" in capsys.readouterr().err
+
+    def test_repeated_list_item_from_config_names_option(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("predictors = ar,cv,ar\n")
+        train = gen(tmp_path, "train.jsonl", n=30)
+        out = tmp_path / "r.csv"
+        assert run("ablate", "--train", str(train), "--test", str(train),
+                   "--out", str(out), "--config", str(cfg)) == 2
+        assert capsys.readouterr().err == "error: --predictors: invalid value 'ar,cv,ar'\n"
+        assert not out.exists()
 
     def test_undecodable_config_exits_2_naming_file_and_line(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"

@@ -1,4 +1,5 @@
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from trajrefine.fusion import (
     SingularInnovationError,
     estimates_from_arrays,
     fuse,
+    gain_table,
     gain_update,
     info_fuse,
+    rotated_gains,
 )
 from trajrefine.gaussian import PSD_TOL, Cov2, cov_from_params
 
@@ -248,6 +251,26 @@ class TestOverflow:
             with pytest.raises(SingularInnovationError) as exc:
                 fuse(np.zeros(2), p, np.ones(2), I2)
         assert str(exc.value) == f"innovation covariance is singular (det={det})"
+
+    @pytest.mark.parametrize("theta", (0.3, 1.1, 2.5, -0.7))
+    @pytest.mark.parametrize("p", (np.array([[0.3, 0.1], [0.1, 0.2]]), np.diag([0.05, 2.0])))
+    def test_singular_rotated_measurement_states_its_det(self, p, theta):
+        # det(S) / tr(S)^2 is about 1e-160, where det S as an affine function of
+        # the angle cancels to noise (it read negative dets of PSD sums); the
+        # det stated is that of p + rot r rot^T, computed exactly here
+        r = np.diag([1e160, 1.0])
+        rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+        with pytest.raises(SingularInnovationError) as exc:
+            rotated_gains(gain_table(p, r), rot)
+        prefix = "innovation covariance is singular (det="
+        message = str(exc.value)
+        assert message.startswith(prefix) and message.endswith(")")
+        q = [[Fraction(float(x)) for x in row] for row in rot]
+        s = [[Fraction(float(p[i, j])) + sum(q[i][k] * Fraction(float(r[k, k])) * q[j][k]
+                                             for k in range(2)) for j in range(2)]
+             for i in range(2)]
+        exact = float(s[0][0] * s[1][1] - s[0][1] * s[1][0])
+        assert abs(float(message[len(prefix):-1]) - exact) <= 5e-4 * exact
 
 
 class TestInfoFuse:

@@ -4,7 +4,8 @@ Means and covariances are compared with
 max|new - reference| <= 1e-9 * max(1, max|reference|); the ar weights,
 whose design is the same array row for row, and the one-segment adapters
 against their own one-row batch are compared bitwise, and so is the goal
-fit, which makes the same products and solves per anchor as the reference.
+fit, which makes the same products and solves per anchor as the reference,
+and the step covariance table against its batch formulation.
 """
 
 import inspect
@@ -16,7 +17,8 @@ import reference_rollout as ref
 from trajrefine.data import gen_synthetic
 from trajrefine.fusion import SingularInnovationError, gain_table, rotated_gains
 from trajrefine.goals import (ORIGIN_VAR, PAST_LAST_ANCHOR_VAR, GoalModelParams, fit_goal_model,
-                              goal_moments, interpolate_covs, interpolate_goals, solve_ridge)
+                              goal_moments, interpolate_covs, interpolate_goals, second_moments,
+                              solve_ridge)
 from trajrefine.predictors import (
     PredictorParams,
     RefineConfig,
@@ -201,6 +203,28 @@ def test_fit_predictor_step_covs_match_reference(corpus, backbone):
         window=params.window, lag=params.lag, ar_weights=params.ar_weights,
     )
     assert_matches(params.step_covs, ref.calibrated_step_covs(probe, test, params.horizon))
+
+
+@pytest.mark.parametrize("with_val", (False, True))
+@pytest.mark.parametrize("name,kw", [
+    ("cv", {}), ("ca", {"window": 3}), ("ca", {"window": 5}), ("ar", {"lag": 1}),
+    ("ar", {"lag": 3}),
+], ids=["cv", "ca3", "ca5", "ar1", "ar3"])
+def test_fit_predictor_step_covs_equal_the_batch_formulation(corpus, name, kw, with_val):
+    # second_moments of rollout_batch's (N, T, 2) errors, then the running-max
+    # trace rule: the table keeps these bits whatever layout the errors take
+    train, test = corpus
+    calib = test if with_val else train
+    params = fit_predictor(name, train, test if with_val else None, **kw)
+    probe = PredictorParams(
+        params.backbone, params.dt, np.broadcast_to(np.eye(2), (params.horizon, 2, 2)),
+        window=params.window, lag=params.lag, ar_weights=params.ar_weights,
+    )
+    means, _ = rollout_batch(probe, calib.histories())
+    moments = second_moments(np.swapaxes(means - calib.futures()[:, : params.horizon], 0, 1))
+    traces = moments[:, 0, 0] + moments[:, 1, 1]
+    moments *= (np.maximum.accumulate(traces) / traces)[:, None, None]
+    assert_bitwise(params.step_covs, moments)
 
 
 @pytest.mark.parametrize("with_val", (False, True))
