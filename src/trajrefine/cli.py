@@ -406,7 +406,7 @@ def cmd_eval(o) -> int:
     m = rmse([pred_means[sid] for sid in ids], ds)
     row = AblationRow(o.backbone, modes == {"refined"}, m)
     with open(o.out, "w", encoding="utf-8") as fh:
-        fh.write(AblationReport((row,)).to_csv(deltas=False))
+        fh.write(AblationReport((row,)).to_csv())
     print(f"rmse_overall={m.rmse_overall:.6f} -> {o.out}")
     return 0
 

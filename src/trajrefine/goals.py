@@ -48,7 +48,8 @@ class GoalModelParams:
     (2*tau features) to the ego-frame displacement of anchor_steps[i];
     residual_covs, a read-only (A, 2, 2) array, holds the matching ego-frame
     residual covariances. weight_matrix, the weights side by side, is built
-    once and read-only.
+    once and read-only, and each weights[i] is a read-only view of its two
+    columns. Every weight must be finite.
     """
 
     anchor_steps: tuple[int, ...]
@@ -73,15 +74,19 @@ class GoalModelParams:
             if w.shape != (feat, 2):
                 raise ValueError(f"weights of anchor {step} must have shape ({feat}, 2), "
                                  f"got {w.shape}")
+        matrix = read_only(np.concatenate(weights, 1))
+        if not (finite := np.isfinite(matrix).all(0)).all():
+            raise ValueError(f"weights of anchor {steps[np.argmin(finite) // 2]} must be finite")
         *_, pd = cov_entries(c, definite=True, symmetric=True)
         if not pd.all():
             step = steps[np.argmin(pd)]
             raise ValueError(f"residual covariance of anchor {step} is not positive definite")
         object.__setattr__(self, "anchor_steps", steps)
         object.__setattr__(self, "history_len", history_len)
-        object.__setattr__(self, "weights", weights)
+        # anchor i's (F, 2) columns, as views: the weights are stored once
+        object.__setattr__(self, "weights", tuple(matrix.reshape(feat, -1, 2).swapaxes(0, 1)))
         object.__setattr__(self, "residual_covs", c)
-        object.__setattr__(self, "weight_matrix", read_only(np.concatenate(weights, 1)))
+        object.__setattr__(self, "weight_matrix", matrix)
 
 
 def _anchor_steps(anchor_steps) -> tuple[int, ...]:

@@ -92,13 +92,15 @@ class AblationReport:
         refined = self.metrics_for(backbone, True)
         return vanilla.rmse_at_seconds - refined.rmse_at_seconds
 
-    def to_csv(self, deltas: bool = True) -> str:
-        """One row per (backbone, refine) with the RMSEs at 6 dp; with
-        ``deltas`` each refined row also carries :meth:`deltas`."""
+    def to_csv(self) -> str:
+        """One row per (backbone, refine) with the RMSEs at 6 dp. When the report
+        has a refined row and every refined row has its vanilla row, each
+        refined row also carries :meth:`deltas`."""
+        on, off = ({r.backbone for r in self.rows if r.refined == flag} for flag in (True, False))
         seconds = max((r.metrics.seconds for r in self.rows), key=len)
         header = ["backbone", "refine", "rmse_overall"]
         header += [f"rmse_{s}s" for s in seconds]
-        if deltas:
+        if deltas := bool(on) and on <= off:
             header += [f"delta_{s}s" for s in seconds]
         lines = [",".join(header)]
         for row in self.rows:

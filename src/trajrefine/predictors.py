@@ -40,7 +40,8 @@ class PredictorParams:
     estimate-error covariance attached to future step k, and its trace must
     be non-decreasing in k (uncertainty grows with the horizon). cv/ca use a
     position window of length ``window``; ar uses the last ``lag``
-    displacement vectors with ``ar_weights`` of shape (2*lag, 2).
+    displacement vectors with finite ``ar_weights`` of shape (2*lag, 2),
+    stored read-only.
     """
 
     backbone: str
@@ -80,11 +81,13 @@ class PredictorParams:
                 raise ValueError("ar backbone needs lag >= 1")
             if self.ar_weights is None:
                 raise ValueError("ar backbone needs a weight matrix")
-            w = np.asarray(self.ar_weights, dtype=float)
+            w = read_only(np.array(self.ar_weights, dtype=float))
             if w.shape != (2 * self.lag, 2):
                 raise ValueError(
                     f"ar weights must have shape ({2 * self.lag}, 2), got {w.shape}"
                 )
+            if not np.isfinite(w).all():
+                raise ValueError("ar_weights must be finite")
             object.__setattr__(self, "ar_weights", w)
 
     @property
@@ -126,7 +129,8 @@ class RefineConfig:
 
     goal_cov_scale multiplies every goal measurement covariance (1e12
     recovers the vanilla rollout, 1e-12 snaps the output onto the goals).
-    refine_enabled selects between refined and vanilla in :func:`rollout`.
+    refine_enabled selects between refined and vanilla in :func:`rollout`;
+    a refined rollout rejects a config with refine_enabled False.
     """
 
     refine_enabled: bool = True
@@ -276,7 +280,9 @@ def rollout_batch(
     N), so a fused step is elementwise work on (2, N) planes; the means are
     a transposed view of its last T rows. horizon must be an integer; an
     empty batch returns (0, T, 2) means and (0, T, 2, 2) covariances.
-    cfg.refine_enabled is not read here; pass no goal model for vanilla.
+    Pass no goal model for vanilla: with one, cfg.refine_enabled must be True.
+    A singular innovation raises SingularInnovationError with the step and the
+    (segment,) index of the first singular entry, at the earliest step.
     """
     histories = np.asarray(histories, dtype=float)
     horizon = params.horizon if horizon is None else whole("horizon", horizon)
@@ -323,6 +329,8 @@ def _step(params: PredictorParams, histories: np.ndarray, horizon: int, goal_par
         for window, row in zip(windows, rows):
             np.matmul(window, weights, out=row.T)
     else:
+        if not cfg.refine_enabled:
+            raise ValueError("refine_enabled is False, but a goal model was given to refine with")
         z, rot = goals
         table = _gain_table(prior.tobytes(), goal_params.residual_covs.tobytes(),
                             goal_params.anchor_steps, cfg.goal_cov_scale)
@@ -330,7 +338,7 @@ def _step(params: PredictorParams, histories: np.ndarray, horizon: int, goal_par
             gains, post = rotated_gains(table, rot)
         except SingularInnovationError as exc:
             step = exc.index[0] + 1
-            raise SingularInnovationError(f"step {step}: {exc}", step=step) from exc
+            raise SingularInnovationError(f"step {step}: {exc}", step, exc.index[1:]) from exc
         covs = post.swapaxes(0, 1)
         # work[i, j] = K[i, j] d[j] for j < 2 and work[i, 2] = raw[i], so the
         # sum over j is (K d)_i + raw_i in the order of a 2x2 matvec

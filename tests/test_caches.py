@@ -6,7 +6,8 @@ import pytest
 
 from trajrefine.data import gen_synthetic
 from trajrefine.goals import _interpolation_table, fit_goal_model, interpolate_goals
-from trajrefine.predictors import RefineConfig, _gain_table, fit_predictor, rollout_batch
+from trajrefine.predictors import (PredictorParams, RefineConfig, _gain_table, fit_predictor,
+                                   rollout_batch)
 
 ANCHORS = (3, 10, 25)
 
@@ -74,6 +75,23 @@ def test_tables_are_read_only(fitted):
     assert again_means.tobytes() == means.tobytes()
     assert np.array(again_covs).tobytes() == np.array(covs).tobytes()
     assert np.array(covs).tobytes() == np.broadcast_to(params.step_covs, covs.shape).tobytes()
+
+
+def test_weights_are_read_only_and_stored_once(fitted):
+    # a write to the goal weights changed save_model's file but no rollout,
+    # which read weight_matrix; a write to ar_weights left position_weights stale
+    _, params, goal_params = fitted
+    for i, weights in enumerate(goal_params.weights):
+        assert np.shares_memory(weights, goal_params.weight_matrix)
+        assert weights.tobytes() == goal_params.weight_matrix[:, 2 * i:2 * i + 2].tobytes()
+    for table in (*goal_params.weights, params.ar_weights):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] += 100.0
+    given = np.array(params.ar_weights)
+    copied = PredictorParams("ar", params.dt, params.step_covs, lag=3, ar_weights=given)
+    given[0, 0] += 100.0
+    assert given.flags.writeable and copied.ar_weights.tobytes() == params.ar_weights.tobytes()
 
 
 def test_tables_built_once_per_params(fitted):

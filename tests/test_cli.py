@@ -430,6 +430,28 @@ class TestPredict:
                    "--out", str(tmp_path / "p.jsonl")) == 2
         assert f"{model}: invalid model file: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("corrupt,refine,message", [
+        (lambda doc: doc["goal_model"]["weights"][0][3].__setitem__(1, np.inf), "on",
+         "weights of anchor 5 must be finite"),
+        (lambda doc: doc["predictor"]["ar_weights"][2].__setitem__(0, -np.inf), "off",
+         "ar_weights must be finite"),
+    ], ids=["goal-weight-1e999", "ar-weight-minus-1e999"])
+    def test_non_finite_weight_exits_2_naming_it(self, tmp_path, capsys, corrupt, refine, message):
+        # each loaded, and predict warned, then failed with "rollout produced
+        # non-finite positions", naming neither the file nor the field
+        train = gen(tmp_path, "train.jsonl", n=30)
+        model = fit(tmp_path, train)
+        doc = json.loads(model.read_text())
+        corrupt(doc)
+        model.write_text(json.dumps(doc).replace("Infinity", "1e999"))  # valid JSON, read as inf
+        out = tmp_path / "p.jsonl"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("predict", "--model", str(model), "--data", str(train),
+                       "--refine", refine, "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {model}: invalid model file: {message}\n"
+        assert not out.exists()
+
     def test_model_protocol_dt_nan_exits_2_naming_the_mismatch(self, tmp_path, capsys):
         train = gen(tmp_path, "train.jsonl", n=30)
         model = fit(tmp_path, train)

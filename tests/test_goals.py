@@ -316,6 +316,14 @@ class TestGoalSetValidation:
                 f"weights of anchor 10 must have shape (30, 2), got {shape}")):
             GoalModelParams((5, 10), (np.zeros((30, 2)), weight), np.stack([np.eye(2)] * 2), 16)
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_weight_names_the_anchor(self, value):
+        # loaded from a model file, it failed only in the rollout, naming nothing
+        weights = np.zeros((3, 30, 2))
+        weights[1, 7, 1] = value
+        with pytest.raises(ValueError, match="^weights of anchor 10 must be finite$"):
+            GoalModelParams((5, 10, 15), weights, np.stack([np.eye(2)] * 3), 16)
+
     def test_integer_like_history_len_becomes_int(self):
         params = GoalModelParams((5,), (np.zeros((30, 2)),), [np.eye(2)], np.int64(16))
         assert type(params.history_len) is int

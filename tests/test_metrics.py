@@ -63,7 +63,7 @@ class TestRmse:
         m = rmse(np.ones((2, horizon, 2)), tiny_dataset(np.zeros((2, horizon, 2)), dt))
         assert (m.second_steps, m.seconds) == (steps, seconds)
         assert m.rmse_at_seconds.tolist() == [np.sqrt(2.0)] * len(steps)
-        csv = AblationReport((AblationRow("ar", True, m),)).to_csv(deltas=False)
+        csv = AblationReport((AblationRow("ar", True, m),)).to_csv()
         header = ["backbone", "refine", "rmse_overall"] + [f"rmse_{s}s" for s in seconds]
         assert csv.splitlines()[0] == ",".join(header)
 
@@ -161,6 +161,16 @@ class TestRunAblation:
         assert len(lines) == 1 + len(report.rows)
         refined_row = [l for l in lines[1:] if l.startswith("ar,on")][0]
         assert refined_row.count(",") == lines[0].count(",")
+
+    def test_csv_has_deltas_only_when_every_refined_row_has_its_vanilla_row(self, fitted):
+        test, models = fitted
+        rows = run_ablation(test, models).rows
+        full = AblationReport(rows).to_csv().splitlines()
+        assert all("delta_" not in line for line in AblationReport(rows[:1]).to_csv().splitlines())
+        for part in (rows[1:], rows[:1] + rows[3:], rows[1::2]):  # a refined row lacks its pair
+            lines = AblationReport(part).to_csv().splitlines()
+            assert "delta_" not in lines[0] and len(lines) == 1 + len(part)
+        assert AblationReport(rows[:2]).to_csv().splitlines() == full[:3]
 
     def test_deterministic(self, fitted):
         test, models = fitted

@@ -11,11 +11,13 @@ from trajrefine.goals import (
     fit_goal_model,
     goal_moments,
 )
+from trajrefine.metrics import run_ablation
 from trajrefine.predictors import (
     PredictorParams,
     RefineConfig,
     fit_ar_rls,
     fit_predictor,
+    rollout,
     rollout_batch,
     rollout_refined,
     rollout_vanilla,
@@ -326,7 +328,10 @@ class TestStepCovarianceTable:
         ("ar", {"lag": 2}, "ar backbone needs a weight matrix"),
         ("ar", {"lag": 2, "ar_weights": np.zeros((2, 2))},
          r"ar weights must have shape \(4, 2\), got \(2, 2\)"),
-    ], ids=["cv-window", "ca-window", "ar-lag", "ar-no-weights", "ar-weight-shape"])
+        ("ar", {"lag": 1, "ar_weights": [[1.0, 0.0], [0.0, -np.inf]]}, "ar_weights must be finite"),
+        ("ar", {"lag": 1, "ar_weights": [[np.nan, 0.0], [0.0, 1.0]]}, "ar_weights must be finite"),
+    ], ids=["cv-window", "ca-window", "ar-lag", "ar-no-weights", "ar-weight-shape",
+            "ar-weight-inf", "ar-weight-nan"])
     def test_backbone_window_lag_and_weights_rejected(self, backbone, shape, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             PredictorParams(backbone, DT, iso(1.0, 5), **shape)
@@ -452,6 +457,23 @@ class TestRefineConfig:
     def test_out_of_domain_rejected(self, kw):
         with pytest.raises(ValueError, match=next(iter(kw))):
             RefineConfig(**kw)
+
+    def test_disabled_refinement_rejected_by_every_refined_rollout(self, fitted_lane_change):
+        # rollout_batch, rollout_refined and run_ablation refined without a word
+        train, params, goal_params, _ = fitted_lane_change
+        off = RefineConfig(refine_enabled=False)
+        histories = train.histories()[:3]
+        message = "^refine_enabled is False, but a goal model was given to refine with$"
+        for refined in (lambda: rollout_batch(params, histories, None, goal_params, off),
+                        lambda: rollout_refined(params, goal_params, histories[0], cfg=off),
+                        lambda: run_ablation(train, {"ar": (params, goal_params)}, off)):
+            with pytest.raises(ValueError, match=message):
+                refined()
+        # rollout dispatches on the flag, with or without a goal model
+        vanilla = [e.mean for e in rollout_vanilla(params, histories[0])]
+        for goals in (None, goal_params):
+            got = rollout(params, goals, histories[0], None, off)
+            assert np.array([e.mean for e in got]).tobytes() == np.array(vanilla).tobytes()
 
 
 @pytest.fixture(scope="module")

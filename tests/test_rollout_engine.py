@@ -359,6 +359,8 @@ def test_singular_step_is_the_earliest_across_a_batch():
         errors.append(exc.value)
     first, second, both = errors
     assert (first.step, second.step) == (4, 2)
+    # the segment of the first singular entry: the +x segment, second in the batch
+    assert (first.index, second.index, both.index) == ((0,), (0,), (1,))
     assert both.step == min(first.step, second.step)
     assert str(both) == str(second)
     assert str(both).startswith("step 2: innovation covariance is singular")
