@@ -109,7 +109,7 @@ def _load_config(path: str) -> dict[str, str]:
     opens a comment, and a key may appear once."""
     values: dict[str, str] = {}
     first_line: dict[str, int] = {}
-    with reading(path) as fh:
+    with reading(path, "utf-8-sig") as fh:  # a UTF-8 BOM is skipped
         for lineno, line in enumerate(fh, start=1):
             line = re.split(r"(?<!\S)#", line, maxsplit=1)[0].strip()
             if not line:
@@ -230,8 +230,8 @@ def load_model(path: str) -> tuple[PredictorParams, GoalModelParams, dict]:
             doc = json.load(fh)
         if not isinstance(doc, dict):
             raise ValueError("expected a JSON object")
-        if (version := doc.pop("version", None)) != MODEL_VERSION:
-            raise ValueError(f"unsupported model file version {version}")
+        if type(version := doc.pop("version", None)) is not int or version != MODEL_VERSION:
+            raise ValueError(f"unsupported model file version {version!r}")  # true is not 1
         _known(doc, MODEL_SCHEMA)
         protocol, p, g = (_section(doc, section) for section in MODEL_SCHEMA)
         predictor, goal_model = PredictorParams(**p), GoalModelParams(**g)

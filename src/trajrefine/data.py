@@ -152,20 +152,18 @@ class Dataset:
 
     def __post_init__(self) -> None:
         vars(self).update(check_protocol(self.dt, self.tau, self.horizon))
-        object.__setattr__(self, "segments", tuple(self.segments))
-        first: dict[str, int] = {}
-        for i, seg in enumerate(self.segments):
-            if (j := first.setdefault(seg.segment_id, i)) != i:
-                raise ValueError(f"segments {j} and {i} share the segment id {seg.segment_id!r}")
+        segments = tuple(self.segments)
+        lengths = ("history", self.tau + 1), ("future", self.horizon)
+        for seg in segments:  # what records alone can get wrong; _from_stacks checks the rest
             if abs(seg.dt - self.dt) > 1e-12:
                 raise ValueError(f"segment {seg.segment_id}: dt {seg.dt} != {self.dt}")
-            for field, length in (("history", self.tau + 1), ("future", self.horizon)):
+            for field, length in lengths:
                 if (got := len(getattr(seg, field))) != length:
                     raise ValueError(f"segment {seg.segment_id}: {field} length {got} != {length}")
-        for name, field, length in (("_histories", "history", self.tau + 1),
-                                    ("_futures", "future", self.horizon)):
-            stack = np.array([getattr(seg, field) for seg in self.segments])
-            object.__setattr__(self, name, read_only(stack.reshape(-1, length, 2)))
+        stacks = [np.array([getattr(seg, field) for seg in segments]).reshape(-1, length, 2)
+                  for field, length in lengths]
+        vars(self).update(vars(_from_stacks([seg.segment_id for seg in segments], None, self.dt,
+                                            *stacks, self.source, segments)))
 
     def __len__(self) -> int:
         return len(self.segments)
@@ -180,16 +178,31 @@ class Dataset:
 
 
 def _from_stacks(ids, agents, dt: float, histories: np.ndarray, futures: np.ndarray,
-                 source: str) -> Dataset:
-    """Segments ``ids[i]``, ``agents[i]`` over row i of (N, tau+1, 2) and (N,
-    horizon, 2) stacks that the caller has checked as Segment and Dataset
-    would, so neither runs its ``__init__``; segments view the stacks."""
+                 source: str, segments: tuple[Segment, ...] | None = None) -> Dataset:
+    """The dataset of segments ``ids[i]``, ``agents[i]`` over row i of (N, tau+1, 2)
+    and (N, horizon, 2) stacks of floats; the one check of a dataset's stacks.
+
+    In order: with a segment, dt must be finite and positive; the protocol
+    (:func:`check_protocol`); finite coordinates, naming the first segment's
+    history before its future; distinct ids. Segments view the read-only
+    stacks unless ``segments``, the records the stacks were built from, are given.
+    """
     histories, futures = (read_only(np.ascontiguousarray(a)) for a in (histories, futures))
-    dt, segments = plain(dt), []
-    for sid, agent, history, future in zip(ids, agents, histories, futures):
-        vars(seg := object.__new__(Segment)).update(
-            segment_id=sid, agent_id=agent, dt=dt, history=history, future=future)
-        segments.append(seg)
+    if len(histories) and not positive(dt):
+        raise ValueError("dt must be finite and positive")
+    dt = check_protocol(dt, histories.shape[1] - 1, futures.shape[1])["dt"]
+    finite = [np.isfinite(a).all(axis=(1, 2)) for a in (histories, futures)]
+    if (bad := np.flatnonzero(~(finite[0] & finite[1]))).size:  # the first segment at fault
+        raise ValueError(f"{'future' if finite[0][bad[0]] else 'history'} "
+                         "contains non-finite coordinates")
+    if len(set(ids)) < len(ids):  # the first repeat, named by its first occurrence
+        first: dict[str, int] = {}
+        i = next(i for i, sid in enumerate(ids) if first.setdefault(sid, i) != i)
+        raise ValueError(f"segments {first[ids[i]]} and {i} share the segment id {ids[i]!r}")
+    if segments is None:
+        segments = [object.__new__(Segment) for _ in ids]
+        for seg, sid, agent, history, future in zip(segments, ids, agents, histories, futures):
+            vars(seg).update(segment_id=sid, agent_id=agent, dt=dt, history=history, future=future)
     vars(ds := object.__new__(Dataset)).update(
         segments=tuple(segments), dt=dt, tau=histories.shape[1] - 1, horizon=futures.shape[1],
         source=source, _histories=histories, _futures=futures)
@@ -341,11 +354,10 @@ def extract_segments(
     for t in tracks:
         if abs(t.dt - dt) > 1e-12:
             raise ValueError("tracks must share a uniform dt")
+    if tau < 0 or horizon < 1:  # the stacks' lengths would misstate tau and horizon
+        check_protocol(dt, tau, horizon)
     window = tau + 1 + horizon
     starts = [range(0, len(t.points) - window + 1, stride) for t in tracks]
-    if any(starts) and not positive(dt):
-        raise ValueError("dt must be finite and positive")
-    check_protocol(dt, tau, horizon)
     windows = np.concatenate([np.empty((0, window, 2))] + [as_strided(  # one view a track
         t.points, (len(run), window, 2), (stride * t.points.strides[0], *t.points.strides),
         writeable=False) for t, run in zip(tracks, starts)])
@@ -453,10 +465,6 @@ def gen_synthetic(
                 pts[rows, :, c] += plane
             else:
                 pts[rows, :, c] = plane
-    finite = np.isfinite(pts).all(axis=2)
-    if not finite.all():  # named as Segment would: the first segment, its history first
-        k = np.argwhere(~finite)[0, 1]
-        raise ValueError(f"{'history' if k <= tau else 'future'} contains non-finite coordinates")
     return _from_stacks([f"{scenario}-{i:05d}" for i in range(n)], range(n), dt,
                         pts[:, : tau + 1], pts[:, tau + 1 :], f"synthetic/{scenario}")
 
@@ -738,8 +746,6 @@ def _read_bulk(path: str) -> Dataset | None:
                 block = [p[3] for p in parts], [int(p[6][1:-1]) for p in parts]
                 h, f = (_coordinates(texts) for texts in ([p[10][1:-1] for p in parts],
                                                          [p[12][1:-3] for p in parts]))
-                if not (np.isfinite(h).all() and np.isfinite(f).all()):
-                    return None
                 if "".join(lines) != "".join(map(_segment_line, *block, repeat(dt_text),
                                                  points_json(h), points_json(f))):
                     return None
@@ -747,13 +753,12 @@ def _read_bulk(path: str) -> Dataset | None:
                 agents += block[1]
                 histories.append(h)
                 futures.append(f)
-            if (not ids or len(set(ids)) < len(ids) or not positive(dt)
-                    or dt_text not in (_dt_json(dt), _dt_json(int(dt)))):
+            if not ids or dt_text not in (_dt_json(dt), _dt_json(int(dt))):
                 return None
             return _from_stacks(ids, agents, dt, np.concatenate(histories),
                                 np.concatenate(futures), path)
-    except (ValueError, IndexError):  # a decode error is a ValueError
-        return None
+    except (ValueError, IndexError, OverflowError):  # a decode error is a ValueError;
+        return None  # int() of an infinite dt overflows
 
 
 def read_jsonl(path: str) -> Dataset:
@@ -768,9 +773,9 @@ def read_jsonl(path: str) -> Dataset:
     A bulk pass reads ``TEXT_BLOCK`` lines at a time, split on ``"``; numpy's
     C tokenizer (``np.loadtxt``) parses a block's histories and its futures,
     each number as ``float`` does. It keeps a file only if write_jsonl's line
-    builder rebuilds every line byte for byte from what it parsed, values
-    finite, dt positive and ids distinct; any other file takes the exact pass,
-    ``json.loads`` line by line, which names the first line at fault.
+    builder rebuilds every line byte for byte from what it parsed and
+    :func:`_from_stacks` accepts the stacks; any other file takes the exact
+    pass, ``json.loads`` line by line, which names the first line at fault.
     """
     if (ds := _read_bulk(path)) is not None:
         return ds
@@ -778,20 +783,16 @@ def read_jsonl(path: str) -> Dataset:
 
     def segment(obj: dict) -> tuple:
         agent, dt = json_value(obj, "agent_id", "integer"), json_value(obj, "dt", "number")
-        history = json_points(obj["history"], "history")
-        future = json_points(obj["future"], "future")
-        if not positive(dt := float(dt)):  # Segment's checks, in its order
-            raise ValueError("dt must be finite and positive")
-        history, future = _points(history, "history"), _points(future, "future")
-        shape = (dt, len(history), len(future))
+        seg = Segment(obj["segment_id"], agent, float(dt), json_points(obj["history"], "history"),
+                      json_points(obj["future"], "future"))
+        shape = (seg.dt, len(seg.history), len(seg.future))
         if (first := protocol.setdefault("first", shape)) != shape:
             raise ValueError(f"segment protocol {shape} does not match first segment {first}")
-        return obj["segment_id"], agent, history, future
+        return seg.segment_id, seg.agent_id, seg.history, seg.future
 
     fields = ("segment_id", "agent_id", "dt", "history", "future")
     if not (records := read_records(path, fields, segment)):
         return Dataset([], DEFAULT_DT, DEFAULT_TAU, DEFAULT_HORIZON, source=path)
-    dt, points, horizon = protocol["first"]
-    check_protocol(dt, points - 1, horizon)
     ids, agents, histories, futures = zip(*records)
-    return _from_stacks(ids, agents, dt, np.array(histories), np.array(futures), path)
+    return _from_stacks(ids, agents, protocol["first"][0], np.array(histories),
+                        np.array(futures), path)

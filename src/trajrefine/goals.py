@@ -138,6 +138,14 @@ def solve_ridge(x: np.ndarray, y: np.ndarray, ridge_lambda: float) -> np.ndarray
     return np.linalg.solve(lhs, rhs.reshape(len(lhs), -1)).reshape(rhs.shape).swapaxes(0, 1)
 
 
+def check_finite_histories(histories: np.ndarray) -> None:
+    """Reject (N, n, 2) histories holding a non-finite coordinate, naming the first
+    segment at fault: one ``isfinite`` pass when every coordinate is finite."""
+    if not np.isfinite(histories).all():
+        i = np.flatnonzero(~np.isfinite(histories).all(axis=(1, 2)))[0]
+        raise ValueError(f"history of segment {i} contains non-finite coordinates")
+
+
 def second_moments(errors: np.ndarray) -> np.ndarray:
     """(K, 2, 2) second moments about zero of (K, N, 2) errors, one per k,
     symmetrized and floored with +COV_FLOOR I."""
@@ -187,6 +195,8 @@ def fit_goal_model(
     steps = _anchor_steps(anchor_steps)
     if not train.segments:
         raise ValueError("training set is empty")
+    if train.tau < 1:  # one point has no displacement to regress on
+        raise ValueError(f"history_len must be at least 2, got {train.tau + 1} (tau={train.tau})")
     if steps[-1] > train.horizon:
         raise ValueError(
             f"anchor step {steps[-1]} exceeds the future length {train.horizon}"
@@ -224,7 +234,8 @@ def goal_moments(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Predict every configured anchor once for each of N observed histories.
 
-    histories is (N, history_len, 2). Regression runs in the ego frame.
+    histories is (N, history_len, 2), every coordinate finite: a NaN or inf is
+    rejected naming the first segment that holds one. Regression runs in the ego frame.
     Returns the world-frame anchor means (N, A, 2) and the (N, 2, 2)
     ego->world rotations; the world anchor covariances are
     ``world_covs(params.residual_covs, rot)``. Pure function of
@@ -236,6 +247,7 @@ def goal_moments(
             f"history shape {histories.shape[1:]} does not match the fitted "
             f"configuration ({params.history_len}, 2)"
         )
+    check_finite_histories(histories)
     feats, rot = _ego_frame(histories, params.rotate)
     ego = (feats @ params.weight_matrix).reshape(len(histories), len(params.anchor_steps), 2)
     return histories[:, -1:] + ego @ rot.swapaxes(1, 2), rot

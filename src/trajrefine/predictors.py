@@ -26,8 +26,8 @@ from .data import Dataset, non_negative, plain, positive, read_only, whole
 from .fusion import (Estimate, SingularInnovationError, estimates_from_arrays, gain_table,
                      rotated_gains)
 from .gaussian import cov_entries
-from .goals import (GoalModelParams, calibration_split, goal_moments, interpolate_covs,
-                    interpolate_goals, second_moments, solve_ridge)
+from .goals import (GoalModelParams, calibration_split, check_finite_histories, goal_moments,
+                    interpolate_covs, interpolate_goals, second_moments, solve_ridge)
 
 BACKBONES = ("cv", "ca", "ar")
 
@@ -229,7 +229,9 @@ def fit_ar_rls(pairs, forgetting: float = 1.0, delta: float = 1e-8) -> np.ndarra
     Processes a stream of (feature, target) pairs one at a time. With
     forgetting 1 the result matches the batch ridge solution with ridge
     delta; with forgetting < 1 it matches the exponentially weighted batch
-    solution. The recursion is well defined for any finite delta > 0.
+    solution. The recursion is well defined for any finite delta > 0. Every
+    pair must be finite and of the first pair's feature and target sizes; a
+    pair that is not is rejected by its index.
     """
     if not (positive(forgetting) and forgetting <= 1.0):
         raise ValueError("forgetting factor must be in (0, 1]")
@@ -238,14 +240,19 @@ def fit_ar_rls(pairs, forgetting: float = 1.0, delta: float = 1e-8) -> np.ndarra
     weights = None
     p = None
     scalar_target = False
-    for x, y in pairs:
+    for i, (x, y) in enumerate(pairs):
         x = np.asarray(x, dtype=float).ravel()
         y_arr = np.asarray(y, dtype=float)
         scalar_target = y_arr.ndim == 0
         y_arr = np.atleast_1d(y_arr)
+        if not (np.isfinite(x).all() and np.isfinite(y_arr).all()):
+            raise ValueError(f"pair {i}: feature and target must be finite")
         if weights is None:
             weights = np.zeros((x.size, y_arr.size))
             p = np.eye(x.size) / delta
+        elif (x.size, y_arr.size) != weights.shape:
+            raise ValueError(f"pair {i}: feature and target sizes {(x.size, y_arr.size)} "
+                             f"differ from the first pair's {weights.shape}")
         px = p @ x
         gain = px / (forgetting + x @ px)
         weights = weights + np.outer(gain, y_arr - x @ weights)
@@ -265,7 +272,9 @@ def rollout_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Roll N segments out together; the one rollout loop of the package.
 
-    histories is (N, n, 2). Returns (N, T, 2) means and (N, T, 2, 2)
+    histories is (N, n, 2), every coordinate finite, also outside the
+    backbone's window: a NaN or inf is rejected naming the first segment that
+    holds one, before any arithmetic. Returns (N, T, 2) means and (N, T, 2, 2)
     covariances for future steps 1..T. Without a goal model this is the
     vanilla rollout: repeated one-step prediction with the calibrated step
     covariances, a read-only broadcast view of ``params.step_covs``. With
@@ -294,6 +303,7 @@ def rollout_batch(
             f"{params.backbone} backbone needs at least {need} history points, "
             f"got {histories.shape[1]}"
         )
+    check_finite_histories(histories)
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
     if horizon > params.horizon:

@@ -193,6 +193,15 @@ class TestFit:
         assert doc["version"] == 1
         assert doc["protocol"] == {"dt": 0.2, "tau": 15, "horizon": 25}
 
+    def test_one_point_history_exits_2_without_a_model_file(self, tmp_path, capsys):
+        # gen-synth --tau 0 writes a valid file; fit failed inside numpy's reshape
+        train = gen(tmp_path, "t0.jsonl", scenario="cv", n=20, extra=("--tau", "0"))
+        model = tmp_path / "model.json"
+        capsys.readouterr()
+        assert run("fit", "--train", str(train), "--out", str(model)) == 2
+        assert capsys.readouterr().err == "error: history_len must be at least 2, got 1 (tau=0)\n"
+        assert not model.exists()
+
     def test_refit_identical_bytes(self, tmp_path):
         train = gen(tmp_path, "train.jsonl")
         a = fit(tmp_path, train, "m1.json")
@@ -377,6 +386,13 @@ class TestPredict:
          "invalid model file: unsupported model file version 2$"),
         (lambda doc: json.dumps({k: v for k, v in doc.items() if k != "version"}),
          "invalid model file: unsupported model file version None$"),
+        # true and 1.0 loaded as version 1, and "1" was named as if it were 1
+        (lambda doc: json.dumps({**doc, "version": True}),
+         "invalid model file: unsupported model file version True$"),
+        (lambda doc: json.dumps({**doc, "version": 1.0}),
+         r"invalid model file: unsupported model file version 1\.0$"),
+        (lambda doc: json.dumps({**doc, "version": "1"}),
+         "invalid model file: unsupported model file version '1'$"),
         # each of these three loaded without a word
         (lambda doc: json.dumps({**doc, "extra": 1}), "invalid model file: unknown key 'extra'$"),
         (lambda doc: json.dumps({**doc, "predictor": {**doc["predictor"], "windw": 3}}),
@@ -385,7 +401,8 @@ class TestPredict:
          "invalid model file: unknown key 'posterior_covs' in goal_model$"),
     ], ids=["protocol-extra-key", "protocol-not-object", "protocol-string-value",
             "top-level-array", "invalid-json", "step-covs-quadruples", "residual-covs-pairs",
-            "version-2", "version-missing", "unknown-top-level-key", "unknown-predictor-key",
+            "version-2", "version-missing", "version-true", "version-float", "version-string",
+            "unknown-top-level-key", "unknown-predictor-key",
             "unknown-goal-model-key"])
     def test_malformed_model_file_exits_2(self, tmp_path, capsys, corrupt, message):
         train = gen(tmp_path, "train.jsonl", n=30)
@@ -1036,6 +1053,17 @@ class TestConfigFile:
         cfg.write_text(f"n = 2\nout = {value}  # the dataset\n")
         assert run("gen-synth", "--scenario", "cv", "--config", str(cfg)) == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted([value, "run.cfg"])
+
+    def test_byte_order_mark_is_skipped(self, tmp_path, monkeypatch, capsys):
+        # the first key was read as '\ufeffscenario': "missing required option --scenario"
+        monkeypatch.chdir(tmp_path)
+        outputs = []
+        for bom in ("", "\ufeff"):
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{bom}scenario = cv\nn = 3\nout = b.jsonl\n", encoding="utf-8")
+            code = run("gen-synth", "--config", str(cfg))
+            outputs.append((code, capsys.readouterr(), (tmp_path / "b.jsonl").read_bytes()))
+        assert outputs[0][0] == 0 and outputs[1] == outputs[0]
 
 
 class TestDefaultsFollowLibrary:

@@ -481,6 +481,55 @@ class TestSegmentChecks:
         write_jsonl(Dataset([a, b], tau=0, horizon=1), str(path))
         assert [s.segment_id for s in read_jsonl(str(path)).segments] == ["a", "b"]
 
+    def test_public_dataset_names_a_wrong_length_before_a_repeated_id(self):
+        # records' own checks come first; the builder checks the ids of the stacks
+        a = Segment("a", 1, 0.2, np.zeros((1, 2)), np.ones((1, 2)))
+        b = Segment("a", 1, 0.2, np.zeros((2, 2)), np.ones((1, 2)))
+        with pytest.raises(ValueError, match=r"^segment a: history length 2 != 1$"):
+            Dataset([a, b], tau=0, horizon=1)
+
+    def test_public_dataset_keeps_its_records(self):
+        segs = [Segment(sid, 1, 0.2, np.zeros((1, 2)), np.ones((1, 2))) for sid in "ab"]
+        ds = Dataset(segs, tau=0, horizon=1)
+        assert all(got is seg for got, seg in zip(ds.segments, segs))
+        assert not ds.histories().flags.writeable and not ds.futures().flags.writeable
+
+
+class TestFromStacks:
+    """data._from_stacks is the one check of a dataset built from stacks."""
+
+    @staticmethod
+    def build(dt=0.2, ids=("a", "b", "c"), bad=()):
+        histories, futures = np.zeros((len(ids), 2, 2)), np.ones((len(ids), 3, 2))
+        for stack, i in bad:
+            (histories, futures)[stack][i, -1, 0] = np.inf
+        return data._from_stacks(list(ids), range(len(ids)), dt, histories, futures, "s")
+
+    @pytest.mark.parametrize("dt", [0.0, -0.2, np.nan, np.inf])
+    def test_dt_checked_as_segment_would_then_the_protocol(self, dt):
+        with pytest.raises(ValueError, match="^dt must be finite and positive$"):
+            self.build(dt, bad=[(0, 0)])
+        with pytest.raises(ValueError, match=f"^{protocol_error(dt, 1, 3)}$"):
+            self.build(dt, ids=())
+
+    def test_first_non_finite_segment_named_history_before_future(self):
+        with pytest.raises(ValueError, match="^future contains non-finite coordinates$"):
+            self.build(ids="abc", bad=[(1, 1), (0, 2)])
+        with pytest.raises(ValueError, match="^history contains non-finite coordinates$"):
+            self.build(ids="aba", bad=[(1, 1), (0, 1)])
+
+    def test_first_repeated_id_named_with_its_first_occurrence(self):
+        with pytest.raises(ValueError, match="^segments 1 and 3 share the segment id 'b'$"):
+            self.build(ids=("a", "b", "c", "b", "a"))
+
+    def test_segments_view_the_read_only_stacks(self):
+        ds = self.build()
+        assert [(s.segment_id, s.agent_id, s.dt) for s in ds.segments] == [
+            ("a", 0, 0.2), ("b", 1, 0.2), ("c", 2, 0.2)]
+        assert (ds.tau, ds.horizon, ds.source) == (1, 3, "s")
+        assert all(np.shares_memory(s.history, ds.histories()) for s in ds.segments)
+        assert not ds.segments[0].future.flags.writeable
+
 
 class TestDownsample:
     def test_41_samples_become_21(self):
@@ -525,7 +574,8 @@ class TestExtractSegments:
         with pytest.raises(ValueError, match="^tracks must share a uniform dt$"):
             extract_segments(tracks)
 
-    @pytest.mark.parametrize("tau,horizon", [(-1, 25), (15, 0)])
+    # (-3, 5): windows cut at tau + 1 = -2 would read back as tau 0 and horizon 2
+    @pytest.mark.parametrize("tau,horizon", [(-1, 25), (15, 0), (-3, 5), (-5, 1), (3, -2)])
     def test_window_without_history_or_future_rejected(self, tau, horizon):
         for tracks in ([self.make_track(45)], []):
             with pytest.raises(ValueError, match=f"^{protocol_error(0.2, tau, horizon)}$"):

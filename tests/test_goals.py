@@ -128,6 +128,12 @@ class TestFitGoalModel:
         with pytest.raises(ValueError, match="ridge_lambda must be finite and >= 0"):
             fit_goal_model(cv_corpus, ANCHORS, ridge_lambda=ridge)
 
+    def test_one_point_history_rejected_before_fitting(self):
+        # tau 0 is a valid protocol; the fit failed inside numpy's reshape
+        train = gen_synthetic("cv", 10, 0.1, seed=1, tau=0)
+        with pytest.raises(ValueError, match=r"^history_len must be at least 2, got 1 \(tau=0\)$"):
+            fit_goal_model(train)
+
     def test_equality_and_hash_are_identity(self, cv_corpus):
         a = fit_goal_model(cv_corpus, ANCHORS)
         b = fit_goal_model(cv_corpus, ANCHORS)
@@ -136,6 +142,17 @@ class TestFitGoalModel:
 
 
 class TestPredictGoals:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_history_rejected_naming_the_first_segment(self, cv_corpus, bad):
+        # the anchor means came back NaN without a word
+        params = fit_goal_model(cv_corpus, ANCHORS)
+        histories = cv_corpus.histories()[:4].copy()
+        histories[2, 0, 1] = histories[3, -1, 0] = bad
+        with pytest.raises(ValueError,
+                           match="^history of segment 2 contains non-finite coordinates$"):
+            goal_moments(params, histories)
+
     def test_cv_straight_history_extrapolates(self, cv_corpus):
         params = fit_goal_model(cv_corpus, ANCHORS, ridge_lambda=1e-9)
         speed = 12.0

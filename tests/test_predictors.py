@@ -405,6 +405,22 @@ class TestFitArRls:
         with pytest.raises(ValueError):
             fit_ar_rls([])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("pairs,message", [
+        # NaN weights, inf weights, numpy's matmul message and a silently broadcast (2, 2)
+        ([(np.array([1.0, np.nan]), 1.0), (np.array([0.5, 2.0]), 2.0)],
+         "pair 0: feature and target must be finite"),
+        ([(np.array([1.0, 0.0]), 1.0), (np.array([0.5, 2.0]), np.inf)],
+         "pair 1: feature and target must be finite"),
+        ([(np.array([1.0, 0.0]), 1.0), (np.array([0.5, 2.0, 3.0]), 2.0)],
+         r"pair 1: feature and target sizes \(3, 1\) differ from the first pair's \(2, 1\)"),
+        ([(np.array([1.0, 0.0]), 1.0), (np.array([0.5, 2.0]), [2.0, 1.0])],
+         r"pair 1: feature and target sizes \(2, 2\) differ from the first pair's \(2, 1\)"),
+    ], ids=["nan-feature", "inf-target", "feature-size", "target-size"])
+    def test_bad_pair_rejected_by_its_index(self, pairs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fit_ar_rls(pairs)
+
 
 class TestRolloutVanilla:
     def test_straight_history_continues_exactly(self):
@@ -442,6 +458,37 @@ class TestRolloutVanilla:
         history = np.column_stack([np.arange(16.0), np.arange(16.0)])
         assert len(rollout_vanilla(params, history)) == 25
         assert len(rollout_vanilla(params, history, 7)) == 7
+
+
+class TestNonFiniteHistory:
+    """A NaN or inf anywhere in a history is rejected before any arithmetic. Outside
+    the backbone's window it gave finite predictions; refined, a NaN was blamed on
+    the output and an inf raised numpy's RuntimeWarning."""
+
+    @pytest.fixture(scope="class")
+    def models(self):
+        train = gen_synthetic("ca", 40, 0.1, seed=5)
+        return (train, fit_goal_model(train),
+                {bb: fit_predictor(bb, train) for bb in ("cv", "ca", "ar")})
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("backbone", ["cv", "ca", "ar"])
+    @pytest.mark.parametrize("refined", [False, True], ids=["vanilla", "refined"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejected_naming_the_first_segment(self, models, backbone, refined, bad):
+        train, goal_params, fitted = models
+        params, goal_params = fitted[backbone], goal_params if refined else None
+        histories = train.histories()[:3].copy()
+        histories[1, 0, 0] = histories[2, -1, 1] = bad  # the oldest point is outside every window
+        with pytest.raises(ValueError,
+                           match="^history of segment 1 contains non-finite coordinates$"):
+            rollout_batch(params, histories, goal_params=goal_params)
+        with pytest.raises(ValueError,
+                           match="^history of segment 0 contains non-finite coordinates$"):
+            if refined:
+                rollout_refined(params, goal_params, histories[1])
+            else:
+                rollout_vanilla(params, histories[1])
 
 
 class TestRefineConfig:
