@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import operator
 import zlib
 from contextlib import contextmanager
@@ -57,6 +58,13 @@ def non_negative(value) -> bool:
 def plain(value):
     """A numpy scalar as the plain Python number ``.item()`` gives; anything else as it is."""
     return value.item() if isinstance(value, np.generic) else value
+
+
+def checked_dt(dt):
+    """``dt`` as :func:`plain` gives it, which must be :func:`positive`."""
+    if not positive(dt := plain(dt)):
+        raise ValueError("dt must be finite and positive")
+    return dt
 
 
 def read_only(a: np.ndarray) -> np.ndarray:
@@ -127,9 +135,7 @@ class Segment:
         if not isinstance(self.segment_id, str):
             raise ValueError(f"segment_id must be a str, got {self.segment_id!r}")
         object.__setattr__(self, "agent_id", whole("agent_id", self.agent_id))
-        object.__setattr__(self, "dt", plain(self.dt))
-        if not positive(self.dt):
-            raise ValueError("dt must be finite and positive")
+        object.__setattr__(self, "dt", checked_dt(self.dt))
         object.__setattr__(self, "history", _points(self.history, "history"))
         object.__setattr__(self, "future", _points(self.future, "future"))
 
@@ -188,8 +194,8 @@ def _from_stacks(ids, agents, dt: float, histories: np.ndarray, futures: np.ndar
     stacks unless ``segments``, the records the stacks were built from, are given.
     """
     histories, futures = (read_only(np.ascontiguousarray(a)) for a in (histories, futures))
-    if len(histories) and not positive(dt):
-        raise ValueError("dt must be finite and positive")
+    if len(histories):
+        checked_dt(dt)
     dt = check_protocol(dt, histories.shape[1] - 1, futures.shape[1])["dt"]
     finite = [np.isfinite(a).all(axis=(1, 2)) for a in (histories, futures)]
     if (bad := np.flatnonzero(~(finite[0] & finite[1]))).size:  # the first segment at fault
@@ -219,6 +225,7 @@ class Track:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "vehicle_id", whole("vehicle_id", self.vehicle_id))
+        object.__setattr__(self, "dt", checked_dt(self.dt))
         object.__setattr__(self, "points", _points(self.points, "track points"))
 
 
@@ -456,15 +463,17 @@ def gen_synthetic(
             pts[i] = rng.normal(0.0, noise_sigma, size=(length, 2))
 
     # The geometry, a block of segments at a time: blocks bound the
-    # temporaries, and no value depends on its block.
-    t = np.arange(length) * dt
-    for lo in range(0, n, GEOMETRY_BLOCK):
-        rows = slice(lo, lo + GEOMETRY_BLOCK)
-        for c, plane in enumerate(_positions(scenario, u[rows], side[rows], t, total)):
-            if noisy:  # noise + x is x + noise bit for bit: IEEE addition commutes
-                pts[rows, :, c] += plane
-            else:
-                pts[rows, :, c] = plane
+    # temporaries, and no value depends on its block. A dt so large that a
+    # position overflows is named by _from_stacks, not by numpy's warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = np.arange(length) * dt
+        for lo in range(0, n, GEOMETRY_BLOCK):
+            rows = slice(lo, lo + GEOMETRY_BLOCK)
+            for c, plane in enumerate(_positions(scenario, u[rows], side[rows], t, total)):
+                if noisy:  # noise + x is x + noise bit for bit: IEEE addition commutes
+                    pts[rows, :, c] += plane
+                else:
+                    pts[rows, :, c] = plane
     return _from_stacks([f"{scenario}-{i:05d}" for i in range(n)], range(n), dt,
                         pts[:, : tau + 1], pts[:, tau + 1 :], f"synthetic/{scenario}")
 
@@ -546,6 +555,11 @@ _GROUPS = np.frombuffer("".join(form(f"{g:03d}").ljust(4, "\0") for form in _GRO
                                 for g in range(1000)).encode(), "<u4")
 _BARE, _UNITS, _PADDED, _HEAD, _TAIL = range(0, 5000, 1000)
 _MINUS, _POINT = ord("-") << 24, ord(".") << 24  # characters in a word's fourth byte
+# repr's exponent text of n / 10**6 for n in [1, 100), "1e-06" to "9.9e-05", as the
+# five words after the sign, three characters a word; row 0 is not used
+_SMALL = np.frombuffer("".join(repr(n / 1e6).ljust(15, "\0")[i : i + 3].ljust(4, "\0")
+                               for n in range(100) for i in range(0, 15, 3)).encode(),
+                       "<u4").reshape(100, 5)
 TEXT_BLOCK = 128  # records whose JSONL text write_jsonl and write_predictions build at once
 
 
@@ -555,19 +569,22 @@ def number_words(values) -> tuple[np.ndarray, np.ndarray]:
     Text is six little-endian words a value, (..., 6) uint32: the sign, the
     integer part as three 3-digit groups (the decimal point in the fourth
     byte of the last) and the fraction as two, NUL wherever ``repr`` has no
-    character; deleting the NULs leaves the text.
+    character; deleting the NULs leaves the text. A value of 1e-6 <= |v| <
+    1e-4 takes its five words after the sign from a 99-entry table of
+    ``repr``'s exponent text (``1.2e-05``) instead.
 
-    Exact for v in {+-0} and 1e-4 <= |v| < 1e9. There v is the double
-    nearest n / 10**6 for the integer n = rint(|v| * 10**6), which is below
-    2**53, so v * 1e6 is within 0.25 of n. The ulp of v is below 1e-6, so no
-    other decimal with at most 6 fractional digits rounds to v, and the
-    shortest round-trip text ``repr`` writes is n / 10**6 with trailing
-    zeros dropped, keeping one fractional digit, with v's sign; |v| >= 1e-4
-    keeps it out of exponent notation. Other values get arbitrary text.
+    Exact for every round6 value below 1e9 in magnitude: +-0 and 1e-6 <= |v|
+    < 1e9. Such a v is the double nearest n / 10**6 for the integer n =
+    rint(|v| * 10**6), which is below 2**53, so v * 1e6 is within 0.25 of n.
+    The ulp of v is below 1e-6, so no other decimal with at most 6
+    fractional digits rounds to v, and the shortest round-trip text ``repr``
+    writes is n / 10**6 with trailing zeros dropped, keeping one fractional
+    digit, with v's sign, in exponent notation below 1e-4 (n < 100). The
+    flag is |v| < 1e9; a value that is not a round6 value gets arbitrary text.
     """
     v = np.asarray(values, dtype=float)
     a = np.abs(v)
-    exact = (a < 1e9) & ((a >= 1e-4) | (a == 0.0))
+    exact = a < 1e9
     n = np.rint(np.where(exact, a, 0.0) * 1e6).astype(np.int64)
     whole = (n // 10**6).astype(np.int32)
     frac = (n - whole.astype(np.int64) * 10**6).astype(np.int32)
@@ -581,6 +598,9 @@ def number_words(values) -> tuple[np.ndarray, np.ndarray]:
     words[..., 3] = _GROUPS[g3 + np.where(whole >= 1000, _PADDED, _UNITS)] | _POINT
     words[..., 4] = _GROUPS[g4 + np.where(g5 > 0, _PADDED, _HEAD)]
     words[..., 5] = _GROUPS[g5 + _TAIL]
+    if (a < 1e-4).any():  # repr's exponent text, for 0 < n < 100
+        small = (n > 0) & (n < 100)
+        words[small, 1:] = _SMALL[n[small]]
     return words, exact
 
 
@@ -589,25 +609,64 @@ def _word(text: str) -> int:
 
 
 def points_json(points) -> list[str]:
-    """``json.dumps(round6(row).tolist(), separators=(",", ":"))`` of each (P, 2) row of a
-    (B, P, 2) block, by :func:`number_words`; the exact pass, ``json.dumps``, writes a row
-    holding a value outside its range."""
+    """``json.dumps(round6(row).tolist(), separators=(",", ":"))`` of each (P, k) row of a
+    (B, P, k) block, such as pairs of coordinates or triples of Gaussian parameters, by
+    :func:`number_words`; the exact pass, ``json.dumps``, writes a row holding a value
+    of 1e9 or more in magnitude, or not finite."""
     points = round6(points)
-    b, p = points.shape[:2]
+    b, p, k = points.shape
     words, exact = number_words(points)
-    rows = np.empty((b, p * 12 + 2), "<u4")  # "[", P points of 2 values, "]\n"
+    rows = np.empty((b, p * k * 6 + 2), "<u4")  # "[", P points of k values, "]\n"
     rows[:, 0], rows[:, -1] = _word("["), _word("]\n")
     opening = np.full(p, _word(",["), "<u4")
     opening[:1] = _word("[")
-    values = rows[:, 1:-1].reshape(b, p, 2, 6)
+    values = rows[:, 1:-1].reshape(b, p, k, 6)
     values[...] = words
     values[:, :, 0, 0] |= opening  # the sign stays in the fourth byte
-    values[:, :, 1, 0] |= _word(",")
-    values[:, :, 1, 5] |= ord("]") << 24
+    values[:, :, 1:, 0] |= _word(",")
+    values[:, :, -1, 5] |= ord("]") << 24
     text = rows.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:b]
     for i in np.flatnonzero(~exact.all(axis=(1, 2))).tolist():
         text[i] = json.dumps(points[i].tolist(), separators=(",", ":"))
     return text
+
+
+def round6_outward(params) -> np.ndarray:
+    """(..., 3) Gaussian parameters ``[sigma_x, sigma_y, rho]`` at 6 decimals, rounded outward.
+
+    Each sigma becomes the double nearest the smallest 6-decimal number >= it,
+    and rho the double nearest the 6-decimal number of largest magnitude
+    <= |rho|, with rho's sign (rounded toward zero). So a sigma > 0 never
+    shrinks and never becomes 0, |rho| never grows and stays < 1, and the
+    determinant sigma_x^2 sigma_y^2 (1 - rho^2) never shrinks. Each result is
+    its own :func:`round6`.
+
+    ``s = v * 1e6`` is the exact product rounded to a double. Integers below
+    2**53 are doubles and rounding is monotone, so s lies on the same side of
+    every integer as the exact product unless s is that integer. So where s
+    is not an integer, ``ceil`` and ``trunc`` of s are those of the exact
+    product, and IEEE division by 1e6 gives the double nearest n / 10**6.
+    Elements where s is an integer (on the 6-decimal grid, and every one of
+    magnitude 2**52 / 1e6 or more) are rounded exactly in integers, from the
+    ratio ``as_integer_ratio`` gives; +-0 and non-finite values are kept.
+    """
+    v = np.asarray(params, dtype=float)
+    with np.errstate(over="ignore"):  # an s that overflows is inf, which takes the exact path
+        scaled = v * 1e6
+    n = np.ceil(scaled)
+    n[..., 2] = np.trunc(scaled[..., 2])
+    out = np.divide(n, 1e6)
+    if not (fast := (n != scaled) | (v == 0.0)).all():
+        flat, values = out.reshape(-1), v.reshape(-1).tolist()
+        for i in np.flatnonzero(~fast).tolist():
+            if math.isfinite(x := values[i]):
+                num, den = abs(x).as_integer_ratio()
+                down, rest = divmod(num * 10**6, den)  # |x| * 10**6 is down + rest / den
+                up = rest > 0 and x > 0 and i % 3 < 2  # a positive sigma off the grid
+                flat[i] = math.copysign((down + up) / 10**6, x)
+            else:
+                flat[i] = x
+    return out
 
 
 @lru_cache(typed=True)  # typed: 1.0 and an int subclass's 1 ("1") share a key otherwise
@@ -644,13 +703,16 @@ def write_jsonl(ds: Dataset, path: str) -> None:
 
 
 def write_predictions(path: str, ids, means, sigmas, mode: str) -> None:
-    """One JSON object per segment id: its (T, 2) means as :func:`write_jsonl` writes points,
-    its (T, 3) sigmas at full precision (rounded, one can become an invalid 0) and mode."""
+    """One JSON object per segment id: its (T, 2) means rounded by :func:`round6`, its (T, 3)
+    sigmas ``[sigma_x, sigma_y, rho]`` at 6 decimals rounded outward by
+    :func:`round6_outward` (each sigma up, so a positive one never becomes 0; rho toward
+    zero, so |rho| stays < 1), both written by :func:`points_json`, and mode."""
     mode = json.dumps(mode)
     _write_blocks(path, len(ids), lambda rows: (
-        f'{{"segment_id":{encode_basestring_ascii(sid)},"means":{text},'
-        f'"sigmas":{json.dumps(s.tolist(), separators=(",", ":"))},"mode":{mode}}}\n'
-        for sid, text, s in zip(ids[rows], points_json(means[rows]), sigmas[rows])))
+        f'{{"segment_id":{encode_basestring_ascii(sid)},"means":{m},"sigmas":{s},'
+        f'"mode":{mode}}}\n'
+        for sid, m, s in zip(ids[rows], points_json(means[rows]),
+                             points_json(round6_outward(sigmas[rows])))))
 
 
 _JSON_KINDS = {"string": (str,), "integer": (int,), "number": (int, float), "boolean": (bool,),

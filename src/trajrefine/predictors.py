@@ -22,7 +22,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .data import Dataset, non_negative, plain, positive, read_only, whole
+from .data import Dataset, checked_dt, non_negative, positive, read_only, whole
 from .fusion import (Estimate, SingularInnovationError, estimates_from_arrays, gain_table,
                      rotated_gains)
 from .gaussian import cov_entries
@@ -54,9 +54,7 @@ class PredictorParams:
     def __post_init__(self) -> None:
         if self.backbone not in BACKBONES:
             raise ValueError(f"unknown backbone {self.backbone!r}; valid: {BACKBONES}")
-        object.__setattr__(self, "dt", plain(self.dt))
-        if not positive(self.dt):
-            raise ValueError("dt must be finite and positive")
+        object.__setattr__(self, "dt", checked_dt(self.dt))
         object.__setattr__(self, "window", whole("window", self.window))
         object.__setattr__(self, "lag", whole("lag", self.lag))
         c = read_only(np.array(self.step_covs, dtype=float))

@@ -7,7 +7,8 @@ crc32(b"datagen")])`` stream. ``parse_ngsim_csv`` is a copy of the
 ``csv.reader`` NGSIM parser, which reads every row as ``float`` and names
 the physical line of the first row at fault. ``jsonl_text`` and
 ``prediction_line`` are the JSONL writers' one ``json.dumps`` line per
-segment or prediction, each coordinate or mean rounded by ``round(x, 6)``.
+segment or prediction, each coordinate or mean rounded by ``round(x, 6)``
+and each sigma and rho by ``decimal``'s ``quantize`` (``outward``).
 None reads anything from the package, so a change there cannot move a
 reference. Keep their arithmetic, draw order, checks and messages as they are.
 """
@@ -15,6 +16,7 @@ reference. Keep their arithmetic, draw order, checks and messages as they are.
 from __future__ import annotations
 
 import csv
+import decimal
 import json
 import zlib
 
@@ -164,8 +166,19 @@ def jsonl_text(ds) -> str:
     return "".join(lines)
 
 
+def outward(params: np.ndarray) -> list[list[float]]:
+    """Each [sigma_x, sigma_y, rho] row of a (T, 3) array at 6 decimals: the sigmas
+    rounded up (ROUND_CEILING), rho toward zero (ROUND_DOWN), each then the
+    nearest double; non-finite values are kept."""
+    step = decimal.Decimal("1e-6")
+    with decimal.localcontext(decimal.Context(prec=400)):  # 6 decimals of any double
+        return [[float(decimal.Decimal(x).quantize(step, rounding)) if np.isfinite(x) else x
+                 for x, rounding in zip(row, [decimal.ROUND_CEILING] * 2 + [decimal.ROUND_DOWN])]
+                for row in np.asarray(params, dtype=float).tolist()]
+
+
 def prediction_line(segment_id: str, means: np.ndarray, sigmas: np.ndarray, mode: str) -> str:
     """The line ``predict`` writes for one segment's (T, 2) means and (T, 3) sigmas."""
     line = {"segment_id": segment_id, "means": _rounded(means),
-            "sigmas": sigmas.tolist(), "mode": mode}
+            "sigmas": outward(sigmas), "mode": mode}
     return json.dumps(line, separators=(",", ":")) + "\n"

@@ -5,9 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import reference_data
 from trajrefine.cli import MODEL_SCHEMA, load_model, main, save_model
 from trajrefine.data import gen_synthetic, read_jsonl, round6, write_jsonl
-from trajrefine.gaussian import Cov2, params_from_cov
+from trajrefine.gaussian import Cov2, params_from_cov, params_from_covs
 from trajrefine.goals import fit_goal_model
 from trajrefine.predictors import RefineConfig, fit_predictor, rollout_batch, rollout_refined
 
@@ -654,6 +655,31 @@ class TestModelSchema:
 
 
 class TestEvalAndAblate:
+    def test_full_precision_sigmas_of_older_files_give_the_same_csv(self, tmp_path):
+        # older predict runs wrote the sigmas at full precision; eval reads only the means
+        train = gen(tmp_path, "train.jsonl")
+        test = gen(tmp_path, "test.jsonl", seed=12, n=10)
+        model = fit(tmp_path, train)
+        new, old = tmp_path / "new.jsonl", tmp_path / "old.jsonl"
+        assert run("predict", "--model", str(model), "--data", str(test), "--out", str(new)) == 0
+        params, goal_params, _ = load_model(str(model))
+        ds = read_jsonl(str(test))
+        means, covs = rollout_batch(params, ds.histories(), goal_params=goal_params,
+                                    cfg=RefineConfig())
+        old.write_text("".join(
+            json.dumps({"segment_id": seg.segment_id, "means": round6(m).tolist(),
+                        "sigmas": params_from_covs(c).tolist(), "mode": "refined"},
+                       separators=(",", ":")) + "\n"
+            for seg, m, c in zip(ds.segments, means, covs)), encoding="utf-8")
+        old_lines, new_lines = ([json.loads(line) for line in path.read_text(encoding="utf-8")
+                                 .splitlines()] for path in (old, new))
+        assert [line["means"] for line in old_lines] == [line["means"] for line in new_lines]
+        assert [line["sigmas"] for line in old_lines] != [line["sigmas"] for line in new_lines]
+        for preds in (new, old):
+            assert run("eval", "--predictions", str(preds), "--data", str(test),
+                       "--out", str(tmp_path / f"{preds.stem}.csv")) == 0
+        assert (tmp_path / "old.csv").read_bytes() == (tmp_path / "new.csv").read_bytes()
+
     def test_perfect_prediction_fixture_scores_zero(self, tmp_path):
         data = gen(tmp_path, "d.jsonl", scenario="cv", noise=0.0, n=5)
         ds = read_jsonl(str(data))
@@ -1089,6 +1115,7 @@ class TestDefaultsFollowLibrary:
                                     goal_params=goal_params, cfg=RefineConfig())
         lines = [json.loads(line) for line in out.read_text().splitlines()]
         assert [line["means"] for line in lines] == [round6(m).tolist() for m in means]
-        sigmas = [[list(params_from_cov(Cov2(c[0, 0], 0.5 * (c[0, 1] + c[1, 0]), c[1, 1])))
-                   for c in seg] for seg in covs]
+        sigmas = [reference_data.outward([params_from_cov(Cov2(c[0, 0], 0.5 * (c[0, 1] + c[1, 0]),
+                                                               c[1, 1])) for c in seg])
+                  for seg in covs]  # rounded outward at 6 decimals
         assert [line["sigmas"] for line in lines] == sigmas

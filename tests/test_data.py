@@ -406,10 +406,10 @@ class TestArrayBuiltDatasets:
         assert ds.histories().shape == (0, 4, 2) and ds.futures().shape == (0, 4, 2)
 
     def test_extract_segments_rejects_a_track_dt_as_segment_would(self):
-        with pytest.raises(ValueError, match="^dt must be finite and positive$"):
-            extract_segments([Track(1, 0.0, np.zeros((45, 2)))], stride=1)
-        with pytest.raises(ValueError, match=f"^{protocol_error(0.0, 15, 25)}$"):
-            extract_segments([Track(1, 0.0, np.zeros((40, 2)))], stride=1)
+        # the track itself rejects the dt, with windows to cut or without
+        for n in (45, 40):
+            with pytest.raises(ValueError, match="^dt must be finite and positive$"):
+                extract_segments([Track(1, 0.0, np.zeros((n, 2)))], stride=1)
 
     def test_read_jsonl(self, tmp_path):
         path = tmp_path / "d.jsonl"
@@ -448,6 +448,20 @@ class TestSegmentChecks:
     def test_segment_id_must_be_a_str(self, segment_id):
         with pytest.raises(ValueError, match=f"^segment_id must be a str, got {segment_id!r}$"):
             Segment(segment_id, 1, 0.2, [[0.0, 0.0]], [[1.0, 1.0]])
+
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf"), 0.0, -1.0, True, np.float64(0.0)],
+                             ids=["nan", "inf", "zero", "negative", "true", "numpy-zero"])
+    def test_track_dt_must_be_finite_and_positive(self, dt):
+        with pytest.raises(ValueError, match="^dt must be finite and positive$"):
+            Track(1, dt, [[0.0, 0.0]])
+
+    def test_track_dt_is_a_plain_number(self):
+        assert type(Track(1, np.float64(0.1), [[0.0, 0.0]]).dt) is float
+
+    def test_downsample_whose_dt_overflows_rejected(self):
+        track = Track(1, 1e308, np.zeros((4, 2)))
+        with pytest.raises(ValueError, match="^dt must be finite and positive$"):
+            downsample(track, 2)
 
     @pytest.mark.parametrize("vehicle", [False, 2.5, "7"])
     def test_track_vehicle_id_must_be_a_whole_number(self, vehicle):
@@ -739,6 +753,15 @@ class TestSplitDataset:
 
 
 class TestGenSynthetic:
+    @pytest.mark.parametrize("noise", [0.0, 0.2])
+    @pytest.mark.parametrize("scenario", ["cv", "ca"])
+    def test_dt_whose_positions_overflow_named_by_the_builder(self, scenario, noise):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^(history|future) contains non-finite "
+                                                 "coordinates$"):
+                gen_synthetic(scenario, 3, noise, 0, dt=1e306)
+
     def test_cv_is_collinear(self):
         ds = gen_synthetic("cv", 10, 0.0, seed=1)
         for seg in ds.segments:

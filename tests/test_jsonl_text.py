@@ -1,11 +1,11 @@
 """The JSONL writers' number text against their ``json.dumps`` lines.
 
 ``write_jsonl`` and ``write_predictions`` (``predict``'s writer) take the
-text of coordinates and means from ``points_json``, which rounds them and
-lays out ``number_words``' text; a row holding a value outside its range
-takes the exact pass there, ``json.dumps``. Every byte must equal the frozen
-one-line-a-segment writers of ``reference_data``, rows of the exact pass
-included.
+text of coordinates, means and outward-rounded sigmas from ``points_json``,
+which rounds them and lays out ``number_words``' text; a row holding a value
+outside its range takes the exact pass there, ``json.dumps``. Every byte
+must equal the frozen one-line-a-segment writers of ``reference_data``, rows
+of the exact pass included.
 """
 
 import json
@@ -35,16 +35,18 @@ from trajrefine.data import (
 )
 from trajrefine.gaussian import params_from_covs
 
-# round6 values at the edges of number_words' range {+-0} and [1e-4, 1e9),
-# on both sides, and the forms of its text: whole numbers, trailing zeros
+# round6 values at the edges of number_words' range |v| < 1e9, on both sides, and
+# the forms of its text: exponent text below 1e-4, whole numbers, trailing zeros
 SPECIAL = [0.0, -0.0, 1e-6, -1e-6, 9.9999e-05, -9.9999e-05, 1e-4, -1e-4, 2.5e-05,
+           9.9e-05, -9.9e-05, 1.2e-05, -7e-06, 1e-05, 9.9e-06,
            999999999.999999, -999999999.999999, 1e9, -1e9, 1e15, -1e15, 1.0, -7.0, 10.0,
            100.0, 1000.0, 123456.0, 1e6, 1e8, 0.1, 0.5, 1.05, 10.01, 1.000001, 0.000123,
            1000000.000001, 987654321.5, 12.3, -4.05]
 
 
 def in_range(value: float) -> bool:
-    return value == 0.0 or 1e-4 <= abs(value) < 1e9
+    """Whether number_words' text is exact for a round6 value."""
+    return abs(value) < 1e9
 
 
 @pytest.fixture
@@ -103,13 +105,13 @@ class TestNumberWords:
 
     def test_points_json_flags_each_row(self, exact_pass):
         points = np.full((3, 4, 2), 1.5000004)  # points_json rounds: 1.5
-        points[1, 2, 1] = 1e-05
+        points[1, 2, 1] = 1e9
         texts = points_json(points)
         assert exact_pass == [round6(points[1]).tolist()]  # only row 1 takes the exact pass
         assert texts == [json.dumps(round6(row).tolist(), separators=(",", ":"))
                          for row in points]
         assert texts[0] == texts[2] == "[" + ",".join(["[1.5,1.5]"] * 4) + "]"
-        assert "1e-05" in texts[1]
+        assert "[1.5,1000000000.0]" in texts[1]
         assert points_json(np.empty((0, 4, 2))) == []
 
 

@@ -1,10 +1,15 @@
-"""The 6-decimal rounding contract of JSONL coordinates and predicted means.
+"""The 6-decimal rounding contract of JSONL coordinates, predicted means and sigmas.
 
 ``round6`` must equal Python's ``round(float(x), 6)`` bit for bit on every
 double. The oracle here is always ``round`` itself, element by element.
+The sigmas ``write_predictions`` writes are rounded outward: each sigma up,
+each rho toward zero, as ``decimal``'s ``quantize`` rounds them
+(``reference_data.outward``).
 """
 
 import json
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from trajrefine.data import Dataset, Segment, read_jsonl, round6, write_jsonl
+import reference_data
+from trajrefine import cli
+from trajrefine.data import (Dataset, Segment, gen_synthetic, read_jsonl, round6, write_jsonl,
+                             write_predictions)
+from trajrefine.gaussian import params_from_covs
 
 
 def bits(values) -> np.ndarray:
@@ -128,3 +137,108 @@ def test_jsonl_round_trip_rounds_every_coordinate(tmp_path_factory, ds):
     for seg, read in zip(ds.segments, back.segments):
         np.testing.assert_array_equal(bits(read.history), bits(by_round(seg.history)))
         np.testing.assert_array_equal(bits(read.future), bits(by_round(seg.future)))
+
+
+def on_the_grid() -> np.ndarray:
+    """n / 1e6 for n over 15 decades, and 1 and 2 ulps either side: where rounding
+    up or toward zero changes its integer."""
+    rng = np.random.default_rng(8)
+    n = np.concatenate([rng.integers(-10**k, 10**k, 2000) for k in range(1, 16)])
+    grid = n / 1e6
+    up, down = np.nextafter(grid, np.inf), np.nextafter(grid, -np.inf)
+    return np.concatenate([grid, up, down, np.nextafter(up, np.inf),
+                           np.nextafter(down, -np.inf)])
+
+
+def written_params(directory, params) -> np.ndarray:
+    """The (M, 3) sigmas write_predictions writes for (M, 3) params, as one
+    segment's, read back by ``json.loads``."""
+    params = np.asarray(params, dtype=float)
+    path = directory / "p.jsonl"
+    write_predictions(str(path), ["s"], np.zeros((1, len(params), 2)), params[None], "refined")
+    with open(path, encoding="utf-8") as fh:
+        (line,) = fh.readlines()
+    return np.array(json.loads(line)["sigmas"], dtype=float).reshape(-1, 3)
+
+
+def assert_rounded_outward(params, written) -> None:
+    """written is the oracle's rounding of params, and the Gaussian did not narrow."""
+    params = np.asarray(params, dtype=float)
+    np.testing.assert_array_equal(bits(written), bits(reference_data.outward(params)))
+    sigma, sigma_w = params[:, :2], written[:, :2]
+    rho, rho_w = params[:, 2], written[:, 2]
+    assert (sigma > 0).all() and (np.abs(rho) < 1).all()  # the inputs are valid
+    assert (sigma_w >= sigma).all()
+    assert (np.abs(rho_w) <= np.abs(rho)).all() and (np.abs(rho_w) < 1).all()
+    assert (np.signbit(rho_w) == np.signbit(rho)).all()
+
+
+def float_determinants(params) -> np.ndarray:
+    """sigma_x^2 sigma_y^2 (1 - rho^2) of (M, 3) params whose products stay finite
+    (rho^2 may underflow)."""
+    p = np.asarray(params, dtype=float)
+    with np.errstate(over="raise", invalid="raise"):
+        return p[:, 0] ** 2 * p[:, 1] ** 2 * (1.0 - p[:, 2] ** 2)
+
+
+@pytest.mark.parametrize("values", [near_ties, on_the_grid])
+def test_sigmas_rounded_outward_near_ties_and_on_the_grid(tmp_path, values):
+    v = values()
+    rho = v[np.abs(v) < 1]
+    sigma = np.abs(v[v != 0.0])
+    sigma[sigma < 1e-9] = 0.25  # 0's neighbours: products of their squares would underflow
+    params = np.column_stack([sigma[: len(rho)], sigma[-len(rho):], rho])
+    written = written_params(tmp_path, params)
+    assert_rounded_outward(params, written)
+    assert (float_determinants(written) >= float_determinants(params)).all()
+    assert (written != params).mean() > 0.5  # most inputs are not 6-decimal doubles already
+
+
+def test_sigmas_at_the_edges(tmp_path):
+    params = [[1e-9, 2.2e-7, 0.9999996], [1e12, 2.2e-7, -0.9999996], [1e-9, 1e-9, 4e-7],
+              [1.5, 0.25, -4e-7], [1.0, 1e12, -0.0], [5e-324, 1e-300, 0.0]]
+    written = written_params(tmp_path, params)
+    assert_rounded_outward(params, written)
+    assert written.tolist() == [[1e-6, 1e-6, 0.999999], [1e12, 1e-6, -0.999999],
+                                [1e-6, 1e-6, 0.0], [1.5, 0.25, -0.0], [1.0, 1e12, -0.0],
+                                [1e-6, 1e-6, 0.0]]
+    assert np.signbit(written[:, 2]).tolist() == [False, True, False, True, True, False]
+
+
+positive_doubles = st.floats(0.0, exclude_min=True, allow_infinity=False)
+unit_open = st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(positive_doubles, positive_doubles, unit_open), min_size=1,
+                max_size=8))
+def test_sigmas_of_any_valid_gaussian(tmp_path_factory, params):
+    written = written_params(tmp_path_factory.mktemp("sigmas"), params)
+    assert_rounded_outward(params, written)
+    for row, row_w in zip(params, written.tolist()):  # exactly: squares may overflow
+        sx, sy, rho = map(Fraction, row)
+        sx_w, sy_w, rho_w = map(Fraction, row_w)
+        assert sx_w**2 * sy_w**2 * (1 - rho_w**2) >= sx**2 * sy**2 * (1 - rho**2)
+
+
+def test_predict_at_a_tiny_goal_covariance(tmp_path):
+    """Criterion 5's goal_cov_scale 1e-12 gives refined sigmas below 5e-7 m, which
+    plain rounding would write as 0; the CLI writes them up to 1e-6."""
+    train, test, model, out = (str(tmp_path / name) for name in
+                               ("train.jsonl", "test.jsonl", "model.json", "p.jsonl"))
+    write_jsonl(gen_synthetic("lane_change", 300, 0.2, seed=1), train)
+    write_jsonl(gen_synthetic("lane_change", 60, 0.2, seed=2), test)
+    assert cli.main(["fit", "--train", train, "--predictor", "ar", "--out", model]) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["predict", "--model", model, "--data", test, "--out", out,
+                         "--goal-cov-scale", "1e-12"]) == 0
+    predictor, goal_model, _ = cli.load_model(model)
+    _, covs = cli.rollout_batch(predictor, read_jsonl(test).histories(), 25, goal_model,
+                                cli.RefineConfig(goal_cov_scale=1e-12))
+    params = params_from_covs(covs).reshape(-1, 3)
+    with open(out, encoding="utf-8") as fh:
+        written = np.array([json.loads(line)["sigmas"] for line in fh]).reshape(-1, 3)
+    assert_rounded_outward(params, written)
+    assert (params[:, :2] < 5e-7).mean() > 0.2
+    assert written[:, :2].min() == 1e-6

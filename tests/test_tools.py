@@ -15,7 +15,7 @@ def test_digest_prints_one_sha256_per_output_and_table():
     lines = done.stdout.splitlines()
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S.*", line) for line in lines)
     names = [line[66:] for line in lines]
-    # 52 CLI outputs (26 stdouts, 26 files) and 808 fitted tables
-    assert len(set(names)) == len(names) == 860
-    assert sum(name.startswith("stdout ") for name in names) == 26
+    # 56 CLI outputs (28 stdouts, 28 files) and 808 fitted tables
+    assert len(set(names)) == len(names) == 864
+    assert sum(name.startswith("stdout ") for name in names) == 28
     assert sum("/" in name for name in names) == 808

@@ -82,6 +82,13 @@ def script() -> list[tuple[str, ...]]:
         ]
     commands.append(("ablate", "--train", "train.jsonl", "--test", "turn.jsonl",
                      "--predictors", ",".join(BACKBONES), "--out", "ablate.csv"))
+    # criterion 5's goal covariance scale: refined sigmas below 5e-7 m, written up to 1e-6
+    commands += [
+        ("predict", "--model", "model_ar.json", "--data", "test.jsonl", "--goal-cov-scale",
+         "1e-12", "--out", "preds_ar_tiny.jsonl"),
+        ("eval", "--predictions", "preds_ar_tiny.jsonl", "--data", "test.jsonl",
+         "--backbone", "ar", "--out", "eval_ar_tiny.csv"),
+    ]
     return commands
 
 
