@@ -372,7 +372,7 @@ def cmd_predict(o) -> int:
     ds = read_jsonl(o.data)
     cfg = _refine_config(o)
     mode = "refined" if o.refine else "vanilla"
-    means = sigmas = ()
+    means, sigmas = np.empty((0, ds.horizon, 2)), np.empty((0, ds.horizon, 3))
     if ds.segments:
         _check_protocol(protocol, ds, o.data)
         goals = goal_model if o.refine else None

@@ -519,26 +519,41 @@ def _uniform(u: np.ndarray, low: float, high: float) -> np.ndarray:
     return low + (high - low) * u
 
 
-def round6(values) -> np.ndarray:
-    """Elementwise ``round(float(v), 6)`` of an array, bitwise equal to it.
+def round6(values, outward: bool = False) -> np.ndarray:
+    """Each value at 6 decimals: the double nearest n / 10**6 for an integer n.
 
-    ``round`` rounds the exact value of v * 10**6 half-to-even to an integer
-    n and returns the double nearest n / 10**6. The product ``s = v * 1e6``
-    is within half an ulp of the exact one, so wherever s is more than that
-    from a half-integer, ``np.rint(s)`` is the same n; below 1e9 in
-    magnitude n is exact (|n| < 2**53), and IEEE division by the exact 1e6
-    gives the double nearest n / 10**6. Elements within 4 ulps of a
-    half-integer, of magnitude >= 1e9 or not finite take ``round`` itself.
+    By default n is v * 10**6 rounded half to even, so the result is bitwise
+    ``round(float(v), 6)``. With ``outward`` the values are (..., 3) Gaussian
+    parameters ``[sigma_x, sigma_y, rho]``: each sigma is rounded up, so one
+    > 0 never shrinks and never becomes 0, and rho toward zero, so |rho|
+    never grows and stays < 1; the determinant sigma_x^2 sigma_y^2 (1 - rho^2)
+    never shrinks. Non-finite values are kept.
+
+    ``s = v * 1e6`` is the exact product rounded to a double. Half-integers
+    and integers below 2**52 in magnitude are doubles and rounding is
+    monotone, so s lies on the same side of each of them as the exact
+    product unless s is one. So where |s| < 2**52 and s is not a
+    half-integer (with ``outward``, not an integer), ``rint`` of s (``ceil``,
+    and ``trunc`` for rho) is n; there ``s - rint(s)`` is exact by Sterbenz's
+    lemma, and IEEE division of the exact n by 1e6 gives the double nearest
+    n / 10**6. The other elements are rounded exactly in integers, from the
+    ratio ``as_integer_ratio`` gives.
     """
     v = np.asarray(values, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):  # those elements take round()
-        scaled = v * 1e6
-        n = np.rint(scaled)
-        exact = (0.5 - np.abs(scaled - n) > 4 * np.spacing(np.abs(scaled))) & (np.abs(v) < 1e9)
-    out = np.divide(n, 1e6, out=np.empty_like(v))
-    if not exact.all():
-        slow = ~exact
-        out[slow] = [round(x, 6) for x in v[slow].tolist()]
+    with np.errstate(over="ignore", invalid="ignore"):  # such elements take the exact path
+        s = v * 1e6
+        # with outward, each sigma up and rho (the third column) toward zero
+        n = np.where(np.arange(3) < 2, np.ceil(s), np.trunc(s)) if outward else np.rint(s)
+        fast = (s != n if outward else np.abs(s - n) != 0.5) & (np.abs(s) < 2.0**52)
+    out = np.divide(n, 1e6, out=np.empty_like(v))  # out=: a 0-d result stays writable
+    for i in np.flatnonzero(~fast).tolist():  # i indexes v and out in C order
+        if math.isfinite(x := v.item(i)):  # else x is kept
+            num, den = abs(x).as_integer_ratio()
+            down, rest = divmod(num * 10**6, den)  # |x| * 10**6 is down + rest / den
+            up = (rest > 0 and x > 0 and i % 3 < 2 if outward  # a positive sigma off the grid
+                  else 2 * rest > den or (2 * rest == den and down % 2 == 1))
+            x = math.copysign((down + up) / 10**6, x)
+        out.flat[i] = x
     return out
 
 
@@ -573,14 +588,15 @@ def number_words(values) -> tuple[np.ndarray, np.ndarray]:
     1e-4 takes its five words after the sign from a 99-entry table of
     ``repr``'s exponent text (``1.2e-05``) instead.
 
-    Exact for every round6 value below 1e9 in magnitude: +-0 and 1e-6 <= |v|
-    < 1e9. Such a v is the double nearest n / 10**6 for the integer n =
-    rint(|v| * 10**6), which is below 2**53, so v * 1e6 is within 0.25 of n.
-    The ulp of v is below 1e-6, so no other decimal with at most 6
-    fractional digits rounds to v, and the shortest round-trip text ``repr``
-    writes is n / 10**6 with trailing zeros dropped, keeping one fractional
-    digit, with v's sign, in exponent notation below 1e-4 (n < 100). The
-    flag is |v| < 1e9; a value that is not a round6 value gets arbitrary text.
+    Exact for every round6 value below 1e9 in magnitude, in either mode: +-0
+    and 1e-6 <= |v| < 1e9. Such a v is the double nearest n / 10**6 for an
+    integer n below 2**53 (:func:`round6` gives the argument), so v * 1e6 is
+    within 0.25 of n and n = rint(|v| * 10**6). The ulp of v is below 1e-6,
+    so no other decimal with at most 6 fractional digits rounds to v, and the
+    shortest round-trip text ``repr`` writes is n / 10**6 with trailing zeros
+    dropped, keeping one fractional digit, with v's sign, in exponent
+    notation below 1e-4 (n < 100). The flag is |v| < 1e9; a value that is not
+    a round6 value gets arbitrary text.
     """
     v = np.asarray(values, dtype=float)
     a = np.abs(v)
@@ -608,12 +624,12 @@ def _word(text: str) -> int:
     return int.from_bytes(text.encode().ljust(4, b"\0"), "little")
 
 
-def points_json(points) -> list[str]:
-    """``json.dumps(round6(row).tolist(), separators=(",", ":"))`` of each (P, k) row of a
-    (B, P, k) block, such as pairs of coordinates or triples of Gaussian parameters, by
-    :func:`number_words`; the exact pass, ``json.dumps``, writes a row holding a value
-    of 1e9 or more in magnitude, or not finite."""
-    points = round6(points)
+def points_json(points, outward: bool = False) -> list[str]:
+    """``json.dumps(round6(row, outward).tolist(), separators=(",", ":"))`` of each (P, k)
+    row of a (B, P, k) block, such as pairs of coordinates, or with ``outward`` triples of
+    Gaussian parameters, by :func:`number_words`; the exact pass, ``json.dumps``, writes a
+    row holding a value of 1e9 or more in magnitude, or not finite."""
+    points = round6(points, outward)
     b, p, k = points.shape
     words, exact = number_words(points)
     rows = np.empty((b, p * k * 6 + 2), "<u4")  # "[", P points of k values, "]\n"
@@ -629,44 +645,6 @@ def points_json(points) -> list[str]:
     for i in np.flatnonzero(~exact.all(axis=(1, 2))).tolist():
         text[i] = json.dumps(points[i].tolist(), separators=(",", ":"))
     return text
-
-
-def round6_outward(params) -> np.ndarray:
-    """(..., 3) Gaussian parameters ``[sigma_x, sigma_y, rho]`` at 6 decimals, rounded outward.
-
-    Each sigma becomes the double nearest the smallest 6-decimal number >= it,
-    and rho the double nearest the 6-decimal number of largest magnitude
-    <= |rho|, with rho's sign (rounded toward zero). So a sigma > 0 never
-    shrinks and never becomes 0, |rho| never grows and stays < 1, and the
-    determinant sigma_x^2 sigma_y^2 (1 - rho^2) never shrinks. Each result is
-    its own :func:`round6`.
-
-    ``s = v * 1e6`` is the exact product rounded to a double. Integers below
-    2**53 are doubles and rounding is monotone, so s lies on the same side of
-    every integer as the exact product unless s is that integer. So where s
-    is not an integer, ``ceil`` and ``trunc`` of s are those of the exact
-    product, and IEEE division by 1e6 gives the double nearest n / 10**6.
-    Elements where s is an integer (on the 6-decimal grid, and every one of
-    magnitude 2**52 / 1e6 or more) are rounded exactly in integers, from the
-    ratio ``as_integer_ratio`` gives; +-0 and non-finite values are kept.
-    """
-    v = np.asarray(params, dtype=float)
-    with np.errstate(over="ignore"):  # an s that overflows is inf, which takes the exact path
-        scaled = v * 1e6
-    n = np.ceil(scaled)
-    n[..., 2] = np.trunc(scaled[..., 2])
-    out = np.divide(n, 1e6)
-    if not (fast := (n != scaled) | (v == 0.0)).all():
-        flat, values = out.reshape(-1), v.reshape(-1).tolist()
-        for i in np.flatnonzero(~fast).tolist():
-            if math.isfinite(x := values[i]):
-                num, den = abs(x).as_integer_ratio()
-                down, rest = divmod(num * 10**6, den)  # |x| * 10**6 is down + rest / den
-                up = rest > 0 and x > 0 and i % 3 < 2  # a positive sigma off the grid
-                flat[i] = math.copysign((down + up) / 10**6, x)
-            else:
-                flat[i] = x
-    return out
 
 
 @lru_cache(typed=True)  # typed: 1.0 and an int subclass's 1 ("1") share a key otherwise
@@ -704,15 +682,31 @@ def write_jsonl(ds: Dataset, path: str) -> None:
 
 def write_predictions(path: str, ids, means, sigmas, mode: str) -> None:
     """One JSON object per segment id: its (T, 2) means rounded by :func:`round6`, its (T, 3)
-    sigmas ``[sigma_x, sigma_y, rho]`` at 6 decimals rounded outward by
-    :func:`round6_outward` (each sigma up, so a positive one never becomes 0; rho toward
-    zero, so |rho| stays < 1), both written by :func:`points_json`, and mode."""
+    sigmas ``[sigma_x, sigma_y, rho]`` rounded by ``round6(..., outward=True)`` (each sigma
+    up, so a positive one never becomes 0; rho toward zero, so |rho| stays < 1), both
+    written by :func:`points_json`, and mode.
+
+    Before the file is opened, the (N, T, 2) means and (N, T, 3) sigmas must hold
+    one row per id, every mean must be finite and every step a valid Gaussian
+    (finite sigmas > 0, |rho| < 1); the first segment and step at fault is named.
+    """
+    means, sigmas = np.asarray(means, dtype=float), np.asarray(sigmas, dtype=float)
+    if not (means.ndim == 3 and means.shape[::2] == (len(ids), 2)
+            and sigmas.shape == means.shape[:2] + (3,)):
+        raise ValueError(f"{len(ids)} segment ids need (N, T, 2) means and (N, T, 3) sigmas "
+                         f"with N = {len(ids)}, got {means.shape} and {sigmas.shape}")
+    valid = np.isfinite(means).all(axis=2) & (  # a NaN fails every rule
+        (sigmas > [0.0, 0.0, -1.0]) & (sigmas < [np.inf, np.inf, 1.0])).all(axis=2)
+    if not valid.all():
+        i, t = np.argwhere(~valid)[0].tolist()
+        raise ValueError(f"segment {ids[i]}: step {t + 1}: means {means[i, t].tolist()} must be "
+                         f"finite, sigmas {sigmas[i, t].tolist()} finite, > 0 and |rho| < 1")
     mode = json.dumps(mode)
     _write_blocks(path, len(ids), lambda rows: (
         f'{{"segment_id":{encode_basestring_ascii(sid)},"means":{m},"sigmas":{s},'
         f'"mode":{mode}}}\n'
         for sid, m, s in zip(ids[rows], points_json(means[rows]),
-                             points_json(round6_outward(sigmas[rows])))))
+                             points_json(sigmas[rows], outward=True))))
 
 
 _JSON_KINDS = {"string": (str,), "integer": (int,), "number": (int, float), "boolean": (bool,),

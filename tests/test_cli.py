@@ -300,6 +300,15 @@ class TestPredict:
             for sx, sy, rho in line["sigmas"]:
                 assert sx > 0 and sy > 0 and abs(rho) < 1
 
+    def test_empty_data_file_gives_an_empty_predictions_file(self, tmp_path, capsys):
+        model = fit(tmp_path, gen(tmp_path, "train.jsonl"))
+        empty, out = tmp_path / "empty.jsonl", tmp_path / "p.jsonl"
+        empty.write_text("", encoding="utf-8")
+        assert run("predict", "--model", str(model), "--data", str(empty),
+                   "--out", str(out)) == 0
+        assert out.read_text(encoding="utf-8") == ""
+        assert f"wrote 0 refined predictions to {out}" in capsys.readouterr().out
+
     def test_refine_off_matches_huge_goal_cov(self, tmp_path):
         train = gen(tmp_path, "train.jsonl")
         test = gen(tmp_path, "test.jsonl", seed=13, n=10)

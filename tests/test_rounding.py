@@ -242,3 +242,51 @@ def test_predict_at_a_tiny_goal_covariance(tmp_path):
     assert_rounded_outward(params, written)
     assert (params[:, :2] < 5e-7).mean() > 0.2
     assert written[:, :2].min() == 1e-6
+
+
+def triples(values) -> np.ndarray:
+    """values as (M, 3) rows, the last one dropped if it is short."""
+    values = np.asarray(values, dtype=float)
+    return values[: len(values) // 3 * 3].reshape(-1, 3)
+
+
+def assert_outward_like_the_oracle(params) -> None:
+    np.testing.assert_array_equal(bits(round6(params, outward=True)),
+                                  bits(reference_data.outward(np.reshape(params, (-1, 3)))))
+
+
+@pytest.mark.parametrize("values", [near_ties, on_the_grid])
+def test_round6_outward_near_ties_and_on_the_grid(values):
+    """Every column meets every kind of value: sigmas and rhos of any sign and size."""
+    params = triples(values())
+    assert_outward_like_the_oracle(params)
+    assert_outward_like_the_oracle(np.roll(params, 1, axis=1))
+
+
+def test_round6_outward_of_no_rows():
+    out = round6(np.empty((0, 3)), outward=True)
+    assert out.shape == (0, 3)
+
+
+def test_round6_outward_of_a_strided_block():
+    block = triples(on_the_grid()[::625]).reshape(4, 20, 3)[::-2, ::3]  # on and off the grid
+    assert not block.flags.c_contiguous
+    out = round6(block, outward=True)
+    assert out.shape == block.shape == (2, 7, 3)
+    assert_outward_like_the_oracle(block)
+
+
+def test_round6_outward_keeps_the_sign_of_rho():
+    out = round6([[1.0, 1.0, 0.0], [1.0, 1.0, -0.0], [1.0, 1.0, 4e-7], [1.0, 1.0, -4e-7]],
+                 outward=True)
+    assert out[:, 2].tolist() == [0.0, 0.0, 0.0, 0.0]
+    assert np.signbit(out[:, 2]).tolist() == [False, True, False, True]
+
+
+def test_round6_outward_keeps_non_finite_values():
+    params = [[np.inf, 1.5e-7, -np.inf], [2.5, np.inf, 0.5], [np.nan, 0.25, np.nan]]
+    out = round6(params, outward=True)
+    assert_outward_like_the_oracle(params)
+    assert out[0].tolist() == [np.inf, 1e-6, -np.inf]
+    assert out[1].tolist() == [2.5, np.inf, 0.5]
+    assert np.isnan(out[2, [0, 2]]).all() and out[2, 1] == 0.25

@@ -1,11 +1,23 @@
 """The repository's tools run on this tree."""
 
+import importlib.util
 import re
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_tool(name: str):
+    """The module of ``tools/<name>.py``."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+code_lines = load_tool("code_lines")
 
 
 def test_digest_prints_one_sha256_per_output_and_table():
@@ -15,7 +27,55 @@ def test_digest_prints_one_sha256_per_output_and_table():
     lines = done.stdout.splitlines()
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S.*", line) for line in lines)
     names = [line[66:] for line in lines]
-    # 56 CLI outputs (28 stdouts, 28 files) and 808 fitted tables
-    assert len(set(names)) == len(names) == 864
+    # 58 outputs (28 CLI stdouts, 28 CLI files and 2 rounding files) and 808 fitted tables
+    assert len(set(names)) == len(names) == 866
     assert sum(name.startswith("stdout ") for name in names) == 28
+    assert sum(name.endswith((".jsonl", ".json", ".csv")) for name in names) == 30
+    assert {"rounding.jsonl", "rounding_preds.jsonl"} <= set(names)
     assert sum("/" in name for name in names) == 808
+
+
+# code lines 4, 7, 11, 13, 17-20, 23 and 25-27 of 27
+MODULE = '''"""Module docstring,
+over two lines."""
+
+import os  # a comment after code
+
+
+class Thing:
+    """Class docstring."""
+
+    # a comment-only line
+    size = 1
+
+    def method(self):
+        """Method docstring,
+
+        over three lines."""
+        text = """not a docstring:
+        a multi-line string"""
+        return (text,
+                os.sep)
+
+
+async def run():
+    """Async docstring."""
+    return [
+        1,
+    ]
+'''
+
+
+def test_code_lines_skip_blanks_comments_and_docstrings():
+    assert code_lines.counts(MODULE) == (27, 12)
+
+
+def test_code_lines_print_each_module_and_their_total(capsys):
+    assert code_lines.main([]) == 0
+    header, *rows, total = capsys.readouterr().out.splitlines()
+    assert header.split() == ["module", "lines", "code"]
+    modules = sorted((ROOT / "src" / "trajrefine").glob("*.py"))
+    assert [row.split()[0] for row in rows] == [path.name for path in modules]
+    counts = [tuple(map(int, row.split()[1:])) for row in rows]
+    assert counts == [code_lines.counts(path.read_text(encoding="utf-8")) for path in modules]
+    assert total.split() == ["total", *map(str, map(sum, zip(*counts)))]

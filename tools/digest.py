@@ -1,8 +1,10 @@
 """Print a sha256 of every output of a fixed CLI script and every table of a fixed fit grid.
 
 The script runs every subcommand, with each model-file field at a non-default
-value in one fit; the grid makes 437 fits of cv, ca, ar and goal models. Each
-command's stdout, output file and fitted table gets one line ``<sha256>  <name>``.
+value in one fit; then the tree's own dataset and predictions writers write
+fixed values at the 6-decimal rounding boundaries; the grid makes 437 fits of
+cv, ca, ar and goal models. Each command's stdout, output file and fitted
+table gets one line ``<sha256>  <name>``.
 A tree runs in one child process, with its ``src/`` on PYTHONPATH and BLAS on
 one thread. With ``--base REV`` the ``src/`` of git revision REV runs too, and
 every output that differs is listed, a table with its largest relative
@@ -92,6 +94,37 @@ def script() -> list[tuple[str, ...]]:
     return commands
 
 
+def rounding_values() -> np.ndarray:
+    """Near-ties (n + 0.5) / 1e6 and on-grid n / 1e6 over 1-15 decades and exact
+    ties (2m + 1) / 128 over 1-10, each with its neighbours 1 and 2 ulps either
+    side, then 20 values of 1e9 and more in magnitude: 3120 values where
+    6-decimal rounding is hardest."""
+    rng = np.random.default_rng(6)
+    n = np.concatenate([rng.integers(-10**k, 10**k, 20) for k in range(1, 16)])
+    m = np.concatenate([rng.integers(-10**k, 10**k, 2) for k in range(1, 11)])
+    values = [np.concatenate([(n + 0.5) / 1e6, n / 1e6, (2 * m + 1) / 128])]
+    for direction in (np.inf, -np.inf):
+        values += [np.nextafter(values[0], direction)]
+        values += [np.nextafter(values[-1], direction)]
+    large = rng.choice([-1.0, 1.0], 16) * 10 ** rng.uniform(9, 15, 16)
+    return np.concatenate([*values, [1e9, -1e9, 2.0**52 / 1e6, -(2.0**53) / 1e6], large])
+
+
+def write_rounding_files() -> None:
+    """Write the rounding values with the tree's own writers: as the coordinates
+    of a dataset (rounding.jsonl), and as the means and, made valid, as the
+    sigma triples of predictions (rounding_preds.jsonl)."""
+    from trajrefine import data  # the child's tree
+
+    pairs = rounding_values().reshape(-1, 10, 2)
+    data.write_jsonl(data.Dataset([data.Segment(f"r{i}", i, 0.2, p[:5], p[5:])
+                                   for i, p in enumerate(pairs)], 0.2, 4, 5), "rounding.jsonl")
+    sigma = np.abs(pairs) + (pairs == 0.0)  # > 0
+    rho = np.fmod(pairs[::-1, :, :1], 1.0)  # |rho| < 1, keeping the last 6 decimals' ties
+    data.write_predictions("rounding_preds.jsonl", [f"r{i}" for i in range(len(pairs))], pairs,
+                           np.concatenate([sigma, rho], axis=2), "refined")
+
+
 def tables() -> dict:
     """Every fitted table of the grid, by name."""
     from trajrefine import data, goals, predictors  # the child's tree
@@ -139,6 +172,7 @@ def dump(path: str) -> None:
         if code != 0:
             sys.exit(f"error: {' '.join(command)} exited {code}: {stderr.getvalue().strip()}")
         out[f"stdout {i:02d} {command[0]}"] = stdout.getvalue().encode()
+    write_rounding_files()
     out |= {file.name: file.read_bytes() for file in sorted(Path().iterdir())}
     with open(path, "wb") as fh:
         pickle.dump(out | tables(), fh)
