@@ -209,12 +209,16 @@ def _section(doc: dict, section: str) -> dict:
     return {key: _read(part, key, form) for key, form in fields.items()}
 
 
-def save_model(
-    path: str, predictor: PredictorParams, goal_model: GoalModelParams, protocol: dict
-) -> None:
+def _protocol(predictor: PredictorParams, goal_model: GoalModelParams) -> dict:
+    """The protocol the models were fitted to: their dt, tau and horizon, checked."""
+    return check_protocol(predictor.dt, goal_model.history_len - 1, predictor.horizon)
+
+
+def save_model(path: str, predictor: PredictorParams, goal_model: GoalModelParams) -> None:
+    """Write the models and the protocol they were fitted to (:func:`_protocol`)."""
     doc = {"version": MODEL_VERSION}
-    for (section, fields), source in zip(MODEL_SCHEMA.items(),
-                                         (protocol, vars(predictor), vars(goal_model))):
+    for (section, fields), source in zip(MODEL_SCHEMA.items(), (
+            _protocol(predictor, goal_model), vars(predictor), vars(goal_model))):
         doc[section] = {key: _written(source[key], form) for key, form in fields.items()}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc) + "\n")  # json.dump would take the pure-Python encoder
@@ -235,7 +239,7 @@ def load_model(path: str) -> tuple[PredictorParams, GoalModelParams, dict]:
         _known(doc, MODEL_SCHEMA)
         protocol, p, g = (_section(doc, section) for section in MODEL_SCHEMA)
         predictor, goal_model = PredictorParams(**p), GoalModelParams(**g)
-        fitted = check_protocol(predictor.dt, goal_model.history_len - 1, predictor.horizon)
+        fitted = _protocol(predictor, goal_model)
         if key := protocol_mismatch(protocol, fitted, protocol):
             raise ValueError(f"protocol {key}={protocol[key]} does not match the "
                              f"models' {key}={fitted[key]}")
@@ -349,7 +353,7 @@ def _traces(steps, covs: np.ndarray) -> str:
 def cmd_fit(o) -> int:
     train, models = _fit_models(o, [o.predictor])
     predictor, goal_model = models[o.predictor]
-    save_model(o.out, predictor, goal_model, check_protocol(train.dt, train.tau, train.horizon))
+    save_model(o.out, predictor, goal_model)
     print(f"fitted {o.predictor} on {len(train)} segments -> {o.out}")
     steps = range(1, predictor.horizon + 1)
     print(f"rollout error trace by step: {_traces(steps, predictor.step_covs)}")

@@ -201,10 +201,7 @@ def _from_stacks(ids, agents, dt: float, histories: np.ndarray, futures: np.ndar
     if (bad := np.flatnonzero(~(finite[0] & finite[1]))).size:  # the first segment at fault
         raise ValueError(f"{'future' if finite[0][bad[0]] else 'history'} "
                          "contains non-finite coordinates")
-    if len(set(ids)) < len(ids):  # the first repeat, named by its first occurrence
-        first: dict[str, int] = {}
-        i = next(i for i, sid in enumerate(ids) if first.setdefault(sid, i) != i)
-        raise ValueError(f"segments {first[ids[i]]} and {i} share the segment id {ids[i]!r}")
+    _distinct_ids(ids)
     if segments is None:
         segments = [object.__new__(Segment) for _ in ids]
         for seg, sid, agent, history, future in zip(segments, ids, agents, histories, futures):
@@ -213,6 +210,14 @@ def _from_stacks(ids, agents, dt: float, histories: np.ndarray, futures: np.ndar
         segments=tuple(segments), dt=dt, tau=histories.shape[1] - 1, horizon=futures.shape[1],
         source=source, _histories=histories, _futures=futures)
     return ds
+
+
+def _distinct_ids(ids) -> None:
+    """Reject segment ids of which one repeats: the first repeat, named with its first index."""
+    if len(set(ids)) < len(ids):
+        first: dict[str, int] = {}
+        i = next(i for i, sid in enumerate(ids) if first.setdefault(sid, i) != i)
+        raise ValueError(f"segments {first[ids[i]]} and {i} share the segment id {ids[i]!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -686,10 +691,16 @@ def write_predictions(path: str, ids, means, sigmas, mode: str) -> None:
     up, so a positive one never becomes 0; rho toward zero, so |rho| stays < 1), both
     written by :func:`points_json`, and mode.
 
-    Before the file is opened, the (N, T, 2) means and (N, T, 3) sigmas must hold
-    one row per id, every mean must be finite and every step a valid Gaussian
-    (finite sigmas > 0, |rho| < 1); the first segment and step at fault is named.
+    Before the file is opened, every id must be a distinct ``str``
+    (:func:`_distinct_ids`), mode one :func:`_prediction_mode` takes, the (N, T, 2)
+    means and (N, T, 3) sigmas must hold one row per id, every mean must be
+    finite and every step a valid Gaussian (finite sigmas > 0, |rho| < 1); the
+    first segment and step at fault is named.
     """
+    if bad := [sid for sid in ids if not isinstance(sid, str)]:
+        raise ValueError(f"segment_id must be a str, got {bad[0]!r}")
+    _distinct_ids(ids)
+    mode = json.dumps(_prediction_mode(mode))
     means, sigmas = np.asarray(means, dtype=float), np.asarray(sigmas, dtype=float)
     if not (means.ndim == 3 and means.shape[::2] == (len(ids), 2)
             and sigmas.shape == means.shape[:2] + (3,)):
@@ -701,7 +712,6 @@ def write_predictions(path: str, ids, means, sigmas, mode: str) -> None:
         i, t = np.argwhere(~valid)[0].tolist()
         raise ValueError(f"segment {ids[i]}: step {t + 1}: means {means[i, t].tolist()} must be "
                          f"finite, sigmas {sigmas[i, t].tolist()} finite, > 0 and |rho| < 1")
-    mode = json.dumps(mode)
     _write_blocks(path, len(ids), lambda rows: (
         f'{{"segment_id":{encode_basestring_ascii(sid)},"means":{m},"sigmas":{s},'
         f'"mode":{mode}}}\n'
@@ -753,13 +763,20 @@ def read_records(path: str, fields: tuple[str, ...], parse) -> list:
     return records
 
 
+def _prediction_mode(mode) -> str:
+    """``mode``, which must be one of the two a predictions file holds."""
+    if mode not in ("refined", "vanilla"):
+        raise ValueError(f"mode must be 'refined' or 'vanilla', got {mode!r}")
+    return mode
+
+
 def read_predictions(path: str, horizon: int) -> list[tuple[str, np.ndarray, str]]:
     """The (segment id, (horizon, 2) means, mode) of each line of a file
     :func:`write_predictions` writes, checked by :func:`read_records`; ``mode``
-    must be "refined" or "vanilla", the means finite. ``sigmas`` is not read."""
+    must be "refined" or "vanilla" (:func:`_prediction_mode`), the means finite. ``sigmas``
+    is not read."""
     def prediction(obj: dict) -> tuple[str, np.ndarray, str]:
-        if (mode := obj["mode"]) not in ("refined", "vanilla"):
-            raise ValueError(f"mode must be 'refined' or 'vanilla', got {mode!r}")
+        mode = _prediction_mode(obj["mode"])
         means = json_points(obj["means"], "means")
         if means.shape != (horizon, 2) or not np.isfinite(means).all():
             raise ValueError(f"means must be a finite ({horizon}, 2) array")

@@ -104,7 +104,10 @@ def _anchor_steps(anchor_steps) -> tuple[int, ...]:
 
 def calibration_split(train: Dataset, val: Dataset | None) -> Dataset:
     """The split both fitters calibrate covariances on: ``val`` when it has
-    segments, else ``train``. ``val`` must share the training dt and tau."""
+    segments, else ``train``, which must hold a segment. ``val`` must share
+    the training dt and tau."""
+    if not train.segments:
+        raise ValueError("training set is empty")
     if val is None or not val.segments:
         return train
     if key := protocol_mismatch(vars(val), vars(train), ("dt", "tau")):
@@ -193,15 +196,13 @@ def fit_goal_model(
     +1e-6 I so downstream fusion stays well conditioned.
     """
     steps = _anchor_steps(anchor_steps)
-    if not train.segments:
-        raise ValueError("training set is empty")
+    holdout = calibration_split(train, val)
     if train.tau < 1:  # one point has no displacement to regress on
         raise ValueError(f"history_len must be at least 2, got {train.tau + 1} (tau={train.tau})")
     if steps[-1] > train.horizon:
         raise ValueError(
             f"anchor step {steps[-1]} exceeds the future length {train.horizon}"
         )
-    holdout = calibration_split(train, val)
     if steps[-1] > holdout.horizon:
         raise ValueError("validation futures are shorter than the last anchor")
 

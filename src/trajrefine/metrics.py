@@ -124,10 +124,10 @@ def run_ablation(
 
     Models must have been fitted on data disjoint from ``test``. Segments
     are evaluated in dataset order, so the report is deterministic. The goal
-    measurement depends on the goal model and the histories alone, so it is
-    made once per distinct goal model object and shared by the backbones
-    that use it; the report is the same as with one ``rollout_batch`` per
-    backbone.
+    measurement depends on the goal model, the histories and ``cfg`` alone,
+    so it is made once per distinct goal model object and passed, as one
+    value, to the steps of the backbones that use it; the report is the same
+    as with one ``rollout_batch`` per backbone.
     """
     if not test.segments:
         raise ValueError("test set is empty")
@@ -139,9 +139,8 @@ def run_ablation(
         params, goal_params = models[backbone]
         vanilla_means, _ = rollout_batch(params, histories, horizon)
         if goal_params not in measured:
-            measured[goal_params] = _measure_goals(goal_params, histories, horizon)
-        refined_means, _ = _step(params, histories, horizon, goal_params,
-                                 measured[goal_params], cfg)
+            measured[goal_params] = _measure_goals(goal_params, histories, horizon, cfg)
+        refined_means, _ = _step(params, histories, horizon, measured[goal_params])
         rows.append(AblationRow(backbone, False, rmse(vanilla_means, test)))
         rows.append(AblationRow(backbone, True, rmse(refined_means, test)))
     return AblationReport(tuple(rows))

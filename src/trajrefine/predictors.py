@@ -39,15 +39,16 @@ class PredictorParams:
     step_covs is a read-only (T, 2, 2) array; step_covs[k-1] is the
     estimate-error covariance attached to future step k, and its trace must
     be non-decreasing in k (uncertainty grows with the horizon). cv/ca use a
-    position window of length ``window``; ar uses the last ``lag``
-    displacement vectors with finite ``ar_weights`` of shape (2*lag, 2),
-    stored read-only.
+    position window of length ``window``, by default 3 for ca, the fewest
+    points a quadratic needs, and 2 for cv and ar (which ignores it); ar uses
+    the last ``lag`` displacement vectors with finite ``ar_weights`` of shape
+    (2*lag, 2), stored read-only.
     """
 
     backbone: str
     dt: float
     step_covs: np.ndarray
-    window: int = 2
+    window: int | None = None
     lag: int = 1
     ar_weights: np.ndarray | None = None
 
@@ -55,7 +56,8 @@ class PredictorParams:
         if self.backbone not in BACKBONES:
             raise ValueError(f"unknown backbone {self.backbone!r}; valid: {BACKBONES}")
         object.__setattr__(self, "dt", checked_dt(self.dt))
-        object.__setattr__(self, "window", whole("window", self.window))
+        window = (3 if self.backbone == "ca" else 2) if self.window is None else self.window
+        object.__setattr__(self, "window", whole("window", window))
         object.__setattr__(self, "lag", whole("lag", self.lag))
         c = read_only(np.array(self.step_covs, dtype=float))
         if not c.size or c.shape[1:] != (2, 2):
@@ -167,16 +169,12 @@ def fit_predictor(
     second moment of the backbone's own vanilla-rollout errors at that
     horizon on the calibration split, floored with +1e-6 I and forced
     trace-non-decreasing in k by running maximum. ``window`` is the
-    cv/ca position window; it defaults to 2 for cv and to 3, the fewest
-    points a quadratic needs, for ca (ar ignores it).
+    cv/ca position window, :class:`PredictorParams`' default when None; the
+    training set must hold a segment (:func:`calibration_split`).
     """
-    if window is None:
-        window = 3 if backbone == "ca" else 2
-    window, lag = whole("window", window), whole("lag", lag)
+    lag = whole("lag", lag)
     if not non_negative(ridge_lambda):
         raise ValueError(f"ridge_lambda must be finite and >= 0, got {ridge_lambda!r}")
-    if not train.segments:
-        raise ValueError("training set is empty")
     calib = calibration_split(train, val)
     if calib.horizon < train.horizon:
         raise ValueError("calibration futures are shorter than the fitted horizon")
@@ -309,21 +307,25 @@ def rollout_batch(
             f"rollout horizon of {params.horizon} steps exceeded at step "
             f"{params.horizon + 1}"
         )
-    goals = None if goal_params is None else _measure_goals(goal_params, histories, horizon)
-    return _step(params, histories, horizon, goal_params, goals, cfg)
+    goals = None if goal_params is None else _measure_goals(goal_params, histories, horizon, cfg)
+    return _step(params, histories, horizon, goals)
 
 
-def _measure_goals(goal_params: GoalModelParams, histories: np.ndarray, horizon: int):
-    """(T, 2, N) planes of the goal measurement means and the (N, 2, 2) ego
-    rotations: what backbones that share a goal model can share."""
+def _measure_goals(goal_params: GoalModelParams, histories: np.ndarray, horizon: int, cfg):
+    """What backbones that share a goal model share: the (T, 2, N) planes of the goal
+    measurement means, the (N, 2, 2) ego rotations and the goal model's part of the
+    :func:`_gain_table` key. A goal model refines only with cfg.refine_enabled True."""
+    if not cfg.refine_enabled:
+        raise ValueError("refine_enabled is False, but a goal model was given to refine with")
     goal_means, rot = goal_moments(goal_params, histories)
     z = interpolate_goals(goal_params.anchor_steps, histories[:, -1], goal_means, horizon)
-    return z.transpose(1, 2, 0), rot
+    key = goal_params.residual_covs.tobytes(), goal_params.anchor_steps, cfg.goal_cov_scale
+    return z.transpose(1, 2, 0), rot, key
 
 
-def _step(params: PredictorParams, histories: np.ndarray, horizon: int, goal_params, goals, cfg):
-    """:func:`rollout_batch` after its checks; ``goals`` is the
-    :func:`_measure_goals` of ``goal_params``, None for a vanilla rollout."""
+def _step(params: PredictorParams, histories: np.ndarray, horizon: int, goals):
+    """:func:`rollout_batch` after its checks; ``goals`` is a
+    :func:`_measure_goals` of the histories, None for a vanilla rollout."""
     n, need = len(histories), params.buffer_len
     prior = params.step_covs[:horizon]
     buf = np.empty((need + horizon, 2, n))  # buf[j, c] is component c of position j
@@ -337,11 +339,8 @@ def _step(params: PredictorParams, histories: np.ndarray, horizon: int, goal_par
         for window, row in zip(windows, rows):
             np.matmul(window, weights, out=row.T)
     else:
-        if not cfg.refine_enabled:
-            raise ValueError("refine_enabled is False, but a goal model was given to refine with")
-        z, rot = goals
-        table = _gain_table(prior.tobytes(), goal_params.residual_covs.tobytes(),
-                            goal_params.anchor_steps, cfg.goal_cov_scale)
+        z, rot, key = goals
+        table = _gain_table(prior.tobytes(), *key)
         try:  # step-major, so the first singular entry is at the earliest step
             gains, post = rotated_gains(table, rot)
         except SingularInnovationError as exc:

@@ -578,8 +578,7 @@ class TestPredict:
         params = fit_predictor("ar", train_ds, lag=3)
         goal_params = fit_goal_model(train_ds, (5, 10, 15, 20, 25), 1e-6)
         path = tmp_path / "m.json"
-        save_model(str(path), params, goal_params,
-                   {"dt": 0.2, "tau": 15, "horizon": 25})
+        save_model(str(path), params, goal_params)
         loaded_params, loaded_goals, protocol = load_model(str(path))
         seg = train_ds.segments[0]
         a = rollout_refined(params, goal_params, seg.history)
@@ -1108,8 +1107,7 @@ class TestDefaultsFollowLibrary:
         model = fit(tmp_path, train, extra=("--predictor", backbone))
         train_ds = read_jsonl(str(train))
         expected = tmp_path / "expected.json"
-        save_model(str(expected), fit_predictor(backbone, train_ds),
-                   fit_goal_model(train_ds), {"dt": 0.2, "tau": 15, "horizon": 25})
+        save_model(str(expected), fit_predictor(backbone, train_ds), fit_goal_model(train_ds))
         assert model.read_bytes() == expected.read_bytes()
 
     def test_predict_without_refine_flags_equals_default_config(self, tmp_path):

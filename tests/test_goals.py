@@ -13,7 +13,7 @@ from trajrefine.goals import (
     interpolate_goals,
     world_covs,
 )
-from trajrefine.predictors import PredictorParams, rollout_batch
+from trajrefine.predictors import PredictorParams, fit_predictor, rollout_batch
 
 ANCHORS = (5, 10, 15, 20, 25)
 
@@ -62,6 +62,20 @@ class TestFitGoalModel:
     def test_empty_training_set_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             fit_goal_model(Dataset([]), ANCHORS, 1e-6)
+
+    @pytest.mark.parametrize("fit", [
+        lambda train, val: fit_goal_model(train, (9,), val=val),
+        lambda train, val: fit_predictor("cv", train, val, window=1),
+        lambda train, val: fit_predictor("ca", train, val, window=2),
+        lambda train, val: fit_predictor("ar", train, val, lag=99),
+    ], ids=["goal-model", "cv", "ca", "ar"])
+    def test_empty_training_set_named_before_other_faults(self, fit):
+        # calibration_split holds the check for both fitters; tau 0, an anchor past the
+        # horizon, a bad window or lag and a validation set of another dt are faults too
+        train = Dataset([], 0.2, tau=0, horizon=3)
+        val = gen_synthetic("cv", 2, 0.0, seed=1, dt=0.1, tau=0, horizon=3)
+        with pytest.raises(ValueError, match="^training set is empty$"):
+            fit(train, val)
 
     def test_anchor_beyond_horizon_rejected(self, cv_corpus):
         with pytest.raises(ValueError):

@@ -51,8 +51,7 @@ def model_file(section):
     def make(tmp_path, field, value):
         path = tmp_path / "model.json"
         train = gen_synthetic("cv", 30, 0.1, seed=4)
-        save_model(str(path), fit_predictor("cv", train), fit_goal_model(train),
-                   {"dt": train.dt, "tau": train.tau, "horizon": train.horizon})
+        save_model(str(path), fit_predictor("cv", train), fit_goal_model(train))
         doc = json.loads(path.read_text())
         doc[section][field] = value
         path.write_text(json.dumps(doc))
@@ -112,8 +111,10 @@ def test_predictions_of_another_horizon_name_the_line(tmp_path):
 
 def test_repeated_prediction_id_names_its_first_line(tmp_path):
     path = tmp_path / "p.jsonl"
-    write_predictions(str(path), ["a", "b", "a"], np.zeros((3, 25, 2)), unit_sigmas(3),
-                      "refined")
+    write_predictions(str(path), ["a", "b"], np.zeros((2, 25, 2)), unit_sigmas(2), "refined")
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    # by hand: the writer refuses a repeated id
+    path.write_text("".join(lines + lines[:1]), encoding="utf-8")
     with pytest.raises(ValueError) as exc:
         read_predictions(str(path), 25)
     assert str(exc.value) == f"{path}: line 3: repeated segment id 'a' (first on line 1)"
@@ -132,34 +133,48 @@ SHAPES = "{} segment ids need (N, T, 2) means and (N, T, 3) sigmas with N = {}, 
 RULE = "must be finite, sigmas {} finite, > 0 and |rho| < 1"
 
 
-@pytest.mark.parametrize("ids,means,sigmas,message", [
-    (["a", "b", "c"], MEANS, unit_sigmas(2), SHAPES.format(3, 3, (2, 25, 2), (2, 25, 3))),
-    (["a", "b"], MEANS, unit_sigmas(2)[:, :24], SHAPES.format(2, 2, (2, 25, 2), (2, 24, 3))),
-    (["a", "b"], np.zeros((2, 25, 3)), unit_sigmas(2),
+MODES = "mode must be 'refined' or 'vanilla', got "
+
+
+@pytest.mark.parametrize("ids,means,sigmas,mode,message", [
+    (["a", "b", "c"], MEANS, unit_sigmas(2), "refined",
+     SHAPES.format(3, 3, (2, 25, 2), (2, 25, 3))),
+    (["a", "b"], MEANS, unit_sigmas(2)[:, :24], "refined",
+     SHAPES.format(2, 2, (2, 25, 2), (2, 24, 3))),
+    (["a", "b"], np.zeros((2, 25, 3)), unit_sigmas(2), "refined",
      SHAPES.format(2, 2, (2, 25, 3), (2, 25, 3))),
-    (["a", "b"], MEANS[:, :, :1], unit_sigmas(2)[:, :, :2],
+    (["a", "b"], MEANS[:, :, :1], unit_sigmas(2)[:, :, :2], "refined",
      SHAPES.format(2, 2, (2, 25, 1), (2, 25, 2))),
-    (["a", "b"], with_value(MEANS, (1, 3, 1), np.nan), unit_sigmas(2),
+    (["a", "b"], with_value(MEANS, (1, 3, 1), np.nan), unit_sigmas(2), "refined",
      "segment b: step 4: means [0.0, nan] " + RULE.format([1.0, 1.0, 0.0])),
     (["a", "b"], with_value(MEANS, (1, 24, 0), -np.inf), with_value(unit_sigmas(2), (0, 0, 0), 0),
-     "segment a: step 1: means [0.0, 0.0] " + RULE.format([0.0, 1.0, 0.0])),
-    (["a", "b"], MEANS, with_value(unit_sigmas(2), (1, 0, 0), np.nan),
+     "refined", "segment a: step 1: means [0.0, 0.0] " + RULE.format([0.0, 1.0, 0.0])),
+    (["a", "b"], MEANS, with_value(unit_sigmas(2), (1, 0, 0), np.nan), "refined",
      "segment b: step 1: means [0.0, 0.0] " + RULE.format([np.nan, 1.0, 0.0])),
-    (["a", "b"], MEANS, np.ones((2, 25, 3)),
+    (["a", "b"], MEANS, np.ones((2, 25, 3)), "refined",
      "segment a: step 1: means [0.0, 0.0] " + RULE.format([1.0, 1.0, 1.0])),
-    (["a", "b"], MEANS, with_value(unit_sigmas(2), (1, 7, 2), -1.0),
+    (["a", "b"], MEANS, with_value(unit_sigmas(2), (1, 7, 2), -1.0), "refined",
      "segment b: step 8: means [0.0, 0.0] " + RULE.format([1.0, 1.0, -1.0])),
-    (["a", "b"], MEANS, with_value(unit_sigmas(2), (0, 2, 1), -0.5),
+    (["a", "b"], MEANS, with_value(unit_sigmas(2), (0, 2, 1), -0.5), "refined",
      "segment a: step 3: means [0.0, 0.0] " + RULE.format([1.0, -0.5, 0.0])),
-    (["a", "b"], MEANS, with_value(unit_sigmas(2), (1, 24, 0), np.inf),
+    (["a", "b"], MEANS, with_value(unit_sigmas(2), (1, 24, 0), np.inf), "refined",
      "segment b: step 25: means [0.0, 0.0] " + RULE.format([np.inf, 1.0, 0.0])),
+    (["a", "a"], MEANS, unit_sigmas(2), "refined", "segments 0 and 1 share the segment id 'a'"),
+    (["a", "b", "b", "a"], np.zeros((4, 25, 2)), unit_sigmas(4), "vanilla",
+     "segments 1 and 2 share the segment id 'b'"),
+    (["a", 1], MEANS, unit_sigmas(2), "refined", "segment_id must be a str, got 1"),
+    ([None, "b"], MEANS, unit_sigmas(2), "vanilla", "segment_id must be a str, got None"),
+    (["a", "b"], MEANS, unit_sigmas(2), "foo", MODES + "'foo'"),
+    (["a", "b"], MEANS, unit_sigmas(2), None, MODES + "None"),
 ], ids=["more-ids-than-rows", "other-horizon", "mean-triples", "too-few-columns", "nan-mean",
         "first-step-at-fault", "nan-sigma", "rho-one", "rho-minus-one", "negative-sigma",
-        "infinite-sigma"])
-def test_write_predictions_rejects_what_it_cannot_write(tmp_path, ids, means, sigmas, message):
+        "infinite-sigma", "repeated-id", "first-repeat-named", "int-id", "null-id",
+        "unknown-mode", "no-mode"])
+def test_write_predictions_rejects_what_it_cannot_write(tmp_path, ids, means, sigmas, mode,
+                                                       message):
     path = tmp_path / "p.jsonl"
     with pytest.raises(ValueError) as exc:
-        write_predictions(str(path), ids, means, sigmas, "refined")
+        write_predictions(str(path), ids, means, sigmas, mode)
     assert str(exc.value) == message
     assert not path.exists()
 

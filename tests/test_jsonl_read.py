@@ -200,7 +200,8 @@ class TestWhatThePackageWritesTakesTheBulkPass:
         assert_reads_like_the_exact_pass(path, monkeypatch, bulk=True)
 
     def test_values_below_1e_4_and_from_1e9(self, tmp_path, monkeypatch):
-        # points_json writes their rows with json.dumps
+        # values below 1e-4 take points_json's exponent words; only the rows holding a
+        # value of 1e9 or more go through json.dumps
         path = tmp_path / "d.jsonl"
         write_jsonl(special_dataset(), str(path))
         text = path.read_text(encoding="utf-8")

@@ -219,6 +219,13 @@ class TestFitPredictor:
         assert fit_predictor("ca", ds).window == 3
         assert fit_predictor("ca", ds, window=5).window == 5
 
+    @pytest.mark.parametrize("backbone,window", [("cv", 2), ("ca", 3), ("ar", 2)])
+    def test_default_window_is_the_classes(self, backbone, window):
+        ds = gen_synthetic("ca", 20, 0.0, seed=34)
+        shape = {"ar_weights": np.zeros((2, 2))} if backbone == "ar" else {}
+        assert PredictorParams(backbone, DT, iso(0.1, 5), **shape).window == window
+        assert fit_predictor(backbone, ds).window == window
+
     def test_empty_training_set(self):
         with pytest.raises(ValueError, match="empty"):
             fit_predictor("cv", Dataset([]))

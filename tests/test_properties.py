@@ -100,9 +100,9 @@ def test_model_file_round_trips(model):
     predictor, goal_model, protocol = model
     with tempfile.TemporaryDirectory() as tmp:
         first, second = os.path.join(tmp, "first.json"), os.path.join(tmp, "second.json")
-        save_model(first, predictor, goal_model, protocol)
+        save_model(first, predictor, goal_model)
         loaded_predictor, loaded_goals, loaded_protocol = load_model(first)
-        save_model(second, loaded_predictor, loaded_goals, loaded_protocol)
+        save_model(second, loaded_predictor, loaded_goals)
         with open(first, "rb") as a, open(second, "rb") as b:
             assert a.read() == b.read()
     assert loaded_protocol == protocol

@@ -287,7 +287,7 @@ def test_what_the_constructors_accept_the_model_reader_accepts(tmp_path, dt, bac
     predictor = fit_predictor(backbone, ds)
     goal_model = fit_goal_model(ds, anchor_steps=(5, 25), rotate=rotate)
     path = str(tmp_path / "model.json")
-    save_model(path, predictor, goal_model, {"dt": ds.dt, "tau": ds.tau, "horizon": ds.horizon})
+    save_model(path, predictor, goal_model)
     p, g, protocol = load_model(path)
 
     assert (p.backbone, p.dt, p.window, p.lag) == (backbone, dt, predictor.window, predictor.lag)
