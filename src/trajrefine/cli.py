@@ -29,10 +29,10 @@ from .data import (
     json_points,
     json_value,
     parse_ngsim_csv,
-    protocol_mismatch,
     read_jsonl,
     read_predictions,
     reading,
+    require_protocol,
     write_jsonl,
     write_predictions,
 )
@@ -44,6 +44,7 @@ from .predictors import (
     PredictorParams,
     RefineConfig,
     fit_predictor,
+    model_protocol,
     rollout_batch,
 )
 
@@ -209,16 +210,12 @@ def _section(doc: dict, section: str) -> dict:
     return {key: _read(part, key, form) for key, form in fields.items()}
 
 
-def _protocol(predictor: PredictorParams, goal_model: GoalModelParams) -> dict:
-    """The protocol the models were fitted to: their dt, tau and horizon, checked."""
-    return check_protocol(predictor.dt, goal_model.history_len - 1, predictor.horizon)
-
-
 def save_model(path: str, predictor: PredictorParams, goal_model: GoalModelParams) -> None:
-    """Write the models and the protocol they were fitted to (:func:`_protocol`)."""
+    """Write the models and the protocol they share (:func:`model_protocol`), which
+    is checked before the file is opened."""
     doc = {"version": MODEL_VERSION}
     for (section, fields), source in zip(MODEL_SCHEMA.items(), (
-            _protocol(predictor, goal_model), vars(predictor), vars(goal_model))):
+            model_protocol(predictor, goal_model), vars(predictor), vars(goal_model))):
         doc[section] = {key: _written(source[key], form) for key, form in fields.items()}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc) + "\n")  # json.dump would take the pure-Python encoder
@@ -227,8 +224,8 @@ def save_model(path: str, predictor: PredictorParams, goal_model: GoalModelParam
 def load_model(path: str) -> tuple[PredictorParams, GoalModelParams, dict]:
     """Read a model file; malformed JSON, a missing or unknown key, a section that
     is not a JSON object or a bad value names the file. Each value must be in its
-    MODEL_SCHEMA form, the protocol the models' own dt, tau and horizon, the
-    anchors within it."""
+    MODEL_SCHEMA form, and the protocol the one the models share
+    (:func:`model_protocol`, the rule :func:`save_model` writes by)."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -239,25 +236,14 @@ def load_model(path: str) -> tuple[PredictorParams, GoalModelParams, dict]:
         _known(doc, MODEL_SCHEMA)
         protocol, p, g = (_section(doc, section) for section in MODEL_SCHEMA)
         predictor, goal_model = PredictorParams(**p), GoalModelParams(**g)
-        fitted = _protocol(predictor, goal_model)
-        if key := protocol_mismatch(protocol, fitted, protocol):
-            raise ValueError(f"protocol {key}={protocol[key]} does not match the "
-                             f"models' {key}={fitted[key]}")
+        require_protocol(protocol, model_protocol(predictor, goal_model), protocol,
+                         "protocol", "models'")
         check_protocol(**protocol)  # a models' dt of 1e-9 or less matches a dt <= 0
-        if (last := goal_model.anchor_steps[-1]) > predictor.horizon:
-            raise ValueError(
-                f"anchor step {last} exceeds the protocol horizon {predictor.horizon}")
         return predictor, goal_model, protocol
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc} in model file") from None
     except (TypeError, ValueError, RecursionError) as exc:  # json.load: nested too deeply
         raise ValueError(f"{path}: invalid model file: {exc}") from None
-
-
-def _check_protocol(protocol: dict, ds: Dataset, path: str) -> None:
-    if key := protocol_mismatch(vars(ds), protocol, protocol):
-        raise ValueError(f"{path}: protocol mismatch: {key}={getattr(ds, key)} in data, "
-                         f"model expects {protocol[key]}")
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +364,7 @@ def cmd_predict(o) -> int:
     mode = "refined" if o.refine else "vanilla"
     means, sigmas = np.empty((0, ds.horizon, 2)), np.empty((0, ds.horizon, 3))
     if ds.segments:
-        _check_protocol(protocol, ds, o.data)
+        require_protocol(vars(ds), protocol, protocol, o.data, "models'")
         goals = goal_model if o.refine else None
         means, covs = rollout_batch(predictor, ds.histories(), ds.horizon, goals, cfg)
         sigmas = params_from_covs(covs)
@@ -429,7 +415,7 @@ _ABLATE_OPTS = [
 def cmd_ablate(o) -> int:
     test = _read_segments(o.test)
     train, models = _fit_models(o, o.predictors)
-    _check_protocol(check_protocol(train.dt, train.tau, train.horizon), test, o.test)
+    require_protocol(vars(test), vars(train), ("dt", "tau", "horizon"), o.test, "training")
     report = run_ablation(test, models, _refine_config(o))
     with open(o.out, "w", encoding="utf-8") as fh:
         fh.write(report.to_csv())

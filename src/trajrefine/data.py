@@ -86,6 +86,14 @@ def protocol_mismatch(got, want, keys) -> str | None:
     return next((key for key in keys if not abs(got[key] - want[key]) <= 1e-9), None)
 
 
+def require_protocol(got, want, keys, what: str, whose: str) -> None:
+    """The one protocol comparison of datasets and models: the first
+    :func:`protocol_mismatch` of got and want over ``keys`` is rejected as
+    ``<what>: <key>=<got> differs from the <whose> <key>=<want>``."""
+    if key := protocol_mismatch(got, want, keys):
+        raise ValueError(f"{what}: {key}={got[key]} differs from the {whose} {key}={want[key]}")
+
+
 def _stream_rng(seed: int, stream: str) -> np.random.Generator:
     """Independent, reproducible generator for a named random sub-stream of
     an integer seed >= 0; any other seed is rejected by name."""

@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .data import Dataset, non_negative, protocol_mismatch, read_only, whole
+from .data import Dataset, non_negative, read_only, require_protocol, whole
 from .gaussian import cov_entries
 
 COV_FLOOR = 1e-6  # m^2 added to every fitted covariance; keeps fusion nonsingular
@@ -89,8 +89,9 @@ class GoalModelParams:
         object.__setattr__(self, "weight_matrix", matrix)
 
 
-def _anchor_steps(anchor_steps) -> tuple[int, ...]:
-    """The anchor rule: a non-empty, strictly increasing run of steps >= 1."""
+def _anchor_steps(anchor_steps, horizon: int | None = None) -> tuple[int, ...]:
+    """The anchor rule: a non-empty, strictly increasing run of steps >= 1,
+    the last within ``horizon`` when one is given."""
     try:
         steps = tuple(whole("anchor step", s) for s in anchor_steps)
     except (TypeError, ValueError):
@@ -99,20 +100,24 @@ def _anchor_steps(anchor_steps) -> tuple[int, ...]:
         raise ValueError("anchor steps must be non-empty and each >= 1")
     if any(b <= a for a, b in zip(steps, steps[1:])):
         raise ValueError("anchor steps must be strictly increasing")
+    if horizon is not None and steps[-1] > horizon:
+        raise ValueError(f"anchor step {steps[-1]} exceeds the horizon {horizon}")
     return steps
 
 
-def calibration_split(train: Dataset, val: Dataset | None) -> Dataset:
+def calibration_split(train: Dataset, val: Dataset | None, steps: int) -> Dataset:
     """The split both fitters calibrate covariances on: ``val`` when it has
     segments, else ``train``, which must hold a segment. ``val`` must share
-    the training dt and tau."""
+    the training dt and tau (:func:`require_protocol`), and its futures must
+    reach ``steps``, the last future step the fit scores."""
     if not train.segments:
         raise ValueError("training set is empty")
     if val is None or not val.segments:
         return train
-    if key := protocol_mismatch(vars(val), vars(train), ("dt", "tau")):
-        raise ValueError(f"{val.source or 'validation set'}: {key}={getattr(val, key)} "
-                         f"differs from the training {key}={getattr(train, key)}")
+    what = val.source or "validation set"
+    require_protocol(vars(val), vars(train), ("dt", "tau"), what, "training")
+    if val.horizon < steps:
+        raise ValueError(f"{what}: horizon={val.horizon} is short of the fit's last step {steps}")
     return val
 
 
@@ -193,18 +198,15 @@ def fit_goal_model(
     frame, and targets and residuals are kept anchor-major, (A, N, 2).
     Residual covariances are the second moment of the held-out residuals
     (training residuals when no validation set is given), floored with
-    +1e-6 I so downstream fusion stays well conditioned.
+    +1e-6 I so downstream fusion stays well conditioned. The last anchor
+    must lie within the training horizon (:func:`_anchor_steps`), and a
+    validation set's futures must reach it (:func:`calibration_split`).
     """
     steps = _anchor_steps(anchor_steps)
-    holdout = calibration_split(train, val)
+    holdout = calibration_split(train, val, steps[-1])
     if train.tau < 1:  # one point has no displacement to regress on
         raise ValueError(f"history_len must be at least 2, got {train.tau + 1} (tau={train.tau})")
-    if steps[-1] > train.horizon:
-        raise ValueError(
-            f"anchor step {steps[-1]} exceeds the future length {train.horizon}"
-        )
-    if steps[-1] > holdout.horizon:
-        raise ValueError("validation futures are shorter than the last anchor")
+    _anchor_steps(steps, train.horizon)
 
     def design(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
         """Features and the (A, N, 2) ego-frame offsets of the anchor points."""

@@ -7,9 +7,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, require_protocol
 from .goals import GoalModelParams
-from .predictors import PredictorParams, RefineConfig, _measure_goals, _step, rollout_batch
+from .predictors import (PredictorParams, RefineConfig, _measure_goals, _step, model_protocol,
+                         rollout_batch)
 
 
 @dataclass(frozen=True)
@@ -122,7 +123,9 @@ def run_ablation(
 ) -> AblationReport:
     """Evaluate every fitted backbone with refinement off and on.
 
-    Models must have been fitted on data disjoint from ``test``. Segments
+    Models must have been fitted on data disjoint from ``test``, and each
+    pair's protocol (:func:`model_protocol`) must share the test dt and tau
+    (:func:`require_protocol`), checked before the pair is rolled out. Segments
     are evaluated in dataset order, so the report is deterministic. The goal
     measurement depends on the goal model, the histories and ``cfg`` alone,
     so it is made once per distinct goal model object and passed, as one
@@ -137,6 +140,8 @@ def run_ablation(
     measured, rows = {}, []
     for backbone in sorted(models):
         params, goal_params = models[backbone]
+        require_protocol(vars(test), model_protocol(params, goal_params), ("dt", "tau"),
+                         test.source or "test set", f"{backbone} models'")
         vanilla_means, _ = rollout_batch(params, histories, horizon)
         if goal_params not in measured:
             measured[goal_params] = _measure_goals(goal_params, histories, horizon, cfg)

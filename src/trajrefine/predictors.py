@@ -22,12 +22,12 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .data import Dataset, checked_dt, non_negative, positive, read_only, whole
+from .data import Dataset, check_protocol, checked_dt, non_negative, positive, read_only, whole
 from .fusion import (Estimate, SingularInnovationError, estimates_from_arrays, gain_table,
                      rotated_gains)
 from .gaussian import cov_entries
-from .goals import (GoalModelParams, calibration_split, check_finite_histories, goal_moments,
-                    interpolate_covs, interpolate_goals, second_moments, solve_ridge)
+from .goals import (GoalModelParams, _anchor_steps, calibration_split, check_finite_histories,
+                    goal_moments, interpolate_covs, interpolate_goals, second_moments, solve_ridge)
 
 BACKBONES = ("cv", "ca", "ar")
 
@@ -170,14 +170,13 @@ def fit_predictor(
     horizon on the calibration split, floored with +1e-6 I and forced
     trace-non-decreasing in k by running maximum. ``window`` is the
     cv/ca position window, :class:`PredictorParams`' default when None; the
-    training set must hold a segment (:func:`calibration_split`).
+    training set must hold a segment and a validation set's futures must
+    reach the training horizon (:func:`calibration_split`).
     """
     lag = whole("lag", lag)
     if not non_negative(ridge_lambda):
         raise ValueError(f"ridge_lambda must be finite and >= 0, got {ridge_lambda!r}")
-    calib = calibration_split(train, val)
-    if calib.horizon < train.horizon:
-        raise ValueError("calibration futures are shorter than the fitted horizon")
+    calib = calibration_split(train, val, train.horizon)
 
     ar_weights = None
     if backbone == "ar" and lag >= 1:  # PredictorParams rejects a lag below 1
@@ -204,6 +203,15 @@ def fit_predictor(
     traces = moments[:, 0, 0] + moments[:, 1, 1]
     moments *= (np.maximum.accumulate(traces) / traces)[:, None, None]
     return PredictorParams(backbone, train.dt, moments, **shape)
+
+
+def model_protocol(params: PredictorParams, goal_params: GoalModelParams) -> dict:
+    """The protocol a backbone and a goal model fitted together share, as
+    :func:`check_protocol` gives it: the predictor's dt and horizon and the goal
+    model's tau, with every anchor within that horizon (:func:`_anchor_steps`).
+    A goal model holds no dt, so the pair's dt is the predictor's."""
+    _anchor_steps(goal_params.anchor_steps, params.horizon)
+    return check_protocol(params.dt, goal_params.history_len - 1, params.horizon)
 
 
 @lru_cache(maxsize=32)

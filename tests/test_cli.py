@@ -489,15 +489,15 @@ class TestPredict:
         assert run("predict", "--model", str(model), "--data", str(train),
                    "--out", str(out)) == 2
         err = capsys.readouterr().err
-        assert (f"error: {model}: invalid model file: protocol dt=nan does not match "
+        assert (f"error: {model}: invalid model file: protocol: dt=nan differs from "
                 f"the models' dt=0.2\n") in err
         assert not out.exists()
 
     @pytest.mark.parametrize("key,value,message", [
-        ("dt", -1.0, "protocol dt=-1.0 does not match the models' dt=0.2"),
-        ("dt", 0.3, "protocol dt=0.3 does not match the models' dt=0.2"),
-        ("horizon", 7, "protocol horizon=7 does not match the models' horizon=25"),
-        ("tau", 9, "protocol tau=9 does not match the models' tau=15"),
+        ("dt", -1.0, "protocol: dt=-1.0 differs from the models' dt=0.2"),
+        ("dt", 0.3, "protocol: dt=0.3 differs from the models' dt=0.2"),
+        ("horizon", 7, "protocol: horizon=7 differs from the models' horizon=25"),
+        ("tau", 9, "protocol: tau=9 differs from the models' tau=15"),
     ])
     def test_model_protocol_must_describe_the_models(self, tmp_path, capsys, key, value,
                                                      message):
@@ -519,7 +519,7 @@ class TestPredict:
         (lambda g: g.update(weights=[np.transpose(w).tolist() for w in g["weights"]]),
          "weights of anchor 5 must have shape (30, 2), got (2, 30)"),
         (lambda g: g.update(anchor_steps=[5, 10, 15, 20, 30]),
-         "anchor step 30 exceeds the protocol horizon 25"),
+         "anchor step 30 exceeds the horizon 25"),
     ], ids=["weights-transposed", "anchor-past-horizon"])
     def test_model_goal_weights_and_anchors_checked(self, tmp_path, capsys, corrupt, message):
         train = gen(tmp_path, "train.jsonl", n=30)
@@ -586,6 +586,17 @@ class TestPredict:
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x.mean, y.mean)
             assert x.cov == y.cov
+
+    def test_save_model_refuses_anchors_past_the_predictor_horizon(self, tmp_path):
+        # a cv predictor of horizon-10 data with a goal model of horizon-25 data was
+        # written (7771 bytes), and load_model then rejected the file
+        predictor = fit_predictor("cv", gen_synthetic("lane_change", 30, 0.2, seed=11,
+                                                      horizon=10))
+        goal_model = fit_goal_model(gen_synthetic("lane_change", 30, 0.2, seed=12))
+        path = tmp_path / "m.json"
+        with pytest.raises(ValueError, match="^anchor step 25 exceeds the horizon 10$"):
+            save_model(str(path), predictor, goal_model)
+        assert not path.exists()
 
 
 @pytest.fixture(scope="module")
@@ -921,7 +932,8 @@ class TestEvalAndAblate:
         test = gen(tmp_path, "test.jsonl", n=10, seed=12, extra=("--dt", "0.1"))
         assert run("ablate", "--train", str(train), "--test", str(test),
                    "--out", str(tmp_path / "r.csv")) == 2
-        assert f"error: {test}: protocol mismatch: dt=0.1" in capsys.readouterr().err
+        assert (capsys.readouterr().err
+                == f"error: {test}: dt=0.1 differs from the training dt=0.2\n")
 
 
     def test_ablate_empty_test_exits_2_naming_it_before_fitting(
@@ -937,6 +949,30 @@ class TestEvalAndAblate:
         assert run("ablate", "--train", str(train), "--test", str(empty),
                    "--out", str(tmp_path / "r.csv")) == 2
         assert f"error: {empty}: dataset contains no segments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path", ["fit-val", "predict-data", "ablate-test", "model-file"])
+def test_every_protocol_mismatch_in_one_message_form(tmp_path, capsys, path):
+    # "<what>: <key>=<got> differs from the <whose> <key>=<want>" on every path
+    train = gen(tmp_path, "train.jsonl", n=30)
+    other = gen(tmp_path, "other.jsonl", n=10, seed=12, extra=("--dt", "0.1"))
+    model, out = fit(tmp_path, train), tmp_path / "out"
+    where, whose = other, "training"
+    if path == "fit-val":
+        argv = ("fit", "--train", train, "--val", other)
+    elif path == "ablate-test":
+        argv = ("ablate", "--train", train, "--test", other)
+    elif path == "predict-data":
+        argv, whose = ("predict", "--model", model, "--data", other), "models'"
+    else:
+        doc = json.loads(model.read_text(encoding="utf-8"))
+        doc["protocol"]["dt"] = 0.1
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        argv, whose = ("predict", "--model", model, "--data", train), "models'"
+        where = f"{model}: invalid model file: protocol"
+    assert run(*map(str, argv), "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {where}: dt=0.1 differs from the {whose} dt=0.2\n"
+    assert not out.exists()
 
 
 class TestConfigFile:

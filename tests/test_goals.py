@@ -114,9 +114,22 @@ class TestFitGoalModel:
     def test_validation_horizon_shorter_than_last_anchor_rejected(self, cv_corpus):
         val = gen_synthetic("cv", 10, 0.0, seed=22, horizon=10)
         with pytest.raises(ValueError,
-                           match="^validation futures are shorter than the last anchor$"):
+                           match="^synthetic/cv: horizon=10 is short of the fit's "
+                                 "last step 15$"):
             fit_goal_model(cv_corpus, (5, 10, 15), val=val)
         assert fit_goal_model(cv_corpus, (5, 10), val=val).anchor_steps == (5, 10)
+
+    @pytest.mark.parametrize("fit", [
+        lambda train, val: fit_goal_model(train, val=val),
+        lambda train, val: fit_predictor("cv", train, val),
+    ], ids=["goal-model", "predictor"])
+    def test_short_validation_future_named_alike_by_both_fitters(self, fit):
+        # calibration_split states the rule once; the two fitters worded it differently
+        train = gen_synthetic("cv", 20, 0.1, seed=35)
+        val = gen_synthetic("cv", 10, 0.1, seed=36, horizon=10)
+        with pytest.raises(ValueError, match="^synthetic/cv: horizon=10 is short of "
+                                             "the fit's last step 25$"):
+            fit(train, val)
 
     def test_per_anchor_independence(self, cv_corpus):
         full = fit_goal_model(cv_corpus, (5, 10, 25), ridge_lambda=1e-6)

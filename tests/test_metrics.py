@@ -197,6 +197,26 @@ class TestRunAblation:
         with pytest.raises(KeyError, match="no row for backbone='ca' refined=False"):
             report.deltas("ca")
 
+    @pytest.mark.parametrize("key,value", [("dt", 0.1), ("tau", 10)])
+    def test_models_of_another_protocol_named_before_rolling_out(self, monkeypatch, key,
+                                                                 value):
+        # models fitted at dt 0.1 were scored on dt-0.2 data without a word, and a
+        # tau mismatch failed later, in goal_moments' history-shape check
+        train = gen_synthetic("lane_change", 100, 0.2, seed=64, **{key: value})
+        test = gen_synthetic("lane_change", 20, 0.2, seed=65)
+        goal_params = fit_goal_model(train)
+        models = {"cv": (fit_predictor("cv", train), goal_params),
+                  "ar": (fit_predictor("ar", train, lag=3), goal_params)}
+
+        def no_rollout(*args, **kwargs):
+            raise AssertionError("rolled out before the protocol was checked")
+
+        monkeypatch.setattr("trajrefine.metrics.rollout_batch", no_rollout)
+        want = vars(test)[key]
+        with pytest.raises(ValueError, match=f"^synthetic/lane_change: {key}={want} differs "
+                                             f"from the ar models' {key}={value}$"):
+            run_ablation(test, models)
+
     def test_goal_model_shared_by_backbones_is_measured_once(self, monkeypatch):
         train = gen_synthetic("turn", 200, 0.2, seed=62)
         test = gen_synthetic("turn", 40, 0.2, seed=63)

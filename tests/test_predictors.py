@@ -253,7 +253,8 @@ class TestFitPredictor:
         train = gen_synthetic("cv", 20, 0.1, seed=35)
         val = gen_synthetic("cv", 10, 0.1, seed=36, horizon=10)
         with pytest.raises(ValueError,
-                           match="^calibration futures are shorter than the fitted horizon$"):
+                           match="^synthetic/cv: horizon=10 is short of the fit's "
+                                 "last step 25$"):
             fit_predictor("cv", train, val)
 
     def test_unknown_backbone(self):

@@ -27,11 +27,14 @@ def test_digest_prints_one_sha256_per_output_and_table():
     lines = done.stdout.splitlines()
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S.*", line) for line in lines)
     names = [line[66:] for line in lines]
-    # 58 outputs (28 CLI stdouts, 28 CLI files and 2 rounding files) and 808 fitted tables
-    assert len(set(names)) == len(names) == 866
-    assert sum(name.startswith("stdout ") for name in names) == 28
-    assert sum(name.endswith((".jsonl", ".json", ".csv")) for name in names) == 30
-    assert {"rounding.jsonl", "rounding_preds.jsonl"} <= set(names)
+    # 72 outputs (30 CLI stdouts, 30 CLI files, 2 edited model files, 8 failing commands'
+    # exit codes and stderrs and 2 rounding files) and 808 fitted tables
+    assert len(set(names)) == len(names) == 880
+    assert sum(name.startswith("stdout ") for name in names) == 30
+    assert sum(name.startswith("error ") for name in names) == 8
+    assert sum(name.endswith((".jsonl", ".json", ".csv")) for name in names) == 34
+    assert {"rounding.jsonl", "rounding_preds.jsonl", "model_ar_dt01.json",
+            "model_ar_anchor30.json"} <= set(names)
     assert sum("/" in name for name in names) == 808
 
 

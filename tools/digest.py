@@ -1,10 +1,12 @@
 """Print a sha256 of every output of a fixed CLI script and every table of a fixed fit grid.
 
 The script runs every subcommand, with each model-file field at a non-default
-value in one fit; then the tree's own dataset and predictions writers write
-fixed values at the 6-decimal rounding boundaries; the grid makes 437 fits of
-cv, ca, ar and goal models. Each command's stdout, output file and fitted
-table gets one line ``<sha256>  <name>``.
+value in one fit; then a fixed list of commands that must fail, each with a
+protocol mismatch or a short future, on relative paths; then the tree's own
+dataset and predictions writers write fixed values at the 6-decimal rounding
+boundaries; the grid makes 437 fits of cv, ca, ar and goal models. Each
+command's stdout, output file and fitted table, and each failing command's
+exit code and stderr, gets one line ``<sha256>  <name>``.
 A tree runs in one child process, with its ``src/`` on PYTHONPATH and BLAS on
 one thread. With ``--base REV`` the ``src/`` of git revision REV runs too, and
 every output that differs is listed, a table with its largest relative
@@ -21,6 +23,7 @@ import contextlib
 import hashlib
 import io
 import itertools
+import json
 import os
 import pickle
 import subprocess
@@ -91,7 +94,56 @@ def script() -> list[tuple[str, ...]]:
         ("eval", "--predictions", "preds_ar_tiny.jsonl", "--data", "test.jsonl",
          "--backbone", "ar", "--out", "eval_ar_tiny.csv"),
     ]
-    return commands
+    # the inputs of failing(): a dataset of another dt and one of a shorter future
+    return commands + [
+        ("gen-synth", "--scenario", "lane-change", "--n", "20", "--noise", "0.2",
+         "--seed", "4", "--dt", "0.1", "--out", "dt01.jsonl"),
+        ("gen-synth", "--scenario", "lane-change", "--n", "20", "--noise", "0.2",
+         "--seed", "5", "--horizon", "10", "--out", "short.jsonl"),
+    ]
+
+
+# model_ar.json with one field edited, each a file load_model must reject
+EDITED_MODELS = {"model_ar_dt01.json": ("protocol", "dt", 0.1),
+                 "model_ar_anchor30.json": ("goal_model", "anchor_steps", [5, 10, 15, 20, 30])}
+
+
+def failing() -> list[tuple[str, ...]]:
+    """Commands after the script that exit non-zero: each of the protocol and
+    future-length rules the CLI can break, on the files the script and
+    EDITED_MODELS write; none writes its --out file."""
+    fit = ("fit", "--train", "train.jsonl", "--out", "failed.json")
+    return [
+        (*fit, "--val", "dt01.jsonl"),
+        (*fit, "--val", "short.jsonl"),
+        (*fit, "--val", "short.jsonl", "--predictor", "cv", "--anchors", "5,10"),
+        (*fit, "--anchors", "5,30"),
+        ("predict", "--model", "model_ar.json", "--data", "dt01.jsonl", "--out", "failed.jsonl"),
+        ("ablate", "--train", "train.jsonl", "--test", "dt01.jsonl", "--out", "failed.csv"),
+        *(("predict", "--model", name, "--data", "test.jsonl", "--out", "failed.jsonl")
+          for name in EDITED_MODELS),
+    ]
+
+
+def run_cli(command) -> tuple[int, str, str]:
+    """The exit code, stdout and stderr of one CLI command, run in this process."""
+    from trajrefine.cli import main  # the child's tree
+
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(list(command))
+        except SystemExit as exc:  # argparse rejected the command
+            code = exc.code
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def write_edited_models() -> None:
+    """Write each of EDITED_MODELS: model_ar.json with its one field replaced."""
+    for name, (section, key, value) in EDITED_MODELS.items():
+        doc = json.loads(Path("model_ar.json").read_text(encoding="utf-8"))
+        doc[section][key] = value
+        Path(name).write_text(json.dumps(doc) + "\n", encoding="utf-8")
 
 
 def rounding_values() -> np.ndarray:
@@ -156,22 +208,20 @@ def tables() -> dict:
 
 
 def dump(path: str) -> None:
-    """Run the script in the working directory, then fit the grid, and pickle to
-    path every command's stdout and output file as bytes and every fitted table
-    as an array, by name; exit with a message if a command fails."""
-    from trajrefine.cli import main
-
+    """Run the script in the working directory, then the failing commands, then
+    fit the grid, and pickle to path every command's stdout and output file and
+    every failing command's exit code and stderr as bytes and every fitted table
+    as an array, by name; exit with a message if a command of the script fails."""
     out = {}
     for i, command in enumerate(script(), start=1):
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            try:
-                code = main(list(command))
-            except SystemExit as exc:  # argparse rejected the command
-                code = exc.code
+        code, stdout, stderr = run_cli(command)
         if code != 0:
-            sys.exit(f"error: {' '.join(command)} exited {code}: {stderr.getvalue().strip()}")
-        out[f"stdout {i:02d} {command[0]}"] = stdout.getvalue().encode()
+            sys.exit(f"error: {' '.join(command)} exited {code}: {stderr.strip()}")
+        out[f"stdout {i:02d} {command[0]}"] = stdout.encode()
+    write_edited_models()
+    for i, command in enumerate(failing(), start=1):
+        code, _, stderr = run_cli(command)
+        out[f"error {i:02d} {command[0]}"] = f"exit {code}\n{stderr}".encode()
     write_rounding_files()
     out |= {file.name: file.read_bytes() for file in sorted(Path().iterdir())}
     with open(path, "wb") as fh:
