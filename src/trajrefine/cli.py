@@ -21,6 +21,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .data import (
+    SCENARIOS,
     Dataset,
     check_protocol,
     downsample,
@@ -41,6 +42,7 @@ from .goals import GoalModelParams, fit_goal_model
 from .metrics import AblationReport, AblationRow, rmse, run_ablation
 from .predictors import (
     BACKBONES,
+    WINDOWS,
     PredictorParams,
     RefineConfig,
     fit_predictor,
@@ -126,6 +128,10 @@ def _load_config(path: str) -> dict[str, str]:
 
 
 def _merge(options: list[Opt], args: argparse.Namespace) -> argparse.Namespace:
+    """Each option's value: its flag, else its config key, else its default. Here,
+    and nowhere else, a value is checked against its choices, so a bad choice gets
+    one message whether it comes from the command line or the config file:
+    ``--scenario: invalid value 'bogus' (choose from cv, ca, lane-change, turn)``."""
     if args.config == "":
         raise ValueError("--config: invalid value ''")
     config = _load_config(args.config) if args.config is not None else {}
@@ -157,15 +163,6 @@ def _merge(options: list[Opt], args: argparse.Namespace) -> argparse.Namespace:
 def _given(**kwargs) -> dict[str, Any]:
     """The keyword arguments that are set; the library's defaults apply to the rest."""
     return {key: value for key, value in kwargs.items() if value is not None}
-
-
-def _add_command(subparsers, name: str, options: list[Opt], func, help_text: str):
-    sub = subparsers.add_parser(name, help=help_text)
-    for opt in options:
-        sub.add_argument(f"--{opt.flag}", choices=opt.choices, help=opt.help)
-    sub.add_argument("--config", help="flat key = value config file")
-    # by name: main looks the function up per call, so a later rebinding of it takes effect
-    sub.set_defaults(func=func.__name__, options=options)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +248,7 @@ def load_model(path: str) -> tuple[PredictorParams, GoalModelParams, dict]:
 # ---------------------------------------------------------------------------
 
 _GEN_OPTS = [
-    Opt("scenario", str, required=True, choices=("cv", "ca", "lane-change", "turn")),
+    Opt("scenario", str, required=True, choices=tuple(s.replace("_", "-") for s in SCENARIOS)),
     Opt("n", int, required=True, help="number of segments"),
     Opt("noise", float, 0.0, help="position noise std in meters"),
     Opt("seed", int, 0),
@@ -293,7 +290,8 @@ def cmd_ingest_ngsim(o) -> int:
 
 _MODEL_OPTS = [
     Opt("lag", int, help="ar displacement order"),
-    Opt("window", int, help="cv/ca position window (default 2 for cv, 3 for ca)"),
+    Opt("window", int, help="cv/ca position window (default {cv} for cv, {ca} for ca)"
+        .format_map(WINDOWS)),
     Opt("ridge", float),
     Opt("anchors", _int_list, help="goal anchor steps"),
     Opt("rotate", _on_off, choices=("on", "off"), help="ego-frame rotation"),
@@ -317,10 +315,13 @@ def _read_segments(path: str, what: str = "dataset") -> Dataset:
     return ds
 
 
-def _fit_models(o, backbones) -> tuple[Dataset, dict]:
-    """Read --train/--val and fit one goal model plus each backbone on them."""
+def _fit_models(o, backbones, test: Dataset | None = None) -> tuple[Dataset, dict]:
+    """Read --train/--val, check a test set's protocol against the training set's,
+    and only then fit one goal model plus each backbone on them."""
     train = _read_segments(o.train, "training file")
     val = _read_segments(o.val, "validation file") if o.val else None
+    if test is not None:
+        require_protocol(vars(test), vars(train), ("dt", "tau", "horizon"), o.test, "training")
     goal_model = fit_goal_model(train, val=val, **_given(
         anchor_steps=o.anchors, ridge_lambda=o.ridge, rotate=o.rotate))
     kwargs = _given(window=o.window, lag=o.lag, ridge_lambda=o.ridge)
@@ -414,8 +415,7 @@ _ABLATE_OPTS = [
 
 def cmd_ablate(o) -> int:
     test = _read_segments(o.test)
-    train, models = _fit_models(o, o.predictors)
-    require_protocol(vars(test), vars(train), ("dt", "tau", "horizon"), o.test, "training")
+    _, models = _fit_models(o, o.predictors, test)
     report = run_ablation(test, models, _refine_config(o))
     with open(o.out, "w", encoding="utf-8") as fh:
         fh.write(report.to_csv())
@@ -431,25 +431,36 @@ def cmd_ablate(o) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+# each subcommand: its options, the name of its function and its help line; by name,
+# since main looks the function up per call, so a later rebinding of it takes effect
+COMMANDS = {
+    "gen-synth": (_GEN_OPTS, "cmd_gen_synth", "generate a synthetic dataset"),
+    "ingest-ngsim": (_INGEST_OPTS, "cmd_ingest_ngsim", "ingest an NGSIM-format CSV"),
+    "fit": (_FIT_OPTS, "cmd_fit", "fit a backbone and goal model"),
+    "predict": (_PREDICT_OPTS, "cmd_predict", "predict futures for a dataset"),
+    "eval": (_EVAL_OPTS, "cmd_eval", "score predictions against ground truth"),
+    "ablate": (_ABLATE_OPTS, "cmd_ablate", "compare vanilla and refined rollouts"),
+}
+
+
 @lru_cache(maxsize=None)  # built once a process: every command parses with the same parser
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand in :data:`COMMANDS`. argparse parses the flags
+    and lists each option's choices in ``--help`` as it would list its own
+    (``--predictor {cv,ca,ar}``), but checks none of them: :func:`_merge` checks
+    each value once, from a flag or a config file alike."""
     parser = argparse.ArgumentParser(
         prog="trajrefine",
         description="Goal-anchored refinement of rollout trajectory predictors",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    _add_command(subparsers, "gen-synth", _GEN_OPTS, cmd_gen_synth,
-                 "generate a synthetic dataset")
-    _add_command(subparsers, "ingest-ngsim", _INGEST_OPTS, cmd_ingest_ngsim,
-                 "ingest an NGSIM-format CSV")
-    _add_command(subparsers, "fit", _FIT_OPTS, cmd_fit,
-                 "fit a backbone and goal model")
-    _add_command(subparsers, "predict", _PREDICT_OPTS, cmd_predict,
-                 "predict futures for a dataset")
-    _add_command(subparsers, "eval", _EVAL_OPTS, cmd_eval,
-                 "score predictions against ground truth")
-    _add_command(subparsers, "ablate", _ABLATE_OPTS, cmd_ablate,
-                 "compare vanilla and refined rollouts")
+    for name, (options, func, help_text) in COMMANDS.items():
+        sub = subparsers.add_parser(name, help=help_text)
+        for opt in options:
+            metavar = "{" + ",".join(opt.choices) + "}" if opt.choices else None
+            sub.add_argument(f"--{opt.flag}", metavar=metavar, help=opt.help)
+        sub.add_argument("--config", help="flat key = value config file")
+        sub.set_defaults(func=func, options=options)
     return parser
 
 
@@ -458,12 +469,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         merged = _merge(args.options, args)
         return globals()[args.func](merged)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # 1 for an I/O failure, 2 for a bad value
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, OSError) else 2
 
 
 if __name__ == "__main__":

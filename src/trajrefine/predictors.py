@@ -29,7 +29,9 @@ from .gaussian import cov_entries
 from .goals import (GoalModelParams, _anchor_steps, calibration_split, check_finite_histories,
                     goal_moments, interpolate_covs, interpolate_goals, second_moments, solve_ridge)
 
-BACKBONES = ("cv", "ca", "ar")
+# each backbone's least position window, which is also its default
+WINDOWS = {"cv": 2, "ca": 3, "ar": 2}
+BACKBONES = tuple(WINDOWS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,10 +41,13 @@ class PredictorParams:
     step_covs is a read-only (T, 2, 2) array; step_covs[k-1] is the
     estimate-error covariance attached to future step k, and its trace must
     be non-decreasing in k (uncertainty grows with the horizon). cv/ca use a
-    position window of length ``window``, by default 3 for ca, the fewest
-    points a quadratic needs, and 2 for cv and ar (which ignores it); ar uses
-    the last ``lag`` displacement vectors with finite ``ar_weights`` of shape
-    (2*lag, 2), stored read-only.
+    position window of length ``window``; ar uses the last ``lag``
+    displacement vectors with ``ar_weights``. Each field has one rule, checked
+    for every backbone: the window is at least the backbone's ``WINDOWS``
+    entry, which is also its default (3 for ca, the fewest points a quadratic
+    needs, and 2 for cv and ar, which ignores it); ``lag >= 1``; and
+    ``ar_weights`` is given exactly when the backbone is ar, finite and of
+    shape (2*lag, 2), stored read-only.
     """
 
     backbone: str
@@ -53,10 +58,11 @@ class PredictorParams:
     ar_weights: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.backbone not in BACKBONES:
+        if self.backbone not in WINDOWS:
             raise ValueError(f"unknown backbone {self.backbone!r}; valid: {BACKBONES}")
+        least = WINDOWS[self.backbone]
         object.__setattr__(self, "dt", checked_dt(self.dt))
-        window = (3 if self.backbone == "ca" else 2) if self.window is None else self.window
+        window = least if self.window is None else self.window
         object.__setattr__(self, "window", whole("window", window))
         object.__setattr__(self, "lag", whole("lag", self.lag))
         c = read_only(np.array(self.step_covs, dtype=float))
@@ -72,20 +78,18 @@ class PredictorParams:
             raise ValueError(f"step covariance {k + 1} is not PSD" if not psd[k] else
                              f"step covariance traces must be non-decreasing (step {k + 1})")
         object.__setattr__(self, "step_covs", c)
-        if self.backbone == "cv" and self.window < 2:
-            raise ValueError("cv backbone needs a window of at least 2 positions")
-        if self.backbone == "ca" and self.window < 3:
-            raise ValueError("ca backbone needs a window of at least 3 positions")
-        if self.backbone == "ar":
-            if self.lag < 1:
-                raise ValueError("ar backbone needs lag >= 1")
-            if self.ar_weights is None:
-                raise ValueError("ar backbone needs a weight matrix")
+        if self.window < least:
+            raise ValueError(
+                f"{self.backbone} backbone needs a window of at least {least} positions")
+        if self.lag < 1:
+            raise ValueError(f"{self.backbone} backbone needs lag >= 1")
+        if (self.ar_weights is None) == (self.backbone == "ar"):
+            raise ValueError("ar backbone needs a weight matrix" if self.backbone == "ar"
+                             else f"{self.backbone} backbone takes no ar_weights")
+        if self.ar_weights is not None:
             w = read_only(np.array(self.ar_weights, dtype=float))
             if w.shape != (2 * self.lag, 2):
-                raise ValueError(
-                    f"ar weights must have shape ({2 * self.lag}, 2), got {w.shape}"
-                )
+                raise ValueError(f"ar weights must have shape ({2 * self.lag}, 2), got {w.shape}")
             if not np.isfinite(w).all():
                 raise ValueError("ar_weights must be finite")
             object.__setattr__(self, "ar_weights", w)

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 import reference_data
-from trajrefine.cli import MODEL_SCHEMA, load_model, main, save_model
-from trajrefine.data import gen_synthetic, read_jsonl, round6, write_jsonl
+from trajrefine.cli import COMMANDS, MODEL_SCHEMA, load_model, main, save_model
+from trajrefine.data import SCENARIOS, gen_synthetic, read_jsonl, round6, write_jsonl
 from trajrefine.gaussian import Cov2, params_from_cov, params_from_covs
 from trajrefine.goals import fit_goal_model
-from trajrefine.predictors import RefineConfig, fit_predictor, rollout_batch, rollout_refined
+from trajrefine.predictors import (BACKBONES, WINDOWS, RefineConfig, fit_predictor,
+                                   rollout_batch, rollout_refined)
 
 
 def run(*argv):
@@ -52,11 +53,12 @@ class TestGenSynth:
         assert a.read_bytes() == b.read_bytes()
 
     def test_bad_scenario_exits_2(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc_info:
-            run("gen-synth", "--scenario", "bogus", "--n", "1",
-                "--out", str(tmp_path / "x.jsonl"))
-        assert exc_info.value.code == 2
-        assert "lane-change" in capsys.readouterr().err
+        # a choice is checked once, by the CLI, in its own message form and exit code
+        out = tmp_path / "x.jsonl"
+        assert run("gen-synth", "--scenario", "bogus", "--n", "1", "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            "error: --scenario: invalid value 'bogus' (choose from cv, ca, lane-change, turn)\n")
+        assert not out.exists()
 
     def test_missing_required_flag_exits_2(self, tmp_path):
         assert run("gen-synth", "--scenario", "cv",
@@ -268,6 +270,20 @@ class TestFit:
         err = capsys.readouterr().err
         assert f"error: {val}: {flag}={value} differs from the training {flag}=" in err
 
+    @pytest.mark.parametrize("predictor,flag,value,message", [
+        ("ca", "--lag", "-5", "ca backbone needs lag >= 1"),
+        ("ca", "--lag", "0", "ca backbone needs lag >= 1"),
+        ("ar", "--window", "1", "ar backbone needs a window of at least 2 positions"),
+    ], ids=["ca-lag-negative", "ca-lag-zero", "ar-window-1"])
+    def test_size_a_backbone_does_not_read_is_still_checked(
+            self, tmp_path, capsys, predictor, flag, value, message):
+        # each field's rule holds for every backbone, also one that does not read it
+        train = gen(tmp_path, "train.jsonl", n=30)
+        out = tmp_path / "m.json"
+        assert run("fit", "--train", str(train), "--out", str(out),
+                   "--predictor", predictor, flag, value) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ("fit", "ablate"))
     def test_empty_validation_file_exits_2_naming_it(self, tmp_path, capsys, command):
@@ -477,6 +493,20 @@ class TestPredict:
             assert run("predict", "--model", str(model), "--data", str(train),
                        "--refine", refine, "--out", str(out)) == 2
         assert capsys.readouterr().err == f"error: {model}: invalid model file: {message}\n"
+        assert not out.exists()
+
+    def test_cv_model_with_ar_weights_exits_2_naming_it(self, tmp_path, capsys):
+        # only an ar model holds weights, and a NaN in them is not even JSON
+        train = gen(tmp_path, "train.jsonl", n=30)
+        model = fit(tmp_path, train, "model_cv.json", extra=("--predictor", "cv"))
+        doc = json.loads(model.read_text(encoding="utf-8"))
+        doc["predictor"]["ar_weights"] = [[float("nan"), 1.0]]
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "p.jsonl"
+        assert run("predict", "--model", str(model), "--data", str(train),
+                   "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"error: {model}: invalid model file: cv backbone takes no ar_weights\n")
         assert not out.exists()
 
     def test_model_protocol_dt_nan_exits_2_naming_the_mismatch(self, tmp_path, capsys):
@@ -927,14 +957,22 @@ class TestEvalAndAblate:
         assert capsys.readouterr().err == f"error: --predictors: invalid value '{value}'\n"
         assert not out.exists()
 
-    def test_ablate_test_protocol_mismatch_exits_2(self, tmp_path, capsys):
+    def test_ablate_test_protocol_mismatch_exits_2(self, tmp_path, capsys, monkeypatch):
+        # the comparison needs only the two datasets, so it comes before any fit
         train = gen(tmp_path, "train.jsonl", n=30)
         test = gen(tmp_path, "test.jsonl", n=10, seed=12, extra=("--dt", "0.1"))
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before the test protocol was checked")
+
+        monkeypatch.setattr("trajrefine.cli.fit_predictor", no_fit)
+        monkeypatch.setattr("trajrefine.cli.fit_goal_model", no_fit)
+        out = tmp_path / "r.csv"
         assert run("ablate", "--train", str(train), "--test", str(test),
-                   "--out", str(tmp_path / "r.csv")) == 2
+                   "--predictors", "cv,ca,ar", "--out", str(out)) == 2
         assert (capsys.readouterr().err
                 == f"error: {test}: dt=0.1 differs from the training dt=0.2\n")
-
+        assert not out.exists()
 
     def test_ablate_empty_test_exits_2_naming_it_before_fitting(
             self, tmp_path, capsys, monkeypatch):
@@ -973,6 +1011,22 @@ def test_every_protocol_mismatch_in_one_message_form(tmp_path, capsys, path):
     assert run(*map(str, argv), "--out", str(out)) == 2
     assert capsys.readouterr().err == f"error: {where}: dt=0.1 differs from the {whose} dt=0.2\n"
     assert not out.exists()
+
+
+def test_choices_are_the_library_registries_and_help_lists_them(capsys, monkeypatch):
+    options = {opt.flag: opt for opts, _, _ in COMMANDS.values() for opt in opts}
+    assert options["scenario"].choices == tuple(s.replace("_", "-") for s in SCENARIOS)
+    assert options["predictor"].choices == BACKBONES
+    monkeypatch.setenv("COLUMNS", "100")  # argparse wraps help text to the terminal width
+    for name, (opts, _, _) in COMMANDS.items():
+        with pytest.raises(SystemExit) as exc_info:
+            run(name, "--help")
+        assert exc_info.value.code == 0
+        text = capsys.readouterr().out
+        for opt in opts:
+            if opt.choices:
+                assert f"  --{opt.flag} {{{','.join(opt.choices)}}}" in text
+    assert "(default {cv} for cv, {ca} for ca)".format_map(WINDOWS) in text  # ablate's
 
 
 class TestConfigFile:

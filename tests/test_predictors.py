@@ -338,8 +338,16 @@ class TestStepCovarianceTable:
          r"ar weights must have shape \(4, 2\), got \(2, 2\)"),
         ("ar", {"lag": 1, "ar_weights": [[1.0, 0.0], [0.0, -np.inf]]}, "ar_weights must be finite"),
         ("ar", {"lag": 1, "ar_weights": [[np.nan, 0.0], [0.0, 1.0]]}, "ar_weights must be finite"),
+        # each rule holds for every backbone, also one that does not read the field
+        ("ar", {"window": 1, "ar_weights": np.zeros((2, 2))},
+         "ar backbone needs a window of at least 2 positions"),
+        ("ca", {"lag": -5}, "ca backbone needs lag >= 1"),
+        ("cv", {"lag": 0}, "cv backbone needs lag >= 1"),
+        ("cv", {"ar_weights": np.zeros((2, 2))}, "cv backbone takes no ar_weights"),
+        ("ca", {"ar_weights": [[np.nan, 1.0]]}, "ca backbone takes no ar_weights"),
     ], ids=["cv-window", "ca-window", "ar-lag", "ar-no-weights", "ar-weight-shape",
-            "ar-weight-inf", "ar-weight-nan"])
+            "ar-weight-inf", "ar-weight-nan", "ar-window", "ca-lag", "cv-lag",
+            "cv-weights", "ca-weights-nan"])
     def test_backbone_window_lag_and_weights_rejected(self, backbone, shape, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             PredictorParams(backbone, DT, iso(1.0, 5), **shape)

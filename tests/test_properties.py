@@ -1,5 +1,6 @@
 """Property tests over random inputs (hypothesis)."""
 
+import json
 import os
 import tempfile
 
@@ -94,6 +95,10 @@ def models_to_save(draw):
     return predictor, goal_model, protocol
 
 
+def reject_constant(token):
+    raise AssertionError(f"{token} is not a JSON number")
+
+
 @settings(max_examples=60, deadline=None)
 @given(models_to_save())
 def test_model_file_round_trips(model):
@@ -105,6 +110,8 @@ def test_model_file_round_trips(model):
         save_model(second, loaded_predictor, loaded_goals)
         with open(first, "rb") as a, open(second, "rb") as b:
             assert a.read() == b.read()
+        with open(first, encoding="utf-8") as fh:  # strict JSON: no NaN or Infinity token
+            json.loads(fh.read(), parse_constant=reject_constant)
     assert loaded_protocol == protocol
     pairs = [(predictor.step_covs, loaded_predictor.step_covs),
              (goal_model.residual_covs, loaded_goals.residual_covs),

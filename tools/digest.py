@@ -2,13 +2,16 @@
 
 The script runs every subcommand, with each model-file field at a non-default
 value in one fit; then a fixed list of commands that must fail, each with a
-protocol mismatch or a short future, on relative paths; then the tree's own
-dataset and predictions writers write fixed values at the 6-decimal rounding
-boundaries; the grid makes 437 fits of cv, ca, ar and goal models. Each
-command's stdout, output file and fitted table, and each failing command's
-exit code and stderr, gets one line ``<sha256>  <name>``.
-A tree runs in one child process, with its ``src/`` on PYTHONPATH and BLAS on
-one thread. With ``--base REV`` the ``src/`` of git revision REV runs too, and
+protocol mismatch, a short future, a model file holding a field its backbone
+does not take or a window or lag out of range, on relative paths; then the
+tree's own dataset and predictions writers write fixed values at the 6-decimal
+rounding boundaries; the grid makes 437 fits of cv, ca, ar and goal models.
+Each command's stdout, output file and fitted table, each failing command's
+exit code and stderr, and the ``--help`` text of the top level and of each
+subcommand, gets one line ``<sha256>  <name>``.
+A tree runs in one child process, with its ``src/`` on PYTHONPATH, BLAS on
+one thread and a 100-column terminal, to which argparse wraps its help text.
+With ``--base REV`` the ``src/`` of git revision REV runs too, and
 every output that differs is listed, a table with its largest relative
 difference. Exit code 1 means a command failed or REV could not be unpacked,
 else 0: a change may alter outputs on purpose.
@@ -103,15 +106,22 @@ def script() -> list[tuple[str, ...]]:
     ]
 
 
-# model_ar.json with one field edited, each a file load_model must reject
-EDITED_MODELS = {"model_ar_dt01.json": ("protocol", "dt", 0.1),
-                 "model_ar_anchor30.json": ("goal_model", "anchor_steps", [5, 10, 15, 20, 30])}
+# a model file of the script with one field edited, each a file load_model must reject
+EDITED_MODELS = {
+    "model_ar_dt01.json": ("model_ar.json", "protocol", "dt", 0.1),
+    "model_ar_anchor30.json": ("model_ar.json", "goal_model", "anchor_steps", [5, 10, 15, 20, 30]),
+    "model_cv_ar_weights.json": ("model_cv.json", "predictor", "ar_weights", [[float("nan"), 1.0]]),
+}
+# the subcommands whose --help text is hashed, after the top level's
+SUBCOMMANDS = ("gen-synth", "ingest-ngsim", "fit", "predict", "eval", "ablate")
 
 
 def failing() -> list[tuple[str, ...]]:
     """Commands after the script that exit non-zero: each of the protocol and
     future-length rules the CLI can break, on the files the script and
-    EDITED_MODELS write; none writes its --out file."""
+    EDITED_MODELS write, then fits of a window or lag out of range for the
+    backbone; none writes its --out file, and each of the last six names its
+    own, so that a tree on which one succeeds keeps what it wrote apart."""
     fit = ("fit", "--train", "train.jsonl", "--out", "failed.json")
     return [
         (*fit, "--val", "dt01.jsonl"),
@@ -120,8 +130,11 @@ def failing() -> list[tuple[str, ...]]:
         (*fit, "--anchors", "5,30"),
         ("predict", "--model", "model_ar.json", "--data", "dt01.jsonl", "--out", "failed.jsonl"),
         ("ablate", "--train", "train.jsonl", "--test", "dt01.jsonl", "--out", "failed.csv"),
-        *(("predict", "--model", name, "--data", "test.jsonl", "--out", "failed.jsonl")
+        *(("predict", "--model", name, "--data", "test.jsonl", "--out", f"failed_{name}l")
           for name in EDITED_MODELS),
+        *(("fit", "--train", "train.jsonl", "--predictor", bb, f"--{key}", value,
+           "--out", f"failed_{bb}_{key}{value}.json")
+          for bb, key, value in (("ca", "lag", "-5"), ("ca", "lag", "0"), ("ar", "window", "1"))),
     ]
 
 
@@ -139,9 +152,9 @@ def run_cli(command) -> tuple[int, str, str]:
 
 
 def write_edited_models() -> None:
-    """Write each of EDITED_MODELS: model_ar.json with its one field replaced."""
-    for name, (section, key, value) in EDITED_MODELS.items():
-        doc = json.loads(Path("model_ar.json").read_text(encoding="utf-8"))
+    """Write each of EDITED_MODELS: its model file with one field replaced."""
+    for name, (source, section, key, value) in EDITED_MODELS.items():
+        doc = json.loads(Path(source).read_text(encoding="utf-8"))
         doc[section][key] = value
         Path(name).write_text(json.dumps(doc) + "\n", encoding="utf-8")
 
@@ -208,10 +221,11 @@ def tables() -> dict:
 
 
 def dump(path: str) -> None:
-    """Run the script in the working directory, then the failing commands, then
-    fit the grid, and pickle to path every command's stdout and output file and
-    every failing command's exit code and stderr as bytes and every fitted table
-    as an array, by name; exit with a message if a command of the script fails."""
+    """Run the script in the working directory, then the failing commands and
+    each --help, then fit the grid, and pickle to path every command's stdout
+    and output file, every failing command's exit code and stderr and every
+    help text as bytes and every fitted table as an array, by name; exit with a
+    message if a command of the script or a --help fails."""
     out = {}
     for i, command in enumerate(script(), start=1):
         code, stdout, stderr = run_cli(command)
@@ -222,6 +236,12 @@ def dump(path: str) -> None:
     for i, command in enumerate(failing(), start=1):
         code, _, stderr = run_cli(command)
         out[f"error {i:02d} {command[0]}"] = f"exit {code}\n{stderr}".encode()
+    for command in ((), *zip(SUBCOMMANDS)):  # the top level's, then each subcommand's
+        name = " ".join(("trajrefine", *command))
+        code, stdout, stderr = run_cli((*command, "--help"))
+        if code != 0:
+            sys.exit(f"error: {name} --help exited {code}: {stderr.strip()}")
+        out[f"help {name}"] = stdout.encode()
     write_rounding_files()
     out |= {file.name: file.read_bytes() for file in sorted(Path().iterdir())}
     with open(path, "wb") as fh:
@@ -242,7 +262,7 @@ def outputs(tmp: Path, name: str, rev: str | None = None) -> dict | None:
     (workdir := tmp / name).mkdir()
     env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(src), str(ROOT / "tools"))),
                PYTHONDONTWRITEBYTECODE="1", OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1")
+               MKL_NUM_THREADS="1", COLUMNS="100")
     if subprocess.run([sys.executable, "-c", CHILD, str(tmp / f"{name}.pickle")],
                       cwd=workdir, env=env).returncode:
         return None
