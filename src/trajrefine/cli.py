@@ -131,7 +131,9 @@ def _merge(options: list[Opt], args: argparse.Namespace) -> argparse.Namespace:
     """Each option's value: its flag, else its config key, else its default. Here,
     and nowhere else, a value is checked against its choices, so a bad choice gets
     one message whether it comes from the command line or the config file:
-    ``--scenario: invalid value 'bogus' (choose from cv, ca, lane-change, turn)``."""
+    ``--scenario: invalid value 'bogus' (choose from cv, ca, lane-change, turn)``.
+    A list value's every item is checked, before any file is read:
+    ``--predictors: invalid value 'cv,foo' (choose from cv, ca, ar)``."""
     if args.config == "":
         raise ValueError("--config: invalid value ''")
     config = _load_config(args.config) if args.config is not None else {}
@@ -145,12 +147,14 @@ def _merge(options: list[Opt], args: argparse.Namespace) -> argparse.Namespace:
             value = opt.default
         else:
             raw = str(raw)
+            items = [tok.strip() for tok in raw.split(",")] if opt.convert is _str_list else [raw]
+            choices = f" (choose from {', '.join(opt.choices)})" if opt.choices else ""
             try:  # an empty value, such as a config line "out =", is never meant
-                if not raw or opt.choices is not None and raw not in opt.choices:
+                if not raw or opt.choices is not None and not set(items) <= set(opt.choices):
                     raise ValueError
+                choices = ""  # a failed conversion, such as a repeated item, names none
                 value = opt.convert(raw)
             except ValueError:
-                choices = f" (choose from {', '.join(opt.choices)})" if opt.choices else ""
                 raise ValueError(f"--{opt.flag}: invalid value {raw!r}{choices}") from None
         if value is None and opt.required:
             raise ValueError(f"missing required option --{opt.flag}")
@@ -407,7 +411,8 @@ _ABLATE_OPTS = [
     Opt("val", str),
     Opt("test", str, required=True),
     Opt("out", str, required=True, help="output report CSV"),
-    Opt("predictors", _str_list, ("ar",), help="comma-separated backbones, each once"),
+    Opt("predictors", _str_list, ("ar",), choices=BACKBONES,
+        help="comma-separated backbones, each once"),
     *_MODEL_OPTS,
     *_REFINE_OPTS,
 ]
@@ -446,9 +451,10 @@ COMMANDS = {
 @lru_cache(maxsize=None)  # built once a process: every command parses with the same parser
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every subcommand in :data:`COMMANDS`. argparse parses the flags
-    and lists each option's choices in ``--help`` as it would list its own
-    (``--predictor {cv,ca,ar}``), but checks none of them: :func:`_merge` checks
-    each value once, from a flag or a config file alike."""
+    and lists each scalar option's choices in ``--help`` as it would list its own
+    (``--predictor {cv,ca,ar}``; a list option keeps its name, ``--predictors
+    PREDICTORS``), but checks none of them: :func:`_merge` checks each value once,
+    from a flag or a config file alike."""
     parser = argparse.ArgumentParser(
         prog="trajrefine",
         description="Goal-anchored refinement of rollout trajectory predictors",
@@ -457,7 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (options, func, help_text) in COMMANDS.items():
         sub = subparsers.add_parser(name, help=help_text)
         for opt in options:
-            metavar = "{" + ",".join(opt.choices) + "}" if opt.choices else None
+            scalar = opt.choices and opt.convert is not _str_list
+            metavar = "{" + ",".join(opt.choices) + "}" if scalar else None
             sub.add_argument(f"--{opt.flag}", metavar=metavar, help=opt.help)
         sub.add_argument("--config", help="flat key = value config file")
         sub.set_defaults(func=func, options=options)

@@ -121,19 +121,18 @@ def calibration_split(train: Dataset, val: Dataset | None, steps: int) -> Datase
     return val
 
 
-def solve_ridge(x: np.ndarray, y: np.ndarray, ridge_lambda: float) -> np.ndarray:
-    """Closed-form ridge solutions W_a of (X^T X + lambda I) W_a = X^T Y_a.
+def solve_ridge(gram: np.ndarray, rhs: np.ndarray, ridge_lambda: float) -> np.ndarray:
+    """The package's one least-squares solve: W of (G + lambda I) W = B.
 
-    x is (N, F) and y (N, A, k), A target sets; returns (A, F, k) weights.
-    X^T X + lambda I is formed and factorised once: one stacked product forms
-    the A right-hand sides and one solve takes them side by side as an
-    (F, A*k) matrix. The triangular solves treat each right-hand-side column
-    on its own, so no set's weights depend on the others. ridge_lambda must
-    be finite and >= 0; with 0 the Gram matrix must be well conditioned.
+    gram is the (F, F) Gram matrix G of the normal equations and rhs their
+    (F, m) right-hand sides B; returns (F, m) weights. G + lambda I is
+    factorised once and every column of B is solved against it; the
+    triangular solves treat each column on its own, so no column's weights
+    depend on the others. ridge_lambda must be finite and >= 0; with 0, G
+    must be well conditioned.
     """
     if not non_negative(ridge_lambda):
         raise ValueError(f"ridge_lambda must be finite and >= 0, got {ridge_lambda!r}")
-    gram = x.T @ x
     if ridge_lambda == 0.0:
         eigs = np.linalg.eigvalsh(gram)
         if eigs[0] <= 1e-12 * max(1.0, eigs[-1]):
@@ -141,9 +140,7 @@ def solve_ridge(x: np.ndarray, y: np.ndarray, ridge_lambda: float) -> np.ndarray
                 "normal equations are singular with ridge_lambda=0 "
                 "(rank-deficient features); add ridge or more data"
             )
-    lhs = gram + ridge_lambda * np.eye(gram.shape[0])
-    rhs = (x.T @ np.swapaxes(y, 0, 1)).swapaxes(0, 1)  # (F, A, k): set a's columns at [:, a]
-    return np.linalg.solve(lhs, rhs.reshape(len(lhs), -1)).reshape(rhs.shape).swapaxes(0, 1)
+    return np.linalg.solve(gram + ridge_lambda * np.eye(len(gram)), rhs)
 
 
 def check_finite_histories(histories: np.ndarray) -> None:
@@ -192,9 +189,10 @@ def fit_goal_model(
     """Fit one independent ridge regressor per anchor step.
 
     Each anchor solves its normal equations in closed form for the ego-frame
-    anchor displacement, against one Gram matrix formed and factorised once
-    per fit (:func:`solve_ridge`); each anchor's weights stay independent of
-    the others. Only the anchor steps of the futures are turned into the ego
+    anchor displacement: the fit forms the Gram matrix X^T X once and every
+    anchor's right-hand sides X^T Y_a side by side, and solves them in one
+    :func:`solve_ridge`, so each anchor's weights stay independent of the
+    others. Only the anchor steps of the futures are turned into the ego
     frame, and targets and residuals are kept anchor-major, (A, N, 2).
     Residual covariances are the second moment of the held-out residuals
     (training residuals when no validation set is given), floored with
@@ -220,7 +218,9 @@ def fit_goal_model(
 
     x_train, y_train = design(train)
     x_hold, y_hold = (x_train, y_train) if holdout is train else design(holdout)
-    weights = solve_ridge(x_train, np.swapaxes(y_train, 0, 1), ridge_lambda)
+    rhs = (x_train.T @ y_train).swapaxes(0, 1)  # (F, A, 2): anchor a's columns at [:, a]
+    weights = solve_ridge(x_train.T @ x_train, rhs.reshape(len(rhs), -1), ridge_lambda)
+    weights = weights.reshape(rhs.shape).swapaxes(0, 1)  # (A, F, 2)
     resid = x_hold @ weights  # (A, N, 2)
     resid -= y_hold
     return GoalModelParams(

@@ -166,9 +166,10 @@ def fit_predictor(
 ) -> PredictorParams:
     """Fit a backbone plus its per-horizon error covariance table.
 
-    ar weights come from closed-form ridge normal equations on one-step
-    displacement prediction over each training series (ridge_lambda must be
-    finite and >= 0 for every backbone); the lag design is one strided view
+    ar weights solve the ridge normal equations of one-step displacement
+    prediction over each training series: the fit forms G = X^T X and
+    B = X^T Y and solves them with :func:`solve_ridge` (ridge_lambda must be
+    finite and >= 0 for every backbone); the lag design X is one strided view
     of the displacements, copied once. The covariance at step k is the
     second moment of the backbone's own vanilla-rollout errors at that
     horizon on the calibration split, floored with +1e-6 I and forced
@@ -195,7 +196,9 @@ def fit_predictor(
         # row (n, j) is disp[n, j : j + lag]: one read-only view, copied once
         windows = np.lib.stride_tricks.sliding_window_view(disp[:, :-1], lag, axis=1)
         feats = windows.swapaxes(2, 3).reshape(-1, 2 * lag)
-        (ar_weights,) = solve_ridge(feats, disp[:, lag:].reshape(-1, 1, 2), ridge_lambda)
+        # the targets' copy is a temporary, freed before the calibration rollouts
+        rhs = feats.T @ disp[:, lag:].reshape(-1, 2)
+        ar_weights = solve_ridge(feats.T @ feats, rhs, ridge_lambda)
 
     shape = {"window": window, "lag": lag, "ar_weights": ar_weights}
     flat = np.broadcast_to(np.eye(2), (train.horizon, 2, 2))
@@ -232,42 +235,42 @@ def _gain_table(prior: bytes, residual_covs: bytes, anchor_steps: tuple[int, ...
 
 
 def fit_ar_rls(pairs, forgetting: float = 1.0, delta: float = 1e-8) -> np.ndarray:
-    """Classical recursive least squares with exponential forgetting.
+    """Recursive least squares with exponential forgetting, in information form.
 
-    Processes a stream of (feature, target) pairs one at a time. With
-    forgetting 1 the result matches the batch ridge solution with ridge
-    delta; with forgetting < 1 it matches the exponentially weighted batch
-    solution. The recursion is well defined for any finite delta > 0. Every
-    pair must be finite and of the first pair's feature and target sizes; a
-    pair that is not is rejected by its index.
+    Processes a stream of (feature, target) pairs one at a time, recursing on
+    the normal equations G <- f G + x x^T and B <- f B + x y^T while the ridge
+    prior delta decays by f at each pair; the weights are :func:`solve_ridge`
+    of G and B with that prior as lambda. With forgetting 1 this is the batch
+    ridge solution with ridge delta; with forgetting < 1, the exponentially
+    weighted one. While the prior is positive, a feature the stream never
+    excites gets weight 0. Normal equations that are singular in floating
+    point raise a ``ValueError`` (two equal features, say, once the prior falls
+    below their rounding). Every pair must be finite and of the first pair's
+    feature and target sizes, else it is rejected by its index; the first
+    pair's target fixes the output: (F,) weights for a scalar, else (F, m).
     """
     if not (positive(forgetting) and forgetting <= 1.0):
         raise ValueError("forgetting factor must be in (0, 1]")
     if not positive(delta):
         raise ValueError("delta must be finite and positive")
-    weights = None
-    p = None
-    scalar_target = False
+    gram = rhs = scalar_target = None
     for i, (x, y) in enumerate(pairs):
         x = np.asarray(x, dtype=float).ravel()
-        y_arr = np.asarray(y, dtype=float)
-        scalar_target = y_arr.ndim == 0
-        y_arr = np.atleast_1d(y_arr)
-        if not (np.isfinite(x).all() and np.isfinite(y_arr).all()):
+        y = np.asarray(y, dtype=float)
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise ValueError(f"pair {i}: feature and target must be finite")
-        if weights is None:
-            weights = np.zeros((x.size, y_arr.size))
-            p = np.eye(x.size) / delta
-        elif (x.size, y_arr.size) != weights.shape:
-            raise ValueError(f"pair {i}: feature and target sizes {(x.size, y_arr.size)} "
-                             f"differ from the first pair's {weights.shape}")
-        px = p @ x
-        gain = px / (forgetting + x @ px)
-        weights = weights + np.outer(gain, y_arr - x @ weights)
-        p = (p - np.outer(gain, px)) / forgetting
-        p = 0.5 * (p + p.T)
-    if weights is None:
+        if gram is None:
+            gram, rhs = np.zeros((x.size, x.size)), np.zeros((x.size, y.size))
+            scalar_target = y.ndim == 0
+        elif (x.size, y.size) != rhs.shape:
+            raise ValueError(f"pair {i}: feature and target sizes {(x.size, y.size)} "
+                             f"differ from the first pair's {rhs.shape}")
+        gram = forgetting * gram + np.outer(x, x)
+        rhs = forgetting * rhs + np.outer(x, y)
+        delta *= forgetting
+    if gram is None:
         raise ValueError("at least one (feature, target) pair is required")
+    weights = solve_ridge(gram, rhs, delta)
     return weights[:, 0] if scalar_target else weights
 
 

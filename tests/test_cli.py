@@ -957,6 +957,21 @@ class TestEvalAndAblate:
         assert capsys.readouterr().err == f"error: --predictors: invalid value '{value}'\n"
         assert not out.exists()
 
+    def test_unknown_backbone_exits_2_before_any_file_is_read(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # every item of the list is a choice, checked before reading or fitting
+        def no_work(*args, **kwargs):
+            raise AssertionError("read or fitted before --predictors was checked")
+
+        for name in ("read_jsonl", "fit_goal_model", "fit_predictor"):
+            monkeypatch.setattr(f"trajrefine.cli.{name}", no_work)
+        out = tmp_path / "r.csv"
+        assert run("ablate", "--train", str(tmp_path / "train.jsonl"), "--test",
+                   str(tmp_path / "test.jsonl"), "--predictors", "cv,foo", "--out", str(out)) == 2
+        assert (capsys.readouterr().err
+                == "error: --predictors: invalid value 'cv,foo' (choose from cv, ca, ar)\n")
+        assert not out.exists()
+
     def test_ablate_test_protocol_mismatch_exits_2(self, tmp_path, capsys, monkeypatch):
         # the comparison needs only the two datasets, so it comes before any fit
         train = gen(tmp_path, "train.jsonl", n=30)
@@ -1016,7 +1031,7 @@ def test_every_protocol_mismatch_in_one_message_form(tmp_path, capsys, path):
 def test_choices_are_the_library_registries_and_help_lists_them(capsys, monkeypatch):
     options = {opt.flag: opt for opts, _, _ in COMMANDS.values() for opt in opts}
     assert options["scenario"].choices == tuple(s.replace("_", "-") for s in SCENARIOS)
-    assert options["predictor"].choices == BACKBONES
+    assert options["predictor"].choices == options["predictors"].choices == BACKBONES
     monkeypatch.setenv("COLUMNS", "100")  # argparse wraps help text to the terminal width
     for name, (opts, _, _) in COMMANDS.items():
         with pytest.raises(SystemExit) as exc_info:
@@ -1024,9 +1039,10 @@ def test_choices_are_the_library_registries_and_help_lists_them(capsys, monkeypa
         assert exc_info.value.code == 0
         text = capsys.readouterr().out
         for opt in opts:
-            if opt.choices:
+            if opt.choices and opt.flag != "predictors":  # a list option keeps its name
                 assert f"  --{opt.flag} {{{','.join(opt.choices)}}}" in text
-    assert "(default {cv} for cv, {ca} for ca)".format_map(WINDOWS) in text  # ablate's
+    assert "  --predictors PREDICTORS" in text  # ablate's
+    assert "(default {cv} for cv, {ca} for ca)".format_map(WINDOWS) in text
 
 
 class TestConfigFile:

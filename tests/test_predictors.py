@@ -411,6 +411,39 @@ class TestFitArRls:
         oracle = np.linalg.solve(gram, rhs)
         np.testing.assert_allclose(w, oracle, atol=1e-8)
 
+    def test_agrees_with_batch_solve_to_rounding(self):
+        # the recursion sums the batch normal equations, so only their rounding differs
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(80, 3))
+        y = x @ np.array([1.0, -2.0, 0.5]) + 0.05 * rng.normal(size=80)
+        w = fit_ar_rls(zip(x, y), forgetting=1.0, delta=1e-8)
+        oracle = np.linalg.solve(x.T @ x + 1e-8 * np.eye(3), x.T @ y)
+        assert np.abs(w - oracle).max() <= 1e-12
+
+    @pytest.mark.filterwarnings("error")
+    def test_feature_never_excited_gets_weight_zero(self):
+        # after 7000 pairs at 0.9, 1 / (0.9^t delta) overflows: the never-excited
+        # direction must rest on the decayed prior, not on its inverse
+        x0 = np.random.default_rng(44).normal(size=7000)
+        x = np.column_stack([x0, np.zeros_like(x0)])
+        w = fit_ar_rls(zip(x, 2.0 * x0), forgetting=0.9)
+        assert np.isfinite(w).all()
+        np.testing.assert_allclose(w, [2.0, 0.0], rtol=0, atol=1e-9)
+
+    def test_equal_features_raise_instead_of_nan(self):
+        # once the prior has decayed below their rounding, the equations are singular
+        x0 = np.random.default_rng(45).normal(size=5000)
+        x = np.column_stack([x0, x0])
+        with pytest.raises(ValueError):  # numpy's LinAlgError: "Singular matrix"
+            fit_ar_rls(zip(x, 3.0 * x0), forgetting=0.95)
+
+    @pytest.mark.parametrize("order", [(0, 1, 2), (0, 2, 1)])
+    def test_first_pair_fixes_the_output_shape(self, order):
+        v = np.array([1.0, 0.5])
+        pairs = [(v, 1.0), (2 * v, [2.0]), (3 * v, 3.0)]
+        assert fit_ar_rls([pairs[i] for i in order]).shape == (2,)
+        assert fit_ar_rls([(v, [1.0]), (2 * v, 2.0)]).shape == (2, 1)
+
     def test_forgetting_domain(self):
         with pytest.raises(ValueError):
             fit_ar_rls([(np.ones(1), 1.0)], forgetting=0.0)

@@ -27,11 +27,11 @@ def test_digest_prints_one_sha256_per_output_and_table():
     lines = done.stdout.splitlines()
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S.*", line) for line in lines)
     names = [line[66:] for line in lines]
-    # 84 outputs (30 CLI stdouts, 30 CLI files, 3 edited model files, 12 failing commands'
+    # 85 outputs (30 CLI stdouts, 30 CLI files, 3 edited model files, 13 failing commands'
     # exit codes and stderrs, 2 rounding files and 7 help texts) and 808 fitted tables
-    assert len(set(names)) == len(names) == 892
+    assert len(set(names)) == len(names) == 893
     assert sum(name.startswith("stdout ") for name in names) == 30
-    assert sum(name.startswith("error ") for name in names) == 12
+    assert sum(name.startswith("error ") for name in names) == 13
     assert sum(name.endswith((".jsonl", ".json", ".csv")) for name in names) == 35
     assert {"rounding.jsonl", "rounding_preds.jsonl", "model_ar_dt01.json",
             "model_ar_anchor30.json", "model_cv_ar_weights.json"} <= set(names)

@@ -110,7 +110,7 @@ class TestBooleanIsNotANumber:
         train = gen_synthetic("cv", 8, 0.1, seed=4)
         message = f"ridge_lambda must be finite and >= 0, got {value!r}"
         with raises(message):
-            solve_ridge(np.eye(2), np.ones((2, 1, 2)), value)
+            solve_ridge(np.eye(2), np.ones((2, 2)), value)
         with raises(message):
             fit_goal_model(train, ridge_lambda=value)
         with raises(message):

@@ -120,8 +120,9 @@ def failing() -> list[tuple[str, ...]]:
     """Commands after the script that exit non-zero: each of the protocol and
     future-length rules the CLI can break, on the files the script and
     EDITED_MODELS write, then fits of a window or lag out of range for the
-    backbone; none writes its --out file, and each of the last six names its
-    own, so that a tree on which one succeeds keeps what it wrote apart."""
+    backbone, then an ablation naming an unknown backbone; none writes its
+    --out file, and each of the last seven names its own, so that a tree on
+    which one succeeds keeps what it wrote apart."""
     fit = ("fit", "--train", "train.jsonl", "--out", "failed.json")
     return [
         (*fit, "--val", "dt01.jsonl"),
@@ -135,6 +136,8 @@ def failing() -> list[tuple[str, ...]]:
         *(("fit", "--train", "train.jsonl", "--predictor", bb, f"--{key}", value,
            "--out", f"failed_{bb}_{key}{value}.json")
           for bb, key, value in (("ca", "lag", "-5"), ("ca", "lag", "0"), ("ar", "window", "1"))),
+        ("ablate", "--train", "train.jsonl", "--test", "turn.jsonl", "--predictors", "cv,foo",
+         "--out", "failed_ablate_foo.csv"),
     ]
 
 
