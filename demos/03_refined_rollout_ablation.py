@@ -15,8 +15,7 @@ from trajrefine import (
     fit_goal_model,
     fit_predictor,
     gen_synthetic,
-    rollout_refined,
-    rollout_vanilla,
+    rollout_batch,
     run_ablation,
 )
 
@@ -45,17 +44,15 @@ print("delta   " + "".join(f"{d:+9.3f}" for d in report.deltas("ar")))
 
 print("\none segment up close:")
 seg = test.segments[0]
-v_last = rollout_vanilla(params, seg.history)[-1].mean
-r_last = rollout_refined(params, goal_params, seg.history)[-1].mean
+one = seg.history[None]  # (1, tau+1, 2)
+vanilla_means, _ = rollout_batch(params, one)
+refined_means, _ = rollout_batch(params, one, goal_params=goal_params)
 print("truth at 5 s:   ", np.round(seg.future[-1], 2))
-print("vanilla at 5 s: ", np.round(v_last, 2))
-print("refined at 5 s: ", np.round(r_last, 2))
+print("vanilla at 5 s: ", np.round(vanilla_means[0, -1], 2))
+print("refined at 5 s: ", np.round(refined_means[0, -1], 2))
 
 print("\nturning the goals off recovers the vanilla rollout exactly:")
 huge = RefineConfig(goal_cov_scale=1e12)
-muted = rollout_refined(params, goal_params, seg.history, cfg=huge)
-gap = max(
-    np.abs(m.mean - v.mean).max()
-    for m, v in zip(muted, rollout_vanilla(params, seg.history))
-)
+muted_means, _ = rollout_batch(params, one, goal_params=goal_params, cfg=huge)
+gap = np.abs(muted_means - vanilla_means).max()
 print(f"max gap with goal covariance scaled by 1e12: {gap:.2e} m")

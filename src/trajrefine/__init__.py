@@ -18,8 +18,8 @@ from .data import (
     split_dataset,
     write_jsonl,
 )
-from .fusion import Estimate, SingularInnovationError, fuse, gain_update, info_fuse
-from .gaussian import Cov2, cov_from_params, log_density, params_from_cov
+from .fusion import SingularInnovationError, fuse, gain_update, info_fuse
+from .gaussian import cov_from_params, log_density
 from .goals import GoalModelParams, fit_goal_model, goal_moments, world_covs
 from .metrics import AblationReport, AblationRow, Metrics, rmse, run_ablation
 from .predictors import (
@@ -27,10 +27,7 @@ from .predictors import (
     RefineConfig,
     fit_ar_rls,
     fit_predictor,
-    rollout,
     rollout_batch,
-    rollout_refined,
-    rollout_vanilla,
 )
 
 __version__ = "0.1.0"
@@ -38,9 +35,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AblationReport",
     "AblationRow",
-    "Cov2",
     "Dataset",
-    "Estimate",
     "GoalModelParams",
     "Metrics",
     "PredictorParams",
@@ -60,14 +55,10 @@ __all__ = [
     "goal_moments",
     "info_fuse",
     "log_density",
-    "params_from_cov",
     "parse_ngsim_csv",
     "read_jsonl",
     "rmse",
-    "rollout",
     "rollout_batch",
-    "rollout_refined",
-    "rollout_vanilla",
     "run_ablation",
     "split_dataset",
     "world_covs",

@@ -10,9 +10,13 @@ so uncertainty grows with the horizon the way the backbone's own rollout
 errors actually grow.
 
 :func:`rollout_batch` is the one rollout loop; it steps N segments at once,
-with a fixed count of numpy calls around the step loop whatever N.
-``rollout``, ``rollout_vanilla`` and ``rollout_refined`` are its one-segment
-adapters, three entry points to one body that checks the estimates once.
+with a fixed count of numpy calls around the step loop whatever N, and a
+single segment is its one-row case, ``history[None]``. ``rollout``,
+``rollout_vanilla`` and ``rollout_refined`` are the benchmark's one-segment
+entry points, three adapters to one body that checks the estimates once.
+They, :class:`~trajrefine.fusion.Estimate`, :class:`~trajrefine.gaussian.Cov2`
+and the scalar :func:`~trajrefine.gaussian.params_from_cov` are importable
+from their modules and are not part of the package API.
 """
 
 from __future__ import annotations
@@ -245,15 +249,19 @@ def fit_ar_rls(pairs, forgetting: float = 1.0, delta: float = 1e-8) -> np.ndarra
     weighted one. While the prior is positive, a feature the stream never
     excites gets weight 0. Normal equations that are singular in floating
     point raise a ``ValueError`` (two equal features, say, once the prior falls
-    below their rounding). Every pair must be finite and of the first pair's
-    feature and target sizes, else it is rejected by its index; the first
-    pair's target fixes the output: (F,) weights for a scalar, else (F, m).
+    below their rounding); at forgetting <= 0.5 the prior decays to exactly 0
+    (after 1049 pairs at 0.5 from 1e-8), and the error then names delta,
+    forgetting and the pair count. Every pair must be finite and of the first
+    pair's feature and target sizes, else it is rejected by its index; the
+    first pair's target fixes the output: (F,) weights for a scalar, else
+    (F, m).
     """
     if not (positive(forgetting) and forgetting <= 1.0):
         raise ValueError("forgetting factor must be in (0, 1]")
     if not positive(delta):
         raise ValueError("delta must be finite and positive")
     gram = rhs = scalar_target = None
+    prior = delta
     for i, (x, y) in enumerate(pairs):
         x = np.asarray(x, dtype=float).ravel()
         y = np.asarray(y, dtype=float)
@@ -267,10 +275,16 @@ def fit_ar_rls(pairs, forgetting: float = 1.0, delta: float = 1e-8) -> np.ndarra
                              f"differ from the first pair's {rhs.shape}")
         gram = forgetting * gram + np.outer(x, x)
         rhs = forgetting * rhs + np.outer(x, y)
-        delta *= forgetting
+        prior *= forgetting
     if gram is None:
         raise ValueError("at least one (feature, target) pair is required")
-    weights = solve_ridge(gram, rhs, delta)
+    try:
+        weights = solve_ridge(gram, rhs, prior)
+    except ValueError:
+        if prior:
+            raise
+        raise ValueError(f"normal equations are singular: the prior delta={delta!r} decayed "
+                         f"to 0 at forgetting={forgetting!r} over {i + 1} pairs") from None
     return weights[:, 0] if scalar_target else weights
 
 
@@ -390,7 +404,11 @@ def _one_segment(params, refine: bool, goal_params, history, horizon, cfg=Refine
 def rollout_vanilla(
     params: PredictorParams, history: np.ndarray, horizon: int | None = None
 ) -> list[Estimate]:
-    """Plain rollout of one (n, 2) history: no fusion, no feedback."""
+    """Plain rollout of one (n, 2) history: no fusion, no feedback.
+
+    A benchmark entry point, not part of the package API (module docstring);
+    the package's form is :func:`rollout_batch` of ``history[None]``.
+    """
     return _one_segment(params, False, None, history, horizon)
 
 
@@ -401,7 +419,11 @@ def rollout_refined(
     horizon: int | None = None,
     cfg: RefineConfig = RefineConfig(),
 ) -> list[Estimate]:
-    """Goal-refined rollout of one (n, 2) history; see :func:`rollout_batch`."""
+    """Goal-refined rollout of one (n, 2) history; see :func:`rollout_batch`.
+
+    A benchmark entry point, not part of the package API (module docstring);
+    the package's form is :func:`rollout_batch` of ``history[None]``.
+    """
     return _one_segment(params, True, goal_params, history, horizon, cfg)
 
 
@@ -412,5 +434,9 @@ def rollout(
     horizon: int | None = None,
     cfg: RefineConfig = RefineConfig(),
 ) -> list[Estimate]:
-    """Dispatch on cfg.refine_enabled; vanilla rollouts need no goal model."""
+    """Dispatch on cfg.refine_enabled; vanilla rollouts need no goal model.
+
+    A benchmark entry point, not part of the package API (module docstring);
+    the package's form is :func:`rollout_batch` of ``history[None]``.
+    """
     return _one_segment(params, cfg.refine_enabled, goal_params, history, horizon, cfg)

@@ -14,7 +14,8 @@ from trajrefine.cli import main as cli_main
 from trajrefine.fusion import fuse, info_fuse
 from trajrefine.gaussian import cov_from_params
 from trajrefine.goals import GoalModelParams
-from trajrefine.predictors import PredictorParams, RefineConfig, rollout_batch, rollout_refined
+from trajrefine.predictors import (PredictorParams, RefineConfig, rollout_batch, rollout_refined,
+                                   rollout_vanilla)
 
 
 @contextmanager
@@ -188,7 +189,7 @@ def test_criterion_5_limit_equivalences(lane_change_models):
         huge = RefineConfig(goal_cov_scale=1e12)
         tiny = RefineConfig(goal_cov_scale=1e-12)
         for seg in test.segments[:50]:
-            vanilla = tr.rollout_vanilla(params, seg.history)
+            vanilla = rollout_vanilla(params, seg.history)
             refined = rollout_refined(params, goal_params, seg.history, cfg=huge)
             gap = np.array([r.mean - v.mean for r, v in zip(refined, vanilla)])
             assert np.abs(gap).max() <= 1e-6

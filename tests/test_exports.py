@@ -1,4 +1,22 @@
+import importlib
+
+import pytest
+
 import trajrefine
+
+# the package API: the arrays rollout, the fitters, the goal and fusion functions
+EXPORTS = [
+    "AblationReport", "AblationRow", "Dataset", "GoalModelParams", "Metrics",
+    "PredictorParams", "RefineConfig", "Segment", "SingularInnovationError", "Track",
+    "cov_from_params", "downsample", "extract_segments", "fit_ar_rls", "fit_goal_model",
+    "fit_predictor", "fuse", "gain_update", "gen_synthetic", "goal_moments", "info_fuse",
+    "log_density", "parse_ngsim_csv", "read_jsonl", "rmse", "rollout_batch", "run_ablation",
+    "split_dataset", "world_covs", "write_jsonl",
+]
+# the benchmark's one-segment entry points, each bound only in its own module
+ONE_SEGMENT = {"rollout": "predictors", "rollout_vanilla": "predictors",
+               "rollout_refined": "predictors", "Estimate": "fusion", "Cov2": "gaussian",
+               "params_from_cov": "gaussian"}
 
 
 def test_every_exported_name_resolves():
@@ -12,3 +30,14 @@ def test_star_import_binds_every_exported_name():
     exec("from trajrefine import *", namespace)
     assert set(trajrefine.__all__) <= set(namespace)
 
+
+def test_the_package_exports_the_arrays_api():
+    assert sorted(trajrefine.__all__) == sorted(EXPORTS)
+    assert [name for name in EXPORTS if not hasattr(trajrefine, name)] == []
+
+
+@pytest.mark.parametrize("name,module", ONE_SEGMENT.items())
+def test_one_segment_entry_points_live_only_in_their_modules(name, module):
+    assert not hasattr(trajrefine, name)
+    assert name not in trajrefine.__all__
+    assert hasattr(importlib.import_module(f"trajrefine.{module}"), name)

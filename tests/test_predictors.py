@@ -437,6 +437,24 @@ class TestFitArRls:
         with pytest.raises(ValueError):  # numpy's LinAlgError: "Singular matrix"
             fit_ar_rls(zip(x, 3.0 * x0), forgetting=0.95)
 
+    def test_prior_decayed_to_zero_is_named_in_the_error(self):
+        # 1e-8 * 0.5**n rounds to exactly 0 at n = 1049; at 0.51 it stays at the
+        # least subnormal, which still gives the never-excited feature weight 0
+        x0 = np.random.default_rng(46).normal(size=1200)
+        x = np.column_stack([x0, np.zeros_like(x0)])
+        with pytest.raises(ValueError) as info:
+            fit_ar_rls(zip(x, 2.0 * x0), forgetting=0.5)
+        message = str(info.value)
+        assert "delta=1e-08" in message and "forgetting=0.5" in message
+        assert "1200 pairs" in message and "ridge_lambda" not in message
+        w = fit_ar_rls(zip(x, 2.0 * x0), forgetting=0.51)
+        np.testing.assert_allclose(w, [2.0, 0.0], rtol=0, atol=1e-9)
+
+    def test_well_excited_stream_solves_with_a_prior_decayed_to_zero(self):
+        x = np.random.default_rng(47).normal(size=(1200, 2))
+        w = fit_ar_rls(zip(x, x @ np.array([1.5, -0.5])), forgetting=0.5)
+        np.testing.assert_allclose(w, [1.5, -0.5], rtol=0, atol=1e-9)
+
     @pytest.mark.parametrize("order", [(0, 1, 2), (0, 2, 1)])
     def test_first_pair_fixes_the_output_shape(self, order):
         v = np.array([1.0, 0.5])

@@ -85,3 +85,35 @@ def test_code_lines_print_each_module_and_their_total(capsys):
     counts = [tuple(map(int, row.split()[1:])) for row in rows]
     assert counts == [code_lines.counts(path.read_text(encoding="utf-8")) for path in modules]
     assert total.split() == ["total", *map(str, map(sum, zip(*counts)))]
+
+
+def commit_package(root: Path) -> None:
+    """A git repository at ``root`` whose one commit holds a two-module package."""
+    package = root / "src" / "trajrefine"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text('"""Docstring."""\n\nVALUE = 1\n', encoding="utf-8")
+    (package / "thing.py").write_text(MODULE, encoding="utf-8")
+    for args in (["init", "-q"], ["add", "-A"], ["-c", "user.name=t", "-c", "user.email=t@t",
+                                                  "commit", "-q", "-m", "package"]):
+        subprocess.run(["git", *args], cwd=root, check=True, capture_output=True)
+
+
+def test_code_lines_against_an_equal_base_change_nothing(tmp_path, monkeypatch, capsys):
+    commit_package(tmp_path)
+    monkeypatch.setattr(code_lines, "ROOT", tmp_path)
+    assert code_lines.main(["--base", "HEAD"]) == 0
+    header, *rows, total, against = capsys.readouterr().out.splitlines()
+    assert header.split() == ["module", "lines", "code", "lines+-", "code+-"]
+    assert [row.split()[0] for row in rows] == ["__init__.py", "thing.py"]
+    assert total.split() == ["total", "30", "13", "+0", "+0"]
+    assert all(row.split()[3:] == ["+0", "+0"] for row in rows)
+    assert against == "change against HEAD"
+
+
+def test_code_lines_reject_a_base_git_cannot_resolve(tmp_path, monkeypatch, capsys):
+    commit_package(tmp_path)
+    monkeypatch.setattr(code_lines, "ROOT", tmp_path)
+    assert code_lines.main(["--base", "no-such-rev"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: git cannot resolve 'no-such-rev' to a commit\n"

@@ -3,7 +3,7 @@
 A code line is one that is not blank, not comment-only and not part of a
 docstring. With ``--base REV`` each count is also given as its change
 against the module at git revision REV; a module missing on one side
-counts 0 there.
+counts 0 there. Exit code 1 means git cannot resolve REV to a commit.
 
     python tools/code_lines.py [--base REV]
 """
@@ -51,6 +51,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", help="git revision to give each change against")
     base = parser.parse_args(argv).base
+    if base and not git("rev-parse", "--verify", "--quiet", f"{base}^{{commit}}"):
+        print(f"error: git cannot resolve {base!r} to a commit", file=sys.stderr)
+        return 1
     names = {path.name for path in (ROOT / PACKAGE).glob("*.py")}
     if base:
         names |= {Path(p).name for p in git("ls-tree", "--name-only", f"{base}:{PACKAGE}").split()
