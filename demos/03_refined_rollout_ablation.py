@@ -10,14 +10,7 @@ drift. The ablation table reports RMSE per horizon for both variants.
 
 import numpy as np
 
-from trajrefine import (
-    RefineConfig,
-    fit_goal_model,
-    fit_predictor,
-    gen_synthetic,
-    rollout_batch,
-    run_ablation,
-)
+from trajrefine import fit_goal_model, fit_predictor, gen_synthetic, rollout_batch, run_ablation
 
 print("generating corpora (lane change, 0.2 m position noise) ...")
 train = gen_synthetic("lane_change", 1200, 0.2, seed=11)
@@ -52,7 +45,6 @@ print("vanilla at 5 s: ", np.round(vanilla_means[0, -1], 2))
 print("refined at 5 s: ", np.round(refined_means[0, -1], 2))
 
 print("\nturning the goals off recovers the vanilla rollout exactly:")
-huge = RefineConfig(goal_cov_scale=1e12)
-muted_means, _ = rollout_batch(params, one, goal_params=goal_params, cfg=huge)
+muted_means, _ = rollout_batch(params, one, goal_params=goal_params, goal_cov_scale=1e12)
 gap = np.abs(muted_means - vanilla_means).max()
 print(f"max gap with goal covariance scaled by 1e12: {gap:.2e} m")

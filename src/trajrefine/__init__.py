@@ -24,7 +24,6 @@ from .goals import GoalModelParams, fit_goal_model, goal_moments, world_covs
 from .metrics import AblationReport, AblationRow, Metrics, rmse, run_ablation
 from .predictors import (
     PredictorParams,
-    RefineConfig,
     fit_ar_rls,
     fit_predictor,
     rollout_batch,
@@ -39,7 +38,6 @@ __all__ = [
     "GoalModelParams",
     "Metrics",
     "PredictorParams",
-    "RefineConfig",
     "Segment",
     "SingularInnovationError",
     "Track",

@@ -24,6 +24,7 @@ from .data import (
     SCENARIOS,
     Dataset,
     check_protocol,
+    checked_positive,
     downsample,
     extract_segments,
     gen_synthetic,
@@ -44,7 +45,6 @@ from .predictors import (
     BACKBONES,
     WINDOWS,
     PredictorParams,
-    RefineConfig,
     fit_predictor,
     model_protocol,
     rollout_batch,
@@ -117,10 +117,9 @@ def _load_config(path: str) -> dict[str, str]:
             line = re.split(r"(?<!\S)#", line, maxsplit=1)[0].strip()
             if not line:
                 continue
-            if "=" not in line:
+            key, eq, value = line.partition("=")
+            if not (eq and (key := key.strip().replace("-", "_"))):  # no "=", or no key
                 raise ValueError(f"{path}: line {lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
             if (first := first_line.setdefault(key, lineno)) != lineno:
                 raise ValueError(f"{path}: line {lineno}: key {key!r} repeats line {first}")
             values[key] = value.strip()
@@ -301,7 +300,8 @@ _MODEL_OPTS = [
     Opt("rotate", _on_off, choices=("on", "off"), help="ego-frame rotation"),
 ]
 
-_REFINE_OPTS = [Opt("goal-cov-scale", float)]
+# checked here, so a bad scale is rejected before any file is read
+_REFINE_OPTS = [Opt("goal-cov-scale", lambda raw: checked_positive("goal_cov_scale", float(raw)))]
 
 _FIT_OPTS = [
     Opt("train", str, required=True, help="training dataset JSONL"),
@@ -333,10 +333,6 @@ def _fit_models(o, backbones, test: Dataset | None = None) -> tuple[Dataset, dic
                    for bb in backbones}
 
 
-def _refine_config(o) -> RefineConfig:
-    return RefineConfig(**_given(goal_cov_scale=o.goal_cov_scale))
-
-
 def _traces(steps, covs: np.ndarray) -> str:
     return " ".join(f"{s}:{t:.4f}" for s, t in zip(steps, covs[:, 0, 0] + covs[:, 1, 1]))
 
@@ -365,13 +361,13 @@ _PREDICT_OPTS = [
 def cmd_predict(o) -> int:
     predictor, goal_model, protocol = load_model(o.model)
     ds = read_jsonl(o.data)
-    cfg = _refine_config(o)
     mode = "refined" if o.refine else "vanilla"
     means, sigmas = np.empty((0, ds.horizon, 2)), np.empty((0, ds.horizon, 3))
     if ds.segments:
         require_protocol(vars(ds), protocol, protocol, o.data, "models'")
         goals = goal_model if o.refine else None
-        means, covs = rollout_batch(predictor, ds.histories(), ds.horizon, goals, cfg)
+        means, covs = rollout_batch(predictor, ds.histories(), ds.horizon, goals,
+                                    **_given(goal_cov_scale=o.goal_cov_scale))
         sigmas = params_from_covs(covs)
     write_predictions(o.out, [seg.segment_id for seg in ds.segments], means, sigmas, mode)
     print(f"wrote {len(ds)} {mode} predictions to {o.out}")
@@ -421,7 +417,7 @@ _ABLATE_OPTS = [
 def cmd_ablate(o) -> int:
     test = _read_segments(o.test)
     _, models = _fit_models(o, o.predictors, test)
-    report = run_ablation(test, models, _refine_config(o))
+    report = run_ablation(test, models, **_given(goal_cov_scale=o.goal_cov_scale))
     with open(o.out, "w", encoding="utf-8") as fh:
         fh.write(report.to_csv())
     for backbone in sorted(models):

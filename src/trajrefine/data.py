@@ -60,11 +60,17 @@ def plain(value):
     return value.item() if isinstance(value, np.generic) else value
 
 
+def checked_positive(name: str, value):
+    """``value`` as :func:`plain` gives it, which must be :func:`positive`, else rejected
+    as ``<name> must be finite and positive``."""
+    if not positive(value := plain(value)):
+        raise ValueError(f"{name} must be finite and positive")
+    return value
+
+
 def checked_dt(dt):
-    """``dt`` as :func:`plain` gives it, which must be :func:`positive`."""
-    if not positive(dt := plain(dt)):
-        raise ValueError("dt must be finite and positive")
-    return dt
+    """``dt`` as :func:`checked_positive` gives it."""
+    return checked_positive("dt", dt)
 
 
 def read_only(a: np.ndarray) -> np.ndarray:
@@ -300,8 +306,10 @@ def _exact_rows(fh, columns: list[int]) -> tuple[np.ndarray, list[int], str | No
             continue
         try:
             rows.append([float(row[c]) for c in columns])
-        except (ValueError, IndexError) as exc:
-            return np.array(rows).reshape(-1, 4), lines, f"line {lineno}: {exc}"
+        except (ValueError, IndexError) as exc:  # a short row: name the first field it lacks
+            lacks = (name for name, c in zip(NGSIM_COLUMNS, columns) if c >= len(row))
+            why = f"no {next(lacks)} field" if isinstance(exc, IndexError) else exc
+            return np.array(rows).reshape(-1, 4), lines, f"line {lineno}: {why}"
         lines.append(lineno)
     return np.array(rows).reshape(-1, 4), lines, None
 

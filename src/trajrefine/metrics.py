@@ -7,10 +7,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .data import Dataset, require_protocol
+from .data import Dataset, checked_positive, require_protocol
 from .goals import GoalModelParams
-from .predictors import (PredictorParams, RefineConfig, _measure_goals, _step, model_protocol,
-                         rollout_batch)
+from .predictors import PredictorParams, _measure_goals, _step, model_protocol, rollout_batch
 
 
 @dataclass(frozen=True)
@@ -119,7 +118,7 @@ class AblationReport:
 def run_ablation(
     test: Dataset,
     models: dict[str, tuple[PredictorParams, GoalModelParams]],
-    cfg: RefineConfig = RefineConfig(),
+    goal_cov_scale: float = 1.0,
 ) -> AblationReport:
     """Evaluate every fitted backbone with refinement off and on.
 
@@ -127,11 +126,13 @@ def run_ablation(
     pair's protocol (:func:`model_protocol`) must share the test dt and tau
     (:func:`require_protocol`), checked before the pair is rolled out. Segments
     are evaluated in dataset order, so the report is deterministic. The goal
-    measurement depends on the goal model, the histories and ``cfg`` alone,
+    measurement depends on the goal model, the histories and goal_cov_scale alone,
     so it is made once per distinct goal model object and passed, as one
     value, to the steps of the backbones that use it; the report is the same
-    as with one ``rollout_batch`` per backbone.
+    as with one ``rollout_batch`` per backbone. goal_cov_scale is
+    :func:`rollout_batch`'s, checked before any rollout.
     """
+    scale = checked_positive("goal_cov_scale", goal_cov_scale)
     if not test.segments:
         raise ValueError("test set is empty")
     if not models:
@@ -144,7 +145,7 @@ def run_ablation(
                          test.source or "test set", f"{backbone} models'")
         vanilla_means, _ = rollout_batch(params, histories, horizon)
         if goal_params not in measured:
-            measured[goal_params] = _measure_goals(goal_params, histories, horizon, cfg)
+            measured[goal_params] = _measure_goals(goal_params, histories, horizon, scale)
         refined_means, _ = _step(params, histories, horizon, measured[goal_params])
         rows.append(AblationRow(backbone, False, rmse(vanilla_means, test)))
         rows.append(AblationRow(backbone, True, rmse(refined_means, test)))

@@ -14,9 +14,10 @@ with a fixed count of numpy calls around the step loop whatever N, and a
 single segment is its one-row case, ``history[None]``. ``rollout``,
 ``rollout_vanilla`` and ``rollout_refined`` are the benchmark's one-segment
 entry points, three adapters to one body that checks the estimates once.
-They, :class:`~trajrefine.fusion.Estimate`, :class:`~trajrefine.gaussian.Cov2`
-and the scalar :func:`~trajrefine.gaussian.params_from_cov` are importable
-from their modules and are not part of the package API.
+They, their :class:`RefineConfig`, :class:`~trajrefine.fusion.Estimate`,
+:class:`~trajrefine.gaussian.Cov2` and the scalar
+:func:`~trajrefine.gaussian.params_from_cov` are importable from their modules
+and are not part of the package API.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .data import Dataset, check_protocol, checked_dt, non_negative, positive, read_only, whole
+from .data import (Dataset, check_protocol, checked_dt, checked_positive, non_negative, positive,
+                   read_only, whole)
 from .fusion import (Estimate, SingularInnovationError, estimates_from_arrays, gain_table,
                      rotated_gains)
 from .gaussian import cov_entries
@@ -62,7 +64,7 @@ class PredictorParams:
     ar_weights: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.backbone not in WINDOWS:
+        if not isinstance(self.backbone, str) or self.backbone not in WINDOWS:
             raise ValueError(f"unknown backbone {self.backbone!r}; valid: {BACKBONES}")
         least = WINDOWS[self.backbone]
         object.__setattr__(self, "dt", checked_dt(self.dt))
@@ -133,20 +135,16 @@ class PredictorParams:
 
 @dataclass(frozen=True)
 class RefineConfig:
-    """Refinement loop knobs.
-
-    goal_cov_scale multiplies every goal measurement covariance (1e12
-    recovers the vanilla rollout, 1e-12 snaps the output onto the goals).
-    refine_enabled selects between refined and vanilla in :func:`rollout`;
-    a refined rollout rejects a config with refine_enabled False.
+    """The one-segment adapters' knobs: refine_enabled selects between refined and
+    vanilla in :func:`rollout`, and :func:`rollout_refined` rejects it False;
+    goal_cov_scale is :func:`rollout_batch`'s.
     """
 
     refine_enabled: bool = True
     goal_cov_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if not positive(self.goal_cov_scale):
-            raise ValueError("goal_cov_scale must be finite and positive")
+        checked_positive("goal_cov_scale", self.goal_cov_scale)
 
 
 @lru_cache(maxsize=None)
@@ -258,8 +256,7 @@ def fit_ar_rls(pairs, forgetting: float = 1.0, delta: float = 1e-8) -> np.ndarra
     """
     if not (positive(forgetting) and forgetting <= 1.0):
         raise ValueError("forgetting factor must be in (0, 1]")
-    if not positive(delta):
-        raise ValueError("delta must be finite and positive")
+    checked_positive("delta", delta)
     gram = rhs = scalar_target = None
     prior = delta
     for i, (x, y) in enumerate(pairs):
@@ -293,7 +290,7 @@ def rollout_batch(
     histories: np.ndarray,
     horizon: int | None = None,
     goal_params: GoalModelParams | None = None,
-    cfg: RefineConfig = RefineConfig(),
+    goal_cov_scale: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Roll N segments out together; the one rollout loop of the package.
 
@@ -314,10 +311,13 @@ def rollout_batch(
     N), so a fused step is elementwise work on (2, N) planes; the means are
     a transposed view of its last T rows. horizon must be an integer; an
     empty batch returns (0, T, 2) means and (0, T, 2, 2) covariances.
-    Pass no goal model for vanilla: with one, cfg.refine_enabled must be True.
+    goal_cov_scale multiplies every goal measurement covariance (1e12 recovers
+    the vanilla rollout, 1e-12 snaps the output onto the goals); it must be
+    finite and positive, with or without a goal model.
     A singular innovation raises SingularInnovationError with the step and the
     (segment,) index of the first singular entry, at the earliest step.
     """
+    scale = checked_positive("goal_cov_scale", goal_cov_scale)
     histories = np.asarray(histories, dtype=float)
     horizon = params.horizon if horizon is None else whole("horizon", horizon)
     need = params.buffer_len
@@ -336,19 +336,17 @@ def rollout_batch(
             f"rollout horizon of {params.horizon} steps exceeded at step "
             f"{params.horizon + 1}"
         )
-    goals = None if goal_params is None else _measure_goals(goal_params, histories, horizon, cfg)
+    goals = None if goal_params is None else _measure_goals(goal_params, histories, horizon, scale)
     return _step(params, histories, horizon, goals)
 
 
-def _measure_goals(goal_params: GoalModelParams, histories: np.ndarray, horizon: int, cfg):
+def _measure_goals(goal_params: GoalModelParams, histories: np.ndarray, horizon: int, scale):
     """What backbones that share a goal model share: the (T, 2, N) planes of the goal
     measurement means, the (N, 2, 2) ego rotations and the goal model's part of the
-    :func:`_gain_table` key. A goal model refines only with cfg.refine_enabled True."""
-    if not cfg.refine_enabled:
-        raise ValueError("refine_enabled is False, but a goal model was given to refine with")
+    :func:`_gain_table` key, with ``scale`` a checked goal_cov_scale."""
     goal_means, rot = goal_moments(goal_params, histories)
     z = interpolate_goals(goal_params.anchor_steps, histories[:, -1], goal_means, horizon)
-    key = goal_params.residual_covs.tobytes(), goal_params.anchor_steps, cfg.goal_cov_scale
+    key = goal_params.residual_covs.tobytes(), goal_params.anchor_steps, scale
     return z.transpose(1, 2, 0), rot, key
 
 
@@ -394,10 +392,14 @@ def _step(params: PredictorParams, histories: np.ndarray, horizon: int, goals):
 
 def _one_segment(params, refine: bool, goal_params, history, horizon, cfg=RefineConfig()):
     """The one-segment adapters' body: :func:`rollout_batch` of one (n, 2)
-    history, refined by ``goal_params`` if ``refine``, as checked estimates."""
+    history, refined by ``goal_params`` if ``refine``, as checked estimates; a
+    refined rollout needs a goal model and cfg.refine_enabled True."""
     if refine and goal_params is None:
         raise ValueError("refined rollout requires a goal model")
-    means, covs = rollout_batch(params, [history], horizon, goal_params if refine else None, cfg)
+    if refine and not cfg.refine_enabled:
+        raise ValueError("refine_enabled is False, but a goal model was given to refine with")
+    means, covs = rollout_batch(params, [history], horizon, goal_params if refine else None,
+                                cfg.goal_cov_scale)
     return estimates_from_arrays(means[0], covs[0])
 
 

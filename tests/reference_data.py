@@ -101,8 +101,10 @@ def parse_ngsim_csv(path: str) -> list[tuple[int, float, np.ndarray]]:
             try:
                 vid, frame = float(row[iv]), float(row[i_f])
                 x, y = float(row[ix]), float(row[iy])
-            except (ValueError, IndexError) as exc:
-                unreadable = f"{path}: line {lineno}: {exc}"
+            except (ValueError, IndexError) as exc:  # a short row names the field it lacks
+                lacks = [c for c, i in zip(NGSIM_COLUMNS, (iv, i_f, ix, iy)) if i >= len(row)]
+                unreadable = f"{path}: line {lineno}: " + (
+                    f"no {lacks[0]} field" if isinstance(exc, IndexError) else str(exc))
                 break
             vids.append(vid)
             frames.append(frame)

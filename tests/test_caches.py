@@ -6,8 +6,7 @@ import pytest
 
 from trajrefine.data import gen_synthetic
 from trajrefine.goals import _interpolation_table, fit_goal_model, interpolate_goals
-from trajrefine.predictors import (PredictorParams, RefineConfig, _gain_table, fit_predictor,
-                                   rollout_batch)
+from trajrefine.predictors import PredictorParams, _gain_table, fit_predictor, rollout_batch
 
 ANCHORS = (3, 10, 25)
 
@@ -110,7 +109,7 @@ def test_tables_built_once_per_params(fitted):
 
 
 def test_gain_table_built_once_per_tables(fitted):
-    # the gain table depends on the prior and goal tables and the config, not
+    # the gain table depends on the prior and goal tables and the scale, not
     # on the segments: one read-only entry serves every call and every refit
     # to equal tables; the refined covariances are read-only and symmetric
     train, params, goal_params = fitted
@@ -121,7 +120,7 @@ def test_gain_table_built_once_per_tables(fitted):
     _, covs = rollout_batch(params, histories[:1], None, refit)
     after = _gain_table.cache_info()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
-    rollout_batch(params, histories, None, goal_params, RefineConfig(goal_cov_scale=0.25))
+    rollout_batch(params, histories, None, goal_params, goal_cov_scale=0.25)
     assert _gain_table.cache_info().misses == after.misses + 1
     table = _gain_table(params.step_covs.tobytes(), goal_params.residual_covs.tobytes(),
                         goal_params.anchor_steps, 1.0)

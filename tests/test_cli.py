@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 import reference_data
+import trajrefine.cli as cli
 from trajrefine.cli import COMMANDS, MODEL_SCHEMA, load_model, main, save_model
 from trajrefine.data import SCENARIOS, gen_synthetic, read_jsonl, round6, write_jsonl
 from trajrefine.gaussian import Cov2, params_from_cov, params_from_covs
 from trajrefine.goals import fit_goal_model
-from trajrefine.predictors import (BACKBONES, WINDOWS, RefineConfig, fit_predictor,
-                                   rollout_batch, rollout_refined)
+from trajrefine.predictors import BACKBONES, WINDOWS, fit_predictor, rollout_batch, rollout_refined
 
 
 def run(*argv):
@@ -681,6 +681,19 @@ class TestModelSchema:
             f"object, got {json.dumps(value)}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("backbone", [["ar"], {"a": 1}], ids=["array", "object"])
+    def test_a_backbone_that_is_not_a_string_is_named(self, tmp_path, capsys, model_doc,
+                                                      backbone):
+        # failed with "unhashable type: 'list'"
+        train, doc = model_doc
+        code, out = predict_with(tmp_path, train,
+                                 {**doc, "predictor": {**doc["predictor"], "backbone": backbone}})
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'model.json'}: invalid model file: unknown backbone "
+            f"{backbone!r}; valid: ('cv', 'ca', 'ar')\n")
+        assert not out.exists()
+
     def test_huge_residual_covariance_is_named_singular_quietly(self, tmp_path, capsys,
                                                                 model_doc):
         # GoalModelParams accepts [1e160, 0, 1] (its determinant is finite); predict
@@ -703,6 +716,51 @@ class TestModelSchema:
         assert not out.exists()
 
 
+class TestGoalCovScale:
+    """--goal-cov-scale has the library's one rule, checked before any file is read."""
+
+    @pytest.fixture
+    def unread(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a file was read or a model fitted")
+
+        for name in ("load_model", "read_jsonl", "fit_predictor", "fit_goal_model"):
+            monkeypatch.setattr(cli, name, fail)
+
+    INPUTS = {"predict": ("--model", "m.json", "--data", "d.jsonl"),
+              "ablate": ("--train", "t.jsonl", "--test", "t.jsonl", "--predictors", "cv,ca,ar")}
+
+    @pytest.mark.parametrize("value", ["0", "-0.0", "-1", "inf", "nan"])
+    @pytest.mark.parametrize("command", ["predict", "ablate"])
+    def test_bad_flag_rejected_before_any_file_is_read(self, tmp_path, capsys, unread,
+                                                       command, value):
+        # both read and fitted everything first, then exited 2 naming goal_cov_scale
+        out = tmp_path / "out"
+        assert run(command, *self.INPUTS[command], "--out", str(out),
+                   "--goal-cov-scale", value) == 2
+        assert capsys.readouterr().err == f"error: --goal-cov-scale: invalid value {value!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("refine", [(), ("--refine", "off")], ids=["on", "off"])
+    @pytest.mark.parametrize("command", ["predict", "ablate"])
+    def test_bad_config_value_rejected_before_any_file_is_read(self, tmp_path, capsys, unread,
+                                                               command, refine):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("goal_cov_scale = 0\n")
+        refine = refine if command == "predict" else ()
+        assert run(command, *self.INPUTS[command], *refine, "--out", str(tmp_path / "out"),
+                   "--config", str(cfg)) == 2
+        assert capsys.readouterr().err == "error: --goal-cov-scale: invalid value '0'\n"
+
+    def test_vanilla_predict_still_rejects_a_bad_scale(self, tmp_path, capsys):
+        train = gen(tmp_path, "train.jsonl", n=30)
+        out = tmp_path / "p.jsonl"
+        assert run("predict", "--model", str(fit(tmp_path, train)), "--data", str(train),
+                   "--refine", "off", "--goal-cov-scale", "-1", "--out", str(out)) == 2
+        assert capsys.readouterr().err == "error: --goal-cov-scale: invalid value '-1'\n"
+        assert not out.exists()
+
+
 class TestEvalAndAblate:
     def test_full_precision_sigmas_of_older_files_give_the_same_csv(self, tmp_path):
         # older predict runs wrote the sigmas at full precision; eval reads only the means
@@ -713,8 +771,7 @@ class TestEvalAndAblate:
         assert run("predict", "--model", str(model), "--data", str(test), "--out", str(new)) == 0
         params, goal_params, _ = load_model(str(model))
         ds = read_jsonl(str(test))
-        means, covs = rollout_batch(params, ds.histories(), goal_params=goal_params,
-                                    cfg=RefineConfig())
+        means, covs = rollout_batch(params, ds.histories(), goal_params=goal_params)
         old.write_text("".join(
             json.dumps({"segment_id": seg.segment_id, "means": round6(m).tolist(),
                         "sigmas": params_from_covs(c).tolist(), "mode": "refined"},
@@ -1153,12 +1210,17 @@ class TestConfigFile:
                    "--n", "7", "--noise", "0.1") == 0
         assert out.read_bytes() == expected.read_bytes()
 
-    def test_line_without_equals_names_file_and_line(self, tmp_path, capsys):
+    # an empty key was "unknown config keys: " with a blank name
+    @pytest.mark.parametrize("text,line", [
+        ("n = 7\nnoise 0.1\n", 2), ("= 3\n", 1), ("n = 7\n  = 3  # no key\n", 2),
+    ], ids=["no-equals", "empty-key", "blank-key"])
+    def test_line_without_key_and_equals_names_file_and_line(self, tmp_path, capsys, text,
+                                                             line):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("n = 7\nnoise 0.1\n")
+        cfg.write_text(text)
         assert run("gen-synth", "--scenario", "cv", "--out", str(tmp_path / "o.jsonl"),
                    "--config", str(cfg)) == 2
-        assert capsys.readouterr().err == f"error: {cfg}: line 2: expected 'key = value'\n"
+        assert capsys.readouterr().err == f"error: {cfg}: line {line}: expected 'key = value'\n"
 
     @pytest.mark.parametrize("text,line", [
         ("n = 3\nseed = 1\nn = 5\n", 1), ("noise = 0.1\nn = 3\n\n# again\nn = 3\n", 2),
@@ -1225,7 +1287,7 @@ class TestDefaultsFollowLibrary:
                    "--out", str(out)) == 0
         params, goal_params, _ = load_model(str(model))
         means, covs = rollout_batch(params, read_jsonl(str(test)).histories(),
-                                    goal_params=goal_params, cfg=RefineConfig())
+                                    goal_params=goal_params)
         lines = [json.loads(line) for line in out.read_text().splitlines()]
         assert [line["means"] for line in lines] == [round6(m).tolist() for m in means]
         sigmas = [reference_data.outward([params_from_cov(Cov2(c[0, 0], 0.5 * (c[0, 1] + c[1, 0]),

@@ -60,6 +60,9 @@ DEFECTIVE_LINES = [
     (["1,0,1.0,0.0", '1,1,1.0,0.0,"a\nb\nc"', "", "1,2,x,0.0"],
      "line 7: could not convert string to float: 'x'"),
     (['1,0,1.0,0.0,"a\n\nb"', "1,-1,1.0,0.0"], "line 5: negative frame id -1"),
+    # a short row names the first field it lacks (was "list index out of range")
+    (["1,1,0"], "line 2: no Local_Y field"),
+    (["1,0,1.0,0.0", "1"], "line 3: no Frame_ID field"),
 ]
 
 
@@ -252,6 +255,7 @@ DIFFERENTIAL_CASES = {
     "only_blank_rows": NGSIM_HEADER + "\n \n,,,\n",
     # row lengths
     "short_row": NGSIM_HEADER + "1,0,1.0,0.0\n1,1,2.0\n",
+    "short_row_reordered": "Local_Y,Vehicle_ID,Frame_ID,Local_X\n0,1,1\n",
     "short_row_after_fault": NGSIM_HEADER + "1,0,1.0,0.0\n1,0,1.0,0.0\n1,1\n",
     "extra_columns": NGSIM_HEADER + "1,0,1.0,0.0,7\n1,1,2.0,0.0,8,9,10\n",
     "empty_field": NGSIM_HEADER + "1,,1.0,0.0\n",

@@ -234,8 +234,7 @@ class TestPredict:
         want = []
         if n:
             means, covs = cli.rollout_batch(predictor, ds.histories(), ds.horizon,
-                                            goal_model if refine == "on" else None,
-                                            cli.RefineConfig())
+                                            goal_model if refine == "on" else None)
             mode = "refined" if refine == "on" else "vanilla"
             want = [reference_data.prediction_line(seg.segment_id, m, s, mode)
                     for seg, m, s in zip(ds.segments, means, params_from_covs(covs))]

@@ -5,7 +5,7 @@ from trajrefine import predictors
 from trajrefine.data import Dataset, Segment, gen_synthetic
 from trajrefine.goals import fit_goal_model, goal_moments
 from trajrefine.metrics import AblationReport, AblationRow, rmse, run_ablation
-from trajrefine.predictors import RefineConfig, fit_predictor, rollout_batch
+from trajrefine.predictors import fit_predictor, rollout_batch
 
 
 def tiny_dataset(futures, dt=0.2):
@@ -137,7 +137,7 @@ class TestRunAblation:
 
     def test_huge_goal_cov_makes_rows_identical(self, fitted):
         test, models = fitted
-        report = run_ablation(test, models, RefineConfig(goal_cov_scale=1e12))
+        report = run_ablation(test, models, goal_cov_scale=1e12)
         for backbone in models:
             off = report.metrics_for(backbone, False)
             on = report.metrics_for(backbone, True)
@@ -224,7 +224,7 @@ class TestRunAblation:
         params = {bb: fit_predictor(bb, train, **kw) for bb, kw in kwargs.items()}
         shared = fit_goal_model(train, (3, 10, 17))
         equal = [fit_goal_model(train, (3, 10, 17)) for _ in params]  # distinct objects
-        cfg = RefineConfig(goal_cov_scale=3.0)
+        scale = 3.0
         calls = []
 
         def counted(goal_params, histories):
@@ -232,10 +232,10 @@ class TestRunAblation:
             return goal_moments(goal_params, histories)
 
         monkeypatch.setattr(predictors, "goal_moments", counted)
-        one = run_ablation(test, {bb: (p, shared) for bb, p in params.items()}, cfg)
+        one = run_ablation(test, {bb: (p, shared) for bb, p in params.items()}, scale)
         assert calls == [shared]
         calls.clear()
-        many = run_ablation(test, {bb: (p, g) for (bb, p), g in zip(params.items(), equal)}, cfg)
+        many = run_ablation(test, {bb: (p, g) for (bb, p), g in zip(params.items(), equal)}, scale)
         assert sorted(map(id, calls)) == sorted(map(id, equal))
         monkeypatch.undo()
 
@@ -248,6 +248,6 @@ class TestRunAblation:
         for bb in sorted(params):
             for refined in (False, True):
                 means, _ = rollout_batch(params[bb], test.histories(), test.horizon,
-                                         shared if refined else None, cfg)
+                                         shared if refined else None, scale)
                 rows.append(AblationRow(bb, refined, rmse(means, test)))
         assert bits(one) == bits(many) == bits(AblationReport(tuple(rows)))

@@ -11,7 +11,6 @@ from trajrefine.goals import (
     fit_goal_model,
     goal_moments,
 )
-from trajrefine.metrics import run_ablation
 from trajrefine.predictors import (
     PredictorParams,
     RefineConfig,
@@ -260,6 +259,13 @@ class TestFitPredictor:
     def test_unknown_backbone(self):
         with pytest.raises(ValueError, match="backbone"):
             fit_predictor("lstm", gen_synthetic("cv", 5, 0.0, seed=1))
+
+    @pytest.mark.parametrize("backbone", [["ar"], {"a": 1}], ids=["array", "object"])
+    def test_backbone_that_is_not_a_string_is_named(self, backbone):
+        # raised TypeError: unhashable type
+        with pytest.raises(ValueError) as exc:
+            PredictorParams(backbone, DT, np.eye(2)[None])
+        assert str(exc.value) == f"unknown backbone {backbone!r}; valid: ('cv', 'ca', 'ar')"
 
     def test_trace_monotonicity_enforced_in_params(self):
         covs = [2.0 * np.eye(2), np.eye(2)]
@@ -573,16 +579,13 @@ class TestRefineConfig:
             RefineConfig(**kw)
 
     def test_disabled_refinement_rejected_by_every_refined_rollout(self, fitted_lane_change):
-        # rollout_batch, rollout_refined and run_ablation refined without a word
+        # rollout_refined refined without a word
         train, params, goal_params, _ = fitted_lane_change
         off = RefineConfig(refine_enabled=False)
         histories = train.histories()[:3]
         message = "^refine_enabled is False, but a goal model was given to refine with$"
-        for refined in (lambda: rollout_batch(params, histories, None, goal_params, off),
-                        lambda: rollout_refined(params, goal_params, histories[0], cfg=off),
-                        lambda: run_ablation(train, {"ar": (params, goal_params)}, off)):
-            with pytest.raises(ValueError, match=message):
-                refined()
+        with pytest.raises(ValueError, match=message):
+            rollout_refined(params, goal_params, histories[0], cfg=off)
         # rollout dispatches on the flag, with or without a goal model
         vanilla = [e.mean for e in rollout_vanilla(params, histories[0])]
         for goals in (None, goal_params):
@@ -688,6 +691,5 @@ def test_refined_covariances_are_definite_at_any_goal_scale(backbone):
     test = gen_synthetic("lane_change", 20, 0.2, seed=102)
     params, goals = fit_predictor(backbone, train), fit_goal_model(train)
     for scale in (1e-12, 1e-6, 1.0, 1e12):
-        _, covs = rollout_batch(params, test.histories(), test.horizon, goals,
-                                RefineConfig(goal_cov_scale=scale))
+        _, covs = rollout_batch(params, test.histories(), test.horizon, goals, scale)
         params_from_covs(covs)  # raises unless every covariance is finite and PD

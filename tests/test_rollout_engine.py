@@ -86,13 +86,13 @@ def test_vanilla_matches_reference(fitted, backbone):
         assert_matches(covs[i], ref_covs)
 
 
-@pytest.mark.parametrize("cfg", [RefineConfig()], ids=["fused"])
+@pytest.mark.parametrize("goal_cov_scale", [1.0], ids=["fused"])
 @pytest.mark.parametrize("anchors", ANCHOR_SETS)
 @pytest.mark.parametrize("backbone", BACKBONES)
-def test_refined_matches_reference(fitted, backbone, anchors, cfg):
+def test_refined_matches_reference(fitted, backbone, anchors, goal_cov_scale):
     _, test, predictors, goals = fitted
     params, goal_params = predictors[backbone], goals[anchors]
-    means, covs = rollout_batch(params, test.histories(), None, goal_params, cfg)
+    means, covs = rollout_batch(params, test.histories(), None, goal_params, goal_cov_scale)
     for i, seg in enumerate(test.segments):
         ref_means, ref_covs = ref.rollout_refined(
             params, goal_params, seg.history, params.horizon
@@ -122,14 +122,14 @@ def strided_loop_means(params, goal_params, histories):
     return means
 
 
-@pytest.mark.parametrize("cfg", [RefineConfig()], ids=["fused"])
+@pytest.mark.parametrize("goal_cov_scale", [1.0], ids=["fused"])
 @pytest.mark.parametrize("n", (1, 37, 200))
 @pytest.mark.parametrize("backbone", ("cv", "ca3", "ar3"))
-def test_refined_means_bitwise_equal_the_strided_loop(fitted, backbone, n, cfg):
+def test_refined_means_bitwise_equal_the_strided_loop(fitted, backbone, n, goal_cov_scale):
     train, _, predictors, goals = fitted
     params, goal_params = predictors[backbone], goals["sparse"]
     histories = train.histories()[:n]
-    means, _ = rollout_batch(params, histories, None, goal_params, cfg)
+    means, _ = rollout_batch(params, histories, None, goal_params, goal_cov_scale)
     assert_bitwise(means, strided_loop_means(params, goal_params, histories))
 
 
@@ -170,18 +170,14 @@ def test_empty_batch_returns_empty_arrays(fitted, backbone, fusion):
     assert means.shape == (0, 25, 2) and covs.shape == (0, 25, 2, 2)
 
 
-@pytest.mark.parametrize("cfg", [
-    RefineConfig(),
-    RefineConfig(goal_cov_scale=1e-3),
-    RefineConfig(goal_cov_scale=40.0),
-])
-def test_refine_config_matches_reference(fitted, cfg):
+@pytest.mark.parametrize("goal_cov_scale", [1.0, 1e-3, 40.0])
+def test_goal_cov_scale_matches_reference(fitted, goal_cov_scale):
     _, test, predictors, goals = fitted
     params, goal_params = predictors["ar3"], goals["irregular"]
-    means, covs = rollout_batch(params, test.histories(), 20, goal_params, cfg)
+    means, covs = rollout_batch(params, test.histories(), 20, goal_params, goal_cov_scale)
     for i, seg in enumerate(test.segments):
         ref_means, ref_covs = ref.rollout_refined(
-            params, goal_params, seg.history, 20, goal_cov_scale=cfg.goal_cov_scale,
+            params, goal_params, seg.history, 20, goal_cov_scale=goal_cov_scale,
         )
         assert_matches(means[i], ref_means)
         assert_matches(covs[i], ref_covs)
@@ -279,7 +275,7 @@ def test_batch_equals_single_calls(fitted, anchors, rotate):
     for params in predictors.values():
         for goal_params in (None, goal_model):
             cfg = RefineConfig(refine_enabled=goal_params is not None)
-            means, covs = rollout_batch(params, histories, None, goal_params, cfg)
+            means, covs = rollout_batch(params, histories, None, goal_params)
             for i, history in enumerate(histories):
                 single = rollout(params, goal_params, history, None, cfg)
                 single_means = [e.mean for e in single]
@@ -289,8 +285,7 @@ def test_batch_equals_single_calls(fitted, anchors, rotate):
                 # the adapter converts its one-row batch without rounding;
                 # rows of a larger batch may differ in the last bit because
                 # BLAS picks its matmul kernel by the batch size
-                row_means, row_covs = rollout_batch(
-                    params, history[None], None, goal_params, cfg)
+                row_means, row_covs = rollout_batch(params, history[None], None, goal_params)
                 assert_bitwise(row_means[0], single_means)
                 assert_bitwise(row_covs[0], single_covs)
 
@@ -312,8 +307,8 @@ def test_other_history_forms_give_the_bytes_of_float64_arrays(fitted, form):
                    interpolate_goals(steps, as_float[:, -1], goal_means, 25))
     for gp in (None, goal_params):
         cfg = RefineConfig(refine_enabled=gp is not None)
-        for got, want in zip(rollout_batch(params, given, None, gp, cfg),
-                             rollout_batch(params, as_float, None, gp, cfg)):
+        for got, want in zip(rollout_batch(params, given, None, gp),
+                             rollout_batch(params, as_float, None, gp)):
             assert_bitwise(got, want)
         got, want = (rollout(params, gp, h, None, cfg) for h in (given[0], as_float[0]))
         assert_bitwise([e.mean for e in got], [e.mean for e in want])

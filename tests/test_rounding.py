@@ -235,7 +235,7 @@ def test_predict_at_a_tiny_goal_covariance(tmp_path):
                          "--goal-cov-scale", "1e-12"]) == 0
     predictor, goal_model, _ = cli.load_model(model)
     _, covs = cli.rollout_batch(predictor, read_jsonl(test).histories(), 25, goal_model,
-                                cli.RefineConfig(goal_cov_scale=1e-12))
+                                goal_cov_scale=1e-12)
     params = params_from_covs(covs).reshape(-1, 3)
     with open(out, encoding="utf-8") as fh:
         written = np.array([json.loads(line)["sigmas"] for line in fh]).reshape(-1, 3)

@@ -17,14 +17,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trajrefine.metrics as metrics
 from trajrefine.cli import load_model, main, save_model
-from trajrefine.data import (Dataset, Segment, gen_synthetic, non_negative, positive,
-                             read_jsonl, whole, write_jsonl)
+from trajrefine.data import (Dataset, Segment, checked_positive, gen_synthetic, non_negative,
+                             positive, read_jsonl, whole, write_jsonl)
 from trajrefine.fusion import fuse
 from trajrefine.gaussian import (Cov2, cov_from_params, log_density, params_from_cov,
                                  params_from_covs, pd_rule, psd_rule)
 from trajrefine.goals import GoalModelParams, fit_goal_model, solve_ridge
-from trajrefine.predictors import PredictorParams, RefineConfig, fit_ar_rls, fit_predictor
+from trajrefine.metrics import run_ablation
+from trajrefine.predictors import (PredictorParams, RefineConfig, fit_ar_rls, fit_predictor,
+                                   rollout_batch)
 
 POINTS = np.zeros((2, 2))
 BOOLEANS = [True, False, np.True_, np.False_]
@@ -247,6 +250,40 @@ def test_every_caller_keeps_the_one_rule(sxx, a, b, syy, symmetric):
     assert accepted(PredictorParams, "cv", 0.2, cov[None]) == bool(stored and psd_rule(sxx, a, syy))
     assert (accepted(GoalModelParams, (1,), (np.zeros((2, 2)),), cov[None], 2)
             == bool(stored and pd_rule(sxx, a, syy)))
+
+
+class TestOneGoalCovScaleRule:
+    """goal_cov_scale is a float argument of rollout_batch and run_ablation, with
+    RefineConfig's rule and message (data.checked_positive) wherever it is taken."""
+
+    MESSAGE = "goal_cov_scale must be finite and positive"
+
+    @pytest.fixture(scope="class")
+    def fitted(self):
+        train = gen_synthetic("cv", 8, 0.1, seed=4)
+        return train, fit_predictor("cv", train), fit_goal_model(train)
+
+    @pytest.mark.parametrize("value", [0, -0.0, -1, np.inf, np.nan, True])
+    def test_every_taker_rejects_a_bad_scale(self, fitted, monkeypatch, value):
+        train, params, goal_params = fitted
+        with raises(self.MESSAGE):
+            RefineConfig(goal_cov_scale=value)
+        for goals in (None, goal_params):  # with or without a goal model
+            with raises(self.MESSAGE):
+                rollout_batch(params, train.histories(), None, goals, value)
+
+        def unrolled(*args, **kwargs):
+            raise AssertionError("rolled out before the scale was checked")
+
+        for name in ("rollout_batch", "_measure_goals", "_step"):
+            monkeypatch.setattr(metrics, name, unrolled)
+        with raises(self.MESSAGE):
+            run_ablation(train, {"cv": (params, goal_params)}, value)
+
+    @pytest.mark.parametrize("value,plain", [(np.float64(0.5), 0.5), (np.int64(2), 2), (3.0, 3.0)])
+    def test_checked_positive_returns_a_plain_number(self, value, plain):
+        got = checked_positive("x", value)
+        assert got == plain and type(got) is type(plain)
 
 
 class TestNumpyScalarDtIsStoredAsAPlainNumber:

@@ -3,7 +3,8 @@
 The script runs every subcommand, with each model-file field at a non-default
 value in one fit; then a fixed list of commands that must fail, each with a
 protocol mismatch, a short future, a model file holding a field its backbone
-does not take or a window or lag out of range, on relative paths; then the
+does not take, a window or lag out of range or a goal covariance scale out of
+range, on relative paths; then the
 tree's own dataset and predictions writers write fixed values at the 6-decimal
 rounding boundaries; the grid makes 437 fits of cv, ca, ar and goal models.
 Each command's stdout, output file and fitted table, each failing command's
@@ -111,6 +112,7 @@ EDITED_MODELS = {
     "model_ar_dt01.json": ("model_ar.json", "protocol", "dt", 0.1),
     "model_ar_anchor30.json": ("model_ar.json", "goal_model", "anchor_steps", [5, 10, 15, 20, 30]),
     "model_cv_ar_weights.json": ("model_cv.json", "predictor", "ar_weights", [[float("nan"), 1.0]]),
+    "model_ar_backbone_list.json": ("model_ar.json", "predictor", "backbone", ["ar"]),
 }
 # the subcommands whose --help text is hashed, after the top level's
 SUBCOMMANDS = ("gen-synth", "ingest-ngsim", "fit", "predict", "eval", "ablate")
@@ -120,10 +122,14 @@ def failing() -> list[tuple[str, ...]]:
     """Commands after the script that exit non-zero: each of the protocol and
     future-length rules the CLI can break, on the files the script and
     EDITED_MODELS write, then fits of a window or lag out of range for the
-    backbone, then an ablation naming an unknown backbone; none writes its
-    --out file, and each of the last seven names its own, so that a tree on
-    which one succeeds keeps what it wrote apart."""
+    backbone, then an ablation naming an unknown backbone, then a predict and
+    an ablation with a goal covariance scale out of range; none writes its
+    --out file, and each of the last ten names its own, so that a tree on
+    which one succeeds keeps what it wrote apart. Commands added later come
+    last, a later edited model's included, so that no earlier name moves."""
     fit = ("fit", "--train", "train.jsonl", "--out", "failed.json")
+    edited = [("predict", "--model", name, "--data", "test.jsonl", "--out", f"failed_{name}l")
+              for name in EDITED_MODELS]
     return [
         (*fit, "--val", "dt01.jsonl"),
         (*fit, "--val", "short.jsonl"),
@@ -131,13 +137,17 @@ def failing() -> list[tuple[str, ...]]:
         (*fit, "--anchors", "5,30"),
         ("predict", "--model", "model_ar.json", "--data", "dt01.jsonl", "--out", "failed.jsonl"),
         ("ablate", "--train", "train.jsonl", "--test", "dt01.jsonl", "--out", "failed.csv"),
-        *(("predict", "--model", name, "--data", "test.jsonl", "--out", f"failed_{name}l")
-          for name in EDITED_MODELS),
+        *edited[:3],
         *(("fit", "--train", "train.jsonl", "--predictor", bb, f"--{key}", value,
            "--out", f"failed_{bb}_{key}{value}.json")
           for bb, key, value in (("ca", "lag", "-5"), ("ca", "lag", "0"), ("ar", "window", "1"))),
         ("ablate", "--train", "train.jsonl", "--test", "turn.jsonl", "--predictors", "cv,foo",
          "--out", "failed_ablate_foo.csv"),
+        *edited[3:],
+        ("predict", "--model", "model_ar.json", "--data", "test.jsonl", "--goal-cov-scale", "0",
+         "--out", "failed_scale0.jsonl"),
+        ("ablate", "--train", "train.jsonl", "--test", "turn.jsonl", "--goal-cov-scale", "nan",
+         "--out", "failed_scale_nan.csv"),
     ]
 
 
