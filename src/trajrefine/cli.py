@@ -38,7 +38,7 @@ from .data import (
     write_jsonl,
     write_predictions,
 )
-from .gaussian import params_from_covs
+from .gaussian import cov_entries, params_from_covs
 from .goals import GoalModelParams, fit_goal_model
 from .metrics import AblationReport, AblationRow, rmse, run_ablation
 from .predictors import (
@@ -368,7 +368,12 @@ def cmd_predict(o) -> int:
         goals = goal_model if o.refine else None
         means, covs = rollout_batch(predictor, ds.histories(), ds.horizon, goals,
                                     **_given(goal_cov_scale=o.goal_cov_scale))
-        sigmas = params_from_covs(covs)
+        try:
+            sigmas = params_from_covs(covs)
+        except ValueError as exc:  # name the first covariance at fault
+            i, k = np.argwhere(~cov_entries(covs, definite=True)[4])[0]
+            raise ValueError(f"{o.data}: segment {ds.segments[i].segment_id}: step {k + 1}: {exc} "
+                             f"({mode}, goal_cov_scale={o.goal_cov_scale or 1.0!r})") from None
     write_predictions(o.out, [seg.segment_id for seg in ds.segments], means, sigmas, mode)
     print(f"wrote {len(ds)} {mode} predictions to {o.out}")
     return 0

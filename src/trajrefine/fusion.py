@@ -18,6 +18,7 @@ the means. Inputs are judged by :func:`~trajrefine.gaussian.cov_entries`.
 from __future__ import annotations
 
 from itertools import repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -42,17 +43,26 @@ class SingularInnovationError(ValueError):
         self.index = index
 
 
-class Estimate:
-    """A (2,) mean in meters and its covariance, as the adapters return it.
+class Estimate(tuple):
+    """A (2,) mean in meters and its :class:`~trajrefine.gaussian.Cov2`, as the
+    adapters return it: the tuple ``Estimate((mean, cov))``, made by tuple's
+    own constructor, so :func:`estimates_from_arrays` runs no Python code per
+    record.
 
-    Compared and hashed by identity: a field-wise ``==`` would compare the
-    mean arrays, whose truth value is ambiguous.
+    Compared and hashed by identity, also against the tuple of its own
+    fields: a field-wise ``==`` would compare the mean arrays, whose truth
+    value is ambiguous.
     """
 
-    __slots__ = ("mean", "cov")
+    __slots__ = ()
+    mean, cov = property(itemgetter(0)), property(itemgetter(1))
+    __hash__ = object.__hash__
 
-    def __init__(self, mean: np.ndarray, cov: Cov2):
-        self.mean, self.cov = mean, cov
+    def __eq__(self, other):
+        return self is other
+
+    def __ne__(self, other):
+        return self is not other
 
 
 def estimates_from_arrays(means: np.ndarray, covs: np.ndarray) -> list[Estimate]:
@@ -61,7 +71,7 @@ def estimates_from_arrays(means: np.ndarray, covs: np.ndarray) -> list[Estimate]
     means, _, (sxx, sxy, syy) = _checked(np.asarray(means, dtype=float).reshape(-1, 2),
                                          np.asarray(covs, dtype=float).reshape(-1, 2, 2))
     entries = zip(sxx.tolist(), sxy.tolist(), syy.tolist())
-    return list(map(Estimate, means, map(tuple.__new__, repeat(Cov2), entries)))
+    return list(map(Estimate, zip(means, map(tuple.__new__, repeat(Cov2), entries))))
 
 
 def _checked(means, covs, definite: bool = False) -> tuple[np.ndarray, np.ndarray, tuple]:

@@ -80,27 +80,35 @@ def cov_entries(covs, definite: bool = False, symmetric: bool = False):
     """The package's covariance rule: (sxx, sxy, syy, finite, valid) of (..., 2, 2)
     covariances, sxy the mean of the off-diagonals; per covariance, ``finite``
     if every entry and the determinant are, ``valid`` if also PSD by :func:`psd_rule`
-    (PD by :func:`pd_rule` if ``definite``), with equal off-diagonals if ``symmetric``."""
+    (PD by :func:`pd_rule` if ``definite``), with equal off-diagonals if ``symmetric``;
+    sxx * syy and the determinant are computed once, for both tests."""
     c = np.asarray(covs, dtype=float)
     sxx, syy, upper, lower = c[..., 0, 0], c[..., 1, 1], c[..., 0, 1], c[..., 1, 0]
     with np.errstate(over="ignore", invalid="ignore"):  # such entries fail the rules
         sxy = 0.5 * (upper + lower)
-        finite = np.isfinite(sxx * syy - sxy * sxy)  # NaN or infinite if an entry is
-        valid = finite & (pd_rule if definite else psd_rule)(sxx, sxy, syy)
+        # the determinant is NaN or infinite if an entry is
+        finite = np.isfinite(det := (prod := sxx * syy) - sxy * sxy)
+        valid = finite & _rule(definite, sxx, syy, prod, det)
     return sxx, sxy, syy, finite, (valid & (upper == lower) if symmetric else valid)
 
 
 def pd_rule(sxx, sxy, syy):
     """The positive-definite rule on covariance entries, floats or arrays (elementwise):
     sxx > 0 and a determinant > 0, which give syy > 0; a NaN entry fails it."""
-    return (sxx > 0.0) & (sxx * syy - sxy * sxy > 0.0)
+    return _rule(True, sxx, syy, prod := sxx * syy, prod - sxy * sxy)
 
 
 def psd_rule(sxx, sxy, syy):
     """The PSD rule, tolerant by PSD_TOL, on covariance entries as
     :func:`pd_rule` takes them; a NaN entry fails it."""
-    return ((sxx >= -PSD_TOL) & (syy >= -PSD_TOL)
-            & (sxx * syy - sxy * sxy >= -PSD_TOL * np.maximum(1.0, sxx * syy)))
+    return _rule(False, sxx, syy, prod := sxx * syy, prod - sxy * sxy)
+
+
+def _rule(definite: bool, sxx, syy, prod, det):
+    """:func:`pd_rule` if ``definite``, else :func:`psd_rule`, of the diagonal
+    entries, their product and the determinant."""
+    return ((sxx > 0.0) & (det > 0.0) if definite else
+            (sxx >= -PSD_TOL) & (syy >= -PSD_TOL) & (det >= -PSD_TOL * np.maximum(1.0, prod)))
 
 
 def log_density(mean: np.ndarray, cov: np.ndarray, point: np.ndarray) -> np.ndarray:

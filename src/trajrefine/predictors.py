@@ -229,11 +229,17 @@ def _gain_table(prior: bytes, residual_covs: bytes, anchor_steps: tuple[int, ...
     """Read-only :func:`gain_table` of a (T, 2, 2) prior table and the scaled
     ego-frame measurement table of a goal model. Neither depends on the
     segments, so the tables are keyed by their bytes: repeated calls, and
-    refits to equal tables, share one entry."""
+    refits to equal tables, share one entry. A scale that makes the table
+    overflow is named in a ValueError; it is checked on a cache miss only."""
     prior_covs = np.frombuffer(prior).reshape(-1, 2, 2)
     covs = np.frombuffer(residual_covs).reshape(-1, 2, 2)
     ego = interpolate_covs(anchor_steps, covs, len(prior_covs))
-    return read_only(gain_table(prior_covs, goal_cov_scale * ego))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+        table = gain_table(prior_covs, goal_cov_scale * ego)
+    if not np.isfinite(table).all():
+        raise ValueError(f"goal_cov_scale={goal_cov_scale!r} makes a goal measurement "
+                         "covariance, or its sum with a step covariance, overflow")
+    return read_only(table)
 
 
 def fit_ar_rls(pairs, forgetting: float = 1.0, delta: float = 1e-8) -> np.ndarray:
@@ -313,7 +319,8 @@ def rollout_batch(
     empty batch returns (0, T, 2) means and (0, T, 2, 2) covariances.
     goal_cov_scale multiplies every goal measurement covariance (1e12 recovers
     the vanilla rollout, 1e-12 snaps the output onto the goals); it must be
-    finite and positive, with or without a goal model.
+    finite and positive, with or without a goal model, and a scale that
+    overflows a goal measurement covariance is rejected by name.
     A singular innovation raises SingularInnovationError with the step and the
     (segment,) index of the first singular entry, at the earliest step.
     """
@@ -374,16 +381,17 @@ def _step(params: PredictorParams, histories: np.ndarray, horizon: int, goals):
             step = exc.index[0] + 1
             raise SingularInnovationError(f"step {step}: {exc}", step, exc.index[1:]) from exc
         covs = post.swapaxes(0, 1)
-        # work[i, j] = K[i, j] d[j] for j < 2 and work[i, 2] = raw[i], so the
-        # sum over j is (K d)_i + raw_i in the order of a 2x2 matvec
-        work, d = np.empty((2, 3, n)), np.empty((2, n))
-        raw, kd = work[:, 2], work[:, :2]
-        raw_t, matmul, multiply, subtract = raw.T, np.matmul, np.multiply, np.subtract
-        reduce = np.add.reduce  # each looked up once, not at each of the T steps
-        for window, z_k, gain, row in zip(windows, z, gains.transpose(0, 2, 3, 1), rows):
+        # work[j, i] = K[i, j] d[j] for j < 2 and work[2, i] = raw[i], so the sum
+        # over j is (K d)_i + raw_i in the order of a 2x2 matvec; the raw plane
+        # is contiguous, so the backbone's matmul writes one block at N = 1
+        work, d = np.empty((3, 2, n)), np.empty((2, 1, n))  # d[j, 0] = z[j] - raw[j]
+        kd, raw_j, raw_t = work[:2], work[2, :, None], work[2].T
+        # each looked up once, not at each of the T steps
+        matmul, multiply, subtract, reduce = np.matmul, np.multiply, np.subtract, np.add.reduce
+        for window, zk, gain, row in zip(windows, z[:, :, None], gains.transpose(0, 3, 2, 1), rows):
             matmul(window, weights, raw_t)
-            multiply(gain, subtract(z_k, raw, d), kd)
-            reduce(work, 1, None, row)
+            multiply(gain, subtract(zk, raw_j, d), kd)
+            reduce(work, 0, None, row)
     means = rows.transpose(2, 0, 1)
     if not np.isfinite(means).all():
         raise ValueError("rollout produced non-finite positions")

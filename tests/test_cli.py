@@ -761,6 +761,48 @@ class TestGoalCovScale:
         assert not out.exists()
 
 
+class TestGoalCovScaleOutOfRange:
+    """A finite, positive --goal-cov-scale can still be too large or too small for the
+    model: each is named, and no predictions file is written."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("scale")
+        train, val = gen(tmp_path, "train.jsonl", n=30), gen(tmp_path, "val.jsonl", n=30, seed=12)
+        # calibrated on held-out data, the goal covariances' largest entry exceeds 1
+        return tmp_path, train, fit(tmp_path, train, extra=("--val", str(val)))
+
+    def predict(self, files, scale) -> tuple[int, Path]:
+        tmp_path, train, model = files
+        out = tmp_path / f"p{scale}.jsonl"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return run("predict", "--model", str(model), "--data", str(train),
+                       "--goal-cov-scale", scale, "--out", str(out)), out
+
+    def test_an_overflowing_scale_is_named_quietly(self, capsys, files):
+        # warned "overflow encountered in multiply" and exited 2 with "rollout produced
+        # non-finite positions", or ended in a traceback with warnings as errors
+        code, out = self.predict(files, "1e308")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: goal_cov_scale=1e+308 makes a goal measurement covariance, or its sum "
+            "with a step covariance, overflow\n")
+        assert not out.exists()
+        assert self.predict(files, "1e300")[0] == 0
+
+    @pytest.mark.parametrize("scale", ["1e-200", "1e-300"])
+    def test_a_covariance_that_is_not_pd_is_placed(self, capsys, files, scale):
+        # exited 2 with "covariance is not positive definite", naming no segment or step
+        code, out = self.predict(files, scale)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {files[1]}: segment lane_change-00000: step 1: covariance is not "
+            f"positive definite (refined, goal_cov_scale={float(scale)!r})\n")
+        assert not out.exists()
+        assert self.predict(files, "1e-100")[0] == 0
+
+
 class TestEvalAndAblate:
     def test_full_precision_sigmas_of_older_files_give_the_same_csv(self, tmp_path):
         # older predict runs wrote the sigmas at full precision; eval reads only the means

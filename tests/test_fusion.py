@@ -1,3 +1,5 @@
+import copy
+import pickle
 import warnings
 from fractions import Fraction
 
@@ -337,15 +339,29 @@ class TestInputChecks:
 
 class TestEstimate:
     def test_equality_and_hash_are_identity(self):
-        a = Estimate(np.array([1.0, 2.0]), Cov2(1.0, 0.0, 1.0))
-        b = Estimate(np.array([1.0, 2.0]), Cov2(1.0, 0.0, 1.0))
+        a = Estimate((np.array([1.0, 2.0]), Cov2(1.0, 0.0, 1.0)))
+        b = Estimate((np.array([1.0, 2.0]), Cov2(1.0, 0.0, 1.0)))
         assert a == a and a != b
         assert hash(a) == hash(a) and isinstance(hash(b), int)
+
+    def test_unequal_to_the_tuple_of_its_own_fields(self):
+        # a tuple record with object's __eq__ lets the tuple's own compare field by field
+        a = Estimate((np.array([1.0, 2.0]), Cov2(1.0, 0.0, 1.0)))
+        fields = (a.mean, a.cov)
+        assert not a == fields and a != fields
+        assert not fields == a and fields != a
+        assert tuple(a) == fields
+
+    def test_copies_and_pickles_to_an_equal_record(self):
+        a = Estimate((np.array([1.0, 2.0]), Cov2(1.0, 0.0, 1.0)))
+        for b in (copy.copy(a), pickle.loads(pickle.dumps(a))):
+            assert type(b) is Estimate and b is not a
+            assert b.mean.tobytes() == a.mean.tobytes() and b.cov == a.cov
 
 
 def per_object(means, covs):
     """The records an array check lets through, built entry by entry."""
-    return [Estimate(m, Cov2(c[0, 0], 0.5 * (c[0, 1] + c[1, 0]), c[1, 1]))
+    return [Estimate((m, Cov2(c[0, 0], 0.5 * (c[0, 1] + c[1, 0]), c[1, 1])))
             for m, c in zip(means, covs)]
 
 

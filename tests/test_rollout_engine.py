@@ -123,11 +123,13 @@ def strided_loop_means(params, goal_params, histories):
 
 
 @pytest.mark.parametrize("goal_cov_scale", [1.0], ids=["fused"])
+@pytest.mark.parametrize("anchors", ANCHOR_SETS)
 @pytest.mark.parametrize("n", (1, 37, 200))
 @pytest.mark.parametrize("backbone", ("cv", "ca3", "ar3"))
-def test_refined_means_bitwise_equal_the_strided_loop(fitted, backbone, n, goal_cov_scale):
+def test_refined_means_bitwise_equal_the_strided_loop(fitted, backbone, n, anchors,
+                                                      goal_cov_scale):
     train, _, predictors, goals = fitted
-    params, goal_params = predictors[backbone], goals["sparse"]
+    params, goal_params = predictors[backbone], goals[anchors]
     histories = train.histories()[:n]
     means, _ = rollout_batch(params, histories, None, goal_params, goal_cov_scale)
     assert_bitwise(means, strided_loop_means(params, goal_params, histories))

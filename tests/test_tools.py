@@ -27,11 +27,11 @@ def test_digest_prints_one_sha256_per_output_and_table():
     lines = done.stdout.splitlines()
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S.*", line) for line in lines)
     names = [line[66:] for line in lines]
-    # 89 outputs (30 CLI stdouts, 30 CLI files, 4 edited model files, 16 failing commands'
+    # 91 outputs (30 CLI stdouts, 30 CLI files, 4 edited model files, 18 failing commands'
     # exit codes and stderrs, 2 rounding files and 7 help texts) and 808 fitted tables
-    assert len(set(names)) == len(names) == 897
+    assert len(set(names)) == len(names) == 899
     assert sum(name.startswith("stdout ") for name in names) == 30
-    assert sum(name.startswith("error ") for name in names) == 16
+    assert sum(name.startswith("error ") for name in names) == 18
     assert sum(name.endswith((".jsonl", ".json", ".csv")) for name in names) == 36
     assert {"rounding.jsonl", "rounding_preds.jsonl", "model_ar_dt01.json",
             "model_ar_anchor30.json", "model_cv_ar_weights.json",

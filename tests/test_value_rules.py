@@ -24,7 +24,7 @@ from trajrefine.data import (Dataset, Segment, checked_positive, gen_synthetic, 
 from trajrefine.fusion import fuse
 from trajrefine.gaussian import (Cov2, cov_from_params, log_density, params_from_cov,
                                  params_from_covs, pd_rule, psd_rule)
-from trajrefine.goals import GoalModelParams, fit_goal_model, solve_ridge
+from trajrefine.goals import GoalModelParams, fit_goal_model, interpolate_covs, solve_ridge
 from trajrefine.metrics import run_ablation
 from trajrefine.predictors import (PredictorParams, RefineConfig, fit_ar_rls, fit_predictor,
                                    rollout_batch)
@@ -279,6 +279,35 @@ class TestOneGoalCovScaleRule:
             monkeypatch.setattr(metrics, name, unrolled)
         with raises(self.MESSAGE):
             run_ablation(train, {"cv": (params, goal_params)}, value)
+
+    @pytest.mark.parametrize("where", ["product", "sum"])
+    def test_a_scale_that_overflows_is_named_quietly(self, fitted, where):
+        # 1e308 warned "overflow encountered in multiply" at the scaled goal covariances,
+        # a scale just below the largest float over their largest entry "overflow
+        # encountered in reduce" at their trace with the step covariances; each then
+        # failed with "rollout produced non-finite positions"
+        train, params, fitted_goals = fitted
+        goal_params = GoalModelParams(  # every goal covariance entry on the diagonal >= 4
+            fitted_goals.anchor_steps, fitted_goals.weights,
+            fitted_goals.residual_covs + 4.0 * np.eye(2), fitted_goals.history_len)
+        ego = interpolate_covs(goal_params.anchor_steps, goal_params.residual_covs,
+                               params.horizon)
+        scale = 1e308 if where == "product" else float(0.999999 * np.finfo(float).max / ego.max())
+        with np.errstate(over="ignore"):
+            assert np.isfinite(scale * ego).all() == (where == "sum")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with raises(f"goal_cov_scale={scale!r} makes a goal measurement covariance, "
+                        "or its sum with a step covariance, overflow"):
+                rollout_batch(params, train.histories(), None, goal_params, scale)
+            with raises(f"goal_cov_scale={scale!r} makes a goal measurement covariance, "
+                        "or its sum with a step covariance, overflow"):
+                run_ablation(train, {"cv": (params, goal_params)}, scale)
+            # a scale that overflows nothing still refines, to the vanilla rollout's means
+            means, covs = rollout_batch(params, train.histories(), None, goal_params, 1e300)
+            vanilla, _ = rollout_batch(params, train.histories())
+        assert np.isfinite(covs).all()
+        np.testing.assert_allclose(means, vanilla, rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("value,plain", [(np.float64(0.5), 0.5), (np.int64(2), 2), (3.0, 3.0)])
     def test_checked_positive_returns_a_plain_number(self, value, plain):

@@ -123,10 +123,12 @@ def failing() -> list[tuple[str, ...]]:
     future-length rules the CLI can break, on the files the script and
     EDITED_MODELS write, then fits of a window or lag out of range for the
     backbone, then an ablation naming an unknown backbone, then a predict and
-    an ablation with a goal covariance scale out of range; none writes its
-    --out file, and each of the last ten names its own, so that a tree on
-    which one succeeds keeps what it wrote apart. Commands added later come
-    last, a later edited model's included, so that no earlier name moves."""
+    an ablation with a goal covariance scale out of range, then predicts with a
+    scale that overflows a goal covariance and one that leaves a refined
+    covariance not positive definite; none writes its --out file, and each of
+    the last twelve names its own, so that a tree on which one succeeds keeps
+    what it wrote apart. Commands added later come last, a later edited
+    model's included, so that no earlier name moves."""
     fit = ("fit", "--train", "train.jsonl", "--out", "failed.json")
     edited = [("predict", "--model", name, "--data", "test.jsonl", "--out", f"failed_{name}l")
               for name in EDITED_MODELS]
@@ -148,6 +150,8 @@ def failing() -> list[tuple[str, ...]]:
          "--out", "failed_scale0.jsonl"),
         ("ablate", "--train", "train.jsonl", "--test", "turn.jsonl", "--goal-cov-scale", "nan",
          "--out", "failed_scale_nan.csv"),
+        *(("predict", "--model", "model_ar.json", "--data", "test.jsonl", "--goal-cov-scale",
+           scale, "--out", f"failed_scale{scale}.jsonl") for scale in ("1e308", "1e-300")),
     ]
 
 
