@@ -372,7 +372,6 @@ def extract_segments(
     tau: int = DEFAULT_TAU,
     horizon: int = DEFAULT_HORIZON,
     stride: int = 10,
-    source: str = "ngsim",
 ) -> Dataset:
     """Slide (tau+1+horizon)-point windows over each track, advancing by stride."""
     tau, horizon, stride = whole("tau", tau), whole("horizon", horizon), whole("stride", stride)
@@ -392,7 +391,7 @@ def extract_segments(
     ids = [f"v{t.vehicle_id}-t{ti}-s{s}" for ti, (t, run) in enumerate(zip(tracks, starts))
            for s in run]
     agents = [t.vehicle_id for t, run in zip(tracks, starts) for _ in run]
-    return _from_stacks(ids, agents, dt, windows[:, : tau + 1], windows[:, tau + 1 :], source)
+    return _from_stacks(ids, agents, dt, windows[:, : tau + 1], windows[:, tau + 1 :], "ngsim")
 
 
 def split_dataset(

@@ -11,10 +11,12 @@ errors actually grow.
 
 :func:`rollout_batch` is the one rollout loop; it steps N segments at once,
 with a fixed count of numpy calls around the step loop whatever N, and a
-single segment is its one-row case, ``history[None]``. ``rollout``,
+single segment is its one-row case, ``history[None]``, and its
+``goal_cov_scale`` is the one goal covariance scale. ``rollout``,
 ``rollout_vanilla`` and ``rollout_refined`` are the benchmark's one-segment
-entry points, three adapters to one body that checks the estimates once.
-They, their :class:`RefineConfig`, :class:`~trajrefine.fusion.Estimate`,
+entry points, three adapters to one body that rolls out at the default scale
+and checks the estimates once; :class:`RefineConfig` is only the flag
+``rollout`` dispatches on. They, :class:`~trajrefine.fusion.Estimate`,
 :class:`~trajrefine.gaussian.Cov2` and the scalar
 :func:`~trajrefine.gaussian.params_from_cov` are importable from their modules
 and are not part of the package API.
@@ -135,16 +137,11 @@ class PredictorParams:
 
 @dataclass(frozen=True)
 class RefineConfig:
-    """The one-segment adapters' knobs: refine_enabled selects between refined and
-    vanilla in :func:`rollout`, and :func:`rollout_refined` rejects it False;
-    goal_cov_scale is :func:`rollout_batch`'s.
-    """
+    """The flag :func:`rollout` dispatches on: refined if refine_enabled, else
+    vanilla. The goal covariance scale is :func:`rollout_batch`'s
+    ``goal_cov_scale``."""
 
     refine_enabled: bool = True
-    goal_cov_scale: float = 1.0
-
-    def __post_init__(self) -> None:
-        checked_positive("goal_cov_scale", self.goal_cov_scale)
 
 
 @lru_cache(maxsize=None)
@@ -184,24 +181,8 @@ def fit_predictor(
     if not non_negative(ridge_lambda):
         raise ValueError(f"ridge_lambda must be finite and >= 0, got {ridge_lambda!r}")
     calib = calibration_split(train, val, train.horizon)
-
-    ar_weights = None
-    if backbone == "ar" and lag >= 1:  # PredictorParams rejects a lag below 1
-        hist, fut = train.histories(), train.futures()
-        disp = np.empty((len(hist), train.tau + train.horizon, 2))  # x[i+1] - x[i]
-        np.subtract(hist[:, 1:], hist[:, :-1], out=disp[:, :train.tau])
-        np.subtract(fut[:, 0], hist[:, -1], out=disp[:, train.tau])
-        np.subtract(fut[:, 1:], fut[:, :-1], out=disp[:, train.tau + 1:])
-        rows = disp.shape[1] - lag  # design rows per segment, in step order
-        if rows < 1:
-            raise ValueError("training segments are too short for the requested lag")
-        # row (n, j) is disp[n, j : j + lag]: one read-only view, copied once
-        windows = np.lib.stride_tricks.sliding_window_view(disp[:, :-1], lag, axis=1)
-        feats = windows.swapaxes(2, 3).reshape(-1, 2 * lag)
-        # the targets' copy is a temporary, freed before the calibration rollouts
-        rhs = feats.T @ disp[:, lag:].reshape(-1, 2)
-        ar_weights = solve_ridge(feats.T @ feats, rhs, ridge_lambda)
-
+    # PredictorParams rejects a lag below 1
+    ar_weights = _ar_weights(train, lag, ridge_lambda) if backbone == "ar" and lag >= 1 else None
     shape = {"window": window, "lag": lag, "ar_weights": ar_weights}
     flat = np.broadcast_to(np.eye(2), (train.horizon, 2, 2))
     preds, _ = rollout_batch(PredictorParams(backbone, train.dt, flat, **shape),
@@ -212,6 +193,25 @@ def fit_predictor(
     traces = moments[:, 0, 0] + moments[:, 1, 1]
     moments *= (np.maximum.accumulate(traces) / traces)[:, None, None]
     return PredictorParams(backbone, train.dt, moments, **shape)
+
+
+def _ar_weights(train: Dataset, lag: int, ridge_lambda: float) -> np.ndarray:
+    """:func:`fit_predictor`'s ar weights; the design arrays are freed on
+    return, before its calibration rollouts."""
+    hist, fut = train.histories(), train.futures()
+    disp = np.empty((len(hist), train.tau + train.horizon, 2))  # x[i+1] - x[i]
+    np.subtract(hist[:, 1:], hist[:, :-1], out=disp[:, :train.tau])
+    np.subtract(fut[:, 0], hist[:, -1], out=disp[:, train.tau])
+    np.subtract(fut[:, 1:], fut[:, :-1], out=disp[:, train.tau + 1:])
+    rows = disp.shape[1] - lag  # design rows per segment, in step order
+    if rows < 1:
+        raise ValueError("training segments are too short for the requested lag")
+    # row (n, j) is disp[n, j : j + lag]: one read-only view, copied once
+    windows = np.lib.stride_tricks.sliding_window_view(disp[:, :-1], lag, axis=1)
+    feats = windows.swapaxes(2, 3).reshape(-1, 2 * lag)
+    # the targets' copy is a temporary, freed before the calibration rollouts
+    rhs = feats.T @ disp[:, lag:].reshape(-1, 2)
+    return solve_ridge(feats.T @ feats, rhs, ridge_lambda)
 
 
 def model_protocol(params: PredictorParams, goal_params: GoalModelParams) -> dict:
@@ -398,16 +398,13 @@ def _step(params: PredictorParams, histories: np.ndarray, horizon: int, goals):
     return means, covs
 
 
-def _one_segment(params, refine: bool, goal_params, history, horizon, cfg=RefineConfig()):
+def _one_segment(params, refine: bool, goal_params, history, horizon):
     """The one-segment adapters' body: :func:`rollout_batch` of one (n, 2)
-    history, refined by ``goal_params`` if ``refine``, as checked estimates; a
-    refined rollout needs a goal model and cfg.refine_enabled True."""
+    history at the default goal_cov_scale, refined by ``goal_params`` if
+    ``refine``, as checked estimates; a refined rollout needs a goal model."""
     if refine and goal_params is None:
         raise ValueError("refined rollout requires a goal model")
-    if refine and not cfg.refine_enabled:
-        raise ValueError("refine_enabled is False, but a goal model was given to refine with")
-    means, covs = rollout_batch(params, [history], horizon, goal_params if refine else None,
-                                cfg.goal_cov_scale)
+    means, covs = rollout_batch(params, [history], horizon, goal_params if refine else None)
     return estimates_from_arrays(means[0], covs[0])
 
 
@@ -427,14 +424,13 @@ def rollout_refined(
     goal_params: GoalModelParams,
     history: np.ndarray,
     horizon: int | None = None,
-    cfg: RefineConfig = RefineConfig(),
 ) -> list[Estimate]:
     """Goal-refined rollout of one (n, 2) history; see :func:`rollout_batch`.
 
     A benchmark entry point, not part of the package API (module docstring);
     the package's form is :func:`rollout_batch` of ``history[None]``.
     """
-    return _one_segment(params, True, goal_params, history, horizon, cfg)
+    return _one_segment(params, True, goal_params, history, horizon)
 
 
 def rollout(
@@ -449,4 +445,4 @@ def rollout(
     A benchmark entry point, not part of the package API (module docstring);
     the package's form is :func:`rollout_batch` of ``history[None]``.
     """
-    return _one_segment(params, cfg.refine_enabled, goal_params, history, horizon, cfg)
+    return _one_segment(params, cfg.refine_enabled, goal_params, history, horizon)

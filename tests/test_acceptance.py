@@ -14,8 +14,7 @@ from trajrefine.cli import main as cli_main
 from trajrefine.fusion import fuse, info_fuse
 from trajrefine.gaussian import cov_from_params
 from trajrefine.goals import GoalModelParams
-from trajrefine.predictors import (PredictorParams, RefineConfig, rollout_batch, rollout_refined,
-                                   rollout_vanilla)
+from trajrefine.predictors import PredictorParams, rollout_batch, rollout_vanilla
 
 
 @contextmanager
@@ -186,17 +185,15 @@ def lane_change_models():
 def test_criterion_5_limit_equivalences(lane_change_models):
     with verdict(5, "goal covariance scale limits recover vanilla and goal means"):
         _, test, params, goal_params, dense_goals = lane_change_models
-        huge = RefineConfig(goal_cov_scale=1e12)
-        tiny = RefineConfig(goal_cov_scale=1e-12)
         for seg in test.segments[:50]:
             vanilla = rollout_vanilla(params, seg.history)
-            refined = rollout_refined(params, goal_params, seg.history, cfg=huge)
-            gap = np.array([r.mean - v.mean for r, v in zip(refined, vanilla)])
+            refined, _ = rollout_batch(params, seg.history[None], None, goal_params, 1e12)
+            gap = refined[0] - np.array([v.mean for v in vanilla])
             assert np.abs(gap).max() <= 1e-6
 
             goal_means, _ = tr.goal_moments(dense_goals, seg.history[None])
-            snapped = rollout_refined(params, dense_goals, seg.history, cfg=tiny)
-            gap = np.array([s.mean for s in snapped]) - goal_means[0]
+            snapped, _ = rollout_batch(params, seg.history[None], None, dense_goals, 1e-12)
+            gap = snapped[0] - goal_means[0]
             assert np.abs(gap).max() <= 1e-6
 
 

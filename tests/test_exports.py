@@ -1,11 +1,13 @@
+import dataclasses
 import importlib
 import inspect
 
 import pytest
 
 import trajrefine
+from trajrefine.data import extract_segments
 from trajrefine.metrics import run_ablation
-from trajrefine.predictors import rollout_batch
+from trajrefine.predictors import RefineConfig, rollout_batch, rollout_refined
 
 # the package API: the arrays rollout, the fitters, the goal and fusion functions
 EXPORTS = [
@@ -54,3 +56,19 @@ def test_the_arrays_api_takes_the_goal_scale_as_a_float(func, names):
     parameters = inspect.signature(func).parameters
     assert list(parameters) == names
     assert parameters["goal_cov_scale"].default == 1.0
+
+
+def test_refine_config_is_only_the_flag_rollout_dispatches_on():
+    assert [field.name for field in dataclasses.fields(RefineConfig)] == ["refine_enabled"]
+
+
+def test_rollout_refined_takes_no_config():
+    parameters = inspect.signature(rollout_refined).parameters
+    assert list(parameters) == ["params", "goal_params", "history", "horizon"]
+    assert parameters["horizon"].default is None
+
+
+def test_extract_segments_takes_no_source():
+    assert list(inspect.signature(extract_segments).parameters) == [
+        "tracks", "tau", "horizon", "stride"]
+    assert extract_segments([]).source == "ngsim"

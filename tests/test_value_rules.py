@@ -26,8 +26,7 @@ from trajrefine.gaussian import (Cov2, cov_from_params, log_density, params_from
                                  params_from_covs, pd_rule, psd_rule)
 from trajrefine.goals import GoalModelParams, fit_goal_model, interpolate_covs, solve_ridge
 from trajrefine.metrics import run_ablation
-from trajrefine.predictors import (PredictorParams, RefineConfig, fit_ar_rls, fit_predictor,
-                                   rollout_batch)
+from trajrefine.predictors import PredictorParams, fit_ar_rls, fit_predictor, rollout_batch
 
 POINTS = np.zeros((2, 2))
 BOOLEANS = [True, False, np.True_, np.False_]
@@ -95,7 +94,8 @@ class TestBooleanIsNotANumber:
     @pytest.mark.parametrize("value", [True, np.True_])
     def test_goal_cov_scale(self, value):
         with raises("goal_cov_scale must be finite and positive"):
-            RefineConfig(goal_cov_scale=value)
+            rollout_batch(PredictorParams("cv", 0.2, np.eye(2)[None]), np.zeros((1, 2, 2)),
+                          None, None, value)
 
     @pytest.mark.parametrize("value", [True, np.True_])
     def test_rls_delta(self, value):
@@ -254,7 +254,7 @@ def test_every_caller_keeps_the_one_rule(sxx, a, b, syy, symmetric):
 
 class TestOneGoalCovScaleRule:
     """goal_cov_scale is a float argument of rollout_batch and run_ablation, with
-    RefineConfig's rule and message (data.checked_positive) wherever it is taken."""
+    one rule and message (data.checked_positive) wherever it is taken."""
 
     MESSAGE = "goal_cov_scale must be finite and positive"
 
@@ -266,8 +266,6 @@ class TestOneGoalCovScaleRule:
     @pytest.mark.parametrize("value", [0, -0.0, -1, np.inf, np.nan, True])
     def test_every_taker_rejects_a_bad_scale(self, fitted, monkeypatch, value):
         train, params, goal_params = fitted
-        with raises(self.MESSAGE):
-            RefineConfig(goal_cov_scale=value)
         for goals in (None, goal_params):  # with or without a goal model
             with raises(self.MESSAGE):
                 rollout_batch(params, train.histories(), None, goals, value)
