@@ -263,7 +263,8 @@ class TestOneGoalCovScaleRule:
         train = gen_synthetic("cv", 8, 0.1, seed=4)
         return train, fit_predictor("cv", train), fit_goal_model(train)
 
-    @pytest.mark.parametrize("value", [0, -0.0, -1, np.inf, np.nan, True])
+    # the floats -inf, 0.0 and -1.0 were RefineConfig.goal_cov_scale's cases before it went
+    @pytest.mark.parametrize("value", [0, -0.0, -1, np.inf, np.nan, True, -np.inf, 0.0, -1.0])
     def test_every_taker_rejects_a_bad_scale(self, fitted, monkeypatch, value):
         train, params, goal_params = fitted
         for goals in (None, goal_params):  # with or without a goal model
